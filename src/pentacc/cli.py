@@ -24,7 +24,6 @@ from .geometry import (
     OutOfDomainError,
     PlanarConfiguration,
     branch_position,
-    cyclic_from_angles,
     mutual_distances,
     Y4_MAX,
 )
@@ -63,11 +62,23 @@ def _write(payload: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _parse_range(text: str, what: str) -> tuple:
+    lo, hi = (float(x) for x in text.split(","))
+    if lo > hi:
+        raise ValueError(f"{what} {text} is inverted")
+    return lo, hi
+
+
 def _parse_window(text: str, branch: str, inset: float):
     names = {"a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5"}
-    if text.lower() in names:
-        return window_for(branch, text.upper(), inset=inset)
-    lo, hi = (float(x) for x in text.split(","))
+    if text.lower() not in names:
+        return _parse_range(text, "--window")
+    try:
+        lo, hi = window_for(branch, text.upper(), inset=inset)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    if lo > hi:
+        raise ValueError(f"--inset {inset} leaves window {text} empty")
     return lo, hi
 
 
@@ -112,7 +123,7 @@ def _family_svg(samples: int = 400) -> str:
 
 
 def cmd_certify(args) -> int:
-    a_lo, a_hi = (float(x) for x in args.A_range.split(","))
+    a_lo, a_hi = _parse_range(args.A_range, "--A-range")
     window = _parse_window(args.window, args.branch, args.inset)
     if args.mode == "unique-root":
         cert = certify_unique_root(window, (a_lo, a_hi), branch=args.branch,
@@ -140,6 +151,8 @@ def cmd_region_map(args) -> int:
         _write(json.dumps(payload, indent=1), None)
         return EXIT_OK
     n = args.grid
+    if n < 1:
+        raise ValueError(f"--grid must be at least 1, got {n}")
     thetas = np.linspace(0.0, 2.0 * math.pi, n + 2)[1:-1]
     rows = []
     labels = {}
@@ -264,7 +277,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bifurcation(args) -> int:
-    lo, hi = (float(x) for x in args.A_range.split(","))
+    lo, hi = _parse_range(args.A_range, "--A-range")
     try:
         blo, bhi = bifurcation_scan((lo, hi), step=args.step, tol=args.tol)
     except NoBifurcationError as exc:

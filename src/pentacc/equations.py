@@ -31,8 +31,8 @@ from .geometry import (
     DIAGONALS,
     PlanarConfiguration,
     SymmetricShape,
-    branch_position,
     cyclic_from_angles,
+    family_terms,
     interior_angle,
     interior_points,
     mutual_distances,
@@ -42,7 +42,6 @@ from .geometry import (
 __all__ = [
     "Exponent",
     "MassVector",
-    "EquationContext",
     "ResidualReport",
     "KernelResult",
     "La2Certificate",
@@ -53,7 +52,6 @@ __all__ = [
     "symmetric_g",
     "fit_lambda_tilde",
     "mass_coefficient_matrix",
-    "symmetric_la_coefficients",
     "mass_kernel",
     "la2_feasible",
     "region_classify",
@@ -111,13 +109,6 @@ class MassVector:
     def symmetric(cls, m1: float, m3: float, m4: float) -> "MassVector":
         """Mirror-symmetric masses: m2 = m1 and m5 = m3."""
         return cls(m1, m1, m3, m4, m3)
-
-
-@dataclass(frozen=True)
-class EquationContext:
-    """Multiplier normalization; the tropical and finiteness work fix lt = 1."""
-
-    lambda_tilde: float = 1.0
 
 
 @dataclass
@@ -279,68 +270,22 @@ def symmetric_g(distances, masses, a_exp: float,
                           meta={"A": a_exp, "lambda_tilde": lambda_tilde})
 
 
-def _symmetric_quantities(shape: SymmetricShape, a_exp: float) -> dict:
-    y4 = shape.y4
-    x3, y3 = branch_position(y4, shape.branch)
-    q = {
-        "d123": y3,
-        "d124": y4,
-        "d134": x3 * y4 + (y4 - y3) / 2.0,
-        "d135": 2.0 * y3 * x3,
-        "d145": x3 * y4 - (y4 - y3) / 2.0,
-        "d345": 2.0 * x3 * (y4 - y3),
-    }
-    r13 = math.hypot(x3 + 0.5, y3)
-    r14 = math.sqrt(0.25 + y4 * y4)
-    r35 = abs(2.0 * x3)
-    if min(r13, r14, r35) <= 0.0:
-        raise CollisionError(f"collision at y4 = {y4} on branch {shape.branch}")
-    q["R13"] = r13 ** (-a_exp)
-    q["R14"] = r14 ** (-a_exp)
-    q["R35"] = r35 ** (-a_exp)
-    return q
-
-
-def symmetric_la_coefficients(shape: SymmetricShape, a_exp: float) -> dict:
-    """Mass coefficients of the four independent symmetric wedge equations.
-
-    Returns {label: {mass index: coefficient}} for L13, L14, L15, L34 over
-    the reduced masses (1, 3, 4); mirror symmetry sets m2 = m1, m5 = m3.
-    """
-    q = _symmetric_quantities(shape, a_exp)
-    R13, R14, R35 = q["R13"], q["R14"], q["R35"]
-    return {
-        "L13": {3: (1.0 - R35) * q["d135"], 4: (R14 - 1.0) * q["d134"]},
-        "L14": {1: (1.0 - R14) * q["d124"], 3: (R13 - 1.0) * q["d134"]},
-        "L15": {1: (1.0 - R13) * q["d123"], 3: (R13 - R35) * q["d135"],
-                4: (R14 - 1.0) * q["d145"]},
-        "L34": {1: (R13 - R14) * q["d134"] + (1.0 - R14) * q["d145"],
-                3: (R35 - 1.0) * q["d345"]},
-    }
-
-
-def mass_coefficient_matrix(shape: SymmetricShape, a_exp: float,
-                            reduced: bool = False) -> np.ndarray:
+def mass_coefficient_matrix(shape: SymmetricShape, a_exp: float) -> np.ndarray:
     """4x3 coefficient matrix of (m1, m3, m4) for rows L13, L14, L15, L34.
 
-    With ``reduced=True`` the L15 row has its m4 entry eliminated against the
-    L13 row, which divides by Delta134 and therefore requires Delta134 != 0;
-    the default form is defined everywhere and has the same kernel.
+    These are the four independent symmetric wedge equations; mirror
+    symmetry sets m2 = m1 and m5 = m3.
     """
-    coeffs = symmetric_la_coefficients(shape, a_exp)
-    rows = []
-    for label in ("L13", "L14", "L15", "L34"):
-        c = coeffs[label]
-        rows.append([c.get(1, 0.0), c.get(3, 0.0), c.get(4, 0.0)])
-    m = np.array(rows)
-    if reduced:
-        q = _symmetric_quantities(shape, a_exp)
-        if abs(q["d134"]) < 1e-14:
-            raise ZeroDivisionError("reduced form undefined where Delta134 = 0")
-        ratio = q["d145"] / q["d134"]
-        m[2, 1] = ((q["R13"] - q["R35"]) - (1.0 - q["R35"]) * ratio) * q["d135"]
-        m[2, 2] = 0.0
-    return m
+    q = family_terms(shape.y4, shape.branch)
+    if min(q["r13"], q["r14"], q["r35"]) <= 0.0:
+        raise CollisionError(f"collision at y4 = {shape.y4} on branch {shape.branch}")
+    R13, R14, R35 = (q[r] ** (-a_exp) for r in ("r13", "r14", "r35"))
+    return np.array([
+        [0.0, (1.0 - R35) * q["d135"], (R14 - 1.0) * q["d134"]],
+        [(1.0 - R14) * q["d124"], (R13 - 1.0) * q["d134"], 0.0],
+        [(1.0 - R13) * q["d123"], (R13 - R35) * q["d135"], (R14 - 1.0) * q["d145"]],
+        [(R13 - R14) * q["d134"] + (1.0 - R14) * q["d145"], (R35 - 1.0) * q["d345"], 0.0],
+    ])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -45,6 +44,7 @@ __all__ = [
     "cayley_menger",
     "branch_position",
     "branch_radicand",
+    "family_terms",
     "symmetric_coords",
     "cyclic_from_angles",
     "interior_angle",
@@ -142,6 +142,38 @@ def branch_position(y4, branch: str):
     x3 = x3_num / (den * (4.0 * u + 1.0 + 2.0 * y4 * s))
     y3 = y3_num / (den * (8.0 * u * y4 + 2.0 * y4 + s))
     return x3, y3
+
+
+def family_terms(y4, branch: str, a_exp=None) -> dict:
+    """Oriented areas and distances of the symmetric family at apex height y4.
+
+    Returns d123, d124, d134, d135, d145, d345 (the areas Delta(i,j,k)) and
+    r13, r14, r35; with an exponent also R13, R14, R35 = r**(-a_exp).  This
+    is the single source of these quantities for F, the mass-coefficient
+    matrix, the exclusion coefficients and the sign-type classifier.  Works
+    for floats, numpy arrays, Intervals, Duals and Jet2 jets, for y4 and for
+    the exponent.
+    """
+    x3, y3 = branch_position(y4, branch)
+    dy = y4 - y3
+    xy = x3 * y4
+    half = dy * 0.5  # not dy / 2.0: equal on floats, but wider on Dual(Interval)
+    t = {
+        "d123": y3,
+        "d124": y4,
+        "d134": xy + half,
+        "d135": 2.0 * y3 * x3,
+        "d145": xy - half,
+        "d345": 2.0 * x3 * dy,
+        "r13": _sqrt((x3 + 0.5) * (x3 + 0.5) + y3 * y3),
+        "r14": _sqrt(y4 * y4 + 0.25),
+        "r35": abs(2.0 * x3),
+    }
+    if a_exp is not None:
+        t["R13"] = t["r13"] ** (-a_exp)
+        t["R14"] = t["r14"] ** (-a_exp)
+        t["R35"] = t["r35"] ** (-a_exp)
+    return t
 
 
 @dataclass(frozen=True)
@@ -270,9 +302,6 @@ def mutual_distances(config: PlanarConfiguration, tol: float = 1e-9) -> Distance
             r35=float(table[2, 4]),
         )
     return DistanceTable(table=table, classes=classes, is_equilateral=equilateral)
-
-
-_CM_ROWS = 5
 
 
 def cayley_menger(distances) -> float:
@@ -464,14 +493,9 @@ def classify_sign_type(shape: SymmetricShape, eps: float = _SIGN_EPS) -> SignTyp
     Delta345 = 0 (where also r14 = 1); branch B types by the two q3 = q5
     collisions, the q1 = q3 collision, and Delta134 = 0.
     """
-    x3, y3 = branch_position(shape.y4, shape.branch)
-    y4 = shape.y4
-    d123 = y3
-    d134 = x3 * y4 + (y4 - y3) / 2.0
-    d135 = 2.0 * y3 * x3
-    d345 = 2.0 * x3 * (y4 - y3)
-    r13 = math.hypot(x3 + 0.5, y3)
-    r35 = abs(2.0 * x3)
+    t = family_terms(shape.y4, shape.branch)
+    d123, d134, d135, d345 = t["d123"], t["d134"], t["d135"], t["d345"]
+    r13, r35 = t["r13"], t["r35"]
 
     if shape.branch == "A":
         if abs(r35 - 1.0) <= eps:

@@ -9,7 +9,11 @@ which keeps the arithmetic portable.
 Dual numbers carry a value and a first derivative through the same operator
 set.  Their components may be floats or Intervals, which is how the
 certification code obtains simultaneous enclosures of a function and its
-derivative over a box.
+derivative over a box.  Jet2 carries second-order terms in two variables for
+the mean-value form.  Dual stays beside it for two reasons.  Its natural
+form costs about a third as much as F on a Jet2 per 1-D cell.  And it is
+often tighter on wide boxes, so it decides leaves that the mean-value form
+cannot (see ``certify._mv_eval``).
 """
 
 from __future__ import annotations
@@ -59,18 +63,6 @@ class Interval:
         """One-ulp fattening of x; encloses a real known to within rounding."""
         x = float(x)
         return cls(_down(x), _up(x))
-
-    @classmethod
-    def hull(cls, *values) -> "Interval":
-        los, his = [], []
-        for v in values:
-            if isinstance(v, Interval):
-                los.append(v.lo)
-                his.append(v.hi)
-            else:
-                los.append(float(v))
-                his.append(float(v))
-        return cls(min(los), max(his))
 
     # ------------------------------------------------------------------
 
@@ -213,16 +205,6 @@ class Box:
     def __post_init__(self):
         if self.a.lo < 2.0:
             raise ValueError(f"exponent interval must stay within [2, inf), got {self.a}")
-
-    def split(self, scale: tuple = (1.0, 1.0)) -> tuple:
-        """Bisect the wider coordinate; widths are normalized by ``scale``.
-
-        Passing the root region's widths as ``scale`` makes the subdivision
-        alternate sensibly on elongated regions.
-        """
-        sy = self.y4.width / scale[0] if scale[0] > 0 else self.y4.width
-        sa = self.a.width / scale[1] if scale[1] > 0 else self.a.width
-        return self.split_coord(0 if sy >= sa else 1)
 
     def split_coord(self, coord: int) -> tuple:
         """Bisect coordinate 0 (y4) or 1 (A)."""

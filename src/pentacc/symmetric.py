@@ -2,7 +2,7 @@
 
 The admissibility of masses on the symmetric family reduces to the vanishing
 of a 2x2 minor F of the mass-coefficient matrix.  This module evaluates F
-generically (floats, arrays, duals, intervals), isolates its roots per
+generically (floats, arrays, duals, jets, intervals), isolates its roots per
 sign-type window, recovers masses at each root, checks them against the two
 exact mass polynomials, scans for the root-count bifurcation in A, and
 verifies the grid sign arguments that exclude seven of the ten sign types.
@@ -11,7 +11,7 @@ verifies the grid sign arguments that exclude seven of the ten sign types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +23,7 @@ from .geometry import (
     Y4_MAX,
     branch_position,
     classify_sign_type,
+    family_terms,
     regular_pentagon_y4,
     symmetric_coords,
 )
@@ -57,38 +58,17 @@ __all__ = [
 ]
 
 
-def _sqrt(x):
-    if hasattr(x, "sqrt"):
-        return x.sqrt()
-    return np.sqrt(x)
-
-
-def f_ingredients(y4, a_exp, branch: str) -> dict:
-    """Oriented areas and inverse-power distances entering F, generic scalar."""
-    x3, y3 = branch_position(y4, branch)
-    d124 = y4
-    d134 = x3 * y4 + (y4 - y3) * 0.5
-    d145 = x3 * y4 - (y4 - y3) * 0.5
-    d345 = 2.0 * x3 * (y4 - y3)
-    r13 = _sqrt((x3 + 0.5) * (x3 + 0.5) + y3 * y3)
-    r14 = _sqrt(y4 * y4 + 0.25)
-    r35 = abs(2.0 * x3)
-    return {
-        "d124": d124, "d134": d134, "d145": d145, "d345": d345,
-        "R13": r13 ** (-a_exp), "R14": r14 ** (-a_exp), "R35": r35 ** (-a_exp),
-    }
-
-
 def F(y4, a_exp, branch: str = "A"):
     """The admissibility minor; its zeros are the candidate symmetric shapes.
 
     F = (1 - R14)(R35 - 1) d124 d345
         + (1 - R13) d134 ((R13 - R14) d134 + (1 - R14) d145)
 
-    Accepts floats, numpy arrays, Dual seeds, and Intervals for y4, and a
-    float or Interval exponent.
+    F is the minor of rows L14 and L34 of the mass-coefficient matrix.
+    Accepts floats, numpy arrays, Intervals, Dual seeds and Jet2 jets for y4,
+    and a float, Interval or Jet2 exponent.
     """
-    g = f_ingredients(y4, a_exp, branch)
+    g = family_terms(y4, branch, a_exp)
     return ((1.0 - g["R14"]) * (g["R35"] - 1.0) * g["d124"] * g["d345"]
             + (1.0 - g["R13"]) * g["d134"]
             * ((g["R13"] - g["R14"]) * g["d134"] + (1.0 - g["R14"]) * g["d145"]))
@@ -116,26 +96,16 @@ def F_from_matrix(shape: SymmetricShape, a_exp: float) -> float:
 
 _BOUNDARY_FUNS = {
     "A": (
-        lambda y: abs(2.0 * branch_position(y, "A")[0]) - 1.0,      # r35 = 1
-        lambda y: _d134(y, "A"),                                    # Delta134 = 0
-        lambda y: _d345(y, "A"),                                    # Delta345 = 0 (r14 = 1)
+        lambda y: family_terms(y, "A")["r35"] - 1.0,                # r35 = 1
+        lambda y: family_terms(y, "A")["d134"],                     # Delta134 = 0
+        lambda y: family_terms(y, "A")["d345"],                     # Delta345 = 0 (r14 = 1)
     ),
     "B": (
         lambda y: branch_position(y, "B")[0],                       # x3 = 0 collisions
-        lambda y: branch_position(y, "B")[1],                       # y3 = 0 collision
-        lambda y: _d134(y, "B"),                                    # Delta134 = 0
+        lambda y: family_terms(y, "B")["d123"],                     # y3 = 0 collision
+        lambda y: family_terms(y, "B")["d134"],                     # Delta134 = 0
     ),
 }
-
-
-def _d134(y4, branch):
-    x3, y3 = branch_position(y4, branch)
-    return x3 * y4 + (y4 - y3) * 0.5
-
-
-def _d345(y4, branch):
-    x3, y3 = branch_position(y4, branch)
-    return 2.0 * x3 * (y4 - y3)
 
 
 def _bisect_root(f, lo: float, hi: float, tol: float = 1e-13) -> float:
@@ -496,14 +466,12 @@ def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> t
 
 # type -> (equation, coefficient pair as functions, claimed common sign)
 def _l13_coeffs(y4, a_exp, branch):
-    g = f_ingredients(y4, a_exp, branch)
-    x3, y3 = branch_position(y4, branch)
-    d135 = 2.0 * y3 * x3
-    return (1.0 - g["R35"]) * d135, (g["R14"] - 1.0) * g["d134"]
+    g = family_terms(y4, branch, a_exp)
+    return (1.0 - g["R35"]) * g["d135"], (g["R14"] - 1.0) * g["d134"]
 
 
 def _l14_coeffs(y4, a_exp, branch):
-    g = f_ingredients(y4, a_exp, branch)
+    g = family_terms(y4, branch, a_exp)
     return (1.0 - g["R14"]) * g["d124"], (g["R13"] - 1.0) * g["d134"]
 
 

@@ -70,6 +70,8 @@ def test_unique_root_certificate_vortex_only():
 def test_unique_root_certificate_vortex_to_newtonian():
     cert = certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A")
     assert cert.certified
+    # pins the enclosures: a looser F or dF evaluation changes the count
+    assert len(cert.leaves) == 39
     # soundness spot check: one sign change per sampled exponent
     lo, hi = cert.window
     for a_exp in np.linspace(2.0, 3.0, 7):
@@ -89,6 +91,7 @@ def test_no_common_zero_on_convex_window():
     cert = certify_no_common_zero(Box(Interval(*w), Interval(2.0, 3.0)), "A")
     assert cert.certified
     assert all(leaf.verdict in ("F", "dF") for leaf in cert.leaves)
+    assert len(cert.leaves) == 194
 
 
 def test_no_common_zero_fails_at_bifurcation():

@@ -251,8 +251,27 @@ def test_bifurcation_empty_range(tmp_path):
     assert json.loads(out.read_text())["found"] is False
 
 
-def test_bad_exponent_is_input_error():
-    assert main(["symmetric-scan", "--A", "1.2", "--branch", "A"]) == 1
+@pytest.mark.parametrize("argv", [
+    pytest.param(["symmetric-scan", "--A", "1.2", "--branch", "A"], id="exponent"),
+    pytest.param(["symmetric-scan", "--A", "3", "--branch", "B", "--window", "a2"],
+                 id="scan-type-off-branch"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "0.5,0.2"],
+                 id="scan-window-inverted"),
+    pytest.param(["certify", "--branch", "B", "--window", "a2", "--A-range", "2,3"],
+                 id="certify-type-off-branch"),
+    pytest.param(["certify", "--window", "0.5,0.2", "--A-range", "2,3"],
+                 id="certify-window-inverted"),
+    pytest.param(["certify", "--window", "a2", "--A-range", "3,2"],
+                 id="certify-range-inverted"),
+    pytest.param(["certify", "--mode", "no-common-zero", "--window", "a2",
+                  "--inset", "1", "--A-range", "2,3"], id="certify-inset-empties-window"),
+    pytest.param(["region-map", "--grid", "0"], id="region-map-grid-0"),
+])
+def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_tropical_verify_multiple_exponents(tmp_path):

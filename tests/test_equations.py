@@ -151,10 +151,6 @@ def test_pentagon_matrix_annihilates_equal_masses():
     m = mass_coefficient_matrix(SymmetricShape(regular_pentagon_y4(), "A"), 3.0)
     assert m.shape == (4, 3)
     assert np.max(np.abs(m @ np.ones(3))) <= 1e-12
-    reduced = mass_coefficient_matrix(
-        SymmetricShape(regular_pentagon_y4(), "A"), 3.0, reduced=True)
-    assert np.max(np.abs(reduced @ np.ones(3))) <= 1e-12
-    assert reduced[2, 2] == 0.0
 
 
 def test_square_endpoint_matrix_structure():
@@ -171,12 +167,6 @@ def test_collinear_endpoint_matrix_structure():
     # Delta134 = 0 kills the (R13 - 1) Delta134 entries
     assert m[1, 1] == pytest.approx(0.0, abs=1e-12)
     assert m[0, 2] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_reduced_matrix_requires_nonzero_area():
-    with pytest.raises(ZeroDivisionError):
-        mass_coefficient_matrix(
-            SymmetricShape(collinear_endpoint_y4(), "A"), 3.0, reduced=True)
 
 
 def test_kernel_at_pentagon_is_equal_masses():

@@ -21,6 +21,7 @@ from pentacc.geometry import (
     collinear_endpoint_y4,
     convex_position,
     cyclic_from_angles,
+    family_terms,
     house_y4,
     interior_angle,
     interior_points,
@@ -388,8 +389,9 @@ def test_boundaries_are_named():
 def _signs_for(shape):
     config = symmetric_coords(shape)
     table = mutual_distances(config)
-    return {
+    q = {
         "d123": oriented_area(config, 1, 2, 3),
+        "d124": oriented_area(config, 1, 2, 4),
         "d134": oriented_area(config, 1, 3, 4),
         "d135": oriented_area(config, 1, 3, 5),
         "d145": oriented_area(config, 1, 4, 5),
@@ -397,8 +399,24 @@ def _signs_for(shape):
         "r13": table.distance(1, 3),
         "r14": table.distance(1, 4),
         "r35": table.distance(3, 5),
-        "convex": convex_position(config),
     }
+    # F, the mass matrix and the classifier all read the family kernel, so
+    # check it against the coordinates independently
+    kernel = family_terms(shape.y4, shape.branch)
+    for key, value in q.items():
+        assert kernel[key] == pytest.approx(value, abs=1e-12), key
+    q["convex"] = convex_position(config)
+    return q
+
+
+def _assert_kernel_vectorizes(ys, branch):
+    # numpy's vectorised power may round R = r**(-A) one ulp apart from the
+    # scalar one; every other quantity must match exactly
+    grid = family_terms(np.array(ys), branch, 3.0)
+    for i, y4 in enumerate(ys):
+        for key, value in family_terms(y4, branch, 3.0).items():
+            tol = 1e-15 * abs(value) if key.startswith("R") else 0.0
+            assert abs(grid[key][i] - value) <= tol, (key, y4)
 
 
 def test_branch_a_full_sign_lists():
@@ -420,6 +438,7 @@ def test_branch_a_full_sign_lists():
         assert math.copysign(1, q["r14"] - 1.0) == s_r14
         assert math.copysign(1, q["r35"] - 1.0) == s_r35
         assert q["convex"] == conv
+    _assert_kernel_vectorizes([case[0] for case in expected.values()], "A")
 
 
 def test_branch_b_full_sign_lists():
@@ -445,6 +464,7 @@ def test_branch_b_full_sign_lists():
         assert math.copysign(1, q["r13"] - 1.0) == s_r13
         assert math.copysign(1, q["r14"] - 1.0) == s_r14
         assert q["convex"] == conv
+    _assert_kernel_vectorizes([case[0] for case in expected.values()], "B")
 
 
 def test_domain_bound_solves_the_radicand_quadratic():
