@@ -11,6 +11,14 @@ boxes with the interval arithmetic from ``intervals``:
   and its derivative never vanish together; root counts cannot change, and
   in particular no root pair is born inside the region.
 
+Bisection runs breadth first.  A certificate keeps one frontier of boxes,
+with the three zones of a unique-root certificate in it together, tagged
+by zone, as numpy columns of box bounds.  Each depth's frontier is
+evaluated by one call of the batched box kernel ``_mv_eval`` on
+``IntervalArray`` operands; decided boxes become leaves and the rest are
+halved into the next depth's frontier.  A box's verdict depends only on
+the box, so the leaves are the ones a depth-first bisection finds.
+
 Certificates never assert more than was verified: exhausting the depth
 budget yields an undecided verdict carrying the offending boxes.
 """
@@ -20,8 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import OutOfDomainError, branch_radicand
-from .intervals import Box, Interval, IntervalDomainError, Jet2
+from .intervals import Box, Interval, IntervalArray, IntervalDomainError, Jet2
 from .symmetric import F, F_dual
 
 __all__ = [
@@ -33,66 +43,79 @@ __all__ = [
 ]
 
 
-def _check_domain(box: Box) -> None:
-    rad = branch_radicand(box.y4)
-    if rad.lo < 0.0:
-        raise OutOfDomainError(f"radicand interval {rad} dips below zero on {box.y4}")
-
-
-def _mag(x) -> float:
-    return x.mag if isinstance(x, Interval) else abs(x)
-
-
 @dataclass(frozen=True)
 class _BoxEval:
-    """Enclosures of F and dF over a box, with per-quantity split hints."""
+    """Enclosures of F and dF over a batch of boxes, with per-quantity split hints."""
 
-    f: Interval
-    df: Interval
-    hint_f: int   # coordinate whose error term dominates the F enclosure
-    hint_df: int  # same for the dF enclosure
+    f: IntervalArray
+    df: IntervalArray
+    hint_f: np.ndarray     # coordinate whose error term dominates the F enclosure
+    hint_df: np.ndarray    # same for the dF enclosure
+    in_domain: np.ndarray  # the branch radicand stays nonnegative on the box
+    ok: np.ndarray         # in domain, and f and df are enclosed
 
 
-def _mv_eval(box: Box, branch: str) -> _BoxEval:
-    """Mean-value enclosures around the box center, crossed with the
-    natural interval form when both evaluate."""
-    _check_domain(box)
-    f_mv = df_mv = None
-    hint_f = hint_df = 0 if box.y4.width >= box.a.width else 1
-    try:
-        my, ma = box.y4.mid, box.a.mid
-        center = F(Jet2.variable_y(Interval.around(my)), branch=branch,
-                   a_exp=Jet2.variable_a(Interval.around(ma)))
-        wide = F(Jet2.variable_y(box.y4), branch=branch,
-                 a_exp=Jet2.variable_a(box.a))
-        off_y = box.y4 - my
-        off_a = box.a - ma
-        f_mv = center.v + wide.dy * off_y + wide.da * off_a
-        df_mv = center.dy + wide.dyy * off_y + wide.dya * off_a
-        hint_f = 0 if (_mag(wide.dy) * box.y4.width
-                       >= _mag(wide.da) * box.a.width) else 1
-        hint_df = 0 if (_mag(wide.dyy) * box.y4.width
-                        >= _mag(wide.dya) * box.a.width) else 1
-    except (IntervalDomainError, OverflowError):
-        pass
+def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv, nat) -> IntervalArray:
+    """The meet of the two forms where both evaluate, else the one that does.
+
+    Elements where neither evaluates, or the two enclosures do not meet,
+    are invalid.
+    """
+    both = mv_enc.intersect(nat_enc)
+    lo = np.where(mv, np.where(nat, both.lo, mv_enc.lo), np.where(nat, nat_enc.lo, np.nan))
+    hi = np.where(mv, np.where(nat, both.hi, mv_enc.hi), np.where(nat, nat_enc.hi, np.nan))
+    return IntervalArray(lo, hi)
+
+
+def _join(p: IntervalArray, q: IntervalArray) -> IntervalArray:
+    return IntervalArray(np.concatenate([p.lo, q.lo]), np.concatenate([p.hi, q.hi]))
+
+
+def _all_valid(*parts) -> np.ndarray:
+    return np.logical_and.reduce([p.valid for p in parts])
+
+
+def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
+    """Mean-value enclosures around each box center, crossed with the
+    natural interval form where both evaluate.
+
+    The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
+    evaluated together.  Where the mean-value form fails the natural form
+    is used alone, with the default split hint; a box where both forms fail,
+    or where their enclosures do not meet, is not ``ok``.
+    """
+    y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
+    in_domain = branch_radicand(y).lo >= 0.0
+    yw, aw = y.width, a.width
+    my, ma = y.mid, a.mid
+    # one jet pass over the box centers and the whole boxes together
+    jets = F(Jet2.variable_y(_join(IntervalArray.around(my), y)), branch=branch,
+             a_exp=Jet2.variable_a(_join(IntervalArray.around(ma), a)))
+    n = y.lo.size
+    parts = (jets.v, jets.dy, jets.da, jets.dyy, jets.dya)
+    center = Jet2(*(c[:n] for c in parts))
+    wide = Jet2(*(c[n:] for c in parts))
+    off_y, off_a = y - my, a - ma
+    f_mv = center.v + wide.dy * off_y + wide.da * off_a
+    df_mv = center.dy + wide.dyy * off_y + wide.dya * off_a
+    # a scalar jet pass fails as a whole when any component fails
+    mv = _all_valid(center.v, center.dy, center.da, center.dyy, center.dya,
+                    wide.v, wide.dy, wide.da, wide.dyy, wide.dya, f_mv, df_mv)
+    with np.errstate(invalid="ignore", over="ignore"):
+        default = np.where(yw >= aw, 0, 1)
+        hint_f = np.where(mv, np.where(wide.dy.mag * yw >= wide.da.mag * aw, 0, 1), default)
+        hint_df = np.where(mv, np.where(wide.dyy.mag * yw >= wide.dya.mag * aw, 0, 1),
+                           default)
     # The natural Dual form is kept beside the Jet2 mean-value form because
     # it decides boxes the mean-value form leaves straddling zero.  Without
     # it the A4 no-common-zero certificate over [2, 3] needs 195 leaves
     # instead of 194, and B2 unique-root over [2, 6] needs 63,085 instead of
     # 1985, at about 30 times the run time.
-    try:
-        dual = F_dual(box.y4, box.a, branch)
-        f_nat, df_nat = dual.val, dual.dot
-    except (IntervalDomainError, OverflowError):
-        f_nat = df_nat = None
-    if f_mv is None and f_nat is None:
-        raise IntervalDomainError(f"no evaluable form on {box.key()}")
-    if f_mv is None:
-        return _BoxEval(f_nat, df_nat, hint_f, hint_df)
-    if f_nat is None:
-        return _BoxEval(f_mv, df_mv, hint_f, hint_df)
-    return _BoxEval(f_mv.intersect(f_nat), df_mv.intersect(df_nat),
-                    hint_f, hint_df)
+    dual = F_dual(y, a, branch)
+    nat = _all_valid(dual.val, dual.dot)
+    f = _combine(f_mv, dual.val, mv, nat)
+    df = _combine(df_mv, dual.dot, mv, nat)
+    return _BoxEval(f, df, hint_f, hint_df, in_domain, in_domain & f.valid & df.valid)
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:
@@ -104,8 +127,13 @@ def eval_F_interval(box: Box, branch: str) -> tuple:
     radicand can dip below zero on the box, and IntervalDomainError when no
     form can be evaluated (for example a distance interval touching zero).
     """
-    ev = _mv_eval(box, branch)
-    return ev.f, ev.df
+    ev = _mv_eval(*([x] for x in box.key()), branch)
+    if not ev.in_domain[0]:
+        raise OutOfDomainError(
+            f"radicand interval {branch_radicand(box.y4)} dips below zero on {box.y4}")
+    if not ev.ok[0]:
+        raise IntervalDomainError(f"no evaluable form on {box.key()}")
+    return (Interval(ev.f.lo[0], ev.f.hi[0]), Interval(ev.df.lo[0], ev.df.hi[0]))
 
 
 @dataclass(frozen=True)
@@ -114,10 +142,24 @@ class CertLeaf:
 
     y4: tuple
     a: tuple
-    verdict: str  # "F", "dF", "endpoint", or "undecided"
+    verdict: str  # "F", "dF", or "undecided"
 
     def to_json(self) -> dict:
         return {"y4": list(self.y4), "A": list(self.a), "verdict": self.verdict}
+
+
+def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0) -> dict:
+    """How a certificate was reached: boxes evaluated at each bisection depth
+    (the root is depth 0), and the undecided boxes split by cause: not
+    evaluable (out of the branch domain or no enclosure) or an enclosure
+    straddling zero."""
+    return {
+        "box_evals": sum(evals_per_depth),
+        "max_depth": max(len(evals_per_depth) - 1, 0),
+        "evals_per_depth": list(evals_per_depth),
+        "undecided_domain": undecided_domain,
+        "undecided_straddle": undecided_straddle,
+    }
 
 
 @dataclass
@@ -132,6 +174,7 @@ class Certificate:
     leaves: list = field(default_factory=list)
     undecided: list = field(default_factory=list)
     detail: str = ""
+    stats: dict = field(default_factory=_stats)
 
     def finalize(self) -> "Certificate":
         self.leaves.sort(key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
@@ -148,6 +191,7 @@ class Certificate:
             "detail": self.detail,
             "leaves": [l.to_json() for l in self.leaves],
             "undecided": [l.to_json() for l in self.undecided],
+            "stats": self.stats,
         }
 
     def dump(self, path) -> None:
@@ -155,55 +199,100 @@ class Certificate:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
-def _leaf(box: Box, verdict: str) -> CertLeaf:
-    return CertLeaf((box.y4.lo, box.y4.hi), (box.a.lo, box.a.hi), verdict)
+# verdict codes returned by the deciders; 0 leaves a box open
+_VERDICTS = ("undecided", "F", "dF")
 
 
-def _bisect(region: Box, branch: str, decide, max_depth: int) -> tuple:
-    """Depth-first adaptive bisection of a region; returns (leaves, undecided).
+# Boxes per kernel call.  The frontiers of the shipped certificates stay
+# below 400 boxes, so each depth takes one call; the cap bounds the
+# kernel's temporaries where a zone never decides and its frontier keeps
+# doubling.
+_MAX_BATCH = 4096
 
-    ``decide`` maps a box evaluation to (verdict or None, split coordinate).
-    A box with a verdict becomes a leaf carrying it; any other box is split
-    along the coordinate, or along y4 when it cannot be evaluated, and is
-    kept as undecided once it sits at ``max_depth``.
+
+def _leaf(row, verdict: str) -> CertLeaf:
+    return CertLeaf((row[0], row[1]), (row[2], row[3]), verdict)
+
+
+def _judge(bounds, zone, zones, branch: str) -> tuple:
+    """(verdict, split coordinate, evaluable) for each box of a frontier slice."""
+    ev = _mv_eval(*bounds, branch)
+    verdict = np.zeros(zone.size, dtype=int)
+    coord = np.zeros(zone.size, dtype=int)
+    for z, (_, decide) in enumerate(zones):
+        mine = zone == z
+        v, c = decide(ev)
+        verdict = np.where(mine, v, verdict)
+        coord = np.where(mine, c, coord)
+    return np.where(ev.ok, verdict, 0), np.where(ev.ok, coord, 0), ev.ok
+
+
+def _bisect(zones, branch: str, max_depth: int) -> tuple:
+    """Breadth-first adaptive bisection; returns (leaves, undecided, stats).
+
+    ``zones`` lists (region, decide) pairs.  Their boxes share one frontier,
+    tagged by zone index, and each depth's frontier is evaluated by one
+    ``_mv_eval`` call per ``_MAX_BATCH`` boxes.  ``decide`` maps the batch
+    evaluation to arrays of verdict codes (indices into ``_VERDICTS``) and
+    split coordinates; it is read for the boxes of its own zone.  A box
+    with a verdict becomes a leaf carrying it; any other box is split along
+    the coordinate, or along y4 when it cannot be evaluated, and is kept as
+    undecided once it sits at ``max_depth``.  The leaves are those of a
+    depth-first bisection, in another order.
     """
-    leaves, undecided = [], []
-    stack = [(region, 0)]
-    while stack:
-        box, depth = stack.pop()
-        try:
-            verdict, coord = decide(_mv_eval(box, branch))
-        except (IntervalDomainError, OutOfDomainError):
-            verdict, coord = None, 0
-        if verdict is not None:
-            leaves.append(_leaf(box, verdict))
-        elif depth >= max_depth:
-            undecided.append(_leaf(box, "undecided"))
-        else:
-            l, r = box.split_coord(coord)
-            stack.extend([(l, depth + 1), (r, depth + 1)])
-    return leaves, undecided
+    leaves, undecided, evals = [], [], []
+    bounds = np.array([region.key() for region, _ in zones], dtype=float).T
+    zone = np.arange(len(zones))
+    domain = straddle = depth = 0
+    while zone.size:
+        parts = [_judge(bounds[:, s:s + _MAX_BATCH], zone[s:s + _MAX_BATCH], zones, branch)
+                 for s in range(0, zone.size, _MAX_BATCH)]
+        verdict, coord, ok = (np.concatenate(p) for p in zip(*parts))
+        evals.append(int(zone.size))
+        rows = bounds.T.tolist()
+        for i in np.flatnonzero(verdict).tolist():
+            leaves.append(_leaf(rows[i], _VERDICTS[verdict[i]]))
+        open_ = verdict == 0
+        if depth >= max_depth:
+            undecided = [_leaf(rows[i], "undecided") for i in np.flatnonzero(open_).tolist()]
+            domain = int(np.count_nonzero(open_ & ~ok))
+            straddle = int(np.count_nonzero(open_ & ok))
+            break
+        depth += 1
+        ylo, yhi, alo, ahi = bounds[:, open_]
+        coord, zone = coord[open_], zone[open_]
+        # Box.split_coord: y4 when asked and it has width, else A when it
+        # has width, else y4; halves meet at Interval.mid
+        on_y = ((coord == 0) & (yhi - ylo > 0.0)) | ~(ahi - alo > 0.0)
+        ym, am = 0.5 * (ylo + yhi), 0.5 * (alo + ahi)
+        bounds = np.concatenate([
+            np.stack([ylo, np.where(on_y, ym, yhi), alo, np.where(on_y, ahi, am)]),
+            np.stack([np.where(on_y, ym, ylo), yhi, np.where(on_y, alo, am), ahi]),
+        ], axis=1)
+        zone = np.concatenate([zone, zone])
+    return leaves, undecided, _stats(evals, domain, straddle)
 
 
 def _sign_decider(quantity: str, sign: int):
     """Decide boxes on which F (or dF/dy4) has the given strict sign."""
+    code = _VERDICTS.index(quantity)
+
     def decide(ev: _BoxEval) -> tuple:
         enc, hint = (ev.f, ev.hint_f) if quantity == "F" else (ev.df, ev.hint_df)
-        ok = enc.strictly_negative() if sign < 0 else enc.strictly_positive()
-        return (quantity if ok else None), hint
+        ok = enc.hi < 0.0 if sign < 0 else enc.lo > 0.0
+        return np.where(ok, code, 0), hint
     return decide
 
 
 def _no_common_zero_decider(ev: _BoxEval) -> tuple:
     """Decide boxes on which F or dF/dy4 excludes zero."""
-    if not ev.f.contains_zero():
-        return "F", 0
-    if not ev.df.contains_zero():
-        return "dF", 0
+    # codes into _VERDICTS
+    verdict = np.where(~ev.f.contains_zero(), 1, np.where(~ev.df.contains_zero(), 2, 0))
     # split for whichever quantity is closer to being resolved
-    res_f = abs(ev.f.mid) / (ev.f.width + 1e-300)
-    res_df = abs(ev.df.mid) / (ev.df.width + 1e-300)
-    return None, (ev.hint_f if res_f >= res_df else ev.hint_df)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        res_f = np.abs(ev.f.mid) / (ev.f.width + 1e-300)
+        res_df = np.abs(ev.df.mid) / (ev.df.width + 1e-300)
+    return verdict, np.where(res_f >= res_df, ev.hint_f, ev.hint_df)
 
 
 def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
@@ -213,7 +302,6 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     the sign of F at the window's lower end.  Soundness never depends on
     this estimate; a bad strip only makes certification fail, not lie.
     """
-    import numpy as np
     lo, hi = window
     roots = []
     lo_sign = 0
@@ -255,13 +343,11 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
         return cert.finalize()
     want = -lo_sign
 
-    for lo, hi, quantity, sign in ((window[0], c1, "F", lo_sign),
-                                   (c1, c2, "dF", want),
-                                   (c2, window[1], "F", -lo_sign)):
-        leaves, undecided = _bisect(Box(Interval(lo, hi), a_iv), branch,
-                                    _sign_decider(quantity, sign), max_depth)
-        cert.leaves.extend(leaves)
-        cert.undecided.extend(undecided)
+    zones = [(Box(Interval(lo, hi), a_iv), _sign_decider(quantity, sign))
+             for lo, hi, quantity, sign in ((window[0], c1, "F", lo_sign),
+                                            (c1, c2, "dF", want),
+                                            (c2, window[1], "F", -lo_sign))]
+    cert.leaves, cert.undecided, cert.stats = _bisect(zones, branch, max_depth)
     cert.certified = not cert.undecided
     cert.detail = (
         f"F sign {lo_sign:+d} on [{window[0]:.9g}, {c1:.9g}], strict "
@@ -283,8 +369,8 @@ def certify_no_common_zero(region: Box, branch: str = "A",
                        window=(region.y4.lo, region.y4.hi),
                        a_range=(region.a.lo, region.a.hi),
                        certified=False)
-    cert.leaves, cert.undecided = _bisect(region, branch, _no_common_zero_decider,
-                                          max_depth)
+    cert.leaves, cert.undecided, cert.stats = _bisect(
+        [(region, _no_common_zero_decider)], branch, max_depth)
     cert.certified = not cert.undecided
     cert.detail = ("every leaf excludes zero from F or dF/dy4" if cert.certified
                    else f"{len(cert.undecided)} undecided boxes remain")

@@ -33,7 +33,7 @@ from .equations import (
     mass_coefficient_matrix,
     mass_kernel,
 )
-from .intervals import Dual, Interval
+from .intervals import Dual, Interval, IntervalArray
 
 __all__ = [
     "F",
@@ -80,8 +80,8 @@ def F_prime(y4: float, a_exp, branch: str = "A") -> float:
 
 
 def F_dual(y4, a_exp, branch: str = "A") -> Dual:
-    """F and dF/dy4 together; works with Interval components."""
-    one = 1.0 if not isinstance(y4, Interval) else Interval.point(1.0)
+    """F and dF/dy4 together; works with Interval or IntervalArray components."""
+    one = type(y4).point(1.0) if isinstance(y4, (Interval, IntervalArray)) else 1.0
     return F(Dual(y4, one), a_exp, branch)
 
 

@@ -1,5 +1,6 @@
 """Interval certification of uniqueness and bifurcation absence."""
 
+import hashlib
 import json
 import math
 
@@ -8,17 +9,19 @@ import pytest
 
 from pentacc.geometry import (
     OutOfDomainError,
+    branch_radicand,
     collinear_endpoint_y4,
     regular_pentagon_y4,
     square_endpoint_y4,
 )
-from pentacc.intervals import Box, Interval
+from pentacc.intervals import Box, Interval, IntervalDomainError, Jet2
 from pentacc.certify import (
+    _mv_eval,
     certify_no_common_zero,
     certify_unique_root,
     eval_F_interval,
 )
-from pentacc.symmetric import F, F_prime, window_for
+from pentacc.symmetric import F, F_dual, F_prime, window_for
 
 
 def thin_box(y4: float, a_exp: float) -> Box:
@@ -99,6 +102,9 @@ def test_no_common_zero_fails_at_bifurcation():
     cert = certify_no_common_zero(Box(Interval(*w), Interval(3.0, 3.3)), "A",
                                   max_depth=20)
     assert not cert.certified
+    assert (len(cert.leaves), len(cert.undecided)) == (767, 65)
+    assert cert.stats["max_depth"] == 20
+    assert (cert.stats["undecided_domain"], cert.stats["undecided_straddle"]) == (0, 65)
     p = regular_pentagon_y4()
     for leaf in cert.undecided:
         assert leaf.y4[0] <= p + 0.08 and leaf.y4[1] >= p - 0.08
@@ -141,6 +147,16 @@ def test_unique_root_deterministic():
     assert json.dumps(c1.to_json()) == json.dumps(c2.to_json())
 
 
+def test_frontier_split_into_batches_gives_same_certificate(monkeypatch):
+    import pentacc.certify as certify
+    build = lambda: certify_no_common_zero(  # noqa: E731
+        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(3.0, 3.3)), "A",
+        max_depth=12)
+    whole = build()
+    monkeypatch.setattr(certify, "_MAX_BATCH", 7)
+    assert json.dumps(build().to_json()) == json.dumps(whole.to_json())
+
+
 def test_no_common_zero_on_vortex_window_range():
     w = window_for("A", "A2")
     cert = certify_no_common_zero(Box(Interval(*w), Interval(2.0, 3.0)), "A")
@@ -161,3 +177,112 @@ def test_thin_point_consistency_with_float_path():
         assert f_enc.contains(F(y4, a_exp, branch))
         assert df_enc.contains(F_prime(y4, a_exp, branch))
         assert f_enc.width <= 1e-11
+
+
+def _leaf_sha256(cert) -> str:
+    text = json.dumps([l.to_json() for l in cert.leaves])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The digests pin every leaf box and verdict of the three acceptance
+# certificates; box_evals counts every bisection node, 2L - Z for L leaves
+# in Z zones.
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, digest", [
+    (lambda: certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A"), 39, 75, 6,
+     "372bc90fb6ebf1ecc88a55925805f5cd6233c62cd21b3b530fe0bddf85373ae3"),
+    (lambda: certify_no_common_zero(
+        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(2.0, 3.0)), "A"),
+     194, 387, 11, "6b7c6a90cb01740220554e50b44763112b4876b0a8960b2716b0b832e56f960e"),
+    (lambda: certify_unique_root(window_for("B", "B2", inset=1e-6), (2.0, 6.0), "B",
+                                 max_depth=80),
+     1985, 3967, 28, "506d7e5494fba8cb1860ac69ecc7fdfce20331c1a87b69b349b209a960cc78d1"),
+], ids=["A2", "A4-no-common-zero", "B2"])
+def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, digest):
+    cert = build()
+    assert cert.certified and not cert.undecided
+    assert len(cert.leaves) == leaves
+    assert _leaf_sha256(cert) == digest
+    stats = cert.stats
+    assert (stats["box_evals"], stats["max_depth"]) == (box_evals, max_depth)
+    zones = 1 if cert.kind == "no_common_zero" else 3
+    assert box_evals == 2 * leaves - zones
+    assert sum(stats["evals_per_depth"]) == box_evals
+    assert len(stats["evals_per_depth"]) == max_depth + 1
+    assert cert.to_json()["stats"] == stats
+
+
+def _scalar_box_eval(box: Box, branch: str) -> tuple:
+    """One box with the scalar classes: (f, df, hint_f, hint_df).
+
+    The reference for the batched kernel: Jet2(Interval) at the center and
+    over the box give the mean-value form, F_dual(Interval) the natural
+    form, and the two are intersected.  Raises where the box is not
+    evaluable.
+    """
+    rad = branch_radicand(box.y4)
+    if rad.lo < 0.0:
+        raise OutOfDomainError(f"radicand {rad} dips below zero")
+    mv = None
+    hint_f = hint_df = 0 if box.y4.width >= box.a.width else 1
+    try:
+        my, ma = box.y4.mid, box.a.mid
+        center = F(Jet2.variable_y(Interval.around(my)), branch=branch,
+                   a_exp=Jet2.variable_a(Interval.around(ma)))
+        wide = F(Jet2.variable_y(box.y4), branch=branch, a_exp=Jet2.variable_a(box.a))
+        off_y, off_a = box.y4 - my, box.a - ma
+        mv = (center.v + wide.dy * off_y + wide.da * off_a,
+              center.dy + wide.dyy * off_y + wide.dya * off_a)
+        hint_f = 0 if wide.dy.mag * box.y4.width >= wide.da.mag * box.a.width else 1
+        hint_df = 0 if wide.dyy.mag * box.y4.width >= wide.dya.mag * box.a.width else 1
+    except (IntervalDomainError, OverflowError):
+        pass
+    try:
+        dual = F_dual(box.y4, box.a, branch)
+        nat = (dual.val, dual.dot)
+    except (IntervalDomainError, OverflowError):
+        nat = None
+    if mv is None and nat is None:
+        raise IntervalDomainError("no evaluable form")
+    if mv is None or nat is None:
+        return (*(mv or nat), hint_f, hint_df)
+    return mv[0].intersect(nat[0]), mv[1].intersect(nat[1]), hint_f, hint_df
+
+
+def _oracle_boxes(rng, branch: str, n: int) -> list:
+    """Boxes over the branch's five sign-type windows and 10 % past each
+    end, y4 widths from 1e-9 to 1, A within [2, 6] (a fifth of them thin)."""
+    boxes = []
+    for k in range(n):
+        lo, hi = window_for(branch, f"{branch}{k % 5 + 1}")
+        y_w = 10.0 ** rng.uniform(-9.0, 0.0)
+        y0 = rng.uniform(lo - 0.1 * (hi - lo) - y_w, hi + 0.1 * (hi - lo))
+        a_w = 10.0 ** rng.uniform(-9.0, 0.0) if rng.random() < 0.8 else 0.0
+        a0 = rng.uniform(2.0, 6.0 - a_w)
+        boxes.append(Box(Interval(y0, y0 + y_w), Interval(a0, a0 + a_w)))
+    return boxes
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_batched_box_eval_matches_scalar_oracle(branch):
+    rng = np.random.default_rng(2011 if branch == "A" else 2012)
+    boxes = _oracle_boxes(rng, branch, 1000)
+    ev = _mv_eval(*np.array([b.key() for b in boxes]).T, branch)
+    want = np.full((len(boxes), 4), np.nan)
+    hints = np.zeros((len(boxes), 2), dtype=int)
+    failed = np.zeros(len(boxes), dtype=bool)
+    for i, box in enumerate(boxes):
+        assert ev.in_domain[i] == (branch_radicand(box.y4).lo >= 0.0)
+        try:
+            f, df, hint_f, hint_df = _scalar_box_eval(box, branch)
+        except (IntervalDomainError, OutOfDomainError):
+            failed[i] = True
+            continue
+        want[i] = (f.lo, f.hi, df.lo, df.hi)
+        hints[i] = (hint_f, hint_df)
+    # the oracle must exercise both outcomes
+    assert 0 < failed.sum() < len(boxes) // 2
+    np.testing.assert_array_equal(~ev.ok, failed)
+    got = np.stack([ev.f.lo, ev.f.hi, ev.df.lo, ev.df.hi], axis=1)
+    np.testing.assert_array_equal(got[ev.ok].view(np.int64), want[ev.ok].view(np.int64))
+    np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ev.ok],
+                                  hints[ev.ok])

@@ -54,6 +54,9 @@ def check_schema(value, schema, defs=None):
                 check_schema(item, schema["items"], defs)
     elif kind == "number":
         assert isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind == "integer":
+        assert isinstance(value, int) and not isinstance(value, bool)
+        assert value >= schema.get("minimum", value)
     elif kind == "boolean":
         assert isinstance(value, bool)
     elif kind == "string":
@@ -137,6 +140,9 @@ def test_certify_undecided_exit_code(tmp_path):
     check_schema(cert, load_schema("certificate.schema.json"))
     assert cert["certified"] is False
     assert cert["undecided"]
+    stats = cert["stats"]
+    assert stats["undecided_domain"] + stats["undecided_straddle"] == len(cert["undecided"])
+    assert stats["max_depth"] == 18
 
 
 def test_tropical_verify_tables(tmp_path):

@@ -1,11 +1,19 @@
 """Interval arithmetic, dual numbers, and second-order jets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pentacc.intervals import Box, Dual, Interval, IntervalDomainError, Jet2
+from pentacc.intervals import (
+    Box,
+    Dual,
+    Interval,
+    IntervalArray,
+    IntervalDomainError,
+    Jet2,
+)
 
 
 def test_addition_example():
@@ -105,6 +113,104 @@ def test_abs_and_integer_powers():
     assert abs(Interval(-2, 5)).lo == 0.0
     sq = Interval(-2, 3) ** 2
     assert sq.lo == 0.0 and sq.contains(9.0)
+
+
+def _audit_operands(rng, n):
+    """Seeded (lo, hi) pairs with magnitudes from 1e-300 to 1e300, zeros,
+    widths from 1e-16 relative to ten times the magnitude."""
+    out = []
+    for _ in range(n):
+        mag = 10.0 ** rng.uniform(-300.0, 300.0)
+        lo = 0.0 if rng.random() < 0.05 else mag * rng.choice((-1.0, 1.0))
+        out.append((lo, lo + max(abs(lo), 1e-300) * 10.0 ** rng.uniform(-16.0, 1.0)))
+    return out
+
+
+def _exact_range(op, x, y):
+    """Exact (min, max) of the operation over the real boxes x (and y)."""
+    xs = [Fraction(v) for v in x]
+    if isinstance(op, (int, float)):
+        n = int(op)
+        vals = [v ** n for v in xs]
+        if n % 2 == 0 and n > 0 and xs[0] <= 0 <= xs[1]:
+            vals.append(Fraction(0))
+        return min(vals), max(vals)
+    ys = [Fraction(v) for v in (y if op != "*c" else (y[0], y[0]))]
+    if op == "+":
+        return xs[0] + ys[0], xs[1] + ys[1]
+    if op == "-":
+        return xs[0] - ys[1], xs[1] - ys[0]
+    vals = [a / b if op == "/" else a * b for a in xs for b in ys]
+    return min(vals), max(vals)
+
+
+def _evaluate(kind, op, xs, ys):
+    """(lo, hi) per operand pair, or None where the class rejects it.
+
+    For "*c" the second operand is the float ys[i][0], as the constants in
+    the jets; IntervalArray then takes one element at a time, since its
+    float factor is a scalar.
+    """
+    def apply(x, y):
+        if isinstance(op, (int, float)):
+            return x ** op
+        return x * y if op == "*c" else _apply(op, x, y)
+
+    if kind is IntervalArray and op != "*c":
+        r = apply(IntervalArray(*zip(*xs)), IntervalArray(*zip(*ys)))
+        return [(lo, hi) if not math.isnan(lo) else None
+                for lo, hi in zip(r.lo.tolist(), r.hi.tolist())]
+    out = []
+    for x, y in zip(xs, ys):
+        try:
+            r = apply(kind(*x), y[0] if op == "*c" else kind(*y))
+        except (IntervalDomainError, OverflowError):
+            out.append(None)
+            continue
+        out.append(None if math.isnan(r.lo) else (float(r.lo), float(r.hi)))
+    return out
+
+
+@pytest.mark.parametrize("kind", [Interval, IntervalArray])
+@pytest.mark.parametrize("op", ["+", "-", "*", "*c", "/", -3, -2, -1, 2, 3, 5, -2.0])
+def test_outward_rounding_contains_exact_result(kind, op):
+    rng = np.random.default_rng(31)
+    xs, ys = _audit_operands(rng, 400), _audit_operands(rng, 400)
+    checked = 0
+    for x, y, r in zip(xs, ys, _evaluate(kind, op, xs, ys)):
+        if r is None:
+            continue
+        lo, hi = _exact_range(op, x, y)
+        assert r[0] == -math.inf or Fraction(r[0]) <= lo, (op, x, y, r)
+        assert r[1] == math.inf or Fraction(r[1]) >= hi, (op, x, y, r)
+        checked += 1
+    assert checked >= 200
+
+
+def test_interval_array_marks_scalar_failures_invalid():
+    """Each element equals the scalar result, or is NaN where Interval raises."""
+    cases = [
+        (lambda t: t / Interval(-1.0, 1.0), lambda t: t / IntervalArray(-1.0, 1.0)),
+        (lambda t: t.log(), lambda t: t.log()),
+        (lambda t: t ** -2, lambda t: t ** -2),
+        (lambda t: t.sqrt(), lambda t: t.sqrt()),
+        (lambda t: (t * 800.0).exp(), lambda t: (t * 800.0).exp()),
+        (lambda t: t ** 0.5 - t * t, lambda t: t ** 0.5 - t * t),
+        (lambda t: abs(t) ** 3, lambda t: abs(t) ** 3),
+    ]
+    bounds = [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 2.0), (0.5, 1.5), (1e200, 1e201)]
+    arr = IntervalArray(*zip(*bounds))
+    for scalar_op, array_op in cases:
+        got = array_op(arr)
+        for i, b in enumerate(bounds):
+            try:
+                want = scalar_op(Interval(*b))
+            except (IntervalDomainError, OverflowError):
+                assert math.isnan(got.lo[i]) and math.isnan(got.hi[i])
+                assert not got.valid[i]
+            else:
+                assert (got.lo[i], got.hi[i]) == (want.lo, want.hi)
+                assert got.valid[i]
 
 
 def test_box_split_and_validation():
