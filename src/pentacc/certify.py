@@ -150,9 +150,10 @@ class CertLeaf:
 
 def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0) -> dict:
     """How a certificate was reached: boxes evaluated at each bisection depth
-    (the root is depth 0), and the undecided boxes split by cause: not
-    evaluable (out of the branch domain or no enclosure) or an enclosure
-    straddling zero."""
+    (the root is depth 0), and two kinds of undecided box: those not
+    evaluable (out of the branch domain or no enclosure) and those whose
+    zone quantity has an enclosure straddling zero.  Any other undecided
+    box has an enclosure of the wrong strict sign for its zone."""
     return {
         "box_evals": sum(evals_per_depth),
         "max_depth": max(len(evals_per_depth) - 1, 0),
@@ -203,28 +204,8 @@ class Certificate:
 _VERDICTS = ("undecided", "F", "dF")
 
 
-# Boxes per kernel call.  The frontiers of the shipped certificates stay
-# below 400 boxes, so each depth takes one call; the cap bounds the
-# kernel's temporaries where a zone never decides and its frontier keeps
-# doubling.
-_MAX_BATCH = 4096
-
-
 def _leaf(row, verdict: str) -> CertLeaf:
     return CertLeaf((row[0], row[1]), (row[2], row[3]), verdict)
-
-
-def _judge(bounds, zone, zones, branch: str) -> tuple:
-    """(verdict, split coordinate, evaluable) for each box of a frontier slice."""
-    ev = _mv_eval(*bounds, branch)
-    verdict = np.zeros(zone.size, dtype=int)
-    coord = np.zeros(zone.size, dtype=int)
-    for z, (_, decide) in enumerate(zones):
-        mine = zone == z
-        v, c = decide(ev)
-        verdict = np.where(mine, v, verdict)
-        coord = np.where(mine, c, coord)
-    return np.where(ev.ok, verdict, 0), np.where(ev.ok, coord, 0), ev.ok
 
 
 def _bisect(zones, branch: str, max_depth: int) -> tuple:
@@ -232,12 +213,13 @@ def _bisect(zones, branch: str, max_depth: int) -> tuple:
 
     ``zones`` lists (region, decide) pairs.  Their boxes share one frontier,
     tagged by zone index, and each depth's frontier is evaluated by one
-    ``_mv_eval`` call per ``_MAX_BATCH`` boxes.  ``decide`` maps the batch
-    evaluation to arrays of verdict codes (indices into ``_VERDICTS``) and
-    split coordinates; it is read for the boxes of its own zone.  A box
-    with a verdict becomes a leaf carrying it; any other box is split along
-    the coordinate, or along y4 when it cannot be evaluated, and is kept as
-    undecided once it sits at ``max_depth``.  The leaves are those of a
+    ``_mv_eval`` call.  ``decide`` maps the batch evaluation to arrays of
+    verdict codes (indices into ``_VERDICTS``), split coordinates and a
+    mask of the boxes whose enclosure straddles zero; it is read for the
+    boxes of its own zone.  A box with a verdict becomes a leaf carrying
+    it; any other box is split along the coordinate, or along y4 when it
+    cannot be evaluated, and is kept as undecided once it sits at
+    ``max_depth``.  The leaves are those of a
     depth-first bisection, in another order.
     """
     leaves, undecided, evals = [], [], []
@@ -245,9 +227,14 @@ def _bisect(zones, branch: str, max_depth: int) -> tuple:
     zone = np.arange(len(zones))
     domain = straddle = depth = 0
     while zone.size:
-        parts = [_judge(bounds[:, s:s + _MAX_BATCH], zone[s:s + _MAX_BATCH], zones, branch)
-                 for s in range(0, zone.size, _MAX_BATCH)]
-        verdict, coord, ok = (np.concatenate(p) for p in zip(*parts))
+        ev = _mv_eval(*bounds, branch)
+        verdict, coord = np.zeros(zone.size, dtype=int), np.zeros(zone.size, dtype=int)
+        straddles = np.zeros(zone.size, dtype=bool)
+        for z, (_, decide) in enumerate(zones):
+            mine = zone == z
+            for out, mask in zip((verdict, coord, straddles), decide(ev)):
+                np.copyto(out, mask, where=mine)
+        verdict[~ev.ok] = coord[~ev.ok] = 0
         evals.append(int(zone.size))
         rows = bounds.T.tolist()
         for i in np.flatnonzero(verdict).tolist():
@@ -255,8 +242,8 @@ def _bisect(zones, branch: str, max_depth: int) -> tuple:
         open_ = verdict == 0
         if depth >= max_depth:
             undecided = [_leaf(rows[i], "undecided") for i in np.flatnonzero(open_).tolist()]
-            domain = int(np.count_nonzero(open_ & ~ok))
-            straddle = int(np.count_nonzero(open_ & ok))
+            domain = int(np.count_nonzero(open_ & ~ev.ok))
+            straddle = int(np.count_nonzero(open_ & ev.ok & straddles))
             break
         depth += 1
         ylo, yhi, alo, ahi = bounds[:, open_]
@@ -280,19 +267,20 @@ def _sign_decider(quantity: str, sign: int):
     def decide(ev: _BoxEval) -> tuple:
         enc, hint = (ev.f, ev.hint_f) if quantity == "F" else (ev.df, ev.hint_df)
         ok = enc.hi < 0.0 if sign < 0 else enc.lo > 0.0
-        return np.where(ok, code, 0), hint
+        return np.where(ok, code, 0), hint, enc.contains_zero()
     return decide
 
 
 def _no_common_zero_decider(ev: _BoxEval) -> tuple:
     """Decide boxes on which F or dF/dy4 excludes zero."""
     # codes into _VERDICTS
-    verdict = np.where(~ev.f.contains_zero(), 1, np.where(~ev.df.contains_zero(), 2, 0))
+    f0, df0 = ev.f.contains_zero(), ev.df.contains_zero()
+    verdict = np.where(~f0, 1, np.where(~df0, 2, 0))
     # split for whichever quantity is closer to being resolved
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         res_f = np.abs(ev.f.mid) / (ev.f.width + 1e-300)
         res_df = np.abs(ev.df.mid) / (ev.df.width + 1e-300)
-    return verdict, np.where(res_f >= res_df, ev.hint_f, ev.hint_df)
+    return verdict, np.where(res_f >= res_df, ev.hint_f, ev.hint_df), f0 & df0
 
 
 def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:

@@ -250,16 +250,12 @@ def _aup(x):
 def _libm(fn, x) -> np.ndarray:
     """``fn`` applied to each element through Python floats; NaN where it raises."""
     x = np.asarray(x, dtype=float)
-    vals = x.ravel().tolist()
-    try:
-        out = [fn(v) for v in vals]
-    except (OverflowError, ValueError, ZeroDivisionError):
-        out = []
-        for v in vals:
-            try:
-                out.append(fn(v))
-            except (OverflowError, ValueError, ZeroDivisionError):
-                out.append(math.nan)
+    out = []
+    for v in x.ravel().tolist():
+        try:
+            out.append(fn(v))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            out.append(math.nan)
     return np.array(out, dtype=float).reshape(x.shape)
 
 
@@ -392,12 +388,6 @@ class IntervalArray:
 
     @_quiet
     def __mul__(self, other):
-        if isinstance(other, float):
-            # a point factor pairs up Interval's four products: min() keeps
-            # the first of each equal pair
-            p0, p2 = self.lo * other, self.hi * other
-            return IntervalArray._new(_adown(np.where(p2 < p0, p2, p0)),
-                                      _aup(np.where(p2 > p0, p2, p0)))
         o = self._coerce(other)
         return self._hull((self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi),
                           False)

@@ -147,14 +147,27 @@ def test_unique_root_deterministic():
     assert json.dumps(c1.to_json()) == json.dumps(c2.to_json())
 
 
-def test_frontier_split_into_batches_gives_same_certificate(monkeypatch):
+def test_undecided_stats_tell_straddling_from_wrong_sign(monkeypatch):
     import pentacc.certify as certify
-    build = lambda: certify_no_common_zero(  # noqa: E731
-        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(3.0, 3.3)), "A",
-        max_depth=12)
-    whole = build()
-    monkeypatch.setattr(certify, "_MAX_BATCH", 7)
-    assert json.dumps(build().to_json()) == json.dumps(whole.to_json())
+    w = window_for("A", "A2")
+    c1, _, lo_sign = certify._locate_crossing(w, (2.0, 3.0), "A")
+    # a strip left of the crossing: the right zone claims sign -lo_sign on
+    # boxes left of the root, where F has the strict sign lo_sign
+    s1, s2 = w[0] + 0.3 * (c1 - w[0]), w[0] + 0.6 * (c1 - w[0])
+    monkeypatch.setattr(certify, "_locate_crossing", lambda *args: (s1, s2, lo_sign))
+    cert = certify_unique_root(w, (2.0, 3.0), "A", max_depth=8)
+    assert not cert.certified
+    assert (len(cert.undecided), cert.stats["undecided_domain"],
+            cert.stats["undecided_straddle"]) == (32, 0, 17)
+    straddling = 0
+    for leaf in cert.undecided:
+        f, df = eval_F_interval(Box(Interval(*leaf.y4), Interval(*leaf.a)), "A")
+        enc = df if s1 <= leaf.y4[0] and leaf.y4[1] <= s2 else f
+        if enc.contains_zero():
+            straddling += 1
+        else:
+            assert leaf.y4[0] >= s2 and (enc.lo > 0.0) == (lo_sign > 0)
+    assert straddling == 17
 
 
 def test_no_common_zero_on_vortex_window_range():
