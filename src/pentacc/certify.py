@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import OutOfDomainError, branch_radicand
-from .intervals import Box, Interval, IntervalArray, IntervalDomainError, Jet2
+from .intervals import (Box, Interval, IntervalArray, IntervalDomainError, Jet2,
+                        split_bounds)
 from .symmetric import F, F_dual
 
 __all__ = [
@@ -246,17 +247,9 @@ def _bisect(zones, branch: str, max_depth: int) -> tuple:
             straddle = int(np.count_nonzero(open_ & ev.ok & straddles))
             break
         depth += 1
-        ylo, yhi, alo, ahi = bounds[:, open_]
-        coord, zone = coord[open_], zone[open_]
-        # Box.split_coord: y4 when asked and it has width, else A when it
-        # has width, else y4; halves meet at Interval.mid
-        on_y = ((coord == 0) & (yhi - ylo > 0.0)) | ~(ahi - alo > 0.0)
-        ym, am = 0.5 * (ylo + yhi), 0.5 * (alo + ahi)
-        bounds = np.concatenate([
-            np.stack([ylo, np.where(on_y, ym, yhi), alo, np.where(on_y, ahi, am)]),
-            np.stack([np.where(on_y, ym, ylo), yhi, np.where(on_y, alo, am), ahi]),
-        ], axis=1)
-        zone = np.concatenate([zone, zone])
+        lower, upper = split_bounds(*bounds[:, open_], coord[open_])
+        bounds = np.concatenate([np.stack(lower), np.stack(upper)], axis=1)
+        zone = np.concatenate([zone[open_], zone[open_]])
     return leaves, undecided, _stats(evals, domain, straddle)
 
 

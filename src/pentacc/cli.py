@@ -3,7 +3,8 @@
 Subcommands: symmetric-scan, certify, region-map, tropical-verify, evaluate.
 Angles are degrees on the command line and radians in emitted files.  Exit
 codes: 0 success or certified, 1 input error, 2 undecided certification,
-3 empty result.
+3 empty result.  With ``--stats``, certify and region-map report how the
+result was reached on stderr, through the ``pentacc`` logger.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import sys
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +37,7 @@ from .equations import (
     la2_feasible,
     laura_andoyer,
     region_classify,
+    region_labels,
     symmetric_g,
 )
 from .intervals import Box, Interval
@@ -45,6 +50,8 @@ from .symmetric import (
     window_for,
 )
 from .tropical import WeightVector, build_system, in_prevariety, verify_tables
+
+log = logging.getLogger("pentacc")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,10 +140,12 @@ def cmd_certify(args) -> int:
         cert = certify_no_common_zero(region, branch=args.branch,
                                       max_depth=args.max_depth)
     _write(json.dumps(cert.to_json(), indent=1), args.out)
+    log.info("certificate stats: %s", json.dumps(cert.stats))
     return EXIT_OK if cert.certified else EXIT_UNDECIDED
 
 
 def cmd_region_map(args) -> int:
+    start = time.perf_counter()
     a_exp = Exponent.parse(args.A).value
     if args.point:
         # single-cell query; angles arrive in degrees
@@ -148,57 +157,54 @@ def cmd_region_map(args) -> int:
             payload = res.to_json()
         except OutOfDomainError as exc:
             payload = {"region": "unrealizable", "detail": str(exc)}
+        except CollisionError as exc:
+            payload = {"region": "collision", "detail": str(exc)}
         _write(json.dumps(payload, indent=1), None)
         return EXIT_OK
     n = args.grid
     if n < 1:
         raise ValueError(f"--grid must be at least 1, got {n}")
     thetas = np.linspace(0.0, 2.0 * math.pi, n + 2)[1:-1]
-    rows = []
-    labels = {}
-    for closure in ("plus", "minus"):
-        for t12 in thetas:
-            for t23 in thetas:
-                try:
-                    res = region_classify(
-                        ChainAngles(float(t12), float(t23), closure), a_exp)
-                    label = res.region
-                except OutOfDomainError:
-                    label = "unrealizable"
-                except CollisionError:
-                    label = "collision"
-                rows.append((float(t12), float(t23), closure, label))
-                labels[(closure, float(t12), float(t23))] = label
-    out_csv = args.out + ".csv"
-    with open(out_csv, "w", newline="") as fh:
+    t12, t23 = (t.ravel() for t in np.meshgrid(thetas, thetas, indexing="ij"))
+    # labels[closure][i * n + j] is the cell (thetas[i], thetas[j])
+    labels = {closure: region_labels(t12, t23, closure, a_exp)
+              for closure in ("plus", "minus")}
+    # the csv module writes a float as its repr; format each angle once
+    text = [repr(t) for t in thetas.tolist()]
+    cells = [(a, b) for a in text for b in text]
+    with open(args.out + ".csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta12", "theta23", "closure", "region"])
-        w.writerows(rows)
+        for closure, labs in labels.items():
+            w.writerows((a, b, closure, lab) for (a, b), lab in zip(cells, labs))
     _write(_boundary_svg(thetas, labels), args.out + ".svg")
+    if log.isEnabledFor(logging.INFO):
+        counts = Counter(lab for labs in labels.values() for lab in labs)
+        log.info("region map: %d cells in %.3f s, labels %s", 2 * n * n,
+                 time.perf_counter() - start, json.dumps(dict(counts.most_common())))
     return EXIT_OK
 
 
 def _boundary_svg(thetas, labels: dict) -> str:
-    """Grid-edge segments between cells whose region labels differ."""
+    """Grid-edge segments between cells whose region labels differ.
+
+    ``labels`` maps each closure to its cell labels in row-major order over
+    (theta12, theta23).
+    """
     segs = {"plus": [], "minus": []}
     n = len(thetas)
     half = 0.5 * (thetas[1] - thetas[0]) if n > 1 else 0.1
     for closure in ("plus", "minus"):
+        grid = labels[closure]
         for i in range(n):
             for j in range(n):
-                here = labels[(closure, float(thetas[i]), float(thetas[j]))]
-                if i + 1 < n:
-                    right = labels[(closure, float(thetas[i + 1]), float(thetas[j]))]
-                    if right != here:
-                        x = 0.5 * (thetas[i] + thetas[i + 1])
-                        segs[closure].append(
-                            (x, thetas[j] - half, x, thetas[j] + half))
-                if j + 1 < n:
-                    up = labels[(closure, float(thetas[i]), float(thetas[j + 1]))]
-                    if up != here:
-                        y = 0.5 * (thetas[j] + thetas[j + 1])
-                        segs[closure].append(
-                            (thetas[i] - half, y, thetas[i] + half, y))
+                here = grid[i * n + j]
+                if i + 1 < n and grid[(i + 1) * n + j] != here:
+                    x = 0.5 * (thetas[i] + thetas[i + 1])
+                    segs[closure].append((x, thetas[j] - half, x, thetas[j] + half))
+                if j + 1 < n and grid[i * n + j + 1] != here:
+                    y = 0.5 * (thetas[j] + thetas[j + 1])
+                    segs[closure].append((thetas[i] - half, y, thetas[i] + half, y))
     paths = []
     for closure, ss in segs.items():
         d = " ".join(f"M {a:.4f} {b:.4f} L {c:.4f} {e:.4f}" for a, b, c, e in ss)
@@ -318,6 +324,8 @@ def main(argv=None) -> int:
     p.add_argument("--inset", type=float, default=1e-6)
     p.add_argument("--max-depth", type=int, default=60)
     p.add_argument("--out", default="-")
+    p.add_argument("--stats", action="store_true",
+                   help="print the certificate's stats to stderr")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("region-map",
@@ -327,6 +335,9 @@ def main(argv=None) -> int:
     p.add_argument("--point", help="single query 'theta12,theta23' in degrees")
     p.add_argument("--closure", choices=("plus", "minus"), default="plus")
     p.add_argument("--out", default="regions", help="output prefix (.csv and .svg)")
+    p.add_argument("--stats", action="store_true",
+                   help="print the label histogram, the cells sent to the scalar "
+                        "region III test and the wall time to stderr")
     p.set_defaults(func=cmd_region_map)
 
     p = sub.add_parser("tropical-verify",
@@ -353,11 +364,20 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_bifurcation)
 
     args = parser.parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = log.level
+    if getattr(args, "stats", False):
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (OutOfDomainError, CollisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

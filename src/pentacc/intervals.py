@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IntervalDomainError", "Interval", "IntervalArray", "Box", "Dual"]
+__all__ = ["IntervalDomainError", "Interval", "IntervalArray", "Box", "Dual", "split_bounds"]
 
 _INF = math.inf
 
@@ -225,18 +225,28 @@ class Box:
             raise ValueError(f"exponent interval must stay within [2, inf), got {self.a}")
 
     def split_coord(self, coord: int) -> tuple:
-        """Bisect coordinate 0 (y4) or 1 (A)."""
-        if coord == 0 and self.y4.width > 0.0:
-            l, r = self.y4.split()
-            return Box(l, self.a), Box(r, self.a)
-        if self.a.width > 0.0:
-            l, r = self.a.split()
-            return Box(self.y4, l), Box(self.y4, r)
-        l, r = self.y4.split()
-        return Box(l, self.a), Box(r, self.a)
+        """Bisect coordinate 0 (y4) or 1 (A) by the rule of ``split_bounds``."""
+        return tuple(Box(Interval(ylo, yhi), Interval(alo, ahi))
+                     for ylo, yhi, alo, ahi in split_bounds(*self.key(), coord))
 
     def key(self) -> tuple:
         return (self.y4.lo, self.y4.hi, self.a.lo, self.a.hi)
+
+
+def split_bounds(ylo, yhi, alo, ahi, coord) -> tuple:
+    """The bisection rule of (y4, A) boxes, over arrays of box bounds.
+
+    Each box is halved along y4 when ``coord`` asks for it (0) and y4 has
+    width, else along A when A has width, else along y4; the halves meet at
+    the midpoint 0.5 * (lo + hi), as in ``Interval.split``.  Returns the
+    (ylo, yhi, alo, ahi) arrays of the lower halves and of the upper halves.
+    ``Box.split_coord`` and the certifier's frontier both split this way.
+    """
+    ylo, yhi, alo, ahi = (np.asarray(v, dtype=float) for v in (ylo, yhi, alo, ahi))
+    on_y = ((np.asarray(coord) == 0) & (yhi - ylo > 0.0)) | ~(ahi - alo > 0.0)
+    ym, am = 0.5 * (ylo + yhi), 0.5 * (alo + ahi)
+    return ((ylo, np.where(on_y, ym, yhi), alo, np.where(on_y, ahi, am)),
+            (np.where(on_y, ym, ylo), yhi, np.where(on_y, alo, am), ahi))
 
 
 def _adown(x):

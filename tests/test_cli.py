@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, output files, schema conformance."""
 
 import csv
+import hashlib
 import json
 import math
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -120,14 +122,26 @@ def test_family_svg_emission(tmp_path):
         and 'class="branch-B"' in text
 
 
-def test_certify_unique_root_exit_codes(tmp_path):
+def test_certify_unique_root_exit_codes(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = main(["certify", "--mode", "unique-root", "--branch", "A",
                  "--window", "a2", "--A-range", "2,3", "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().err == ""
     cert = json.loads(out.read_text())
     check_schema(cert, load_schema("certificate.schema.json"))
     assert cert["certified"] is True
+    # --stats adds the stats on stderr and leaves the output as it was
+    with_stats = tmp_path / "cert_stats.json"
+    assert main(["certify", "--mode", "unique-root", "--branch", "A",
+                 "--window", "a2", "--A-range", "2,3", "--out", str(with_stats),
+                 "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert with_stats.read_bytes() == out.read_bytes()
+    prefix = "pentacc: certificate stats: "
+    assert captured.err.startswith(prefix)
+    assert json.loads(captured.err[len(prefix):]) == cert["stats"]
 
 
 def test_certify_undecided_exit_code(tmp_path):
@@ -307,3 +321,46 @@ def test_region_map_point_query(capsys):
     assert json.loads(capsys.readouterr().out)["region"] == "II"
     assert main(["region-map", "--A", "3", "--point", "180,180"]) == 0
     assert json.loads(capsys.readouterr().out)["region"] == "unrealizable"
+
+
+def test_region_map_point_reports_collision_like_the_grid(capsys):
+    # theta12 next to 0 puts q3 on q1; the grid labels such a cell "collision"
+    assert main(["region-map", "--A", "3", "--point", "1e-13,108"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"region": "collision",
+                                        "detail": "coincident bodies: [(1, 3)]"}
+
+
+# label histogram and SHA-256 of the grid-60 outputs of the per-cell
+# classifier that the batched one replaced
+GRID60_LABELS = {"none": 3944, "unrealizable": 2248, "III": 518, "I": 290, "II": 200}
+GRID60_CSV_SHA256 = "b97479eb62508651fdbcdeccd6191fd1d2d676e9ad3fe1bc4415d73de9be0ae9"
+GRID60_SVG_SHA256 = "b6f02fa143397cde73c56203c3908100d3814d08e74549e2418b8450d6c23a2c"
+
+
+def test_region_map_grid60_pinned(tmp_path, capsys):
+    prefix = str(tmp_path / "regions")
+    assert main(["region-map", "--A", "3", "--grid", "60", "--out", prefix]) == 0
+    assert capsys.readouterr() == ("", "")
+    csv_bytes = open(prefix + ".csv", "rb").read()
+    svg_bytes = open(prefix + ".svg", "rb").read()
+    with open(prefix + ".csv", newline="") as fh:
+        counts = Counter(row["region"] for row in csv.DictReader(fh))
+    assert dict(counts) == GRID60_LABELS
+    assert hashlib.sha256(csv_bytes).hexdigest() == GRID60_CSV_SHA256
+    assert hashlib.sha256(svg_bytes).hexdigest() == GRID60_SVG_SHA256
+    # --stats reports on stderr only; the files stay byte for byte the same
+    assert main(["region-map", "--A", "3", "--grid", "60", "--out", prefix,
+                 "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert open(prefix + ".csv", "rb").read() == csv_bytes
+    assert open(prefix + ".svg", "rb").read() == svg_bytes
+    lines = captured.err.splitlines()
+    for closure in ("plus", "minus"):
+        assert (f"pentacc.equations: region labels, {closure} closure: 3600 cells, "
+                "2476 realizable, 259 sent to the scalar region III test") in lines
+    summary = [line for line in lines if line.startswith("pentacc: region map: 7200 cells")]
+    assert len(summary) == 1
+    assert json.loads(summary[0].split(" labels ", 1)[1]) == GRID60_LABELS

@@ -12,15 +12,19 @@ from pentacc.geometry import (
     OutOfDomainError,
     PlanarConfiguration,
     SymmetricShape,
+    chain_points,
     collinear_endpoint_y4,
     convex_position,
     cyclic_from_angles,
     mutual_distances,
+    oriented_area,
     regular_pentagon_y4,
     square_endpoint_y4,
     symmetric_coords,
 )
 from pentacc.equations import (
+    _concave_region,
+    _two_mass,
     Exponent,
     MassVector,
     TWO_MASS_PAIRS,
@@ -31,6 +35,7 @@ from pentacc.equations import (
     mass_coefficient_matrix,
     mass_kernel,
     region_classify,
+    region_labels,
     symmetric_g,
 )
 
@@ -279,17 +284,135 @@ def test_region_unrealizable_raises():
 
 def test_regions_cover_all_interior_labels():
     rng = np.random.default_rng(5)
+    t12, t23 = rng.uniform(0.05, 2 * math.pi - 0.05, (4000, 2)).T
     labels = set()
-    for _ in range(4000):
-        t12, t23 = rng.uniform(0.05, 2 * math.pi - 0.05, 2)
-        for closure in ("plus", "minus"):
-            try:
-                res = region_classify(ChainAngles(float(t12), float(t23), closure), 3.0)
-            except OutOfDomainError:
-                continue
-            if res.region == "III":
-                labels.add(res.interior_label)
+    for closure in ("plus", "minus"):
+        found = region_labels(t12, t23, closure, 3.0)
+        for k in (k for k, lab in enumerate(found) if lab == "III"):
+            res = region_classify(ChainAngles(float(t12[k]), float(t23[k]), closure), 3.0)
+            assert res.region == "III"
+            labels.add(res.interior_label)
     assert labels == {1, 2, 3, 4, 5}
+
+
+def _scalar_chain(t12: float, t23: float, closure: str):
+    """The scalar chain construction, operation by operation; None where
+    the chain does not close."""
+    q1, q2 = np.array([-0.5, 0.0]), np.array([0.5, 0.0])
+    d23 = math.pi - t12
+    q3 = q2 + np.array([math.cos(d23), math.sin(d23)])
+    d34 = d23 + math.pi - t23
+    q4 = q3 + np.array([math.cos(d34), math.sin(d34)])
+    gap = q1 - q4
+    dist = math.hypot(gap[0], gap[1])
+    if dist > 2.0 or dist < 1e-12:
+        return None
+    h = math.sqrt(max(1.0 - (dist / 2.0) ** 2, 0.0))
+    perp = np.array([gap[1], -gap[0]]) / dist
+    q5 = 0.5 * (q4 + q1) + (h if closure == "plus" else -h) * perp
+    return np.array([q1, q2, q3, q4, q5])
+
+
+_UPPER = np.triu_indices(5, k=1)
+
+
+def _scalar_two_mass(pts: np.ndarray, a_exp: float):
+    """Scalar distance table and two-mass coefficients; None on a collision."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    r = np.sqrt((diff ** 2).sum(axis=2))
+    if np.any(r[_UPPER] < 1e-12):
+        return r, None
+    scale = float(r[0, 1])
+    R = (r / scale + np.eye(5)) ** (-a_exp)
+    config = PlanarConfiguration(pts)
+    coef = [[float((R[i - 1, k - 1] - R[j - 1, k - 1])
+                   * oriented_area(config, i, j, k) / scale ** 2) for k in ks]
+            for (i, j), ks in TWO_MASS_PAIRS.items()]
+    return r, coef
+
+
+def _oracle_label(pts, r, coef) -> str:
+    if coef is None:
+        return "collision"
+    for ca, cb in coef:
+        za, zb = abs(ca) <= 1e-10, abs(cb) <= 1e-10
+        if not ((za and zb) or (not za and not zb and (ca > 0) != (cb > 0))):
+            return "none"
+    diag = [r[i - 1, j - 1] for i, j in DIAGONALS]
+    if all(d > r[0, 1] for d in diag):
+        return "I"
+    if all(d < r[0, 1] for d in diag):
+        return "II"
+    return _concave_region(PlanarConfiguration(pts)).region
+
+
+def _oracle_angles() -> tuple:
+    """Seeded chain angles: uniform cells, cells within a few ulps of
+    |q4 - q1| = 2, and cells next to collisions at the ends of (0, 2 pi)."""
+    rng = np.random.default_rng(41)
+    t12 = list(rng.uniform(1e-6, 2 * math.pi - 1e-6, 1600))
+    t23 = list(rng.uniform(1e-6, 2 * math.pi - 1e-6, 1600))
+
+    def dist(a, b):
+        d23 = math.pi - a
+        d34 = d23 + math.pi - b
+        return math.hypot(-1.0 - math.cos(d23) - math.cos(d34),
+                          -math.sin(d23) - math.sin(d34))
+
+    grid = np.linspace(0.01, 2 * math.pi - 0.01, 200).tolist()
+    for a in rng.uniform(0.01, 2 * math.pi - 0.01, 60).tolist():
+        far = [dist(a, b) > 2.0 for b in grid]
+        for n in [n for n in range(len(grid) - 1) if far[n] != far[n + 1]][:2]:
+            lo, hi = grid[n], grid[n + 1]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (dist(a, mid) > 2.0) == far[n] else (lo, mid)
+            for b in (lo, hi, math.nextafter(lo, -1.0), math.nextafter(hi, 9.0)):
+                t12.append(a)
+                t23.append(b)
+    for eps in (1e-14, 1e-13, 9e-13, 2e-12, 1e-11):
+        for other in rng.uniform(0.1, 2 * math.pi - 0.1, 4).tolist() + [math.pi]:
+            for a, b in ((eps, other), (other, eps), (2 * math.pi - eps, other),
+                         (other, 2 * math.pi - eps)):
+                t12.append(a)
+                t23.append(b)
+    return np.array(t12), np.array(t23)
+
+
+def test_batched_region_kernel_matches_scalar_oracle():
+    t12, t23 = _oracle_angles()
+    assert t12.size >= 2000
+    factors = np.random.default_rng(43).uniform(0.2, 5.0, 300)
+    seen = set()
+    for closure in ("plus", "minus"):
+        pts, realizable = chain_points(t12, t23, closure)
+        oracle = [_scalar_chain(a, b, closure) for a, b in zip(t12.tolist(), t23.tolist())]
+        assert realizable.tolist() == [q is not None for q in oracle]
+        assert all(pts[k].tobytes() == q.tobytes()
+                   for k, q in enumerate(oracle) if q is not None)
+        cells = np.flatnonzero(realizable)
+        for a_exp in (2.0, 2.5, 3.0, 4.0):
+            d, collision, coef, _ = _two_mass(pts[cells], a_exp)
+            want_labels = ["unrealizable"] * len(oracle)
+            for n, k in enumerate(cells.tolist()):
+                r, want = _scalar_two_mass(oracle[k], a_exp)
+                assert d[n].tobytes() == r[_UPPER].tobytes()
+                assert collision[n] == (want is None)
+                if want is not None:
+                    assert coef[n].tobytes() == np.array(want).tobytes()
+                want_labels[k] = _oracle_label(oracle[k], r, want)
+            labels = region_labels(t12, t23, closure, a_exp)
+            assert labels == want_labels
+            seen.update(labels)
+            # r12 = 1 on chain points; scaled copies exercise the r12**2
+            # normalisation that la2_feasible applies to any configuration
+            scaled = pts[cells[:300]] * factors[:, None, None]
+            _, _, coef, _ = _two_mass(scaled, a_exp)
+            for n, q in enumerate(scaled):
+                want = _scalar_two_mass(q, a_exp)[1]
+                if want is not None:
+                    assert coef[n].tobytes() == np.array(want).tobytes()
+    assert seen == {"unrealizable", "collision", "none", "I", "II", "III"}
 
 
 def test_a_quantity_self_pair_convention():

@@ -13,6 +13,7 @@ from pentacc.intervals import (
     IntervalArray,
     IntervalDomainError,
     Jet2,
+    split_bounds,
 )
 
 
@@ -221,6 +222,24 @@ def test_box_split_and_validation():
     assert l.a.hi == r.a.lo
     with pytest.raises(ValueError):
         Box(Interval(0.2, 0.4), Interval(1.0, 3.0))
+
+
+@pytest.mark.parametrize("box, coord, want", [
+    ((0.2, 0.4, 2.0, 3.0), 0, ((0.2, 0.30000000000000004, 2.0, 3.0),
+                               (0.30000000000000004, 0.4, 2.0, 3.0))),
+    ((0.2, 0.4, 2.0, 3.0), 1, ((0.2, 0.4, 2.0, 2.5), (0.2, 0.4, 2.5, 3.0))),
+    # a coordinate without width is never halved when the other one has width
+    ((0.3, 0.3, 2.0, 3.0), 0, ((0.3, 0.3, 2.0, 2.5), (0.3, 0.3, 2.5, 3.0))),
+    ((0.2, 0.4, 2.5, 2.5), 1, ((0.2, 0.30000000000000004, 2.5, 2.5),
+                               (0.30000000000000004, 0.4, 2.5, 2.5))),
+    ((0.3, 0.3, 2.5, 2.5), 1, ((0.3, 0.3, 2.5, 2.5), (0.3, 0.3, 2.5, 2.5))),
+])
+def test_one_split_rule_for_boxes_and_frontiers(box, coord, want):
+    got = Box(Interval(*box[:2]), Interval(*box[2:])).split_coord(coord)
+    assert tuple(b.key() for b in got) == want
+    # the frontier form: the same rule on bound arrays, here one box twice
+    lower, upper = split_bounds(*([v, v] for v in box), [coord, coord])
+    assert [tuple(float(c[1]) for c in half) for half in (lower, upper)] == list(want)
 
 
 # ---------------------------------------------------------------------------
