@@ -18,6 +18,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -171,12 +172,12 @@ def cmd_region_map(args) -> int:
               for closure in ("plus", "minus")}
     # the csv module writes a float as its repr; format each angle once
     text = [repr(t) for t in thetas.tolist()]
-    cells = [(a, b) for a in text for b in text]
     with open(args.out + ".csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta12", "theta23", "closure", "region"])
         for closure, labs in labels.items():
-            w.writerows((a, b, closure, lab) for (a, b), lab in zip(cells, labs))
+            w.writerows((a, b, closure, lab)
+                        for (a, b), lab in zip(product(text, repeat=2), labs))
     _write(_boundary_svg(thetas, labels), args.out + ".svg")
     if log.isEnabledFor(logging.INFO):
         counts = Counter(lab for labs in labels.values() for lab in labs)

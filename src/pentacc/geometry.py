@@ -291,8 +291,13 @@ def pair_distances(points) -> np.ndarray:
     sqrt(dx**2 + dy**2), the same bits as the ``mutual_distances`` table.
     """
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, _PAIR_I, :] - pts[:, _PAIR_J, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    dx = pts[:, _PAIR_I, 0] - pts[:, _PAIR_J, 0]
+    dy = pts[:, _PAIR_I, 1] - pts[:, _PAIR_J, 1]
+    # dx**2 + dy**2 in place, to keep a grid's temporaries small
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def collision_error(d: np.ndarray) -> CollisionError:
