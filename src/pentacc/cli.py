@@ -3,8 +3,8 @@
 Subcommands: symmetric-scan, certify, region-map, tropical-verify, evaluate.
 Angles are degrees on the command line and radians in emitted files.  Exit
 codes: 0 success or certified, 1 input error, 2 undecided certification,
-3 empty result.  With ``--stats``, certify and region-map report how the
-result was reached on stderr, through the ``pentacc`` logger.
+3 empty result.  With ``--stats``, certify, region-map and tropical-verify
+report how the result was reached on stderr, through the ``pentacc`` logger.
 """
 
 from __future__ import annotations
@@ -215,26 +215,37 @@ def _boundary_svg(thetas, labels: dict) -> str:
             f"{body}\n</svg>\n")
 
 
+def _parse_ray(text: str) -> WeightVector:
+    try:
+        return WeightVector(tuple(Fraction(x) for x in text.split(",")))
+    except ZeroDivisionError:
+        raise ValueError(f"--ray {text} has a zero denominator") from None
+
+
 def cmd_tropical_verify(args) -> int:
     reports = []
     status = EXIT_OK
     for text in args.A:
+        start = time.perf_counter()
         a_exp = Exponent.parse(text)
         if a_exp.rational is None:
-            print(f"exponent {text} is not rational", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"exponent {text} is not rational")
         if args.ray:
-            weights = WeightVector(tuple(Fraction(x) for x in args.ray.split(",")))
+            weights = _parse_ray(args.ray)
             system = build_system(a_exp.rational)
             ok, witness = in_prevariety(weights, system, a_exp.rational)
             reports.append({"A": str(a_exp.rational),
                             "ray": [str(w) for w in weights.weights],
                             "in_prevariety": ok, "witness": witness})
+            log.info("tropical ray at A=%s: %.3f s", a_exp.rational,
+                     time.perf_counter() - start)
             if not ok:
                 status = EXIT_EMPTY
         else:
             rep = verify_tables(a_exp.rational)
             reports.append(rep.to_json())
+            log.info("tropical tables at A=%s: %.3f s, stats %s", a_exp.rational,
+                     time.perf_counter() - start, json.dumps(rep.stats))
             if not rep.all_passed:
                 status = EXIT_EMPTY
     _write(json.dumps(reports if len(reports) > 1 else reports[0], indent=1),
@@ -347,6 +358,8 @@ def main(argv=None) -> int:
                    help="rational exponent, repeatable (e.g. --A 3 --A 5/2)")
     p.add_argument("--ray", help="six comma-separated rational weights")
     p.add_argument("--out", default="-")
+    p.add_argument("--stats", action="store_true",
+                   help="print each table report's stats and the wall time to stderr")
     p.set_defaults(func=cmd_tropical_verify)
 
     p = sub.add_parser("evaluate", help="residual systems for a configuration file")

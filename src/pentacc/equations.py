@@ -77,6 +77,8 @@ class Exponent:
     rational: Fraction | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"exponent must be finite, got {self.value}")
         if self.value < 2.0:
             raise ValueError(f"exponent must be >= 2, got {self.value}")
         if self.rational is not None and abs(float(self.rational) - self.value) > 1e-12:
@@ -84,18 +86,31 @@ class Exponent:
 
     @classmethod
     def parse(cls, text) -> "Exponent":
-        """Parse '3', '2.5', or '5/2'; fractions keep their exact form."""
+        """Parse '3', '2.5', or '5/2'; fractions keep their exact form.
+
+        A non-finite value, a zero denominator or a fraction too large for
+        a float raises ValueError.
+        """
         if isinstance(text, (int, Fraction)):
-            f = Fraction(text)
-            return cls(float(f), f)
+            return cls._from_fraction(Fraction(text))
         s = str(text).strip()
         if "/" in s:
-            f = Fraction(s)
-            return cls(float(f), f)
+            try:
+                f = Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"exponent {s} has a zero denominator") from None
+            return cls._from_fraction(f)
         v = float(s)
         if v.is_integer():
             return cls(v, Fraction(int(v)))
         return cls(v, None)
+
+    @classmethod
+    def _from_fraction(cls, f: Fraction) -> "Exponent":
+        try:
+            return cls(float(f), f)
+        except OverflowError:
+            raise ValueError("exponent is too large for a float") from None
 
 
 @dataclass(frozen=True)

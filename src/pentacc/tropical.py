@@ -18,16 +18,21 @@ the binomial relation, which forces w(Q) = (2 - A) w(r) per class.  The
 weight lies in the tropical prevariety when the initial form of every
 system polynomial keeps at least two terms; initial forms collect the terms
 of maximal weight, the Groebner-deformation convention under which the
-shipped ray and cone tables verify.
+shipped ray and cone tables verify.  An initial form does not change when
+the weight is multiplied by a positive scalar, so each lifted weight is
+scaled once by the least common multiple of its denominators and every term
+weight is an exact integer sum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, permutations
+from operator import mul
 
 __all__ = [
     "NUM_VARIABLES",
@@ -201,50 +206,42 @@ def build_f_poly(i: int, j: int) -> LaurentPoly:
     return total
 
 
-_PERM_SIGNS = {}
-for _perm in permutations(range(5)):
-    _sgn, _seen = 1, [False] * 5
-    for _s in range(5):
-        if _seen[_s]:
-            continue
-        _ln, _t = 0, _s
-        while not _seen[_t]:
-            _seen[_t] = True
-            _t = _perm[_t]
-            _ln += 1
-        if _ln % 2 == 0:
-            _sgn = -_sgn
-    _PERM_SIGNS[_perm] = _sgn
+def _perm_sign(perm: tuple) -> int:
+    """Sign of a permutation: -1 per cycle of even length."""
+    sgn, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        length, t = 0, start
+        while not seen[t]:
+            seen[t] = True
+            t = perm[t]
+            length += 1
+        if length and length % 2 == 0:
+            sgn = -sgn
+    return sgn
+
+
+# The bordered Cayley-Menger matrix has a zero diagonal, so only the 44
+# derangements of 5 contribute Leibniz terms.
+_DERANGEMENTS = tuple((perm, _perm_sign(perm)) for perm in permutations(range(5))
+                      if all(perm[a] != a for a in range(5)))
 
 
 def build_cayley_menger_poly(points: tuple) -> LaurentPoly:
-    """Symbolic four-point Cayley-Menger determinant in class variables."""
-    one = LaurentPoly.monomial()
+    """Symbolic four-point Cayley-Menger determinant in class variables.
 
-    def entry(a: int, b: int) -> LaurentPoly | None:
-        if a == b:
-            return None
-        if a == 0 or b == 0:
-            return one
-        return _r2(points[a - 1], points[b - 1])
-
-    det = LaurentPoly()
-    for perm, sgn in _PERM_SIGNS.items():
-        factors = []
-        dead = False
-        for a in range(5):
-            e = entry(a, perm[a])
-            if e is None:
-                dead = True
-                break
-            factors.append(e)
-        if dead:
-            continue
-        term = LaurentPoly.monomial(coeff=sgn)
-        for f in factors:
-            term = term * f
-        det = det + term
-    return det
+    Every entry off the zero diagonal is 1 (the border) or a single r^2, so
+    each Leibniz term is a signed monomial whose exponent counts its r^2
+    factors; the determinant is the integer sum of those monomials.
+    """
+    coeffs: dict = {}
+    for perm, sgn in _DERANGEMENTS:
+        e = [0] * NUM_VARIABLES
+        for a in range(1, 5):
+            if perm[a]:
+                e[_cls(points[a - 1], points[perm[a] - 1])] += 2
+        key = tuple(e)
+        coeffs[key] = coeffs.get(key, 0) + sgn
+    return LaurentPoly({e: {_ZERO_MASS: Fraction(c)} for e, c in coeffs.items() if c})
 
 
 def build_q_relation(c: int, p: int, q: int) -> LaurentPoly:
@@ -343,18 +340,30 @@ def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
     return seen
 
 
+def _int_lift(w: WeightVector, a_exp: Fraction) -> tuple:
+    """The twelve lifted coordinates of ``w`` times the lcm of their denominators.
+
+    The scale is a positive integer, so the order of term weights, and with
+    it every initial form, is that of the rational lift; the Python ints
+    are exact at any size.
+    """
+    w12 = w.lift(a_exp)
+    scale = math.lcm(*(x.denominator for x in w12))
+    return tuple(x.numerator * (scale // x.denominator) for x in w12)
+
+
+def _top_terms(poly: LaurentPoly, int_weights: tuple) -> list:
+    """Exponents of ``poly`` of maximal integer weight, in term order."""
+    exps = list(poly.terms)
+    wts = [sum(map(mul, e, int_weights)) for e in exps]
+    best = max(wts, default=None)
+    return [e for e, wt in zip(exps, wts) if wt == best]
+
+
 def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> LaurentPoly:
     """Terms of maximal lifted weight (Groebner-deformation convention)."""
-    w12 = w.lift(a_exp)
-    best = None
-    keep = []
-    for e in poly.terms:
-        wt = sum(Fraction(a) * b for a, b in zip(e, w12) if a)
-        if best is None or wt > best:
-            best, keep = wt, [e]
-        elif wt == best:
-            keep.append(e)
-    return LaurentPoly({e: dict(poly.terms[e]) for e in keep})
+    return LaurentPoly({e: dict(poly.terms[e])
+                        for e in _top_terms(poly, _int_lift(w, a_exp))})
 
 
 def in_prevariety(w: WeightVector, system: list, a_exp: Fraction) -> tuple:
@@ -363,8 +372,9 @@ def in_prevariety(w: WeightVector, system: list, a_exp: Fraction) -> tuple:
     The witness names the first polynomial whose initial form degenerates to
     a single monomial (masses generic), or is None on success.
     """
+    int_weights = _int_lift(w, a_exp)
     for label, poly in system:
-        if len(initial_form(poly, w, a_exp)) < 2:
+        if len(_top_terms(poly, int_weights)) < 2:
             return False, label
     return True, None
 
@@ -421,6 +431,9 @@ class TableReport:
     multiplicity_results: dict
     excluded_by_halfspace: list
     failures: list
+    # counts only: weights_tested, polynomials_examined (initial forms
+    # computed) and witnesses (witness label -> rejected weights)
+    stats: dict
 
     @property
     def all_passed(self) -> bool:
@@ -435,6 +448,7 @@ class TableReport:
             "excluded_by_halfspace": self.excluded_by_halfspace,
             "failures": self.failures,
             "all_passed": self.all_passed,
+            "stats": self.stats,
         }
 
 
@@ -450,6 +464,17 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
     a_exp = Fraction(a_exp)
     table = table or load_ray_table()
     system = build_system(a_exp, masses=masses)
+    position = {label: k for k, (label, _) in enumerate(system)}
+    stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
+
+    def member_of(w: WeightVector) -> tuple:
+        ok, witness = in_prevariety(w, system, a_exp)
+        stats["weights_tested"] += 1
+        stats["polynomials_examined"] += len(system) if ok else position[witness] + 1
+        if not ok:
+            stats["witnesses"][witness] = stats["witnesses"].get(witness, 0) + 1
+        return ok, witness
+
     failures = []
     ray_results: dict = {}
     mult_results: dict = {}
@@ -459,7 +484,7 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
         members = weight_orbit(w)
         verdicts = []
         for member in members:
-            ok, witness = in_prevariety(member, system, a_exp)
+            ok, witness = member_of(member)
             verdicts.append(ok)
             if not ok:
                 failures.append({"entry": label, "weight": [str(x) for x in member.weights],
@@ -490,7 +515,7 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
     cone_results: dict = {}
     for label, _gens in table.cones:
         w = table.cone_interior_weight(label, a_exp)
-        ok, witness = in_prevariety(w, system, a_exp)
+        ok, witness = member_of(w)
         cone_results[label] = ok
         if not ok:
             failures.append({"entry": label, "weight": [str(x) for x in w.weights],
@@ -498,4 +523,5 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
     return TableReport(a_exp=a_exp, ray_results=ray_results,
                        cone_results=cone_results,
                        multiplicity_results=mult_results,
-                       excluded_by_halfspace=excluded, failures=failures)
+                       excluded_by_halfspace=excluded, failures=failures,
+                       stats=stats)

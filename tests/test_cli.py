@@ -4,8 +4,12 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,45 @@ def test_tropical_verify_single_ray_reject(tmp_path):
 def test_tropical_verify_rejects_irrational(tmp_path, capsys):
     assert main(["tropical-verify", "--A", "2.7182",
                  "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == "error: exponent 2.7182 is not rational\n"
+
+
+def test_tropical_verify_stats(tmp_path, capsys):
+    out = tmp_path / "trop.json"
+    assert main(["tropical-verify", "--A", "3", "--A", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "")
+    reports = json.loads(out.read_text())
+    for report in reports:
+        check_schema(report, load_schema("tropical_report.schema.json"))
+    # --stats reports on stderr only; the output file stays byte for byte the same
+    with_stats = tmp_path / "trop_stats.json"
+    assert main(["tropical-verify", "--A", "3", "--A", "2", "--out", str(with_stats),
+                 "--stats"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert with_stats.read_bytes() == out.read_bytes()
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for line, report in zip(lines, reports):
+        head, stats = line.split(" s, stats ")
+        assert head.startswith(f"pentacc: tropical tables at A={report['A']}: ")
+        assert float(head.rsplit(" ", 1)[1]) >= 0
+        assert json.loads(stats) == report["stats"]
+    # a single ray logs its wall time
+    assert main(["tropical-verify", "--A", "3", "--ray", "1,0,0,0,0,0", "--stats"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["in_prevariety"] is False
+    assert captured.err.startswith("pentacc: tropical ray at A=3: ")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "pentacc", "tropical-verify", "--A", "3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
 
 
 def test_evaluate_pentagon(tmp_path):
@@ -286,6 +329,16 @@ def test_bifurcation_empty_range(tmp_path):
     pytest.param(["certify", "--mode", "no-common-zero", "--window", "a2",
                   "--inset", "1", "--A-range", "2,3"], id="certify-inset-empties-window"),
     pytest.param(["region-map", "--grid", "0"], id="region-map-grid-0"),
+    pytest.param(["region-map", "--A", "nan", "--point", "108,108"], id="region-map-nan"),
+    pytest.param(["region-map", "--A", "1/0", "--point", "108,108"],
+                 id="region-map-zero-denominator"),
+    pytest.param(["symmetric-scan", "--A", "nan"], id="scan-nan"),
+    pytest.param(["symmetric-scan", "--A", "inf"], id="scan-inf"),
+    pytest.param(["symmetric-scan", "--A", "1e400"], id="scan-overflow"),
+    pytest.param(["tropical-verify", "--A", "1/0"], id="tropical-zero-denominator"),
+    pytest.param(["tropical-verify", "--A", "3", "--ray", "1/0,0,0,0,0,0"],
+                 id="tropical-ray-zero-denominator"),
+    pytest.param(["tropical-verify", "--A", "2.7182"], id="tropical-irrational"),
 ])
 def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)

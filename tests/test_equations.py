@@ -56,6 +56,13 @@ def test_exponent_parsing():
         Exponent.parse("1.5")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "1/0", "-3/0",
+                                  "1" + "0" * 400 + "/1"])
+def test_exponent_rejects_non_finite_and_zero_denominator(text):
+    with pytest.raises(ValueError):
+        Exponent.parse(text)
+
+
 @pytest.mark.parametrize("a_exp", [2.0, 3.0])
 def test_pentagon_wedge_residuals_vanish(a_exp):
     report = laura_andoyer(PENTAGON, EQUAL, a_exp)

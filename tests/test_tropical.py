@@ -1,13 +1,19 @@
 """Exact finiteness system and tropical prevariety membership."""
 
+import dataclasses
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from pentacc.tropical import (
     LaurentPoly,
     WeightVector,
+    build_cayley_menger_poly,
     build_f_poly,
     build_q_relation,
     build_system,
@@ -18,6 +24,7 @@ from pentacc.tropical import (
     reflect_weight,
     verify_tables,
     weight_orbit,
+    CLASS_OF_PAIR,
     CYCLE_CLASS_MAP,
     CYCLE_MASS_MAP,
 )
@@ -192,3 +199,141 @@ def test_rays_specialize_to_integers_at_newtonian_exponent():
     for label, _coords, _mult in table.rays:
         w = table.ray_weight(label, Fraction(3))
         assert all(x.denominator == 1 for x in w.weights)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against exact-Fraction compositions of the former code
+
+def _fraction_top_terms(poly, w, a_exp):
+    """Exponents of maximal lifted weight, each weight an exact Fraction dot product."""
+    w12 = w.lift(a_exp)
+    best, keep = None, []
+    for e in poly.terms:
+        wt = sum(Fraction(a) * b for a, b in zip(e, w12) if a)
+        if best is None or wt > best:
+            best, keep = wt, [e]
+        elif wt == best:
+            keep.append(e)
+    return keep
+
+
+def _oracle_weights(a_exp):
+    """Zero and single-class rays, every dihedral orbit member of every table
+    ray, every cone-interior weight, and seeded rational weights: random
+    ones (numerators -9..9, denominators 1..9) and positive rational
+    combinations of two orbit members."""
+    table = load_ray_table()
+    weights = [WeightVector((0,) * 6)]
+    for c in range(6):
+        for scale in (1, Fraction(5, 3), -1):
+            weights.append(WeightVector(tuple(scale if k == c else 0 for k in range(6))))
+    members = [m for label, _, _ in table.rays
+               for m in weight_orbit(table.ray_weight(label, a_exp), dihedral=True)]
+    weights += members
+    weights += [table.cone_interior_weight(label, a_exp) for label, _ in table.cones]
+    rng = random.Random(str(a_exp))
+
+    def frac(lo):
+        return Fraction(rng.randint(lo, 9), rng.randint(1, 9))
+
+    for _ in range(150):
+        weights.append(WeightVector(tuple(frac(-9) for _ in range(6))))
+        u, v = rng.sample(members, 2)
+        cu, cv = frac(1), frac(1)
+        weights.append(WeightVector(tuple(cu * x + cv * y
+                                          for x, y in zip(u.weights, v.weights))))
+    return weights
+
+
+ORACLE_EXPONENTS = [Fraction(2), Fraction(7, 3), Fraction(5, 2), Fraction(3),
+                    Fraction(11, 4), Fraction(4)]
+
+
+@pytest.mark.parametrize("a_exp", ORACLE_EXPONENTS, ids=str)
+def test_integer_kernel_matches_fraction_oracle(a_exp):
+    system = build_system(a_exp)
+    weights = _oracle_weights(a_exp)
+    assert len(weights) * len(ORACLE_EXPONENTS) >= 2000
+    verdicts = Counter()
+    for w in weights:
+        expected = (True, None)
+        for label, poly in system:
+            top = _fraction_top_terms(poly, w, a_exp)
+            init = initial_form(poly, w, a_exp)
+            assert list(init.terms) == top, (label, w)
+            assert init == LaurentPoly({e: poly.terms[e] for e in top})
+            if len(top) < 2:
+                expected = (False, label)
+                break
+        assert in_prevariety(w, system, a_exp) == expected, w
+        verdicts[expected[1]] += 1
+    # accepted weights and witnesses among both kinds of polynomial
+    assert verdicts[None] >= 55
+    assert any(lab.startswith("f") for lab in verdicts if lab)
+    assert any(lab.startswith("CM") for lab in verdicts if lab)
+
+
+def _leibniz_cayley_menger(points):
+    """Five-factor Leibniz products of LaurentPoly entries over all 120 permutations."""
+    def entry(a, b):
+        if a == b:
+            return LaurentPoly()
+        if a == 0 or b == 0:
+            return LaurentPoly.monomial()
+        i, j = sorted((points[a - 1], points[b - 1]))
+        return LaurentPoly.monomial(exps={CLASS_OF_PAIR[(i, j)]: 2})
+
+    det = LaurentPoly()
+    for perm in permutations(range(5)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(5), 2))
+        term = LaurentPoly.monomial(coeff=(-1) ** inversions)
+        for a in range(5):
+            term = term * entry(a, perm[a])
+        det = det + term
+    return det
+
+
+def test_cayley_menger_monomial_sums_match_leibniz_products():
+    generic = dict(build_system(Fraction(3)))
+    masses = [1, 2, 3, 5, 7]
+    special = dict(build_system(Fraction(3), masses=masses))
+    for sub in combinations(range(1, 6), 4):
+        label = "CM" + "".join(map(str, sub))
+        expected = _leibniz_cayley_menger(sub)
+        assert build_cayley_menger_poly(sub) == expected
+        assert generic[label] == expected
+        assert special[label] == expected.specialize_masses(masses)
+
+
+# SHA-256 of json.dumps(verify_tables(A).to_json() without "stats",
+# sort_keys=True), computed with the exact-Fraction kernel
+TABLE_REPORT_SHA256 = {
+    Fraction(2): "4e4ad2c757d0e8cee9f678f27810605506860e6e0d95536cf193a8c9ca92a868",
+    Fraction(5, 2): "68f01a9e421a54b9911ecbc13ed62538aab4cb87f1e9609da97a829662e58021",
+    Fraction(3): "893378acac1f4aa83091fc61e944a9b11c08fb0001c5f6356fab4507323a80f1",
+    Fraction(7, 3): "33750006fd55522d6a6083f8de02a11d82d7d9e934c1ec5c81213aed61c6f5c7",
+}
+
+
+@pytest.mark.parametrize("a_exp", list(TABLE_REPORT_SHA256), ids=str)
+def test_table_reports_pinned(a_exp):
+    data = verify_tables(a_exp).to_json()
+    stats = data.pop("stats")
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == TABLE_REPORT_SHA256[a_exp]
+    # 33 cyclic orbit members and 22 cones, every one accepted by all 31
+    assert stats == {"weights_tested": 55, "polynomials_examined": 55 * 31,
+                     "witnesses": {}}
+
+
+def test_table_report_stats_count_rejected_weights():
+    table = load_ray_table()
+    single = ((1, 0),) + ((0, 0),) * 5
+    bad = dataclasses.replace(table, cones=table.cones + (("bad", (single,)),))
+    report = verify_tables(Fraction(3), table=bad)
+    labels = [lab for lab, _ in build_system(Fraction(3))]
+    assert report.failures[-1]["entry"] == "bad"
+    witness = report.failures[-1]["witness"]
+    assert report.stats == {"weights_tested": 56,
+                            "polynomials_examined": 55 * 31 + labels.index(witness) + 1,
+                            "witnesses": {witness: 1}}
