@@ -36,7 +36,6 @@ from .equations import (
 from .intervals import Box, Dual, Interval, IntervalDomainError
 from .symmetric import (
     F,
-    F_prime,
     MassPolynomial,
     QUARTIC_MASS_POLY,
     RootRecord,
@@ -62,7 +61,7 @@ __all__ = [
     "la2_feasible", "laura_andoyer", "mass_coefficient_matrix", "mass_kernel",
     "region_classify",
     "Box", "Dual", "Interval", "IntervalDomainError",
-    "F", "F_prime", "MassPolynomial", "QUARTIC_MASS_POLY", "RootRecord",
+    "F", "MassPolynomial", "QUARTIC_MASS_POLY", "RootRecord",
     "VORTEX_MASS_POLY", "bifurcation_scan", "exclude_sign_types",
     "isolate_roots", "scan_branch", "sign_type_windows",
     "verify_mass_polynomial",

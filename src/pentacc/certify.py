@@ -11,13 +11,16 @@ boxes with the interval arithmetic from ``intervals``:
   and its derivative never vanish together; root counts cannot change, and
   in particular no root pair is born inside the region.
 
-Bisection runs breadth first.  A certificate keeps one frontier of boxes,
-with the three zones of a unique-root certificate in it together, tagged
-by zone, as numpy columns of box bounds.  Each depth's frontier is
-evaluated by one call of the batched box kernel ``_mv_eval`` on
-``IntervalArray`` operands; decided boxes become leaves and the rest are
-halved into the next depth's frontier.  A box's verdict depends only on
-the box, so the leaves are the ones a depth-first bisection finds.
+Bisection runs breadth first, on ``intervals._bisect``.  A certificate
+keeps one frontier of boxes, with the three zones of a unique-root
+certificate in it together, tagged by zone, as numpy columns of box
+bounds.  Each depth's frontier is evaluated by one call of the batched box
+kernel ``_mv_eval`` on ``IntervalArray`` operands; decided boxes become
+leaves and the rest are halved into the next depth's frontier.  A box's
+verdict depends only on the box, so the leaves are the ones a depth-first
+bisection finds.  The tangency guard of ``symmetric.isolate_roots`` runs
+on the same bisection, with the natural Dual form at the scan's exponent
+as its box evaluator.
 
 Certificates never assert more than was verified: exhausting the depth
 budget yields an undecided verdict carrying the offending boxes.
@@ -27,12 +30,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .geometry import OutOfDomainError, branch_radicand
-from .intervals import (Box, Interval, IntervalArray, IntervalDomainError, Jet2,
-                        split_bounds)
+from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
+                        _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats)
 from .symmetric import F, F_dual
 
 __all__ = [
@@ -42,18 +46,6 @@ __all__ = [
     "certify_unique_root",
     "certify_no_common_zero",
 ]
-
-
-@dataclass(frozen=True)
-class _BoxEval:
-    """Enclosures of F and dF over a batch of boxes, with per-quantity split hints."""
-
-    f: IntervalArray
-    df: IntervalArray
-    hint_f: np.ndarray     # coordinate whose error term dominates the F enclosure
-    hint_df: np.ndarray    # same for the dF enclosure
-    in_domain: np.ndarray  # the branch radicand stays nonnegative on the box
-    ok: np.ndarray         # in domain, and f and df are enclosed
 
 
 def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv, nat) -> IntervalArray:
@@ -111,7 +103,11 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     # it decides boxes the mean-value form leaves straddling zero.  Without
     # it the A4 no-common-zero certificate over [2, 3] needs 195 leaves
     # instead of 194, and B2 unique-root over [2, 6] needs 63,085 instead of
-    # 1985, at about 30 times the run time.
+    # 1985, at about ten times the run time.  It is its own pass, not the
+    # whole-box value of the jet pass (wide.v, wide.dy): on the 2,000
+    # oracle boxes of the tests that value was never narrower than Dual's,
+    # up to 23 % wider on dF (median 0.3 %), and it evaluates on the same
+    # boxes.  The Dual pass costs about 12 % of this function.
     dual = F_dual(y, a, branch)
     nat = _all_valid(dual.val, dual.dot)
     f = _combine(f_mv, dual.val, mv, nat)
@@ -135,33 +131,6 @@ def eval_F_interval(box: Box, branch: str) -> tuple:
     if not ev.ok[0]:
         raise IntervalDomainError(f"no evaluable form on {box.key()}")
     return (Interval(ev.f.lo[0], ev.f.hi[0]), Interval(ev.df.lo[0], ev.df.hi[0]))
-
-
-@dataclass(frozen=True)
-class CertLeaf:
-    """One verified (or undecided) box of a certificate."""
-
-    y4: tuple
-    a: tuple
-    verdict: str  # "F", "dF", or "undecided"
-
-    def to_json(self) -> dict:
-        return {"y4": list(self.y4), "A": list(self.a), "verdict": self.verdict}
-
-
-def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0) -> dict:
-    """How a certificate was reached: boxes evaluated at each bisection depth
-    (the root is depth 0), and two kinds of undecided box: those not
-    evaluable (out of the branch domain or no enclosure) and those whose
-    zone quantity has an enclosure straddling zero.  Any other undecided
-    box has an enclosure of the wrong strict sign for its zone."""
-    return {
-        "box_evals": sum(evals_per_depth),
-        "max_depth": max(len(evals_per_depth) - 1, 0),
-        "evals_per_depth": list(evals_per_depth),
-        "undecided_domain": undecided_domain,
-        "undecided_straddle": undecided_straddle,
-    }
 
 
 @dataclass
@@ -201,58 +170,6 @@ class Certificate:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
-# verdict codes returned by the deciders; 0 leaves a box open
-_VERDICTS = ("undecided", "F", "dF")
-
-
-def _leaf(row, verdict: str) -> CertLeaf:
-    return CertLeaf((row[0], row[1]), (row[2], row[3]), verdict)
-
-
-def _bisect(zones, branch: str, max_depth: int) -> tuple:
-    """Breadth-first adaptive bisection; returns (leaves, undecided, stats).
-
-    ``zones`` lists (region, decide) pairs.  Their boxes share one frontier,
-    tagged by zone index, and each depth's frontier is evaluated by one
-    ``_mv_eval`` call.  ``decide`` maps the batch evaluation to arrays of
-    verdict codes (indices into ``_VERDICTS``), split coordinates and a
-    mask of the boxes whose enclosure straddles zero; it is read for the
-    boxes of its own zone.  A box with a verdict becomes a leaf carrying
-    it; any other box is split along the coordinate, or along y4 when it
-    cannot be evaluated, and is kept as undecided once it sits at
-    ``max_depth``.  The leaves are those of a
-    depth-first bisection, in another order.
-    """
-    leaves, undecided, evals = [], [], []
-    bounds = np.array([region.key() for region, _ in zones], dtype=float).T
-    zone = np.arange(len(zones))
-    domain = straddle = depth = 0
-    while zone.size:
-        ev = _mv_eval(*bounds, branch)
-        verdict, coord = np.zeros(zone.size, dtype=int), np.zeros(zone.size, dtype=int)
-        straddles = np.zeros(zone.size, dtype=bool)
-        for z, (_, decide) in enumerate(zones):
-            mine = zone == z
-            for out, mask in zip((verdict, coord, straddles), decide(ev)):
-                np.copyto(out, mask, where=mine)
-        verdict[~ev.ok] = coord[~ev.ok] = 0
-        evals.append(int(zone.size))
-        rows = bounds.T.tolist()
-        for i in np.flatnonzero(verdict).tolist():
-            leaves.append(_leaf(rows[i], _VERDICTS[verdict[i]]))
-        open_ = verdict == 0
-        if depth >= max_depth:
-            undecided = [_leaf(rows[i], "undecided") for i in np.flatnonzero(open_).tolist()]
-            domain = int(np.count_nonzero(open_ & ~ev.ok))
-            straddle = int(np.count_nonzero(open_ & ev.ok & straddles))
-            break
-        depth += 1
-        lower, upper = split_bounds(*bounds[:, open_], coord[open_])
-        bounds = np.concatenate([np.stack(lower), np.stack(upper)], axis=1)
-        zone = np.concatenate([zone[open_], zone[open_]])
-    return leaves, undecided, _stats(evals, domain, straddle)
-
-
 def _sign_decider(quantity: str, sign: int):
     """Decide boxes on which F (or dF/dy4) has the given strict sign."""
     code = _VERDICTS.index(quantity)
@@ -262,18 +179,6 @@ def _sign_decider(quantity: str, sign: int):
         ok = enc.hi < 0.0 if sign < 0 else enc.lo > 0.0
         return np.where(ok, code, 0), hint, enc.contains_zero()
     return decide
-
-
-def _no_common_zero_decider(ev: _BoxEval) -> tuple:
-    """Decide boxes on which F or dF/dy4 excludes zero."""
-    # codes into _VERDICTS
-    f0, df0 = ev.f.contains_zero(), ev.df.contains_zero()
-    verdict = np.where(~f0, 1, np.where(~df0, 2, 0))
-    # split for whichever quantity is closer to being resolved
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        res_f = np.abs(ev.f.mid) / (ev.f.width + 1e-300)
-        res_df = np.abs(ev.df.mid) / (ev.df.width + 1e-300)
-    return verdict, np.where(res_f >= res_df, ev.hint_f, ev.hint_df), f0 & df0
 
 
 def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
@@ -324,11 +229,12 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
         return cert.finalize()
     want = -lo_sign
 
-    zones = [(Box(Interval(lo, hi), a_iv), _sign_decider(quantity, sign))
+    zones = [(_sign_decider(quantity, sign), [Box(Interval(lo, hi), a_iv).key()])
              for lo, hi, quantity, sign in ((window[0], c1, "F", lo_sign),
                                             (c1, c2, "dF", want),
                                             (c2, window[1], "F", -lo_sign))]
-    cert.leaves, cert.undecided, cert.stats = _bisect(zones, branch, max_depth)
+    cert.leaves, cert.undecided, cert.stats = _bisect(
+        zones, partial(_mv_eval, branch=branch), max_depth, 0.0)
     cert.certified = not cert.undecided
     cert.detail = (
         f"F sign {lo_sign:+d} on [{window[0]:.9g}, {c1:.9g}], strict "
@@ -351,7 +257,8 @@ def certify_no_common_zero(region: Box, branch: str = "A",
                        a_range=(region.a.lo, region.a.hi),
                        certified=False)
     cert.leaves, cert.undecided, cert.stats = _bisect(
-        [(region, _no_common_zero_decider)], branch, max_depth)
+        [(_no_common_zero_decider, [region.key()])], partial(_mv_eval, branch=branch),
+        max_depth, 0.0)
     cert.certified = not cert.undecided
     cert.detail = ("every leaf excludes zero from F or dF/dy4" if cert.certified
                    else f"{len(cert.undecided)} undecided boxes remain")

@@ -72,6 +72,8 @@ def _write(payload: str, out: str | None) -> None:
 
 def _parse_range(text: str, what: str) -> tuple:
     lo, hi = (float(x) for x in text.split(","))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} {text} is not a finite range")
     if lo > hi:
         raise ValueError(f"{what} {text} is inverted")
     return lo, hi

@@ -354,18 +354,6 @@ def cayley_menger(distances) -> float:
     return float(np.linalg.det(m))
 
 
-def cayley_menger_all_subsets(config: PlanarConfiguration) -> dict:
-    """Cayley-Menger values for the five 4-point subconfigurations."""
-    t = mutual_distances(config).table
-    out = {}
-    for sub in combinations(range(1, 6), 4):
-        a, b, c, d = sub
-        ds = (t[a - 1, b - 1], t[a - 1, c - 1], t[a - 1, d - 1],
-              t[b - 1, c - 1], t[b - 1, d - 1], t[c - 1, d - 1])
-        out[sub] = cayley_menger(ds)
-    return out
-
-
 @dataclass(frozen=True)
 class SymmetricShape:
     """Point on the symmetric equilateral family: apex height plus branch."""
@@ -550,10 +538,6 @@ class SignType:
 
     label: str
     boundary: str | None = None
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.label == "boundary"
 
 
 _SIGN_EPS = 1e-10

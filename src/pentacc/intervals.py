@@ -10,10 +10,12 @@ Dual numbers carry a value and a first derivative through the same operator
 set.  Their components may be floats or Intervals, which is how the
 certification code obtains simultaneous enclosures of a function and its
 derivative over a box.  Jet2 carries second-order terms in two variables for
-the mean-value form.  Dual stays beside it for two reasons.  Its natural
-form costs about a third as much as F on a Jet2 per 1-D cell.  And it is
-often tighter on wide boxes, so it decides leaves that the mean-value form
-cannot (see ``certify._mv_eval``).
+the mean-value form.  Dual stays beside it for the natural interval form:
+F on a Dual costs about a quarter as much as F on a Jet2 over the same
+boxes, and its enclosures are never wider than the Jet2 whole-box value
+(on 2,000 test boxes dF was up to 23 % narrower).  The certifier meets the
+two forms, and the root scan's tangency guard uses Dual alone (see
+``certify._mv_eval`` and ``symmetric._natural_eval``).
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier in one pass (after Rump's
@@ -29,6 +31,12 @@ np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
 samples each, numpy 2.4 on an AVX-512 Xeon).  That would break the
 bit-identity with the scalar path and the libm error bound behind the
 one- and two-ulp padding.
+
+The module ends with the package's one adaptive-bisection loop,
+``_bisect``, next to its split rule ``split_bounds``.  It runs breadth first
+over a frontier of (y4, A) boxes and takes the box evaluator and the
+deciders as arguments; the certifier and the root scan's tangency guard
+both run on it (after W. Tucker, *Validated Numerics*, 2011).
 """
 
 from __future__ import annotations
@@ -107,9 +115,6 @@ class Interval:
 
     def strictly_negative(self) -> bool:
         return self.hi < 0.0
-
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)
@@ -690,3 +695,111 @@ class Dual:
         value = self.val ** exponent
         deriv = exponent * (self.val ** (exponent - 1.0)) * self.dot
         return Dual(value, deriv)
+
+
+# ---------------------------------------------------------------------------
+# adaptive bisection of (y4, A) boxes
+
+@dataclass(frozen=True)
+class CertLeaf:
+    """One decided (or undecided) box of a bisection, as certificates list it."""
+
+    y4: tuple
+    a: tuple
+    verdict: str  # "F", "dF", or "undecided"
+
+    def to_json(self) -> dict:
+        return {"y4": list(self.y4), "A": list(self.a), "verdict": self.verdict}
+
+
+@dataclass(frozen=True)
+class _BoxEval:
+    """Enclosures of F and dF over a batch of boxes, with per-quantity split hints."""
+
+    f: IntervalArray
+    df: IntervalArray
+    hint_f: np.ndarray     # coordinate whose error term dominates the F enclosure
+    hint_df: np.ndarray    # same for the dF enclosure
+    in_domain: np.ndarray  # the branch radicand stays nonnegative on the box
+    ok: np.ndarray         # f and df are enclosed, and the evaluator's own conditions hold
+
+
+def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0) -> dict:
+    """How a bisection was reached: boxes evaluated at each depth
+    (the root is depth 0), and two kinds of undecided box: those not
+    evaluable (out of the branch domain or no enclosure) and those whose
+    zone quantity has an enclosure straddling zero.  Any other undecided
+    box has an enclosure of the wrong strict sign for its zone."""
+    return {
+        "box_evals": sum(evals_per_depth),
+        "max_depth": max(len(evals_per_depth) - 1, 0),
+        "evals_per_depth": list(evals_per_depth),
+        "undecided_domain": undecided_domain,
+        "undecided_straddle": undecided_straddle,
+    }
+
+
+# verdict codes returned by the deciders; 0 leaves a box open
+_VERDICTS = ("undecided", "F", "dF")
+
+
+def _leaf(row, verdict: str) -> CertLeaf:
+    return CertLeaf((row[0], row[1]), (row[2], row[3]), verdict)
+
+
+def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
+    """Breadth-first adaptive bisection; returns (leaves, undecided, stats).
+
+    ``zones`` lists (decide, seeds) pairs: a decider and the
+    (ylo, yhi, alo, ahi) bounds of its seed boxes.  All boxes share one
+    frontier, tagged by zone index, and each depth's frontier is evaluated
+    by one ``evaluate`` call on its bound arrays, which returns a
+    ``_BoxEval``.  Each decider then runs once on that evaluation and maps
+    it to arrays of verdict codes (indices into ``_VERDICTS``), split
+    coordinates and a mask of the boxes whose enclosure straddles zero; it
+    is read for the boxes of its own zone.  A box with a verdict becomes a
+    leaf carrying it; any other box is split along the coordinate, or
+    along y4 when it cannot be evaluated, and is kept as undecided once it
+    sits at ``max_depth`` or is narrower than ``floor`` in y4.  The leaves
+    are those of a depth-first bisection, in another order.
+    """
+    leaves, undecided, evals = [], [], []
+    zone = np.array([z for z, (_, seeds) in enumerate(zones) for _ in seeds], dtype=int)
+    bounds = np.array([s for _, seeds in zones for s in seeds], dtype=float).reshape(-1, 4).T
+    domain = straddle = depth = 0
+    while zone.size:
+        ev = evaluate(*bounds)
+        verdict, coord = np.zeros(zone.size, dtype=int), np.zeros(zone.size, dtype=int)
+        straddles = np.zeros(zone.size, dtype=bool)
+        for z, (decide, _) in enumerate(zones):
+            mine = zone == z
+            for out, mask in zip((verdict, coord, straddles), decide(ev)):
+                np.copyto(out, mask, where=mine)
+        verdict[~ev.ok] = coord[~ev.ok] = 0
+        evals.append(int(zone.size))
+        rows = bounds.T.tolist()
+        for i in np.flatnonzero(verdict).tolist():
+            leaves.append(_leaf(rows[i], _VERDICTS[verdict[i]]))
+        open_ = verdict == 0
+        kept = open_ & ((bounds[1] - bounds[0] < floor) | (depth >= max_depth))
+        undecided.extend(_leaf(rows[i], "undecided") for i in np.flatnonzero(kept).tolist())
+        domain += int(np.count_nonzero(kept & ~ev.ok))
+        straddle += int(np.count_nonzero(kept & ev.ok & straddles))
+        open_ &= ~kept
+        depth += 1
+        lower, upper = split_bounds(*bounds[:, open_], coord[open_])
+        bounds = np.concatenate([np.stack(lower), np.stack(upper)], axis=1)
+        zone = np.concatenate([zone[open_], zone[open_]])
+    return leaves, undecided, _stats(evals, domain, straddle)
+
+
+def _no_common_zero_decider(ev: _BoxEval) -> tuple:
+    """Decide boxes on which F or dF/dy4 excludes zero."""
+    # codes into _VERDICTS
+    f0, df0 = ev.f.contains_zero(), ev.df.contains_zero()
+    verdict = np.where(~f0, 1, np.where(~df0, 2, 0))
+    # split for whichever quantity is closer to being resolved
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        res_f = np.abs(ev.f.mid) / (ev.f.width + 1e-300)
+        res_df = np.abs(ev.df.mid) / (ev.df.width + 1e-300)
+    return verdict, np.where(res_f >= res_df, ev.hint_f, ev.hint_df), f0 & df0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .geometry import (
     SignType,
     Y4_MAX,
     branch_position,
+    branch_radicand,
     classify_sign_type,
     family_terms,
     regular_pentagon_y4,
@@ -33,12 +34,11 @@ from .equations import (
     mass_coefficient_matrix,
     mass_kernel,
 )
-from .intervals import Dual, Interval, IntervalArray
+from .intervals import (Dual, Interval, IntervalArray, _BoxEval, _bisect,
+                        _no_common_zero_decider)
 
 __all__ = [
     "F",
-    "F_prime",
-    "F_from_matrix",
     "RootRecord",
     "MassPolynomial",
     "VORTEX_MASS_POLY",
@@ -74,21 +74,10 @@ def F(y4, a_exp, branch: str = "A"):
             * ((g["R13"] - g["R14"]) * g["d134"] + (1.0 - g["R14"]) * g["d145"]))
 
 
-def F_prime(y4: float, a_exp, branch: str = "A") -> float:
-    """dF/dy4 by forward-mode dual numbers."""
-    return F(Dual(y4, 1.0), a_exp, branch).dot
-
-
 def F_dual(y4, a_exp, branch: str = "A") -> Dual:
     """F and dF/dy4 together; works with Interval or IntervalArray components."""
     one = type(y4).point(1.0) if isinstance(y4, (Interval, IntervalArray)) else 1.0
     return F(Dual(y4, one), a_exp, branch)
-
-
-def F_from_matrix(shape: SymmetricShape, a_exp: float) -> float:
-    """Independent evaluation path: determinant of rows 2 and 4 of the matrix."""
-    m = mass_coefficient_matrix(shape, a_exp)
-    return float(m[1, 0] * m[3, 1] - m[1, 1] * m[3, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +249,13 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12,
     Roots are bracketed on a uniform grid, refined by bisection to width at
     most ``tol``, then certified by a thin-interval sign change at the
     enclosure ends plus an interval-derivative simplicity check.  Grid cells
-    without a sign change whose interval value and derivative both straddle
-    zero are reported as unresolved records instead of being guessed at.
+    without a sign change that may hide an even-order zero go to the
+    certifier's breadth-first bisection, ``intervals._bisect``, which
+    clears the subcells where the interval F or dF/dy4 excludes zero; the
+    rest are reported as unresolved records instead of being guessed at.
     """
     lo, hi = window
-    if lo < 0.0 or hi > Y4_MAX or lo >= hi:
+    if not (0.0 <= lo < hi <= Y4_MAX):
         raise OutOfDomainError(f"window {window} is not inside the branch domain")
     ys = np.linspace(lo, hi, grid + 1)
     vals = np.asarray(F(ys, a_exp, branch), dtype=float)
@@ -305,40 +296,43 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12,
                                         a_exp, certified=False, resolved=False))
 
     # tangency guard: same-sign cells that may hide an even-order zero are
-    # screened cheaply, then refined; only cells where F and dF still both
-    # straddle zero after subdivision are reported
-    steps = np.abs(np.diff(vals))
-    near = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < 8.0 * (steps + 1e-300)
-    suspects = []
-    for i in np.nonzero(near & (signs[:-1] * signs[1:] > 0))[0]:
-        suspects.extend(_suspect_subcells(
-            Interval(float(ys[i]), float(ys[i + 1])), branch, a_exp, depth=24))
-    for cell in _merge_intervals(suspects):
+    # screened cheaply, then refined by bisection down to depth 24 or width
+    # 1e-15; only cells where F and dF still both straddle zero are reported
+    seeds = _tangency_seeds(ys, vals, a_exp)
+    _, undecided, _ = _bisect([(_no_common_zero_decider, seeds)],
+                              partial(_natural_eval, branch=branch, a_exp=a_exp), 24, 1e-15)
+    for cell in _merge_intervals([leaf.y4 for leaf in undecided]):
         records.append(_make_record(cell, branch, a_exp,
                                     certified=False, resolved=False))
     records.sort(key=lambda r: r.enclosure[0])
     return records
 
 
-def _suspect_subcells(cell: Interval, branch: str, a_exp: float, depth: int) -> list:
-    """Subcells that may contain an even-order zero of F.
+def _tangency_seeds(ys, vals, a_exp: float) -> list:
+    """Same-sign grid cells close enough to zero to hide an even-order zero
+    of F, as (y4 lo, y4 hi, A, A) boxes."""
+    signs = np.sign(vals)
+    steps = np.abs(np.diff(vals))
+    near = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < 8.0 * (steps + 1e-300)
+    return [(float(ys[i]), float(ys[i + 1]), a_exp, a_exp)
+            for i in np.flatnonzero(near & (signs[:-1] * signs[1:] > 0)).tolist()]
 
-    A cell is cleared when its interval F or interval dF excludes zero;
-    otherwise it is bisected, so overestimation near steep regions does not
-    produce false reports.  Cells still ambiguous at the depth cap are kept.
+
+def _natural_eval(ylo, yhi, alo, ahi, branch: str, a_exp: float) -> _BoxEval:
+    """The natural Dual form of F and dF/dy4 over y4 intervals at one exponent.
+
+    The exponent columns of the boxes are ignored: ``a_exp`` enters as a
+    float, because an interval exponent would send integer powers through
+    exp and log and widen the enclosures.  A box is ``ok`` where both
+    enclosures evaluate; the radicand is clipped at zero, as in
+    ``Interval.sqrt``, so a box reaching past the domain still encloses F
+    on its part inside.  Every split hint is y4.
     """
-    try:
-        dual = F_dual(cell, a_exp, branch)
-        ambiguous = dual.val.contains_zero() and dual.dot.contains_zero()
-    except (ArithmeticError, OutOfDomainError):
-        ambiguous = True
-    if not ambiguous:
-        return []
-    if depth <= 0 or cell.width < 1e-15:
-        return [(cell.lo, cell.hi)]
-    left, right = cell.split()
-    return (_suspect_subcells(left, branch, a_exp, depth - 1)
-            + _suspect_subcells(right, branch, a_exp, depth - 1))
+    y = IntervalArray(ylo, yhi)
+    dual = F_dual(y, a_exp, branch)
+    ok = dual.val.valid & dual.dot.valid
+    hint = np.zeros(ok.size, dtype=int)
+    return _BoxEval(dual.val, dual.dot, hint, hint, branch_radicand(y).lo >= 0.0, ok)
 
 
 def _merge_intervals(cells: list) -> list:
@@ -527,16 +521,3 @@ def exclude_sign_types(branch: str, a_exp: float, grid: int = 10000) -> list:
             (float(ys[i]), float(ca[i]), float(cb[i])) for i in bad[:10])
         out.append(ExclusionCheck(label, equation, sign, len(ys), counterexamples))
     return out
-
-
-def boundary_exclusion_holds(branch: str, boundary_y4: float, a_exp: float,
-                             equation: str = "L13", sign: int = -1) -> bool:
-    """Weak-sign version of an exclusion at a window boundary.
-
-    At a boundary one coefficient may vanish; exclusion persists as long as
-    both carry the claimed sign weakly and at least one strictly.
-    """
-    coeff_fun = _l13_coeffs if equation == "L13" else _l14_coeffs
-    ca, cb = coeff_fun(boundary_y4, a_exp, branch)
-    ok_weak = sign * ca >= -1e-12 and sign * cb >= -1e-12
-    return bool(ok_weak and (sign * ca > 1e-12 or sign * cb > 1e-12))

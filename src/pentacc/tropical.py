@@ -156,23 +156,6 @@ class LaurentPoly:
                 out[e] = {_ZERO_MASS: total}
         return LaurentPoly(out)
 
-    def permute_variables(self, class_map: dict, mass_map: dict) -> "LaurentPoly":
-        """Apply a relabeling to both variable classes and mass indices."""
-        out: dict = {}
-        for e, mp in self.terms.items():
-            ne = [0] * NUM_VARIABLES
-            for c in range(6):
-                ne[class_map[c]] += e[c]
-                ne[6 + class_map[c]] += e[6 + c]
-            nmp = {}
-            for me, c in mp.items():
-                nme = [0] * 5
-                for k in range(5):
-                    nme[mass_map[k + 1] - 1] += me[k]
-                nmp[tuple(nme)] = c
-            out[tuple(ne)] = nmp
-        return LaurentPoly(out)
-
 
 def _r(c: int, power: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(exps={c: power})

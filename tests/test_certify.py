@@ -14,14 +14,20 @@ from pentacc.geometry import (
     regular_pentagon_y4,
     square_endpoint_y4,
 )
-from pentacc.intervals import Box, Interval, IntervalDomainError, Jet2
+from pentacc.intervals import (Box, Interval, IntervalArray, IntervalDomainError, Jet2,
+                               _BoxEval, _bisect)
 from pentacc.certify import (
     _mv_eval,
     certify_no_common_zero,
     certify_unique_root,
     eval_F_interval,
 )
-from pentacc.symmetric import F, F_dual, F_prime, window_for
+from pentacc.symmetric import F, F_dual, window_for
+
+
+def F_prime(y4: float, a_exp, branch: str = "A") -> float:
+    """dF/dy4 at a point, by forward-mode dual numbers."""
+    return F_dual(y4, a_exp, branch).dot
 
 
 def thin_box(y4: float, a_exp: float) -> Box:
@@ -222,6 +228,50 @@ def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, dig
     assert sum(stats["evals_per_depth"]) == box_evals
     assert len(stats["evals_per_depth"]) == max_depth + 1
     assert cert.to_json()["stats"] == stats
+
+
+def _never_decided(ylo, yhi, alo, ahi) -> _BoxEval:
+    """A box evaluator whose F and dF enclosures always straddle zero."""
+    both = IntervalArray(np.full(ylo.size, -1.0), np.full(ylo.size, 1.0))
+    on_y, ok = np.zeros(ylo.size, dtype=int), np.ones(ylo.size, dtype=bool)
+    return _BoxEval(both, both, on_y, on_y, ok, ok)
+
+
+def _counting_decider(calls: list, tag: str):
+    def decide(ev):
+        calls.append(tag)
+        n = ev.ok.size
+        return np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    return decide
+
+
+def test_bisect_width_floor_depth_cap_and_one_decider_call_per_depth():
+    # y4 width 2**-45 falls below the floor 1e-15 after 5 halvings (2**-50),
+    # so the floor stops the split before the depth cap of 8
+    seed = (0.5, 0.5 + 2.0 ** -45, 3.0, 3.0)
+    calls = []
+    leaves, undecided, stats = _bisect(
+        [(_counting_decider(calls, "z"), [seed])], _never_decided, 8, 1e-15)
+    assert not leaves and len(undecided) == 2 ** 5
+    assert stats["evals_per_depth"] == [2 ** d for d in range(6)]
+    assert stats["max_depth"] == 5 and stats["undecided_straddle"] == 2 ** 5
+    assert all(l.y4[1] - l.y4[0] == 2.0 ** -50 and l.a == (3.0, 3.0) for l in undecided)
+    assert sorted(l.y4 for l in undecided)[0][0] == seed[0]
+    assert calls == ["z"] * 6
+    # a cap below 5 holds: the boxes stop at the cap, still above the floor
+    _, undecided, stats = _bisect(
+        [(_counting_decider([], "z"), [seed])], _never_decided, 3, 1e-15)
+    assert len(undecided) == 2 ** 3 and stats["max_depth"] == 3
+    assert all(l.y4[1] - l.y4[0] == 2.0 ** -48 for l in undecided)
+    # two zones, floor 0: each decider runs once per depth, whatever the
+    # number of boxes in its zone
+    calls = []
+    zones = [(_counting_decider(calls, "one"), [(0.0, 1.0, 2.0, 3.0)]),
+             (_counting_decider(calls, "two"), [(1.0, 2.0, 2.0, 3.0), (2.0, 3.0, 2.0, 3.0)])]
+    _, undecided, stats = _bisect(zones, _never_decided, 6, 0.0)
+    assert len(undecided) == 3 * 2 ** 6
+    assert stats["evals_per_depth"] == [3 * 2 ** d for d in range(7)]
+    assert calls == ["one", "two"] * 7
 
 
 def _scalar_box_eval(box: Box, branch: str) -> tuple:

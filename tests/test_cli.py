@@ -339,6 +339,13 @@ def test_bifurcation_empty_range(tmp_path):
     pytest.param(["tropical-verify", "--A", "3", "--ray", "1/0,0,0,0,0,0"],
                  id="tropical-ray-zero-denominator"),
     pytest.param(["tropical-verify", "--A", "2.7182"], id="tropical-irrational"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "nan,1"], id="scan-window-nan-lo"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "0.2,nan"],
+                 id="scan-window-nan-hi"),
+    pytest.param(["certify", "--window", "0.1,0.2", "--A-range", "nan,3"],
+                 id="certify-range-nan"),
+    pytest.param(["certify", "--mode", "no-common-zero", "--window", "nan,0.2",
+                  "--A-range", "2,3"], id="certify-window-nan"),
 ])
 def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,7 @@
 """Geometry layer: areas, distances, Cayley-Menger, the symmetric family."""
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from pentacc.geometry import (
     Y4_MAX,
     branch_position,
     cayley_menger,
-    cayley_menger_all_subsets,
     classify_sign_type,
     collinear_endpoint_y4,
     convex_position,
@@ -188,6 +187,13 @@ def test_cayley_menger_planar_quadruples_vanish():
 def test_cayley_menger_rejects_nonpositive():
     with pytest.raises(ValueError):
         cayley_menger((1.0, -1.0, 1.0, 1.0, 1.0, 1.0))
+
+
+def cayley_menger_all_subsets(config: PlanarConfiguration) -> dict:
+    """Cayley-Menger values for the five 4-point subconfigurations."""
+    t = mutual_distances(config).table
+    return {sub: cayley_menger([t[i - 1, j - 1] for i, j in combinations(sub, 2)])
+            for sub in combinations(range(1, 6), 4)}
 
 
 def test_cayley_menger_all_subsets_vanish_for_configurations():
@@ -375,15 +381,15 @@ def test_regular_shapes_classify():
 
 def test_boundaries_are_named():
     t = classify_sign_type(SymmetricShape(square_endpoint_y4(), "A"))
-    assert t.is_boundary and "r35 = 1" in t.boundary and "A1/A2" in t.boundary
+    assert t.label == "boundary" and "r35 = 1" in t.boundary and "A1/A2" in t.boundary
     t = classify_sign_type(SymmetricShape(collinear_endpoint_y4(), "A"))
-    assert t.is_boundary and "Delta134" in t.boundary
+    assert t.label == "boundary" and "Delta134" in t.boundary
     t = classify_sign_type(SymmetricShape(math.sqrt(3.0) / 2.0, "A"))
-    assert t.is_boundary and "Delta345" in t.boundary
+    assert t.label == "boundary" and "Delta345" in t.boundary
     t = classify_sign_type(SymmetricShape(house_y4(), "A"))
-    assert t.is_boundary and "A4/A5" in t.boundary
+    assert t.label == "boundary" and "A4/A5" in t.boundary
     t = classify_sign_type(SymmetricShape(square_endpoint_y4(), "B"))
-    assert t.is_boundary and "collision" in t.boundary
+    assert t.label == "boundary" and "collision" in t.boundary
 
 
 def _signs_for(shape):

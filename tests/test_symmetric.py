@@ -1,11 +1,15 @@
 """The admissibility minor F: roots, masses, polynomials, bifurcation."""
 
+import hashlib
+import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pentacc.geometry import (
+    OutOfDomainError,
     SymmetricShape,
     Y4_MAX,
     collinear_endpoint_y4,
@@ -14,18 +18,21 @@ from pentacc.geometry import (
     square_endpoint_y4,
     symmetric_coords,
 )
-from pentacc.equations import laura_andoyer
+from pentacc.equations import laura_andoyer, mass_coefficient_matrix
+from pentacc.intervals import Interval, _bisect, _no_common_zero_decider
 from pentacc.symmetric import (
     ALLOWED_TYPES,
     EXCLUDED_TYPES,
     F,
-    F_from_matrix,
-    F_prime,
+    F_dual,
     NoBifurcationError,
     QUARTIC_MASS_POLY,
     VORTEX_MASS_POLY,
+    _l13_coeffs,
+    _l14_coeffs,
+    _natural_eval,
+    _tangency_seeds,
     bifurcation_scan,
-    boundary_exclusion_holds,
     exclude_sign_types,
     isolate_roots,
     scan_branch,
@@ -35,6 +42,12 @@ from pentacc.symmetric import (
 )
 
 A34_BOUNDARY = math.sqrt(3.0) / 2.0
+
+
+def F_from_matrix(shape: SymmetricShape, a_exp: float) -> float:
+    """Independent evaluation path: determinant of rows 2 and 4 of the matrix."""
+    m = mass_coefficient_matrix(shape, a_exp)
+    return float(m[1, 0] * m[3, 1] - m[1, 1] * m[3, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +82,7 @@ def test_derivative_matches_finite_differences():
     for y4 in rng.uniform(0.05, Y4_MAX - 0.05, 1000):
         branch = "A" if checked % 2 == 0 else "B"
         y4 = float(y4)
-        d = F_prime(y4, 3.0, branch)
+        d = F_dual(y4, 3.0, branch).dot
         fd = (F(y4 + h, 3.0, branch) - F(y4 - h, 3.0, branch)) / (2 * h)
         assert d == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
@@ -164,9 +177,47 @@ def test_scan_counts_match_expected():
 
 
 def test_isolate_roots_window_validation():
-    from pentacc.geometry import OutOfDomainError
-    with pytest.raises(OutOfDomainError):
-        isolate_roots("A", 3.0, (0.5, 0.1))
+    for window in ((0.5, 0.1), (math.nan, 1.0), (0.2, math.nan), (-0.1, 1.0),
+                   (0.2, Y4_MAX + 1e-9)):
+        with pytest.raises(OutOfDomainError):
+            isolate_roots("A", 3.0, window)
+
+
+def _suspect_subcells(cell: Interval, branch: str, a_exp: float, depth: int) -> list:
+    """The recursive scalar tangency guard, kept as the reference for the
+    scan's run on ``intervals._bisect``: subcells where the natural interval
+    F and dF/dy4 both contain zero (or do not evaluate), bisected down to
+    ``depth`` levels or a width of 1e-15."""
+    try:
+        dual = F_dual(cell, a_exp, branch)
+        ambiguous = dual.val.contains_zero() and dual.dot.contains_zero()
+    except (ArithmeticError, OutOfDomainError):
+        ambiguous = True
+    if not ambiguous:
+        return []
+    if depth <= 0 or cell.width < 1e-15:
+        return [(cell.lo, cell.hi)]
+    left, right = cell.split()
+    return (_suspect_subcells(left, branch, a_exp, depth - 1)
+            + _suspect_subcells(right, branch, a_exp, depth - 1))
+
+
+@pytest.mark.parametrize("branch, a_exp, label", [
+    ("B", 3.0, "B2"), ("A", 3.12, "A2"), ("A", 3.12, "A4")])
+def test_tangency_guard_matches_recursive_oracle(branch, a_exp, label):
+    lo, hi = window_for(branch, label, inset=1e-9)
+    ys = np.linspace(lo, hi, 4097)
+    seeds = _tangency_seeds(ys, np.asarray(F(ys, a_exp, branch), dtype=float), a_exp)
+    assert seeds
+    evaluate = partial(_natural_eval, branch=branch, a_exp=a_exp)
+    # at the scan's cap of 24 both sets are empty; the shallow caps compare
+    # nonempty sets of subcells on B2 and A4 (every A2 seed clears at once)
+    for cap in range(7):
+        _, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, cap, 1e-15)
+        want = sorted(sub for s in seeds
+                      for sub in _suspect_subcells(Interval(s[0], s[1]), branch, a_exp, cap))
+        assert sorted(leaf.y4 for leaf in undecided) == want
+        assert stats["evals_per_depth"][0] == len(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +269,7 @@ def test_bifurcation_bracket():
     mid = 0.5 * (lo + hi)
     assert mid == pytest.approx(3.12036856, abs=1e-3)
     # the pentagon root and the derivative share a near-zero at the bracket
-    assert abs(F_prime(regular_pentagon_y4(), mid, "A")) < 1e-5
+    assert abs(F_dual(regular_pentagon_y4(), mid, "A").dot) < 1e-5
 
 
 def test_no_bifurcation_below_three():
@@ -266,7 +317,64 @@ def test_exclusion_equations_match_claims():
     assert table["B5"] == ("L13", -1)
 
 
+def boundary_exclusion_holds(branch: str, boundary_y4: float, a_exp: float,
+                             equation: str = "L13", sign: int = -1) -> bool:
+    """Weak-sign version of an exclusion at a window boundary: both
+    coefficients carry the claimed sign weakly and at least one strictly,
+    to a float tolerance of 1e-12."""
+    coeff_fun = _l13_coeffs if equation == "L13" else _l14_coeffs
+    ca, cb = coeff_fun(boundary_y4, a_exp, branch)
+    ok_weak = sign * ca >= -1e-12 and sign * cb >= -1e-12
+    return bool(ok_weak and (sign * ca > 1e-12 or sign * cb > 1e-12))
+
+
 @pytest.mark.parametrize("a_exp", [2.0, 3.0, 4.0])
 def test_borderline_square_shape_still_excluded(a_exp):
     assert boundary_exclusion_holds("A", square_endpoint_y4(), a_exp,
                                     equation="L13", sign=-1)
+
+
+# ---------------------------------------------------------------------------
+# pinned scan outputs
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 of json.dumps(output, sort_keys=True), records as to_json(); the
+# A = 3.12 call sits next to the bifurcation exponent, where the tangency
+# guard refines the most cells, and the whole branch-B domain holds two
+# cells the guard reports unresolved (at the q1 = q3 collision and at the
+# domain end).
+@pytest.mark.parametrize("run, digest", [
+    (lambda: [r.to_json() for r in scan_branch("A", 2.0)],
+     "98c15bc18474fa3f0f8ba1863b356c3f9907cc059e7dc3e2df40bee323c5c3c1"),
+    (lambda: [r.to_json() for r in scan_branch("A", 4.0)],
+     "1386a8e580152d6786417e71c00bd4d7c46c77a00cebcf0284f08f2318d6dd40"),
+    (lambda: [r.to_json() for r in scan_branch("B", 3.0)],
+     "b75caf170b74eb695a841f53f02f288b3a1c11dcdc90f4627ba465a4581121ee"),
+    (lambda: [r.to_json() for r in isolate_roots("A", 3.12,
+                                                 window_for("A", "A4", inset=1e-9))],
+     "3719161cf632775df4fb15ce49c05e2b6fdb0d2b6b82e7076b886876654e682a"),
+    (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
+     "40557d430d2a94f2ddb30f5cf3abd632f53ea67be49e8a065306560e075bf19c"),
+    (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
+     "284d007241ae542d5bea7c0b8cd6db292955ef6d0efbb64c899e21e79155632a"),
+], ids=["scan-A2", "scan-A4", "scan-B3", "isolate-A3.12-A4", "isolate-B-domain",
+        "bifurcation"])
+def test_scan_outputs_pinned(run, digest):
+    assert _sha256(run()) == digest
+
+
+EXCLUSION_SHA256 = {
+    "A": "9bd177f1f9640ad133e1585fb005c575495b7da2dcb0bea1e929318986beba04",
+    "B": "67c91b5add4eb6f1ec724726dff4e53b0aa5644634803d0e4ec732c18ac04145",
+}
+
+
+@pytest.mark.parametrize("a_exp", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_exclusion_reports_pinned(branch, a_exp):
+    # the reports carry no exponent, so one digest per branch covers all three
+    checks = exclude_sign_types(branch, a_exp)
+    assert _sha256([c.to_json() for c in checks]) == EXCLUSION_SHA256[branch]
