@@ -147,7 +147,13 @@ def sign_type_windows(branch: str) -> dict:
 
 
 def window_for(branch: str, label: str, inset: float = 0.0) -> tuple:
-    """(lo, hi) window of a sign type, optionally shrunk away from boundaries."""
+    """(lo, hi) window of a sign type, optionally shrunk away from boundaries.
+
+    The inset must be finite and nonnegative: a negative one would widen the
+    window past its boundaries.
+    """
+    if not (math.isfinite(inset) and inset >= 0.0):
+        raise ValueError(f"inset must be finite and nonnegative, got {inset}")
     wins = sign_type_windows(branch)
     if label not in wins:
         raise KeyError(f"no sign type {label!r} on branch {branch}")
@@ -428,24 +434,30 @@ def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> t
     """Bracket the exponent where the convex-window root count jumps 1 -> 3.
 
     Returns (lo, hi) with hi - lo <= tol.  Raises NoBifurcationError when the
-    extra root pair never appears inside the range.
+    extra root pair never appears inside the range, and ValueError when
+    ``step`` or ``tol`` is not finite or is below the float spacing at the
+    range's upper end, where the grid or the bisection could not advance.
     """
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
     if not (2.0 <= a_lo < a_hi <= 3.5):
         raise ValueError(f"scan range must sit inside [2, 3.5], got {a_range}")
-    grid = [a_lo]
-    while grid[-1] < a_hi:
-        grid.append(min(grid[-1] + step, a_hi))
-    counts = [_a4_root_count(a) for a in grid]
-    bracket = None
-    for (a0, c0), (a1, c1) in zip(zip(grid, counts), zip(grid[1:], counts[1:])):
-        if c0 == 0 and c1 >= 2:
-            bracket = (a0, a1)
+    for name, value in (("step", step), ("tol", tol)):
+        if not (math.isfinite(value) and value >= math.ulp(a_hi)):
+            raise ValueError(f"{name} must be finite and at least {math.ulp(a_hi):.3g}, "
+                             f"got {value}")
+    # walk the grid a_lo, a_lo + step, ..., a_hi up to the first jump
+    lo, c_lo = a_lo, _a4_root_count(a_lo)
+    counts = {c_lo}
+    while True:
+        if lo >= a_hi:
+            raise NoBifurcationError(
+                f"no root-count jump inside [{a_lo}, {a_hi}] (counts {sorted(counts)})")
+        hi = min(lo + step, a_hi)
+        c_hi = _a4_root_count(hi)
+        if c_lo == 0 and c_hi >= 2:
             break
-    if bracket is None:
-        raise NoBifurcationError(
-            f"no root-count jump inside [{a_lo}, {a_hi}] (counts {sorted(set(counts))})")
-    lo, hi = bracket
+        counts.add(c_hi)
+        lo, c_lo = hi, c_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _a4_root_count(mid) == 0:

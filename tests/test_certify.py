@@ -11,6 +11,7 @@ from pentacc.geometry import (
     OutOfDomainError,
     branch_radicand,
     collinear_endpoint_y4,
+    family_terms,
     regular_pentagon_y4,
     square_endpoint_y4,
 )
@@ -230,6 +231,29 @@ def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, dig
     assert cert.to_json()["stats"] == stats
 
 
+
+def test_stats_record_where_the_leaves_lie():
+    cert = certify_unique_root(window_for("B", "B2", inset=1e-6), (2.0, 6.0), "B",
+                               max_depth=80)
+    stats = cert.stats
+    depths, evals = stats["leaf_depths"], stats["evals_per_depth"]
+    assert stats["leaves_by_verdict"] == {"F": 1703, "dF": 282, "undecided": 0}
+    assert sum(depths) == sum(stats["leaves_by_verdict"].values()) == len(cert.leaves)
+    # every box evaluated at a depth is a leaf there or splits in two
+    assert len(depths) == len(evals)
+    assert all(evals[d + 1] == 2 * (evals[d] - depths[d]) for d in range(len(evals) - 1))
+    assert depths[-1] == evals[-1]
+    # the pile-up near the collision end: over two thirds of the leaves lie
+    # deeper than depth 12
+    assert sum(depths[13:]) > 2 * len(cert.leaves) / 3
+    # an undecided run counts its undecided leaves at the depth cap
+    cert = certify_no_common_zero(Box(Interval(*window_for("A", "A4", inset=1e-9)),
+                                      Interval(3.0, 3.3)), "A", max_depth=12)
+    assert cert.undecided
+    assert cert.stats["leaves_by_verdict"]["undecided"] == len(cert.undecided)
+    assert cert.stats["leaf_depths"][12] >= len(cert.undecided)
+    assert sum(cert.stats["leaf_depths"]) == len(cert.leaves) + len(cert.undecided)
+
 def _never_decided(ylo, yhi, alo, ahi) -> _BoxEval:
     """A box evaluator whose F and dF enclosures always straddle zero."""
     both = IntervalArray(np.full(ylo.size, -1.0), np.full(ylo.size, 1.0))
@@ -349,3 +373,190 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
     np.testing.assert_array_equal(got[ev.ok].view(np.int64), want[ev.ok].view(np.int64))
     np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ev.ok],
                                   hints[ev.ok])
+
+
+# ---------------------------------------------------------------------------
+# structural zeros: the dense jet and dual formulas as the oracle
+
+def _dense_abs_parts(v, parts) -> list:
+    neg = v.hi < 0.0
+    straddle = ~neg & ~(v.lo >= 0.0)
+    out = []
+    for c in parts:
+        c = IntervalArray._coerce(c)
+        lo, hi = np.where(neg, -c.hi, c.lo), np.where(neg, -c.lo, c.hi)
+        out.append(IntervalArray(np.where(straddle, np.nan, lo),
+                                 np.where(straddle, np.nan, hi)))
+    return out
+
+
+class DenseJet2:
+    """``Jet2`` with every term computed, zeros included, on IntervalArray."""
+
+    def __init__(self, v, dy=0.0, da=0.0, dyy=0.0, dya=0.0):
+        self.v, self.dy, self.da, self.dyy, self.dya = v, dy, da, dyy, dya
+
+    def parts(self) -> tuple:
+        return self.v, self.dy, self.da, self.dyy, self.dya
+
+    @staticmethod
+    def _parts(x):
+        return x.parts() if isinstance(x, DenseJet2) else (x, 0.0, 0.0, 0.0, 0.0)
+
+    def __add__(self, other):
+        return DenseJet2(*(p + q for p, q in zip(self.parts(), self._parts(other))))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseJet2(*(-p for p in self.parts()))
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, DenseJet2) else -DenseJet2(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        v, dy, da, dyy, dya = self._parts(other)
+        return DenseJet2(
+            self.v * v,
+            self.dy * v + self.v * dy,
+            self.da * v + self.v * da,
+            self.dyy * v + 2.0 * (self.dy * dy) + self.v * dyy,
+            self.dya * v + self.dy * da + self.da * dy + self.v * dya)
+
+    __rmul__ = __mul__
+
+    def _pow_const(self, c):
+        p1 = c * self.v ** (c - 1.0)
+        p2 = c * (c - 1.0) * self.v ** (c - 2.0)
+        return DenseJet2(self.v ** c, p1 * self.dy, p1 * self.da,
+                         p2 * (self.dy * self.dy) + p1 * self.dyy,
+                         p2 * (self.dy * self.da) + p1 * self.dya)
+
+    def __pow__(self, exponent):
+        if isinstance(exponent, DenseJet2):
+            return (exponent * self.log()).exp()
+        return self._pow_const(float(exponent))
+
+    def __truediv__(self, other):
+        if isinstance(other, DenseJet2):
+            return self * other._pow_const(-1.0)
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        return self._pow_const(-1.0) * other
+
+    def sqrt(self):
+        return self._pow_const(0.5)
+
+    def exp(self):
+        e = self.v.exp()
+        return DenseJet2(e, e * self.dy, e * self.da, e * (self.dyy + self.dy * self.dy),
+                         e * (self.dya + self.dy * self.da))
+
+    def log(self):
+        inv = 1.0 / self.v
+        return DenseJet2(self.v.log(), inv * self.dy, inv * self.da,
+                         inv * self.dyy - (inv * self.dy) * (inv * self.dy),
+                         inv * self.dya - (inv * self.dy) * (inv * self.da))
+
+    def __abs__(self):
+        return DenseJet2(*_dense_abs_parts(self.v, self.parts()))
+
+
+class DenseDual:
+    """``Dual`` with every term computed, zeros included, on IntervalArray."""
+
+    def __init__(self, val, dot=0.0):
+        self.val, self.dot = val, dot
+
+    @staticmethod
+    def _parts(x):
+        return (x.val, x.dot) if isinstance(x, DenseDual) else (x, 0.0)
+
+    def __add__(self, other):
+        v, d = self._parts(other)
+        return DenseDual(self.val + v, self.dot + d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseDual(-self.val, -self.dot)
+
+    def __sub__(self, other):
+        v, d = self._parts(other)
+        return DenseDual(self.val - v, self.dot - d)
+
+    def __rsub__(self, other):
+        v, d = self._parts(other)
+        return DenseDual(v - self.val, d - self.dot)
+
+    def __mul__(self, other):
+        v, d = self._parts(other)
+        return DenseDual(self.val * v, self.dot * v + self.val * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        v, d = self._parts(other)
+        q = self.val / v
+        return DenseDual(q, (self.dot - q * d) / v)
+
+    def __rtruediv__(self, other):
+        v, d = self._parts(other)
+        q = v / self.val
+        return DenseDual(q, (d - q * self.dot) / self.val)
+
+    def sqrt(self):
+        r = self.val.sqrt()
+        return DenseDual(r, self.dot / (2.0 * r))
+
+    def __abs__(self):
+        return DenseDual(*_dense_abs_parts(self.val, (self.val, self.dot)))
+
+    def __pow__(self, exponent):
+        return DenseDual(self.val ** exponent,
+                         exponent * (self.val ** (exponent - 1.0)) * self.dot)
+
+
+def _assert_sparse_inside_dense(sparse: tuple, dense: tuple) -> None:
+    """Each sparse component lies inside the dense one where that is valid,
+    and the two pass the all-components validity test of ``_mv_eval`` on
+    the same elements where the value is valid."""
+    n = dense[0].lo.size
+    value_ok = sparse[0].valid & dense[0].valid
+    sparse_ok, dense_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    for s, d in zip(sparse, dense):
+        if isinstance(s, float):
+            assert s == 0.0
+            s = IntervalArray(np.zeros(n), np.zeros(n))
+        ok = d.valid
+        assert s.valid[ok].all()
+        assert (d.lo[ok] <= s.lo[ok]).all() and (s.hi[ok] <= d.hi[ok]).all()
+        sparse_ok &= s.valid
+        dense_ok &= ok
+    np.testing.assert_array_equal(sparse_ok[value_ok], dense_ok[value_ok])
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_structural_zeros_are_sound_and_kept(branch):
+    rng = np.random.default_rng(2011 if branch == "A" else 2012)
+    ylo, yhi, alo, ahi = np.array([b.key() for b in _oracle_boxes(rng, branch, 1000)]).T
+    y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
+    for yy, aa in ((IntervalArray.around(y.mid), IntervalArray.around(a.mid)), (y, a)):
+        sparse = F(Jet2.variable_y(yy), a_exp=Jet2.variable_a(aa), branch=branch)
+        dense = F(DenseJet2(yy, 1.0), a_exp=DenseJet2(aa, 0.0, 1.0), branch=branch)
+        _assert_sparse_inside_dense(
+            (sparse.v, sparse.dy, sparse.da, sparse.dyy, sparse.dya), dense.parts())
+    one = IntervalArray.point(np.ones(y.lo.size))
+    sparse, dense = F_dual(y, a, branch), F(DenseDual(y, one), a, branch)
+    _assert_sparse_inside_dense((sparse.val, sparse.dot), (dense.val, dense.dot))
+    # the areas and distances depend on y4 alone: no a-derivative is computed
+    terms = family_terms(Jet2.variable_y(y), branch, a_exp=Jet2.variable_a(a))
+    for name in ("d123", "d124", "d134", "d135", "d145", "d345", "r13", "r14", "r35"):
+        assert type(terms[name].da) is float and terms[name].da == 0.0, name
+        assert type(terms[name].dya) is float and terms[name].dya == 0.0, name
+    for name in ("R13", "R14", "R35"):
+        assert isinstance(terms[name].da, IntervalArray), name

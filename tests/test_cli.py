@@ -346,6 +346,18 @@ def test_bifurcation_empty_range(tmp_path):
                  id="certify-range-nan"),
     pytest.param(["certify", "--mode", "no-common-zero", "--window", "nan,0.2",
                   "--A-range", "2,3"], id="certify-window-nan"),
+    pytest.param(["certify", "--branch", "B", "--window", "b2", "--inset", "nan",
+                  "--A-range", "2,3"], id="certify-inset-nan"),
+    pytest.param(["certify", "--window", "a2", "--inset", "-0.01", "--A-range", "2,3"],
+                 id="certify-inset-negative"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "a2", "--inset", "-0.01"],
+                 id="scan-inset-negative"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "a4", "--inset", "inf"],
+                 id="scan-inset-inf"),
+    pytest.param(["bifurcation", "--step", "0"], id="bifurcation-step-0"),
+    pytest.param(["bifurcation", "--step", "nan"], id="bifurcation-step-nan"),
+    pytest.param(["bifurcation", "--tol", "nan"], id="bifurcation-tol-nan"),
+    pytest.param(["bifurcation", "--tol", "0"], id="bifurcation-tol-0"),
 ])
 def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,8 @@
 """Interval arithmetic, dual numbers, and second-order jets."""
 
+import decimal
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +190,115 @@ def test_outward_rounding_contains_exact_result(kind, op):
         checked += 1
     assert checked >= 200
 
+
+
+# The second half of the audit: exp, log and real powers, which call libm and
+# pad by two ulps, against stdlib decimal at 50 significant digits.
+_DEC = decimal.Context(prec=50, Emax=999_999, Emin=-999_999)
+_EXP_MAX = math.log(sys.float_info.max)  # exp overflows just past this
+_EXP_TINY = math.log(5e-324)             # exp underflows to 0 just below this
+
+
+def _near(x: float, steps: int = 3) -> list:
+    """x and its float neighbours up to ``steps`` ulps away on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _transcendental_operands(rng, op, n):
+    """Seeded (x, e) operand pairs: x a (lo, hi) pair with magnitudes from
+    1e-300 to 1e300 (to about 709 for exp), e a float or (lo, hi) exponent
+    for ** and None otherwise; then the overflow and underflow edges."""
+    width = lambda v: max(abs(v), 1e-300) * 10.0 ** rng.uniform(-16.0, 0.0)  # noqa: E731
+    out = []
+    for _ in range(n):
+        if op == "exp":
+            v = 10.0 ** rng.uniform(-300.0, math.log10(_EXP_MAX)) * rng.choice((-1.0, 1.0))
+            out.append(((v, v + width(v)), None))
+            continue
+        v = 10.0 ** rng.uniform(-300.0, 300.0)
+        x = (v, v + width(v))
+        if op == "log":
+            out.append((x, None))
+            continue
+        e = float(rng.choice((-2.5, -0.5, 1.0 / 3.0, 0.5, 1.5, 2.7)) * rng.uniform(0.5, 1.5))
+        if rng.random() < 0.5:
+            e = (e, e + abs(e) * 10.0 ** rng.uniform(-16.0, -1.0))
+        out.append((x, e))
+    if op == "exp":
+        edges = _near(_EXP_MAX) + _near(_EXP_TINY) + [-800.0, 1e-300, -1e-300, 0.0]
+        out += [((v, v), None) for v in edges] + [((-1.0, v), None) for v in _near(_EXP_MAX)]
+    elif op == "log":
+        edges = [5e-324, 1e-320, sys.float_info.min, 1.0, sys.float_info.max]
+        out += [((v, v), None) for v in edges] + [((5e-324, sys.float_info.max), None)]
+    else:
+        # bases whose powers land next to the overflow and underflow thresholds
+        for e in (2.5, -2.5, 1.5, -1.5):
+            for target in (_EXP_MAX, _EXP_TINY):
+                base = math.exp(target / e)
+                out += [((b, b), e) for b in _near(base)] + [((base, base), (e, e))]
+        out.append(((5e-324, sys.float_info.max), 0.5))
+    return out
+
+
+def _exact_transcendental(op, x, e) -> tuple:
+    """Exact (min, max) of the operation over the box, at 50 digits; every
+    one of these is monotone in each operand, so the corners bound it."""
+    xs = [decimal.Decimal(v) for v in x]
+    if op == "exp":
+        vals = [_DEC.exp(v) for v in xs]
+    elif op == "log":
+        vals = [_DEC.ln(v) for v in xs]
+    else:
+        es = [decimal.Decimal(v) for v in (e if isinstance(e, tuple) else (e, e))]
+        vals = [_DEC.exp(_DEC.multiply(p, _DEC.ln(b))) for b in xs for p in es]
+    return min(vals), max(vals)
+
+
+def _transcendental(kind, op, operands) -> list:
+    """(lo, hi) per operand pair, or None where the class rejects it."""
+    def apply(x, e):
+        if op == "**":
+            return x ** (e if not isinstance(e, tuple) else kind(*e))
+        return getattr(x, op)()
+
+    if kind is IntervalArray:
+        # one element at a time, since a float exponent broadcasts as a scalar
+        results = [apply(IntervalArray(*x), e) for x, e in operands]
+        return [None if math.isnan(r.lo) else (float(r.lo), float(r.hi)) for r in results]
+    out = []
+    for x, e in operands:
+        try:
+            r = apply(Interval(*x), e)
+        except (IntervalDomainError, OverflowError):
+            out.append(None)
+            continue
+        out.append((r.lo, r.hi))
+    return out
+
+
+@pytest.mark.parametrize("kind", [Interval, IntervalArray])
+@pytest.mark.parametrize("op", ["exp", "log", "**"])
+def test_transcendental_rounding_contains_exact_result(kind, op):
+    rng = np.random.default_rng(37)
+    operands = _transcendental_operands(rng, op, 300)
+    results = _transcendental(kind, op, operands)
+    checked = 0
+    for (x, e), r in zip(operands, results):
+        if r is None:
+            continue
+        lo, hi = _exact_transcendental(op, x, e)
+        assert r[0] == -math.inf or decimal.Decimal(r[0]) <= lo, (op, x, e, r)
+        assert r[1] == math.inf or decimal.Decimal(r[1]) >= hi, (op, x, e, r)
+        checked += 1
+    assert checked >= 200
+    # the edges are exercised on both sides: some results overflow, some do not
+    if op != "log":
+        assert None in results[300:] and any(r is not None for r in results[300:])
 
 def test_interval_array_marks_scalar_failures_invalid():
     """Each element equals the scalar result, or is NaN where Interval raises."""

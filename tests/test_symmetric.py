@@ -126,6 +126,14 @@ def test_window_for_unknown_label():
         window_for("A", "B2")
 
 
+@pytest.mark.parametrize("inset", [math.nan, math.inf, -0.01, -1e-300])
+def test_window_for_rejects_bad_inset(inset):
+    # a negative inset would widen the window past its boundaries
+    with pytest.raises(ValueError):
+        window_for("A", "A2", inset=inset)
+    assert window_for("A", "A2", inset=0.0) == sign_type_windows("A")["A2"]
+
+
 # ---------------------------------------------------------------------------
 # root isolation
 
@@ -280,6 +288,16 @@ def test_no_bifurcation_below_three():
 def test_bifurcation_range_validation():
     with pytest.raises(ValueError):
         bifurcation_scan((1.0, 3.3))
+
+
+@pytest.mark.parametrize("step, tol", [
+    (0.0, 1e-6), (-0.05, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6), (1e-300, 1e-6),
+    (0.05, 0.0), (0.05, -1e-6), (0.05, math.nan), (0.05, math.inf), (0.05, 1e-300),
+])
+def test_bifurcation_step_and_tol_validation(step, tol):
+    # each of these would loop forever or break the hi - lo <= tol promise
+    with pytest.raises(ValueError):
+        bifurcation_scan((3.0, 3.3), step=step, tol=tol)
 
 
 def test_large_exponent_roots_approach_landmarks():
