@@ -239,8 +239,11 @@ def cmd_tropical_verify(args) -> int:
             reports.append({"A": str(a_exp.rational),
                             "ray": [str(w) for w in weights.weights],
                             "in_prevariety": ok, "witness": witness})
-            log.info("tropical ray at A=%s: %.3f s", a_exp.rational,
-                     time.perf_counter() - start)
+            # as in a table report: polynomials up to and including the witness
+            examined = len(system) if ok else [lab for lab, _ in system].index(witness) + 1
+            log.info("tropical ray at A=%s: %.3f s, stats %s", a_exp.rational,
+                     time.perf_counter() - start,
+                     json.dumps({"polynomials_examined": examined, "witness": witness}))
             if not ok:
                 status = EXIT_EMPTY
         else:
@@ -262,10 +265,13 @@ def cmd_evaluate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if not isinstance(spec, dict):
+        print("configuration must be a JSON object", file=sys.stderr)
+        return EXIT_INPUT
     a_exp = Exponent.parse(spec.get("A", args.A)).value
     masses = spec.get("masses", [1.0] * 5)
-    if len(masses) != 5:
-        print("expected five masses", file=sys.stderr)
+    if not isinstance(masses, list) or len(masses) != 5:
+        print("expected a list of five masses", file=sys.stderr)
         return EXIT_INPUT
     reports = []
     try:
@@ -281,6 +287,9 @@ def cmd_evaluate(args) -> int:
                             "residuals": {}, "max_abs": 0.0,
                             "meta": {"verdict": verdict}})
         elif "distances" in spec:
+            if not isinstance(spec["distances"], list) or len(spec["distances"]) != 6:
+                print("expected a list of six class distances", file=sys.stderr)
+                return EXIT_INPUT
             classes = DistanceVector(*[float(d) for d in spec["distances"]])
             table = classes.full_table()
             reports.append(albouy_chenciner_f(table, masses, a_exp).to_json())
@@ -361,7 +370,8 @@ def main(argv=None) -> int:
     p.add_argument("--ray", help="six comma-separated rational weights")
     p.add_argument("--out", default="-")
     p.add_argument("--stats", action="store_true",
-                   help="print each table report's stats and the wall time to stderr")
+                   help="print each table report's stats, or the ray's polynomials "
+                        "examined and witness, and the wall time to stderr")
     p.set_defaults(func=cmd_tropical_verify)
 
     p = sub.add_parser("evaluate", help="residual systems for a configuration file")

@@ -11,17 +11,32 @@ all expressed in the six equilateral distance classes (r12, r13, r14, r24,
 r25, r35) and their six Q partners, twelve Laurent variables total.
 Coefficients are exact rationals times monomials in the five masses; masses
 are treated generically, so a term survives exactly when its mass
-coefficient is not the zero polynomial.
+coefficient is not the zero polynomial.  The mutual-distance equations and
+the determinants are built as integer monomial sums.
 
 A 6-dimensional rational weight vector lifts to twelve coordinates through
 the binomial relation, which forces w(Q) = (2 - A) w(r) per class.  The
 weight lies in the tropical prevariety when the initial form of every
 system polynomial keeps at least two terms; initial forms collect the terms
 of maximal weight, the Groebner-deformation convention under which the
-shipped ray and cone tables verify.  An initial form does not change when
-the weight is multiplied by a positive scalar, so each lifted weight is
-scaled once by the least common multiple of its denominators and every term
-weight is an exact integer sum.
+shipped ray and cone tables verify.
+
+Membership runs on projected points.  The lifted weight of a term with
+exponent (e_r, e_Q) is <e_r + (2 - A) e_Q, w> = <q e_r + (2q - p) e_Q, w> / q,
+so each term projects to the integer point q e_r + (2q - p) e_Q in Z^6, and
+each weight is scaled once by the least common multiple of its six
+denominators.  Both are positive rescalings, so every maximiser set is that
+of the rational lift.  All term weights of a batch of weights are one
+integer matrix product, and per-polynomial maxima and tie counts are
+``reduceat`` reductions.  The six binomials project to one point each, so
+they never decide membership; if they do not, the system was built for
+another exponent and the kernel raises ``ValueError``.
+
+The products are exact at any size.  They run on int64 when a bound proves
+that nothing can overflow: every product and partial sum of a term weight is
+at most 6 max|point| max|weight|, and a point coordinate is at most
+2 max|exponent| max(q, |2q - p|).  When the bound reaches 2**62 the same code
+runs on Python integers (``dtype=object``).
 """
 
 from __future__ import annotations
@@ -31,8 +46,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations, permutations
-from operator import mul
+from itertools import chain, combinations, permutations
+
+import numpy as np
 
 __all__ = [
     "NUM_VARIABLES",
@@ -123,24 +139,6 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict = {}
-        for e1, mp1 in self.terms.items():
-            for e2, mp2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                tgt = out.setdefault(e, {})
-                for me1, c1 in mp1.items():
-                    for me2, c2 in mp2.items():
-                        me = tuple(a + b for a, b in zip(me1, me2))
-                        acc = tgt.get(me, Fraction(0)) + c1 * c2
-                        if acc:
-                            tgt[me] = acc
-                        else:
-                            tgt.pop(me, None)
-                if not tgt:
-                    out.pop(e, None)
-        return LaurentPoly(out)
-
     def specialize_masses(self, masses) -> "LaurentPoly":
         """Substitute explicit rational masses, dropping vanishing terms."""
         ms = [Fraction(m) for m in masses]
@@ -161,32 +159,38 @@ def _r(c: int, power: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(exps={c: power})
 
 
-def _r2(i: int, j: int) -> LaurentPoly:
-    return _r(_cls(i, j), 2)
-
-
 def build_f_poly(i: int, j: int) -> LaurentPoly:
-    """Cleared-denominator mutual-distance equation for the ordered pair (i, j)."""
+    """Cleared-denominator mutual-distance equation for the ordered pair (i, j).
+
+    f_ij = sum over k != i of m_k (Q_ik - r_ik^2) a_ijk D_ik, where
+    a_ijk = r_jk^2 - r_ik^2 - r_ij^2 (without r_jk^2 when k = j) and D_ik is
+    the product of r_c^2 over the classes c of the pairs (i, k) other than
+    that of (i, k) itself.  Each product expands into signed monomials, and
+    their integer coefficients are summed per exponent and mass.
+    """
     others = [k for k in range(1, 6) if k != i]
-    classes = sorted({_cls(i, k) for k in others})
-
-    def clear_without(skip: int) -> LaurentPoly:
-        p = LaurentPoly.monomial()
-        for c in classes:
-            if c != skip:
-                p = p * _r(c, 2)
-        return p
-
-    total = LaurentPoly()
+    classes = {_cls(i, k) for k in others}
+    coeffs: dict = {}
     for k in others:
         cik = _cls(i, k)
-        aijk = -_r2(i, k) - _r2(i, j)
-        if k != j:
-            aijk = aijk + _r2(j, k)
-        s_num = LaurentPoly.monomial(q_exps={cik: 1}) - _r(cik, 2)  # Q - r^2
-        total = total + (LaurentPoly.monomial(mass=k) * s_num * aijk
-                         * clear_without(cik))
-    return total
+        cleared = [0] * NUM_VARIABLES
+        for c in classes - {cik}:
+            cleared[c] = 2
+        a_terms = [(-1, cik), (-1, _cls(i, j))] + ([(1, _cls(j, k))] if k != j else [])
+        for s_sign, s_var, s_pow in ((1, 6 + cik, 1), (-1, cik, 2)):  # Q - r^2
+            for a_sign, a_cls in a_terms:
+                e = list(cleared)
+                e[s_var] += s_pow
+                e[a_cls] += 2
+                key = (tuple(e), k)
+                coeffs[key] = coeffs.get(key, 0) + s_sign * a_sign
+    terms: dict = {}
+    for (e, k), c in coeffs.items():
+        if c:
+            mass = [0] * 5
+            mass[k - 1] = 1
+            terms.setdefault(e, {})[tuple(mass)] = Fraction(c)
+    return LaurentPoly(terms)
 
 
 def _perm_sign(perm: tuple) -> int:
@@ -323,43 +327,101 @@ def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
     return seen
 
 
-def _int_lift(w: WeightVector, a_exp: Fraction) -> tuple:
-    """The twelve lifted coordinates of ``w`` times the lcm of their denominators.
+# Below this bound on every entry, product and partial sum, int64 is exact.
+_INT64_BOUND = 2 ** 62
 
-    The scale is a positive integer, so the order of term weights, and with
-    it every initial form, is that of the rational lift; the Python ints
-    are exact at any size.
+
+def _magnitude(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _project(polys: list, a_exp: Fraction) -> np.ndarray:
+    """Each term's exponent (e_r, e_Q) projected to q e_r + (2q - p) e_Q, one row per
+    term in system and term order; int64 when the bound allows, else Python ints."""
+    p, q = a_exp.numerator, a_exp.denominator
+    exps = list(chain.from_iterable(poly.terms for poly in polys))
+    try:
+        e = np.fromiter(chain.from_iterable(exps), dtype=np.int64,
+                        count=NUM_VARIABLES * len(exps))
+    except OverflowError:
+        e = np.array(list(chain.from_iterable(exps)), dtype=object)
+    e = e.reshape(len(exps), NUM_VARIABLES)
+    if 2 * _magnitude(e) * max(q, abs(2 * q - p)) >= _INT64_BOUND:
+        e = e.astype(object)
+    return q * e[:, :6] + (2 * q - p) * e[:, 6:]
+
+
+def _scaled(w: WeightVector) -> list:
+    """The six weights times the lcm of their denominators: a positive rescaling."""
+    scale = math.lcm(*(x.denominator for x in w.weights))
+    return [x.numerator * (scale // x.denominator) for x in w.weights]
+
+
+def _top(polys: list, a_exp: Fraction, weights: list) -> tuple:
+    """(top, ties) of ``polys`` under each of ``weights``.
+
+    ``top[t, k]`` says whether term t attains its polynomial's maximal weight
+    under ``weights[k]``, and ``ties[i, k]`` counts the terms of polynomial i
+    that do.  All term weights are one integer matrix product; maxima and
+    counts are ``reduceat`` reductions over the polynomials' term blocks.
     """
-    w12 = w.lift(a_exp)
-    scale = math.lcm(*(x.denominator for x in w12))
-    return tuple(x.numerator * (scale // x.denominator) for x in w12)
+    points = _project(polys, Fraction(a_exp))
+    scaled = [_scaled(w) for w in weights]
+    wmax = max((abs(x) for row in scaled for x in row), default=0)
+    if points.dtype == object or 6 * _magnitude(points) * wmax >= _INT64_BOUND:
+        points, dtype = points.astype(object), object
+    else:
+        dtype = np.int64
+    term_weights = points @ np.array(scaled, dtype=dtype).reshape(len(weights), 6).T
+    sizes = np.array([len(poly) for poly in polys], dtype=np.intp)
+    filled = sizes > 0  # an empty polynomial has no top term
+    starts = (np.cumsum(sizes) - sizes)[filled]
+    maxima = np.maximum.reduceat(term_weights, starts, axis=0)
+    top = term_weights == np.repeat(maxima, sizes[filled], axis=0)
+    ties = np.zeros((len(polys), len(weights)), dtype=np.intp)
+    ties[filled] = np.add.reduceat(top, starts, axis=0, dtype=np.intp)
+    return top, ties
 
 
-def _top_terms(poly: LaurentPoly, int_weights: tuple) -> list:
-    """Exponents of ``poly`` of maximal integer weight, in term order."""
-    exps = list(poly.terms)
-    wts = [sum(map(mul, e, int_weights)) for e in exps]
-    best = max(wts, default=None)
-    return [e for e, wt in zip(exps, wts) if wt == best]
+def _check_exponent(system: list, a_exp: Fraction) -> None:
+    """A ``Qrel`` binomial Q^q' r^p' - r^(2q') projects to one point only at A = p'/q'."""
+    for label, poly in system:
+        if label.startswith("Qrel"):
+            e = next(e for e in poly.terms if any(e[6:]))
+            c = next(c for c in range(6) if e[6 + c])
+            built = Fraction(e[c], e[6 + c])
+            if built != a_exp:
+                raise ValueError(f"system was built for A={built}, "
+                                 f"not for A={a_exp}")
+
+
+def _memberships(system: list, a_exp: Fraction, weights: list) -> list:
+    """(ok, witness) of each weight: the witness is the first polynomial whose
+    maximal weight is attained by fewer than two terms, or None."""
+    a_exp = Fraction(a_exp)
+    _check_exponent(system, a_exp)
+    _, ties = _top([poly for _, poly in system], a_exp, weights)
+    single = ties < 2
+    first = single.argmax(axis=0)
+    return [(False, system[f][0]) if single[f, k] else (True, None)
+            for k, f in enumerate(first.tolist())]
 
 
 def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> LaurentPoly:
     """Terms of maximal lifted weight (Groebner-deformation convention)."""
-    return LaurentPoly({e: dict(poly.terms[e])
-                        for e in _top_terms(poly, _int_lift(w, a_exp))})
+    top, _ = _top([poly], a_exp, [w])
+    return LaurentPoly({e: dict(mp) for (e, mp), keep
+                        in zip(poly.terms.items(), top[:, 0].tolist()) if keep})
 
 
 def in_prevariety(w: WeightVector, system: list, a_exp: Fraction) -> tuple:
     """(bool, witness): every initial form must keep at least two terms.
 
     The witness names the first polynomial whose initial form degenerates to
-    a single monomial (masses generic), or is None on success.
+    a single monomial (masses generic), or is None on success.  Raises
+    ``ValueError`` when ``system`` was built for another exponent.
     """
-    int_weights = _int_lift(w, a_exp)
-    for label, poly in system:
-        if len(_top_terms(poly, int_weights)) < 2:
-            return False, label
-    return True, None
+    return _memberships(system, a_exp, [w])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +511,17 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
     system = build_system(a_exp, masses=masses)
     position = {label: k for k, (label, _) in enumerate(system)}
     stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
+    rays = []
+    for label, _, mult in table.rays:
+        w = table.ray_weight(label, a_exp)
+        rays.append((label, mult, w, weight_orbit(w)))
+    cones = [(label, table.cone_interior_weight(label, a_exp)) for label, _ in table.cones]
+    # one batch for the whole table, consumed in report order
+    verdicts = iter(_memberships(
+        system, a_exp, [m for *_, members in rays for m in members] + [w for _, w in cones]))
 
-    def member_of(w: WeightVector) -> tuple:
-        ok, witness = in_prevariety(w, system, a_exp)
+    def member_of() -> tuple:
+        ok, witness = next(verdicts)
         stats["weights_tested"] += 1
         stats["polynomials_examined"] += len(system) if ok else position[witness] + 1
         if not ok:
@@ -462,17 +532,15 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
     ray_results: dict = {}
     mult_results: dict = {}
     excluded = []
-    for label, coords, mult in table.rays:
-        w = table.ray_weight(label, a_exp)
-        members = weight_orbit(w)
-        verdicts = []
+    for label, mult, w, members in rays:
+        all_in = True
         for member in members:
-            ok, witness = member_of(member)
-            verdicts.append(ok)
+            ok, witness = member_of()
+            all_in = all_in and ok
             if not ok:
                 failures.append({"entry": label, "weight": [str(x) for x in member.weights],
                                  "witness": witness})
-        ray_results[label] = {"orbit_size": len(members), "all_in": all(verdicts)}
+        ray_results[label] = {"orbit_size": len(members), "all_in": all_in}
         dihedral = len(weight_orbit(w, dihedral=True))
         mult_results[label] = {
             "expected": mult,
@@ -496,9 +564,8 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
         failures.append({"entry": "halfspace", "witness": str(always_negative),
                          "weight": []})
     cone_results: dict = {}
-    for label, _gens in table.cones:
-        w = table.cone_interior_weight(label, a_exp)
-        ok, witness = member_of(w)
+    for label, w in cones:
+        ok, witness = member_of()
         cone_results[label] = ok
         if not ok:
             failures.append({"entry": label, "weight": [str(x) for x in w.weights],

@@ -16,6 +16,7 @@ import pytest
 
 from pentacc.cli import main
 from pentacc.geometry import SymmetricShape, regular_pentagon_y4, symmetric_coords
+from pentacc.tropical import build_system
 
 
 def load_schema(name: str) -> dict:
@@ -207,11 +208,19 @@ def test_tropical_verify_stats(tmp_path, capsys):
         assert head.startswith(f"pentacc: tropical tables at A={report['A']}: ")
         assert float(head.rsplit(" ", 1)[1]) >= 0
         assert json.loads(stats) == report["stats"]
-    # a single ray logs its wall time
+    # a single ray logs its wall time, the polynomials examined and the witness
     assert main(["tropical-verify", "--A", "3", "--ray", "1,0,0,0,0,0", "--stats"]) == 3
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["in_prevariety"] is False
-    assert captured.err.startswith("pentacc: tropical ray at A=3: ")
+    ray = json.loads(captured.out)
+    assert ray["in_prevariety"] is False
+    head, stats = captured.err.split(" s, stats ")
+    assert head.startswith("pentacc: tropical ray at A=3: ")
+    labels = [lab for lab, _ in build_system(3)]
+    assert json.loads(stats) == {"polynomials_examined": labels.index(ray["witness"]) + 1,
+                                 "witness": ray["witness"]}
+    assert main(["tropical-verify", "--A", "3", "--ray", "0,0,0,0,0,0", "--stats"]) == 0
+    stats = capsys.readouterr().err.split(" s, stats ")[1]
+    assert json.loads(stats) == {"polynomials_examined": 31, "witness": None}
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -274,6 +283,22 @@ def test_evaluate_collision_exits_1(tmp_path):
 
 def test_evaluate_missing_file_exits_1(tmp_path):
     assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("payload, message", [
+    pytest.param([[0, 0]] * 5, "configuration must be a JSON object", id="top-level-array"),
+    pytest.param({"distances": [1.0, 1.0, 1.0]}, "expected a list of six class distances",
+                 id="three-distances"),
+    pytest.param({"distances": 1.0}, "expected a list of six class distances",
+                 id="scalar-distances"),
+    pytest.param({"distances": [1.0] * 6, "masses": 3}, "expected a list of five masses",
+                 id="scalar-masses"),
+])
+def test_evaluate_malformed_config_exits_1(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["evaluate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_region_map_outputs(tmp_path):

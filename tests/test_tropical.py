@@ -107,6 +107,20 @@ def test_initial_form_examples():
     assert len(initial_form(poly, zero, Fraction(3))) == 3
 
 
+def test_initial_form_with_exponents_beyond_int64():
+    # x^(2^70) y + x y^(2^70) + x^(2^69) y^(2^69): exponents too large for int64
+    big = 2 ** 70
+    poly = (LaurentPoly.monomial(exps={0: big, 1: 1})
+            + LaurentPoly.monomial(exps={0: 1, 1: big})
+            + LaurentPoly.monomial(exps={0: big // 2, 1: big // 2}))
+    for w, kept in ((WeightVector((1, 1, 0, 0, 0, 0)), 2),
+                    (WeightVector((1, -1, 0, 0, 0, 0)), 1),
+                    (WeightVector((-1, -1, 0, 0, 0, 0)), 1)):
+        init = initial_form(poly, w, Fraction(5, 2))
+        assert list(init.terms) == _fraction_top_terms(poly, w, Fraction(5, 2))
+        assert len(init) == kept
+
+
 def test_q_relation_initial_form_stays_binomial():
     # the derived Q-weights tie the binomial's two terms to equal weight
     table = load_ray_table()
@@ -292,6 +306,26 @@ def test_integer_kernel_matches_fraction_oracle(a_exp):
     assert any(lab.startswith("CM") for lab in verdicts if lab)
 
 
+def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Product of two polynomials, term by term over exponents and mass monomials."""
+    out: dict = {}
+    for e1, mp1 in a.terms.items():
+        for e2, mp2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            tgt = out.setdefault(e, {})
+            for me1, c1 in mp1.items():
+                for me2, c2 in mp2.items():
+                    me = tuple(x + y for x, y in zip(me1, me2))
+                    acc = tgt.get(me, Fraction(0)) + c1 * c2
+                    if acc:
+                        tgt[me] = acc
+                    else:
+                        tgt.pop(me, None)
+            if not tgt:
+                out.pop(e, None)
+    return LaurentPoly(out)
+
+
 def _leibniz_cayley_menger(points):
     """Five-factor Leibniz products of LaurentPoly entries over all 120 permutations."""
     def entry(a, b):
@@ -307,7 +341,7 @@ def _leibniz_cayley_menger(points):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(5), 2))
         term = LaurentPoly.monomial(coeff=(-1) ** inversions)
         for a in range(5):
-            term = term * entry(a, perm[a])
+            term = _mul(term, entry(a, perm[a]))
         det = det + term
     return det
 
@@ -322,6 +356,80 @@ def test_cayley_menger_monomial_sums_match_leibniz_products():
         assert build_cayley_menger_poly(sub) == expected
         assert generic[label] == expected
         assert special[label] == expected.specialize_masses(masses)
+
+
+def _chained_f_poly(i, j):
+    """f_ij as the chained product m_k (Q_ik - r_ik^2) a_ijk D_ik, summed over k."""
+    def cls(a, b):
+        return CLASS_OF_PAIR[(min(a, b), max(a, b))]
+
+    def r2(c):
+        return LaurentPoly.monomial(exps={c: 2})
+
+    others = [k for k in range(1, 6) if k != i]
+    total = LaurentPoly()
+    for k in others:
+        cik = cls(i, k)
+        aijk = -r2(cik) - r2(cls(i, j))
+        if k != j:
+            aijk = aijk + r2(cls(j, k))
+        s_num = LaurentPoly.monomial(q_exps={cik: 1}) - r2(cik)
+        term = _mul(_mul(LaurentPoly.monomial(mass=k), s_num), aijk)
+        for c in sorted({cls(i, m) for m in others} - {cik}):
+            term = _mul(term, r2(c))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("a_exp", ORACLE_EXPONENTS, ids=str)
+def test_f_monomial_sums_match_chained_products(a_exp):
+    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
+    expected = {f"f{i}{j}": _chained_f_poly(i, j) for i, j in pairs}
+    assert all(build_f_poly(i, j) == expected[f"f{i}{j}"] for i, j in pairs)
+    for masses in (None, [1, 2, 3, 5, 7], [1, 1, 1, 1, 1]):
+        system = dict(build_system(a_exp, masses=masses))
+        for label, poly in expected.items():
+            assert system[label] == (poly if masses is None
+                                     else poly.specialize_masses(masses)), (label, masses)
+
+
+def test_system_built_for_another_exponent_is_rejected():
+    table = load_ray_table()
+    system = build_system(Fraction(3))
+    for label in ("h2", "h5", "h9"):
+        w = table.ray_weight(label, Fraction(3))
+        assert in_prevariety(w, system, Fraction(3)) == (True, None)
+        with pytest.raises(ValueError, match=r"built for A=3, not for A=5/2"):
+            in_prevariety(w, system, Fraction(5, 2))
+
+
+@pytest.mark.parametrize("a_exp", [Fraction(3), Fraction(7, 3),
+                                   Fraction(3 * 10 ** 19 + 1, 10 ** 19)], ids=str)
+def test_huge_weights_match_fraction_oracle(a_exp):
+    # numerators near 10**30 overflow int64, as do the projected points of the
+    # last exponent, so the kernel runs on Python ints
+    system = build_system(a_exp)
+    table = load_ray_table()
+    rng = random.Random(30)
+    big = 10 ** 30
+    weights = [m.scaled(big + rng.randint(1, 99)) for label, _, _ in table.rays
+               for m in weight_orbit(table.ray_weight(label, a_exp))]
+    weights += [WeightVector(tuple(Fraction(rng.randint(-big, big), rng.randint(1, 9))
+                                   for _ in range(6))) for _ in range(40)]
+    weights += [WeightVector(tuple(big if k == c else 0 for k in range(6)))
+                for c in range(6)]
+    verdicts = Counter()
+    for w in weights:
+        expected = (True, None)
+        for label, poly in system:
+            top = _fraction_top_terms(poly, w, a_exp)
+            assert list(initial_form(poly, w, a_exp).terms) == top, (label, w)
+            if len(top) < 2:
+                expected = (False, label)
+                break
+        assert in_prevariety(w, system, a_exp) == expected, w
+        verdicts[expected[0]] += 1
+    assert verdicts[True] >= 33 and verdicts[False] >= 6
 
 
 # SHA-256 of json.dumps(verify_tables(A).to_json() without "stats",
