@@ -44,6 +44,7 @@ from .equations import (
 from .intervals import Box, Interval
 from .certify import certify_no_common_zero, certify_unique_root
 from .symmetric import (
+    _SCAN_INSET,
     bifurcation_scan,
     NoBifurcationError,
     scan_branch,
@@ -58,6 +59,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNDECIDED = 2
 EXIT_EMPTY = 3
+
+_FAMILY_SVG_SAMPLES = 400  # y4 samples per branch curve of --svg-out
 
 
 def _write(payload: str, out: str | None) -> None:
@@ -119,10 +122,10 @@ def cmd_symmetric_scan(args) -> int:
     return EXIT_OK if records else EXIT_EMPTY
 
 
-def _family_svg(samples: int = 400) -> str:
+def _family_svg() -> str:
     """SVG path data of the (x3, y3) family curves, one path per branch."""
     paths = []
-    ys = np.linspace(0.0, Y4_MAX, samples)
+    ys = np.linspace(0.0, Y4_MAX, _FAMILY_SVG_SAMPLES)
     for branch in ("A", "B"):
         x3, y3 = branch_position(ys, branch)
         pts = " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(x3, y3))
@@ -258,11 +261,22 @@ def cmd_tropical_verify(args) -> int:
     return status
 
 
+def _finite_numbers(value, depth: int) -> bool:
+    """False when an entry ``depth`` list levels into ``value`` is not a finite
+    JSON number: null, a bool, a string, a list, NaN or an infinity.  A value
+    that is not a list where one belongs is left to the shape checks."""
+    if depth:
+        return not isinstance(value, list) or all(_finite_numbers(v, depth - 1)
+                                                  for v in value)
+    # abs(v) <= max is False for NaN, the infinities and ints beyond the floats
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def cmd_evaluate(args) -> int:
     try:
         with open(args.config) as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:  # or nested too deep
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not isinstance(spec, dict):
@@ -273,6 +287,10 @@ def cmd_evaluate(args) -> int:
     if not isinstance(masses, list) or len(masses) != 5:
         print("expected a list of five masses", file=sys.stderr)
         return EXIT_INPUT
+    for key, depth in (("masses", 1), ("points", 2), ("distances", 1)):
+        if not _finite_numbers(spec.get(key), depth):
+            print(f"every entry of {key} must be a finite number", file=sys.stderr)
+            return EXIT_INPUT
     reports = []
     try:
         if "points" in spec:
@@ -301,7 +319,8 @@ def cmd_evaluate(args) -> int:
         payload = json.dumps({"error": str(exc)}, indent=1)
         _write(payload, args.out)
         return EXIT_INPUT
-    _write(json.dumps({"reports": reports}, indent=1), args.out)
+    # NaN and infinities are not JSON: an overflowing residual is an input error
+    _write(json.dumps({"reports": reports}, indent=1, allow_nan=False), args.out)
     return EXIT_OK
 
 
@@ -330,7 +349,7 @@ def main(argv=None) -> int:
     p.add_argument("--branch", choices=("A", "B"), default="A")
     p.add_argument("--window", help="sign-type name (a2, b2, ...) or lo,hi")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--inset", type=float, default=1e-9,
+    p.add_argument("--inset", type=float, default=_SCAN_INSET,
                    help="shrink named windows away from their boundaries")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("json", "csv"), default="json")

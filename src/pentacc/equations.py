@@ -28,6 +28,7 @@ import numpy as np
 
 from .geometry import (
     _COLLISION_TOL,
+    _EDGE_TOL,
     CYCLE_EDGES,
     ChainAngles,
     CollisionError,
@@ -47,6 +48,10 @@ from .geometry import (
 )
 
 log = logging.getLogger(__name__)
+
+_RANK_TOL = 1e-9  # relative singular-value floor of the mass kernel's rank
+_TWO_MASS_ZERO_TOL = 1e-10  # a two-mass coefficient this small counts as zero
+_REGION3_TOL = 1e-9  # slack of the region III angle and orientation tests
 
 __all__ = [
     "Exponent",
@@ -168,11 +173,6 @@ TWO_MASS_PAIRS = {
 }
 
 
-def _distance_matrix(config: PlanarConfiguration) -> np.ndarray:
-    table = mutual_distances(config)
-    return table.table
-
-
 def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> ResidualReport:
     """All ten wedge-product residuals L(i,j).
 
@@ -183,8 +183,8 @@ def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> Residual
                    dtype=float)
     if m.shape != (5,):
         raise ValueError("expected five masses")
-    r = _distance_matrix(config)
-    R = (r + np.eye(5)) ** (-a_exp)  # shift keeps the unused diagonal finite
+    table = mutual_distances(config)
+    R = (table.table + np.eye(5)) ** (-a_exp)  # shift keeps the unused diagonal finite
     np.fill_diagonal(R, 0.0)
     res = {}
     for i in range(1, 6):
@@ -197,7 +197,6 @@ def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> Residual
                           * (R[i - 1, k - 1] - R[j - 1, k - 1])
                           * oriented_area(config, i, j, k))
             res[f"L{i}{j}"] = total
-    table = mutual_distances(config)
     meta = {"A": a_exp, "equilateral": table.is_equilateral}
     if table.is_equilateral:
         meta["two_mass"] = [f"L{i}{j}" for (i, j) in TWO_MASS_PAIRS]
@@ -205,12 +204,17 @@ def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> Residual
     return ResidualReport(system="laura_andoyer", residuals=res, meta=meta)
 
 
-def _check_table(r: np.ndarray):
+def _distance_table(distances) -> np.ndarray:
+    """The 5x5 table of a PlanarConfiguration, or a given table checked."""
+    if isinstance(distances, PlanarConfiguration):
+        return mutual_distances(distances).table
+    r = np.asarray(distances, dtype=float)
     if r.shape != (5, 5):
         raise ValueError("expected a 5x5 distance table")
     iu = np.triu_indices(5, k=1)
     if np.any(r[iu] <= 0.0):
         raise CollisionError("distance table has a nonpositive entry")
+    return r
 
 
 def fit_lambda_tilde(r: np.ndarray, masses, a_exp: float) -> float:
@@ -242,11 +246,7 @@ def albouy_chenciner_f(distances, masses, a_exp: float,
     ``distances`` is a full 5x5 table (or a PlanarConfiguration).  When
     ``lambda_tilde`` is None it is fitted by linear least squares.
     """
-    if isinstance(distances, PlanarConfiguration):
-        r = _distance_matrix(distances)
-    else:
-        r = np.asarray(distances, dtype=float)
-    _check_table(r)
+    r = _distance_table(distances)
     m = np.asarray(masses if not isinstance(masses, MassVector) else masses.as_array(),
                    dtype=float)
     if lambda_tilde is None:
@@ -271,11 +271,7 @@ def albouy_chenciner_f(distances, masses, a_exp: float,
 def symmetric_g(distances, masses, a_exp: float,
                 lambda_tilde: float | None = None) -> ResidualReport:
     """Symmetrized residuals g(i,j) computed directly from their own formula."""
-    if isinstance(distances, PlanarConfiguration):
-        r = _distance_matrix(distances)
-    else:
-        r = np.asarray(distances, dtype=float)
-    _check_table(r)
+    r = _distance_table(distances)
     m = np.asarray(masses, dtype=float)
     if lambda_tilde is None:
         lambda_tilde = fit_lambda_tilde(r, m, a_exp)
@@ -333,17 +329,17 @@ class KernelResult:
         }
 
 
-def mass_kernel(matrix: np.ndarray, rank_tol: float = 1e-9) -> KernelResult:
+def mass_kernel(matrix: np.ndarray) -> KernelResult:
     """Kernel vector of a 4x3 coefficient matrix, scaled to m1 = 1.
 
-    The numerical rank uses the threshold rank_tol * (largest singular
+    The numerical rank uses the threshold _RANK_TOL * (largest singular
     value); full-rank matrices are infeasible.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 3):
         raise ValueError(f"expected a 4x3 matrix, got {m.shape}")
     _, svals, vt = np.linalg.svd(m)
-    rank = int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0.0 else 0
+    rank = int(np.sum(svals > _RANK_TOL * svals[0])) if svals[0] > 0.0 else 0
     if rank >= 3:
         return KernelResult(False, None, False, rank, tuple(svals))
     v = vt[-1]
@@ -393,7 +389,7 @@ def _col(i: int, k: int) -> int:
     return _COL[(min(i, k), max(i, k))]
 
 
-def _two_mass(points, a_exp: float, zero_tol: float = 1e-10) -> tuple:
+def _two_mass(points, a_exp: float) -> tuple:
     """The five two-mass wedge equations over an (N, 5, 2) stack.
 
     Returns ``(d, collision, coef, admissible)``: the ``pair_distances``
@@ -401,14 +397,14 @@ def _two_mass(points, a_exp: float, zero_tol: float = 1e-10) -> tuple:
     coefficients (ca, cb) in ``TWO_MASS_PAIRS`` order, and the (N, 5)
     admissibility of each equation.  Coefficients of colliding rows are
     meaningless.  Raises ValueError when a configuration without a collision
-    is not equilateral (edge tolerance 1e-9, as ``mutual_distances``).
+    is not equilateral (by ``_EDGE_TOL``, as ``mutual_distances``).
     """
     pts = np.asarray(points, dtype=float)
     d = pair_distances(pts)
     collision = np.any(d < _COLLISION_TOL, axis=1)
     scale = d[:, :1]  # r12
     equilateral = np.all(
-        np.abs(d[:, _EDGE_COLS] - scale) <= 1e-9 * np.maximum(1.0, scale), axis=1)
+        np.abs(d[:, _EDGE_COLS] - scale) <= _EDGE_TOL * np.maximum(1.0, scale), axis=1)
     if np.any(~equilateral & ~collision):
         raise ValueError("two-mass equations require an equilateral cyclic pentagon")
     # Python float ** 2 (libm pow), as in the scalar formula: numpy's x**2
@@ -425,15 +421,14 @@ def _two_mass(points, a_exp: float, zero_tol: float = 1e-10) -> tuple:
                 area = ((qi[:, 0] - qj[:, 0]) * (qi[:, 1] - qk[:, 1])
                         - (qi[:, 1] - qj[:, 1]) * (qi[:, 0] - qk[:, 0]))
                 coef[:, e, c] = (R[:, _col(i, k)] - R[:, _col(j, k)]) * area / scale_sq
-    zero = np.abs(coef) <= zero_tol
+    zero = np.abs(coef) <= _TWO_MASS_ZERO_TOL
     za, zb = zero[..., 0], zero[..., 1]
     opposite = (coef[..., 0] > 0) != (coef[..., 1] > 0)
     admissible = (za & zb) | (~za & ~zb & opposite)
     return d, collision, coef, admissible
 
 
-def la2_feasible(config: PlanarConfiguration, a_exp: float,
-                 zero_tol: float = 1e-10) -> La2Result:
+def la2_feasible(config: PlanarConfiguration, a_exp: float) -> La2Result:
     """Positive-mass feasibility of the five two-mass wedge equations.
 
     Each equation c_a * m_a + c_b * m_b = 0 admits positive masses exactly
@@ -442,7 +437,7 @@ def la2_feasible(config: PlanarConfiguration, a_exp: float,
     Coefficients are scaled by r12**2 so that the verdict is scale
     invariant.  Raises CollisionError when two bodies coincide.
     """
-    d, collision, coef, admissible = _two_mass(config.points[None], a_exp, zero_tol)
+    d, collision, coef, admissible = _two_mass(config.points[None], a_exp)
     if collision[0]:
         raise collision_error(d[0])
     certs = tuple(La2Certificate(pair, ks, tuple(cs), ok) for (pair, ks), cs, ok
@@ -464,17 +459,17 @@ class RegionResult:
 _FIVE_THIRDS_PI = 5.0 * math.pi / 3.0
 
 
-def _region3_conditions(config: PlanarConfiguration, tol: float = 1e-9) -> bool:
+def _region3_conditions(config: PlanarConfiguration) -> bool:
     """Angle and orientation conditions for the concave class, body 5 interior."""
     t123 = interior_angle(config, 1, 2, 3)
     t234 = interior_angle(config, 2, 3, 4)
-    if t123 + t234 > 3.0 * math.pi + tol:
+    if t123 + t234 > 3.0 * math.pi + _REGION3_TOL:
         return False
-    if t123 > _FIVE_THIRDS_PI + tol or t234 > _FIVE_THIRDS_PI + tol:
+    if t123 > _FIVE_THIRDS_PI + _REGION3_TOL or t234 > _FIVE_THIRDS_PI + _REGION3_TOL:
         return False
-    if oriented_area(config, 1, 3, 5) < -tol:
+    if oriented_area(config, 1, 3, 5) < -_REGION3_TOL:
         return False
-    if oriented_area(config, 2, 4, 5) < -tol:
+    if oriented_area(config, 2, 4, 5) < -_REGION3_TOL:
         return False
     return True
 

@@ -85,6 +85,7 @@ PAIRS = tuple(combinations(range(1, 6), 2))
 _PAIR_I = np.array([i - 1 for i, _ in PAIRS])
 _PAIR_J = np.array([j - 1 for _, j in PAIRS])
 _COLLISION_TOL = 1e-12
+_EDGE_TOL = 1e-9  # relative spread of the cycle edges of an equilateral pentagon
 
 # Landmark apex heights of the symmetric family (branch A unless noted).
 def square_endpoint_y4() -> float:
@@ -306,11 +307,12 @@ def collision_error(d: np.ndarray) -> CollisionError:
     return CollisionError(f"coincident bodies: {bad}")
 
 
-def mutual_distances(config: PlanarConfiguration, tol: float = 1e-9) -> DistanceTable:
+def mutual_distances(config: PlanarConfiguration) -> DistanceTable:
     """Full 10-distance table and, for equilateral cyclic inputs, the 6 classes.
 
-    Raises CollisionError if two bodies coincide.  Non-equilateral inputs are
-    flagged via ``is_equilateral`` and get ``classes = None``.
+    Raises CollisionError if two bodies coincide.  Non-equilateral inputs
+    (a cycle edge off r12 by more than ``_EDGE_TOL`` relative) are flagged
+    via ``is_equilateral`` and get ``classes = None``.
     """
     d = pair_distances(config.points[None])[0]
     if np.any(d < _COLLISION_TOL):
@@ -319,7 +321,7 @@ def mutual_distances(config: PlanarConfiguration, tol: float = 1e-9) -> Distance
     table[_PAIR_I, _PAIR_J] = table[_PAIR_J, _PAIR_I] = d
     edges = [table[i - 1, j - 1] for i, j in CYCLE_EDGES]
     scale = edges[0]
-    equilateral = all(abs(e - scale) <= tol * max(1.0, scale) for e in edges)
+    equilateral = all(abs(e - scale) <= _EDGE_TOL * max(1.0, scale) for e in edges)
     classes = None
     if equilateral:
         classes = DistanceVector(
@@ -543,24 +545,25 @@ class SignType:
 _SIGN_EPS = 1e-10
 
 
-def classify_sign_type(shape: SymmetricShape, eps: float = _SIGN_EPS) -> SignType:
+def classify_sign_type(shape: SymmetricShape) -> SignType:
     """Classify a symmetric shape into its sign type or a named boundary.
 
     Branch A types are separated by r35 = 1 (twice), Delta134 = 0, and
     Delta345 = 0 (where also r14 = 1); branch B types by the two q3 = q5
-    collisions, the q1 = q3 collision, and Delta134 = 0.
+    collisions, the q1 = q3 collision, and Delta134 = 0.  A defining
+    quantity within ``_SIGN_EPS`` of its boundary value names the boundary.
     """
     t = family_terms(shape.y4, shape.branch)
     d123, d134, d135, d345 = t["d123"], t["d134"], t["d135"], t["d345"]
     r13, r35 = t["r13"], t["r35"]
 
     if shape.branch == "A":
-        if abs(r35 - 1.0) <= eps:
+        if abs(r35 - 1.0) <= _SIGN_EPS:
             side = "A1/A2" if d345 < 0 else "A4/A5"
             return SignType("boundary", f"r35 = 1 ({side})")
-        if abs(d134) <= eps:
+        if abs(d134) <= _SIGN_EPS:
             return SignType("boundary", "Delta134 = 0 (A2/A3)")
-        if abs(d345) <= eps:
+        if abs(d345) <= _SIGN_EPS:
             return SignType("boundary", "Delta345 = 0, r14 = 1 (A3/A4)")
         if d134 < 0.0:
             return SignType("A1" if r35 < 1.0 else "A2")
@@ -568,11 +571,11 @@ def classify_sign_type(shape: SymmetricShape, eps: float = _SIGN_EPS) -> SignTyp
             return SignType("A3")
         return SignType("A4" if r35 > 1.0 else "A5")
 
-    if r35 <= eps:
+    if r35 <= _SIGN_EPS:
         return SignType("boundary", "collision q3 = q5")
-    if r13 <= eps:
+    if r13 <= _SIGN_EPS:
         return SignType("boundary", "collision q1 = q3")
-    if abs(d134) <= eps:
+    if abs(d134) <= _SIGN_EPS:
         return SignType("boundary", "Delta134 = 0 (B3/B4)")
     if d123 < 0.0:
         return SignType("B1" if d135 < 0.0 else "B2")

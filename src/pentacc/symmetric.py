@@ -57,6 +57,13 @@ __all__ = [
     "scan_branch",
 ]
 
+# The fixed grids and tolerances of the paper's checks.
+_BISECT_TOL = 1e-13  # bracket width of a sign-type window boundary
+_ROOT_GRID = 4096  # uniform cells per window that bracket the zeros of F
+_SCAN_INSET = 1e-9  # distance of a scanned window from its sign-type boundaries
+_PENTAGON_EPS = 1e-8  # least distance of a root pair split off the pentagon
+_EXCLUSION_GRID = 10000  # interior grid points per excluded sign-type window
+
 
 def F(y4, a_exp, branch: str = "A"):
     """The admissibility minor; its zeros are the candidate symmetric shapes.
@@ -97,24 +104,21 @@ _BOUNDARY_FUNS = {
 }
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("bisection bracket does not change sign")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
+def _refine(f, a, fa, b, tol: float) -> tuple:
+    """Bisect a sign change of ``f`` on [a, b], where fa = f(a) and f(b) has
+    the other sign, down to width ``tol``; an exact zero at a midpoint gets a
+    bracket of width about tol/2 around it."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        fm = float(f(mid))
         if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
+            half = max(0.25 * tol, 1e-15)
+            return max(a, mid - half), min(b, mid + half)
+        if fa * fm < 0.0:
+            b = mid
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            a, fa = mid, fm
+    return a, b
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +135,8 @@ def sign_type_windows(branch: str) -> dict:
         vals = np.asarray(fun(grid))
         sign = np.sign(vals)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            cuts.append(_bisect_root(fun, grid[i], grid[i + 1]))
+            lo, hi = _refine(fun, grid[i], fun(grid[i]), grid[i + 1], _BISECT_TOL)
+            cuts.append(0.5 * (lo + hi))
     cuts = sorted(cuts)
     merged = []
     for c in cuts:
@@ -248,56 +253,37 @@ def _make_record(enclosure: tuple, branch: str, a_exp: float,
         sign_change_certified=certified, resolved=resolved)
 
 
-def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12,
-                  grid: int = 4096) -> list:
+def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) -> list:
     """Disjoint sign-change enclosures of the zeros of F inside a window.
 
-    Roots are bracketed on a uniform grid, refined by bisection to width at
-    most ``tol``, then certified by a thin-interval sign change at the
-    enclosure ends plus an interval-derivative simplicity check.  Grid cells
-    without a sign change that may hide an even-order zero go to the
-    certifier's breadth-first bisection, ``intervals._bisect``, which
-    clears the subcells where the interval F or dF/dy4 excludes zero; the
-    rest are reported as unresolved records instead of being guessed at.
+    Roots are bracketed on a uniform grid of ``_ROOT_GRID`` cells, refined
+    by bisection to width at most ``tol``, then certified by a thin-interval
+    sign change at the enclosure ends plus an interval-derivative simplicity
+    check.  Grid cells without a sign change that may hide an even-order
+    zero go to the certifier's breadth-first bisection, ``intervals._bisect``,
+    which clears the subcells where the interval F or dF/dy4 excludes zero;
+    the rest are reported as unresolved records instead of being guessed at.
     """
     lo, hi = window
     if not (0.0 <= lo < hi <= Y4_MAX):
         raise OutOfDomainError(f"window {window} is not inside the branch domain")
-    ys = np.linspace(lo, hi, grid + 1)
+    ys = np.linspace(lo, hi, _ROOT_GRID + 1)
     vals = np.asarray(F(ys, a_exp, branch), dtype=float)
     signs = np.sign(vals)
-    records = []
+    f = partial(F, a_exp=a_exp, branch=branch)
 
-    def refine(a, fa, b):
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = float(F(mid, a_exp, branch))
-            if fm == 0.0:
-                half = max(0.25 * tol, 1e-15)
-                return max(a, mid - half), min(b, mid + half)
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        return a, b
+    def bracketed(i, j):  # the root between grid nodes i and j, refined
+        enclosure = _refine(f, float(ys[i]), float(vals[i]), float(ys[j]), tol)
+        return _make_record(enclosure, branch, a_exp,
+                            certified=_interval_sign_change(enclosure, branch, a_exp))
 
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        a, b = refine(float(ys[i]), float(vals[i]), float(ys[i + 1]))
-        enclosure = (a, b)
-        records.append(_make_record(
-            enclosure, branch, a_exp,
-            certified=_interval_sign_change(enclosure, branch, a_exp)))
-
+    records = [bracketed(i, i + 1) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
     # exact zeros landing on grid nodes
     for i in np.nonzero(signs == 0)[0]:
-        if 0 < i < grid and signs[i - 1] * signs[i + 1] < 0:
-            a, b = refine(float(ys[i - 1]), float(vals[i - 1]), float(ys[i + 1]))
-            enclosure = (a, b)
-            records.append(_make_record(
-                enclosure, branch, a_exp,
-                certified=_interval_sign_change(enclosure, branch, a_exp)))
+        if 0 < i < _ROOT_GRID and signs[i - 1] * signs[i + 1] < 0:
+            records.append(bracketed(i - 1, i + 1))
         else:
-            j0, j1 = max(i - 1, 0), min(i + 1, grid)
+            j0, j1 = max(i - 1, 0), min(i + 1, _ROOT_GRID)
             records.append(_make_record((float(ys[j0]), float(ys[j1])), branch,
                                         a_exp, certified=False, resolved=False))
 
@@ -351,12 +337,12 @@ def _merge_intervals(cells: list) -> list:
     return merged
 
 
-def scan_branch(branch: str, a_exp: float, tol: float = 1e-12,
-                window_inset: float = 1e-9) -> list:
-    """Roots of F over the allowed sign-type windows of a branch."""
+def scan_branch(branch: str, a_exp: float, tol: float = 1e-12) -> list:
+    """Roots of F over the allowed sign-type windows of a branch, each
+    inset by ``_SCAN_INSET``."""
     records = []
     for label in ALLOWED_TYPES[branch]:
-        win = window_for(branch, label, inset=window_inset)
+        win = window_for(branch, label, inset=_SCAN_INSET)
         records.extend(isolate_roots(branch, a_exp, win, tol=tol))
     records.sort(key=lambda r: r.enclosure[0])
     return records
@@ -410,21 +396,21 @@ class NoBifurcationError(RuntimeError):
     """The scanned range contains no root-count jump."""
 
 
-def _a4_root_count(a_exp: float, pentagon_eps: float = 1e-8) -> int:
+def _a4_root_count(a_exp: float) -> int:
     """Sign changes of F in the convex window, the pentagon zero excluded.
 
     The grid mixes a uniform mesh with dyadic offsets around the pentagon so
     that a root pair splitting off the pentagon is seen as soon as it is
-    farther than pentagon_eps away.
+    farther than _PENTAGON_EPS away.
     """
-    lo, hi = window_for("A", "A4", inset=1e-9)
+    lo, hi = window_for("A", "A4", inset=_SCAN_INSET)
     p = regular_pentagon_y4()
-    offs = np.geomspace(pentagon_eps, min(p - lo, hi - p) - 1e-9, 120)
+    offs = np.geomspace(_PENTAGON_EPS, min(p - lo, hi - p) - 1e-9, 120)
     ys = np.concatenate([np.linspace(lo, hi, 3001), p - offs, p + offs])
     ys = np.sort(ys[(ys > lo) & (ys < hi)])
     vals = F(ys, a_exp, "A")
     count = 0
-    for side in (ys < p - 0.5 * pentagon_eps, ys > p + 0.5 * pentagon_eps):
+    for side in (ys < p - 0.5 * _PENTAGON_EPS, ys > p + 0.5 * _PENTAGON_EPS):
         s = np.sign(vals[side])
         count += int(np.sum(s[:-1] * s[1:] < 0))
     return count
@@ -515,18 +501,18 @@ class ExclusionCheck:
         }
 
 
-def exclude_sign_types(branch: str, a_exp: float, grid: int = 10000) -> list:
+def exclude_sign_types(branch: str, a_exp: float) -> list:
     """Verify the grid sign arguments excluding the seven impossible types.
 
     For each excluded type the named two-mass equation must have both mass
-    coefficients of the claimed strict sign at every interior grid point,
-    which rules out any positive-mass kernel there.
+    coefficients of the claimed strict sign at each of ``_EXCLUSION_GRID``
+    interior grid points, which rules out any positive-mass kernel there.
     """
     out = []
     for label in EXCLUDED_TYPES[branch]:
         equation, coeff_fun, sign = _EXCLUSION_TABLE[label]
         lo, hi = window_for(branch, label)
-        ys = np.linspace(lo, hi, grid + 2)[1:-1]
+        ys = np.linspace(lo, hi, _EXCLUSION_GRID + 2)[1:-1]
         ca, cb = coeff_fun(ys, a_exp, branch)
         bad = np.nonzero((sign * ca <= 0.0) | (sign * cb <= 0.0))[0]
         counterexamples = tuple(

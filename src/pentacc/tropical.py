@@ -277,10 +277,6 @@ class WeightVector:
         object.__setattr__(self, "weights",
                            tuple(Fraction(w) for w in self.weights))
 
-    def lift(self, a_exp: Fraction) -> tuple:
-        factor = Fraction(2) - Fraction(a_exp)
-        return self.weights + tuple(factor * w for w in self.weights)
-
     def scaled(self, c) -> "WeightVector":
         return WeightVector(tuple(Fraction(c) * w for w in self.weights))
 
@@ -292,9 +288,7 @@ class WeightVector:
 # Cyclic relabeling i -> i+1 fixes the edge class and 5-cycles the diagonals;
 # the reflection (1 2)(3 5) reverses that cycle.
 CYCLE_CLASS_MAP = {0: 0, 1: 3, 3: 5, 5: 2, 2: 4, 4: 1}
-CYCLE_MASS_MAP = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
 REFLECT_CLASS_MAP = {0: 0, 1: 4, 4: 1, 2: 3, 3: 2, 5: 5}
-REFLECT_MASS_MAP = {1: 2, 2: 1, 3: 5, 5: 3, 4: 4}
 
 
 def cyclic_weight(w: WeightVector) -> WeightVector:

@@ -143,7 +143,7 @@ def test_criterion_6_sign_type_exclusions():
     counterexamples = 0
     for a_exp in (2.0, 3.0, 4.0):
         for branch in ("A", "B"):
-            for check in exclude_sign_types(branch, a_exp, grid=10000):
+            for check in exclude_sign_types(branch, a_exp):
                 total += check.points_checked
                 counterexamples += len(check.counterexamples)
     ok = counterexamples == 0 and total == 3 * 7 * 10000

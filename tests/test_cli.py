@@ -285,6 +285,13 @@ def test_evaluate_missing_file_exits_1(tmp_path):
     assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+def test_evaluate_too_deeply_nested_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["evaluate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("cannot read configuration: ")
+
+
 @pytest.mark.parametrize("payload, message", [
     pytest.param([[0, 0]] * 5, "configuration must be a JSON object", id="top-level-array"),
     pytest.param({"distances": [1.0, 1.0, 1.0]}, "expected a list of six class distances",
@@ -293,12 +300,29 @@ def test_evaluate_missing_file_exits_1(tmp_path):
                  id="scalar-distances"),
     pytest.param({"distances": [1.0] * 6, "masses": 3}, "expected a list of five masses",
                  id="scalar-masses"),
+    pytest.param({"distances": [1.0] * 6, "masses": [None, 1, 1, 1, 1]},
+                 "every entry of masses must be a finite number", id="null-mass"),
+    pytest.param({"distances": [1, 1, 1, 1, 1, [1]]},
+                 "every entry of distances must be a finite number", id="list-distance"),
+    pytest.param({"points": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, None]]},
+                 "every entry of points must be a finite number", id="null-point"),
 ])
 def test_evaluate_malformed_config_exits_1(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert main(["evaluate", "--config", str(path)]) == 1
     assert capsys.readouterr() == ("", message + "\n")
+
+
+# numpy warns of the overflow, as in a command-line run, instead of raising
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_overflow_exits_1_without_nan(tmp_path, capsys):
+    # finite input whose r**(-A) overflows: the residuals would be NaN, not JSON
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"distances": [1, 1.6, 1.6, 1.6, 1.6, 1e-110]}))
+    assert main(["evaluate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Out of range float values")
 
 
 def test_region_map_outputs(tmp_path):

@@ -301,8 +301,7 @@ def test_bifurcation_step_and_tol_validation(step, tol):
 
 
 def test_large_exponent_roots_approach_landmarks():
-    records = isolate_roots("A", 40.0, window_for("A", "A4", inset=1e-9),
-                            grid=20000)
+    records = isolate_roots("A", 40.0, window_for("A", "A4", inset=1e-9))
     ys = sorted(r.y4 for r in records)
     assert len(ys) == 3
     assert A34_BOUNDARY < ys[0] < A34_BOUNDARY + 0.03
@@ -315,7 +314,7 @@ def test_large_exponent_roots_approach_landmarks():
 @pytest.mark.parametrize("a_exp", [2.0, 3.0, 4.0])
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_exclusions_hold_on_grids(branch, a_exp):
-    checks = exclude_sign_types(branch, a_exp, grid=2000)
+    checks = exclude_sign_types(branch, a_exp)
     assert {c.sign_type for c in checks} == set(EXCLUDED_TYPES[branch])
     for check in checks:
         assert check.excluded, (check.sign_type, check.counterexamples[:2])
@@ -323,12 +322,12 @@ def test_exclusions_hold_on_grids(branch, a_exp):
 
 def test_exclusion_equations_match_claims():
     table = {c.sign_type: (c.equation, c.claimed_sign)
-             for c in exclude_sign_types("A", 3.0, grid=10)}
+             for c in exclude_sign_types("A", 3.0)}
     assert table["A1"] == ("L13", -1)
     assert table["A3"] == ("L13", +1)
     assert table["A5"] == ("L13", -1)
     table = {c.sign_type: (c.equation, c.claimed_sign)
-             for c in exclude_sign_types("B", 3.0, grid=10)}
+             for c in exclude_sign_types("B", 3.0)}
     assert table["B1"] == ("L13", +1)
     assert table["B3"] == ("L13", +1)
     assert table["B4"] == ("L14", +1)

@@ -27,8 +27,11 @@ from pentacc.tropical import (
     weight_orbit,
     CLASS_OF_PAIR,
     CYCLE_CLASS_MAP,
-    CYCLE_MASS_MAP,
 )
+
+# The relabeling i -> i+1 of the bodies, which CYCLE_CLASS_MAP follows on
+# the distance classes.
+CYCLE_MASS_MAP = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
 
 
 def test_system_size_is_31():
@@ -214,7 +217,7 @@ def test_degenerate_vortex_run_reports_instead_of_crashing():
 
 def test_weight_vector_validation_and_lift():
     w = WeightVector((1, 2, 3, 4, 5, 6))
-    lifted = w.lift(Fraction(5, 2))
+    lifted = _lift(w, Fraction(5, 2))
     # q w(Q) + p w(r) = 2 q w(r) with p = 5, q = 2
     for wr, wq in zip(lifted[:6], lifted[6:]):
         assert 2 * wq + 5 * wr == 2 * 2 * wr
@@ -237,9 +240,15 @@ def test_rays_specialize_to_integers_at_newtonian_exponent():
 # ---------------------------------------------------------------------------
 # the integer kernel against exact-Fraction compositions of the former code
 
+def _lift(w, a_exp):
+    """The twelve lifted coordinates of a weight: w(r), then w(Q) = (2 - A) w(r)."""
+    factor = Fraction(2) - Fraction(a_exp)
+    return w.weights + tuple(factor * x for x in w.weights)
+
+
 def _fraction_top_terms(poly, w, a_exp):
     """Exponents of maximal lifted weight, each weight an exact Fraction dot product."""
-    w12 = w.lift(a_exp)
+    w12 = _lift(w, a_exp)
     best, keep = None, []
     for e in poly.terms:
         wt = sum(Fraction(a) * b for a, b in zip(e, w12) if a)
