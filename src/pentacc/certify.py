@@ -37,7 +37,7 @@ import numpy as np
 from .geometry import OutOfDomainError, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
                         _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats)
-from .symmetric import F, F_dual
+from .symmetric import F
 
 __all__ = [
     "CertLeaf",
@@ -48,16 +48,12 @@ __all__ = [
 ]
 
 
-def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv, nat) -> IntervalArray:
-    """The meet of the two forms where both evaluate, else the one that does.
-
-    Elements where neither evaluates, or the two enclosures do not meet,
-    are invalid.
-    """
+def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray:
+    """The meet of the two forms where the mean-value form evaluates (it
+    needs the natural form's components), else the natural form alone.
+    Elements where that fails, or the two do not meet, are invalid."""
     both = mv_enc.intersect(nat_enc)
-    lo = np.where(mv, np.where(nat, both.lo, mv_enc.lo), np.where(nat, nat_enc.lo, np.nan))
-    hi = np.where(mv, np.where(nat, both.hi, mv_enc.hi), np.where(nat, nat_enc.hi, np.nan))
-    return IntervalArray(lo, hi)
+    return IntervalArray(np.where(mv, both.lo, nat_enc.lo), np.where(mv, both.hi, nat_enc.hi))
 
 
 def _join(p: IntervalArray, q: IntervalArray) -> IntervalArray:
@@ -74,9 +70,10 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     natural interval form where both evaluate.
 
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
-    evaluated together.  Where the mean-value form fails the natural form
-    is used alone, with the default split hint; a box where both forms fail,
-    or where their enclosures do not meet, is not ``ok``.
+    evaluated together, by one ``Jet2`` pass over the box centers and the
+    whole boxes.  Where the mean-value form fails the natural form is used
+    alone, with the default split hint; a box where both forms fail, or
+    where their enclosures do not meet, is not ``ok``.
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     in_domain = branch_radicand(y).lo >= 0.0
@@ -100,20 +97,16 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
         hint_f = np.where(mv, np.where(wide.dy.mag * yw >= wide.da.mag * aw, 0, 1), default)
         hint_df = np.where(mv, np.where(wide.dyy.mag * yw >= wide.dya.mag * aw, 0, 1),
                            default)
-    # The natural Dual form is kept beside the Jet2 mean-value form because
-    # it decides boxes the mean-value form leaves straddling zero.  Without
-    # it the A4 no-common-zero certificate over [2, 3] needs 195 leaves
-    # instead of 194, and B2 unique-root over [2, 6] needs 63,085 instead of
-    # 1985, at about ten times the run time.  It is its own pass, not the
-    # whole-box value of the jet pass (wide.v, wide.dy): on the 2,000
-    # oracle boxes of the tests that value was never narrower than Dual's,
-    # up to 23 % wider on dF (median 0.3 %), and it evaluates on the same
-    # boxes.  The Dual pass costs about 17 % of this function (25 of 147 ms
-    # on those 2,000 boxes, in process on a 2-core Intel Xeon host).
-    dual = F_dual(y, a, branch)
-    nat = _all_valid(dual.val, dual.dot)
-    f = _combine(f_mv, dual.val, mv, nat)
-    df = _combine(df_mv, dual.dot, mv, nat)
+    # The natural form, the whole-box value (wide.v, wide.dy), decides boxes
+    # the mean-value form leaves straddling zero: without it A4
+    # no-common-zero over [2, 3] needs 195 leaves instead of 194, and B2
+    # unique-root over [2, 6] 63,085 instead of 1985.  A second, Dual pass
+    # over the same boxes would give a narrower dF: on the 1,778 evaluable
+    # oracle boxes of the tests the met dF is wider than with it on 290
+    # boxes, by up to 23 %, F only by rounding, and the three acceptance
+    # certificates have the same leaves either way.
+    f = _combine(f_mv, wide.v, mv)
+    df = _combine(df_mv, wide.dy, mv)
     return _BoxEval(f, df, hint_f, hint_df, in_domain, in_domain & f.valid & df.valid)
 
 

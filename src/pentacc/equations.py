@@ -173,16 +173,22 @@ TWO_MASS_PAIRS = {
 }
 
 
+def _mass_array(masses) -> np.ndarray:
+    """Five masses, from a MassVector or a sequence, as a float array."""
+    m = np.asarray(masses.as_array() if isinstance(masses, MassVector) else masses,
+                   dtype=float)
+    if m.shape != (5,):
+        raise ValueError("expected five masses")
+    return m
+
+
 def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> ResidualReport:
     """All ten wedge-product residuals L(i,j).
 
     For equilateral cyclic inputs the report's meta lists which labels form
     the two-mass and three-mass groups.
     """
-    m = np.asarray(masses if not isinstance(masses, MassVector) else masses.as_array(),
-                   dtype=float)
-    if m.shape != (5,):
-        raise ValueError("expected five masses")
+    m = _mass_array(masses)
     table = mutual_distances(config)
     R = (table.table + np.eye(5)) ** (-a_exp)  # shift keeps the unused diagonal finite
     np.fill_diagonal(R, 0.0)
@@ -219,7 +225,7 @@ def _distance_table(distances) -> np.ndarray:
 
 def fit_lambda_tilde(r: np.ndarray, masses, a_exp: float) -> float:
     """Least-squares multiplier: minimizes the sum of squared f residuals."""
-    m = np.asarray(masses, dtype=float)
+    m = _mass_array(masses)
     num = den = 0.0
     for i in range(5):
         for j in range(5):
@@ -247,8 +253,7 @@ def albouy_chenciner_f(distances, masses, a_exp: float,
     ``lambda_tilde`` is None it is fitted by linear least squares.
     """
     r = _distance_table(distances)
-    m = np.asarray(masses if not isinstance(masses, MassVector) else masses.as_array(),
-                   dtype=float)
+    m = _mass_array(masses)
     if lambda_tilde is None:
         lambda_tilde = fit_lambda_tilde(r, m, a_exp)
     res = {}
@@ -272,7 +277,7 @@ def symmetric_g(distances, masses, a_exp: float,
                 lambda_tilde: float | None = None) -> ResidualReport:
     """Symmetrized residuals g(i,j) computed directly from their own formula."""
     r = _distance_table(distances)
-    m = np.asarray(masses, dtype=float)
+    m = _mass_array(masses)
     if lambda_tilde is None:
         lambda_tilde = fit_lambda_tilde(r, m, a_exp)
     res = {}

@@ -10,12 +10,13 @@ Dual numbers carry a value and a first derivative through the same operator
 set.  Their components may be floats or Intervals, which is how the
 certification code obtains simultaneous enclosures of a function and its
 derivative over a box.  Jet2 carries second-order terms in two variables for
-the mean-value form.  Dual stays beside it for the natural interval form:
-F on a Dual costs about 0.4 of F on a Jet2 over the same boxes, and its
-enclosures are never wider than the Jet2 whole-box value (on 2,000 test
-boxes dF was up to 23 % narrower).  The certifier meets the
-two forms, and the root scan's tangency guard uses Dual alone (see
-``certify._mv_eval`` and ``symmetric._natural_eval``).
+the mean-value form.  The certifier runs on Jet2 alone: one pass over the
+box centers and the whole boxes gives the mean-value form and, as the
+whole-box value, the natural form it is met with (``certify._mv_eval``).
+Dual serves the root scan, which needs F and dF/dy4 at one float exponent:
+its tangency guard and the simplicity check of a root enclosure
+(``symmetric._natural_eval`` and ``symmetric._interval_simple``).  There F
+on a Dual costs about 0.4 of F on a Jet2 over the same boxes.
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier in one pass (after Rump's
@@ -574,10 +575,10 @@ class Jet2:
         return Jet2(-self.v, -self.dy, -self.da, -self.dyy, -self.dya)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -_as_interval_like(other))
+        return Jet2(*map(_sub, self._parts(self), self._parts(other)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet2(*map(_sub, self._parts(other), self._parts(self)))
 
     def __mul__(self, other):
         v, dy, da, dyy, dya = self._parts(other)
@@ -654,10 +655,6 @@ class Jet2:
                 return self
             raise IntervalDomainError("abs of a jet whose value interval straddles 0")
         return -self if v < 0.0 else self
-
-
-def _as_interval_like(x):
-    return Jet2(x) if not isinstance(x, Jet2) else x
 
 
 class Dual:

@@ -444,13 +444,8 @@ def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> t
             break
         counts.add(c_hi)
         lo, c_lo = hi, c_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _a4_root_count(mid) == 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    # the count is 0 at lo and nonzero at hi: bisect that sign change
+    return _refine(lambda a: 1.0 if _a4_root_count(a) else -1.0, lo, -1.0, hi, tol)
 
 
 # ---------------------------------------------------------------------------

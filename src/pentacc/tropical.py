@@ -291,34 +291,33 @@ CYCLE_CLASS_MAP = {0: 0, 1: 3, 3: 5, 5: 2, 2: 4, 4: 1}
 REFLECT_CLASS_MAP = {0: 0, 1: 4, 4: 1, 2: 3, 3: 2, 5: 5}
 
 
-def cyclic_weight(w: WeightVector) -> WeightVector:
+def _relabel(w: WeightVector, class_map: dict) -> WeightVector:
+    """The weight of each class c moved to class ``class_map[c]``."""
     out = [Fraction(0)] * 6
     for c, x in enumerate(w.weights):
-        out[CYCLE_CLASS_MAP[c]] = x
+        out[class_map[c]] = x
     return WeightVector(tuple(out))
+
+
+def cyclic_weight(w: WeightVector) -> WeightVector:
+    return _relabel(w, CYCLE_CLASS_MAP)
 
 
 def reflect_weight(w: WeightVector) -> WeightVector:
-    out = [Fraction(0)] * 6
-    for c, x in enumerate(w.weights):
-        out[REFLECT_CLASS_MAP[c]] = x
-    return WeightVector(tuple(out))
+    return _relabel(w, REFLECT_CLASS_MAP)
 
 
 def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
-    """Orbit under the cyclic relabeling, optionally with the reflection."""
-    seen: list = []
-    frontier = [w]
-    while frontier:
-        cur = frontier.pop()
-        if any(cur.weights == s.weights for s in seen):
-            continue
-        seen.append(cur)
-        frontier.append(cyclic_weight(cur))
-        if dihedral:
-            frontier.append(reflect_weight(cur))
-    seen.sort(key=lambda v: v.weights)
-    return seen
+    """Orbit under the cyclic relabeling, optionally with the reflection:
+    the images of ``w`` under the five rotations (and the five reflections),
+    sorted by weights."""
+    images = [w]
+    for _ in range(4):
+        images.append(cyclic_weight(images[-1]))
+    if dihedral:
+        images += [reflect_weight(v) for v in images]
+    unique = {v.weights: v for v in images}
+    return [unique[k] for k in sorted(unique)]
 
 
 # Below this bound on every entry, product and partial sum, int64 is exact.
@@ -432,20 +431,22 @@ class RayTable:
     def ray_weight(self, label: str, a_exp: Fraction) -> WeightVector:
         for lab, coords, _ in self.rays:
             if lab == label:
-                return WeightVector(tuple(
-                    Fraction(c0) + Fraction(c1) * Fraction(a_exp) for c0, c1 in coords))
+                return _affine_sum((coords,), a_exp)
         raise KeyError(label)
 
     def cone_interior_weight(self, label: str, a_exp: Fraction) -> WeightVector:
         for lab, gens in self.cones:
             if lab == label:
-                coords = [
-                    sum(Fraction(g[c][0]) + Fraction(g[c][1]) * Fraction(a_exp)
-                        for g in gens)
-                    for c in range(6)
-                ]
-                return WeightVector(tuple(coords))
+                return _affine_sum(gens, a_exp)
         raise KeyError(label)
+
+
+def _affine_sum(gens, a_exp: Fraction) -> WeightVector:
+    """The sum of the generators' coordinates c0 + c1 A at ``a_exp``: the
+    integers c0 and c1 are summed first, then multiplied by A once."""
+    a_exp = Fraction(a_exp)
+    return WeightVector(tuple(sum(g[c][0] for g in gens) + sum(g[c][1] for g in gens) * a_exp
+                              for c in range(6)))
 
 
 def load_ray_table() -> RayTable:
@@ -491,7 +492,7 @@ class TableReport:
         }
 
 
-def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableReport:
+def verify_tables(a_exp, table: RayTable | None = None) -> TableReport:
     """Check every table entry against the prevariety membership test.
 
     Every cyclic-orbit member of every ray class must be in the prevariety,
@@ -502,7 +503,7 @@ def verify_tables(a_exp, masses=None, table: RayTable | None = None) -> TableRep
     """
     a_exp = Fraction(a_exp)
     table = table or load_ray_table()
-    system = build_system(a_exp, masses=masses)
+    system = build_system(a_exp)
     position = {label: k for k, (label, _) in enumerate(system)}
     stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
     rays = []

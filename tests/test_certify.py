@@ -302,36 +302,32 @@ def _scalar_box_eval(box: Box, branch: str) -> tuple:
     """One box with the scalar classes: (f, df, hint_f, hint_df).
 
     The reference for the batched kernel: Jet2(Interval) at the center and
-    over the box give the mean-value form, F_dual(Interval) the natural
-    form, and the two are intersected.  Raises where the box is not
-    evaluable.
+    over the box give the mean-value form, the whole-box jet's value and
+    y-derivative the natural form, and the two are intersected.  A scalar
+    jet pass fails as a whole, so the whole-box jet runs first; where it
+    raises, or the radicand dips below zero, the box is not evaluable and
+    the oracle raises too.
     """
     rad = branch_radicand(box.y4)
     if rad.lo < 0.0:
         raise OutOfDomainError(f"radicand {rad} dips below zero")
-    mv = None
+    try:
+        wide = F(Jet2.variable_y(box.y4), branch=branch, a_exp=Jet2.variable_a(box.a))
+    except (IntervalDomainError, OverflowError) as exc:
+        raise IntervalDomainError("no evaluable form") from exc
+    nat = (wide.v, wide.dy)
     hint_f = hint_df = 0 if box.y4.width >= box.a.width else 1
     try:
         my, ma = box.y4.mid, box.a.mid
         center = F(Jet2.variable_y(Interval.around(my)), branch=branch,
                    a_exp=Jet2.variable_a(Interval.around(ma)))
-        wide = F(Jet2.variable_y(box.y4), branch=branch, a_exp=Jet2.variable_a(box.a))
         off_y, off_a = box.y4 - my, box.a - ma
         mv = (center.v + wide.dy * off_y + wide.da * off_a,
               center.dy + wide.dyy * off_y + wide.dya * off_a)
         hint_f = 0 if wide.dy.mag * box.y4.width >= wide.da.mag * box.a.width else 1
         hint_df = 0 if wide.dyy.mag * box.y4.width >= wide.dya.mag * box.a.width else 1
     except (IntervalDomainError, OverflowError):
-        pass
-    try:
-        dual = F_dual(box.y4, box.a, branch)
-        nat = (dual.val, dual.dot)
-    except (IntervalDomainError, OverflowError):
-        nat = None
-    if mv is None and nat is None:
-        raise IntervalDomainError("no evaluable form")
-    if mv is None or nat is None:
-        return (*(mv or nat), hint_f, hint_df)
+        return (*nat, hint_f, hint_df)
     return mv[0].intersect(nat[0]), mv[1].intersect(nat[1]), hint_f, hint_df
 
 
@@ -373,6 +369,25 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
     np.testing.assert_array_equal(got[ev.ok].view(np.int64), want[ev.ok].view(np.int64))
     np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ev.ok],
                                   hints[ev.ok])
+
+
+def test_one_jet_pass_per_frontier(monkeypatch):
+    import pentacc.certify as certify
+    assert not hasattr(certify, "F_dual") and not hasattr(certify, "Dual")
+    calls = []
+
+    def counting_F(*args, **kwargs):
+        calls.append(type(args[0]).__name__)
+        return F(*args, **kwargs)
+    monkeypatch.setattr(certify, "F", counting_F)
+    rng = np.random.default_rng(2011)
+    ev = _mv_eval(*np.array([b.key() for b in _oracle_boxes(rng, "A", 50)]).T, "A")
+    assert calls == ["Jet2"] and ev.ok.size == 50
+    # a certificate evaluates F once per depth of its bisection
+    calls.clear()
+    cert = certify_no_common_zero(
+        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(2.0, 3.0)), "A")
+    assert calls == ["Jet2"] * len(cert.stats["evals_per_depth"]) == ["Jet2"] * 12
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,25 @@ def test_symmetrized_identity_g_equals_f_plus_f():
                 assert g[f"g{i}{j}"] == pytest.approx(combined, rel=1e-13, abs=1e-13)
 
 
+def test_residual_systems_take_a_mass_vector_or_a_list():
+    rng = np.random.default_rng(17)
+    configs = [symmetric_coords(SymmetricShape(1.2, "A")),
+               PlanarConfiguration(rng.normal(size=(5, 2)))]
+    for config in configs:
+        for masses in (EQUAL, A2_MASSES_VORTEX):
+            as_list = [float(m) for m in masses.as_array()]
+            for system in (laura_andoyer, albouy_chenciner_f, symmetric_g):
+                got = system(config, masses, 3.0)
+                want = system(config, as_list, 3.0)
+                assert got.residuals == want.residuals, system.__name__
+                assert got.meta == want.meta, system.__name__
+            table = mutual_distances(config).table
+            assert fit_lambda_tilde(table, masses, 3.0) == fit_lambda_tilde(table, as_list, 3.0)
+    for system in (laura_andoyer, albouy_chenciner_f, symmetric_g):
+        with pytest.raises(ValueError, match="five masses"):
+            system(configs[0], [1.0] * 4, 3.0)
+
+
 def test_fitted_multiplier_minimizes_residual():
     rng = np.random.default_rng(31)
     config = PlanarConfiguration(rng.normal(size=(5, 2)))

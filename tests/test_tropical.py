@@ -192,6 +192,42 @@ def test_orbit_sizes_match_multiplicities():
         assert len(weight_orbit(w, dihedral=True)) == mult
 
 
+def _closure_orbit(w, dihedral=False):
+    """The orbit as the closure of ``w`` under the generators, found by a
+    frontier loop: the oracle of ``weight_orbit``."""
+    seen = []
+    frontier = [w]
+    while frontier:
+        cur = frontier.pop()
+        if any(cur.weights == s.weights for s in seen):
+            continue
+        seen.append(cur)
+        frontier.append(cyclic_weight(cur))
+        if dihedral:
+            frontier.append(reflect_weight(cur))
+    seen.sort(key=lambda v: v.weights)
+    return seen
+
+
+@pytest.mark.parametrize("a_exp", [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4)])
+def test_weight_orbit_matches_closure_oracle(a_exp):
+    table = load_ray_table()
+    weights = [table.ray_weight(label, a_exp) for label, _, _ in table.rays]
+    rng = random.Random(int(4 * a_exp))
+    # random weights with repeated entries, so that some orbits are short
+    weights += [WeightVector(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                   for _ in range(6))) for _ in range(200)]
+    weights += [WeightVector((1,) * 6), WeightVector((0, 1, 1, 1, 1, 1))]
+    sizes = Counter()
+    for w in weights:
+        for dihedral in (False, True):
+            got = weight_orbit(w, dihedral=dihedral)
+            assert [v.weights for v in got] == [v.weights for v in _closure_orbit(w, dihedral)]
+            sizes[dihedral, len(got)] += 1
+    # every orbit size the group allows occurs
+    assert {k for k in sizes} == {(False, 1), (False, 5), (True, 1), (True, 5), (True, 10)}
+
+
 @pytest.mark.parametrize("a_exp", [Fraction(3), Fraction(5, 2)])
 def test_tables_verify(a_exp):
     report = verify_tables(a_exp)
