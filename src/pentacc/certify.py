@@ -165,6 +165,12 @@ class Certificate:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
+def _check_depth(max_depth: int) -> None:
+    """Refuse a negative depth cap, which would leave every seed box undecided."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+
+
 def _sign_decider(quantity: str, sign: int):
     """Decide boxes on which F (or dF/dy4) has the given strict sign."""
     code = _VERDICTS.index(quantity)
@@ -212,8 +218,9 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     there), and on the middle strip the interval derivative excludes zero
     while F changes sign across it, so each exponent admits exactly one
     root.  The bracket is a heuristic only; every zone claim is verified
-    with rigorous enclosures.
+    with rigorous enclosures.  A negative ``max_depth`` raises ValueError.
     """
+    _check_depth(max_depth)
     cert = Certificate(kind="unique_root", branch=branch,
                        window=tuple(window), a_range=tuple(a_range),
                        certified=False)
@@ -245,8 +252,10 @@ def certify_no_common_zero(region: Box, branch: str = "A",
 
     Each leaf box must exclude zero from the F enclosure or from the dF
     enclosure.  Exhausted depth yields an undecided certificate listing the
-    boxes where both enclosures still straddle zero.
+    boxes where both enclosures still straddle zero.  A negative
+    ``max_depth`` raises ValueError.
     """
+    _check_depth(max_depth)
     cert = Certificate(kind="no_common_zero", branch=branch,
                        window=(region.y4.lo, region.y4.hi),
                        a_range=(region.a.lo, region.a.hi),

@@ -51,7 +51,7 @@ from .symmetric import (
     isolate_roots,
     window_for,
 )
-from .tropical import WeightVector, build_system, in_prevariety, verify_tables
+from .tropical import WeightVector, _polys_examined, build_system, in_prevariety, verify_tables
 
 log = logging.getLogger("pentacc")
 
@@ -242,11 +242,10 @@ def cmd_tropical_verify(args) -> int:
             reports.append({"A": str(a_exp.rational),
                             "ray": [str(w) for w in weights.weights],
                             "in_prevariety": ok, "witness": witness})
-            # as in a table report: polynomials up to and including the witness
-            examined = len(system) if ok else [lab for lab, _ in system].index(witness) + 1
             log.info("tropical ray at A=%s: %.3f s, stats %s", a_exp.rational,
                      time.perf_counter() - start,
-                     json.dumps({"polynomials_examined": examined, "witness": witness}))
+                     json.dumps({"polynomials_examined": _polys_examined(system, witness),
+                                 "witness": witness}))
             if not ok:
                 status = EXIT_EMPTY
         else:

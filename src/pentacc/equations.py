@@ -27,9 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (
-    _COLLISION_TOL,
-    _EDGE_TOL,
-    CYCLE_EDGES,
     ChainAngles,
     CollisionError,
     DIAGONALS,
@@ -39,6 +36,7 @@ from .geometry import (
     chain_points,
     collision_error,
     cyclic_from_angles,
+    distance_masks,
     family_terms,
     interior_angle,
     interior_points,
@@ -46,6 +44,7 @@ from .geometry import (
     oriented_area,
     pair_distances,
 )
+from .intervals import _libm
 
 log = logging.getLogger(__name__)
 
@@ -296,22 +295,31 @@ def symmetric_g(distances, masses, a_exp: float,
                           meta={"A": a_exp, "lambda_tilde": lambda_tilde})
 
 
+# The four independent wedge equations of the mirror-symmetric family as
+# rows of coefficients of (m1, m3, m4), mirror symmetry setting m2 = m1 and
+# m5 = m3.  Each row is a function of the ``family_terms`` of a shape with
+# an exponent, and works on every type ``family_terms`` accepts.
+_WEDGE_ROWS = {
+    "L13": lambda g: (0.0, (1.0 - g["R35"]) * g["d135"], (g["R14"] - 1.0) * g["d134"]),
+    "L14": lambda g: ((1.0 - g["R14"]) * g["d124"], (g["R13"] - 1.0) * g["d134"], 0.0),
+    "L15": lambda g: ((1.0 - g["R13"]) * g["d123"], (g["R13"] - g["R35"]) * g["d135"],
+                      (g["R14"] - 1.0) * g["d145"]),
+    "L34": lambda g: ((g["R13"] - g["R14"]) * g["d134"] + (1.0 - g["R14"]) * g["d145"],
+                      (g["R35"] - 1.0) * g["d345"], 0.0),
+}
+
+
 def mass_coefficient_matrix(shape: SymmetricShape, a_exp: float) -> np.ndarray:
     """4x3 coefficient matrix of (m1, m3, m4) for rows L13, L14, L15, L34.
 
-    These are the four independent symmetric wedge equations; mirror
-    symmetry sets m2 = m1 and m5 = m3.
+    The rows are those of ``_WEDGE_ROWS``, the four independent symmetric
+    wedge equations.  Raises CollisionError where two bodies coincide.
     """
-    q = family_terms(shape.y4, shape.branch)
-    if min(q["r13"], q["r14"], q["r35"]) <= 0.0:
+    with np.errstate(divide="ignore"):  # a zero distance is refused below
+        g = family_terms(shape.y4, shape.branch, a_exp)
+    if min(g["r13"], g["r14"], g["r35"]) <= 0.0:
         raise CollisionError(f"collision at y4 = {shape.y4} on branch {shape.branch}")
-    R13, R14, R35 = (q[r] ** (-a_exp) for r in ("r13", "r14", "r35"))
-    return np.array([
-        [0.0, (1.0 - R35) * q["d135"], (R14 - 1.0) * q["d134"]],
-        [(1.0 - R14) * q["d124"], (R13 - 1.0) * q["d134"], 0.0],
-        [(1.0 - R13) * q["d123"], (R13 - R35) * q["d135"], (R14 - 1.0) * q["d145"]],
-        [(R13 - R14) * q["d134"] + (1.0 - R14) * q["d145"], (R35 - 1.0) * q["d345"], 0.0],
-    ])
+    return np.array([row(g) for row in _WEDGE_ROWS.values()])
 
 
 @dataclass(frozen=True)
@@ -386,7 +394,6 @@ class La2Result:
 
 
 _COL = {pair: n for n, pair in enumerate(PAIRS)}
-_EDGE_COLS = [_COL[e] for e in CYCLE_EDGES]
 _DIAG_COLS = [_COL[e] for e in DIAGONALS]
 
 
@@ -402,19 +409,17 @@ def _two_mass(points, a_exp: float) -> tuple:
     coefficients (ca, cb) in ``TWO_MASS_PAIRS`` order, and the (N, 5)
     admissibility of each equation.  Coefficients of colliding rows are
     meaningless.  Raises ValueError when a configuration without a collision
-    is not equilateral (by ``_EDGE_TOL``, as ``mutual_distances``).
+    is not equilateral (by ``distance_masks``, as ``mutual_distances``).
     """
     pts = np.asarray(points, dtype=float)
     d = pair_distances(pts)
-    collision = np.any(d < _COLLISION_TOL, axis=1)
-    scale = d[:, :1]  # r12
-    equilateral = np.all(
-        np.abs(d[:, _EDGE_COLS] - scale) <= _EDGE_TOL * np.maximum(1.0, scale), axis=1)
+    collision, equilateral = distance_masks(d)
     if np.any(~equilateral & ~collision):
         raise ValueError("two-mass equations require an equilateral cyclic pentagon")
-    # Python float ** 2 (libm pow), as in the scalar formula: numpy's x**2
-    # is x*x, which differs in the last bit on about 0.1 % of arguments
-    scale_sq = np.array([r ** 2 for r in scale[:, 0].tolist()])
+    scale = d[:, :1]  # r12
+    # libm pow, as Python's r ** 2 in the scalar formula: numpy's x**2 is
+    # x*x, which differs in the last bit on about 0.1 % of arguments
+    scale_sq = _libm(pow, scale[:, 0], 2.0)
     coef = np.empty((len(pts), len(TWO_MASS_PAIRS), 2))
     with np.errstate(all="ignore"):  # only colliding rows divide by zero
         R = (d / scale) ** (-a_exp)

@@ -24,6 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .intervals import _libm
+
 __all__ = [
     "CollisionError",
     "OutOfDomainError",
@@ -43,6 +45,7 @@ __all__ = [
     "oriented_area",
     "pair_distances",
     "collision_error",
+    "distance_masks",
     "mutual_distances",
     "cayley_menger",
     "branch_position",
@@ -84,6 +87,7 @@ PAIR_CLASS = {
 PAIRS = tuple(combinations(range(1, 6), 2))
 _PAIR_I = np.array([i - 1 for i, _ in PAIRS])
 _PAIR_J = np.array([j - 1 for _, j in PAIRS])
+_EDGE_COLS = [PAIRS.index(e) for e in CYCLE_EDGES]
 _COLLISION_TOL = 1e-12
 _EDGE_TOL = 1e-9  # relative spread of the cycle edges of an equilateral pentagon
 
@@ -307,32 +311,42 @@ def collision_error(d: np.ndarray) -> CollisionError:
     return CollisionError(f"coincident bodies: {bad}")
 
 
+def distance_masks(d) -> tuple:
+    """(collision, equilateral) masks of the rows of a ``pair_distances`` table.
+
+    A row collides when a distance is below ``_COLLISION_TOL``; it is
+    equilateral when every cycle edge is within ``_EDGE_TOL`` (relative, for
+    r12 above 1) of the edge r12.
+    """
+    scale = d[:, :1]  # r12
+    edge_ok = np.abs(d[:, _EDGE_COLS] - scale) <= _EDGE_TOL * np.maximum(1.0, scale)
+    return np.any(d < _COLLISION_TOL, axis=1), np.all(edge_ok, axis=1)
+
+
 def mutual_distances(config: PlanarConfiguration) -> DistanceTable:
     """Full 10-distance table and, for equilateral cyclic inputs, the 6 classes.
 
     Raises CollisionError if two bodies coincide.  Non-equilateral inputs
-    (a cycle edge off r12 by more than ``_EDGE_TOL`` relative) are flagged
-    via ``is_equilateral`` and get ``classes = None``.
+    (by ``distance_masks``) are flagged via ``is_equilateral`` and get
+    ``classes = None``.
     """
-    d = pair_distances(config.points[None])[0]
-    if np.any(d < _COLLISION_TOL):
-        raise collision_error(d)
+    d = pair_distances(config.points[None])
+    (collision,), (equilateral,) = distance_masks(d)
+    if collision:
+        raise collision_error(d[0])
     table = np.zeros((5, 5))
-    table[_PAIR_I, _PAIR_J] = table[_PAIR_J, _PAIR_I] = d
-    edges = [table[i - 1, j - 1] for i, j in CYCLE_EDGES]
-    scale = edges[0]
-    equilateral = all(abs(e - scale) <= _EDGE_TOL * max(1.0, scale) for e in edges)
+    table[_PAIR_I, _PAIR_J] = table[_PAIR_J, _PAIR_I] = d[0]
     classes = None
     if equilateral:
         classes = DistanceVector(
-            r12=scale,
+            r12=float(table[0, 1]),
             r13=float(table[0, 2]),
             r14=float(table[0, 3]),
             r24=float(table[1, 3]),
             r25=float(table[1, 4]),
             r35=float(table[2, 4]),
         )
-    return DistanceTable(table=table, classes=classes, is_equilateral=equilateral)
+    return DistanceTable(table=table, classes=classes, is_equilateral=bool(equilateral))
 
 
 def cayley_menger(distances) -> float:
@@ -414,12 +428,6 @@ class ChainAngles:
             raise ValueError(f"closure must be 'plus' or 'minus', got {self.closure!r}")
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """``fn`` (a ``math`` function) applied element by element."""
-    cols = [np.asarray(a, dtype=float).tolist() for a in args]
-    return np.fromiter(map(fn, *cols), dtype=float, count=len(cols[0]))
-
-
 def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
     """Unit-edge cyclic pentagons for arrays of chain angles.
 
@@ -436,13 +444,14 @@ def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
     t23 = np.asarray(theta23, dtype=float)
     # q1 = (-0.5, 0) and q2 = (0.5, 0).  Each expression repeats the
     # operations of the former scalar construction, so the bits agree with
-    # it.  cos, sin, hypot and the square of dist/2 go through libm element
-    # by element, never through numpy: numpy dispatches hypot, cos and sin
-    # to SIMD kernels chosen per host, and its x**2 is x*x, while Python's
-    # x**2 calls libm pow.  On an AVX-512 Xeon (numpy 2.4) np.hypot differs
-    # from math.hypot on 1297 of 200k arguments in [-3, 3]^2 and x*x from
-    # x**2 on 880 of 1M in [0, 1.2] (np.cos and np.sin agreed on 2M).  The
-    # libm calls cost about 3 ms per 7200-cell grid.
+    # it.  cos, sin, hypot and the square of dist/2 go through libm, by the
+    # gate ``intervals._libm``, never through numpy: numpy dispatches hypot,
+    # cos and sin to SIMD kernels chosen per host, and its x**2 is x*x,
+    # while Python's x**2 calls libm pow.  On an AVX-512 Xeon (numpy 2.4)
+    # np.hypot differs from math.hypot on 1297 of 200k arguments in
+    # [-3, 3]^2 and x*x from x**2 on 880 of 1M in [0, 1.2] (np.cos and
+    # np.sin agreed on 2M).  The libm calls cost about 3 ms per 7200-cell
+    # grid.
     d23 = math.pi - t12
     q3x = 0.5 + _libm(math.cos, d23)
     q3y = 0.0 + _libm(math.sin, d23)
@@ -451,8 +460,9 @@ def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
     q4y = q3y + _libm(math.sin, d34)
     gx, gy = -0.5 - q4x, 0.0 - q4y
     dist = _libm(math.hypot, gx, gy)
-    realizable = ~((dist > 2.0) | (dist < 1e-12))
-    h_sq = 1.0 - np.array([(r / 2.0) ** 2 for r in dist.tolist()])
+    # written so that a NaN distance (from a non-finite angle) is unrealizable
+    realizable = (dist >= 1e-12) & (dist <= 2.0)
+    h_sq = 1.0 - _libm(pow, dist / 2.0, 2.0)
     h = np.sqrt(np.maximum(h_sq, 0.0))
     if closure == "minus":
         h = -h

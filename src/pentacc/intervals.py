@@ -31,7 +31,10 @@ np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
 [0.05, 3] and 0.05 % of log arguments in [1e-5, 1e5] (200k float64
 samples each, numpy 2.4 on an AVX-512 Xeon).  That would break the
 bit-identity with the scalar path and the libm error bound behind the
-one- and two-ulp padding.
+one- and two-ulp padding.  ``_libm`` is the package's one gate to libm
+for arrays: these three kernels send both bounds through it in one call,
+and ``geometry.chain_points`` (cos, sin, hypot, a square) and the
+two-mass coefficients of ``equations`` (a square) call it too.
 
 The module ends with the package's one adaptive-bisection loop,
 ``_bisect``, next to its split rule ``split_bounds``.  It runs breadth first
@@ -263,16 +266,25 @@ def _aup(x):
     return np.nextafter(x, _INF)
 
 
-def _libm(fn, x) -> np.ndarray:
-    """``fn`` applied to each element through Python floats; NaN where it raises."""
-    x = np.asarray(x, dtype=float)
-    out = []
-    for v in x.ravel().tolist():
-        try:
-            out.append(fn(v))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            out.append(math.nan)
-    return np.array(out, dtype=float).reshape(x.shape)
+def _libm(fn, *args) -> np.ndarray:
+    """``fn`` mapped over the broadcast arguments as Python floats.
+
+    The package's one gate to libm (``math`` functions and Python's float
+    ``pow``) for array kernels.  An element whose call raises is NaN; the
+    loop that catches the error runs only when the fast ``map`` raises.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    cols = [a.ravel().tolist() for a in arrays]
+    try:
+        out = np.fromiter(map(fn, *cols), dtype=float, count=arrays[0].size)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        out = []
+        for vals in zip(*cols):
+            try:
+                out.append(fn(*vals))
+            except (OverflowError, ValueError, ZeroDivisionError):
+                out.append(math.nan)
+    return np.asarray(out, dtype=float).reshape(arrays[0].shape)
 
 
 def _quiet(op):
@@ -436,17 +448,18 @@ class IntervalArray:
         # Python's max(0.0, s); where s is NaN the upper bound is too
         return IntervalArray._new(np.where(s > 0.0, s, 0.0), _aup(np.sqrt(self.hi)))
 
+    # exp, log and the integer powers call libm on both bounds at once
+
     @_quiet
     def exp(self) -> "IntervalArray":
-        # libm element by element, two ulps outward, as Interval.exp
-        return IntervalArray._new(_adown(_adown(_libm(math.exp, self.lo))),
-                                  _aup(_aup(_libm(math.exp, self.hi))))
+        # two ulps outward, as Interval.exp
+        lo, hi = _libm(math.exp, (self.lo, self.hi))
+        return IntervalArray._new(_adown(_adown(lo)), _aup(_aup(hi)))
 
     @_quiet
     def log(self) -> "IntervalArray":
-        lo = np.where(self.lo > 0.0, self.lo, math.nan)
-        return IntervalArray._new(_adown(_adown(_libm(math.log, lo))),
-                                  _aup(_aup(_libm(math.log, self.hi))))
+        lo, hi = _libm(math.log, (np.where(self.lo > 0.0, self.lo, math.nan), self.hi))
+        return IntervalArray._new(_adown(_adown(lo)), _aup(_aup(hi)))
 
     @_quiet
     def _int_pow(self, n: int) -> "IntervalArray":
@@ -455,17 +468,15 @@ class IntervalArray:
             return IntervalArray._new(one, one)
         power = lambda v: v ** n  # noqa: E731  float ** is libm pow
         if n < 0:
-            zero = self.contains_zero()
-            p0 = _libm(power, np.where(zero, math.nan, self.lo))
-            p1 = _libm(power, np.where(zero, math.nan, self.hi))
+            p0, p1 = _libm(power, np.where(self.contains_zero(), math.nan, (self.lo, self.hi)))
             # NaN-propagating: an overflow in either bound invalidates the element
             return IntervalArray._new(_adown(np.minimum(p0, p1)), _aup(np.maximum(p0, p1)))
-        if n % 2 == 0:
-            a = abs(self)
-            low = _adown(_libm(power, a.lo))
-            # Python's max(0.0, low); where low is NaN the upper bound is too
-            return IntervalArray._new(np.where(low > 0.0, low, 0.0), _aup(_libm(power, a.hi)))
-        return IntervalArray._new(_adown(_libm(power, self.lo)), _aup(_libm(power, self.hi)))
+        a = abs(self) if n % 2 == 0 else self
+        lo, hi = _libm(power, (a.lo, a.hi))
+        # even n: Python's max(0.0, _down(lo)), as _adown keeps a positive lo
+        # nonnegative; where lo is NaN the upper bound is too
+        lo = np.where(lo > 0.0, _adown(lo), 0.0) if n % 2 == 0 else _adown(lo)
+        return IntervalArray._new(lo, _aup(hi))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int):

@@ -29,6 +29,7 @@ from .geometry import (
     symmetric_coords,
 )
 from .equations import (
+    _WEDGE_ROWS,
     MassVector,
     laura_andoyer,
     mass_coefficient_matrix,
@@ -71,7 +72,10 @@ def F(y4, a_exp, branch: str = "A"):
     F = (1 - R14)(R35 - 1) d124 d345
         + (1 - R13) d134 ((R13 - R14) d134 + (1 - R14) d145)
 
-    F is the minor of rows L14 and L34 of the mass-coefficient matrix.
+    F is the minor of rows L14 and L34 of the mass-coefficient matrix
+    (``equations._WEDGE_ROWS``), written out in its own order of operations:
+    the literal minor of the rows rounds differently and gives the B2
+    unique-root certificate 1975 leaves instead of 1985.
     Accepts floats, numpy arrays, Intervals, Dual seeds and Jet2 jets for y4,
     and a float, Interval or Jet2 exponent.
     """
@@ -102,6 +106,14 @@ _BOUNDARY_FUNS = {
         lambda y: family_terms(y, "B")["d134"],                     # Delta134 = 0
     ),
 }
+
+
+def _check_resolution(name: str, value: float, top: float) -> None:
+    """Raise ValueError unless ``value`` is finite and at least the float
+    spacing at ``top``, the upper end of the range that a grid or a
+    bisection with that step or width runs over: below it neither advances."""
+    if not (math.isfinite(value) and value >= math.ulp(top)):
+        raise ValueError(f"{name} must be finite and at least {math.ulp(top):.3g}, got {value}")
 
 
 def _refine(f, a, fa, b, tol: float) -> tuple:
@@ -202,7 +214,8 @@ class RootRecord:
             "A": self.a_exp,
             "masses": list(self.masses.as_array()) if self.masses else None,
             "positive_masses": self.positive_masses,
-            "residual_max": self.residual_max,
+            # JSON has no infinity: a record without masses has null here
+            "residual_max": self.residual_max if math.isfinite(self.residual_max) else None,
             "simple": self.simple,
             "sign_change_certified": self.sign_change_certified,
             "resolved": self.resolved,
@@ -263,10 +276,13 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     zero go to the certifier's breadth-first bisection, ``intervals._bisect``,
     which clears the subcells where the interval F or dF/dy4 excludes zero;
     the rest are reported as unresolved records instead of being guessed at.
+    Raises ValueError when ``tol`` is not finite or is below the float
+    spacing at the window's upper end, where the bisection could not advance.
     """
     lo, hi = window
     if not (0.0 <= lo < hi <= Y4_MAX):
         raise OutOfDomainError(f"window {window} is not inside the branch domain")
+    _check_resolution("tol", tol, hi)
     ys = np.linspace(lo, hi, _ROOT_GRID + 1)
     vals = np.asarray(F(ys, a_exp, branch), dtype=float)
     signs = np.sign(vals)
@@ -339,7 +355,7 @@ def _merge_intervals(cells: list) -> list:
 
 def scan_branch(branch: str, a_exp: float, tol: float = 1e-12) -> list:
     """Roots of F over the allowed sign-type windows of a branch, each
-    inset by ``_SCAN_INSET``."""
+    inset by ``_SCAN_INSET``; ``tol`` is checked as in ``isolate_roots``."""
     records = []
     for label in ALLOWED_TYPES[branch]:
         win = window_for(branch, label, inset=_SCAN_INSET)
@@ -428,9 +444,7 @@ def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> t
     if not (2.0 <= a_lo < a_hi <= 3.5):
         raise ValueError(f"scan range must sit inside [2, 3.5], got {a_range}")
     for name, value in (("step", step), ("tol", tol)):
-        if not (math.isfinite(value) and value >= math.ulp(a_hi)):
-            raise ValueError(f"{name} must be finite and at least {math.ulp(a_hi):.3g}, "
-                             f"got {value}")
+        _check_resolution(name, value, a_hi)
     # walk the grid a_lo, a_lo + step, ..., a_hi up to the first jump
     lo, c_lo = a_lo, _a4_root_count(a_lo)
     counts = {c_lo}
@@ -451,26 +465,23 @@ def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> t
 # ---------------------------------------------------------------------------
 # sign-type exclusions
 
-# type -> (equation, coefficient pair as functions, claimed common sign)
-def _l13_coeffs(y4, a_exp, branch):
-    g = family_terms(y4, branch, a_exp)
-    return (1.0 - g["R35"]) * g["d135"], (g["R14"] - 1.0) * g["d134"]
-
-
-def _l14_coeffs(y4, a_exp, branch):
-    g = family_terms(y4, branch, a_exp)
-    return (1.0 - g["R14"]) * g["d124"], (g["R13"] - 1.0) * g["d134"]
-
-
+# type -> (two-mass equation, claimed common sign of its mass coefficients)
 _EXCLUSION_TABLE = {
-    "A1": ("L13", _l13_coeffs, -1),
-    "A3": ("L13", _l13_coeffs, +1),
-    "A5": ("L13", _l13_coeffs, -1),
-    "B1": ("L13", _l13_coeffs, +1),
-    "B3": ("L13", _l13_coeffs, +1),
-    "B4": ("L14", _l14_coeffs, +1),
-    "B5": ("L13", _l13_coeffs, -1),
+    "A1": ("L13", -1),
+    "A3": ("L13", +1),
+    "A5": ("L13", -1),
+    "B1": ("L13", +1),
+    "B3": ("L13", +1),
+    "B4": ("L14", +1),
+    "B5": ("L13", -1),
 }
+# the columns of (m1, m3, m4) whose masses a two-mass equation involves
+_TWO_MASS_COLUMNS = {"L13": slice(1, 3), "L14": slice(0, 2)}
+
+
+def _exclusion_coeffs(equation: str, y4, a_exp, branch: str) -> tuple:
+    """The two mass coefficients of a two-mass equation, from its wedge row."""
+    return _WEDGE_ROWS[equation](family_terms(y4, branch, a_exp))[_TWO_MASS_COLUMNS[equation]]
 
 
 @dataclass(frozen=True)
@@ -505,10 +516,10 @@ def exclude_sign_types(branch: str, a_exp: float) -> list:
     """
     out = []
     for label in EXCLUDED_TYPES[branch]:
-        equation, coeff_fun, sign = _EXCLUSION_TABLE[label]
+        equation, sign = _EXCLUSION_TABLE[label]
         lo, hi = window_for(branch, label)
         ys = np.linspace(lo, hi, _EXCLUSION_GRID + 2)[1:-1]
-        ca, cb = coeff_fun(ys, a_exp, branch)
+        ca, cb = _exclusion_coeffs(equation, ys, a_exp, branch)
         bad = np.nonzero((sign * ca <= 0.0) | (sign * cb <= 0.0))[0]
         counterexamples = tuple(
             (float(ys[i]), float(ca[i]), float(cb[i])) for i in bad[:10])

@@ -407,6 +407,12 @@ def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> Laurent
                         in zip(poly.terms.items(), top[:, 0].tolist()) if keep})
 
 
+def _polys_examined(system: list, witness) -> int:
+    """Initial forms a membership test computes: the whole system, or the
+    polynomials up to and including the witness."""
+    return len(system) if witness is None else [lab for lab, _ in system].index(witness) + 1
+
+
 def in_prevariety(w: WeightVector, system: list, a_exp: Fraction) -> tuple:
     """(bool, witness): every initial form must keep at least two terms.
 
@@ -504,7 +510,6 @@ def verify_tables(a_exp, table: RayTable | None = None) -> TableReport:
     a_exp = Fraction(a_exp)
     table = table or load_ray_table()
     system = build_system(a_exp)
-    position = {label: k for k, (label, _) in enumerate(system)}
     stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
     rays = []
     for label, _, mult in table.rays:
@@ -518,7 +523,7 @@ def verify_tables(a_exp, table: RayTable | None = None) -> TableReport:
     def member_of() -> tuple:
         ok, witness = next(verdicts)
         stats["weights_tested"] += 1
-        stats["polynomials_examined"] += len(system) if ok else position[witness] + 1
+        stats["polynomials_examined"] += _polys_examined(system, witness)
         if not ok:
             stats["witnesses"][witness] = stats["witnesses"].get(witness, 0) + 1
         return ok, witness

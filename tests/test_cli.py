@@ -407,12 +407,37 @@ def test_bifurcation_empty_range(tmp_path):
     pytest.param(["bifurcation", "--step", "nan"], id="bifurcation-step-nan"),
     pytest.param(["bifurcation", "--tol", "nan"], id="bifurcation-tol-nan"),
     pytest.param(["bifurcation", "--tol", "0"], id="bifurcation-tol-0"),
+    pytest.param(["symmetric-scan", "--A", "3", "--tol", "0"], id="scan-tol-0"),
+    pytest.param(["symmetric-scan", "--A", "3", "--tol", "-1"], id="scan-tol-negative"),
+    pytest.param(["symmetric-scan", "--A", "3", "--tol", "nan"], id="scan-tol-nan"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "a2", "--tol", "1e-17"],
+                 id="scan-window-tol-below-ulp"),
+    pytest.param(["certify", "--window", "a2", "--A-range", "2,3", "--max-depth", "-1"],
+                 id="certify-depth-negative"),
+    pytest.param(["certify", "--mode", "no-common-zero", "--window", "a4", "--A-range", "2,3",
+                  "--max-depth", "-1"], id="certify-no-common-zero-depth-negative"),
 ])
 def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+def test_symmetric_scan_output_is_strict_json(tmp_path):
+    # the whole branch-B domain at A = 2 yields three records without masses,
+    # whose residual is not finite: JSON null, not the non-JSON Infinity
+    out = tmp_path / "scan.json"
+    assert main(["symmetric-scan", "--A", "2", "--branch", "B",
+                 "--window", "0,1.9364916731037085", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    records = json.loads(out.read_text(), parse_constant=reject)
+    assert [r["residual_max"] for r in records if r["masses"] is None] == [None] * 3
+    assert all(r["residual_max"] is not None for r in records if r["masses"] is not None)
+    check_schema(records, load_schema("root_records.schema.json"))
 
 
 def test_tropical_verify_multiple_exponents(tmp_path):

@@ -16,6 +16,7 @@ from pentacc.geometry import (
     Y4_MAX,
     branch_position,
     cayley_menger,
+    chain_points,
     classify_sign_type,
     collinear_endpoint_y4,
     convex_position,
@@ -315,6 +316,16 @@ def test_star_from_angles_has_short_diagonals():
 def test_flat_chain_cannot_close():
     with pytest.raises(OutOfDomainError):
         cyclic_from_angles(ChainAngles(math.pi, math.pi, "plus"))
+
+
+def test_chain_points_non_finite_angles_are_unrealizable():
+    # NaN fails every comparison, and cos(inf) raises inside libm: neither
+    # may pass for a chain that closes
+    t = 3 * math.pi / 5
+    for closure in ("plus", "minus"):
+        pts, realizable = chain_points([math.nan, t, math.inf, t], [t, math.nan, t, t], closure)
+        assert realizable.tolist() == [False, False, False, True]
+        assert np.isnan(pts[:3, 4]).all() and np.isfinite(pts[3]).all()
 
 
 def test_both_closures_give_unit_cycles():

@@ -15,6 +15,7 @@ from pentacc.intervals import (
     IntervalArray,
     IntervalDomainError,
     Jet2,
+    _libm,
     split_bounds,
 )
 
@@ -299,6 +300,30 @@ def test_transcendental_rounding_contains_exact_result(kind, op):
     # the edges are exercised on both sides: some results overflow, some do not
     if op != "log":
         assert None in results[300:] and any(r is not None for r in results[300:])
+
+def test_libm_gate_broadcasts_and_gives_nan_where_a_call_raises():
+    def check(got, fn, *args):
+        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        assert got.shape == cols[0].shape
+        for vals, g in zip(zip(*(c.ravel().tolist() for c in cols)), got.ravel().tolist()):
+            try:
+                want = fn(*vals)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                assert math.isnan(g), vals
+            else:
+                assert g == want or (math.isnan(g) and math.isnan(want)), vals
+
+    x = np.array([[0.5, 1e-300, 3.0], [0.0, -3.0, math.nan]])
+    # 1e-300 ** -2 overflows and 0 ** -2 divides by zero; the scalar broadcasts
+    check(_libm(pow, x, -2.0), pow, x, -2.0)
+    assert np.isnan(_libm(pow, x, -2.0)[[0, 1], [1, 0]]).all()
+    check(_libm(math.log, x), math.log, x)  # log of 0 and of -3 raise
+    check(_libm(math.exp, [1.0, 800.0]), math.exp, [1.0, 800.0])
+    # no call raises: the fast path, bit for bit
+    ys = np.linspace(-3.0, 3.0, 101)
+    check(_libm(math.hypot, ys[:, None], ys), math.hypot, ys[:, None], ys)
+    check(_libm(math.cos, 2.5), math.cos, 2.5)
+
 
 def test_interval_array_marks_scalar_failures_invalid():
     """Each element equals the scalar result, or is NaN where Interval raises."""

@@ -13,12 +13,13 @@ from pentacc.geometry import (
     SymmetricShape,
     Y4_MAX,
     collinear_endpoint_y4,
+    family_terms,
     house_y4,
     regular_pentagon_y4,
     square_endpoint_y4,
     symmetric_coords,
 )
-from pentacc.equations import laura_andoyer, mass_coefficient_matrix
+from pentacc.equations import _WEDGE_ROWS, laura_andoyer, mass_coefficient_matrix
 from pentacc.intervals import Interval, _bisect, _no_common_zero_decider
 from pentacc.symmetric import (
     ALLOWED_TYPES,
@@ -28,8 +29,7 @@ from pentacc.symmetric import (
     NoBifurcationError,
     QUARTIC_MASS_POLY,
     VORTEX_MASS_POLY,
-    _l13_coeffs,
-    _l14_coeffs,
+    _exclusion_coeffs,
     _natural_eval,
     _tangency_seeds,
     bifurcation_scan,
@@ -334,13 +334,38 @@ def test_exclusion_equations_match_claims():
     assert table["B5"] == ("L13", -1)
 
 
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_exclusion_coefficients_are_matrix_entries(branch):
+    # L13 involves m3 and m4, L14 m1 and m3: columns of (m1, m3, m4)
+    rng = np.random.default_rng(47)
+    for y4, a_exp in zip(rng.uniform(0.05, Y4_MAX - 0.05, 40), rng.uniform(2.0, 6.0, 40)):
+        y4, a_exp = float(y4), float(a_exp)
+        m = mass_coefficient_matrix(SymmetricShape(y4, branch), a_exp)
+        assert _exclusion_coeffs("L13", y4, a_exp, branch) == (m[0, 1], m[0, 2])
+        assert _exclusion_coeffs("L14", y4, a_exp, branch) == (m[1, 0], m[1, 1])
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+@pytest.mark.parametrize("a_exp", [2.5, 3.0])
+def test_interval_wedge_rows_enclose_float_rows(branch, a_exp):
+    rng = np.random.default_rng(53)
+    for y4 in rng.uniform(0.05, Y4_MAX - 0.05, 40).tolist():
+        floats = family_terms(y4, branch, a_exp)
+        intervals = family_terms(Interval.around(y4), branch, a_exp)
+        for equation, row in _WEDGE_ROWS.items():
+            for iv, x in zip(row(intervals), row(floats)):
+                if isinstance(iv, Interval):
+                    assert iv.contains(x), (equation, y4, iv, x)
+                else:  # the structural zero of a row
+                    assert iv == x == 0.0
+
+
 def boundary_exclusion_holds(branch: str, boundary_y4: float, a_exp: float,
                              equation: str = "L13", sign: int = -1) -> bool:
     """Weak-sign version of an exclusion at a window boundary: both
     coefficients carry the claimed sign weakly and at least one strictly,
     to a float tolerance of 1e-12."""
-    coeff_fun = _l13_coeffs if equation == "L13" else _l14_coeffs
-    ca, cb = coeff_fun(boundary_y4, a_exp, branch)
+    ca, cb = _exclusion_coeffs(equation, boundary_y4, a_exp, branch)
     ok_weak = sign * ca >= -1e-12 and sign * cb >= -1e-12
     return bool(ok_weak and (sign * ca > 1e-12 or sign * cb > 1e-12))
 
@@ -362,7 +387,7 @@ def _sha256(obj) -> str:
 # A = 3.12 call sits next to the bifurcation exponent, where the tangency
 # guard refines the most cells, and the whole branch-B domain holds two
 # cells the guard reports unresolved (at the q1 = q3 collision and at the
-# domain end).
+# domain end) and three records without masses, whose residual_max is null.
 @pytest.mark.parametrize("run, digest", [
     (lambda: [r.to_json() for r in scan_branch("A", 2.0)],
      "98c15bc18474fa3f0f8ba1863b356c3f9907cc059e7dc3e2df40bee323c5c3c1"),
@@ -374,7 +399,7 @@ def _sha256(obj) -> str:
                                                  window_for("A", "A4", inset=1e-9))],
      "3719161cf632775df4fb15ce49c05e2b6fdb0d2b6b82e7076b886876654e682a"),
     (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
-     "40557d430d2a94f2ddb30f5cf3abd632f53ea67be49e8a065306560e075bf19c"),
+     "729db0e5748f5366d85c31a709239cca6fba6a8e12b70fd78b88dc5bba840426"),
     (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
      "284d007241ae542d5bea7c0b8cd6db292955ef6d0efbb64c899e21e79155632a"),
 ], ids=["scan-A2", "scan-A4", "scan-B3", "isolate-A3.12-A4", "isolate-B-domain",
