@@ -111,8 +111,10 @@ def cmd_symmetric_scan(args) -> int:
                     "m5", "residual_max", "simple", "resolved"])
         for r in records:
             masses = list(r.masses.as_array()) if r.masses else [""] * 5
+            # an empty field where the JSON has null, as for absent masses
+            resid = r.residual_max if math.isfinite(r.residual_max) else ""
             w.writerow([r.y4, r.branch, r.sign_type.label, r.a_exp, *masses,
-                        r.residual_max, r.simple, r.resolved])
+                        resid, r.simple, r.resolved])
         payload = buf.getvalue()
     else:
         payload = json.dumps([r.to_json() for r in records], indent=1)
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     p.add_argument("--closure", choices=("plus", "minus"), default="plus")
     p.add_argument("--out", default="regions", help="output prefix (.csv and .svg)")
     p.add_argument("--stats", action="store_true",
-                   help="print the label histogram, the cells sent to the scalar "
+                   help="print the label histogram, the cells sent to the "
                         "region III test and the wall time to stderr")
     p.set_defaults(func=cmd_region_map)
 

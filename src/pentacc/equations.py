@@ -38,10 +38,11 @@ from .geometry import (
     cyclic_from_angles,
     distance_masks,
     family_terms,
-    interior_angle,
-    interior_points,
+    hull_mask,
+    interior_angles,
     mutual_distances,
     oriented_area,
+    oriented_areas,
     pair_distances,
 )
 from .intervals import _libm
@@ -424,13 +425,9 @@ def _two_mass(points, a_exp: float) -> tuple:
     with np.errstate(all="ignore"):  # only colliding rows divide by zero
         R = (d / scale) ** (-a_exp)
         for e, ((i, j), ks) in enumerate(TWO_MASS_PAIRS.items()):
-            qi, qj = pts[:, i - 1], pts[:, j - 1]
             for c, k in enumerate(ks):
-                qk = pts[:, k - 1]
-                # oriented_area(i, j, k) = (q_i - q_j) x (q_i - q_k)
-                area = ((qi[:, 0] - qj[:, 0]) * (qi[:, 1] - qk[:, 1])
-                        - (qi[:, 1] - qj[:, 1]) * (qi[:, 0] - qk[:, 0]))
-                coef[:, e, c] = (R[:, _col(i, k)] - R[:, _col(j, k)]) * area / scale_sq
+                coef[:, e, c] = ((R[:, _col(i, k)] - R[:, _col(j, k)])
+                                 * oriented_areas(pts, i, j, k) / scale_sq)
     zero = np.abs(coef) <= _TWO_MASS_ZERO_TOL
     za, zb = zero[..., 0], zero[..., 1]
     opposite = (coef[..., 0] > 0) != (coef[..., 1] > 0)
@@ -469,19 +466,15 @@ class RegionResult:
 _FIVE_THIRDS_PI = 5.0 * math.pi / 3.0
 
 
-def _region3_conditions(config: PlanarConfiguration) -> bool:
-    """Angle and orientation conditions for the concave class, body 5 interior."""
-    t123 = interior_angle(config, 1, 2, 3)
-    t234 = interior_angle(config, 2, 3, 4)
-    if t123 + t234 > 3.0 * math.pi + _REGION3_TOL:
-        return False
-    if t123 > _FIVE_THIRDS_PI + _REGION3_TOL or t234 > _FIVE_THIRDS_PI + _REGION3_TOL:
-        return False
-    if oriented_area(config, 1, 3, 5) < -_REGION3_TOL:
-        return False
-    if oriented_area(config, 2, 4, 5) < -_REGION3_TOL:
-        return False
-    return True
+def _region3_holds(pts: np.ndarray) -> np.ndarray:
+    """Angle and orientation conditions of region III, body 5 interior, per row."""
+    t123 = interior_angles(pts, 1, 2, 3)
+    t234 = interior_angles(pts, 2, 3, 4)
+    return ((t123 + t234 <= 3.0 * math.pi + _REGION3_TOL)
+            & (t123 <= _FIVE_THIRDS_PI + _REGION3_TOL)
+            & (t234 <= _FIVE_THIRDS_PI + _REGION3_TOL)
+            & (oriented_areas(pts, 1, 3, 5) >= -_REGION3_TOL)
+            & (oriented_areas(pts, 2, 4, 5) >= -_REGION3_TOL))
 
 
 def _region_codes(points, a_exp: float) -> np.ndarray:
@@ -490,7 +483,7 @@ def _region_codes(points, a_exp: float) -> np.ndarray:
     Codes: "collision", "infeasible" (a two-mass equation has no positive
     solution), "I" (feasible, every diagonal longer than the edge r12),
     "II" (feasible, every diagonal shorter), and "mixed" (feasible, with
-    diagonals on both sides of the edge), which ``_concave_region`` settles.
+    diagonals on both sides of the edge), which ``_concave_regions`` settles.
     """
     d, collision, _, admissible = _two_mass(points, a_exp)
     edge, diag = d[:, :1], d[:, _DIAG_COLS]
@@ -500,17 +493,24 @@ def _region_codes(points, a_exp: float) -> np.ndarray:
         ["collision", "infeasible", "I", "II"], "mixed")
 
 
-def _concave_region(config: PlanarConfiguration) -> RegionResult:
-    """Region III test of a feasible configuration with mixed diagonals."""
-    inner = interior_points(config)
-    if len(inner) == 1:
-        p = inner[0]
-        shift = p % 5  # sends old body p to new position 5
-        for candidate in (config.permuted(shift), config.reflected().permuted(shift)):
-            if _region3_conditions(candidate):
-                return RegionResult("III", interior_label=p)
-        return RegionResult("none", detail="concave but angle conditions fail")
-    return RegionResult("none", detail="mixed diagonals, not single-interior concave")
+def _concave_regions(points) -> tuple:
+    """Region III test of an (M, 5, 2) stack of feasible configurations.
+
+    Returns ``(inner, region3)``: the label of the one body strictly inside
+    the hull of the others (0 where not exactly one body is) and the mask of
+    the rows in region III.  Such a row is relabeled by the cyclic shift that
+    moves its interior body to position 5, and it is in region III when the
+    relabeled configuration or its mirror image meets ``_region3_holds``.
+    """
+    pts = np.asarray(points, dtype=float)
+    hull = hull_mask(pts)
+    single = hull.sum(axis=1) == 4
+    inner = np.where(single, np.argmin(hull, axis=1) + 1, 0)
+    # relabel i -> i + p (mod 5), which sends old body p to new position 5
+    idx = (np.arange(5) + inner[:, None]) % 5
+    shifted = np.take_along_axis(pts, idx[..., None], axis=1)
+    region3 = single & (_region3_holds(shifted) | _region3_holds(shifted * [1.0, -1.0]))
+    return inner, region3
 
 
 def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
@@ -532,7 +532,12 @@ def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
     if code == "infeasible":
         return RegionResult("none", detail="two-mass equations infeasible")
     if code == "mixed":
-        return _concave_region(config)
+        (inner,), (region3,) = _concave_regions(config.points[None])
+        if region3:
+            return RegionResult("III", interior_label=int(inner))
+        if inner:
+            return RegionResult("none", detail="concave but angle conditions fail")
+        return RegionResult("none", detail="mixed diagonals, not single-interior concave")
     return RegionResult(str(code))
 
 
@@ -542,18 +547,17 @@ def region_labels(theta12, theta23, closure: str, a_exp: float) -> list:
     Returns one label per cell: "I", "II", "III", "none" (infeasible or
     failing the region III conditions), "unrealizable" (the chain does not
     close) or "collision".  The cells are classified together by the array
-    kernels; only the feasible cells with mixed diagonals take the scalar
-    region III test.  Labels equal ``region_classify(...).region``.
+    kernels, and the feasible cells with mixed diagonals take the region III
+    test together.  Labels equal ``region_classify(...).region``.
     """
     points, realizable = chain_points(theta12, theta23, closure)
     pts = points[realizable]
     codes = _region_codes(pts, a_exp)
     found = np.where(codes == "infeasible", "none", codes).astype(object)
-    mixed = np.flatnonzero(codes == "mixed").tolist()
-    for k in mixed:
-        found[k] = _concave_region(PlanarConfiguration(pts[k])).region
+    mixed = codes == "mixed"
+    found[mixed] = np.where(_concave_regions(pts[mixed])[1], "III", "none")
     log.info("region labels, %s closure: %d cells, %d realizable, %d sent to the "
-             "scalar region III test", closure, realizable.size, len(pts), len(mixed))
+             "region III test", closure, realizable.size, len(pts), np.count_nonzero(mixed))
     labels = np.full(realizable.size, "unrealizable", dtype=object)
     labels[realizable] = found
     return labels.tolist()

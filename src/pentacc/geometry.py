@@ -43,6 +43,7 @@ __all__ = [
     "PAIR_CLASS",
     "PAIRS",
     "oriented_area",
+    "oriented_areas",
     "pair_distances",
     "collision_error",
     "distance_masks",
@@ -55,6 +56,8 @@ __all__ = [
     "chain_points",
     "cyclic_from_angles",
     "interior_angle",
+    "interior_angles",
+    "hull_mask",
     "convex_position",
     "interior_points",
     "classify_sign_type",
@@ -227,15 +230,6 @@ class PlanarConfiguration:
             raise ValueError(f"label must be 1..5, got {label}")
         return self.points[label - 1]
 
-    def permuted(self, shift: int) -> "PlanarConfiguration":
-        """Relabel by the cyclic shift i -> i + shift (mod 5)."""
-        idx = [(i + shift) % 5 for i in range(5)]
-        return PlanarConfiguration(self.points[idx])
-
-    def reflected(self) -> "PlanarConfiguration":
-        """Mirror through the x-axis; flips every oriented area."""
-        return PlanarConfiguration(self.points * np.array([1.0, -1.0]))
-
 
 @dataclass(frozen=True)
 class DistanceVector:
@@ -280,13 +274,30 @@ class DistanceTable:
         return float(self.table[i - 1, j - 1])
 
 
+def _cols(*labels) -> list:
+    """Zero-based point rows of bodies labeled 1..5."""
+    if min(labels) < 1 or max(labels) > 5:
+        raise ValueError(f"labels must be 1..5, got {labels}")
+    return [label - 1 for label in labels]
+
+
+def oriented_areas(points, i: int, j: int, k: int) -> np.ndarray:
+    """Oriented area Delta(i,j,k) of each configuration in an (N, 5, 2) stack.
+
+    ``oriented_area`` is the batch of one of this kernel.
+    """
+    pts = np.asarray(points, dtype=float)
+    i, j, k = _cols(i, j, k)
+    u = pts[:, i] - pts[:, j]
+    v = pts[:, i] - pts[:, k]
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
 def oriented_area(config: PlanarConfiguration, i: int, j: int, k: int) -> float:
     """Oriented area Delta(i,j,k) = (q_i - q_j) x (q_i - q_k)."""
     if len({i, j, k}) != 3:
         raise ValueError(f"labels must be distinct, got ({i}, {j}, {k})")
-    u = config.q(i) - config.q(j)
-    v = config.q(i) - config.q(k)
-    return float(u[0] * v[1] - u[1] * v[0])
+    return float(oriented_areas(config.points[None], i, j, k)[0])
 
 
 def pair_distances(points) -> np.ndarray:
@@ -496,48 +507,85 @@ def cyclic_from_angles(angles: ChainAngles) -> PlanarConfiguration:
     return PlanarConfiguration(pts[0])
 
 
-def interior_angle(config: PlanarConfiguration, i: int, j: int, k: int) -> float:
+def interior_angles(points, i: int, j: int, k: int) -> np.ndarray:
     """Chain angle at vertex j from edge (i,j) to edge (j,k), in [0, 2*pi).
 
-    Measured with the same clockwise convention cyclic_from_angles uses, so
-    reconstructing a configuration from its own angles is the identity.
+    One angle for each configuration in an (N, 5, 2) stack, measured with
+    the same clockwise convention ``chain_points`` uses, so reconstructing a
+    configuration from its own angles is the identity.  atan2 goes through
+    libm, by the gate ``intervals._libm``, and ``np.remainder`` is Python's
+    float ``%``.  ``interior_angle`` is the batch of one of this kernel.
     """
-    u = config.q(i) - config.q(j)
-    v = config.q(k) - config.q(j)
-    a = math.atan2(u[1], u[0]) - math.atan2(v[1], v[0])
-    return a % (2.0 * math.pi)
+    pts = np.asarray(points, dtype=float)
+    i, j, k = _cols(i, j, k)
+    uv = pts[:, [i, k]] - pts[:, [j]]  # q_i - q_j and q_k - q_j
+    a = _libm(math.atan2, uv[..., 1], uv[..., 0])
+    return np.remainder(a[:, 0] - a[:, 1], 2.0 * math.pi)
 
 
-def _hull_indices(pts: np.ndarray) -> list:
-    """Indices of the convex hull (counterclockwise), Andrew's monotone chain."""
-    order = sorted(range(len(pts)), key=lambda i: (pts[i][0], pts[i][1]))
+def interior_angle(config: PlanarConfiguration, i: int, j: int, k: int) -> float:
+    """Chain angle at vertex j from edge (i,j) to edge (j,k), in [0, 2*pi)."""
+    return float(interior_angles(config.points[None], i, j, k)[0])
 
-    def cross(o, a, b):
-        return ((pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1])
-                - (pts[a][1] - pts[o][1]) * (pts[b][0] - pts[o][0]))
 
-    lower: list = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 1e-14:
-            lower.pop()
-        lower.append(i)
-    upper: list = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 1e-14:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+_HULL_TOL = 1e-14  # a chain turn this small counts as straight
+# every (o, a, b) of chain positions o < a < b, and its column in the table
+# of turns
+_TURN_O, _TURN_A, _TURN_B = np.array(list(combinations(range(5), 3))).T
+_TURN_COL = np.zeros((5, 5, 5), dtype=int)
+_TURN_COL[_TURN_O, _TURN_A, _TURN_B] = np.arange(len(_TURN_O))
+
+
+def hull_mask(points) -> np.ndarray:
+    """(N, 5) mask of the convex-hull vertices of each configuration.
+
+    Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979), run
+    in lockstep over the rows of an (N, 5, 2) stack: each row is ordered by
+    (x, y), and while the turn from the last two chain points to the next
+    point is at most ``_HULL_TOL`` the last chain point is popped.  Points on
+    a hull edge are not vertices.  ``convex_position`` and
+    ``interior_points`` are batches of one of this kernel.
+    """
+    pts = np.asarray(points, dtype=float)
+    rows = np.arange(len(pts))
+    order = np.lexsort((pts[..., 1], pts[..., 0]))  # stable, as sorting on (x, y)
+    mask = np.zeros(order.shape, dtype=bool)
+    for chain in (order, order[:, ::-1]):  # lower hull, then upper hull
+        q = pts[rows[:, None], chain]
+        x, y = q[..., 0], q[..., 1]
+        o, a, b = _TURN_O, _TURN_A, _TURN_B
+        # the turn (o, a, b) of each triple of chain positions, in one pass
+        straight = ((x[:, a] - x[:, o]) * (y[:, b] - y[:, o])
+                    - (y[:, a] - y[:, o]) * (x[:, b] - x[:, o])) <= _HULL_TOL
+        stack = np.zeros(order.shape, dtype=int)
+        stack[:, 1] = 1
+        size = np.full(len(pts), 2)
+        for nxt in range(2, 5):
+            while True:
+                live = np.flatnonzero(size >= 2)
+                top = size[live]
+                col = _TURN_COL[stack[live, top - 2], stack[live, top - 1], nxt]
+                pop = live[straight[live, col]]
+                if not pop.size:
+                    break
+                size[pop] -= 1
+            stack[rows, size] = nxt
+            size += 1
+        # every chain point but the last, which starts the other chain
+        for n in range(4):
+            on = n < size - 1
+            mask[rows[on], chain[on, stack[on, n]]] = True
+    return mask
 
 
 def convex_position(config: PlanarConfiguration) -> bool:
     """True when all five bodies are vertices of their convex hull."""
-    return len(_hull_indices(config.points)) == 5
+    return bool(hull_mask(config.points[None]).all())
 
 
 def interior_points(config: PlanarConfiguration) -> list:
     """Labels of bodies strictly inside the hull of the others."""
-    hull = set(_hull_indices(config.points))
-    return [i + 1 for i in range(5) if i not in hull]
+    return [i + 1 for i in np.flatnonzero(~hull_mask(config.points[None])[0]).tolist()]
 
 
 @dataclass(frozen=True)

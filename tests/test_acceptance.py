@@ -19,6 +19,7 @@ from pentacc.geometry import (
     cayley_menger,
     collinear_endpoint_y4,
     cyclic_from_angles,
+    interior_angles,
     mutual_distances,
     regular_pentagon_y4,
     square_endpoint_y4,
@@ -172,11 +173,14 @@ def test_criterion_7_tropical_tables():
              f"{rejects}/10, {elapsed:.1f}s")
 
 
+_VERTEX_SHIFTS = (np.arange(5) + np.arange(5)[:, None]) % 5
+
+
 def _path_convex(config) -> bool:
     """Convex as a traversed polygon: winding one, no reflex interior angle."""
-    from pentacc.geometry import interior_angle
-    thetas = [interior_angle(config, (i - 1) % 5 + 1, i % 5 + 1, (i + 1) % 5 + 1)
-              for i in range(1, 6)]
+    # the angles at vertices 2, 3, 4, 5, 1: each is the angle (1, 2, 3) of
+    # the cyclic relabeling that moves that vertex to position 2
+    thetas = interior_angles(config.points[_VERTEX_SHIFTS], 1, 2, 3).tolist()
     total = sum(thetas)
     if all(t < math.pi - 1e-9 for t in thetas):
         return abs(total - 3 * math.pi) < 1e-9

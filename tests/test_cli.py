@@ -458,6 +458,25 @@ def test_symmetric_scan_csv_format(tmp_path):
     assert {r["sign_type"] for r in rows} == {"A2", "A4"}
 
 
+def test_symmetric_scan_csv_leaves_missing_residual_empty(tmp_path):
+    # the CSV of the records above: an empty residual field where the JSON
+    # has null, never the float text "inf"
+    argv = ["symmetric-scan", "--A", "2", "--branch", "B",
+            "--window", "0,1.9364916731037085"]
+    assert main(argv + ["--out", str(tmp_path / "scan.json")]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
+    records = json.loads((tmp_path / "scan.json").read_text())
+    with open(tmp_path / "scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(records) > 3
+    assert not any("inf" in field.lower() for row in rows for field in row.values())
+    assert ([row["residual_max"] == "" for row in rows]
+            == [r["residual_max"] is None for r in records])
+    assert [row["m1"] == "" for row in rows] == [r["masses"] is None for r in records]
+    assert all(float(row["residual_max"]) == r["residual_max"]
+               for row, r in zip(rows, records) if row["residual_max"])
+
+
 def test_region_map_point_query(capsys):
     assert main(["region-map", "--A", "3", "--point", "108,108",
                  "--closure", "plus"]) == 0
@@ -506,7 +525,7 @@ def test_region_map_grid60_pinned(tmp_path, capsys):
     lines = captured.err.splitlines()
     for closure in ("plus", "minus"):
         assert (f"pentacc.equations: region labels, {closure} closure: 3600 cells, "
-                "2476 realizable, 259 sent to the scalar region III test") in lines
+                "2476 realizable, 259 sent to the region III test") in lines
     summary = [line for line in lines if line.startswith("pentacc: region map: 7200 cells")]
     assert len(summary) == 1
     assert json.loads(summary[0].split(" labels ", 1)[1]) == GRID60_LABELS

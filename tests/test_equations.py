@@ -17,16 +17,17 @@ from pentacc.geometry import (
     convex_position,
     cyclic_from_angles,
     mutual_distances,
-    oriented_area,
     regular_pentagon_y4,
     square_endpoint_y4,
     symmetric_coords,
 )
 from pentacc.equations import (
-    _concave_region,
+    _concave_regions,
+    _region_codes,
     _two_mass,
     Exponent,
     MassVector,
+    RegionResult,
     TWO_MASS_PAIRS,
     albouy_chenciner_f,
     fit_lambda_tilde,
@@ -38,6 +39,7 @@ from pentacc.equations import (
     region_labels,
     symmetric_g,
 )
+from test_geometry import _hull_indices
 
 PENTAGON = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A"))
 EQUAL = MassVector(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -99,17 +101,27 @@ def test_wedge_residual_scale_covariance():
             value * s ** (2.0 - a_exp), rel=1e-9, abs=1e-13)
 
 
+def _permuted(config: PlanarConfiguration, shift: int) -> PlanarConfiguration:
+    """Relabel by the cyclic shift i -> i + shift (mod 5)."""
+    return PlanarConfiguration(config.points[[(i + shift) % 5 for i in range(5)]])
+
+
+def _mirror(config: PlanarConfiguration) -> PlanarConfiguration:
+    """Mirror through the x-axis; flips every oriented area."""
+    return PlanarConfiguration(config.points * np.array([1.0, -1.0]))
+
+
 def test_relabeling_equivariance():
     angles = ChainAngles(2.0, 1.9, "plus")
     config = cyclic_from_angles(angles)
     verdict = la2_feasible(config, 3.0).feasible
     base = laura_andoyer(config, EQUAL, 3.0)
-    shifted = laura_andoyer(config.permuted(1), EQUAL, 3.0)
+    shifted = laura_andoyer(_permuted(config, 1), EQUAL, 3.0)
     # the residual multiset is preserved under the cyclic relabeling
     a = sorted(abs(v) for v in base.residuals.values())
     b = sorted(abs(v) for v in shifted.residuals.values())
     assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
-    assert la2_feasible(config.permuted(1), 3.0).feasible == verdict
+    assert la2_feasible(_permuted(config, 1), 3.0).feasible == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +302,7 @@ def test_region_three_conditions_hold_for_witness():
     # relabel so the interior body sits at position 5, mirroring if needed
     from pentacc.geometry import interior_angle, interior_points, oriented_area
     p = interior_points(config)[0]
-    for candidate in (config.permuted(p % 5), config.reflected().permuted(p % 5)):
+    for candidate in (_permuted(config, p % 5), _permuted(_mirror(config), p % 5)):
         t123 = interior_angle(candidate, 1, 2, 3)
         t234 = interior_angle(candidate, 2, 3, 4)
         if (t123 + t234 <= 3 * math.pi + 1e-9
@@ -350,11 +362,54 @@ def _scalar_two_mass(pts: np.ndarray, a_exp: float):
         return r, None
     scale = float(r[0, 1])
     R = (r / scale + np.eye(5)) ** (-a_exp)
-    config = PlanarConfiguration(pts)
     coef = [[float((R[i - 1, k - 1] - R[j - 1, k - 1])
-                   * oriented_area(config, i, j, k) / scale ** 2) for k in ks]
+                   * _area(pts, i, j, k) / scale ** 2) for k in ks]
             for (i, j), ks in TWO_MASS_PAIRS.items()]
     return r, coef
+
+
+def _area(pts: np.ndarray, i: int, j: int, k: int) -> float:
+    """Delta(i,j,k) = (q_i - q_j) x (q_i - q_k), one configuration."""
+    u, v = pts[i - 1] - pts[j - 1], pts[i - 1] - pts[k - 1]
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _angle(pts: np.ndarray, i: int, j: int, k: int) -> float:
+    """Chain angle at vertex j from edge (i,j) to edge (j,k), one configuration."""
+    u, v = pts[i - 1] - pts[j - 1], pts[k - 1] - pts[j - 1]
+    return (math.atan2(u[1], u[0]) - math.atan2(v[1], v[0])) % (2.0 * math.pi)
+
+
+def _region3_conditions(config: PlanarConfiguration) -> bool:
+    """Angle and orientation conditions for the concave class, body 5
+    interior, one configuration: the oracle of ``_region3_holds``."""
+    pts = config.points
+    t123 = _angle(pts, 1, 2, 3)
+    t234 = _angle(pts, 2, 3, 4)
+    if t123 + t234 > 3.0 * math.pi + 1e-9:
+        return False
+    if t123 > 5.0 * math.pi / 3.0 + 1e-9 or t234 > 5.0 * math.pi / 3.0 + 1e-9:
+        return False
+    if _area(pts, 1, 3, 5) < -1e-9:
+        return False
+    if _area(pts, 2, 4, 5) < -1e-9:
+        return False
+    return True
+
+
+def _concave_region(config: PlanarConfiguration) -> RegionResult:
+    """Region III test of a feasible configuration with mixed diagonals, one
+    configuration: the oracle of ``_concave_regions``."""
+    hull = _hull_indices(config.points)
+    inner = [i + 1 for i in range(5) if i not in hull]
+    if len(inner) == 1:
+        p = inner[0]
+        shift = p % 5  # sends old body p to new position 5
+        for candidate in (_permuted(config, shift), _permuted(_mirror(config), shift)):
+            if _region3_conditions(candidate):
+                return RegionResult("III", interior_label=p)
+        return RegionResult("none", detail="concave but angle conditions fail")
+    return RegionResult("none", detail="mixed diagonals, not single-interior concave")
 
 
 def _oracle_label(pts, r, coef) -> str:
@@ -439,6 +494,65 @@ def test_batched_region_kernel_matches_scalar_oracle():
                 if want is not None:
                     assert coef[n].tobytes() == np.array(want).tobytes()
     assert seen == {"unrealizable", "collision", "none", "I", "II", "III"}
+
+
+def _grid_mixed_cells(n: int, closure: str, a_exp: float) -> tuple:
+    """Angles and points of the mixed cells of ``region-map --grid n``."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, n + 2)[1:-1]
+    t12, t23 = (t.ravel() for t in np.meshgrid(thetas, thetas, indexing="ij"))
+    pts, realizable = chain_points(t12, t23, closure)
+    cells = np.flatnonzero(realizable)
+    cells = cells[_region_codes(pts[cells], a_exp) == "mixed"]
+    return t12[cells], t23[cells], pts[cells]
+
+
+def _expected(inner, region3) -> list:
+    return [RegionResult("III", interior_label=p) if ok
+            else RegionResult("none", detail="concave but angle conditions fail") if p
+            else RegionResult("none", detail="mixed diagonals, not single-interior concave")
+            for p, ok in zip(inner.tolist(), region3.tolist())]
+
+
+def test_batched_region3_matches_scalar_oracle():
+    seen = set()
+    for a_exp in (2.5, 3.0, 4.0):
+        for closure in ("plus", "minus"):
+            _, _, pts = _grid_mixed_cells(60, closure, a_exp)
+            assert len(pts) > 100
+            found = _expected(*_concave_regions(pts))
+            assert found == [_concave_region(PlanarConfiguration(q)) for q in pts]
+            seen.update(r.interior_label for r in found if r.region == "III")
+    assert seen == {1, 2, 3, 4, 5}
+    # every grid-60 mixed cell is in region III; the test itself does not
+    # depend on A or feasibility, so the other cells reach its failing paths
+    details = set()
+    for closure in ("plus", "minus"):
+        thetas = np.linspace(0.0, 2.0 * math.pi, 62)[1:-1]
+        t12, t23 = (t.ravel() for t in np.meshgrid(thetas, thetas, indexing="ij"))
+        pts, realizable = chain_points(t12, t23, closure)
+        pts = pts[realizable][_region_codes(pts[realizable], 3.0) != "collision"]
+        found = _expected(*_concave_regions(pts))
+        assert found == [_concave_region(PlanarConfiguration(q)) for q in pts]
+        details.update((r.region, r.detail) for r in found)
+    assert len(details) == 3
+
+
+def test_region_classify_is_the_batch_of_one_of_region_labels():
+    t12, t23 = np.array([0.903082161]), np.array([4.922594842])
+    assert region_labels(t12, t23, "plus", 3.0) == ["III"]
+    witness = region_classify(ChainAngles(0.903082161, 4.922594842, "plus"), 3.0)
+    assert witness == RegionResult("III", interior_label=3)
+    interior = set()
+    for closure in ("plus", "minus"):
+        t12, t23, pts = _grid_mixed_cells(12, closure, 3.0)
+        labels = region_labels(t12, t23, closure, 3.0)
+        # region_labels runs _concave_regions on exactly this stack
+        want = _expected(*_concave_regions(pts))
+        assert labels == [r.region for r in want]
+        assert [region_classify(ChainAngles(a, b, closure), 3.0)
+                for a, b in zip(t12.tolist(), t23.tolist())] == want
+        interior.update(r.interior_label for r in want)
+    assert interior == {1, 2, 3, 4, 5}
 
 
 def test_a_quantity_self_pair_convention():

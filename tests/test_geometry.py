@@ -23,10 +23,13 @@ from pentacc.geometry import (
     cyclic_from_angles,
     family_terms,
     house_y4,
+    hull_mask,
     interior_angle,
+    interior_angles,
     interior_points,
     mutual_distances,
     oriented_area,
+    oriented_areas,
     regular_pentagon_y4,
     square_endpoint_y4,
     symmetric_coords,
@@ -366,6 +369,108 @@ def test_convex_position_and_interior():
     concave = cyclic_from_angles(ChainAngles(0.903082161, 4.922594842, "plus"))
     assert not convex_position(concave)
     assert interior_points(concave) == [3]
+
+
+def _hull_indices(pts: np.ndarray) -> list:
+    """Indices of the convex hull (counterclockwise), Andrew's monotone chain,
+    one point at a time: the oracle of ``hull_mask``."""
+    order = sorted(range(len(pts)), key=lambda i: (pts[i][0], pts[i][1]))
+
+    def cross(o, a, b):
+        return ((pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1])
+                - (pts[a][1] - pts[o][1]) * (pts[b][0] - pts[o][0]))
+
+    lower: list = []
+    for i in order:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 1e-14:
+            lower.pop()
+        lower.append(i)
+    upper: list = []
+    for i in reversed(order):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 1e-14:
+            upper.pop()
+        upper.append(i)
+    return lower[:-1] + upper[:-1]
+
+
+def _hull_oracle_sets() -> np.ndarray:
+    """Seeded random five-point sets, and sets built to hit the ties and the
+    1e-14 pop rule of the monotone chain."""
+    rng = np.random.default_rng(61)
+    sets = list(rng.uniform(-2.0, 2.0, (600, 5, 2)))
+    # equal x coordinates, and coincident points
+    for _ in range(300):
+        pts = rng.uniform(-1.0, 1.0, (5, 2))
+        pts[:, 0] = rng.choice([-0.5, 0.0, 0.5], 5)
+        if rng.random() < 0.3:
+            pts[:, 1] = rng.choice([-1.0, 1.0], 5)
+        sets.append(pts)
+    # a third point within about 1e-14 of the line through two others
+    for eps in (-3e-14, -1e-14, -5e-15, 0.0, 5e-15, 1e-14, 1.5e-14, 3e-14):
+        for _ in range(40):
+            pts = rng.uniform(-1.0, 1.0, (5, 2))
+            a, b = pts[0], pts[1]
+            normal = np.array([b[1] - a[1], a[0] - b[0]])
+            normal /= np.hypot(*normal)
+            pts[2] = a + rng.uniform(-0.5, 1.5) * (b - a) + eps * normal
+            sets.append(rng.permutation(pts))
+    # turns of exactly 1e-14 and its neighbours on the upper chain, and
+    # their mirror images on the lower one
+    for eps in (5e-15, 1e-14, 1.0000000000000002e-14, 2e-14):
+        for sign in (1.0, -1.0):
+            pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, eps], [0.3, -1.0], [0.7, -1.0]])
+            sets.append(rng.permutation(pts * [1.0, sign]))
+    # five collinear points: on the axes, on the diagonal and on random lines
+    for _ in range(40):
+        t = rng.uniform(-1.0, 1.0, 5)
+        zero = np.zeros(5)
+        sets.extend([np.column_stack([t, zero]), np.column_stack([zero, t]),
+                     np.column_stack([t, t])])
+        a, b = rng.uniform(-1.0, 1.0, (2, 2))
+        sets.append(a + t[:, None] * (b - a))
+    # signed zeros
+    sets.extend(rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5], (300, 5, 2)))
+    return np.array(sets)
+
+
+def test_hull_mask_matches_scalar_monotone_chain():
+    sets = _hull_oracle_sets()
+    assert sets.shape == (1688, 5, 2)
+    assert np.signbit(sets).any() and (sets == 0.0).any()
+    mask = hull_mask(sets)
+    sizes = set()
+    for pts, row in zip(sets, mask.tolist()):
+        hull = _hull_indices(pts)
+        assert row == [i in hull for i in range(5)]
+        assert sorted(hull) == sorted(set(hull))
+        sizes.add(len(hull))
+    assert sizes == {2, 3, 4, 5}
+    # the batch of one agrees with the stack
+    for pts, row in zip(sets[::7], mask[::7].tolist()):
+        config = PlanarConfiguration(pts)
+        assert convex_position(config) == all(row)
+        assert interior_points(config) == [i + 1 for i in range(5) if not row[i]]
+
+
+def test_angle_and_area_kernels_match_scalar_formulas():
+    rng = np.random.default_rng(67)
+    pts = rng.uniform(-1.0, 1.0, (500, 5, 2))
+    pts[:100, 2] = pts[:100, 0]  # edges (2,1) and (2,3) share a direction
+    pts[100:200] = np.round(pts[100:200])  # signed zeros and straight angles
+    two_pi = 2.0 * math.pi
+    for i, j, k in ((1, 2, 3), (2, 3, 4), (5, 1, 2), (3, 2, 1)):
+        angles = interior_angles(pts, i, j, k)
+        areas = oriented_areas(pts, i, j, k)
+        for n, q in enumerate(pts):
+            u, v, w = q[i - 1] - q[j - 1], q[k - 1] - q[j - 1], q[i - 1] - q[k - 1]
+            want = (math.atan2(u[1], u[0]) - math.atan2(v[1], v[0])) % two_pi
+            assert angles[n].tobytes() == np.float64(want).tobytes()
+            assert areas[n].tobytes() == (u[0] * w[1] - u[1] * w[0]).tobytes()
+        config = PlanarConfiguration(pts[0])
+        assert interior_angle(config, i, j, k) == angles[0]
+        assert oriented_area(config, i, j, k) == areas[0]
+    with pytest.raises(ValueError):
+        interior_angles(pts, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
