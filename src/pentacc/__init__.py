@@ -19,7 +19,6 @@ from .geometry import (
     classify_sign_type,
     cyclic_from_angles,
     mutual_distances,
-    oriented_area,
     symmetric_coords,
 )
 from .equations import (
@@ -56,7 +55,7 @@ __all__ = [
     "ChainAngles", "CollisionError", "DistanceVector", "OutOfDomainError",
     "PlanarConfiguration", "SignType", "SymmetricShape", "cayley_menger",
     "classify_sign_type", "cyclic_from_angles", "mutual_distances",
-    "oriented_area", "symmetric_coords",
+    "symmetric_coords",
     "Exponent", "MassVector", "ResidualReport", "albouy_chenciner_f",
     "la2_feasible", "laura_andoyer", "mass_coefficient_matrix", "mass_kernel",
     "region_classify",

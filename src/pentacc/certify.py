@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import OutOfDomainError, branch_radicand
+from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
                         _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats)
 from .symmetric import F
@@ -165,8 +165,15 @@ class Certificate:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
-def _check_depth(max_depth: int) -> None:
-    """Refuse a negative depth cap, which would leave every seed box undecided."""
+def _check_request(window: tuple, max_depth: int) -> None:
+    """Refuse a y4 window outside the branch domain [0, Y4_MAX], as
+    ``symmetric.isolate_roots`` does (its boxes could never be decided, so
+    bisection would split them to the depth cap), and a negative depth cap,
+    which would leave every seed box undecided."""
+    lo, hi = window
+    if not 0.0 <= lo <= hi <= Y4_MAX:
+        raise OutOfDomainError(f"window {tuple(window)} is not inside the branch domain "
+                               f"[0, {Y4_MAX!r}]")
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
 
@@ -218,9 +225,10 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     there), and on the middle strip the interval derivative excludes zero
     while F changes sign across it, so each exponent admits exactly one
     root.  The bracket is a heuristic only; every zone claim is verified
-    with rigorous enclosures.  A negative ``max_depth`` raises ValueError.
+    with rigorous enclosures.  A window outside [0, Y4_MAX] raises
+    OutOfDomainError, and a negative ``max_depth`` ValueError.
     """
-    _check_depth(max_depth)
+    _check_request(window, max_depth)
     cert = Certificate(kind="unique_root", branch=branch,
                        window=tuple(window), a_range=tuple(a_range),
                        certified=False)
@@ -252,10 +260,11 @@ def certify_no_common_zero(region: Box, branch: str = "A",
 
     Each leaf box must exclude zero from the F enclosure or from the dF
     enclosure.  Exhausted depth yields an undecided certificate listing the
-    boxes where both enclosures still straddle zero.  A negative
-    ``max_depth`` raises ValueError.
+    boxes where both enclosures still straddle zero.  A y4 range outside
+    [0, Y4_MAX] raises OutOfDomainError, and a negative ``max_depth``
+    ValueError.
     """
-    _check_depth(max_depth)
+    _check_request((region.y4.lo, region.y4.hi), max_depth)
     cert = Certificate(kind="no_common_zero", branch=branch,
                        window=(region.y4.lo, region.y4.hi),
                        a_range=(region.a.lo, region.a.hi),

@@ -41,7 +41,6 @@ from .geometry import (
     hull_mask,
     interior_angles,
     mutual_distances,
-    oriented_area,
     oriented_areas,
     pair_distances,
 )
@@ -182,6 +181,25 @@ def _mass_array(masses) -> np.ndarray:
     return m
 
 
+# Each unordered pair (i, j) with the three other bodies k, in increasing
+# order, as zero-based (10, 3) index arrays.
+_WEDGE_I, _WEDGE_J, _WEDGE_K = np.array(
+    [[(i, j, k) for k in range(5) if k not in (i, j)] for i, j in np.array(PAIRS) - 1]
+).transpose(2, 0, 1)
+
+
+def _running_sum(terms):
+    """Sum over the last axis in order, from 0.0, as a scalar loop adds.
+
+    Not ``sum()``, which is compensated on Python >= 3.12, nor a numpy
+    reduction, which sums pairwise: either could move the last bit.
+    """
+    total = 0.0
+    for term in np.moveaxis(terms, -1, 0):
+        total = total + term
+    return total
+
+
 def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> ResidualReport:
     """All ten wedge-product residuals L(i,j).
 
@@ -192,17 +210,10 @@ def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> Residual
     table = mutual_distances(config)
     R = (table.table + np.eye(5)) ** (-a_exp)  # shift keeps the unused diagonal finite
     np.fill_diagonal(R, 0.0)
-    res = {}
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            total = 0.0
-            for k in range(1, 6):
-                if k in (i, j):
-                    continue
-                total += (m[k - 1]
-                          * (R[i - 1, k - 1] - R[j - 1, k - 1])
-                          * oriented_area(config, i, j, k))
-            res[f"L{i}{j}"] = total
+    i, j, k = _WEDGE_I, _WEDGE_J, _WEDGE_K
+    areas = oriented_areas(config.points[None], i + 1, j + 1, k + 1)[0]
+    totals = _running_sum(m[k] * (R[i, k] - R[j, k]) * areas)
+    res = {f"L{a}{b}": total for (a, b), total in zip(PAIRS, totals)}
     meta = {"A": a_exp, "equilateral": table.is_equilateral}
     if table.is_equilateral:
         meta["two_mass"] = [f"L{i}{j}" for (i, j) in TWO_MASS_PAIRS]
@@ -211,38 +222,74 @@ def laura_andoyer(config: PlanarConfiguration, masses, a_exp: float) -> Residual
 
 
 def _distance_table(distances) -> np.ndarray:
-    """The 5x5 table of a PlanarConfiguration, or a given table checked."""
+    """The 5x5 table of a PlanarConfiguration, or a given table checked.
+
+    A given table must be finite and symmetric with a zero diagonal
+    (ValueError otherwise), and a pair distance must be positive
+    (CollisionError otherwise).
+    """
     if isinstance(distances, PlanarConfiguration):
         return mutual_distances(distances).table
     r = np.asarray(distances, dtype=float)
     if r.shape != (5, 5):
         raise ValueError("expected a 5x5 distance table")
-    iu = np.triu_indices(5, k=1)
-    if np.any(r[iu] <= 0.0):
+    if not np.all(np.isfinite(r)):
+        raise ValueError("distance table has a non-finite entry")
+    if np.any(np.diag(r) != 0.0):
+        raise ValueError("distance table needs a zero diagonal")
+    if np.any(r != r.T):
+        raise ValueError("distance table is not symmetric")
+    if np.any(r[np.triu_indices(5, k=1)] <= 0.0):
         raise CollisionError("distance table has a nonpositive entry")
     return r
 
 
-def fit_lambda_tilde(r: np.ndarray, masses, a_exp: float) -> float:
-    """Least-squares multiplier: minimizes the sum of squared f residuals."""
-    m = _mass_array(masses)
-    num = den = 0.0
-    for i in range(5):
-        for j in range(5):
-            if i == j:
-                continue
-            a_coef = b_coef = 0.0
-            for k in range(5):
-                if k == i:
-                    continue
-                aijk = r[j, k] ** 2 - r[i, k] ** 2 - r[i, j] ** 2
-                a_coef += m[k] * r[i, k] ** (-a_exp) * aijk
-                b_coef += m[k] * aijk
-            num += a_coef * b_coef
-            den += b_coef * b_coef
+_OFF_DIAGONAL = ~np.eye(5, dtype=bool)
+
+
+def _residual_tables(r: np.ndarray, a_exp: float) -> tuple:
+    """Tables s[i,k] = r_ik**(-A) and a[i,j,k] = r_jk**2 - r_ik**2 - r_ij**2.
+
+    Both are 0.0 where k = i.  The powers are libm ``pow`` through
+    ``intervals._libm``, as Python's and numpy's scalar ``**`` are; numpy's
+    array ``**`` is not.
+    """
+    s = _libm(pow, r + np.eye(5), -a_exp)  # shift keeps the diagonal finite
+    np.fill_diagonal(s, 0.0)
+    sq = _libm(pow, r, 2.0)
+    a = sq[None, :, :] - sq[:, None, :] - sq[:, :, None]
+    d = np.arange(5)
+    a[d, :, d] = 0.0
+    return s, a
+
+
+def _fit(m: np.ndarray, s: np.ndarray, a: np.ndarray) -> float:
+    """The least-squares multiplier from the residual tables."""
+    a_coef = _running_sum((m * s)[:, None, :] * a)[_OFF_DIAGONAL]
+    b_coef = _running_sum(m * a)[_OFF_DIAGONAL]
+    den = _running_sum(b_coef * b_coef)
     if den == 0.0:
         raise ValueError("degenerate configuration: multiplier is unconstrained")
-    return num / den
+    return _running_sum(a_coef * b_coef) / den
+
+
+def fit_lambda_tilde(r: np.ndarray, masses, a_exp: float) -> float:
+    """Least-squares multiplier: minimizes the sum of squared f residuals.
+
+    ``r`` is checked as the tables of ``albouy_chenciner_f`` are.
+    """
+    return _fit(_mass_array(masses), *_residual_tables(_distance_table(r), a_exp))
+
+
+def _shifted_tables(distances, masses, a_exp: float, lambda_tilde) -> tuple:
+    """(m, s - lt, a, lt): the masses, the residual tables with s shifted by
+    the multiplier lt off the diagonal, and lt, fitted when not given."""
+    r = _distance_table(distances)
+    m = _mass_array(masses)
+    s, a = _residual_tables(r, a_exp)
+    if lambda_tilde is None:
+        lambda_tilde = _fit(m, s, a)
+    return m, np.where(_OFF_DIAGONAL, s - lambda_tilde, 0.0), a, lambda_tilde
 
 
 def albouy_chenciner_f(distances, masses, a_exp: float,
@@ -252,22 +299,9 @@ def albouy_chenciner_f(distances, masses, a_exp: float,
     ``distances`` is a full 5x5 table (or a PlanarConfiguration).  When
     ``lambda_tilde`` is None it is fitted by linear least squares.
     """
-    r = _distance_table(distances)
-    m = _mass_array(masses)
-    if lambda_tilde is None:
-        lambda_tilde = fit_lambda_tilde(r, m, a_exp)
-    res = {}
-    for i in range(5):
-        for j in range(5):
-            if i == j:
-                continue
-            total = 0.0
-            for k in range(5):
-                if k == i:
-                    continue
-                aijk = r[j, k] ** 2 - r[i, k] ** 2 - r[i, j] ** 2
-                total += m[k] * (r[i, k] ** (-a_exp) - lambda_tilde) * aijk
-            res[f"f{i + 1}{j + 1}"] = total
+    m, s, a, lambda_tilde = _shifted_tables(distances, masses, a_exp, lambda_tilde)
+    f = _running_sum((m * s)[:, None, :] * a)
+    res = {f"f{i + 1}{j + 1}": f[i, j] for i in range(5) for j in range(5) if i != j}
     return ResidualReport(system="albouy_chenciner",
                           residuals=res,
                           meta={"A": a_exp, "lambda_tilde": lambda_tilde})
@@ -275,22 +309,14 @@ def albouy_chenciner_f(distances, masses, a_exp: float,
 
 def symmetric_g(distances, masses, a_exp: float,
                 lambda_tilde: float | None = None) -> ResidualReport:
-    """Symmetrized residuals g(i,j) computed directly from their own formula."""
-    r = _distance_table(distances)
-    m = _mass_array(masses)
-    if lambda_tilde is None:
-        lambda_tilde = fit_lambda_tilde(r, m, a_exp)
-    res = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            total = 0.0
-            for k in range(5):
-                sik = r[i, k] ** (-a_exp) - lambda_tilde if k != i else 0.0
-                sjk = r[j, k] ** (-a_exp) - lambda_tilde if k != j else 0.0
-                aijk = (r[j, k] ** 2 - r[i, k] ** 2 - r[i, j] ** 2) if k != i else 0.0
-                ajik = (r[i, k] ** 2 - r[j, k] ** 2 - r[i, j] ** 2) if k != j else 0.0
-                total += m[k] * (sik * aijk + sjk * ajik)
-            res[f"g{i + 1}{j + 1}"] = total
+    """Symmetrized residuals g(i,j) computed directly from their own formula,
+    the sum over k of m_k ((s_ik - lt) A(i,j,k) + (s_jk - lt) A(j,i,k))."""
+    m, s, a, lambda_tilde = _shifted_tables(distances, masses, a_exp, lambda_tilde)
+    # (s_ik - lt) A(i,j,k); on a symmetric table its (j, i) transpose is the
+    # second term
+    p = s[:, None, :] * a
+    g = _running_sum(m * (p + p.transpose(1, 0, 2)))
+    res = {f"g{i}{j}": g[i - 1, j - 1] for i, j in PAIRS}
     return ResidualReport(system="albouy_chenciner_sym",
                           residuals=res,
                           meta={"A": a_exp, "lambda_tilde": lambda_tilde})

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "CLASS_NAMES",
     "PAIR_CLASS",
     "PAIRS",
-    "oriented_area",
     "oriented_areas",
     "pair_distances",
     "collision_error",
@@ -55,11 +53,8 @@ __all__ = [
     "symmetric_coords",
     "chain_points",
     "cyclic_from_angles",
-    "interior_angle",
     "interior_angles",
     "hull_mask",
-    "convex_position",
-    "interior_points",
     "classify_sign_type",
     "regular_pentagon_y4",
     "square_endpoint_y4",
@@ -197,8 +192,7 @@ def family_terms(y4, branch: str, a_exp=None) -> dict:
 class PlanarConfiguration:
     """Five labeled points in the plane.
 
-    ``points`` is a (5, 2) array; row i holds body i+1.  Use ``normalized``
-    to build a configuration with q1 = (-1/2, 0) and q2 = (1/2, 0).
+    ``points`` is a (5, 2) array; row i holds body i+1.
     """
 
     points: np.ndarray
@@ -208,27 +202,6 @@ class PlanarConfiguration:
         if pts.shape != (5, 2):
             raise ValueError(f"expected five planar points, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def normalized(cls, points: Iterable) -> "PlanarConfiguration":
-        """Apply the similarity transform sending q1, q2 to (-1/2, 0), (1/2, 0)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.shape != (5, 2):
-            raise ValueError(f"expected five planar points, got shape {pts.shape}")
-        d = pts[1] - pts[0]
-        scale = math.hypot(d[0], d[1])
-        if scale < 1e-14:
-            raise CollisionError("bodies 1 and 2 coincide; cannot normalize")
-        c, s = d[0] / scale, d[1] / scale
-        rot = np.array([[c, s], [-s, c]])
-        out = (pts - pts[0]) @ rot.T / scale
-        out = out + np.array([-0.5, 0.0])
-        return cls(out)
-
-    def q(self, label: int) -> np.ndarray:
-        if label < 1 or label > 5:
-            raise ValueError(f"label must be 1..5, got {label}")
-        return self.points[label - 1]
 
 
 @dataclass(frozen=True)
@@ -264,40 +237,41 @@ class DistanceVector:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """All ten mutual distances, plus the class projection when it exists."""
+    """All ten mutual distances as a symmetric 5x5 table, zero on the diagonal."""
 
     table: np.ndarray
-    classes: DistanceVector | None
     is_equilateral: bool
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.table[i - 1, j - 1])
 
 
 def _cols(*labels) -> list:
-    """Zero-based point rows of bodies labeled 1..5."""
-    if min(labels) < 1 or max(labels) > 5:
+    """Zero-based point rows of bodies labeled 1..5, from ints or int arrays.
+
+    Int arrays are broadcast together.  Ints stay Python ints: the array
+    path costs about 40 us, five times a batch-of-one kernel call.
+    """
+    if all(isinstance(label, int) for label in labels):
+        cols = [label - 1 for label in labels]
+        ok = min(cols) >= 0 and max(cols) <= 4
+    else:
+        cols = np.broadcast_arrays(*(np.asarray(label) - 1 for label in labels))
+        ok = all(np.all((c >= 0) & (c <= 4)) for c in cols)
+    if not ok:
         raise ValueError(f"labels must be 1..5, got {labels}")
-    return [label - 1 for label in labels]
+    return cols
 
 
-def oriented_areas(points, i: int, j: int, k: int) -> np.ndarray:
-    """Oriented area Delta(i,j,k) of each configuration in an (N, 5, 2) stack.
+def oriented_areas(points, i, j, k) -> np.ndarray:
+    """Oriented area Delta(i,j,k) = (q_i - q_j) x (q_i - q_k) of each
+    configuration in an (N, 5, 2) stack.
 
-    ``oriented_area`` is the batch of one of this kernel.
+    The labels are ints or broadcastable int arrays; the result has shape
+    (N,) plus their broadcast shape.
     """
     pts = np.asarray(points, dtype=float)
     i, j, k = _cols(i, j, k)
     u = pts[:, i] - pts[:, j]
     v = pts[:, i] - pts[:, k]
-    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-
-
-def oriented_area(config: PlanarConfiguration, i: int, j: int, k: int) -> float:
-    """Oriented area Delta(i,j,k) = (q_i - q_j) x (q_i - q_k)."""
-    if len({i, j, k}) != 3:
-        raise ValueError(f"labels must be distinct, got ({i}, {j}, {k})")
-    return float(oriented_areas(config.points[None], i, j, k)[0])
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def pair_distances(points) -> np.ndarray:
@@ -335,11 +309,9 @@ def distance_masks(d) -> tuple:
 
 
 def mutual_distances(config: PlanarConfiguration) -> DistanceTable:
-    """Full 10-distance table and, for equilateral cyclic inputs, the 6 classes.
+    """Full 10-distance table, flagged equilateral by ``distance_masks``.
 
-    Raises CollisionError if two bodies coincide.  Non-equilateral inputs
-    (by ``distance_masks``) are flagged via ``is_equilateral`` and get
-    ``classes = None``.
+    Raises CollisionError if two bodies coincide.
     """
     d = pair_distances(config.points[None])
     (collision,), (equilateral,) = distance_masks(d)
@@ -347,17 +319,7 @@ def mutual_distances(config: PlanarConfiguration) -> DistanceTable:
         raise collision_error(d[0])
     table = np.zeros((5, 5))
     table[_PAIR_I, _PAIR_J] = table[_PAIR_J, _PAIR_I] = d[0]
-    classes = None
-    if equilateral:
-        classes = DistanceVector(
-            r12=float(table[0, 1]),
-            r13=float(table[0, 2]),
-            r14=float(table[0, 3]),
-            r24=float(table[1, 3]),
-            r25=float(table[1, 4]),
-            r35=float(table[2, 4]),
-        )
-    return DistanceTable(table=table, classes=classes, is_equilateral=bool(equilateral))
+    return DistanceTable(table=table, is_equilateral=bool(equilateral))
 
 
 def cayley_menger(distances) -> float:
@@ -514,18 +476,13 @@ def interior_angles(points, i: int, j: int, k: int) -> np.ndarray:
     the same clockwise convention ``chain_points`` uses, so reconstructing a
     configuration from its own angles is the identity.  atan2 goes through
     libm, by the gate ``intervals._libm``, and ``np.remainder`` is Python's
-    float ``%``.  ``interior_angle`` is the batch of one of this kernel.
+    float ``%``.
     """
     pts = np.asarray(points, dtype=float)
     i, j, k = _cols(i, j, k)
     uv = pts[:, [i, k]] - pts[:, [j]]  # q_i - q_j and q_k - q_j
     a = _libm(math.atan2, uv[..., 1], uv[..., 0])
     return np.remainder(a[:, 0] - a[:, 1], 2.0 * math.pi)
-
-
-def interior_angle(config: PlanarConfiguration, i: int, j: int, k: int) -> float:
-    """Chain angle at vertex j from edge (i,j) to edge (j,k), in [0, 2*pi)."""
-    return float(interior_angles(config.points[None], i, j, k)[0])
 
 
 _HULL_TOL = 1e-14  # a chain turn this small counts as straight
@@ -543,8 +500,7 @@ def hull_mask(points) -> np.ndarray:
     in lockstep over the rows of an (N, 5, 2) stack: each row is ordered by
     (x, y), and while the turn from the last two chain points to the next
     point is at most ``_HULL_TOL`` the last chain point is popped.  Points on
-    a hull edge are not vertices.  ``convex_position`` and
-    ``interior_points`` are batches of one of this kernel.
+    a hull edge are not vertices.
     """
     pts = np.asarray(points, dtype=float)
     rows = np.arange(len(pts))
@@ -576,16 +532,6 @@ def hull_mask(points) -> np.ndarray:
             on = n < size - 1
             mask[rows[on], chain[on, stack[on, n]]] = True
     return mask
-
-
-def convex_position(config: PlanarConfiguration) -> bool:
-    """True when all five bodies are vertices of their convex hull."""
-    return bool(hull_mask(config.points[None]).all())
-
-
-def interior_points(config: PlanarConfiguration) -> list:
-    """Labels of bodies strictly inside the hull of the others."""
-    return [i + 1 for i in np.flatnonzero(~hull_mask(config.points[None])[0]).tolist()]
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ get two ulps to absorb libm error.  No rounding-mode switching is required,
 which keeps the arithmetic portable.
 
 Dual numbers carry a value and a first derivative through the same operator
-set.  Their components may be floats or Intervals, which is how the
-certification code obtains simultaneous enclosures of a function and its
-derivative over a box.  Jet2 carries second-order terms in two variables for
-the mean-value form.  The certifier runs on Jet2 alone: one pass over the
-box centers and the whole boxes gives the mean-value form and, as the
-whole-box value, the natural form it is met with (``certify._mv_eval``).
+set.  Their components may be floats or Intervals, which gives simultaneous
+enclosures of a function and its derivative over a box.  Jet2 carries
+second-order terms in two variables for the mean-value form.  The
+certifier runs on Jet2 alone: one pass over the box centers and the whole
+boxes gives the mean-value form and, as the whole-box value, the natural
+form it is met with (``certify._mv_eval``).
 Dual serves the root scan, which needs F and dF/dy4 at one float exponent:
 its tangency guard and the simplicity check of a root enclosure
 (``symmetric._natural_eval`` and ``symmetric._interval_simple``).  There F
@@ -33,8 +33,10 @@ samples each, numpy 2.4 on an AVX-512 Xeon).  That would break the
 bit-identity with the scalar path and the libm error bound behind the
 one- and two-ulp padding.  ``_libm`` is the package's one gate to libm
 for arrays: these three kernels send both bounds through it in one call,
-and ``geometry.chain_points`` (cos, sin, hypot, a square) and the
-two-mass coefficients of ``equations`` (a square) call it too.
+and ``geometry.chain_points`` (cos, sin, hypot, a square),
+``geometry.interior_angles`` (atan2), and the two-mass coefficients (a
+square) and the mutual-distance residual tables (r**-A and r**2) of
+``equations`` call it too.
 
 The module ends with the package's one adaptive-bisection loop,
 ``_bisect``, next to its split rule ``split_bounds``.  It runs breadth first

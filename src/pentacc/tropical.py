@@ -50,9 +50,10 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
+from .geometry import PAIR_CLASS
+
 __all__ = [
     "NUM_VARIABLES",
-    "CLASS_OF_PAIR",
     "LaurentPoly",
     "WeightVector",
     "RayTable",
@@ -69,14 +70,10 @@ __all__ = [
 
 # Variable order: six r classes then six Q classes, matching class order.
 NUM_VARIABLES = 12
-CLASS_OF_PAIR = {
-    (1, 2): 0, (2, 3): 0, (3, 4): 0, (4, 5): 0, (1, 5): 0,
-    (1, 3): 1, (1, 4): 2, (2, 4): 3, (2, 5): 4, (3, 5): 5,
-}
 
 
 def _cls(i: int, j: int) -> int:
-    return CLASS_OF_PAIR[(min(i, j), max(i, j))]
+    return PAIR_CLASS[(min(i, j), max(i, j))]
 
 
 _ZERO_MASS = (0, 0, 0, 0, 0)

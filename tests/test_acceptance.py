@@ -14,19 +14,19 @@ import pytest
 from pentacc.geometry import (
     ChainAngles,
     DIAGONALS,
-    OutOfDomainError,
+    PAIRS,
     PlanarConfiguration,
     cayley_menger,
+    chain_points,
     collinear_endpoint_y4,
-    cyclic_from_angles,
     interior_angles,
     mutual_distances,
     regular_pentagon_y4,
     square_endpoint_y4,
 )
 from pentacc.equations import (
+    _two_mass,
     albouy_chenciner_f,
-    la2_feasible,
     region_classify,
     symmetric_g,
 )
@@ -174,43 +174,49 @@ def test_criterion_7_tropical_tables():
 
 
 _VERTEX_SHIFTS = (np.arange(5) + np.arange(5)[:, None]) % 5
+_DIAGONAL_COLS = [PAIRS.index(e) for e in DIAGONALS]
 
 
-def _path_convex(config) -> bool:
-    """Convex as a traversed polygon: winding one, no reflex interior angle."""
+def _path_convex(points) -> np.ndarray:
+    """Convex as a traversed polygon, per row of an (N, 5, 2) stack: winding
+    one, no reflex interior angle."""
     # the angles at vertices 2, 3, 4, 5, 1: each is the angle (1, 2, 3) of
     # the cyclic relabeling that moves that vertex to position 2
-    thetas = interior_angles(config.points[_VERTEX_SHIFTS], 1, 2, 3).tolist()
-    total = sum(thetas)
-    if all(t < math.pi - 1e-9 for t in thetas):
-        return abs(total - 3 * math.pi) < 1e-9
-    if all(t > math.pi + 1e-9 for t in thetas):
-        return abs(total - 7 * math.pi) < 1e-9
-    return False
+    shifted = points[:, _VERTEX_SHIFTS].reshape(-1, 5, 2)
+    thetas = interior_angles(shifted, 1, 2, 3).reshape(-1, 5)
+    total = 0.0
+    for column in thetas.T:  # in order, as the sum of a row's five floats
+        total = total + column
+    convex = np.all(thetas < math.pi - 1e-9, axis=1)
+    reflex = np.all(thetas > math.pi + 1e-9, axis=1)
+    return ((convex & (np.abs(total - 3 * math.pi) < 1e-9))
+            | (reflex & (np.abs(total - 7 * math.pi) < 1e-9)))
 
 
 def test_criterion_8_lemma_convex_diagonals():
+    # the draws of a loop that builds one chain per attempt, in its order,
+    # classified in one batch: the first 10,000 convex samples of at most
+    # 400,000 attempts
     rng = np.random.default_rng(2718)
-    checked = 0
-    violations = 0
-    feasible_count = 0
-    attempts = 0
-    while checked < 10000 and attempts < 400000:
-        attempts += 1
-        t12, t23 = rng.uniform(0.05, math.pi - 0.05, 2)
-        closure = "plus" if rng.integers(0, 2) else "minus"
-        try:
-            config = cyclic_from_angles(ChainAngles(float(t12), float(t23), closure))
-        except OutOfDomainError:
-            continue
-        if not _path_convex(config):
-            continue
-        checked += 1
-        if la2_feasible(config, 3.0).feasible:
-            feasible_count += 1
-            table = mutual_distances(config)
-            if not all(table.distance(i, j) > 1.0 for i, j in DIAGONALS):
-                violations += 1
+    found, attempts = [], 0
+    while sum(map(len, found)) < 10000 and attempts < 400000:
+        n = min(20000, 400000 - attempts)
+        attempts += n
+        draws = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.integers(0, 2))
+                 for _ in range(n)]
+        t12, t23, plus = np.array(draws).T
+        pts_plus, real_plus = chain_points(t12, t23, "plus")
+        pts_minus, real_minus = chain_points(t12, t23, "minus")
+        pts = np.where(plus[:, None, None] == 1, pts_plus, pts_minus)
+        pts = pts[np.where(plus == 1, real_plus, real_minus)]
+        found.append(pts[_path_convex(pts)])
+    samples = np.concatenate(found)[:10000]
+    checked = len(samples)
+    d, collision, _, admissible = _two_mass(samples, 3.0)
+    assert not collision.any()
+    feasible = np.all(admissible, axis=1)
+    feasible_count = int(np.count_nonzero(feasible))
+    violations = int(np.count_nonzero(~np.all(d[feasible][:, _DIAGONAL_COLS] > 1.0, axis=1)))
     region_ok = (
         region_classify(ChainAngles(3 * math.pi / 5, 3 * math.pi / 5, "plus"),
                         3.0).region == "I"

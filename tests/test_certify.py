@@ -71,6 +71,16 @@ def test_out_of_domain_box_rejected():
                             Interval.around(3.0)), "A")
 
 
+@pytest.mark.parametrize("window", [(0.1, 2.5), (-0.1, 0.5)])
+def test_certificates_refuse_windows_outside_the_domain(window):
+    # such a window's boxes can never be decided: each would be split down
+    # to the depth cap, doubling the frontier at every depth
+    with pytest.raises(OutOfDomainError):
+        certify_unique_root(window, (2.0, 3.0), "A")
+    with pytest.raises(OutOfDomainError):
+        certify_no_common_zero(Box(Interval(*window), Interval(2.0, 3.0)), "A")
+
+
 def test_unique_root_certificate_vortex_only():
     cert = certify_unique_root(window_for("A", "A2"), (2.0, 2.0), "A")
     assert cert.certified

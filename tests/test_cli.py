@@ -416,6 +416,10 @@ def test_bifurcation_empty_range(tmp_path):
                  id="certify-depth-negative"),
     pytest.param(["certify", "--mode", "no-common-zero", "--window", "a4", "--A-range", "2,3",
                   "--max-depth", "-1"], id="certify-no-common-zero-depth-negative"),
+    pytest.param(["certify", "--window", "0.1,2.5", "--A-range", "2,3"],
+                 id="certify-window-outside-domain"),
+    pytest.param(["certify", "--mode", "no-common-zero", "--window", "0.1,2.5",
+                  "--A-range", "2,3"], id="certify-no-common-zero-window-outside-domain"),
 ])
 def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
@@ -529,3 +533,15 @@ def test_region_map_grid60_pinned(tmp_path, capsys):
     summary = [line for line in lines if line.startswith("pentacc: region map: 7200 cells")]
     assert len(summary) == 1
     assert json.loads(summary[0].split(" labels ", 1)[1]) == GRID60_LABELS
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's library example must run as printed, so a public name
+    # it uses cannot be removed while the docs still show it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "True 39"
+    assert [line.split()[0] for line in out[:-1]] == ["A2", "A4"]

@@ -10,13 +10,18 @@ from pentacc.geometry import (
     ChainAngles,
     DIAGONALS,
     OutOfDomainError,
+    PAIRS,
     PlanarConfiguration,
     SymmetricShape,
+    Y4_MAX,
     chain_points,
     collinear_endpoint_y4,
-    convex_position,
     cyclic_from_angles,
+    hull_mask,
+    interior_angles,
     mutual_distances,
+    oriented_areas,
+    pair_distances,
     regular_pentagon_y4,
     square_endpoint_y4,
     symmetric_coords,
@@ -173,6 +178,20 @@ def test_residual_systems_take_a_mass_vector_or_a_list():
             system(configs[0], [1.0] * 4, 3.0)
 
 
+def test_residual_systems_refuse_malformed_tables():
+    table = mutual_distances(PENTAGON).table
+    nan = table.copy()
+    nan[0, 2] = nan[2, 0] = math.nan
+    unit_diagonal = table + np.eye(5)
+    asymmetric = table.copy()
+    asymmetric[0, 1] = 1.5
+    for bad, message in ((nan, "non-finite"), (unit_diagonal, "zero diagonal"),
+                         (asymmetric, "not symmetric")):
+        for system in (albouy_chenciner_f, symmetric_g, fit_lambda_tilde):
+            with pytest.raises(ValueError, match=message):
+                system(bad, EQUAL, 3.0)
+
+
 def test_fitted_multiplier_minimizes_residual():
     rng = np.random.default_rng(31)
     config = PlanarConfiguration(rng.normal(size=(5, 2)))
@@ -265,9 +284,9 @@ def test_zero_coefficient_pairing_is_infeasible():
 def test_one_short_diagonal_convex_is_infeasible():
     angles = ChainAngles(0.8449733887036153, 3.1371275432397496, "plus")
     config = cyclic_from_angles(angles)
-    table = mutual_distances(config)
-    assert convex_position(config)
-    assert sum(table.distance(i, j) < 1.0 for i, j in DIAGONALS) == 1
+    d = dict(zip(PAIRS, pair_distances(config.points[None])[0].tolist()))
+    assert hull_mask(config.points[None]).all()
+    assert sum(d[e] < 1.0 for e in DIAGONALS) == 1
     assert not la2_feasible(config, 3.0).feasible
 
 
@@ -300,16 +319,17 @@ def test_region_three_witness():
 def test_region_three_conditions_hold_for_witness():
     config = cyclic_from_angles(ChainAngles(0.903082161, 4.922594842, "plus"))
     # relabel so the interior body sits at position 5, mirroring if needed
-    from pentacc.geometry import interior_angle, interior_points, oriented_area
-    p = interior_points(config)[0]
+    (p,) = np.flatnonzero(~hull_mask(config.points[None])[0]) + 1
     for candidate in (_permuted(config, p % 5), _permuted(_mirror(config), p % 5)):
-        t123 = interior_angle(candidate, 1, 2, 3)
-        t234 = interior_angle(candidate, 2, 3, 4)
+        pts = candidate.points[None]
+        t123 = interior_angles(pts, 1, 2, 3)[0]
+        t234 = interior_angles(pts, 2, 3, 4)[0]
+        d135, d245 = oriented_areas(pts, [1, 2], [3, 4], 5)[0]
         if (t123 + t234 <= 3 * math.pi + 1e-9
                 and t123 <= 5 * math.pi / 3 + 1e-9
                 and t234 <= 5 * math.pi / 3 + 1e-9
-                and oriented_area(candidate, 1, 3, 5) >= -1e-9
-                and oriented_area(candidate, 2, 4, 5) >= -1e-9):
+                and d135 >= -1e-9
+                and d245 >= -1e-9):
             break
     else:
         pytest.fail("no relabeling satisfied the interior-body conditions")
@@ -565,3 +585,112 @@ def test_a_quantity_self_pair_convention():
             if i != j:
                 aijj = r[j, j] ** 2 - r[i, j] ** 2 - r[i, j] ** 2
                 assert aijj == pytest.approx(-2.0 * r[i, j] ** 2, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the residual systems against their scalar loops
+
+def _laura_andoyer_loop(config: PlanarConfiguration, m, a_exp: float) -> dict:
+    """Wedge residuals one (i, j, k) at a time: the oracle of ``laura_andoyer``."""
+    R = (mutual_distances(config).table + np.eye(5)) ** (-a_exp)
+    np.fill_diagonal(R, 0.0)
+    res = {}
+    for i in range(1, 6):
+        for j in range(i + 1, 6):
+            total = 0.0
+            for k in range(1, 6):
+                if k in (i, j):
+                    continue
+                total += (m[k - 1] * (R[i - 1, k - 1] - R[j - 1, k - 1])
+                          * _area(config.points, i, j, k))
+            res[f"L{i}{j}"] = total
+    return res
+
+
+def _fit_loop(r: np.ndarray, m, a_exp: float) -> float:
+    """The least-squares multiplier one (i, j, k) at a time."""
+    num = den = 0.0
+    for i in range(5):
+        for j in range(5):
+            if i == j:
+                continue
+            a_coef = b_coef = 0.0
+            for k in range(5):
+                if k == i:
+                    continue
+                aijk = r[j, k] ** 2 - r[i, k] ** 2 - r[i, j] ** 2
+                a_coef += m[k] * r[i, k] ** (-a_exp) * aijk
+                b_coef += m[k] * aijk
+            num += a_coef * b_coef
+            den += b_coef * b_coef
+    return num / den
+
+
+def _f_loop(r: np.ndarray, m, a_exp: float, lt: float) -> dict:
+    """The f residuals one (i, j, k) at a time."""
+    res = {}
+    for i in range(5):
+        for j in range(5):
+            if i == j:
+                continue
+            total = 0.0
+            for k in range(5):
+                if k == i:
+                    continue
+                aijk = r[j, k] ** 2 - r[i, k] ** 2 - r[i, j] ** 2
+                total += m[k] * (r[i, k] ** (-a_exp) - lt) * aijk
+            res[f"f{i + 1}{j + 1}"] = total
+    return res
+
+
+def _g_loop(r: np.ndarray, m, a_exp: float, lt: float) -> dict:
+    """The g residuals one (i, j, k) at a time, by their own formula."""
+    res = {}
+    for i in range(5):
+        for j in range(i + 1, 5):
+            total = 0.0
+            for k in range(5):
+                sik = r[i, k] ** (-a_exp) - lt if k != i else 0.0
+                sjk = r[j, k] ** (-a_exp) - lt if k != j else 0.0
+                aijk = (r[j, k] ** 2 - r[i, k] ** 2 - r[i, j] ** 2) if k != i else 0.0
+                ajik = (r[i, k] ** 2 - r[j, k] ** 2 - r[i, j] ** 2) if k != j else 0.0
+                total += m[k] * (sik * aijk + sjk * ajik)
+            res[f"g{i + 1}{j + 1}"] = total
+    return res
+
+
+def _bits(values) -> bytes:
+    return np.array(list(values), dtype=float).tobytes()
+
+
+def test_residual_tables_match_scalar_loops():
+    # random, symmetric-family and chain-point configurations, each at five
+    # exponents with the fitted and with a given multiplier, bit for bit
+    rng = np.random.default_rng(73)
+    configs = [PlanarConfiguration(p) for p in rng.normal(size=(40, 5, 2))]
+    configs += [symmetric_coords(SymmetricShape(float(y), branch))
+                for branch in "AB" for y in rng.uniform(0.01, Y4_MAX - 0.01, 10)]
+    t12, t23 = rng.uniform(0.05, 2 * math.pi - 0.05, (2, 80))
+    for closure in ("plus", "minus"):
+        pts, realizable = chain_points(t12, t23, closure)
+        configs += [PlanarConfiguration(p) for p in pts[realizable][:20]]
+    assert len(configs) == 100
+    for config in configs:
+        m = rng.uniform(0.2, 3.0, 5)
+        lam = float(rng.uniform(0.1, 2.0))
+        r = mutual_distances(config).table
+        for a_exp in (2.0, 7.0 / 3.0, 2.5, 3.0, 4.0):
+            got = laura_andoyer(config, m, a_exp).residuals
+            want = _laura_andoyer_loop(config, m, a_exp)
+            assert list(got) == list(want)
+            assert _bits(got.values()) == _bits(want.values())
+            fitted = _fit_loop(r, m, a_exp)
+            assert _bits([fit_lambda_tilde(r, m, a_exp)]) == _bits([fitted])
+            for lt in (None, lam):
+                want_lt = fitted if lt is None else lt
+                for system, loop in ((albouy_chenciner_f, _f_loop), (symmetric_g, _g_loop)):
+                    rep = system(r, m, a_exp, lambda_tilde=lt)
+                    want = loop(r, m, a_exp, want_lt)
+                    assert list(rep.residuals) == list(want)
+                    assert _bits(rep.residuals.values()) == _bits(want.values())
+                    assert _bits([rep.meta["lambda_tilde"]]) == _bits([want_lt])

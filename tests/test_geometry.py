@@ -18,18 +18,16 @@ from pentacc.geometry import (
     cayley_menger,
     chain_points,
     classify_sign_type,
+    PAIRS,
     collinear_endpoint_y4,
-    convex_position,
     cyclic_from_angles,
     family_terms,
     house_y4,
     hull_mask,
-    interior_angle,
     interior_angles,
-    interior_points,
     mutual_distances,
-    oriented_area,
     oriented_areas,
+    pair_distances,
     regular_pentagon_y4,
     square_endpoint_y4,
     symmetric_coords,
@@ -42,61 +40,78 @@ def pentagon_config():
     return symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A"))
 
 
+def _areas(config: PlanarConfiguration, triples) -> dict:
+    """{(i, j, k): Delta(i,j,k)} of one configuration, in one kernel call."""
+    i, j, k = np.array(triples).T
+    return dict(zip(triples, oriented_areas(config.points[None], i, j, k)[0].tolist()))
+
+
+def _distances(config: PlanarConfiguration) -> dict:
+    """{(i, j): r_ij} over the ten pairs i < j of one configuration."""
+    return dict(zip(PAIRS, pair_distances(config.points[None])[0].tolist()))
+
+
 # ---------------------------------------------------------------------------
 # oriented areas
 
 def test_oriented_area_base_triangles():
     pts = np.array([[-0.5, 0.0], [0.5, 0.0], [0.0, 1.0], [0.0, 0.7], [0.3, 0.4]])
-    config = PlanarConfiguration(pts)
-    assert oriented_area(config, 1, 2, 3) == pytest.approx(1.0, abs=1e-15)
-    assert oriented_area(config, 1, 2, 4) == pytest.approx(0.7, abs=1e-15)
+    d123, d124 = oriented_areas(pts[None], 1, 2, [3, 4])[0]
+    assert d123 == pytest.approx(1.0, abs=1e-15)
+    assert d124 == pytest.approx(0.7, abs=1e-15)
 
 
 def test_oriented_area_antisymmetry_and_cycle():
     rng = np.random.default_rng(3)
-    config = PlanarConfiguration(rng.normal(size=(5, 2)))
-    for i, j, k in permutations(range(1, 6), 3):
-        d = oriented_area(config, i, j, k)
-        assert oriented_area(config, i, k, j) == pytest.approx(-d, rel=1e-12, abs=1e-15)
-        assert oriented_area(config, j, k, i) == pytest.approx(d, rel=1e-12, abs=1e-15)
+    pts = rng.normal(size=(1, 5, 2))
+    i, j, k = np.array(list(permutations(range(1, 6), 3))).T
+    d = oriented_areas(pts, i, j, k)
+    assert np.allclose(oriented_areas(pts, i, k, j), -d, rtol=1e-12, atol=1e-15)
+    assert np.allclose(oriented_areas(pts, j, k, i), d, rtol=1e-12, atol=1e-15)
 
 
 def test_oriented_area_regular_pentagon_congruence():
-    config = pentagon_config()
-    assert oriented_area(config, 1, 3, 4) == pytest.approx(
-        oriented_area(config, 1, 3, 5), rel=1e-12)
+    d134, d135 = oriented_areas(pentagon_config().points[None], 1, 3, [4, 5])[0]
+    assert d134 == pytest.approx(d135, rel=1e-12)
 
 
-def test_oriented_area_rejects_repeated_labels():
-    config = pentagon_config()
+def test_oriented_areas_broadcast_label_arrays():
+    rng = np.random.default_rng(71)
+    pts = rng.normal(size=(40, 5, 2))
+    i, j, k = np.array(list(permutations(range(1, 6), 3))).T
+    areas = oriented_areas(pts, i, j, k)
+    assert areas.shape == (40, 60)
+    for n, triple in enumerate(zip(i.tolist(), j.tolist(), k.tolist())):
+        assert areas[:, n].tobytes() == oriented_areas(pts, *triple).tobytes()
+    # (i, j) against a column of k broadcasts to a table
+    assert oriented_areas(pts, 1, [[2], [3]], [4, 5]).shape == (40, 2, 2)
     with pytest.raises(ValueError):
-        oriented_area(config, 1, 1, 2)
+        oriented_areas(pts, 1, 2, [3, 6])
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 def test_regular_pentagon_diagonals_are_golden():
-    table = mutual_distances(pentagon_config())
-    assert table.is_equilateral
+    config = pentagon_config()
+    assert mutual_distances(config).is_equilateral
+    d = _distances(config)
     for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
-        assert table.distance(i, j) == pytest.approx(GOLDEN, abs=1e-12)
-    assert table.classes is not None
-    assert table.classes.r12 == pytest.approx(1.0, abs=1e-12)
+        assert d[i, j] == pytest.approx(GOLDEN, abs=1e-12)
+    assert d[1, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_square_endpoint_distances():
-    shape = SymmetricShape(square_endpoint_y4(), "A")
-    table = mutual_distances(symmetric_coords(shape))
-    assert table.distance(1, 4) == pytest.approx(math.sqrt(2.0 - math.sqrt(3.0)), abs=1e-12)
-    assert table.distance(3, 5) == pytest.approx(1.0, abs=1e-12)
+    d = _distances(symmetric_coords(SymmetricShape(square_endpoint_y4(), "A")))
+    assert d[1, 4] == pytest.approx(math.sqrt(2.0 - math.sqrt(3.0)), abs=1e-12)
+    assert d[3, 5] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collinear_chain_distance():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
     table = mutual_distances(PlanarConfiguration(pts))
-    assert table.distance(1, 3) == pytest.approx(2.0, abs=1e-14)
-    assert not table.is_equilateral or table.classes is not None
+    assert table.table[0, 2] == pytest.approx(2.0, abs=1e-14)
+    assert not table.is_equilateral
 
 
 def test_mutual_distances_collision_error():
@@ -107,9 +122,7 @@ def test_mutual_distances_collision_error():
 
 def test_non_equilateral_flagged():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.7], [-0.5, 1.0]])
-    table = mutual_distances(PlanarConfiguration(pts))
-    assert not table.is_equilateral
-    assert table.classes is None
+    assert not mutual_distances(PlanarConfiguration(pts)).is_equilateral
 
 
 def test_distance_vector_roundtrip():
@@ -211,22 +224,25 @@ def test_cayley_menger_all_subsets_vanish_for_configurations():
 # ---------------------------------------------------------------------------
 # symmetric family
 
+# the six oriented areas of ``family_terms``
+_FAMILY_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 3, 5), (1, 4, 5), (3, 4, 5))
+
 def test_square_endpoint_coordinates():
     config = symmetric_coords(SymmetricShape(square_endpoint_y4(), "A"))
-    assert config.q(3)[0] == pytest.approx(0.5, abs=1e-12)
-    assert config.q(3)[1] == pytest.approx(1.0, abs=1e-12)
+    assert config.points[2, 0] == pytest.approx(0.5, abs=1e-12)
+    assert config.points[2, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collinear_endpoint_has_zero_area():
     config = symmetric_coords(SymmetricShape(collinear_endpoint_y4(), "A"))
-    assert oriented_area(config, 1, 3, 4) == pytest.approx(0.0, abs=1e-12)
-    assert oriented_area(config, 2, 4, 5) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(oriented_areas(config.points[None], [1, 2], [3, 4], [4, 5]), 0.0,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_regular_pentagon_coordinates():
     config = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A"))
-    assert config.q(3)[0] == pytest.approx(0.8090169943749475, abs=1e-12)
-    assert config.q(3)[1] == pytest.approx(0.9510565162951535, abs=1e-12)
+    assert config.points[2, 0] == pytest.approx(0.8090169943749475, abs=1e-12)
+    assert config.points[2, 1] == pytest.approx(0.9510565162951535, abs=1e-12)
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
@@ -245,18 +261,15 @@ def test_closed_form_areas_match_coordinates(branch):
         shape = SymmetricShape(float(y4), branch)
         config = symmetric_coords(shape)
         x3, y3 = branch_position(float(y4), branch)
-        assert oriented_area(config, 1, 2, 3) == pytest.approx(y3, abs=1e-12)
-        assert oriented_area(config, 1, 2, 4) == pytest.approx(float(y4), abs=1e-12)
-        assert oriented_area(config, 1, 3, 5) == pytest.approx(2 * y3 * x3, abs=1e-12)
-        assert oriented_area(config, 1, 3, 4) == pytest.approx(
-            x3 * y4 + (y4 - y3) / 2, abs=1e-12)
-        assert oriented_area(config, 1, 4, 5) == pytest.approx(
-            x3 * y4 - (y4 - y3) / 2, abs=1e-12)
-        assert oriented_area(config, 3, 4, 5) == pytest.approx(
-            2 * x3 * (y4 - y3), abs=1e-12)
+        d = _areas(config, _FAMILY_TRIPLES + ((2, 3, 4),))
+        assert d[1, 2, 3] == pytest.approx(y3, abs=1e-12)
+        assert d[1, 2, 4] == pytest.approx(float(y4), abs=1e-12)
+        assert d[1, 3, 5] == pytest.approx(2 * y3 * x3, abs=1e-12)
+        assert d[1, 3, 4] == pytest.approx(x3 * y4 + (y4 - y3) / 2, abs=1e-12)
+        assert d[1, 4, 5] == pytest.approx(x3 * y4 - (y4 - y3) / 2, abs=1e-12)
+        assert d[3, 4, 5] == pytest.approx(2 * x3 * (y4 - y3), abs=1e-12)
         # the two mirror triangles differ by the apex offset
-        assert (oriented_area(config, 1, 3, 4) - oriented_area(config, 2, 3, 4)
-                == pytest.approx(float(y4) - y3, abs=1e-12))
+        assert d[1, 3, 4] - d[2, 3, 4] == pytest.approx(float(y4) - y3, abs=1e-12)
 
 
 def test_branch_invariants_on_dense_grid():
@@ -280,40 +293,26 @@ def test_symmetric_shape_domain_errors():
         SymmetricShape(0.5, "C")
 
 
-def test_normalized_constructor_pins_first_edge():
-    rng = np.random.default_rng(23)
-    base = symmetric_coords(SymmetricShape(0.5, "A")).points
-    theta = rng.uniform(0, 2 * math.pi)
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    moved = 3.7 * base @ rot.T + np.array([2.0, -1.0])
-    config = PlanarConfiguration.normalized(moved)
-    assert np.allclose(config.q(1), [-0.5, 0.0], atol=1e-12)
-    assert np.allclose(config.q(2), [0.5, 0.0], atol=1e-12)
-    table = mutual_distances(config)
-    assert table.is_equilateral
-
-
 # ---------------------------------------------------------------------------
 # chain angles
 
 def test_pentagon_from_angles():
     angles = ChainAngles(3 * math.pi / 5, 3 * math.pi / 5, "plus")
     config = cyclic_from_angles(angles)
-    table = mutual_distances(config)
-    assert table.is_equilateral
-    assert np.allclose(config.q(4), [0.0, regular_pentagon_y4()], atol=1e-12)
+    assert mutual_distances(config).is_equilateral
+    assert np.allclose(config.points[3], [0.0, regular_pentagon_y4()], atol=1e-12)
+    d = _distances(config)
     for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
-        assert table.distance(i, j) == pytest.approx(GOLDEN, abs=1e-12)
+        assert d[i, j] == pytest.approx(GOLDEN, abs=1e-12)
 
 
 def test_star_from_angles_has_short_diagonals():
     config = cyclic_from_angles(ChainAngles(math.pi / 5, math.pi / 5, "plus"))
-    table = mutual_distances(config)
-    assert table.is_equilateral
+    assert mutual_distances(config).is_equilateral
+    d = _distances(config)
     for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
-        assert table.distance(i, j) == pytest.approx(1.0 / GOLDEN, abs=1e-12)
-        assert table.distance(i, j) < 1.0
+        assert d[i, j] == pytest.approx(1.0 / GOLDEN, abs=1e-12)
+        assert d[i, j] < 1.0
 
 
 def test_flat_chain_cannot_close():
@@ -342,17 +341,17 @@ def test_both_closures_give_unit_cycles():
             except OutOfDomainError:
                 continue
             built += 1
-            table = mutual_distances(config)
+            d = _distances(config)
             for i, j in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)):
-                assert table.distance(i, j) == pytest.approx(1.0, abs=1e-12)
+                assert d[i, j] == pytest.approx(1.0, abs=1e-12)
     assert built > 100
 
 
 def test_interior_angle_roundtrip():
     angles = ChainAngles(2.1, 0.9, "plus")
-    config = cyclic_from_angles(angles)
-    assert interior_angle(config, 1, 2, 3) == pytest.approx(2.1, abs=1e-12)
-    assert interior_angle(config, 2, 3, 4) == pytest.approx(0.9, abs=1e-12)
+    pts = cyclic_from_angles(angles).points[None]
+    assert interior_angles(pts, 1, 2, 3)[0] == pytest.approx(2.1, abs=1e-12)
+    assert interior_angles(pts, 2, 3, 4)[0] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_angle_validation():
@@ -365,10 +364,10 @@ def test_angle_validation():
 
 
 def test_convex_position_and_interior():
-    assert convex_position(pentagon_config())
+    assert hull_mask(pentagon_config().points[None]).all()
     concave = cyclic_from_angles(ChainAngles(0.903082161, 4.922594842, "plus"))
-    assert not convex_position(concave)
-    assert interior_points(concave) == [3]
+    # body 3 alone lies inside the hull of the others
+    assert hull_mask(concave.points[None])[0].tolist() == [True, True, False, True, True]
 
 
 def _hull_indices(pts: np.ndarray) -> list:
@@ -445,11 +444,6 @@ def test_hull_mask_matches_scalar_monotone_chain():
         assert sorted(hull) == sorted(set(hull))
         sizes.add(len(hull))
     assert sizes == {2, 3, 4, 5}
-    # the batch of one agrees with the stack
-    for pts, row in zip(sets[::7], mask[::7].tolist()):
-        config = PlanarConfiguration(pts)
-        assert convex_position(config) == all(row)
-        assert interior_points(config) == [i + 1 for i in range(5) if not row[i]]
 
 
 def test_angle_and_area_kernels_match_scalar_formulas():
@@ -466,9 +460,6 @@ def test_angle_and_area_kernels_match_scalar_formulas():
             want = (math.atan2(u[1], u[0]) - math.atan2(v[1], v[0])) % two_pi
             assert angles[n].tobytes() == np.float64(want).tobytes()
             assert areas[n].tobytes() == (u[0] * w[1] - u[1] * w[0]).tobytes()
-        config = PlanarConfiguration(pts[0])
-        assert interior_angle(config, i, j, k) == angles[0]
-        assert oriented_area(config, i, j, k) == areas[0]
     with pytest.raises(ValueError):
         interior_angles(pts, 0, 1, 2)
 
@@ -510,24 +501,15 @@ def test_boundaries_are_named():
 
 def _signs_for(shape):
     config = symmetric_coords(shape)
-    table = mutual_distances(config)
-    q = {
-        "d123": oriented_area(config, 1, 2, 3),
-        "d124": oriented_area(config, 1, 2, 4),
-        "d134": oriented_area(config, 1, 3, 4),
-        "d135": oriented_area(config, 1, 3, 5),
-        "d145": oriented_area(config, 1, 4, 5),
-        "d345": oriented_area(config, 3, 4, 5),
-        "r13": table.distance(1, 3),
-        "r14": table.distance(1, 4),
-        "r35": table.distance(3, 5),
-    }
+    d = _distances(config)
+    q = {"d" + "".join(map(str, t)): v for t, v in _areas(config, _FAMILY_TRIPLES).items()}
+    q.update(r13=d[1, 3], r14=d[1, 4], r35=d[3, 5])
     # F, the mass matrix and the classifier all read the family kernel, so
     # check it against the coordinates independently
     kernel = family_terms(shape.y4, shape.branch)
     for key, value in q.items():
         assert kernel[key] == pytest.approx(value, abs=1e-12), key
-    q["convex"] = convex_position(config)
+    q["convex"] = bool(hull_mask(config.points[None]).all())
     return q
 
 

@@ -25,9 +25,9 @@ from pentacc.tropical import (
     reflect_weight,
     verify_tables,
     weight_orbit,
-    CLASS_OF_PAIR,
     CYCLE_CLASS_MAP,
 )
+from pentacc.geometry import PAIR_CLASS
 
 # The relabeling i -> i+1 of the bodies, which CYCLE_CLASS_MAP follows on
 # the distance classes.
@@ -379,7 +379,7 @@ def _leibniz_cayley_menger(points):
         if a == 0 or b == 0:
             return LaurentPoly.monomial()
         i, j = sorted((points[a - 1], points[b - 1]))
-        return LaurentPoly.monomial(exps={CLASS_OF_PAIR[(i, j)]: 2})
+        return LaurentPoly.monomial(exps={PAIR_CLASS[(i, j)]: 2})
 
     det = LaurentPoly()
     for perm in permutations(range(5)):
@@ -406,7 +406,7 @@ def test_cayley_menger_monomial_sums_match_leibniz_products():
 def _chained_f_poly(i, j):
     """f_ij as the chained product m_k (Q_ik - r_ik^2) a_ijk D_ik, summed over k."""
     def cls(a, b):
-        return CLASS_OF_PAIR[(min(a, b), max(a, b))]
+        return PAIR_CLASS[(min(a, b), max(a, b))]
 
     def r2(c):
         return LaurentPoly.monomial(exps={c: 2})
