@@ -28,7 +28,6 @@ budget yields an undecided verdict carrying the offending boxes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -159,10 +158,6 @@ class Certificate:
             "undecided": [l.to_json() for l in self.undecided],
             "stats": self.stats,
         }
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
 def _check_request(window: tuple, max_depth: int) -> None:

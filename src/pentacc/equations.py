@@ -63,7 +63,6 @@ __all__ = [
     "laura_andoyer",
     "albouy_chenciner_f",
     "symmetric_g",
-    "fit_lambda_tilde",
     "mass_coefficient_matrix",
     "mass_kernel",
     "la2_feasible",
@@ -273,14 +272,6 @@ def _fit(m: np.ndarray, s: np.ndarray, a: np.ndarray) -> float:
     return _running_sum(a_coef * b_coef) / den
 
 
-def fit_lambda_tilde(r: np.ndarray, masses, a_exp: float) -> float:
-    """Least-squares multiplier: minimizes the sum of squared f residuals.
-
-    ``r`` is checked as the tables of ``albouy_chenciner_f`` are.
-    """
-    return _fit(_mass_array(masses), *_residual_tables(_distance_table(r), a_exp))
-
-
 def _shifted_tables(distances, masses, a_exp: float, lambda_tilde) -> tuple:
     """(m, s - lt, a, lt): the masses, the residual tables with s shifted by
     the multiplier lt off the diagonal, and lt, fitted when not given."""
@@ -358,15 +349,6 @@ class KernelResult:
     positive: bool
     rank: int
     singular_values: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "masses": list(self.masses.as_array()) if self.masses else None,
-            "positive": self.positive,
-            "rank": self.rank,
-            "singular_values": list(self.singular_values),
-        }
 
 
 def mass_kernel(matrix: np.ndarray) -> KernelResult:

@@ -486,51 +486,53 @@ def interior_angles(points, i: int, j: int, k: int) -> np.ndarray:
 
 
 _HULL_TOL = 1e-14  # a chain turn this small counts as straight
-# every (o, a, b) of chain positions o < a < b, and its column in the table
-# of turns
-_TURN_O, _TURN_A, _TURN_B = np.array(list(combinations(range(5), 3))).T
-_TURN_COL = np.zeros((5, 5, 5), dtype=int)
-_TURN_COL[_TURN_O, _TURN_A, _TURN_B] = np.arange(len(_TURN_O))
+# every (o, a, b) of chain positions o < a < b, and its bit in a chain's
+# pattern of turns
+_TURN_BIT = {t: n for n, t in enumerate(combinations(range(5), 3))}
+_TURN_O, _TURN_A, _TURN_B = np.array(list(_TURN_BIT)).T
+
+
+def _chain_keep(straight: int) -> list:
+    """Chain positions that Andrew's monotone chain keeps, all but its last
+    point, when the turn (o, a, b) is straight exactly where bit
+    ``_TURN_BIT[o, a, b]`` of ``straight`` is set."""
+    stack = [0, 1]
+    for nxt in range(2, 5):
+        while len(stack) >= 2 and straight >> _TURN_BIT[stack[-2], stack[-1], nxt] & 1:
+            stack.pop()
+        stack.append(nxt)
+    return [n in stack[:-1] for n in range(5)]
+
+
+# the kept positions of a five-point chain depend only on its ten turn bits
+_CHAIN_KEEP = np.array([_chain_keep(straight) for straight in range(1 << len(_TURN_BIT))])
 
 
 def hull_mask(points) -> np.ndarray:
     """(N, 5) mask of the convex-hull vertices of each configuration.
 
-    Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979), run
-    in lockstep over the rows of an (N, 5, 2) stack: each row is ordered by
-    (x, y), and while the turn from the last two chain points to the next
-    point is at most ``_HULL_TOL`` the last chain point is popped.  Points on
-    a hull edge are not vertices.
+    Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979) over
+    the rows of an (N, 5, 2) stack: each row is ordered by (x, y), and the
+    last chain point is popped while the turn from the last two chain points
+    to the next point is at most ``_HULL_TOL``.  Which points a five-point
+    chain keeps depends only on which of its ten turns are straight, so the
+    turns are computed in one pass and their bits index ``_CHAIN_KEEP``, the
+    outcome of the scalar chain on each of the 1024 patterns.  Points on a
+    hull edge are not vertices.
     """
     pts = np.asarray(points, dtype=float)
-    rows = np.arange(len(pts))
+    rows = np.arange(len(pts))[:, None]
     order = np.lexsort((pts[..., 1], pts[..., 0]))  # stable, as sorting on (x, y)
     mask = np.zeros(order.shape, dtype=bool)
+    weights = 1 << np.arange(len(_TURN_BIT))
     for chain in (order, order[:, ::-1]):  # lower hull, then upper hull
-        q = pts[rows[:, None], chain]
+        q = pts[rows, chain]
         x, y = q[..., 0], q[..., 1]
         o, a, b = _TURN_O, _TURN_A, _TURN_B
-        # the turn (o, a, b) of each triple of chain positions, in one pass
         straight = ((x[:, a] - x[:, o]) * (y[:, b] - y[:, o])
                     - (y[:, a] - y[:, o]) * (x[:, b] - x[:, o])) <= _HULL_TOL
-        stack = np.zeros(order.shape, dtype=int)
-        stack[:, 1] = 1
-        size = np.full(len(pts), 2)
-        for nxt in range(2, 5):
-            while True:
-                live = np.flatnonzero(size >= 2)
-                top = size[live]
-                col = _TURN_COL[stack[live, top - 2], stack[live, top - 1], nxt]
-                pop = live[straight[live, col]]
-                if not pop.size:
-                    break
-                size[pop] -= 1
-            stack[rows, size] = nxt
-            size += 1
         # every chain point but the last, which starts the other chain
-        for n in range(4):
-            on = n < size - 1
-            mask[rows[on], chain[on, stack[on, n]]] = True
+        mask[rows, chain] |= _CHAIN_KEEP[straight @ weights]
     return mask
 
 

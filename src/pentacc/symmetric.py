@@ -133,14 +133,19 @@ def _refine(f, a, fa, b, tol: float) -> tuple:
     return a, b
 
 
-@lru_cache(maxsize=None)
 def sign_type_windows(branch: str) -> dict:
     """Open y4 windows of each sign type, keyed by label, boundaries to 1e-12.
 
     Boundaries are found numerically from the defining conditions and window
     labels by classifying midpoints, so the table stays consistent with
-    classify_sign_type.
+    classify_sign_type.  The dict is a copy: changing it moves no window.
     """
+    return dict(_windows(branch))
+
+
+@lru_cache(maxsize=None)
+def _windows(branch: str) -> dict:
+    """The windows of ``sign_type_windows``, computed once per branch."""
     grid = np.linspace(1e-9, Y4_MAX - 1e-9, 20001)
     cuts = []
     for fun in _BOUNDARY_FUNS[branch]:
@@ -171,7 +176,7 @@ def window_for(branch: str, label: str, inset: float = 0.0) -> tuple:
     """
     if not (math.isfinite(inset) and inset >= 0.0):
         raise ValueError(f"inset must be finite and nonnegative, got {inset}")
-    wins = sign_type_windows(branch)
+    wins = _windows(branch)
     if label not in wins:
         raise KeyError(f"no sign type {label!r} on branch {branch}")
     lo, hi = wins[label]
@@ -373,10 +378,6 @@ class MassPolynomial:
 
     name: str
     coefficients: tuple  # ascending order, exact integers
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, m4: float) -> float:
         total = 0.0

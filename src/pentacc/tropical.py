@@ -59,7 +59,6 @@ __all__ = [
     "RayTable",
     "load_ray_table",
     "build_system",
-    "initial_form",
     "in_prevariety",
     "verify_tables",
     "TableReport",
@@ -135,21 +134,6 @@ class LaurentPoly:
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
-
-    def specialize_masses(self, masses) -> "LaurentPoly":
-        """Substitute explicit rational masses, dropping vanishing terms."""
-        ms = [Fraction(m) for m in masses]
-        out: dict = {}
-        for e, mp in self.terms.items():
-            total = Fraction(0)
-            for me, c in mp.items():
-                v = c
-                for m, p in zip(ms, me):
-                    v *= m ** p
-                total += v
-            if total:
-                out[e] = {_ZERO_MASS: total}
-        return LaurentPoly(out)
 
 
 def _r(c: int, power: int = 1) -> LaurentPoly:
@@ -233,12 +217,11 @@ def build_q_relation(c: int, p: int, q: int) -> LaurentPoly:
     return (LaurentPoly.monomial(exps={c: p}, q_exps={c: q}) - _r(c, 2 * q))
 
 
-def build_system(a_exp: Fraction, masses=None) -> list:
+def build_system(a_exp: Fraction) -> list:
     """The full finiteness system for a rational exponent, as (label, poly).
 
     Twenty mutual-distance polynomials, five Cayley-Menger determinants, and
-    six Q-defining binomials: 31 in total.  ``masses`` may be five explicit
-    rationals; by default mass coefficients stay generic.
+    six Q-defining binomials: 31 in total, with generic mass coefficients.
     """
     a_exp = Fraction(a_exp)
     if a_exp < 2:
@@ -253,8 +236,6 @@ def build_system(a_exp: Fraction, masses=None) -> list:
         system.append(("CM" + "".join(map(str, sub)), build_cayley_menger_poly(sub)))
     for c in range(6):
         system.append((f"Qrel{c}", build_q_relation(c, p, q)))
-    if masses is not None:
-        system = [(lab, poly.specialize_masses(masses)) for lab, poly in system]
     return system
 
 
@@ -395,13 +376,6 @@ def _memberships(system: list, a_exp: Fraction, weights: list) -> list:
     first = single.argmax(axis=0)
     return [(False, system[f][0]) if single[f, k] else (True, None)
             for k, f in enumerate(first.tolist())]
-
-
-def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> LaurentPoly:
-    """Terms of maximal lifted weight (Groebner-deformation convention)."""
-    top, _ = _top([poly], a_exp, [w])
-    return LaurentPoly({e: dict(mp) for (e, mp), keep
-                        in zip(poly.terms.items(), top[:, 0].tolist()) if keep})
 
 
 def _polys_examined(system: list, witness) -> int:

@@ -128,7 +128,7 @@ def test_no_common_zero_fails_at_bifurcation():
         assert leaf.a[0] <= 3.125 and leaf.a[1] >= 3.115
 
 
-def test_certificate_leaves_partition_and_serialize(tmp_path):
+def test_certificate_leaves_partition_and_serialize():
     w = window_for("A", "A4", inset=1e-9)
     region = Box(Interval(*w), Interval(2.0, 2.5))
     cert = certify_no_common_zero(region, "A")
@@ -139,9 +139,7 @@ def test_certificate_leaves_partition_and_serialize(tmp_path):
     # deterministic ordering and JSON round trip
     keys = [(l.y4[0], l.a[0], l.y4[1], l.a[1]) for l in cert.leaves]
     assert keys == sorted(keys)
-    path = tmp_path / "cert.json"
-    cert.dump(path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(cert.to_json(), indent=1))
     assert data["certified"] is True
     assert len(data["leaves"]) == len(cert.leaves)
 

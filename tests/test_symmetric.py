@@ -121,6 +121,16 @@ def test_windows_tile_the_domain():
         assert edges[0] == 0.0 and edges[-1] == pytest.approx(Y4_MAX)
 
 
+def test_sign_type_windows_hands_out_a_copy():
+    want = window_for("A", "A2")
+    wins = sign_type_windows("A")
+    wins["A2"] = (0.0, 0.1)
+    del wins["A4"]
+    assert window_for("A", "A2") == want
+    assert sign_type_windows("A")["A2"] == want
+    assert "A4" in sign_type_windows("A")
+
+
 def test_window_for_unknown_label():
     with pytest.raises(KeyError):
         window_for("A", "B2")
@@ -232,13 +242,13 @@ def test_tangency_guard_matches_recursive_oracle(branch, a_exp, label):
 # mass polynomials
 
 def test_vortex_polynomial_shape():
-    assert VORTEX_MASS_POLY.degree == 9
+    assert len(VORTEX_MASS_POLY.coefficients) - 1 == 9
     assert VORTEX_MASS_POLY.coefficients[-1] == 64
     assert VORTEX_MASS_POLY.coefficients[0] == -17
 
 
 def test_quartic_polynomial_shape():
-    assert QUARTIC_MASS_POLY.degree == 16
+    assert len(QUARTIC_MASS_POLY.coefficients) - 1 == 16
     assert QUARTIC_MASS_POLY.coefficients[-1] == 12288
     assert QUARTIC_MASS_POLY.coefficients[0] == 957
 
