@@ -14,11 +14,13 @@ boxes with the interval arithmetic from ``intervals``:
 Bisection runs breadth first, on ``intervals._bisect``.  A certificate
 keeps one frontier of boxes, with the three zones of a unique-root
 certificate in it together, tagged by zone, as numpy columns of box
-bounds.  Each depth's frontier is evaluated by one call of the batched box
-kernel ``_mv_eval`` on ``IntervalArray`` operands; decided boxes become
-leaves and the rest are halved into the next depth's frontier.  A box's
-verdict depends only on the box, so the leaves are the ones a depth-first
-bisection finds.  The tangency guard of ``symmetric.isolate_roots`` runs
+bounds.  Each pass evaluates the frontier, together with whole levels of
+its candidate children, by one call of the batched box kernel ``_mv_eval``
+on ``IntervalArray`` operands, and resolves every depth the batch covers:
+decided boxes become leaves, the rest are halved into their candidate
+rows, and the boxes left open at the last level form the next pass's
+frontier.  A box's verdict depends only on the box, so the leaves are the
+ones a depth-first bisection finds.  The tangency guard of ``symmetric.isolate_roots`` runs
 on the same bisection, with the natural Dual form at the scan's exponent
 as its box evaluator.
 

@@ -3,8 +3,9 @@
 Subcommands: symmetric-scan, certify, region-map, tropical-verify, evaluate.
 Angles are degrees on the command line and radians in emitted files.  Exit
 codes: 0 success or certified, 1 input error, 2 undecided certification,
-3 empty result.  With ``--stats``, certify, region-map and tropical-verify
-report how the result was reached on stderr, through the ``pentacc`` logger.
+3 empty result.  With ``--stats``, symmetric-scan, certify, region-map and
+tropical-verify report how the result was reached on stderr, through the
+``pentacc`` logger.
 """
 
 from __future__ import annotations
@@ -355,6 +356,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--svg-out", help="also write the family-curve SVG path data")
+    p.add_argument("--stats", action="store_true",
+                   help="print each window's tangency guard (seeds, boxes per depth, "
+                        "passes, unresolved cells) and its wall time to stderr")
     p.set_defaults(func=cmd_symmetric_scan)
 
     p = sub.add_parser("certify", help="interval certification over a (y4, A) box")

@@ -10,7 +10,9 @@ verifies the grid sign arguments that exclude seven of the ten sign types.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -37,6 +39,8 @@ from .equations import (
 )
 from .intervals import (Dual, Interval, IntervalArray, _BoxEval, _bisect,
                         _no_common_zero_decider)
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "F",
@@ -281,6 +285,8 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     zero go to the certifier's breadth-first bisection, ``intervals._bisect``,
     which clears the subcells where the interval F or dF/dy4 excludes zero;
     the rest are reported as unresolved records instead of being guessed at.
+    One INFO line per call on this module's logger gives the guard's seeds,
+    its boxes per depth, its passes, its unresolved cells and its wall time.
     Raises ValueError when ``tol`` is not finite or is below the float
     spacing at the window's upper end, where the bisection could not advance.
     """
@@ -311,10 +317,16 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     # tangency guard: same-sign cells that may hide an even-order zero are
     # screened cheaply, then refined by bisection down to depth 24 or width
     # 1e-15; only cells where F and dF still both straddle zero are reported
+    start = time.perf_counter()
     seeds = _tangency_seeds(ys, vals, a_exp)
-    _, undecided, _ = _bisect([(_no_common_zero_decider, seeds)],
-                              partial(_natural_eval, branch=branch, a_exp=a_exp), 24, 1e-15)
-    for cell in _merge_intervals([leaf.y4 for leaf in undecided]):
+    _, undecided, stats = _bisect([(_no_common_zero_decider, seeds)],
+                                  partial(_natural_eval, branch=branch, a_exp=a_exp), 24, 1e-15)
+    cells = _merge_intervals([leaf.y4 for leaf in undecided])
+    log.info("tangency guard on y4 [%r, %r] at A=%r: seeds %d, boxes per depth %s, "
+             "passes %d, unresolved cells %d, %.3f s", float(lo), float(hi), a_exp, len(seeds),
+             stats["evals_per_depth"], stats["passes"], len(cells),
+             time.perf_counter() - start)
+    for cell in cells:
         records.append(_make_record(cell, branch, a_exp,
                                     certified=False, resolved=False))
     records.sort(key=lambda r: r.enclosure[0])

@@ -15,15 +15,16 @@ from pentacc.geometry import (
     regular_pentagon_y4,
     square_endpoint_y4,
 )
+import pentacc.intervals as intervals
 from pentacc.intervals import (Box, Interval, IntervalArray, IntervalDomainError, Jet2,
-                               _BoxEval, _bisect)
+                               _BoxEval, _VERDICTS, _bisect, _leaf, _stats, split_bounds)
 from pentacc.certify import (
     _mv_eval,
     certify_no_common_zero,
     certify_unique_root,
     eval_F_interval,
 )
-from pentacc.symmetric import F, F_dual, window_for
+from pentacc.symmetric import F, F_dual, scan_branch, window_for
 
 
 def F_prime(y4: float, a_exp, branch: str = "A") -> float:
@@ -212,20 +213,28 @@ def _leaf_sha256(cert) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_ACCEPTANCE = {
+    "A2": lambda: certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A"),
+    "A4-no-common-zero": lambda: certify_no_common_zero(
+        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(2.0, 3.0)), "A"),
+    "B2": lambda: certify_unique_root(window_for("B", "B2", inset=1e-6), (2.0, 6.0), "B",
+                                      max_depth=80),
+}
+
+
 # The digests pin every leaf box and verdict of the three acceptance
 # certificates; box_evals counts every bisection node, 2L - Z for L leaves
-# in Z zones.
-@pytest.mark.parametrize("build, leaves, box_evals, max_depth, digest", [
-    (lambda: certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A"), 39, 75, 6,
+# in Z zones.  A pass evaluates several depths, so there are fewer passes
+# than depths.
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", [
+    (_ACCEPTANCE["A2"], 39, 75, 6, 3,
      "372bc90fb6ebf1ecc88a55925805f5cd6233c62cd21b3b530fe0bddf85373ae3"),
-    (lambda: certify_no_common_zero(
-        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(2.0, 3.0)), "A"),
-     194, 387, 11, "6b7c6a90cb01740220554e50b44763112b4876b0a8960b2716b0b832e56f960e"),
-    (lambda: certify_unique_root(window_for("B", "B2", inset=1e-6), (2.0, 6.0), "B",
-                                 max_depth=80),
-     1985, 3967, 28, "506d7e5494fba8cb1860ac69ecc7fdfce20331c1a87b69b349b209a960cc78d1"),
-], ids=["A2", "A4-no-common-zero", "B2"])
-def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, digest):
+    (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8,
+     "6b7c6a90cb01740220554e50b44763112b4876b0a8960b2716b0b832e56f960e"),
+    (_ACCEPTANCE["B2"], 1985, 3967, 28, 26,
+     "506d7e5494fba8cb1860ac69ecc7fdfce20331c1a87b69b349b209a960cc78d1"),
+], ids=list(_ACCEPTANCE))
+def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, passes, digest):
     cert = build()
     assert cert.certified and not cert.undecided
     assert len(cert.leaves) == leaves
@@ -236,8 +245,8 @@ def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, dig
     assert box_evals == 2 * leaves - zones
     assert sum(stats["evals_per_depth"]) == box_evals
     assert len(stats["evals_per_depth"]) == max_depth + 1
+    assert stats["passes"] == passes and stats["evaluated"] >= box_evals
     assert cert.to_json()["stats"] == stats
-
 
 
 def test_stats_record_where_the_leaves_lie():
@@ -262,6 +271,98 @@ def test_stats_record_where_the_leaves_lie():
     assert cert.stats["leaf_depths"][12] >= len(cert.undecided)
     assert sum(cert.stats["leaf_depths"]) == len(cert.leaves) + len(cert.undecided)
 
+
+def _bisect_by_depth(zones, evaluate, max_depth: int, floor: float) -> tuple:
+    """The reference for ``intervals._bisect``: the same bisection, with one
+    ``evaluate`` call and one call of each decider per depth, on that
+    depth's frontier alone.  Its stats count one pass per depth."""
+    leaves, undecided, evals, leaf_depths = [], [], [], []
+    by_verdict = dict.fromkeys(_VERDICTS, 0)
+    zone = np.array([z for z, (_, seeds) in enumerate(zones) for _ in seeds], dtype=int)
+    bounds = np.array([s for _, seeds in zones for s in seeds], dtype=float).reshape(-1, 4).T
+    domain = straddle = depth = 0
+    while zone.size:
+        ev = evaluate(*bounds)
+        verdict, coord = np.zeros(zone.size, dtype=int), np.zeros(zone.size, dtype=int)
+        straddles = np.zeros(zone.size, dtype=bool)
+        for z, (decide, _) in enumerate(zones):
+            mine = zone == z
+            for out, mask in zip((verdict, coord, straddles), decide(ev)):
+                np.copyto(out, mask, where=mine)
+        verdict[~ev.ok] = coord[~ev.ok] = 0
+        evals.append(int(zone.size))
+        rows = bounds.T.tolist()
+        for i in np.flatnonzero(verdict).tolist():
+            leaves.append(_leaf(rows[i], _VERDICTS[verdict[i]]))
+        lower, upper = (np.stack(h) for h in split_bounds(*bounds, coord))
+        stuck = (lower == bounds).all(axis=0) | (upper == bounds).all(axis=0)
+        open_ = verdict == 0
+        kept = open_ & ((bounds[1] - bounds[0] < floor) | (depth >= max_depth) | stuck)
+        undecided.extend(_leaf(rows[i], "undecided") for i in np.flatnonzero(kept).tolist())
+        domain += int(np.count_nonzero(kept & ~ev.ok))
+        straddle += int(np.count_nonzero(kept & ev.ok & straddles))
+        codes = np.bincount(verdict[~open_ | kept], minlength=len(_VERDICTS))
+        for name, n in zip(_VERDICTS, codes.tolist()):
+            by_verdict[name] += n
+        leaf_depths.append(int(codes.sum()))
+        open_ &= ~kept
+        depth += 1
+        bounds = np.concatenate([lower[:, open_], upper[:, open_]], axis=1)
+        zone = np.concatenate([zone[open_], zone[open_]])
+    return leaves, undecided, _stats(evals, domain, straddle, leaf_depths, by_verdict,
+                                     len(evals), sum(evals))
+
+
+def _leaf_order(leaf) -> tuple:
+    return (leaf.y4, leaf.a, leaf.verdict)
+
+
+@pytest.fixture
+def checked_bisect(monkeypatch):
+    """``_bisect``, checked against ``_bisect_by_depth`` on each call.
+
+    Both run on the same input.  They must agree on the sorted leaves, the
+    sorted undecided boxes and every stats field but ``passes`` and
+    ``evaluated``; each pass must call the evaluator and then each decider
+    once, and evaluate no more than max(frontier, ``_PASS_ROWS``) rows.
+    The rows of each pass of the last call are in ``checked_bisect.rows``.
+    """
+    batches = []
+    look_ahead = intervals._look_ahead
+
+    def recording(frontier, levels_left):
+        batch = look_ahead(frontier, levels_left)
+        batches.append((frontier.shape[1], batch[0].shape[1]))
+        return batch
+    monkeypatch.setattr(intervals, "_look_ahead", recording)
+
+    def counted(calls: list, tag, fn):
+        def wrapped(*args):
+            calls.append(tag)
+            return fn(*args)
+        return wrapped
+
+    def run(zones, evaluate, max_depth: int, floor: float) -> tuple:
+        batches.clear()
+        calls = []
+        got = _bisect([(counted(calls, z, decide), seeds)
+                       for z, (decide, seeds) in enumerate(zones)],
+                      counted(calls, "evaluate", evaluate), max_depth, floor)
+        want = _bisect_by_depth(zones, evaluate, max_depth, floor)
+        for mine, ref in zip(got[:2], want[:2]):
+            assert sorted(mine, key=_leaf_order) == sorted(ref, key=_leaf_order)
+        stats, ref = dict(got[2]), dict(want[2])
+        passes, evaluated = stats.pop("passes"), stats.pop("evaluated")
+        assert passes <= ref.pop("passes") and evaluated >= ref.pop("evaluated")
+        assert stats == ref
+        assert calls == ["evaluate", *range(len(zones))] * passes
+        assert sum(rows for _, rows in batches) == evaluated
+        assert all(rows <= max(frontier, intervals._PASS_ROWS) for frontier, rows in batches)
+        run.rows = [rows for _, rows in batches]
+        return got
+    return run
+
+
 def _never_decided(ylo, yhi, alo, ahi) -> _BoxEval:
     """A box evaluator whose F and dF enclosures always straddle zero."""
     both = IntervalArray(np.full(ylo.size, -1.0), np.full(ylo.size, 1.0))
@@ -269,41 +370,106 @@ def _never_decided(ylo, yhi, alo, ahi) -> _BoxEval:
     return _BoxEval(both, both, on_y, on_y, ok, ok)
 
 
-def _counting_decider(calls: list, tag: str):
-    def decide(ev):
-        calls.append(tag)
-        n = ev.ok.size
-        return np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
-    return decide
+def _never_ok(ylo, yhi, alo, ahi) -> _BoxEval:
+    """A box evaluator that encloses nothing: no box is ``ok``."""
+    ev = _never_decided(ylo, yhi, alo, ahi)
+    return _BoxEval(ev.f, ev.df, ev.hint_f, ev.hint_df, ~ev.ok, ~ev.ok)
 
 
-def test_bisect_width_floor_depth_cap_and_one_decider_call_per_depth():
+def _open_decider(ev) -> tuple:
+    n = ev.ok.size
+    return np.zeros(n, dtype=int), np.ones(n, dtype=int), np.ones(n, dtype=bool)
+
+
+def test_bisect_width_floor_depth_cap_and_one_decider_call_per_pass(checked_bisect):
     # y4 width 2**-45 falls below the floor 1e-15 after 5 halvings (2**-50),
-    # so the floor stops the split before the depth cap of 8
+    # so the floor stops the split before the depth cap of 8; the boxes have
+    # no A-width, so each box has two candidates, and one pass of
+    # 1 + 2 + ... + 64 rows covers every depth
     seed = (0.5, 0.5 + 2.0 ** -45, 3.0, 3.0)
-    calls = []
-    leaves, undecided, stats = _bisect(
-        [(_counting_decider(calls, "z"), [seed])], _never_decided, 8, 1e-15)
+    leaves, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided,
+                                              8, 1e-15)
     assert not leaves and len(undecided) == 2 ** 5
     assert stats["evals_per_depth"] == [2 ** d for d in range(6)]
     assert stats["max_depth"] == 5 and stats["undecided_straddle"] == 2 ** 5
     assert all(l.y4[1] - l.y4[0] == 2.0 ** -50 and l.a == (3.0, 3.0) for l in undecided)
     assert sorted(l.y4 for l in undecided)[0][0] == seed[0]
-    assert calls == ["z"] * 6
-    # a cap below 5 holds: the boxes stop at the cap, still above the floor
-    _, undecided, stats = _bisect(
-        [(_counting_decider([], "z"), [seed])], _never_decided, 3, 1e-15)
+    assert stats["passes"] == 1 and checked_bisect.rows == [127]
+    # a cap below 5 holds: the boxes stop at the cap, still above the floor,
+    # and the look-ahead stops there too
+    _, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided,
+                                         3, 1e-15)
     assert len(undecided) == 2 ** 3 and stats["max_depth"] == 3
     assert all(l.y4[1] - l.y4[0] == 2.0 ** -48 for l in undecided)
-    # two zones, floor 0: each decider runs once per depth, whatever the
-    # number of boxes in its zone
-    calls = []
-    zones = [(_counting_decider(calls, "one"), [(0.0, 1.0, 2.0, 3.0)]),
-             (_counting_decider(calls, "two"), [(1.0, 2.0, 2.0, 3.0), (2.0, 3.0, 2.0, 3.0)])]
-    _, undecided, stats = _bisect(zones, _never_decided, 6, 0.0)
+    assert checked_bisect.rows == [15]
+    # two zones with A-width, floor 0: four candidates a box; each decider
+    # runs once per pass, whatever the number of boxes in its zone, and a
+    # frontier larger than the row count is evaluated alone
+    zones = [(_open_decider, [(0.0, 1.0, 2.0, 3.0)]),
+             (_open_decider, [(1.0, 2.0, 2.0, 3.0), (2.0, 3.0, 2.0, 3.0)])]
+    _, undecided, stats = checked_bisect(zones, _never_decided, 6, 0.0)
     assert len(undecided) == 3 * 2 ** 6
     assert stats["evals_per_depth"] == [3 * 2 ** d for d in range(7)]
-    assert calls == ["one", "two"] * 7
+    assert checked_bisect.rows == [3 + 12 + 48, 24 + 96, 96, 192]
+    # nothing evaluates: every box is split along y4 down to the cap and
+    # counted as not evaluable
+    _, undecided, stats = checked_bisect(zones, _never_ok, 5, 0.0)
+    assert len(undecided) == stats["undecided_domain"] == 3 * 2 ** 5
+    assert all(l.y4[1] - l.y4[0] == 2.0 ** -5 and l.a[1] - l.a[0] == 1.0 for l in undecided)
+    assert checked_bisect.rows == [63, 120, 96]
+
+
+@pytest.mark.parametrize("seed", [
+    (0.5, math.nextafter(0.5, 1.0), 3.0, 3.0),   # the y4 midpoint rounds to an end
+    (0.5, 0.5, 3.0, math.nextafter(3.0, 4.0)),   # so does the A midpoint
+    (0.5, 0.5, 3.0, 3.0),                        # a point
+], ids=["y4-ulp", "A-ulp", "point"])
+def test_a_box_no_split_can_shrink_stays_undecided(seed, checked_bisect):
+    leaves, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided,
+                                              8, 0.0)
+    assert not leaves and [l.y4 + l.a for l in undecided] == [seed]
+    assert stats["evals_per_depth"] == [1] and stats["undecided_straddle"] == 1
+
+
+def test_a_point_window_certificate_has_one_undecided_box():
+    # y4 = 1 - sqrt(3)/2 is the x3 = 0 collision of branch B, where F has no
+    # enclosure; halving the point box only copied it, 4096 times by depth 12
+    y4 = 0.13397459621556135
+    cert = certify_no_common_zero(Box(Interval(y4, y4), Interval(3.0, 3.0)), "B",
+                                  max_depth=12)
+    assert not cert.certified and not cert.leaves
+    assert [l.to_json() for l in cert.undecided] == [
+        {"y4": [y4, y4], "A": [3.0, 3.0], "verdict": "undecided"}]
+    assert cert.stats["box_evals"] == cert.stats["undecided_domain"] == 1
+
+
+@pytest.mark.parametrize("name", list(_ACCEPTANCE))
+def test_look_ahead_matches_by_depth_on_the_certificates(name, checked_bisect, monkeypatch):
+    import pentacc.certify as certify
+    monkeypatch.setattr(certify, "_bisect", checked_bisect)
+    assert _ACCEPTANCE[name]().certified
+
+
+@pytest.mark.parametrize("branch, a_exp, runs", [
+    ("A", 2.0, [(1, 1), (1, 1)]), ("A", 4.0, [(1, 1), (1, 1)]), ("B", 3.0, [(8, 21)])])
+def test_look_ahead_matches_by_depth_on_the_scan_guard(branch, a_exp, runs,
+                                                       checked_bisect, monkeypatch):
+    import pentacc.symmetric as symmetric
+    guards = []
+
+    def record(zones, evaluate, max_depth, floor):
+        guards.append((zones, evaluate, max_depth, floor))
+        return [], [], _stats()
+    monkeypatch.setattr(symmetric, "_bisect", record)
+    scan_branch(branch, a_exp)
+    # one guard per window with seeds; (passes, depths) at the scan's cap
+    got = []
+    for zones, evaluate, max_depth, floor in guards:
+        assert (max_depth, floor) == (24, 1e-15)
+        for cap in range(max_depth + 1):
+            stats = checked_bisect(zones, evaluate, cap, floor)[2]
+        got.append((stats["passes"], len(stats["evals_per_depth"])))
+    assert got == runs
 
 
 def _scalar_box_eval(box: Box, branch: str) -> tuple:
@@ -391,11 +557,12 @@ def test_one_jet_pass_per_frontier(monkeypatch):
     rng = np.random.default_rng(2011)
     ev = _mv_eval(*np.array([b.key() for b in _oracle_boxes(rng, "A", 50)]).T, "A")
     assert calls == ["Jet2"] and ev.ok.size == 50
-    # a certificate evaluates F once per depth of its bisection
+    # a certificate evaluates F once per pass of its bisection, and a pass
+    # covers several of its 12 depths
     calls.clear()
-    cert = certify_no_common_zero(
-        Box(Interval(*window_for("A", "A4", inset=1e-9)), Interval(2.0, 3.0)), "A")
-    assert calls == ["Jet2"] * len(cert.stats["evals_per_depth"]) == ["Jet2"] * 12
+    cert = _ACCEPTANCE["A4-no-common-zero"]()
+    assert len(cert.stats["evals_per_depth"]) == 12
+    assert calls == ["Jet2"] * cert.stats["passes"] == ["Jet2"] * 8
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,26 @@ def test_symmetric_scan_records_and_schema(tmp_path):
     assert a2["masses"][3] == pytest.approx(0.34199, abs=1e-4)
 
 
-def test_symmetric_scan_branch_b(tmp_path):
+def test_symmetric_scan_branch_b(tmp_path, capsys):
     out = tmp_path / "scanb.json"
     assert main(["symmetric-scan", "--A", "3", "--branch", "B",
                  "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     records = json.loads(out.read_text())
     assert len(records) == 1
     assert records[0]["sign_type"] == "B2"
+    # --stats logs the window's tangency guard on stderr and leaves the
+    # output as it was
+    with_stats = tmp_path / "scanb_stats.json"
+    assert main(["symmetric-scan", "--A", "3", "--branch", "B",
+                 "--out", str(with_stats), "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert with_stats.read_bytes() == out.read_bytes()
+    head, tail = captured.err.split(" at A=3.0: ")
+    assert head.startswith("pentacc.symmetric: tangency guard on y4 [0.13397")
+    assert tail.startswith("seeds 67, boxes per depth [67, 12, 12, ")
+    assert ", passes 8, unresolved cells 0, " in tail and tail.endswith(" s\n")
 
 
 def test_symmetric_scan_quartic_has_four_records(tmp_path):
