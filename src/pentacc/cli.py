@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: symmetric-scan, certify, region-map, tropical-verify, evaluate.
-Angles are degrees on the command line and radians in emitted files.  Exit
-codes: 0 success or certified, 1 input error, 2 undecided certification,
-3 empty result.  With ``--stats``, symmetric-scan, certify, region-map and
-tropical-verify report how the result was reached on stderr, through the
-``pentacc`` logger.
+Subcommands: symmetric-scan, certify, region-map, tropical-verify, evaluate,
+bifurcation.  Angles are degrees on the command line and radians in emitted
+files.  Exit codes: 0 success or certified, 1 input error, 2 undecided
+certification, 3 empty result.  With ``--stats``, symmetric-scan, certify,
+region-map and tropical-verify report how the result was reached on stderr,
+through the ``pentacc`` logger.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .intervals import Box, Interval
 from .certify import certify_no_common_zero, certify_unique_root
 from .symmetric import (
     _SCAN_INSET,
+    _SIGN_TYPES,
     bifurcation_scan,
     NoBifurcationError,
     scan_branch,
@@ -84,8 +85,7 @@ def _parse_range(text: str, what: str) -> tuple:
 
 
 def _parse_window(text: str, branch: str, inset: float):
-    names = {"a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5"}
-    if text.lower() not in names:
+    if text.upper() not in {label for types in _SIGN_TYPES.values() for label, _, _ in types}:
         return _parse_range(text, "--window")
     try:
         lo, hi = window_for(branch, text.upper(), inset=inset)

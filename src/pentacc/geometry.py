@@ -91,7 +91,10 @@ _EDGE_TOL = 1e-9  # relative spread of the cycle edges of an equilateral pentago
 
 # Landmark apex heights of the symmetric family (branch A unless noted).
 def square_endpoint_y4() -> float:
-    """Apex height where bodies 1, 2, 3, 5 form a unit square (r35 = 1)."""
+    """Apex height where bodies 1, 2, 3, 5 form a unit square (r35 = 1).
+
+    On branch B it is the first q3 = q5 collision (x3 = 0).
+    """
     return (2.0 - math.sqrt(3.0)) / 2.0
 
 
@@ -101,12 +104,18 @@ def collinear_endpoint_y4() -> float:
 
 
 def regular_pentagon_y4() -> float:
-    """Apex height of the regular pentagon (convex 12345 order)."""
+    """Apex height of the regular pentagon (convex 12345 order).
+
+    On branch B it is where Delta134 = 0, between sign types B3 and B4.
+    """
     return math.sqrt(5.0 + 2.0 * math.sqrt(5.0)) / 2.0
 
 
 def house_y4() -> float:
-    """Apex height of the unit square with a unit-edge gable (r35 = 1)."""
+    """Apex height of the unit square with a unit-edge gable (r35 = 1).
+
+    On branch B it is the second q3 = q5 collision (x3 = 0).
+    """
     return 1.0 + math.sqrt(3.0) / 2.0
 
 

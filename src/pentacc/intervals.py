@@ -828,13 +828,14 @@ def _leaf(row, verdict: str) -> CertLeaf:
 def _look_ahead(frontier: np.ndarray, levels_left: int) -> tuple:
     """The rows of one bisection pass: the frontier's (4, n) box bounds,
     then whole levels of candidate children, while the batch stays within
-    ``_PASS_ROWS`` rows and ``levels_left`` levels.  The candidates of a
-    box are both halves along each coordinate it may split on: y4 alone
-    when no frontier box has A-width (``split_bounds`` then always splits
-    y4), else y4 and A.  Returns (rows, the first row of each level, the
-    candidates per box); box p of a level has its halves along coordinate
-    c at (first row of the next level) + ways * p + 2 * c, + 1 for the
-    upper half.
+    ``_PASS_ROWS`` rows and ``levels_left`` levels, and while a split can
+    shrink a box of the last level (``_bisect`` keeps any other box as
+    undecided).  The candidates of a box are both halves along each
+    coordinate it may split on: y4 alone when no frontier box has A-width
+    (``split_bounds`` then always splits y4), else y4 and A.  Returns
+    (rows, the first row of each level, the candidates per box); box p of
+    a level has its halves along coordinate c at (first row of the next
+    level) + ways * p + 2 * c, + 1 for the upper half.
     """
     coords = (0, 1) if np.any(frontier[3] - frontier[2] > 0.0) else (0,)
     ways = 2 * len(coords)
@@ -845,6 +846,9 @@ def _look_ahead(frontier: np.ndarray, levels_left: int) -> tuple:
         last = levels[-1]
         halves = [np.stack(h) for c in coords
                   for h in split_bounds(*last, np.full(last.shape[1], c))]
+        if all(((lower == last).all(axis=0) | (upper == last).all(axis=0)).all()
+               for lower, upper in zip(halves[::2], halves[1::2])):
+            break
         starts.append(starts[-1] + last.shape[1])
         levels.append(np.stack(halves, axis=2).reshape(4, -1))
     return np.concatenate(levels, axis=1), starts, ways

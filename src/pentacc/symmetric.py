@@ -14,7 +14,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .geometry import (
     SymmetricShape,
     SignType,
     Y4_MAX,
-    branch_position,
     branch_radicand,
     classify_sign_type,
+    collinear_endpoint_y4,
     family_terms,
+    house_y4,
     regular_pentagon_y4,
+    square_endpoint_y4,
     symmetric_coords,
 )
 from .equations import (
@@ -63,7 +65,6 @@ __all__ = [
 ]
 
 # The fixed grids and tolerances of the paper's checks.
-_BISECT_TOL = 1e-13  # bracket width of a sign-type window boundary
 _ROOT_GRID = 4096  # uniform cells per window that bracket the zeros of F
 _SCAN_INSET = 1e-9  # distance of a scanned window from its sign-type boundaries
 _PENTAGON_EPS = 1e-8  # least distance of a root pair split off the pentagon
@@ -98,19 +99,66 @@ def F_dual(y4, a_exp, branch: str = "A") -> Dual:
 # ---------------------------------------------------------------------------
 # sign-type windows
 
-_BOUNDARY_FUNS = {
+# The sign types of each branch in y4 order.  A window runs from the end of
+# the one before it (0.0 for the first) to its landmark, where the quantity
+# in the comment vanishes.  The claim is the (two-mass equation, claimed
+# common sign of its mass coefficients) of the sign argument that excludes
+# the type, or None for a type the arguments allow.  classify_sign_type
+# defines the sign types; the tests check this table against it.
+_SIGN_TYPES = {
     "A": (
-        lambda y: family_terms(y, "A")["r35"] - 1.0,                # r35 = 1
-        lambda y: family_terms(y, "A")["d134"],                     # Delta134 = 0
-        lambda y: family_terms(y, "A")["d345"],                     # Delta345 = 0 (r14 = 1)
+        ("A1", square_endpoint_y4(), ("L13", -1)),     # r35 = 1
+        ("A2", collinear_endpoint_y4(), None),         # Delta134 = 0
+        ("A3", math.sqrt(3.0) / 2.0, ("L13", +1)),     # Delta345 = 0 (r14 = 1)
+        ("A4", house_y4(), None),                      # r35 = 1
+        ("A5", Y4_MAX, ("L13", -1)),                   # end of the domain
     ),
     "B": (
-        lambda y: branch_position(y, "B")[0],                       # x3 = 0 collisions
-        lambda y: family_terms(y, "B")["d123"],                     # y3 = 0 collision
-        lambda y: family_terms(y, "B")["d134"],                     # Delta134 = 0
+        ("B1", square_endpoint_y4(), ("L13", +1)),     # x3 = 0: collision q3 = q5
+        ("B2", math.sqrt(3.0) / 2.0, None),            # y3 = 0: collision q1 = q3
+        ("B3", regular_pentagon_y4(), ("L13", +1)),    # Delta134 = 0
+        ("B4", house_y4(), ("L14", +1)),               # x3 = 0: collision q3 = q5
+        ("B5", Y4_MAX, ("L13", -1)),                   # end of the domain
     ),
 }
 
+# The sign arguments leave only the allowed types able to carry solutions.
+ALLOWED_TYPES = {b: tuple(label for label, _, claim in types if claim is None)
+                 for b, types in _SIGN_TYPES.items()}
+EXCLUDED_TYPES = {b: tuple(label for label, _, claim in types if claim is not None)
+                  for b, types in _SIGN_TYPES.items()}
+
+
+def sign_type_windows(branch: str) -> dict:
+    """Open y4 windows of each sign type, keyed by label, in y4 order.
+
+    The windows tile [0, Y4_MAX], and each inner edge is a closed-form
+    landmark of the family: ``square_endpoint_y4``, ``collinear_endpoint_y4``,
+    sqrt(3)/2, ``regular_pentagon_y4`` or ``house_y4``.  The dict is new on
+    each call: changing it moves no window.
+    """
+    types = _SIGN_TYPES[branch]
+    ends = [0.0] + [end for _, end, _ in types]
+    return {label: (lo, hi) for (label, _, _), lo, hi in zip(types, ends, ends[1:])}
+
+
+def window_for(branch: str, label: str, inset: float = 0.0) -> tuple:
+    """(lo, hi) window of a sign type, optionally shrunk away from boundaries.
+
+    The inset must be finite and nonnegative: a negative one would widen the
+    window past its boundaries.
+    """
+    if not (math.isfinite(inset) and inset >= 0.0):
+        raise ValueError(f"inset must be finite and nonnegative, got {inset}")
+    wins = sign_type_windows(branch)
+    if label not in wins:
+        raise KeyError(f"no sign type {label!r} on branch {branch}")
+    lo, hi = wins[label]
+    return lo + inset, hi - inset
+
+
+# ---------------------------------------------------------------------------
+# root isolation
 
 def _check_resolution(name: str, value: float, top: float) -> None:
     """Raise ValueError unless ``value`` is finite and at least the float
@@ -136,64 +184,6 @@ def _refine(f, a, fa, b, tol: float) -> tuple:
             a, fa = mid, fm
     return a, b
 
-
-def sign_type_windows(branch: str) -> dict:
-    """Open y4 windows of each sign type, keyed by label, boundaries to 1e-12.
-
-    Boundaries are found numerically from the defining conditions and window
-    labels by classifying midpoints, so the table stays consistent with
-    classify_sign_type.  The dict is a copy: changing it moves no window.
-    """
-    return dict(_windows(branch))
-
-
-@lru_cache(maxsize=None)
-def _windows(branch: str) -> dict:
-    """The windows of ``sign_type_windows``, computed once per branch."""
-    grid = np.linspace(1e-9, Y4_MAX - 1e-9, 20001)
-    cuts = []
-    for fun in _BOUNDARY_FUNS[branch]:
-        vals = np.asarray(fun(grid))
-        sign = np.sign(vals)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            lo, hi = _refine(fun, grid[i], fun(grid[i]), grid[i + 1], _BISECT_TOL)
-            cuts.append(0.5 * (lo + hi))
-    cuts = sorted(cuts)
-    merged = []
-    for c in cuts:
-        if not merged or c - merged[-1] > 1e-9:
-            merged.append(c)
-    edges = [0.0] + merged + [Y4_MAX]
-    windows = {}
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        label = classify_sign_type(SymmetricShape(mid, branch)).label
-        windows[label] = (lo, hi)
-    return windows
-
-
-def window_for(branch: str, label: str, inset: float = 0.0) -> tuple:
-    """(lo, hi) window of a sign type, optionally shrunk away from boundaries.
-
-    The inset must be finite and nonnegative: a negative one would widen the
-    window past its boundaries.
-    """
-    if not (math.isfinite(inset) and inset >= 0.0):
-        raise ValueError(f"inset must be finite and nonnegative, got {inset}")
-    wins = _windows(branch)
-    if label not in wins:
-        raise KeyError(f"no sign type {label!r} on branch {branch}")
-    lo, hi = wins[label]
-    return lo + inset, hi - inset
-
-
-# The sign arguments below leave only these types able to carry solutions.
-ALLOWED_TYPES = {"A": ("A2", "A4"), "B": ("B2",)}
-EXCLUDED_TYPES = {"A": ("A1", "A3", "A5"), "B": ("B1", "B3", "B4", "B5")}
-
-
-# ---------------------------------------------------------------------------
-# root isolation
 
 @dataclass(frozen=True)
 class RootRecord:
@@ -478,16 +468,6 @@ def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> t
 # ---------------------------------------------------------------------------
 # sign-type exclusions
 
-# type -> (two-mass equation, claimed common sign of its mass coefficients)
-_EXCLUSION_TABLE = {
-    "A1": ("L13", -1),
-    "A3": ("L13", +1),
-    "A5": ("L13", -1),
-    "B1": ("L13", +1),
-    "B3": ("L13", +1),
-    "B4": ("L14", +1),
-    "B5": ("L13", -1),
-}
 # the columns of (m1, m3, m4) whose masses a two-mass equation involves
 _TWO_MASS_COLUMNS = {"L13": slice(1, 3), "L14": slice(0, 2)}
 
@@ -528,8 +508,10 @@ def exclude_sign_types(branch: str, a_exp: float) -> list:
     interior grid points, which rules out any positive-mass kernel there.
     """
     out = []
-    for label in EXCLUDED_TYPES[branch]:
-        equation, sign = _EXCLUSION_TABLE[label]
+    for label, _, claim in _SIGN_TYPES[branch]:
+        if claim is None:
+            continue
+        equation, sign = claim
         lo, hi = window_for(branch, label)
         ys = np.linspace(lo, hi, _EXCLUSION_GRID + 2)[1:-1]
         ca, cb = _exclusion_coeffs(equation, ys, a_exp, branch)

@@ -228,11 +228,11 @@ _ACCEPTANCE = {
 # than depths.
 @pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", [
     (_ACCEPTANCE["A2"], 39, 75, 6, 3,
-     "372bc90fb6ebf1ecc88a55925805f5cd6233c62cd21b3b530fe0bddf85373ae3"),
+     "acba8116764ae55904636f9d37913619150b70c87debed28c245187d62d92a95"),
     (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8,
-     "6b7c6a90cb01740220554e50b44763112b4876b0a8960b2716b0b832e56f960e"),
+     "b5dbe57d0893d25b792cd10414882bd00d14e18132d351f0a992728d03b63128"),
     (_ACCEPTANCE["B2"], 1985, 3967, 28, 26,
-     "506d7e5494fba8cb1860ac69ecc7fdfce20331c1a87b69b349b209a960cc78d1"),
+     "5c93acc1548e9a4b016a9259f37461b6e3776b8f690649b7a28209d65bb9b46d"),
 ], ids=list(_ACCEPTANCE))
 def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, passes, digest):
     cert = build()
@@ -429,6 +429,8 @@ def test_a_box_no_split_can_shrink_stays_undecided(seed, checked_bisect):
                                               8, 0.0)
     assert not leaves and [l.y4 + l.a for l in undecided] == [seed]
     assert stats["evals_per_depth"] == [1] and stats["undecided_straddle"] == 1
+    # the look-ahead builds no children that could not shrink
+    assert stats["evaluated"] == 1 and checked_bisect.rows == [1]
 
 
 def test_a_point_window_certificate_has_one_undecided_box():
@@ -441,6 +443,7 @@ def test_a_point_window_certificate_has_one_undecided_box():
     assert [l.to_json() for l in cert.undecided] == [
         {"y4": [y4, y4], "A": [3.0, 3.0], "verdict": "undecided"}]
     assert cert.stats["box_evals"] == cert.stats["undecided_domain"] == 1
+    assert cert.stats["evaluated"] == 1
 
 
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))

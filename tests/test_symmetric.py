@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,8 @@ from pentacc.geometry import (
     OutOfDomainError,
     SymmetricShape,
     Y4_MAX,
+    branch_position,
+    classify_sign_type,
     collinear_endpoint_y4,
     family_terms,
     house_y4,
@@ -98,27 +101,89 @@ def test_f_vectorizes():
 # ---------------------------------------------------------------------------
 # windows
 
+# Each inner window edge: the branch, the label of the window it ends, the
+# quantity that vanishes there, and the edge as an exact closed form (built
+# with sympy for the exact check).
+_INNER_EDGES = [
+    ("A", "A1", lambda y: family_terms(y, "A")["r35"] - 1.0,
+     lambda sp: (2 - sp.sqrt(3)) / 2),
+    ("A", "A2", lambda y: family_terms(y, "A")["d134"],
+     lambda sp: sp.sqrt(5 - 2 * sp.sqrt(5)) / 2),
+    ("A", "A3", lambda y: family_terms(y, "A")["d345"],
+     lambda sp: sp.sqrt(3) / 2),
+    ("A", "A4", lambda y: family_terms(y, "A")["r35"] - 1.0,
+     lambda sp: 1 + sp.sqrt(3) / 2),
+    ("B", "B1", lambda y: branch_position(y, "B")[0],
+     lambda sp: (2 - sp.sqrt(3)) / 2),
+    ("B", "B2", lambda y: family_terms(y, "B")["d123"],
+     lambda sp: sp.sqrt(3) / 2),
+    ("B", "B3", lambda y: family_terms(y, "B")["d134"],
+     lambda sp: sp.sqrt(5 + 2 * sp.sqrt(5)) / 2),
+    ("B", "B4", lambda y: branch_position(y, "B")[0],
+     lambda sp: 1 + sp.sqrt(3) / 2),
+]
+
+
 def test_window_boundaries_match_closed_forms():
-    wins = sign_type_windows("A")
-    assert wins["A1"][1] == pytest.approx(square_endpoint_y4(), abs=1e-10)
-    assert wins["A2"][1] == pytest.approx(collinear_endpoint_y4(), abs=1e-10)
-    assert wins["A3"][1] == pytest.approx(A34_BOUNDARY, abs=1e-10)
-    assert wins["A4"][1] == pytest.approx(house_y4(), abs=1e-10)
-    assert wins["A5"][1] == pytest.approx(Y4_MAX, abs=1e-10)
-    winsb = sign_type_windows("B")
-    assert winsb["B1"][1] == pytest.approx(square_endpoint_y4(), abs=1e-10)
-    assert winsb["B2"][1] == pytest.approx(A34_BOUNDARY, abs=1e-10)
-    assert winsb["B3"][1] == pytest.approx(regular_pentagon_y4(), abs=1e-10)
-    assert winsb["B4"][1] == pytest.approx(house_y4(), abs=1e-10)
+    # each edge's quantity changes strict sign across it, and its enclosure
+    # at the edge contains 0: an edge off by 1e-8 fails both
+    for branch, label, quantity, _ in _INNER_EDGES:
+        edge = sign_type_windows(branch)[label][1]
+        below, above = quantity(edge - 1e-9), quantity(edge + 1e-9)
+        assert below < 0.0 < above or below > 0.0 > above, label
+        assert quantity(Interval.around(edge)).contains_zero(), label
+
+
+def _exact_type(sympy):
+    """A number type that ``family_terms`` computes with exactly: a sympy
+    expression, with each float constant entering as the rational it is."""
+    def lift(x):
+        return x.value if isinstance(x, Exact) else sympy.Rational(x)
+
+    def binary(op, swap=False):
+        return lambda a, b: Exact(op(lift(b), a.value) if swap else op(a.value, lift(b)))
+
+    class Exact:
+        def __init__(self, value):
+            self.value = value
+        __add__, __radd__ = binary(operator.add), binary(operator.add, True)
+        __sub__, __rsub__ = binary(operator.sub), binary(operator.sub, True)
+        __mul__, __rmul__ = binary(operator.mul), binary(operator.mul, True)
+        __truediv__, __rtruediv__ = binary(operator.truediv), binary(operator.truediv, True)
+
+        def __abs__(self):
+            return Exact(sympy.Abs(self.value))
+
+        def sqrt(self):
+            return Exact(sympy.sqrt(self.value))
+    return Exact
+
+
+def test_window_edges_are_exact_zeros():
+    sympy = pytest.importorskip("sympy")
+    exact_type, x = _exact_type(sympy), sympy.Symbol("x")
+    for branch, label, quantity, exact in _INNER_EDGES:
+        value = exact(sympy)
+        assert sign_type_windows(branch)[label][1] == pytest.approx(float(value), abs=1e-15)
+        # the minimal polynomial of an algebraic number is x exactly when it is 0
+        assert sympy.minimal_polynomial(quantity(exact_type(value)).value, x) == x, label
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_window_labels_match_the_classifier(branch):
+    for label, (lo, hi) in sign_type_windows(branch).items():
+        for y4 in [0.5 * (lo + hi), *np.linspace(lo, hi, 102)[1:-1].tolist()]:
+            assert classify_sign_type(SymmetricShape(y4, branch)).label == label
 
 
 def test_windows_tile_the_domain():
     for branch in ("A", "B"):
         wins = sign_type_windows(branch)
         labels = ALLOWED_TYPES[branch] + EXCLUDED_TYPES[branch]
-        assert set(wins) == set(labels)
-        edges = sorted(v for w in wins.values() for v in w)
-        assert edges[0] == 0.0 and edges[-1] == pytest.approx(Y4_MAX)
+        assert sorted(wins) == sorted(labels) == [f"{branch}{k}" for k in range(1, 6)]
+        ends = [hi for _, hi in wins.values()]
+        assert [lo for lo, _ in wins.values()] == [0.0, *ends[:-1]]
+        assert ends == sorted(ends) and ends[-1] == Y4_MAX
 
 
 def test_sign_type_windows_hands_out_a_copy():
@@ -400,14 +465,14 @@ def _sha256(obj) -> str:
 # domain end) and three records without masses, whose residual_max is null.
 @pytest.mark.parametrize("run, digest", [
     (lambda: [r.to_json() for r in scan_branch("A", 2.0)],
-     "98c15bc18474fa3f0f8ba1863b356c3f9907cc059e7dc3e2df40bee323c5c3c1"),
+     "d46c3a1536d5b80d02a0d9dfa70ba2be2aa401285213799477a02aefe8ddf829"),
     (lambda: [r.to_json() for r in scan_branch("A", 4.0)],
-     "1386a8e580152d6786417e71c00bd4d7c46c77a00cebcf0284f08f2318d6dd40"),
+     "4fdf581b18e1fa8e7380df4c740d10b0c08ccf55eac07fba978d39119d958db8"),
     (lambda: [r.to_json() for r in scan_branch("B", 3.0)],
-     "b75caf170b74eb695a841f53f02f288b3a1c11dcdc90f4627ba465a4581121ee"),
+     "05ed42463b35ee8d415ad142401f381e9410d0f8710f5151d1d68429810c5f3a"),
     (lambda: [r.to_json() for r in isolate_roots("A", 3.12,
                                                  window_for("A", "A4", inset=1e-9))],
-     "3719161cf632775df4fb15ce49c05e2b6fdb0d2b6b82e7076b886876654e682a"),
+     "021feb2b301b101ced54808b6e2ed59143366f65619a055839caaee64ad861b6"),
     (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
      "729db0e5748f5366d85c31a709239cca6fba6a8e12b70fd78b88dc5bba840426"),
     (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
