@@ -73,8 +73,9 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
     evaluated together, by one ``Jet2`` pass over the box centers and the
     whole boxes.  Where the mean-value form fails the natural form is used
-    alone, with the default split hint; a box where both forms fail, or
-    where their enclosures do not meet, is not ``ok``.
+    alone, with the default split hint; a box where the branch radicand
+    dips below zero, where both forms fail, or where their enclosures do
+    not meet, is not ``ok``.
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     in_domain = branch_radicand(y).lo >= 0.0
@@ -108,7 +109,7 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     # certificates have the same leaves either way.
     f = _combine(f_mv, wide.v, mv)
     df = _combine(df_mv, wide.dy, mv)
-    return _BoxEval(f, df, hint_f, hint_df, in_domain, in_domain & f.valid & df.valid)
+    return _BoxEval(f, df, hint_f, hint_df, in_domain & f.valid & df.valid)
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:
@@ -120,10 +121,10 @@ def eval_F_interval(box: Box, branch: str) -> tuple:
     radicand can dip below zero on the box, and IntervalDomainError when no
     form can be evaluated (for example a distance interval touching zero).
     """
-    ev = _mv_eval(*([x] for x in box.key()), branch)
-    if not ev.in_domain[0]:
+    if branch_radicand(box.y4).lo < 0.0:
         raise OutOfDomainError(
             f"radicand interval {branch_radicand(box.y4)} dips below zero on {box.y4}")
+    ev = _mv_eval(*([x] for x in box.key()), branch)
     if not ev.ok[0]:
         raise IntervalDomainError(f"no evaluable form on {box.key()}")
     return (Interval(ev.f.lo[0], ev.f.hi[0]), Interval(ev.df.lo[0], ev.df.hi[0]))
@@ -162,15 +163,18 @@ class Certificate:
         }
 
 
-def _check_request(window: tuple, max_depth: int) -> None:
+def _check_request(window: tuple, a_range: tuple, max_depth: int) -> None:
     """Refuse a y4 window outside the branch domain [0, Y4_MAX], as
     ``symmetric.isolate_roots`` does (its boxes could never be decided, so
-    bisection would split them to the depth cap), and a negative depth cap,
+    bisection would split them to the depth cap), an exponent range that
+    is not 2 <= lo <= hi, where F is not defined, and a negative depth cap,
     which would leave every seed box undecided."""
     lo, hi = window
     if not 0.0 <= lo <= hi <= Y4_MAX:
         raise OutOfDomainError(f"window {tuple(window)} is not inside the branch domain "
                                f"[0, {Y4_MAX!r}]")
+    if not 2.0 <= a_range[0] <= a_range[1]:
+        raise ValueError(f"exponent range {tuple(a_range)} must satisfy 2 <= lo <= hi")
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
 
@@ -223,20 +227,20 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     while F changes sign across it, so each exponent admits exactly one
     root.  The bracket is a heuristic only; every zone claim is verified
     with rigorous enclosures.  A window outside [0, Y4_MAX] raises
-    OutOfDomainError, and a negative ``max_depth`` ValueError.
+    OutOfDomainError, and an exponent range that is not 2 <= lo <= hi or a
+    negative ``max_depth`` ValueError.
     """
-    _check_request(window, max_depth)
+    _check_request(window, a_range, max_depth)
     cert = Certificate(kind="unique_root", branch=branch,
                        window=tuple(window), a_range=tuple(a_range),
                        certified=False)
-    a_iv = Interval(a_range[0], a_range[1])
     c1, c2, lo_sign = _locate_crossing(window, a_range, branch)
     if lo_sign == 0 or not window[0] < c1 < c2 < window[1]:
         cert.detail = "no interior sign crossing found to isolate"
         return cert.finalize()
     want = -lo_sign
 
-    zones = [(_sign_decider(quantity, sign), [Box(Interval(lo, hi), a_iv).key()])
+    zones = [(_sign_decider(quantity, sign), [(lo, hi, a_range[0], a_range[1])])
              for lo, hi, quantity, sign in ((window[0], c1, "F", lo_sign),
                                             (c1, c2, "dF", want),
                                             (c2, window[1], "F", -lo_sign))]
@@ -258,10 +262,10 @@ def certify_no_common_zero(region: Box, branch: str = "A",
     Each leaf box must exclude zero from the F enclosure or from the dF
     enclosure.  Exhausted depth yields an undecided certificate listing the
     boxes where both enclosures still straddle zero.  A y4 range outside
-    [0, Y4_MAX] raises OutOfDomainError, and a negative ``max_depth``
-    ValueError.
+    [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
+    2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
-    _check_request((region.y4.lo, region.y4.hi), max_depth)
+    _check_request((region.y4.lo, region.y4.hi), (region.a.lo, region.a.hi), max_depth)
     cert = Certificate(kind="no_common_zero", branch=branch,
                        window=(region.y4.lo, region.y4.hi),
                        a_range=(region.a.lo, region.a.hi),

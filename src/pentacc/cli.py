@@ -2,10 +2,10 @@
 
 Subcommands: symmetric-scan, certify, region-map, tropical-verify, evaluate,
 bifurcation.  Angles are degrees on the command line and radians in emitted
-files.  Exit codes: 0 success or certified, 1 input error, 2 undecided
-certification, 3 empty result.  With ``--stats``, symmetric-scan, certify,
-region-map and tropical-verify report how the result was reached on stderr,
-through the ``pentacc`` logger.
+files.  Exit codes: 0 success or certified, 1 input error or an output file
+that cannot be written, 2 undecided certification, 3 empty result.  With
+``--stats``, symmetric-scan, certify, region-map and tropical-verify report
+how the result was reached on stderr, through the ``pentacc`` logger.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def cmd_evaluate(args) -> int:
 def cmd_bifurcation(args) -> int:
     lo, hi = _parse_range(args.A_range, "--A-range")
     try:
-        blo, bhi = bifurcation_scan((lo, hi), step=args.step, tol=args.tol)
+        blo, bhi = bifurcation_scan((lo, hi), tol=args.tol)
     except NoBifurcationError as exc:
         _write(json.dumps({"found": False, "detail": str(exc)}, indent=1), args.out)
         return EXIT_EMPTY
@@ -408,7 +408,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bifurcation", help="bracket the root-count bifurcation in A")
     p.add_argument("--A-range", dest="A_range", default="3.0,3.3")
-    p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bifurcation)
@@ -422,7 +421,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except (OutOfDomainError, CollisionError, ValueError) as exc:
+    except (OutOfDomainError, CollisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

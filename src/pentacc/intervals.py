@@ -779,7 +779,6 @@ class _BoxEval:
     df: IntervalArray
     hint_f: np.ndarray     # coordinate whose error term dominates the F enclosure
     hint_df: np.ndarray    # same for the dF enclosure
-    in_domain: np.ndarray  # the branch radicand stays nonnegative on the box
     ok: np.ndarray         # f and df are enclosed, and the evaluator's own conditions hold
 
 

@@ -23,7 +23,6 @@ from .geometry import (
     SymmetricShape,
     SignType,
     Y4_MAX,
-    branch_radicand,
     classify_sign_type,
     collinear_endpoint_y4,
     family_terms,
@@ -347,7 +346,7 @@ def _natural_eval(ylo, yhi, alo, ahi, branch: str, a_exp: float) -> _BoxEval:
     dual = F_dual(y, a_exp, branch)
     ok = dual.val.valid & dual.dot.valid
     hint = np.zeros(ok.size, dtype=int)
-    return _BoxEval(dual.val, dual.dot, hint, hint, branch_radicand(y).lo >= 0.0, ok)
+    return _BoxEval(dual.val, dual.dot, hint, hint, ok)
 
 
 def _merge_intervals(cells: list) -> list:
@@ -435,34 +434,36 @@ def _a4_root_count(a_exp: float) -> int:
     return count
 
 
-def bifurcation_scan(a_range: tuple, step: float = 0.05, tol: float = 1e-6) -> tuple:
+def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     """Bracket the exponent where the convex-window root count jumps 1 -> 3.
 
-    Returns (lo, hi) with hi - lo <= tol.  Raises NoBifurcationError when the
-    extra root pair never appears inside the range, and ValueError when
-    ``step`` or ``tol`` is not finite or is below the float spacing at the
-    range's upper end, where the grid or the bisection could not advance.
+    F vanishes at the regular pentagon p for every A, and the new root pair
+    splits off p where g(A) = dF/dy4(p, A) changes sign, so the bracket
+    bisects g.  The root counts at its ends, 0 below and at least 2 above,
+    check the claim.  Returns (lo, hi) with hi - lo <= tol.  Raises
+    NoBifurcationError when g has no strict sign change over the range or
+    the end counts do not match, and ValueError when ``tol`` is not finite
+    or is below the float spacing at the range's upper end, where the
+    bisection could not advance.
     """
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
     if not (2.0 <= a_lo < a_hi <= 3.5):
         raise ValueError(f"scan range must sit inside [2, 3.5], got {a_range}")
-    for name, value in (("step", step), ("tol", tol)):
-        _check_resolution(name, value, a_hi)
-    # walk the grid a_lo, a_lo + step, ..., a_hi up to the first jump
-    lo, c_lo = a_lo, _a4_root_count(a_lo)
-    counts = {c_lo}
-    while True:
-        if lo >= a_hi:
-            raise NoBifurcationError(
-                f"no root-count jump inside [{a_lo}, {a_hi}] (counts {sorted(counts)})")
-        hi = min(lo + step, a_hi)
-        c_hi = _a4_root_count(hi)
-        if c_lo == 0 and c_hi >= 2:
-            break
-        counts.add(c_hi)
-        lo, c_lo = hi, c_hi
-    # the count is 0 at lo and nonzero at hi: bisect that sign change
-    return _refine(lambda a: 1.0 if _a4_root_count(a) else -1.0, lo, -1.0, hi, tol)
+    _check_resolution("tol", tol, a_hi)
+
+    def g(a):
+        return F_dual(regular_pentagon_y4(), a, "A").dot
+
+    g_lo, g_hi = g(a_lo), g(a_hi)
+    if not g_lo * g_hi < 0.0:
+        raise NoBifurcationError(f"g = dF/dy4 at the pentagon is {g_lo:.3g} at A = {a_lo} "
+                                 f"and {g_hi:.3g} at A = {a_hi}: no strict sign change")
+    lo, hi = _refine(g, a_lo, g_lo, a_hi, tol)
+    counts = (_a4_root_count(lo), _a4_root_count(hi))
+    if counts[0] != 0 or counts[1] < 2:
+        raise NoBifurcationError(f"root counts {counts} at the ends of [{lo}, {hi}], "
+                                 "not 0 and at least 2")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pentacc import cli
 from pentacc.cli import main
 from pentacc.geometry import SymmetricShape, regular_pentagon_y4, symmetric_coords
 from pentacc.tropical import build_system
@@ -416,8 +418,6 @@ def test_bifurcation_empty_range(tmp_path):
                  id="scan-inset-negative"),
     pytest.param(["symmetric-scan", "--A", "3", "--window", "a4", "--inset", "inf"],
                  id="scan-inset-inf"),
-    pytest.param(["bifurcation", "--step", "0"], id="bifurcation-step-0"),
-    pytest.param(["bifurcation", "--step", "nan"], id="bifurcation-step-nan"),
     pytest.param(["bifurcation", "--tol", "nan"], id="bifurcation-tol-nan"),
     pytest.param(["bifurcation", "--tol", "0"], id="bifurcation-tol-0"),
     pytest.param(["symmetric-scan", "--A", "3", "--tol", "0"], id="scan-tol-0"),
@@ -433,6 +433,11 @@ def test_bifurcation_empty_range(tmp_path):
                  id="certify-window-outside-domain"),
     pytest.param(["certify", "--mode", "no-common-zero", "--window", "0.1,2.5",
                   "--A-range", "2,3"], id="certify-no-common-zero-window-outside-domain"),
+    pytest.param(["certify", "--window", "a2", "--A-range", "1,3"], id="certify-range-below-2"),
+    pytest.param(["certify", "--mode", "no-common-zero", "--window", "a4", "--A-range", "1,3"],
+                 id="certify-no-common-zero-range-below-2"),
+    pytest.param(["bifurcation", "--tol", "0.01", "--out", "missing/bif.json"],
+                 id="bifurcation-out-missing-dir"),
 ])
 def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
@@ -558,3 +563,21 @@ def test_readme_library_example_runs(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "True 39"
     assert [line.split()[0] for line in out[:-1]] == ["A2", "A4"]
+
+
+def test_readme_cli_lines_parse(monkeypatch):
+    # every command line of the README's CLI block must parse, so a flag it
+    # shows cannot be removed while the docs still show it
+    calls = []
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args.command) or 0)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = []
+    for line in block.splitlines():  # pentacc installed, or python -m pentacc
+        words = shlex.split(line, comments=True)
+        argvs.append(words[words.index("pentacc") + 1:])
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    assert calls == [argv[0] for argv in argvs]

@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from pentacc import symmetric
 from pentacc.geometry import (
     OutOfDomainError,
     SymmetricShape,
@@ -32,6 +33,7 @@ from pentacc.symmetric import (
     NoBifurcationError,
     QUARTIC_MASS_POLY,
     VORTEX_MASS_POLY,
+    _a4_root_count,
     _exclusion_coeffs,
     _natural_eval,
     _tangency_seeds,
@@ -353,11 +355,24 @@ def test_bifurcation_bracket():
     assert mid == pytest.approx(3.12036856, abs=1e-3)
     # the pentagon root and the derivative share a near-zero at the bracket
     assert abs(F_dual(regular_pentagon_y4(), mid, "A").dot) < 1e-5
+    # the root pair has not split off the pentagon at lo, and has at hi
+    assert _a4_root_count(lo) == 0
+    assert _a4_root_count(hi) >= 2
 
 
 def test_no_bifurcation_below_three():
-    with pytest.raises(NoBifurcationError):
-        bifurcation_scan((2.0, 3.0), step=0.1)
+    # dF/dy4 at the pentagon is positive over the first range, negative over
+    # the second
+    for a_range in ((2.0, 3.0), (3.13, 3.3)):
+        with pytest.raises(NoBifurcationError):
+            bifurcation_scan(a_range)
+
+
+def test_bifurcation_needs_the_root_counts_to_agree(monkeypatch):
+    # g changes sign on the range, but no root pair is counted at either end
+    monkeypatch.setattr(symmetric, "_a4_root_count", lambda a_exp: 0)
+    with pytest.raises(NoBifurcationError, match="root counts"):
+        bifurcation_scan((3.0, 3.3))
 
 
 def test_bifurcation_range_validation():
@@ -365,14 +380,16 @@ def test_bifurcation_range_validation():
         bifurcation_scan((1.0, 3.3))
 
 
-@pytest.mark.parametrize("step, tol", [
-    (0.0, 1e-6), (-0.05, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6), (1e-300, 1e-6),
-    (0.05, 0.0), (0.05, -1e-6), (0.05, math.nan), (0.05, math.inf), (0.05, 1e-300),
+# explicit ids keep the case names stable in test reports
+@pytest.mark.parametrize("tol", [
+    pytest.param(0.0, id="0.05-0.0"), pytest.param(-1e-6, id="0.05--1e-06"),
+    pytest.param(math.nan, id="0.05-nan"), pytest.param(math.inf, id="0.05-inf"),
+    pytest.param(1e-300, id="0.05-1e-300"),
 ])
-def test_bifurcation_step_and_tol_validation(step, tol):
+def test_bifurcation_step_and_tol_validation(tol):
     # each of these would loop forever or break the hi - lo <= tol promise
     with pytest.raises(ValueError):
-        bifurcation_scan((3.0, 3.3), step=step, tol=tol)
+        bifurcation_scan((3.0, 3.3), tol=tol)
 
 
 def test_large_exponent_roots_approach_landmarks():
@@ -476,7 +493,7 @@ def _sha256(obj) -> str:
     (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
      "729db0e5748f5366d85c31a709239cca6fba6a8e12b70fd78b88dc5bba840426"),
     (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
-     "284d007241ae542d5bea7c0b8cd6db292955ef6d0efbb64c899e21e79155632a"),
+     "8d84b17cc691a330cfaedfd3be9540153c1b3bab046804a927c586e2e5e06646"),
 ], ids=["scan-A2", "scan-A4", "scan-B3", "isolate-A3.12-A4", "isolate-B-domain",
         "bifurcation"])
 def test_scan_outputs_pinned(run, digest):
