@@ -61,11 +61,6 @@ def _join(p: IntervalArray, q: IntervalArray) -> IntervalArray:
     return IntervalArray(np.concatenate([p.lo, q.lo]), np.concatenate([p.hi, q.hi]))
 
 
-def _all_valid(*parts) -> np.ndarray:
-    # a structural zero (the float 0.0 of a jet slot) is always valid
-    return np.logical_and.reduce([p.valid for p in parts if not isinstance(p, float)])
-
-
 def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     """Mean-value enclosures around each box center, crossed with the
     natural interval form where both evaluate.
@@ -85,15 +80,14 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     jets = F(Jet2.variable_y(_join(IntervalArray.around(my), y)), branch=branch,
              a_exp=Jet2.variable_a(_join(IntervalArray.around(ma), a)))
     n = y.lo.size
-    parts = (jets.v, jets.dy, jets.da, jets.dyy, jets.dya)
-    center = Jet2(*(c if isinstance(c, float) else c[:n] for c in parts))
-    wide = Jet2(*(c if isinstance(c, float) else c[n:] for c in parts))
+    center, wide = jets[:n], jets[n:]
     off_y, off_a = y - my, a - ma
     f_mv = center.v + wide.dy * off_y + wide.da * off_a
     df_mv = center.dy + wide.dyy * off_y + wide.dya * off_a
-    # a scalar jet pass fails as a whole when any component fails
-    mv = _all_valid(center.v, center.dy, center.da, center.dyy, center.dya,
-                    wide.v, wide.dy, wide.da, wide.dyy, wide.dya, f_mv, df_mv)
+    # a scalar jet pass fails as a whole when any component fails; a
+    # structural zero is always valid, and the stack holds the other slots
+    valid = jets.valid
+    mv = valid[:n] & valid[n:] & f_mv.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
         default = np.where(yw >= aw, 0, 1)
         hint_f = np.where(mv, np.where(wide.dy.mag * yw >= wide.da.mag * aw, 0, 1), default)

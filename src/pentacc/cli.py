@@ -75,8 +75,19 @@ def _write(payload: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _parse_pair(text: str, what: str) -> tuple:
+    """The two comma-separated numbers of the flag ``what``."""
+    parts = text.split(",")
+    try:
+        if len(parts) == 2:
+            return float(parts[0]), float(parts[1])
+    except ValueError:
+        pass
+    raise ValueError(f"{what} needs two comma-separated numbers, got {text!r}")
+
+
 def _parse_range(text: str, what: str) -> tuple:
-    lo, hi = (float(x) for x in text.split(","))
+    lo, hi = _parse_pair(text, what)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{what} {text} is not a finite range")
     if lo > hi:
@@ -158,7 +169,7 @@ def cmd_region_map(args) -> int:
     a_exp = Exponent.parse(args.A).value
     if args.point:
         # single-cell query; angles arrive in degrees
-        t12_deg, t23_deg = (float(x) for x in args.point.split(","))
+        t12_deg, t23_deg = _parse_pair(args.point, "--point")
         try:
             res = region_classify(
                 ChainAngles(math.radians(t12_deg), math.radians(t23_deg),
@@ -178,14 +189,14 @@ def cmd_region_map(args) -> int:
     # labels[closure][i * n + j] is the cell (thetas[i], thetas[j])
     labels = {closure: region_labels(t12, t23, closure, a_exp)
               for closure in ("plus", "minus")}
-    # the csv module writes a float as its repr; format each angle once
+    # the lines csv.writer would write: each float as its repr, no field
+    # that needs quotes, \r\n line ends; one closure's lines at a time
     text = [repr(t) for t in thetas.tolist()]
     with open(args.out + ".csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta12", "theta23", "closure", "region"])
+        fh.write("theta12,theta23,closure,region\r\n")
         for closure, labs in labels.items():
-            w.writerows((a, b, closure, lab)
-                        for (a, b), lab in zip(product(text, repeat=2), labs))
+            fh.write("".join(f"{a},{b},{closure},{lab}\r\n"
+                             for (a, b), lab in zip(product(text, repeat=2), labs)))
     _write(_boundary_svg(thetas, labels), args.out + ".svg")
     if log.isEnabledFor(logging.INFO):
         counts = Counter(lab for labs in labels.values() for lab in labs)
@@ -200,23 +211,25 @@ def _boundary_svg(thetas, labels: dict) -> str:
     ``labels`` maps each closure to its cell labels in row-major order over
     (theta12, theta23).
     """
-    segs = {"plus": [], "minus": []}
     n = len(thetas)
     half = 0.5 * (thetas[1] - thetas[0]) if n > 1 else 0.1
-    for closure in ("plus", "minus"):
-        grid = labels[closure]
-        for i in range(n):
-            for j in range(n):
-                here = grid[i * n + j]
-                if i + 1 < n and grid[(i + 1) * n + j] != here:
-                    x = 0.5 * (thetas[i] + thetas[i + 1])
-                    segs[closure].append((x, thetas[j] - half, x, thetas[j] + half))
-                if j + 1 < n and grid[i * n + j + 1] != here:
-                    y = 0.5 * (thetas[j] + thetas[j + 1])
-                    segs[closure].append((thetas[i] - half, y, thetas[i] + half, y))
+    low, high = (thetas - half).tolist(), (thetas + half).tolist()
+    mid = (0.5 * (thetas[:-1] + thetas[1:])).tolist()
     paths = []
-    for closure, ss in segs.items():
-        d = " ".join(f"M {a:.4f} {b:.4f} L {c:.4f} {e:.4f}" for a, b, c, e in ss)
+    for closure in ("plus", "minus"):
+        grid = np.array(labels[closure]).reshape(n, n)
+        # cell (i, j) lists its edge to cell (i + 1, j), then to (i, j + 1):
+        # keys 2 * (i * n + j) and 2 * (i * n + j) + 1, in row-major order
+        i, j = np.nonzero(grid[1:] != grid[:-1])
+        keys = [2 * (i * n + j)]
+        i, j = np.nonzero(grid[:, 1:] != grid[:, :-1])
+        keys.append(2 * (i * n + j) + 1)
+        segs = []
+        for key in np.sort(np.concatenate(keys)).tolist():
+            (i, j), across = divmod(key >> 1, n), key & 1
+            segs.append((low[i], mid[j], high[i], mid[j]) if across
+                        else (mid[i], low[j], mid[i], high[j]))
+        d = " ".join(f"M {a:.4f} {b:.4f} L {c:.4f} {e:.4f}" for a, b, c, e in segs)
         paths.append(f'<path class="closure-{closure}" d="{d}" fill="none"/>')
     body = "\n".join(paths)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 6.3 6.3">\n'

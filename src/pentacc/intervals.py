@@ -16,15 +16,25 @@ form it is met with (``certify._mv_eval``).
 Dual serves the root scan, which needs F and dF/dy4 at one float exponent:
 its tangency guard and the simplicity check of a root enclosure
 (``symmetric._natural_eval`` and ``symmetric._interval_simple``).  There F
-on a Dual costs about 0.4 of F on a Jet2 over the same boxes.
+on a Dual costs about half of F on a Jet2 over the same boxes (0.47 on 200
+B2 boxes, median of 40 alternate runs on a 2-core x86 host).
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate
-children, in one pass (after Rump's INTLAB).  Jet2 and Dual carry
-IntervalArray components unchanged.  Each
-array operation repeats the scalar formula element by element, with
-np.nextafter for the outward step, and reproduces the Interval bounds bit
-for bit; where Interval raises, the element turns NaN instead.  sqrt uses
+children, in one pass (after Rump's INTLAB).  Dual carries IntervalArray
+components unchanged.  A Jet2 over IntervalArray stacks its array slots in
+one (k, N) pair of bound arrays, with a record of the slots that hold a
+float constant or a structural zero, and runs each operation as a plan
+that is traced from its scalar formula once per pattern of records: the
+formula's kernel calls, with those of one kind at one depth made as one
+call on rows gathered from the stack (``_plan``).  A jet operation enters
+np.errstate once and calls the operators' bodies without their own
+(``_quiet``); the public IntervalArray operators keep theirs.  Each
+array operation repeats the scalar formula element by element, with the
+outward step of math.nextafter, and reproduces the Interval bounds bit
+for bit; where Interval raises, the element turns NaN instead.  The step
+is np.nextafter on small arrays and a step of the float's bits from
+``_BIT_STEP_MIN`` elements up.  sqrt uses
 np.sqrt, which is correctly rounded like math.sqrt.  exp, log and integer
 powers call libm (math.exp, math.log, float **) once per element, never
 np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
@@ -265,12 +275,39 @@ def split_bounds(ylo, yhi, alo, ahi, coord) -> tuple:
             (np.where(on_y, ym, ylo), yhi, np.where(on_y, alo, am), ahi))
 
 
+# Arrays of at least this many elements take their outward step from the
+# bits: np.nextafter calls libm once per element, about 10 to 20 ns, while
+# the bit step costs five numpy calls (on a 2-core x86 host, 6 against 10 us
+# at 512 elements and 15 against 62 us at 3328; below 512 the two are
+# within a microsecond).
+_BIT_STEP_MIN = 512
+
+
+def _bit_step(x: np.ndarray, direction: float) -> np.ndarray:
+    """np.nextafter(x, direction) for a float64 array.  Away from zero a
+    float's next neighbour has its bits, read as an int64, one larger in
+    magnitude; a zero, an infinity or NaN steps into NaN bits and takes
+    np.nextafter instead."""
+    bits = x.view(np.int64)
+    out = bits >> 63
+    out |= 1  # +1 for a positive float, -1 for a negative one
+    if direction > 0.0:
+        out += bits
+    else:
+        np.subtract(bits, out, out=out)
+    out = out.view(np.float64)
+    if math.isnan(out.sum()):
+        odd = np.isnan(out)
+        out[odd] = np.nextafter(x[odd], direction)
+    return out
+
+
 def _adown(x):
-    return np.nextafter(x, -_INF)
+    return np.nextafter(x, -_INF) if x.size < _BIT_STEP_MIN else _bit_step(x, -_INF)
 
 
 def _aup(x):
-    return np.nextafter(x, _INF)
+    return np.nextafter(x, _INF) if x.size < _BIT_STEP_MIN else _bit_step(x, _INF)
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -338,6 +375,15 @@ class IntervalArray:
         """An operation's result from float64 bounds, without conversion."""
         out = object.__new__(cls)
         out._set(lo, hi)
+        return out
+
+    @classmethod
+    def _of(cls, lo, hi) -> "IntervalArray":
+        """Bounds that an IntervalArray already holds (rows or elements of a
+        stack), without the check of ``_set``."""
+        out = object.__new__(cls)
+        out.lo = lo
+        out.hi = hi
         return out
 
     @classmethod
@@ -540,7 +586,231 @@ def _abs_parts(v: IntervalArray, parts) -> list:
     return out
 
 
-_INTERVAL_TYPES = (Interval, IntervalArray)
+def _const(x) -> float:
+    """A jet slot that holds no array, as its float; a zero is 0.0."""
+    x = float(x)
+    return 0.0 if x == 0.0 else x
+
+
+class _Row:
+    """A register row of a stacked jet operation while its plan is traced.
+
+    It has the IntervalArray operators that the jet formulas use.  Each
+    records the kernel call it stands for, with the operands in the order
+    that IntervalArray's operator passes them to the kernel.
+    """
+
+    __slots__ = ("trace", "reg")
+
+    def __init__(self, trace: "_Trace", reg: tuple):
+        self.trace = trace
+        self.reg = reg
+
+    def __add__(self, other):
+        return self.trace.op("add", self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.trace.op("sub", self, other)
+
+    def __rsub__(self, other):
+        return self.trace.op("sub", other, self)
+
+    def __mul__(self, other):
+        return self.trace.op("mul", self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self.trace.op("div", self, other)
+
+    def __rtruediv__(self, other):
+        return self.trace.op("div", other, self)
+
+    def __neg__(self):
+        return self.trace.op("neg", self)
+
+    def exp(self):
+        return self.trace.op("exp", self)
+
+    def log(self):
+        return self.trace.op("log", self)
+
+    def __pow__(self, exponent):
+        # the dispatch of IntervalArray.__pow__
+        if isinstance(exponent, float) and exponent.is_integer():
+            exponent = int(exponent)
+        if isinstance(exponent, int):
+            return self.trace.op("pow", self, param=exponent)
+        return (self.log() * exponent).exp()
+
+
+# The kernel of each traced operation: the body of the IntervalArray
+# operator, without the errstate that a stacked jet operation enters once.
+_KERNELS = {
+    "add": IntervalArray.__add__.__wrapped__,
+    "sub": IntervalArray.__sub__.__wrapped__,
+    "mul": IntervalArray.__mul__.__wrapped__,
+    "div": IntervalArray.__truediv__.__wrapped__,
+    "neg": IntervalArray.__neg__,
+    "exp": IntervalArray.exp.__wrapped__,
+    "log": IntervalArray.log.__wrapped__,
+    "pow": IntervalArray._int_pow.__wrapped__,
+}
+
+
+def _rows(regs: list):
+    """Register rows as a slice when they are consecutive, else an index array."""
+    if regs == list(range(regs[0], regs[0] + len(regs))):
+        return slice(regs[0], regs[0] + len(regs))
+    return np.array(regs, dtype=np.intp)
+
+
+class _Trace:
+    """The kernel calls of a jet formula run once on register rows."""
+
+    def __init__(self):
+        self.inputs = 0
+        self.consts = {}  # repr of a number operand -> its point row
+        self.ops = []     # (kind, param, argument registers), in call order
+        self.memo = {}    # each distinct call runs once: log(v) serves every v ** c
+
+    def input(self) -> _Row:
+        self.inputs += 1
+        return _Row(self, ("in", self.inputs - 1))
+
+    def const(self, x) -> tuple:
+        """The register of a number operand: the point IntervalArray._coerce
+        makes of it, one row for each float."""
+        x = float(x)
+        return self.consts.setdefault(repr(x), ("const", len(self.consts), x))
+
+    def op(self, kind: str, *args, param=None) -> _Row:
+        regs = tuple(a.reg if isinstance(a, _Row) else self.const(a) for a in args)
+        key = (kind, param, regs)
+        if key not in self.memo:
+            self.memo[key] = _Row(self, ("op", len(self.ops)))
+            self.ops.append(key)
+        return self.memo[key]
+
+    def compile(self, outputs: tuple, spans: list) -> "_Plan":
+        """The plan that computes ``outputs``: one stacked kernel call for
+        the needed calls of each (depth, kind, parameter), by depth.  A call
+        depends only on its operands, so the order of independent calls
+        cannot change a bit."""
+        depth = {}
+        for k, (_, _, regs) in enumerate(self.ops):
+            depth[("op", k)] = 1 + max(depth.get(r, 0) for r in regs)
+        need, todo = set(), [o.reg for o in outputs if isinstance(o, _Row)]
+        while todo:
+            reg = todo.pop()
+            if reg[0] == "op" and reg not in need:
+                need.add(reg)
+                todo.extend(self.ops[reg[1]][2])
+        groups = {}
+        for reg in sorted(need, key=lambda r: (depth[r], r[1])):
+            kind, param, _ = self.ops[reg[1]]
+            groups.setdefault((depth[reg], kind, param), []).append(reg)
+        where = {("in", i): i for i in range(self.inputs)}
+        where.update((c, self.inputs + c[1]) for c in self.consts.values())
+        steps = []
+        for (_, kind, param), regs in groups.items():
+            start = len(where)
+            where.update((reg, start + i) for i, reg in enumerate(regs))
+            args = zip(*(self.ops[reg[1]][2] for reg in regs))
+            steps.append((_KERNELS[kind], param, start, len(where),
+                          *(_rows([where[a] for a in col]) for col in args)))
+        consts = np.array([c[2] for c in self.consts.values()], dtype=float)
+        record = tuple(None if isinstance(o, _Row) else _const(o) for o in outputs)
+        out = [where[o.reg] for o in outputs if isinstance(o, _Row)]
+        return _Plan(len(where), spans, slice(self.inputs, self.inputs + consts.size),
+                     consts, steps, _rows(out) if out else None, record)
+
+
+class _Plan:
+    """A traced jet operation: a register file of ``size`` rows holds the
+    operands' rows (``spans``), the number operands as point rows, then the
+    results of each stacked kernel call of ``steps``; ``out`` picks the
+    result jet's array slots from it and ``record`` gives its other slots."""
+
+    __slots__ = ("size", "spans", "const_rows", "consts", "steps", "out", "record")
+
+    def __init__(self, size, spans, const_rows, consts, steps, out, record):
+        self.size, self.spans, self.const_rows, self.consts = size, spans, const_rows, consts
+        self.steps, self.out, self.record = steps, out, record
+
+    def run(self, operands: tuple) -> "Jet2":
+        bounds = [(span, x._lo, x._hi) if isinstance(x, Jet2) else (span, x.lo[None], x.hi[None])
+                  for x, span in zip(operands, self.spans) if span.stop > span.start]
+        shapes = {lo.shape[1:] for _, lo, _ in bounds}
+        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        lo = np.empty((self.size,) + shape)
+        hi = np.empty((self.size,) + shape)
+        for span, x_lo, x_hi in bounds:
+            lo[span] = x_lo
+            hi[span] = x_hi
+        if self.consts.size:
+            lo[self.const_rows] = hi[self.const_rows] = self.consts.reshape(
+                (-1,) + (1,) * len(shape))
+        for kernel, param, start, stop, *args in self.steps:
+            r = kernel(*(IntervalArray._of(lo[i], hi[i]) for i in args),
+                       *(() if param is None else (param,)))
+            lo[start:stop] = r.lo
+            hi[start:stop] = r.hi
+        if self.out is None:
+            return Jet2(*self.record)
+        return Jet2._stacked(lo[self.out], hi[self.out], self.record)
+
+
+def _signature(x):
+    """What a stacked plan needs to know of an operand: a jet's record (None
+    for its array slots), "array" for an IntervalArray, else the number."""
+    if isinstance(x, Jet2):
+        return x._parts
+    return "array" if isinstance(x, IntervalArray) else _const(x)
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(method, signatures: tuple) -> _Plan:
+    """Trace the scalar formula ``method`` once per pattern of operands."""
+    trace = _Trace()
+    operands, spans = [], []
+    for sig in signatures:
+        start = trace.inputs
+        if isinstance(sig, tuple):
+            operands.append(Jet2(*(trace.input() if c is None else c for c in sig)))
+        else:
+            operands.append(trace.input() if sig == "array" else sig)
+        spans.append(slice(start, trace.inputs))
+    return trace.compile(Jet2._parts_of(method(*operands)), spans)
+
+
+def _stackable(method):
+    """A Jet2 operation that, on operands with IntervalArray slots, runs as
+    its traced plan (``_plan``) under one errstate; it takes at most one
+    operand besides the jet."""
+    @functools.wraps(method)
+    def op(self, *args):
+        if self._lo is None and not (args and (
+                isinstance(args[0], IntervalArray)
+                or isinstance(args[0], Jet2) and args[0]._lo is not None)):
+            return method(self, *args)
+        operands = (self, *args)
+        plan = _plan(method, tuple(map(_signature, operands)))
+        with np.errstate(all="ignore"):
+            return plan.run(operands)
+    return op
+
+
+def _slot(i: int) -> property:
+    def read(self):
+        part = self._parts[i]
+        if part is not None:
+            return part
+        row = self._parts[:i].count(None)
+        return IntervalArray._of(self._lo[row], self._hi[row])
+    return property(read)
 
 
 class Jet2:
@@ -557,16 +827,35 @@ class Jet2:
     summand is dropped, and a component whose terms all vanish stays 0.0.
     Since 0 encloses an identically zero term, enclosures are never wider
     than with the terms computed, only cheaper.
+
+    Over IntervalArray a jet holds its array slots stacked, as one (k, N)
+    pair of bound arrays, and a record of its five slots: None for an
+    array slot, else the slot's exact float (0.0 for a structural zero).
+    An operation then runs the plan traced from its scalar formula for
+    that pattern of records: the same kernel calls on every element, with
+    the calls of each kind at each depth made as one call on stacked rows
+    (``_plan``).  Its components are views of the stack's rows.
     """
 
-    __slots__ = ("v", "dy", "da", "dyy", "dya")
+    __slots__ = ("_parts", "_lo", "_hi")
 
     def __init__(self, v, dy=0.0, da=0.0, dyy=0.0, dya=0.0):
-        self.v = v
-        self.dy = dy
-        self.da = da
-        self.dyy = dyy
-        self.dya = dya
+        parts = (v, dy, da, dyy, dya)
+        self._lo = None
+        if IntervalArray in map(type, parts):
+            rows = [p for p in parts if isinstance(p, IntervalArray)]
+            bounds = np.broadcast_arrays(*(r.lo for r in rows), *(r.hi for r in rows))
+            self._lo, self._hi = np.stack(bounds[:len(rows)]), np.stack(bounds[len(rows):])
+            parts = tuple(None if isinstance(p, IntervalArray) else _const(p) for p in parts)
+        self._parts = parts
+
+    @classmethod
+    def _stacked(cls, lo, hi, record: tuple) -> "Jet2":
+        jet = object.__new__(cls)
+        jet._parts, jet._lo, jet._hi = record, lo, hi
+        return jet
+
+    v, dy, da, dyy, dya = map(_slot, range(5))
 
     @classmethod
     def variable_y(cls, value) -> "Jet2":
@@ -576,30 +865,46 @@ class Jet2:
     def variable_a(cls, value) -> "Jet2":
         return cls(value, 0.0, 1.0, 0.0, 0.0)
 
+    @property
+    def valid(self) -> np.ndarray:
+        """Over IntervalArray: the elements where every slot is valid."""
+        return ~np.isnan(self._lo).any(axis=0)
+
+    def __getitem__(self, index) -> "Jet2":
+        """Over IntervalArray: the jet of the elements ``index`` selects."""
+        return Jet2._stacked(self._lo[:, index], self._hi[:, index], self._parts)
+
     @staticmethod
-    def _parts(x):
+    def _parts_of(x):
         if isinstance(x, Jet2):
             return x.v, x.dy, x.da, x.dyy, x.dya
         return x, 0.0, 0.0, 0.0, 0.0
 
+    @_stackable
     def __add__(self, other):
-        v, dy, da, dyy, dya = self._parts(other)
+        v, dy, da, dyy, dya = self._parts_of(other)
         return Jet2(_add(self.v, v), _add(self.dy, dy), _add(self.da, da),
                     _add(self.dyy, dyy), _add(self.dya, dya))
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self._lo is not None:
+            return Jet2._stacked(-self._hi, -self._lo,
+                                 tuple(p if p is None else _const(-p) for p in self._parts))
         return Jet2(-self.v, -self.dy, -self.da, -self.dyy, -self.dya)
 
+    @_stackable
     def __sub__(self, other):
-        return Jet2(*map(_sub, self._parts(self), self._parts(other)))
+        return Jet2(*map(_sub, self._parts_of(self), self._parts_of(other)))
 
+    @_stackable
     def __rsub__(self, other):
-        return Jet2(*map(_sub, self._parts(other), self._parts(self)))
+        return Jet2(*map(_sub, self._parts_of(other), self._parts_of(self)))
 
+    @_stackable
     def __mul__(self, other):
-        v, dy, da, dyy, dya = self._parts(other)
+        v, dy, da, dyy, dya = self._parts_of(other)
         return Jet2(
             _mul(self.v, v),
             _add(_mul(self.dy, v), _mul(self.v, dy)),
@@ -611,6 +916,7 @@ class Jet2:
 
     __rmul__ = __mul__
 
+    @_stackable
     def _pow_const(self, c: float) -> "Jet2":
         p = self.v ** c
         p1 = c * self.v ** (c - 1.0)
@@ -624,24 +930,29 @@ class Jet2:
             _add(_mul(p2, _mul(self.dy, self.da)), _mul(p1, self.dya)),
         )
 
+    @_stackable
     def __pow__(self, exponent):
         if isinstance(exponent, Jet2):
             return (exponent * self.log()).exp()
         return self._pow_const(float(exponent))
 
+    @_stackable
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other._pow_const(-1.0)
         return self * (1.0 / other)
 
+    @_stackable
     def __rtruediv__(self, other):
         return self._pow_const(-1.0) * other
 
+    @_stackable
     def sqrt(self) -> "Jet2":
         return self._pow_const(0.5)
 
+    @_stackable
     def exp(self) -> "Jet2":
-        e = self.v.exp() if isinstance(self.v, _INTERVAL_TYPES) else math.exp(self.v)
+        e = math.exp(self.v) if isinstance(self.v, (int, float)) else self.v.exp()
         return Jet2(
             e,
             _mul(e, self.dy),
@@ -650,8 +961,9 @@ class Jet2:
             _mul(e, _add(self.dya, _mul(self.dy, self.da))),
         )
 
+    @_stackable
     def log(self) -> "Jet2":
-        lv = self.v.log() if isinstance(self.v, _INTERVAL_TYPES) else math.log(self.v)
+        lv = math.log(self.v) if isinstance(self.v, (int, float)) else self.v.log()
         inv = 1.0 / self.v
         ldy, lda = _mul(inv, self.dy), _mul(inv, self.da)
         return Jet2(
@@ -665,6 +977,7 @@ class Jet2:
     def __abs__(self):
         v = self.v
         if isinstance(v, IntervalArray):
+            # runs once per F, so slot by slot; it restacks the slots
             return Jet2(*_abs_parts(v, (self.v, self.dy, self.da, self.dyy, self.dya)))
         if isinstance(v, Interval):
             if v.strictly_negative():
@@ -786,17 +1099,25 @@ class _BoxEval:
 _VERDICTS = ("undecided", "F", "dF")
 
 # Rows a bisection pass evaluates at most, unless its frontier alone is
-# larger.  A pass pays a fixed cost of about 500 IntervalArray operations,
-# and a row adds little to it: on a 2-core x86 host one box takes 4.7 ms
-# and 128 boxes 5.7 ms on the scan's Dual form, 12.9 and 18.8 ms on the
-# certifier's Jet2 form.  There the three acceptance certificates took
-# 0.72 s in process at 128 rows, 0.78 s at one depth a pass, 0.82 s at 512
-# and 0.94 s at 1024 rows, where four candidates a box waste rows.
+# larger.  A pass pays a fixed cost of some hundreds of numpy calls (about
+# 250 kernel calls on the certifier's stacked jets), and a row adds little
+# to it: on a 2-core x86 host one box takes 4.9 ms and 128 boxes 6.2 ms on
+# the scan's Dual form, 8.8 and 16.9 ms on the certifier's Jet2 form.
+# There the three acceptance certificates took 0.72 s in process at 128
+# rows, 0.78 s at one depth a pass, 0.82 s at 512 and 1.17 s at 1024 rows,
+# where four candidates a box waste rows.
 _PASS_ROWS = 128
+
+# Boxes of the bisection tree that one ``_bisect`` call may make.  The
+# acceptance certificates make at most 3967 (B2), and B2 certified up to its
+# collision end needs about 17k; a region that no box decides doubles its
+# frontier at each depth and meets the cap after 16 depths.
+_MAX_TREE_BOXES = 1 << 16
 
 
 def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0,
-           leaf_depths=(), leaves_by_verdict=None, passes=0, evaluated=0) -> dict:
+           leaf_depths=(), leaves_by_verdict=None, passes=0, evaluated=0,
+           undecided_budget=0) -> dict:
     """How a bisection was reached: the boxes of the bisection tree at each
     depth (the root is depth 0), which ``box_evals`` sums, and two kinds of
     undecided box: those not evaluable (out of the branch domain or no
@@ -806,8 +1127,10 @@ def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0,
     leaves lie: ``leaf_depths[d]`` counts the leaves, undecided ones
     included, made at depth d, and ``leaves_by_verdict`` counts them by
     verdict.  ``passes`` counts the ``evaluate`` calls and ``evaluated``
-    the rows they evaluated, look-ahead rows included."""
-    return {
+    the rows they evaluated, look-ahead rows included.  ``undecided_budget``,
+    present only when nonzero, counts the open boxes kept undecided because
+    splitting them would take the tree past ``_MAX_TREE_BOXES``."""
+    stats = {
         "box_evals": sum(evals_per_depth),
         "max_depth": max(len(evals_per_depth) - 1, 0),
         "evals_per_depth": list(evals_per_depth),
@@ -818,6 +1141,9 @@ def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0,
         "passes": passes,
         "evaluated": evaluated,
     }
+    if undecided_budget:
+        stats["undecided_budget"] = undecided_budget
+    return stats
 
 
 def _leaf(row, verdict: str) -> CertLeaf:
@@ -869,7 +1195,10 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
     any other box is split along the coordinate, or along y4 when it
     cannot be evaluated, and is kept as undecided once it sits at
     ``max_depth``, is narrower than ``floor`` in y4, or cannot be shrunk by
-    a split (a point box, or one whose midpoint rounds to an end).  The
+    a split (a point box, or one whose midpoint rounds to an end).  Once
+    splitting the open boxes of a depth would take the tree past
+    ``_MAX_TREE_BOXES`` boxes, they are all kept as undecided, and the
+    stats count them as ``undecided_budget``.  The
     halves of a split box are its candidate rows in the batch; the boxes
     left open at the last level seed the next pass.  Enclosures, hints and
     verdicts are computed element by element, so a box's outcome does not
@@ -882,7 +1211,7 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
     by_verdict = dict.fromkeys(_VERDICTS, 0)
     zone = np.array([z for z, (_, seeds) in enumerate(zones) for _ in seeds], dtype=int)
     bounds = np.array([s for _, seeds in zones for s in seeds], dtype=float).reshape(-1, 4).T
-    domain = straddle = depth = passes = evaluated = 0
+    domain = straddle = depth = passes = evaluated = budget = 0
     while zone.size:
         batch, starts, ways = _look_ahead(bounds, max_depth - depth)
         ev = evaluate(*batch)
@@ -908,6 +1237,10 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
             stuck = (lower == box).all(axis=0) | (upper == box).all(axis=0)
             open_ = code == 0
             kept = open_ & ((box[1] - box[0] < floor) | (depth >= max_depth) | stuck)
+            split = int(np.count_nonzero(open_ & ~kept))
+            if sum(evals) + 2 * split > _MAX_TREE_BOXES:
+                budget += split
+                kept = open_
             undecided.extend(_leaf(listed[i], "undecided") for i in np.flatnonzero(kept).tolist())
             ok = ev.ok[rows]
             domain += int(np.count_nonzero(kept & ~ok))
@@ -927,7 +1260,7 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
         bounds = np.concatenate([lower[:, open_], upper[:, open_]], axis=1)
         zone = np.tile(tags[rows[open_]], 2)
     return leaves, undecided, _stats(evals, domain, straddle, leaf_depths, by_verdict,
-                                     passes, evaluated)
+                                     passes, evaluated, budget)
 
 
 def _no_common_zero_decider(ev: _BoxEval) -> tuple:

@@ -446,6 +446,27 @@ def test_a_point_window_certificate_has_one_undecided_box():
     assert cert.stats["evaluated"] == 1
 
 
+def test_the_tree_box_budget_keeps_the_open_boxes_undecided(monkeypatch):
+    # no box is ever decided, so the frontier doubles at each depth: with a
+    # budget of 20 tree boxes it stops at 1 + 2 + 4 + 8 = 15 boxes, since
+    # splitting the 8 open boxes would make 31
+    monkeypatch.setattr(intervals, "_MAX_TREE_BOXES", 20)
+    leaves, undecided, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])],
+                                       _never_decided, 60, 0.0)
+    assert not leaves and len(undecided) == stats["undecided_budget"] == 8
+    assert stats["evals_per_depth"] == [1, 2, 4, 8] and stats["box_evals"] == 15
+    assert stats["leaf_depths"] == [0, 0, 0, 8] and stats["undecided_straddle"] == 8
+    assert stats["leaves_by_verdict"] == {"undecided": 8, "F": 0, "dF": 0}
+    # a budget of exactly 31 lets that split happen
+    monkeypatch.setattr(intervals, "_MAX_TREE_BOXES", 31)
+    _, undecided, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])],
+                                  _never_decided, 60, 0.0)
+    assert len(undecided) == stats["undecided_budget"] == 16 and stats["box_evals"] == 31
+    # a bisection within the budget has no such field
+    _, _, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])], _never_decided, 3, 0.0)
+    assert "undecided_budget" not in stats and stats["box_evals"] == 15
+
+
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))
 def test_look_ahead_matches_by_depth_on_the_certificates(name, checked_bisect, monkeypatch):
     import pentacc.certify as certify

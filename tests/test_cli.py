@@ -179,6 +179,23 @@ def test_certify_undecided_exit_code(tmp_path):
     assert stats["max_depth"] == 18
 
 
+def test_certify_tree_box_budget_exit_code(tmp_path, monkeypatch):
+    # every enclosure over A in [400, 500] straddles zero down to depth 10;
+    # under a budget of 200 tree boxes the certificate stops undecided
+    import pentacc.intervals as intervals
+    monkeypatch.setattr(intervals, "_MAX_TREE_BOXES", 200)
+    out = tmp_path / "cert.json"
+    code = main(["certify", "--mode", "no-common-zero", "--branch", "A", "--window", "a2",
+                 "--A-range", "400,500", "--out", str(out)])
+    assert code == 2
+    cert = json.loads(out.read_text())
+    check_schema(cert, load_schema("certificate.schema.json"))
+    stats = cert["stats"]
+    assert cert["certified"] is False
+    assert stats["undecided_budget"] == len(cert["undecided"]) == 64
+    assert stats["box_evals"] == 127 and stats["max_depth"] == 6
+
+
 def test_tropical_verify_tables(tmp_path):
     out = tmp_path / "trop.json"
     assert main(["tropical-verify", "--A", "3", "--out", str(out)]) == 0
@@ -443,6 +460,22 @@ def test_bad_input_is_input_error(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["certify", "--window", "a2", "--A-range", "2,3,4"], "--A-range",
+                 id="certify-range-three-numbers"),
+    pytest.param(["bifurcation", "--A-range", "3.0"], "--A-range", id="bifurcation-range-one-number"),
+    pytest.param(["region-map", "--point", "1,2,3"], "--point", id="region-map-point-three-numbers"),
+    pytest.param(["certify", "--window", "0.1,x", "--A-range", "2,3"], "--window",
+                 id="certify-window-not-a-number"),
+])
+def test_malformed_pair_names_its_flag(argv, flag, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{flag} needs two comma-separated numbers" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -351,6 +351,25 @@ def test_interval_array_marks_scalar_failures_invalid():
                 assert got.valid[i]
 
 
+@pytest.mark.parametrize("size", [5, 4096])
+def test_array_outward_step_is_math_nextafter(size):
+    # below intervals._BIT_STEP_MIN elements the step is np.nextafter, above
+    # it the step of the float's bits; both are math.nextafter bit for bit
+    from pentacc.intervals import _adown, _aup
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+               -sys.float_info.min, 1.0, -1.0]
+    x = np.concatenate([special, rng.standard_normal(size)
+                        * 10.0 ** rng.integers(-320, 300, size)])
+    for step, direction in ((_adown, -math.inf), (_aup, math.inf)):
+        with np.errstate(all="ignore"):
+            got = step(x)
+        want = np.array([math.nextafter(v, direction) for v in x.tolist()])
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), x[~same]
+
+
 def test_box_split_and_validation():
     box = Box(Interval(0.2, 0.4), Interval(2.0, 3.0))
     l, r = box.split_coord(0)
@@ -454,3 +473,129 @@ def test_jet_interval_components_enclose_point_values():
         y = rng.uniform(y_iv.lo, y_iv.hi)
         a = rng.uniform(a_iv.lo, a_iv.hi)
         assert jet.v.contains((y ** 2 + 1.0) ** (-a))
+
+
+# ---------------------------------------------------------------------------
+# Jet2 over IntervalArray: the stacked plans against Jet2 over Interval
+
+def _slots(jet) -> tuple:
+    return jet.v, jet.dy, jet.da, jet.dyy, jet.dya
+
+
+def _element(x, i: int):
+    """Element i of a jet or an IntervalArray, over scalar Intervals."""
+    if isinstance(x, Jet2):
+        return Jet2(*(_element(p, i) for p in _slots(x)))
+    if isinstance(x, IntervalArray):
+        return Interval(x.lo[i], x.hi[i])
+    return x
+
+
+def _interval_array(rng, n: int, lo: float, hi: float) -> IntervalArray:
+    low = rng.uniform(lo, hi, n)
+    return IntervalArray(low, low + 10.0 ** rng.uniform(-12.0, -1.0, n))
+
+
+def _stacked_operands(n: int = 60) -> tuple:
+    """Jets x and y over IntervalArray that mix array, float-constant and
+    structural-zero slots, and an IntervalArray a.  Some elements of x
+    straddle zero or overflow exp, some of y straddle zero, so the scalar
+    path raises there."""
+    rng = np.random.default_rng(18)
+    v = _interval_array(rng, n, 0.3, 2.0)
+    v.lo[:6], v.hi[:6] = -v.hi[:6], -v.lo[:6]           # negative values
+    v.lo[6:10] = -0.1                                    # straddles zero
+    v.lo[10:13] += 800.0                                 # exp overflows
+    v.hi[10:13] += 800.0
+    w = _interval_array(rng, n, 0.5, 1.5)
+    w.lo[20:24] = -0.05                                  # straddles zero
+    x = Jet2(v, 1.0, 0.0, _interval_array(rng, n, -1.0, 1.0), 0.0)
+    y = Jet2(w, _interval_array(rng, n, -1.0, 1.0), 2.5, 0.0,
+             _interval_array(rng, n, -1.0, 1.0))
+    return x, y, _interval_array(rng, n, 0.5, 2.0)
+
+
+_STACKED_OPS = {
+    "x + y": lambda x, y, a: x + y,
+    "x + a": lambda x, y, a: x + a,
+    "1.5 + x": lambda x, y, a: 1.5 + x,
+    "x - y": lambda x, y, a: x - y,
+    "y - x": lambda x, y, a: y - x,
+    "x - a": lambda x, y, a: x - a,
+    "2.0 - x": lambda x, y, a: 2.0 - x,
+    "-y": lambda x, y, a: -y,
+    "x * y": lambda x, y, a: x * y,
+    "y * x": lambda x, y, a: y * x,
+    "x * x": lambda x, y, a: x * x,
+    "x * a": lambda x, y, a: x * a,
+    "3.0 * y": lambda x, y, a: 3.0 * y,
+    "x / y": lambda x, y, a: x / y,
+    "y / x": lambda x, y, a: y / x,
+    "x / a": lambda x, y, a: x / a,
+    "1.0 / x": lambda x, y, a: 1.0 / x,
+    "x ** 2.5": lambda x, y, a: x ** 2.5,
+    "x ** -1.0": lambda x, y, a: x ** -1.0,
+    "y ** 2": lambda x, y, a: y ** 2,
+    "x ** y": lambda x, y, a: x ** y,
+    "sqrt x": lambda x, y, a: x.sqrt(),
+    "exp x": lambda x, y, a: x.exp(),
+    "exp y": lambda x, y, a: y.exp(),
+    "log x": lambda x, y, a: x.log(),
+    "log y": lambda x, y, a: y.log(),
+    "abs x": lambda x, y, a: abs(x),
+    "abs y": lambda x, y, a: abs(y),
+}
+
+
+@pytest.mark.parametrize("op", list(_STACKED_OPS))
+def test_stacked_jet_matches_the_scalar_jets_element_by_element(op):
+    apply = _STACKED_OPS[op]
+    operands = _stacked_operands()
+    got = _slots(apply(*operands))
+    n = operands[0].v.lo.size
+    raised = np.zeros(n, dtype=bool)
+    want = np.full((5, 2, n), np.nan)
+    for i in range(n):
+        try:
+            scalar = _slots(apply(*(_element(x, i) for x in operands)))
+        except (IntervalDomainError, OverflowError):
+            raised[i] = True
+            continue
+        for slot, (part, s) in enumerate(zip(got, scalar)):
+            if isinstance(part, float):
+                # a constant or structural zero: the same float for every element
+                assert type(part) is float and isinstance(s, float) and part == s, (slot, i)
+            else:
+                # abs turns a constant c into the points -c and c, as an array
+                want[slot, :, i] = (s, s) if isinstance(s, float) else (s.lo, s.hi)
+    # exactly where the scalar path raises, the stacked jet is invalid
+    assert got[0].valid.size == n
+    np.testing.assert_array_equal(
+        np.logical_and.reduce([p.valid for p in got if isinstance(p, IntervalArray)]), ~raised)
+    for slot, part in enumerate(got):
+        if isinstance(part, IntervalArray):
+            np.testing.assert_array_equal(part.lo[~raised].view(np.int64),
+                                          want[slot, 0, ~raised].view(np.int64))
+            np.testing.assert_array_equal(part.hi[~raised].view(np.int64),
+                                          want[slot, 1, ~raised].view(np.int64))
+
+
+def test_stacked_jet_keeps_constants_and_zeros_as_floats():
+    x, y, a = _stacked_operands()
+    t = Jet2.variable_y(a)
+    u = t * t  # dyy = 2.0 * (1.0 * 1.0): the exact float, not a widened interval
+    assert [type(p) for p in _slots(u)] == [IntervalArray, IntervalArray, float, float, float]
+    assert (u.da, u.dyy, u.dya) == (0.0, 2.0, 0.0)
+    z = 3.0 * (y - 1.0)
+    assert type(z.da) is float and z.da == 7.5 and type(z.dyy) is float and z.dyy == 0.0
+    # a jet whose every slot is a float leaves the arrays
+    assert all(type(p) is float for p in _slots(x * 0.0))
+
+
+def test_stacked_jet_operands_make_scalar_path_fail_somewhere():
+    # the operands exercise both outcomes for the partial operations
+    x, y, a = _stacked_operands()
+    for f in (lambda: 1.0 / x, lambda: y / x, lambda: x.exp(), lambda: y.log(),
+              lambda: abs(x), lambda: x ** y):
+        valid = f().v.valid
+        assert 0 < valid.sum() < valid.size
