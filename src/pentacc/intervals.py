@@ -32,9 +32,7 @@ np.errstate once and calls the operators' bodies without their own
 (``_quiet``); the public IntervalArray operators keep theirs.  Each
 array operation repeats the scalar formula element by element, with the
 outward step of math.nextafter, and reproduces the Interval bounds bit
-for bit; where Interval raises, the element turns NaN instead.  The step
-is np.nextafter on small arrays and a step of the float's bits from
-``_BIT_STEP_MIN`` elements up.  sqrt uses
+for bit; where Interval raises, the element turns NaN instead.  sqrt uses
 np.sqrt, which is correctly rounded like math.sqrt.  exp, log and integer
 powers call libm (math.exp, math.log, float **) once per element, never
 np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
@@ -275,39 +273,12 @@ def split_bounds(ylo, yhi, alo, ahi, coord) -> tuple:
             (np.where(on_y, ym, ylo), yhi, np.where(on_y, alo, am), ahi))
 
 
-# Arrays of at least this many elements take their outward step from the
-# bits: np.nextafter calls libm once per element, about 10 to 20 ns, while
-# the bit step costs five numpy calls (on a 2-core x86 host, 6 against 10 us
-# at 512 elements and 15 against 62 us at 3328; below 512 the two are
-# within a microsecond).
-_BIT_STEP_MIN = 512
-
-
-def _bit_step(x: np.ndarray, direction: float) -> np.ndarray:
-    """np.nextafter(x, direction) for a float64 array.  Away from zero a
-    float's next neighbour has its bits, read as an int64, one larger in
-    magnitude; a zero, an infinity or NaN steps into NaN bits and takes
-    np.nextafter instead."""
-    bits = x.view(np.int64)
-    out = bits >> 63
-    out |= 1  # +1 for a positive float, -1 for a negative one
-    if direction > 0.0:
-        out += bits
-    else:
-        np.subtract(bits, out, out=out)
-    out = out.view(np.float64)
-    if math.isnan(out.sum()):
-        odd = np.isnan(out)
-        out[odd] = np.nextafter(x[odd], direction)
-    return out
-
-
 def _adown(x):
-    return np.nextafter(x, -_INF) if x.size < _BIT_STEP_MIN else _bit_step(x, -_INF)
+    return np.nextafter(x, -_INF)
 
 
 def _aup(x):
-    return np.nextafter(x, _INF) if x.size < _BIT_STEP_MIN else _bit_step(x, _INF)
+    return np.nextafter(x, _INF)
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -597,7 +568,8 @@ class _Row:
 
     It has the IntervalArray operators that the jet formulas use.  Each
     records the kernel call it stands for, with the operands in the order
-    that IntervalArray's operator passes them to the kernel.
+    that IntervalArray's operator passes them to the kernel; ``**`` is
+    IntervalArray's own dispatch over ``_int_pow``, ``log`` and ``exp``.
     """
 
     __slots__ = ("trace", "reg")
@@ -637,13 +609,15 @@ class _Row:
     def log(self):
         return self.trace.op("log", self)
 
-    def __pow__(self, exponent):
-        # the dispatch of IntervalArray.__pow__
-        if isinstance(exponent, float) and exponent.is_integer():
-            exponent = int(exponent)
-        if isinstance(exponent, int):
-            return self.trace.op("pow", self, param=exponent)
-        return (self.log() * exponent).exp()
+    def _int_pow(self, n: int):
+        return self.trace.op("pow", self, param=n)
+
+    @staticmethod
+    def _coerce(x):
+        # a number operand stays a number; the trace makes its point row
+        return x
+
+    __pow__ = IntervalArray.__pow__
 
 
 # The kernel of each traced operation: the body of the IntervalArray
@@ -724,8 +698,10 @@ class _Trace:
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
         record = tuple(None if isinstance(o, _Row) else _const(o) for o in outputs)
         out = [where[o.reg] for o in outputs if isinstance(o, _Row)]
+        # an index array, never a slice: the result jet gets its own copy of
+        # its rows, not a view that keeps the whole register file alive
         return _Plan(len(where), spans, slice(self.inputs, self.inputs + consts.size),
-                     consts, steps, _rows(out) if out else None, record)
+                     consts, steps, np.array(out, dtype=np.intp) if out else None, record)
 
 
 class _Plan:
