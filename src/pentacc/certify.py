@@ -31,13 +31,13 @@ budget yields an undecided verdict carrying the offending boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
-                        _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats)
+                        _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats, _trace)
 from .symmetric import F
 
 __all__ = [
@@ -61,32 +61,39 @@ def _join(p: IntervalArray, q: IntervalArray) -> IntervalArray:
     return IntervalArray(np.concatenate([p.lo, q.lo]), np.concatenate([p.hi, q.hi]))
 
 
+@lru_cache(maxsize=None)
+def _f_plan(branch: str):
+    """F's second-order jet in (y4, A) on one branch, traced once into one
+    plan over the y4 and A rows (``intervals._trace``)."""
+    return _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
+                                             a_exp=Jet2.variable_a(a))), 2)
+
+
 def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     """Mean-value enclosures around each box center, crossed with the
     natural interval form where both evaluate.
 
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
-    evaluated together, by one ``Jet2`` pass over the box centers and the
-    whole boxes.  Where the mean-value form fails the natural form is used
-    alone, with the default split hint; a box where the branch radicand
-    dips below zero, where both forms fail, or where their enclosures do
-    not meet, is not ``ok``.
+    evaluated together, by one run of the branch's plan of F's jet
+    (``_f_plan``) over the box centers and the whole boxes.  Where the
+    mean-value form fails the natural form is used alone, with the default
+    split hint; a box where the branch radicand dips below zero, where both
+    forms fail, or where their enclosures do not meet, is not ``ok``.
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     in_domain = branch_radicand(y).lo >= 0.0
     yw, aw = y.width, a.width
     my, ma = y.mid, a.mid
-    # one jet pass over the box centers and the whole boxes together
-    jets = F(Jet2.variable_y(_join(IntervalArray.around(my), y)), branch=branch,
-             a_exp=Jet2.variable_a(_join(IntervalArray.around(ma), a)))
+    # one run over the box centers and the whole boxes together
+    slots = _f_plan(branch).run(_join(IntervalArray.around(my), y),
+                                _join(IntervalArray.around(ma), a))
     n = y.lo.size
-    center, wide = jets[:n], jets[n:]
+    center, wide = Jet2(*(c[:n] for c in slots)), Jet2(*(c[n:] for c in slots))
     off_y, off_a = y - my, a - ma
     f_mv = center.v + wide.dy * off_y + wide.da * off_a
     df_mv = center.dy + wide.dyy * off_y + wide.dya * off_a
-    # a scalar jet pass fails as a whole when any component fails; a
-    # structural zero is always valid, and the stack holds the other slots
-    valid = jets.valid
+    # a scalar jet pass fails as a whole when any component fails
+    valid = np.logical_and.reduce([c.valid for c in slots])
     mv = valid[:n] & valid[n:] & f_mv.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
         default = np.where(yw >= aw, 0, 1)
@@ -188,17 +195,18 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     """Floating-point bracket of the sign crossing across sampled exponents.
 
     Returns (c1, c2, lo_sign): a strip containing every sampled root, plus
-    the sign of F at the window's lower end.  Soundness never depends on
-    this estimate; a bad strip only makes certification fail, not lie.
+    the sign of F at the window's lower end and the least exponent, 0 when
+    F is 0 or NaN there.  Soundness never depends on this estimate; a bad
+    strip only makes certification fail, not lie.
     """
     lo, hi = window
     roots = []
-    lo_sign = 0
+    lo_sign = None
     for a_exp in np.linspace(a_range[0], a_range[1], 9):
         ys = np.linspace(lo, hi, 2049)
         vals = np.asarray(F(ys, float(a_exp), branch))
-        if lo_sign == 0:
-            lo_sign = 1 if vals[0] > 0 else -1
+        if lo_sign is None:
+            lo_sign = int(vals[0] > 0) - int(vals[0] < 0)
         signs = np.sign(vals)
         idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
         roots.extend(float(ys[i]) for i in idx)

@@ -16,33 +16,35 @@ form it is met with (``certify._mv_eval``).
 Dual serves the root scan, which needs F and dF/dy4 at one float exponent:
 its tangency guard and the simplicity check of a root enclosure
 (``symmetric._natural_eval`` and ``symmetric._interval_simple``).  There F
-on a Dual costs about half of F on a Jet2 over the same boxes (0.47 on 200
-B2 boxes, median of 40 alternate runs on a 2-core x86 host).
+on a Dual costs about 0.7 of a run of F's traced Jet2 plan over the same
+boxes (4.8 against 6.8 ms on 200 B2 boxes, medians of 40 alternate runs on
+a 2-core x86 host).
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate
-children, in one pass (after Rump's INTLAB).  Dual carries IntervalArray
-components unchanged.  A Jet2 over IntervalArray stacks its array slots in
-one (k, N) pair of bound arrays, with a record of the slots that hold a
-float constant or a structural zero, and runs each operation as a plan
-that is traced from its scalar formula once per pattern of records: the
-formula's kernel calls, with those of one kind at one depth made as one
-call on rows gathered from the stack (``_plan``).  A jet operation enters
-np.errstate once and calls the operators' bodies without their own
-(``_quiet``); the public IntervalArray operators keep theirs.  Each
+children, in one pass (after Rump's INTLAB).  Jet2 and Dual carry
+IntervalArray components unchanged.  The certifier runs F's jet as a plan
+instead (``_trace``): the scalar Jet2 formulas run once on register rows,
+with float constants and structural zeros kept as floats, and record their
+kernel calls; the plan makes the calls of one kind at one depth as one call
+on stacked rows, under one np.errstate, with the operators' bodies
+(``_quiet``).  A run takes the columns in blocks of one pass and reuses the
+rows of values no later call reads, so its memory does not grow with the
+frontier.  This is tape-based forward differentiation (A. Griewank and A.
+Walther, *Evaluating Derivatives*, 2008) on interval enclosures.  Each
 array operation repeats the scalar formula element by element, with the
-outward step of math.nextafter, and reproduces the Interval bounds bit
-for bit; where Interval raises, the element turns NaN instead.  sqrt uses
+outward step of math.nextafter, and reproduces the Interval bounds bit for
+bit; where Interval raises, the element turns NaN instead.  sqrt uses
 np.sqrt, which is correctly rounded like math.sqrt.  exp, log and integer
 powers call libm (math.exp, math.log, float **) once per element, never
 np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
 4.6 % of exp arguments in [-30, 30], 5.3 % of power(x, -3) arguments in
-[0.05, 3] and 0.05 % of log arguments in [1e-5, 1e5] (200k float64
-samples each, numpy 2.4 on an AVX-512 Xeon).  That would break the
-bit-identity with the scalar path and the libm error bound behind the
-one- and two-ulp padding.  ``_libm`` is the package's one gate to libm
-for arrays: these three kernels send both bounds through it in one call,
-and ``geometry.chain_points`` (cos, sin, hypot, a square),
+[0.05, 3] and 0.05 % of log arguments in [1e-5, 1e5] (200k float64 samples
+each, numpy 2.4 on an AVX-512 Xeon).  That would break the bit-identity
+with the scalar path and the libm error bound behind the one- and two-ulp
+padding.  ``_libm`` is the package's one gate to libm for arrays: these
+three kernels send both bounds through it in one call, and
+``geometry.chain_points`` (cos, sin, hypot, a square),
 ``geometry.interior_angles`` (atan2), and the two-mass coefficients (a
 square) and the mutual-distance residual tables (r**-A and r**2) of
 ``equations`` call it too.
@@ -535,36 +537,29 @@ def _sub(x, y):
     return -y if _zero(x) else x - y
 
 
-def _abs_parts(v: IntervalArray, parts) -> list:
-    """Components of |x| for a jet or dual x with value array v.
+def _abs_part(v: IntervalArray, c) -> IntervalArray:
+    """Component c of |x| for a jet or dual x with value array v.
 
-    Each component is negated where v < 0 and kept where v >= 0; elements
-    where v straddles 0 (the scalar classes raise there) become invalid.  A
-    structural zero stays 0.0, as it does on the scalar path.
+    It is negated where v < 0 and kept where v >= 0; elements where v
+    straddles 0 (the scalar classes raise there) become invalid.
     """
+    c = IntervalArray._coerce(c)
     neg = v.hi < 0.0
     straddle = ~neg & ~(v.lo >= 0.0)
-    out = []
-    for c in parts:
-        if _zero(c):
-            out.append(0.0)
-            continue
-        c = IntervalArray._coerce(c)
-        lo = np.where(neg, -c.hi, c.lo)
-        hi = np.where(neg, -c.lo, c.hi)
-        out.append(IntervalArray._new(np.where(straddle, math.nan, lo),
-                                      np.where(straddle, math.nan, hi)))
-    return out
+    return IntervalArray._new(np.where(straddle, math.nan, np.where(neg, -c.hi, c.lo)),
+                              np.where(straddle, math.nan, np.where(neg, -c.lo, c.hi)))
 
 
-def _const(x) -> float:
-    """A jet slot that holds no array, as its float; a zero is 0.0."""
-    x = float(x)
-    return 0.0 if x == 0.0 else x
+def _abs_parts(v, parts) -> list:
+    """Components of |x| for a jet or dual x with value v, an IntervalArray
+    or a traced row.  A structural zero stays 0.0, as it does on the scalar
+    path."""
+    part = _Row._abs_part if isinstance(v, _Row) else _abs_part
+    return [0.0 if _zero(c) else part(v, c) for c in parts]
 
 
 class _Row:
-    """A register row of a stacked jet operation while its plan is traced.
+    """A register row of a plan while its formula is traced (``_trace``).
 
     It has the IntervalArray operators that the jet formulas use.  Each
     records the kernel call it stands for, with the operands in the order
@@ -612,6 +607,9 @@ class _Row:
     def _int_pow(self, n: int):
         return self.trace.op("pow", self, param=n)
 
+    def _abs_part(self, c):
+        return self.trace.op("abs", self, c)
+
     @staticmethod
     def _coerce(x):
         # a number operand stays a number; the trace makes its point row
@@ -621,7 +619,7 @@ class _Row:
 
 
 # The kernel of each traced operation: the body of the IntervalArray
-# operator, without the errstate that a stacked jet operation enters once.
+# operator, without the errstate that a plan's run enters once.
 _KERNELS = {
     "add": IntervalArray.__add__.__wrapped__,
     "sub": IntervalArray.__sub__.__wrapped__,
@@ -631,6 +629,7 @@ _KERNELS = {
     "exp": IntervalArray.exp.__wrapped__,
     "log": IntervalArray.log.__wrapped__,
     "pow": IntervalArray._int_pow.__wrapped__,
+    "abs": _abs_part,
 }
 
 
@@ -641,18 +640,25 @@ def _rows(regs: list):
     return np.array(regs, dtype=np.intp)
 
 
-class _Trace:
-    """The kernel calls of a jet formula run once on register rows."""
+def _lowest_run(free: set, size: int, k: int) -> int:
+    """The first row of the lowest run of k free rows, where the rows from
+    ``size`` on are free."""
+    run = 0
+    for row in range(size):
+        run = run + 1 if row in free else 0
+        if run == k:
+            return row - k + 1
+    return size - run
 
-    def __init__(self):
-        self.inputs = 0
+
+class _Trace:
+    """The kernel calls of a formula, recorded once on register rows."""
+
+    def __init__(self, inputs: int):
+        self.inputs = inputs
         self.consts = {}  # repr of a number operand -> its point row
         self.ops = []     # (kind, param, argument registers), in call order
         self.memo = {}    # each distinct call runs once: log(v) serves every v ** c
-
-    def input(self) -> _Row:
-        self.inputs += 1
-        return _Row(self, ("in", self.inputs - 1))
 
     def const(self, x) -> tuple:
         """The register of a number operand: the point IntervalArray._coerce
@@ -668,15 +674,18 @@ class _Trace:
             self.ops.append(key)
         return self.memo[key]
 
-    def compile(self, outputs: tuple, spans: list) -> "_Plan":
-        """The plan that computes ``outputs``: one stacked kernel call for
-        the needed calls of each (depth, kind, parameter), by depth.  A call
-        depends only on its operands, so the order of independent calls
-        cannot change a bit."""
+    def compile(self, outputs) -> "_Plan":
+        """The plan that computes ``outputs``, rows or numbers: one stacked
+        kernel call for the needed calls of each (depth, kind, parameter),
+        by depth.  A call depends only on its operands, so the order of
+        independent calls cannot change a bit.  A row is given back once
+        the last step that reads it has run, and each step's results take
+        the lowest run of free rows; no step writes a row it reads."""
+        outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
         depth = {}
         for k, (_, _, regs) in enumerate(self.ops):
             depth[("op", k)] = 1 + max(depth.get(r, 0) for r in regs)
-        need, todo = set(), [o.reg for o in outputs if isinstance(o, _Row)]
+        need, todo = set(), list(outs)
         while todo:
             reg = todo.pop()
             if reg[0] == "op" and reg not in need:
@@ -686,107 +695,78 @@ class _Trace:
         for reg in sorted(need, key=lambda r: (depth[r], r[1])):
             kind, param, _ = self.ops[reg[1]]
             groups.setdefault((depth[reg], kind, param), []).append(reg)
-        where = {("in", i): i for i in range(self.inputs)}
-        where.update((c, self.inputs + c[1]) for c in self.consts.values())
-        steps = []
-        for (_, kind, param), regs in groups.items():
-            start = len(where)
-            where.update((reg, start + i) for i, reg in enumerate(regs))
-            args = zip(*(self.ops[reg[1]][2] for reg in regs))
-            steps.append((_KERNELS[kind], param, start, len(where),
-                          *(_rows([where[a] for a in col]) for col in args)))
+        last = {}  # the step that reads a register last; the outputs are read at the end
+        for s, regs in enumerate(groups.values()):
+            for reg in regs:
+                last.update(dict.fromkeys(self.ops[reg[1]][2], s))
+        last.update(dict.fromkeys(outs, len(groups)))
+        row = {("in", i): i for i in range(self.inputs)}
+        row.update((c, self.inputs + c[1]) for c in self.consts.values())
+        free = {r for reg, r in row.items() if reg not in last}
+        size, steps = len(row), []
+        for s, ((_, kind, param), regs) in enumerate(groups.items()):
+            start = _lowest_run(free, size, len(regs))
+            stop = start + len(regs)
+            free.difference_update(range(start, stop))
+            size = max(size, stop)
+            row.update((reg, start + i) for i, reg in enumerate(regs))
+            args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
+            steps.append((_KERNELS[kind], () if param is None else (param,), start, stop,
+                          *(_rows([row[a] for a in col]) for col in args)))
+            free.update(row[a] for col in args for a in col if last[a] == s)
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        record = tuple(None if isinstance(o, _Row) else _const(o) for o in outputs)
-        out = [where[o.reg] for o in outputs if isinstance(o, _Row)]
-        # an index array, never a slice: the result jet gets its own copy of
-        # its rows, not a view that keeps the whole register file alive
-        return _Plan(len(where), spans, slice(self.inputs, self.inputs + consts.size),
-                     consts, steps, np.array(out, dtype=np.intp) if out else None, record)
+        return _Plan(size, self.inputs, consts, steps, [row[o] for o in outs])
+
+
+def _trace(fn, inputs: int) -> "_Plan":
+    """Run ``fn`` once on ``inputs`` traced rows and compile the kernel calls
+    of the rows and numbers it returns into one plan.  ``fn`` is the scalar
+    formula, unchanged: on a ``Jet2`` of rows, a float constant or a
+    structural zero stays a float and runs no kernel."""
+    trace = _Trace(inputs)
+    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))))
 
 
 class _Plan:
-    """A traced jet operation: a register file of ``size`` rows holds the
-    operands' rows (``spans``), the number operands as point rows, then the
-    results of each stacked kernel call of ``steps``; ``out`` picks the
-    result jet's array slots from it and ``record`` gives its other slots."""
+    """A traced formula: a register file of ``size`` rows holds the input
+    rows, the number operands as point rows, and the results of the
+    stacked kernel calls of ``steps``, which reuse the rows of results no
+    later step reads; ``out`` lists the rows of the outputs.
 
-    __slots__ = ("size", "spans", "const_rows", "consts", "steps", "out", "record")
+    ``run`` takes the input IntervalArrays, all of one length, and returns
+    one new IntervalArray per output.  It processes the columns in blocks
+    of 2 * ``_PASS_ROWS``, the jet rows of one full bisection pass, so the
+    register file stays small whatever the number of columns."""
 
-    def __init__(self, size, spans, const_rows, consts, steps, out, record):
-        self.size, self.spans, self.const_rows, self.consts = size, spans, const_rows, consts
-        self.steps, self.out, self.record = steps, out, record
+    __slots__ = ("size", "inputs", "consts", "steps", "out")
 
-    def run(self, operands: tuple) -> "Jet2":
-        bounds = [(span, x._lo, x._hi) if isinstance(x, Jet2) else (span, x.lo[None], x.hi[None])
-                  for x, span in zip(operands, self.spans) if span.stop > span.start]
-        shapes = {lo.shape[1:] for _, lo, _ in bounds}
-        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-        lo = np.empty((self.size,) + shape)
-        hi = np.empty((self.size,) + shape)
-        for span, x_lo, x_hi in bounds:
-            lo[span] = x_lo
-            hi[span] = x_hi
-        if self.consts.size:
-            lo[self.const_rows] = hi[self.const_rows] = self.consts.reshape(
-                (-1,) + (1,) * len(shape))
-        for kernel, param, start, stop, *args in self.steps:
-            r = kernel(*(IntervalArray._of(lo[i], hi[i]) for i in args),
-                       *(() if param is None else (param,)))
-            lo[start:stop] = r.lo
-            hi[start:stop] = r.hi
-        if self.out is None:
-            return Jet2(*self.record)
-        return Jet2._stacked(lo[self.out], hi[self.out], self.record)
+    def __init__(self, size, inputs, consts, steps, out):
+        self.size, self.inputs, self.consts, self.steps, self.out = (
+            size, inputs, consts, steps, out)
 
-
-def _signature(x):
-    """What a stacked plan needs to know of an operand: a jet's record (None
-    for its array slots), "array" for an IntervalArray, else the number."""
-    if isinstance(x, Jet2):
-        return x._parts
-    return "array" if isinstance(x, IntervalArray) else _const(x)
-
-
-@functools.lru_cache(maxsize=1024)
-def _plan(method, signatures: tuple) -> _Plan:
-    """Trace the scalar formula ``method`` once per pattern of operands."""
-    trace = _Trace()
-    operands, spans = [], []
-    for sig in signatures:
-        start = trace.inputs
-        if isinstance(sig, tuple):
-            operands.append(Jet2(*(trace.input() if c is None else c for c in sig)))
-        else:
-            operands.append(trace.input() if sig == "array" else sig)
-        spans.append(slice(start, trace.inputs))
-    return trace.compile(Jet2._parts_of(method(*operands)), spans)
-
-
-def _stackable(method):
-    """A Jet2 operation that, on operands with IntervalArray slots, runs as
-    its traced plan (``_plan``) under one errstate; it takes at most one
-    operand besides the jet."""
-    @functools.wraps(method)
-    def op(self, *args):
-        if self._lo is None and not (args and (
-                isinstance(args[0], IntervalArray)
-                or isinstance(args[0], Jet2) and args[0]._lo is not None)):
-            return method(self, *args)
-        operands = (self, *args)
-        plan = _plan(method, tuple(map(_signature, operands)))
+    def run(self, *inputs: IntervalArray) -> list:
+        n = inputs[0].lo.shape[0]
+        width = min(n, 2 * _PASS_ROWS) or 1
+        lo, hi = np.empty((self.size, width)), np.empty((self.size, width))
+        out = [(np.empty(n), np.empty(n)) for _ in self.out]
+        const_rows = slice(self.inputs, self.inputs + self.consts.size)
         with np.errstate(all="ignore"):
-            return plan.run(operands)
-    return op
-
-
-def _slot(i: int) -> property:
-    def read(self):
-        part = self._parts[i]
-        if part is not None:
-            return part
-        row = self._parts[:i].count(None)
-        return IntervalArray._of(self._lo[row], self._hi[row])
-    return property(read)
+            for c0 in range(0, n, width):
+                cols = slice(c0, c0 + width)
+                m = min(width, n - c0)
+                reg_lo, reg_hi = lo[:, :m], hi[:, :m]
+                for i, x in enumerate(inputs):
+                    reg_lo[i] = x.lo[cols]
+                    reg_hi[i] = x.hi[cols]
+                reg_lo[const_rows] = reg_hi[const_rows] = self.consts[:, None]
+                for kernel, param, start, stop, *args in self.steps:
+                    r = kernel(*(IntervalArray._of(reg_lo[a], reg_hi[a]) for a in args), *param)
+                    reg_lo[start:stop] = r.lo
+                    reg_hi[start:stop] = r.hi
+                for (out_lo, out_hi), r in zip(out, self.out):
+                    out_lo[cols] = reg_lo[r]
+                    out_hi[cols] = reg_hi[r]
+        return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
 
 
 class Jet2:
@@ -804,34 +784,19 @@ class Jet2:
     Since 0 encloses an identically zero term, enclosures are never wider
     than with the terms computed, only cheaper.
 
-    Over IntervalArray a jet holds its array slots stacked, as one (k, N)
-    pair of bound arrays, and a record of its five slots: None for an
-    array slot, else the slot's exact float (0.0 for a structural zero).
-    An operation then runs the plan traced from its scalar formula for
-    that pattern of records: the same kernel calls on every element, with
-    the calls of each kind at each depth made as one call on stacked rows
-    (``_plan``).  Its components are views of the stack's rows.
+    Over IntervalArray the formulas run slot by slot.  The certifier does
+    not run them there: it traces F on a jet of rows once per branch
+    (``_trace``) and runs the plan.
     """
 
-    __slots__ = ("_parts", "_lo", "_hi")
+    __slots__ = ("v", "dy", "da", "dyy", "dya")
 
     def __init__(self, v, dy=0.0, da=0.0, dyy=0.0, dya=0.0):
-        parts = (v, dy, da, dyy, dya)
-        self._lo = None
-        if IntervalArray in map(type, parts):
-            rows = [p for p in parts if isinstance(p, IntervalArray)]
-            bounds = np.broadcast_arrays(*(r.lo for r in rows), *(r.hi for r in rows))
-            self._lo, self._hi = np.stack(bounds[:len(rows)]), np.stack(bounds[len(rows):])
-            parts = tuple(None if isinstance(p, IntervalArray) else _const(p) for p in parts)
-        self._parts = parts
-
-    @classmethod
-    def _stacked(cls, lo, hi, record: tuple) -> "Jet2":
-        jet = object.__new__(cls)
-        jet._parts, jet._lo, jet._hi = record, lo, hi
-        return jet
-
-    v, dy, da, dyy, dya = map(_slot, range(5))
+        self.v = v
+        self.dy = dy
+        self.da = da
+        self.dyy = dyy
+        self.dya = dya
 
     @classmethod
     def variable_y(cls, value) -> "Jet2":
@@ -841,46 +806,30 @@ class Jet2:
     def variable_a(cls, value) -> "Jet2":
         return cls(value, 0.0, 1.0, 0.0, 0.0)
 
-    @property
-    def valid(self) -> np.ndarray:
-        """Over IntervalArray: the elements where every slot is valid."""
-        return ~np.isnan(self._lo).any(axis=0)
-
-    def __getitem__(self, index) -> "Jet2":
-        """Over IntervalArray: the jet of the elements ``index`` selects."""
-        return Jet2._stacked(self._lo[:, index], self._hi[:, index], self._parts)
-
     @staticmethod
-    def _parts_of(x):
+    def _parts(x):
         if isinstance(x, Jet2):
             return x.v, x.dy, x.da, x.dyy, x.dya
         return x, 0.0, 0.0, 0.0, 0.0
 
-    @_stackable
     def __add__(self, other):
-        v, dy, da, dyy, dya = self._parts_of(other)
+        v, dy, da, dyy, dya = self._parts(other)
         return Jet2(_add(self.v, v), _add(self.dy, dy), _add(self.da, da),
                     _add(self.dyy, dyy), _add(self.dya, dya))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._lo is not None:
-            return Jet2._stacked(-self._hi, -self._lo,
-                                 tuple(p if p is None else _const(-p) for p in self._parts))
         return Jet2(-self.v, -self.dy, -self.da, -self.dyy, -self.dya)
 
-    @_stackable
     def __sub__(self, other):
-        return Jet2(*map(_sub, self._parts_of(self), self._parts_of(other)))
+        return Jet2(*map(_sub, self._parts(self), self._parts(other)))
 
-    @_stackable
     def __rsub__(self, other):
-        return Jet2(*map(_sub, self._parts_of(other), self._parts_of(self)))
+        return Jet2(*map(_sub, self._parts(other), self._parts(self)))
 
-    @_stackable
     def __mul__(self, other):
-        v, dy, da, dyy, dya = self._parts_of(other)
+        v, dy, da, dyy, dya = self._parts(other)
         return Jet2(
             _mul(self.v, v),
             _add(_mul(self.dy, v), _mul(self.v, dy)),
@@ -892,7 +841,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    @_stackable
     def _pow_const(self, c: float) -> "Jet2":
         p = self.v ** c
         p1 = c * self.v ** (c - 1.0)
@@ -906,27 +854,22 @@ class Jet2:
             _add(_mul(p2, _mul(self.dy, self.da)), _mul(p1, self.dya)),
         )
 
-    @_stackable
     def __pow__(self, exponent):
         if isinstance(exponent, Jet2):
             return (exponent * self.log()).exp()
         return self._pow_const(float(exponent))
 
-    @_stackable
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other._pow_const(-1.0)
         return self * (1.0 / other)
 
-    @_stackable
     def __rtruediv__(self, other):
         return self._pow_const(-1.0) * other
 
-    @_stackable
     def sqrt(self) -> "Jet2":
         return self._pow_const(0.5)
 
-    @_stackable
     def exp(self) -> "Jet2":
         e = math.exp(self.v) if isinstance(self.v, (int, float)) else self.v.exp()
         return Jet2(
@@ -937,7 +880,6 @@ class Jet2:
             _mul(e, _add(self.dya, _mul(self.dy, self.da))),
         )
 
-    @_stackable
     def log(self) -> "Jet2":
         lv = math.log(self.v) if isinstance(self.v, (int, float)) else self.v.log()
         inv = 1.0 / self.v
@@ -952,9 +894,8 @@ class Jet2:
 
     def __abs__(self):
         v = self.v
-        if isinstance(v, IntervalArray):
-            # runs once per F, so slot by slot; it restacks the slots
-            return Jet2(*_abs_parts(v, (self.v, self.dy, self.da, self.dyy, self.dya)))
+        if isinstance(v, (IntervalArray, _Row)):
+            return Jet2(*_abs_parts(v, self._parts(self)))
         if isinstance(v, Interval):
             if v.strictly_negative():
                 return -self
@@ -1075,13 +1016,15 @@ class _BoxEval:
 _VERDICTS = ("undecided", "F", "dF")
 
 # Rows a bisection pass evaluates at most, unless its frontier alone is
-# larger.  A pass pays a fixed cost of some hundreds of numpy calls (about
-# 250 kernel calls on the certifier's stacked jets), and a row adds little
-# to it: on a 2-core x86 host one box takes 4.9 ms and 128 boxes 6.2 ms on
-# the scan's Dual form, 8.8 and 16.9 ms on the certifier's Jet2 form.
-# There the three acceptance certificates took 0.72 s in process at 128
-# rows, 0.78 s at one depth a pass, 0.82 s at 512 and 1.17 s at 1024 rows,
-# where four candidates a box waste rows.
+# larger.  A pass pays a fixed cost of some hundreds of numpy calls (124
+# stacked kernel calls in the certifier's plan of F on branch B), and a row
+# adds little to it: on a 2-core x86 host one box takes 3.6-4.3 ms and 128
+# boxes 4.0-5.7 ms on the scan's Dual form, 4.0-4.5 and 11.4-11.9 ms on the
+# certifier's plan (two runs, medians of 15).  There the three acceptance
+# certificates took 0.456 s in process at 128 rows and at one depth a pass,
+# 0.454 s at 512 and 0.72 s at 1024 rows, where four candidates a box waste
+# rows (medians of 9).  A plan runs its columns in blocks of 2 * _PASS_ROWS,
+# the jet rows of one full pass.
 _PASS_ROWS = 128
 
 # Boxes of the bisection tree that one ``_bisect`` call may make.  The

@@ -107,6 +107,25 @@ def test_unique_root_requires_a_crossing():
     assert "crossing" in cert.detail
 
 
+def test_unique_root_claims_no_sign_where_F_vanishes_at_the_lower_end(monkeypatch):
+    # F = 0 (or NaN) at the window's lower end gives no sign to claim for
+    # the first zone: the certifier reports that at once, and bisects nothing
+    import pentacc.certify as certify
+
+    def zero_at_lower_end(y4, *args, **kwargs):
+        out = F(y4, *args, **kwargs)
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out[0] = 0.0
+        return out
+    monkeypatch.setattr(certify, "F", zero_at_lower_end)
+    assert certify._locate_crossing(window_for("A", "A2"), (2.0, 3.0), "A")[2] == 0
+    cert = certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A")
+    assert not cert.certified and not cert.leaves
+    assert cert.detail == "no interior sign crossing found to isolate"
+    assert cert.stats["passes"] == 0
+
+
 def test_no_common_zero_on_convex_window():
     w = window_for("A", "A4", inset=1e-9)
     cert = certify_no_common_zero(Box(Interval(*w), Interval(2.0, 3.0)), "A")
@@ -571,21 +590,78 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
 def test_one_jet_pass_per_frontier(monkeypatch):
     import pentacc.certify as certify
     assert not hasattr(certify, "F_dual") and not hasattr(certify, "Dual")
-    calls = []
+    calls, runs = [], []
 
     def counting_F(*args, **kwargs):
         calls.append(type(args[0]).__name__)
         return F(*args, **kwargs)
+
+    def counting_run(plan, *inputs):
+        runs.append(inputs[0].lo.size)
+        return run(plan, *inputs)
+    run = intervals._Plan.run
     monkeypatch.setattr(certify, "F", counting_F)
-    rng = np.random.default_rng(2011)
-    ev = _mv_eval(*np.array([b.key() for b in _oracle_boxes(rng, "A", 50)]).T, "A")
-    assert calls == ["Jet2"] and ev.ok.size == 50
-    # a certificate evaluates F once per pass of its bisection, and a pass
-    # covers several of its 12 depths
-    calls.clear()
+    monkeypatch.setattr(intervals._Plan, "run", counting_run)
+    boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(2011), "A", 50)]).T
+    # F is traced once per branch, on a jet of rows; later evaluations only
+    # run the plan, once over the 50 centers and the 50 whole boxes
+    certify._f_plan.cache_clear()
+    ev = _mv_eval(*boxes, "A")
+    assert calls == ["Jet2"] and runs == [100] and ev.ok.size == 50
+    ev = _mv_eval(*boxes, "A")
+    assert calls == ["Jet2"] and runs == [100, 100]
+    # a certificate runs the plan once per pass of its bisection, and a
+    # pass covers several of its 12 depths
+    runs.clear()
     cert = _ACCEPTANCE["A4-no-common-zero"]()
     assert len(cert.stats["evals_per_depth"]) == 12
-    assert calls == ["Jet2"] * cert.stats["passes"] == ["Jet2"] * 8
+    assert calls == ["Jet2"] and len(runs) == cert.stats["passes"] == 8
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_no_plan_step_writes_a_row_it_reads(branch):
+    import pentacc.certify as certify
+    plan = certify._f_plan(branch)
+    for _, _, start, stop, *args in plan.steps:
+        written = set(range(start, stop))
+        for rows in args:
+            read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
+            assert written.isdisjoint(read)
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_column_blocks_cannot_change_a_bit(branch, monkeypatch):
+    # a plan runs its columns in blocks of 2 * _PASS_ROWS; blocks of 6
+    # columns leave a short last block and split the 200 centers from the
+    # 200 whole boxes inside a block
+    boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(7), branch, 200)]).T
+    want = _mv_eval(*boxes, branch)
+    monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
+    got = _mv_eval(*boxes, branch)
+    np.testing.assert_array_equal(got.ok, want.ok)
+    for g, w in ((got.f, want.f), (got.df, want.df)):
+        for x, y in ((g.lo, w.lo), (g.hi, w.hi)):
+            np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+    np.testing.assert_array_equal(got.hint_f, want.hint_f)
+    np.testing.assert_array_equal(got.hint_df, want.hint_df)
+
+
+def test_box_evaluation_memory_is_bounded():
+    # a pass of 20,000 boxes holds its jets' five slots and a register file
+    # of one block, not every intermediate jet of F over every column
+    import tracemalloc
+    lo, hi = window_for("B", "B2", inset=1e-6)
+    edges = np.linspace(lo, hi, 20001)
+    boxes = (edges[:-1], edges[1:], np.full(20000, 2.0), np.full(20000, 6.0))
+    _mv_eval(*(b[:4] for b in boxes), "B")
+    tracemalloc.start()
+    try:
+        ev = _mv_eval(*boxes, "B")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.ok.sum() > 19_000
+    assert peak < 32e6
 
 
 # ---------------------------------------------------------------------------

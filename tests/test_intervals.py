@@ -16,6 +16,7 @@ from pentacc.intervals import (
     IntervalDomainError,
     Jet2,
     _libm,
+    _trace,
     split_bounds,
 )
 
@@ -474,7 +475,8 @@ def test_jet_interval_components_enclose_point_values():
 
 
 # ---------------------------------------------------------------------------
-# Jet2 over IntervalArray: the stacked plans against Jet2 over Interval
+# Jet2 over IntervalArray, slot by slot and as a traced plan, against Jet2
+# over Interval
 
 def _slots(jet) -> tuple:
     return jet.v, jet.dy, jet.da, jet.dyy, jet.dya
@@ -545,14 +547,14 @@ _STACKED_OPS = {
 }
 
 
-@pytest.mark.parametrize("op", list(_STACKED_OPS))
-def test_stacked_jet_matches_the_scalar_jets_element_by_element(op):
-    apply = _STACKED_OPS[op]
-    operands = _stacked_operands()
-    got = _slots(apply(*operands))
+def _assert_matches_the_scalar_jets(got: tuple, operands: tuple, apply) -> None:
+    """``got``, the slots of ``apply`` on array operands, element by element
+    against ``apply`` on the scalar jets: the same bits, and invalid exactly
+    where the scalar path raises."""
     n = operands[0].v.lo.size
     raised = np.zeros(n, dtype=bool)
     want = np.full((5, 2, n), np.nan)
+    zero = np.zeros((5, n), dtype=bool)  # the scalar slot is a structural zero
     for i in range(n):
         try:
             scalar = _slots(apply(*(_element(x, i) for x in operands)))
@@ -564,18 +566,58 @@ def test_stacked_jet_matches_the_scalar_jets_element_by_element(op):
                 # a constant or structural zero: the same float for every element
                 assert type(part) is float and isinstance(s, float) and part == s, (slot, i)
             else:
-                # abs turns a constant c into the points -c and c, as an array
+                # abs turns a constant c into the points -c and c, and a plan
+                # outputs a float as a row of it
                 want[slot, :, i] = (s, s) if isinstance(s, float) else (s.lo, s.hi)
-    # exactly where the scalar path raises, the stacked jet is invalid
+                zero[slot, i] = isinstance(s, float) and s == 0.0
+    # exactly where the scalar path raises, the array jet is invalid
     assert got[0].valid.size == n
     np.testing.assert_array_equal(
         np.logical_and.reduce([p.valid for p in got if isinstance(p, IntervalArray)]), ~raised)
     for slot, part in enumerate(got):
         if isinstance(part, IntervalArray):
-            np.testing.assert_array_equal(part.lo[~raised].view(np.int64),
-                                          want[slot, 0, ~raised].view(np.int64))
-            np.testing.assert_array_equal(part.hi[~raised].view(np.int64),
-                                          want[slot, 1, ~raised].view(np.int64))
+            # a structural zero is 0.0 or -0.0, as negations leave it: by value
+            np.testing.assert_array_equal(part.lo[zero[slot] & ~raised], 0.0)
+            np.testing.assert_array_equal(part.hi[zero[slot] & ~raised], 0.0)
+            rest = ~zero[slot] & ~raised
+            np.testing.assert_array_equal(part.lo[rest].view(np.int64),
+                                          want[slot, 0, rest].view(np.int64))
+            np.testing.assert_array_equal(part.hi[rest].view(np.int64),
+                                          want[slot, 1, rest].view(np.int64))
+
+
+def _run_traced(apply, operands: tuple) -> list:
+    """``apply`` traced on jets of rows, with the array slots of the
+    operands as the plan's inputs."""
+    arrays = [p for x in operands for p in (_slots(x) if isinstance(x, Jet2) else (x,))
+              if isinstance(p, IntervalArray)]
+
+    def formula(*rows):
+        rows = iter(rows)
+
+        def row(p):
+            return next(rows) if isinstance(p, IntervalArray) else p
+        return _slots(apply(*(Jet2(*map(row, _slots(x))) if isinstance(x, Jet2) else row(x)
+                              for x in operands)))
+    return _trace(formula, len(arrays)).run(*arrays)
+
+
+@pytest.mark.parametrize("op", list(_STACKED_OPS))
+def test_stacked_jet_matches_the_scalar_jets_element_by_element(op):
+    apply = _STACKED_OPS[op]
+    operands = _stacked_operands()
+    _assert_matches_the_scalar_jets(_slots(apply(*operands)), operands, apply)
+
+
+@pytest.mark.parametrize("op", list(_STACKED_OPS))
+def test_traced_jet_matches_the_scalar_jets_element_by_element(op):
+    # the plan of the formula, every output a row: a float slot comes out
+    # as a row of that float
+    apply = _STACKED_OPS[op]
+    operands = _stacked_operands()
+    got = _run_traced(apply, operands)
+    assert len(got) == 5 and all(isinstance(p, IntervalArray) for p in got)
+    _assert_matches_the_scalar_jets(got, operands, apply)
 
 
 def test_stacked_jet_keeps_constants_and_zeros_as_floats():
@@ -591,11 +633,13 @@ def test_stacked_jet_keeps_constants_and_zeros_as_floats():
 
 
 def test_stacked_jet_results_own_their_rows():
-    # a result is a copy of its rows, never a view of the operation's
-    # register file of operands, constants and intermediate results
+    # a plan's output is a new array, never a view of the register file of
+    # inputs, constants and intermediate results
     x, y, a = _stacked_operands()
-    for r in (x + y, x - y, 2.0 - x, x * y, x ** 1.5, x.exp()):
-        assert r._lo.base is None and r._hi.base is None
+    for apply in (lambda x, y, a: x + y, lambda x, y, a: x - y, lambda x, y, a: 2.0 - x,
+                  lambda x, y, a: x * y, lambda x, y, a: x ** 1.5, lambda x, y, a: x.exp()):
+        for r in _run_traced(apply, (x, y, a)):
+            assert r.lo.base is None and r.hi.base is None
 
 
 def test_stacked_jet_operands_make_scalar_path_fail_somewhere():
