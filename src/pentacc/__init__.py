@@ -32,7 +32,7 @@ from .equations import (
     mass_kernel,
     region_classify,
 )
-from .intervals import Box, Dual, Interval, IntervalDomainError
+from .intervals import Box, Interval, IntervalDomainError
 from .symmetric import (
     F,
     MassPolynomial,
@@ -59,7 +59,7 @@ __all__ = [
     "Exponent", "MassVector", "ResidualReport", "albouy_chenciner_f",
     "la2_feasible", "laura_andoyer", "mass_coefficient_matrix", "mass_kernel",
     "region_classify",
-    "Box", "Dual", "Interval", "IntervalDomainError",
+    "Box", "Interval", "IntervalDomainError",
     "F", "MassPolynomial", "QUARTIC_MASS_POLY", "RootRecord",
     "VORTEX_MASS_POLY", "bifurcation_scan", "exclude_sign_types",
     "isolate_roots", "scan_branch", "sign_type_windows",

@@ -20,9 +20,10 @@ on ``IntervalArray`` operands, and resolves every depth the batch covers:
 decided boxes become leaves, the rest are halved into their candidate
 rows, and the boxes left open at the last level form the next pass's
 frontier.  A box's verdict depends only on the box, so the leaves are the
-ones a depth-first bisection finds.  The tangency guard of ``symmetric.isolate_roots`` runs
-on the same bisection, with the natural Dual form at the scan's exponent
-as its box evaluator.
+ones a depth-first bisection finds.  The tangency guard of
+``symmetric.isolate_roots`` runs on the same bisection; its box evaluator
+is the natural form of F and dF/dy4 at the scan's exponent, from a plan of
+F's jet in y4 alone (``symmetric._natural_eval``).
 
 Certificates never assert more than was verified: exhausting the depth
 budget yields an undecided verdict carrying the offending boxes.
@@ -87,29 +88,31 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     # one run over the box centers and the whole boxes together
     slots = _f_plan(branch).run(_join(IntervalArray.around(my), y),
                                 _join(IntervalArray.around(ma), a))
-    n = y.lo.size
-    center, wide = Jet2(*(c[:n] for c in slots)), Jet2(*(c[n:] for c in slots))
+    v, dy, da, dyy, dya = slots
+    # the columns of the box centers, then those of the whole boxes
+    center, whole = slice(y.lo.size), slice(y.lo.size, None)
     off_y, off_a = y - my, a - ma
-    f_mv = center.v + wide.dy * off_y + wide.da * off_a
-    df_mv = center.dy + wide.dyy * off_y + wide.dya * off_a
+    f_mv = v[center] + dy[whole] * off_y + da[whole] * off_a
+    df_mv = dy[center] + dyy[whole] * off_y + dya[whole] * off_a
     # a scalar jet pass fails as a whole when any component fails
     valid = np.logical_and.reduce([c.valid for c in slots])
-    mv = valid[:n] & valid[n:] & f_mv.valid & df_mv.valid
+    mv = valid[center] & valid[whole] & f_mv.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
         default = np.where(yw >= aw, 0, 1)
-        hint_f = np.where(mv, np.where(wide.dy.mag * yw >= wide.da.mag * aw, 0, 1), default)
-        hint_df = np.where(mv, np.where(wide.dyy.mag * yw >= wide.dya.mag * aw, 0, 1),
+        hint_f = np.where(mv, np.where(dy[whole].mag * yw >= da[whole].mag * aw, 0, 1),
+                          default)
+        hint_df = np.where(mv, np.where(dyy[whole].mag * yw >= dya[whole].mag * aw, 0, 1),
                            default)
-    # The natural form, the whole-box value (wide.v, wide.dy), decides boxes
-    # the mean-value form leaves straddling zero: without it A4
-    # no-common-zero over [2, 3] needs 195 leaves instead of 194, and B2
-    # unique-root over [2, 6] 63,085 instead of 1985.  A second, Dual pass
-    # over the same boxes would give a narrower dF: on the 1,778 evaluable
-    # oracle boxes of the tests the met dF is wider than with it on 290
-    # boxes, by up to 23 %, F only by rounding, and the three acceptance
-    # certificates have the same leaves either way.
-    f = _combine(f_mv, wide.v, mv)
-    df = _combine(df_mv, wide.dy, mv)
+    # The natural form, the whole-box value and y4-slope, decides boxes the
+    # mean-value form leaves straddling zero: without it A4 no-common-zero
+    # over [2, 3] needs 195 leaves instead of 194, and B2 unique-root over
+    # [2, 6] 63,085 instead of 1985.  A separate first-order pass over the
+    # same boxes gave a narrower dF when it was measured: on the 1,778
+    # evaluable oracle boxes of the tests the met dF was wider than with it
+    # on 290 boxes, by up to 23 %, F only by rounding, and the three
+    # acceptance certificates had the same leaves either way.
+    f = _combine(f_mv, v[whole], mv)
+    df = _combine(df_mv, dy[whole], mv)
     return _BoxEval(f, df, hint_f, hint_df, in_domain & f.valid & df.valid)
 
 

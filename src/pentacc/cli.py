@@ -159,7 +159,14 @@ def cmd_certify(args) -> int:
         region = Box(Interval(window[0], window[1]), Interval(a_lo, a_hi))
         cert = certify_no_common_zero(region, branch=args.branch,
                                       max_depth=args.max_depth)
-    _write(json.dumps(cert.to_json(), indent=1), args.out)
+    # streamed: a capped run lists tens of thousands of boxes, and the whole
+    # text would be the largest allocation of the run
+    if args.out and args.out != "-":
+        with open(args.out, "w") as fh:
+            json.dump(cert.to_json(), fh, indent=1)
+    else:
+        json.dump(cert.to_json(), sys.stdout, indent=1)
+        sys.stdout.write("\n")
     log.info("certificate stats: %s", json.dumps(cert.stats))
     return EXIT_OK if cert.certified else EXIT_UNDECIDED
 

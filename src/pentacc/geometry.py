@@ -123,7 +123,7 @@ Y4_MAX = math.sqrt(15.0) / 2.0
 
 
 def _sqrt(x):
-    """Square root that dispatches on interval/dual operands."""
+    """Square root that dispatches on interval and jet operands."""
     if hasattr(x, "sqrt"):
         return x.sqrt()
     return np.sqrt(x)
@@ -138,7 +138,7 @@ def branch_radicand(y4):
 def branch_position(y4, branch: str):
     """Closed-form (x3, y3) of the symmetric family at apex height y4.
 
-    Works for floats, numpy arrays, intervals, and dual numbers.  Branch "A"
+    Works for floats, numpy arrays, intervals, and jets.  Branch "A"
     takes the positive square-root sign, branch "B" the negative one; the two
     sign choices must match between x3 and y3.  The branch B differences are
     evaluated through their conjugates, so the sign of x3 and y3 stays sharp
@@ -172,13 +172,13 @@ def family_terms(y4, branch: str, a_exp=None) -> dict:
     r13, r14, r35; with an exponent also R13, R14, R35 = r**(-a_exp).  This
     is the single source of these quantities for F, the mass-coefficient
     matrix, the exclusion coefficients and the sign-type classifier.  Works
-    for floats, numpy arrays, Intervals, Duals and Jet2 jets, for y4 and for
-    the exponent.
+    for floats, numpy arrays, Intervals, IntervalArrays and Jet2 jets over
+    any of these, for y4 and for the exponent.
     """
     x3, y3 = branch_position(y4, branch)
     dy = y4 - y3
     xy = x3 * y4
-    half = dy * 0.5  # not dy / 2.0: equal on floats, but wider on Dual(Interval)
+    half = dy * 0.5  # the bits of dy / 2.0 on every type, and how a jet divides by 2.0
     t = {
         "d123": y3,
         "d124": y4,

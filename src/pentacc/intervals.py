@@ -1,4 +1,4 @@
-"""Rigorous interval arithmetic with outward rounding, plus dual numbers.
+"""Rigorous interval arithmetic with outward rounding, plus second-order jets.
 
 Every arithmetic operation returns an interval that contains the exact real
 result for all points of the operand intervals.  Outward rounding is done by
@@ -6,45 +6,44 @@ nudging each computed bound one ulp outward with math.nextafter; exp and log
 get two ulps to absorb libm error.  No rounding-mode switching is required,
 which keeps the arithmetic portable.
 
-Dual numbers carry a value and a first derivative through the same operator
-set.  Their components may be floats or Intervals, which gives simultaneous
-enclosures of a function and its derivative over a box.  Jet2 carries
-second-order terms in two variables for the mean-value form.  The
-certifier runs on Jet2 alone: one pass over the box centers and the whole
-boxes gives the mean-value form and, as the whole-box value, the natural
-form it is met with (``certify._mv_eval``).
-Dual serves the root scan, which needs F and dF/dy4 at one float exponent:
-its tangency guard and the simplicity check of a root enclosure
-(``symmetric._natural_eval`` and ``symmetric._interval_simple``).  There F
-on a Dual costs about 0.7 of a run of F's traced Jet2 plan over the same
-boxes (4.8 against 6.8 ms on 200 B2 boxes, medians of 40 alternate runs on
-a 2-core x86 host).
+Jet2, the package's one forward-mode AD type, carries a value with its
+first- and second-order terms in two variables through the same operator
+set.  Its components may be floats, Intervals or IntervalArrays, which
+gives simultaneous enclosures of a function and its derivatives over a
+box.  The certifier runs F's jet in y4 and A: one pass over the box
+centers and the whole boxes gives the mean-value form and, as the
+whole-box value, the natural form it is met with (``certify._mv_eval``).
+The root scan needs F and dF/dy4 at one float exponent: its tangency guard
+runs F's jet in y4 with only those two slots as outputs
+(``symmetric._natural_eval``), and the simplicity check of a root
+enclosure runs the scalar jet on one Interval
+(``symmetric._interval_simple``).
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate
-children, in one pass (after Rump's INTLAB).  Jet2 and Dual carry
-IntervalArray components unchanged.  The certifier runs F's jet as a plan
-instead (``_trace``): the scalar Jet2 formulas run once on register rows,
-with float constants and structural zeros kept as floats, and record their
-kernel calls; the plan makes the calls of one kind at one depth as one call
-on stacked rows, under one np.errstate, with the operators' bodies
-(``_quiet``).  A run takes the columns in blocks of one pass and reuses the
-rows of values no later call reads, so its memory does not grow with the
-frontier.  This is tape-based forward differentiation (A. Griewank and A.
-Walther, *Evaluating Derivatives*, 2008) on interval enclosures.  Each
-array operation repeats the scalar formula element by element, with the
-outward step of math.nextafter, and reproduces the Interval bounds bit for
-bit; where Interval raises, the element turns NaN instead.  sqrt uses
-np.sqrt, which is correctly rounded like math.sqrt.  exp, log and integer
-powers call libm (math.exp, math.log, float **) once per element, never
-np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
-4.6 % of exp arguments in [-30, 30], 5.3 % of power(x, -3) arguments in
-[0.05, 3] and 0.05 % of log arguments in [1e-5, 1e5] (200k float64 samples
-each, numpy 2.4 on an AVX-512 Xeon).  That would break the bit-identity
-with the scalar path and the libm error bound behind the one- and two-ulp
-padding.  ``_libm`` is the package's one gate to libm for arrays: these
-three kernels send both bounds through it in one call, and
-``geometry.chain_points`` (cos, sin, hypot, a square),
+children, in one pass (after Rump's INTLAB).  Jet2 carries IntervalArray
+components unchanged.  The certifier and the tangency guard run F's jet as
+a plan instead (``_trace``): the scalar Jet2 formulas run once on register
+rows, with float constants and structural zeros kept as floats, and record
+their kernel calls; the plan makes the needed calls of one kind at one
+depth as one call on stacked rows, under one np.errstate, with the
+operators' bodies (``_quiet``).  A run takes the columns in blocks of one
+pass and reuses the rows of values no later call reads, so its memory does
+not grow with the frontier.  This is tape-based forward differentiation
+(A. Griewank and A. Walther, *Evaluating Derivatives*, 2008) on interval
+enclosures.  Each array operation repeats the scalar formula element by
+element, with the outward step of math.nextafter, and reproduces the
+Interval bounds bit for bit; where Interval raises, the element turns NaN
+instead.  sqrt uses np.sqrt, which is correctly rounded like math.sqrt.
+exp, log and integer powers call libm (math.exp, math.log, float **) once
+per element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
+from libm on about 4.6 % of exp arguments in [-30, 30], 5.3 % of
+power(x, -3) arguments in [0.05, 3] and 0.05 % of log arguments in
+[1e-5, 1e5] (200k float64 samples each, numpy 2.4 on an AVX-512 Xeon).
+That would break the bit-identity with the scalar path and the libm error
+bound behind the one- and two-ulp padding.  ``_libm`` is the package's one
+gate to libm for arrays: these three kernels send both bounds through it in
+one call, and ``geometry.chain_points`` (cos, sin, hypot, a square),
 ``geometry.interior_angles`` (atan2), and the two-mass coefficients (a
 square) and the mutual-distance residual tables (r**-A and r**2) of
 ``equations`` call it too.
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IntervalDomainError", "Interval", "IntervalArray", "Box", "Dual", "split_bounds"]
+__all__ = ["IntervalDomainError", "Interval", "IntervalArray", "Box", "split_bounds"]
 
 _INF = math.inf
 
@@ -513,8 +512,8 @@ class IntervalArray:
 
 
 def _zero(x) -> bool:
-    """A structural zero: the float 0.0 that a jet or dual keeps in a slot
-    whose every term vanishes identically."""
+    """A structural zero: the float 0.0 that a jet keeps in a slot whose
+    every term vanishes identically."""
     return isinstance(x, float) and x == 0.0
 
 
@@ -538,7 +537,7 @@ def _sub(x, y):
 
 
 def _abs_part(v: IntervalArray, c) -> IntervalArray:
-    """Component c of |x| for a jet or dual x with value array v.
+    """Component c of |x| for a jet x with value array v.
 
     It is negated where v < 0 and kept where v >= 0; elements where v
     straddles 0 (the scalar classes raise there) become invalid.
@@ -551,8 +550,8 @@ def _abs_part(v: IntervalArray, c) -> IntervalArray:
 
 
 def _abs_parts(v, parts) -> list:
-    """Components of |x| for a jet or dual x with value v, an IntervalArray
-    or a traced row.  A structural zero stays 0.0, as it does on the scalar
+    """Components of |x| for a jet x with value v, an IntervalArray or a
+    traced row.  A structural zero stays 0.0, as it does on the scalar
     path."""
     part = _Row._abs_part if isinstance(v, _Row) else _abs_part
     return [0.0 if _zero(c) else part(v, c) for c in parts]
@@ -784,9 +783,9 @@ class Jet2:
     Since 0 encloses an identically zero term, enclosures are never wider
     than with the terms computed, only cheaper.
 
-    Over IntervalArray the formulas run slot by slot.  The certifier does
-    not run them there: it traces F on a jet of rows once per branch
-    (``_trace``) and runs the plan.
+    Over IntervalArray the formulas run slot by slot.  The certifier and the
+    root scan's tangency guard do not run them there: they trace F on a jet
+    of rows once (``_trace``) and run the plan.
     """
 
     __slots__ = ("v", "dy", "da", "dyy", "dya")
@@ -905,87 +904,6 @@ class Jet2:
         return -self if v < 0.0 else self
 
 
-class Dual:
-    """Forward-mode dual number: value plus derivative with respect to one input.
-
-    Components may be floats, Intervals or IntervalArrays; mixing follows
-    the component arithmetic.  Construct seeds with Dual(x, 1.0).  The
-    derivative of a constant is the structural zero 0.0, kept exact by the
-    rule of ``Jet2``: no operation runs on it, in the product, quotient,
-    sqrt and power rules alike.
-    """
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot=0.0):
-        self.val = val
-        self.dot = dot
-
-    @staticmethod
-    def _parts(x):
-        if isinstance(x, Dual):
-            return x.val, x.dot
-        return x, 0.0
-
-    def __add__(self, other):
-        v, d = self._parts(other)
-        return Dual(_add(self.val, v), _add(self.dot, d))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __sub__(self, other):
-        v, d = self._parts(other)
-        return Dual(_sub(self.val, v), _sub(self.dot, d))
-
-    def __rsub__(self, other):
-        v, d = self._parts(other)
-        return Dual(_sub(v, self.val), _sub(d, self.dot))
-
-    def __mul__(self, other):
-        v, d = self._parts(other)
-        return Dual(_mul(self.val, v), _add(_mul(self.dot, v), _mul(self.val, d)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v, d = self._parts(other)
-        q = self.val / v
-        num = _sub(self.dot, _mul(q, d))
-        return Dual(q, 0.0 if _zero(num) else num / v)
-
-    def __rtruediv__(self, other):
-        v, d = self._parts(other)
-        q = v / self.val
-        num = _sub(d, _mul(q, self.dot))
-        return Dual(q, 0.0 if _zero(num) else num / self.val)
-
-    def sqrt(self):
-        r = self.val.sqrt() if hasattr(self.val, "sqrt") else math.sqrt(self.val)
-        return Dual(r, 0.0 if _zero(self.dot) else self.dot / (2.0 * r))
-
-    def __abs__(self):
-        v = self.val
-        if isinstance(v, IntervalArray):
-            return Dual(*_abs_parts(v, (v, self.dot)))
-        if isinstance(v, Interval):
-            if v.strictly_negative():
-                return -self
-            if v.lo >= 0.0:
-                return Dual(v, self.dot)
-            raise IntervalDomainError("abs of a dual whose value interval straddles 0")
-        return -self if v < 0.0 else Dual(v, self.dot)
-
-    def __pow__(self, exponent):
-        # d/dx x^c = c * x^(c-1); exponent constant (float, Fraction, Interval)
-        value = self.val ** exponent
-        if _zero(self.dot):
-            return Dual(value, 0.0)
-        return Dual(value, exponent * (self.val ** (exponent - 1.0)) * self.dot)
-
-
 # ---------------------------------------------------------------------------
 # adaptive bisection of (y4, A) boxes
 
@@ -1017,14 +935,14 @@ _VERDICTS = ("undecided", "F", "dF")
 
 # Rows a bisection pass evaluates at most, unless its frontier alone is
 # larger.  A pass pays a fixed cost of some hundreds of numpy calls (124
-# stacked kernel calls in the certifier's plan of F on branch B), and a row
-# adds little to it: on a 2-core x86 host one box takes 3.6-4.3 ms and 128
-# boxes 4.0-5.7 ms on the scan's Dual form, 4.0-4.5 and 11.4-11.9 ms on the
-# certifier's plan (two runs, medians of 15).  There the three acceptance
-# certificates took 0.456 s in process at 128 rows and at one depth a pass,
-# 0.454 s at 512 and 0.72 s at 1024 rows, where four candidates a box waste
-# rows (medians of 9).  A plan runs its columns in blocks of 2 * _PASS_ROWS,
-# the jet rows of one full pass.
+# stacked kernel calls in the certifier's plan of F on branch B, 78 in the
+# scan's), and a row adds little to it: on a 2-core x86 host one box takes
+# 2.1-2.8 ms and 128 boxes 3.7-4.9 ms on the scan's plan, 4.0-4.5 and
+# 11.4-11.9 ms on the certifier's plan (two runs, medians of 15).  There the
+# three acceptance certificates took 0.456 s in process at 128 rows and at
+# one depth a pass, 0.454 s at 512 and 0.72 s at 1024 rows, where four
+# candidates a box waste rows (medians of 9).  A plan runs its columns in
+# blocks of 2 * _PASS_ROWS, the jet rows of one full pass.
 _PASS_ROWS = 128
 
 # Boxes of the bisection tree that one ``_bisect`` call may make.  The

@@ -2,7 +2,7 @@
 
 The admissibility of masses on the symmetric family reduces to the vanishing
 of a 2x2 minor F of the mass-coefficient matrix.  This module evaluates F
-generically (floats, arrays, duals, jets, intervals), isolates its roots per
+generically (floats, arrays, jets, intervals), isolates its roots per
 sign-type window, recovers masses at each root, checks them against the two
 exact mass polynomials, scans for the root-count bifurcation in A, and
 verifies the grid sign arguments that exclude seven of the ten sign types.
@@ -14,7 +14,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .equations import (
     mass_coefficient_matrix,
     mass_kernel,
 )
-from .intervals import (Dual, Interval, IntervalArray, _BoxEval, _bisect,
-                        _no_common_zero_decider)
+from .intervals import (Interval, IntervalArray, Jet2, _BoxEval, _bisect,
+                        _no_common_zero_decider, _trace)
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +80,8 @@ def F(y4, a_exp, branch: str = "A"):
     (``equations._WEDGE_ROWS``), written out in its own order of operations:
     the literal minor of the rows rounds differently and gives the B2
     unique-root certificate 1975 leaves instead of 1985.
-    Accepts floats, numpy arrays, Intervals, Dual seeds and Jet2 jets for y4,
-    and a float, Interval or Jet2 exponent.
+    Accepts floats, numpy arrays, Intervals and Jet2 jets for y4, and a
+    float, Interval or Jet2 exponent.
     """
     g = family_terms(y4, branch, a_exp)
     return ((1.0 - g["R14"]) * (g["R35"] - 1.0) * g["d124"] * g["d345"]
@@ -89,10 +89,14 @@ def F(y4, a_exp, branch: str = "A"):
             * ((g["R13"] - g["R14"]) * g["d134"] + (1.0 - g["R14"]) * g["d145"]))
 
 
-def F_dual(y4, a_exp, branch: str = "A") -> Dual:
-    """F and dF/dy4 together; works with Interval or IntervalArray components."""
-    one = type(y4).point(1.0) if isinstance(y4, (Interval, IntervalArray)) else 1.0
-    return F(Dual(y4, one), a_exp, branch)
+def F_dual(y4, a_exp, branch: str = "A") -> Jet2:
+    """F's jet in y4 at a constant exponent: ``.v`` is F and ``.dy`` dF/dy4.
+
+    y4 is a float, an Interval or an IntervalArray.  The jet also carries
+    d2F/dy4^2, which its formulas compute and no caller reads; over an
+    Interval, an operation of that slot that raises fails the whole jet.
+    """
+    return F(Jet2.variable_y(y4), a_exp, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +238,10 @@ def recover_masses(y4: float, branch: str, a_exp: float):
 def _interval_simple(enclosure: tuple, branch: str, a_exp: float) -> bool:
     """True when the interval derivative excludes zero over the enclosure."""
     try:
-        dual = F_dual(Interval(enclosure[0], enclosure[1]), a_exp, branch)
+        jet = F_dual(Interval(enclosure[0], enclosure[1]), a_exp, branch)
     except (ArithmeticError, OutOfDomainError):
         return False
-    return not dual.dot.contains_zero()
+    return not jet.dy.contains_zero()
 
 
 def _interval_sign_change(enclosure: tuple, branch: str, a_exp: float) -> bool:
@@ -276,10 +280,13 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     the rest are reported as unresolved records instead of being guessed at.
     One INFO line per call on this module's logger gives the guard's seeds,
     its boxes per depth, its passes, its unresolved cells and its wall time.
-    Raises ValueError when ``tol`` is not finite or is below the float
+    Raises OutOfDomainError when the window is empty (lo == hi) or not
+    inside [0, Y4_MAX], and ValueError when ``tol`` is not finite or is below the float
     spacing at the window's upper end, where the bisection could not advance.
     """
     lo, hi = window
+    if lo == hi:
+        raise OutOfDomainError(f"window {window} is empty: lo == hi")
     if not (0.0 <= lo < hi <= Y4_MAX):
         raise OutOfDomainError(f"window {window} is not inside the branch domain")
     _check_resolution("tol", tol, hi)
@@ -332,21 +339,34 @@ def _tangency_seeds(ys, vals, a_exp: float) -> list:
             for i in np.flatnonzero(near & (signs[:-1] * signs[1:] > 0)).tolist()]
 
 
+@lru_cache
+def _natural_plan(branch: str, a_exp: float):
+    """F's jet in y4 at one float exponent, traced once into one plan over
+    the y4 row (``intervals._trace``) with the value and dF/dy4 as its only
+    outputs, so that no kernel call of the second-order slot runs.  The
+    cache keeps the plans of the 128 most recent (branch, exponent) pairs."""
+    def value_and_slope(y):
+        jet = F_dual(y, a_exp, branch)
+        return jet.v, jet.dy
+    return _trace(value_and_slope, 1)
+
+
 def _natural_eval(ylo, yhi, alo, ahi, branch: str, a_exp: float) -> _BoxEval:
-    """The natural Dual form of F and dF/dy4 over y4 intervals at one exponent.
+    """The natural form of F and dF/dy4 over y4 intervals at one exponent.
 
     The exponent columns of the boxes are ignored: ``a_exp`` enters as a
     float, because an interval exponent would send integer powers through
-    exp and log and widen the enclosures.  A box is ``ok`` where both
-    enclosures evaluate; the radicand is clipped at zero, as in
-    ``Interval.sqrt``, so a box reaching past the domain still encloses F
-    on its part inside.  Every split hint is y4.
+    exp and log and widen the enclosures.  One run of the plan of
+    ``_natural_plan`` evaluates every box.  A box is ``ok`` where both
+    enclosures evaluate.  The plan takes the square root of the branch
+    radicand through log and exp, so a box whose radicand enclosure
+    reaches zero, at or past the end of the domain, has no enclosure and is
+    not ok; bisection splits it like any open box.  Every split hint is y4.
     """
-    y = IntervalArray(ylo, yhi)
-    dual = F_dual(y, a_exp, branch)
-    ok = dual.val.valid & dual.dot.valid
+    f, df = _natural_plan(branch, float(a_exp)).run(IntervalArray(ylo, yhi))
+    ok = f.valid & df.valid
     hint = np.zeros(ok.size, dtype=int)
-    return _BoxEval(dual.val, dual.dot, hint, hint, ok)
+    return _BoxEval(f, df, hint, hint, ok)
 
 
 def _merge_intervals(cells: list) -> list:
@@ -452,7 +472,7 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     _check_resolution("tol", tol, a_hi)
 
     def g(a):
-        return F_dual(regular_pentagon_y4(), a, "A").dot
+        return F_dual(regular_pentagon_y4(), a, "A").dy
 
     g_lo, g_hi = g(a_lo), g(a_hi)
     if not g_lo * g_hi < 0.0:

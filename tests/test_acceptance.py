@@ -290,7 +290,7 @@ def test_criterion_9_property_suites():
     for idx, y4 in enumerate(ys):
         branch = "A" if idx % 2 == 0 else "B"
         y4 = float(y4)
-        dual = F_dual(y4, 3.0, branch).dot
+        dual = F_dual(y4, 3.0, branch).dy
         fd = (F(y4 + h, 3.0, branch) - F(y4 - h, 3.0, branch)) / (2 * h)
         d_worst = max(d_worst, abs(dual - fd) / max(1e-7, abs(fd)))
     dual_ok = d_worst <= 1e-5

@@ -24,12 +24,12 @@ from pentacc.certify import (
     certify_unique_root,
     eval_F_interval,
 )
-from pentacc.symmetric import F, F_dual, scan_branch, window_for
+from pentacc.symmetric import F, F_dual, _natural_eval, scan_branch, window_for
 
 
 def F_prime(y4: float, a_exp, branch: str = "A") -> float:
-    """dF/dy4 at a point, by forward-mode dual numbers."""
-    return F_dual(y4, a_exp, branch).dot
+    """dF/dy4 at a point, by forward-mode differentiation."""
+    return F_dual(y4, a_exp, branch).dy
 
 
 def thin_box(y4: float, a_exp: float) -> Box:
@@ -585,6 +585,20 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
     np.testing.assert_array_equal(got[ev.ok].view(np.int64), want[ev.ok].view(np.int64))
     np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ev.ok],
                                   hints[ev.ok])
+    # the root scan's natural form on the same y4 intervals: its plan of F
+    # and dF/dy4 gives the bits of the jet run slot by slot, invalid in the
+    # same places
+    y = IntervalArray([b.y4.lo for b in boxes], [b.y4.hi for b in boxes])
+    for a_exp in (2.0, 2.5, 3.0, 4.0):
+        nat = _natural_eval(y.lo, y.hi, None, None, branch=branch, a_exp=a_exp)
+        jet = F(Jet2.variable_y(y), a_exp, branch)
+        assert 0 < nat.ok.sum() < len(boxes)
+        np.testing.assert_array_equal(nat.ok, jet.v.valid & jet.dy.valid)
+        for planned, by_slot in ((nat.f, jet.v), (nat.df, jet.dy)):
+            ok = by_slot.valid
+            np.testing.assert_array_equal(planned.valid, ok)
+            for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
+                np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
 
 
 def test_one_jet_pass_per_frontier(monkeypatch):
@@ -665,7 +679,7 @@ def test_box_evaluation_memory_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# structural zeros: the dense jet and dual formulas as the oracle
+# structural zeros: the dense jet formulas as the oracle
 
 def _dense_abs_parts(v, parts) -> list:
     neg = v.hi < 0.0
@@ -755,61 +769,6 @@ class DenseJet2:
         return DenseJet2(*_dense_abs_parts(self.v, self.parts()))
 
 
-class DenseDual:
-    """``Dual`` with every term computed, zeros included, on IntervalArray."""
-
-    def __init__(self, val, dot=0.0):
-        self.val, self.dot = val, dot
-
-    @staticmethod
-    def _parts(x):
-        return (x.val, x.dot) if isinstance(x, DenseDual) else (x, 0.0)
-
-    def __add__(self, other):
-        v, d = self._parts(other)
-        return DenseDual(self.val + v, self.dot + d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DenseDual(-self.val, -self.dot)
-
-    def __sub__(self, other):
-        v, d = self._parts(other)
-        return DenseDual(self.val - v, self.dot - d)
-
-    def __rsub__(self, other):
-        v, d = self._parts(other)
-        return DenseDual(v - self.val, d - self.dot)
-
-    def __mul__(self, other):
-        v, d = self._parts(other)
-        return DenseDual(self.val * v, self.dot * v + self.val * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v, d = self._parts(other)
-        q = self.val / v
-        return DenseDual(q, (self.dot - q * d) / v)
-
-    def __rtruediv__(self, other):
-        v, d = self._parts(other)
-        q = v / self.val
-        return DenseDual(q, (d - q * self.dot) / self.val)
-
-    def sqrt(self):
-        r = self.val.sqrt()
-        return DenseDual(r, self.dot / (2.0 * r))
-
-    def __abs__(self):
-        return DenseDual(*_dense_abs_parts(self.val, (self.val, self.dot)))
-
-    def __pow__(self, exponent):
-        return DenseDual(self.val ** exponent,
-                         exponent * (self.val ** (exponent - 1.0)) * self.dot)
-
-
 def _assert_sparse_inside_dense(sparse: tuple, dense: tuple) -> None:
     """Each sparse component lies inside the dense one where that is valid,
     and the two pass the all-components validity test of ``_mv_eval`` on
@@ -839,9 +798,11 @@ def test_structural_zeros_are_sound_and_kept(branch):
         dense = F(DenseJet2(yy, 1.0), a_exp=DenseJet2(aa, 0.0, 1.0), branch=branch)
         _assert_sparse_inside_dense(
             (sparse.v, sparse.dy, sparse.da, sparse.dyy, sparse.dya), dense.parts())
-    one = IntervalArray.point(np.ones(y.lo.size))
-    sparse, dense = F_dual(y, a, branch), F(DenseDual(y, one), a, branch)
-    _assert_sparse_inside_dense((sparse.val, sparse.dot), (dense.val, dense.dot))
+    # the root scan's jet in y4 alone, at a float exponent
+    for a_exp in (2.5, 3.0):
+        sparse, dense = F_dual(y, a_exp, branch), F(DenseJet2(y, 1.0), a_exp, branch)
+        _assert_sparse_inside_dense(
+            (sparse.v, sparse.dy, sparse.da, sparse.dyy, sparse.dya), dense.parts())
     # the areas and distances depend on y4 alone: no a-derivative is computed
     terms = family_terms(Jet2.variable_y(y), branch, a_exp=Jet2.variable_a(a))
     for name in ("d123", "d124", "d134", "d135", "d145", "d345", "r13", "r14", "r35"):

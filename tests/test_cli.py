@@ -179,15 +179,28 @@ def test_certify_undecided_exit_code(tmp_path):
     assert stats["max_depth"] == 18
 
 
-def test_certify_tree_box_budget_exit_code(tmp_path, monkeypatch):
+def test_certify_tree_box_budget_exit_code(tmp_path, monkeypatch, capsys):
     # every enclosure over A in [400, 500] straddles zero down to depth 10;
     # under a budget of 200 tree boxes the certificate stops undecided
     import pentacc.intervals as intervals
+    from pentacc.certify import certify_no_common_zero
+    from pentacc.intervals import Box, Interval
+    from pentacc.symmetric import window_for
     monkeypatch.setattr(intervals, "_MAX_TREE_BOXES", 200)
     out = tmp_path / "cert.json"
-    code = main(["certify", "--mode", "no-common-zero", "--branch", "A", "--window", "a2",
-                 "--A-range", "400,500", "--out", str(out)])
+    argv = ["certify", "--mode", "no-common-zero", "--branch", "A", "--window", "a2",
+            "--A-range", "400,500"]
+    code = main(argv + ["--out", str(out)])
     assert code == 2
+    # the streamed file, and stdout with one newline, hold the bytes of the
+    # whole certificate text
+    lo, hi = window_for("A", "A2", inset=1e-6)
+    text = json.dumps(certify_no_common_zero(
+        Box(Interval(lo, hi), Interval(400.0, 500.0)), "A").to_json(), indent=1)
+    assert out.read_text() == text
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().out == text + "\n"
     cert = json.loads(out.read_text())
     check_schema(cert, load_schema("certificate.schema.json"))
     stats = cert["stats"]
@@ -401,6 +414,8 @@ def test_bifurcation_empty_range(tmp_path):
                  id="scan-type-off-branch"),
     pytest.param(["symmetric-scan", "--A", "3", "--window", "0.5,0.2"],
                  id="scan-window-inverted"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "0.5,0.5"],
+                 id="scan-window-empty"),
     pytest.param(["certify", "--branch", "B", "--window", "a2", "--A-range", "2,3"],
                  id="certify-type-off-branch"),
     pytest.param(["certify", "--window", "0.5,0.2", "--A-range", "2,3"],
@@ -596,6 +611,22 @@ def test_readme_library_example_runs(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "True 39"
     assert [line.split()[0] for line in out[:-1]] == ["A2", "A4"]
+
+
+def test_export_lists_resolve():
+    # every exported name must exist, so that no removed name lingers in an
+    # export list
+    import importlib
+    import pkgutil
+
+    import pentacc
+    modules = [pentacc] + [importlib.import_module(f"pentacc.{m.name}")
+                           for m in pkgutil.iter_modules(pentacc.__path__)
+                           if not m.name.startswith("_")]
+    assert len(modules) >= 8
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
 
 
 def test_readme_cli_lines_parse(monkeypatch):

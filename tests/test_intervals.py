@@ -1,4 +1,4 @@
-"""Interval arithmetic, dual numbers, and second-order jets."""
+"""Interval arithmetic and second-order jets."""
 
 import decimal
 import math
@@ -10,7 +10,6 @@ import pytest
 
 from pentacc.intervals import (
     Box,
-    Dual,
     Interval,
     IntervalArray,
     IntervalDomainError,
@@ -395,37 +394,6 @@ def test_one_split_rule_for_boxes_and_frontiers(box, coord, want):
     # the frontier form: the same rule on bound arrays, here one box twice
     lower, upper = split_bounds(*([v, v] for v in box), [coord, coord])
     assert [tuple(float(c[1]) for c in half) for half in (lower, upper)] == list(want)
-
-
-# ---------------------------------------------------------------------------
-# duals
-
-def test_dual_polynomial_derivative():
-    x = Dual(1.7, 1.0)
-    y = x * x * x - 2.0 * x + 5.0
-    assert y.val == pytest.approx(1.7 ** 3 - 2 * 1.7 + 5)
-    assert y.dot == pytest.approx(3 * 1.7 ** 2 - 2)
-
-
-def test_dual_quotient_and_sqrt():
-    x = Dual(2.0, 1.0)
-    y = (x * x + 1.0) / x
-    assert y.dot == pytest.approx(1.0 - 1.0 / 4.0)
-    s = x.sqrt()
-    assert s.dot == pytest.approx(0.5 / math.sqrt(2.0))
-
-
-def test_dual_power_with_real_exponent():
-    x = Dual(1.3, 1.0)
-    y = x ** (-2.7)
-    assert y.dot == pytest.approx(-2.7 * 1.3 ** -3.7)
-
-
-def test_dual_over_intervals():
-    x = Dual(Interval(1.0, 1.1), Interval.point(1.0))
-    y = x * x
-    assert y.val.contains(1.05 ** 2)
-    assert y.dot.contains(2.0 * 1.05)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_derivative_matches_finite_differences():
     for y4 in rng.uniform(0.05, Y4_MAX - 0.05, 1000):
         branch = "A" if checked % 2 == 0 else "B"
         y4 = float(y4)
-        d = F_dual(y4, 3.0, branch).dot
+        d = F_dual(y4, 3.0, branch).dy
         fd = (F(y4 + h, 3.0, branch) - F(y4 - h, 3.0, branch)) / (2 * h)
         assert d == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
@@ -266,6 +266,8 @@ def test_isolate_roots_window_validation():
                    (0.2, Y4_MAX + 1e-9)):
         with pytest.raises(OutOfDomainError):
             isolate_roots("A", 3.0, window)
+    with pytest.raises(OutOfDomainError, match=r"is empty: lo == hi"):
+        isolate_roots("A", 3.0, (0.5, 0.5))
 
 
 def _suspect_subcells(cell: Interval, branch: str, a_exp: float, depth: int) -> list:
@@ -274,8 +276,8 @@ def _suspect_subcells(cell: Interval, branch: str, a_exp: float, depth: int) -> 
     F and dF/dy4 both contain zero (or do not evaluate), bisected down to
     ``depth`` levels or a width of 1e-15."""
     try:
-        dual = F_dual(cell, a_exp, branch)
-        ambiguous = dual.val.contains_zero() and dual.dot.contains_zero()
+        jet = F_dual(cell, a_exp, branch)
+        ambiguous = jet.v.contains_zero() and jet.dy.contains_zero()
     except (ArithmeticError, OutOfDomainError):
         ambiguous = True
     if not ambiguous:
@@ -354,7 +356,7 @@ def test_bifurcation_bracket():
     mid = 0.5 * (lo + hi)
     assert mid == pytest.approx(3.12036856, abs=1e-3)
     # the pentagon root and the derivative share a near-zero at the bracket
-    assert abs(F_dual(regular_pentagon_y4(), mid, "A").dot) < 1e-5
+    assert abs(F_dual(regular_pentagon_y4(), mid, "A").dy) < 1e-5
     # the root pair has not split off the pentagon at lo, and has at hi
     assert _a4_root_count(lo) == 0
     assert _a4_root_count(hi) >= 2
