@@ -19,8 +19,11 @@ its candidate children, by one call of the batched box kernel ``_mv_eval``
 on ``IntervalArray`` operands, and resolves every depth the batch covers:
 decided boxes become leaves, the rest are halved into their candidate
 rows, and the boxes left open at the last level form the next pass's
-frontier.  A box's verdict depends only on the box, so the leaves are the
-ones a depth-first bisection finds.  The tangency guard of
+frontier.  The kernel runs one traced plan of two jets of F, one column a
+box: the jet in y4 at the box center, whose value and dF/dy4 are the only
+outputs, and the second-order jet in (y4, A) over the whole box.  A box's
+verdict depends only on the box, so the leaves are the ones a depth-first
+bisection finds.  The tangency guard of
 ``symmetric.isolate_roots`` runs on the same bisection; its box evaluator
 is the natural form of F and dF/dy4 at the scan's exponent, from a plan of
 F's jet in y4 alone (``symmetric._natural_eval``).
@@ -58,16 +61,19 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
     return IntervalArray(np.where(mv, both.lo, nat_enc.lo), np.where(mv, both.hi, nat_enc.hi))
 
 
-def _join(p: IntervalArray, q: IntervalArray) -> IntervalArray:
-    return IntervalArray(np.concatenate([p.lo, q.lo]), np.concatenate([p.hi, q.hi]))
-
-
 @lru_cache(maxsize=None)
 def _f_plan(branch: str):
-    """F's second-order jet in (y4, A) on one branch, traced once into one
-    plan over the y4 and A rows (``intervals._trace``)."""
-    return _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
-                                             a_exp=Jet2.variable_a(a))), 2)
+    """F's jets on one branch, traced once into one plan over four rows: the
+    box centers' y4 and A, then the whole boxes' (``intervals._trace``).
+    The centers get the jet in y4 at their exponent, with only the value
+    and dF/dy4 as outputs, and the whole boxes the second-order jet in
+    (y4, A) with all five slots.  The two traces' calls of one kind at one
+    depth stack into one kernel call, so the centers add no call."""
+    def jets(yc, ac, y, a):
+        center = F(Jet2.variable_y(yc), branch=branch, a_exp=Jet2(ac))
+        whole = F(Jet2.variable_y(y), branch=branch, a_exp=Jet2.variable_a(a))
+        return center.v, center.dy, *Jet2._parts(whole)
+    return _trace(jets, 4)
 
 
 def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
@@ -75,34 +81,27 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     natural interval form where both evaluate.
 
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
-    evaluated together, by one run of the branch's plan of F's jet
-    (``_f_plan``) over the box centers and the whole boxes.  Where the
-    mean-value form fails the natural form is used alone, with the default
-    split hint; a box where the branch radicand dips below zero, where both
-    forms fail, or where their enclosures do not meet, is not ``ok``.
+    evaluated together, by one run of the branch's plan (``_f_plan``),
+    one column a box.  The mean-value form reads F and dF/dy4 at the box
+    center and every slot of the whole-box jet.  Where it fails the
+    natural form is used alone, with the default split hint; a box where
+    the branch radicand dips below zero, where both forms fail, or where
+    their enclosures do not meet, is not ``ok``.
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     in_domain = branch_radicand(y).lo >= 0.0
     yw, aw = y.width, a.width
     my, ma = y.mid, a.mid
-    # one run over the box centers and the whole boxes together
-    slots = _f_plan(branch).run(_join(IntervalArray.around(my), y),
-                                _join(IntervalArray.around(ma), a))
-    v, dy, da, dyy, dya = slots
-    # the columns of the box centers, then those of the whole boxes
-    center, whole = slice(y.lo.size), slice(y.lo.size, None)
+    slots = _f_plan(branch).run(IntervalArray.around(my), IntervalArray.around(ma), y, a)
+    center_v, center_dy, v, dy, da, dyy, dya = slots
     off_y, off_a = y - my, a - ma
-    f_mv = v[center] + dy[whole] * off_y + da[whole] * off_a
-    df_mv = dy[center] + dyy[whole] * off_y + dya[whole] * off_a
-    # a scalar jet pass fails as a whole when any component fails
-    valid = np.logical_and.reduce([c.valid for c in slots])
-    mv = valid[center] & valid[whole] & f_mv.valid & df_mv.valid
+    f_mv = center_v + dy * off_y + da * off_a
+    df_mv = center_dy + dyy * off_y + dya * off_a
+    mv = np.logical_and.reduce([c.valid for c in (*slots, f_mv, df_mv)])
     with np.errstate(invalid="ignore", over="ignore"):
         default = np.where(yw >= aw, 0, 1)
-        hint_f = np.where(mv, np.where(dy[whole].mag * yw >= da[whole].mag * aw, 0, 1),
-                          default)
-        hint_df = np.where(mv, np.where(dyy[whole].mag * yw >= dya[whole].mag * aw, 0, 1),
-                           default)
+        hint_f = np.where(mv, np.where(dy.mag * yw >= da.mag * aw, 0, 1), default)
+        hint_df = np.where(mv, np.where(dyy.mag * yw >= dya.mag * aw, 0, 1), default)
     # The natural form, the whole-box value and y4-slope, decides boxes the
     # mean-value form leaves straddling zero: without it A4 no-common-zero
     # over [2, 3] needs 195 leaves instead of 194, and B2 unique-root over
@@ -111,8 +110,7 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     # evaluable oracle boxes of the tests the met dF was wider than with it
     # on 290 boxes, by up to 23 %, F only by rounding, and the three
     # acceptance certificates had the same leaves either way.
-    f = _combine(f_mv, v[whole], mv)
-    df = _combine(df_mv, dy[whole], mv)
+    f, df = _combine(f_mv, v, mv), _combine(df_mv, dy, mv)
     return _BoxEval(f, df, hint_f, hint_df, in_domain & f.valid & df.valid)
 
 

@@ -95,9 +95,16 @@ def _parse_range(text: str, what: str) -> tuple:
     return lo, hi
 
 
-def _parse_window(text: str, branch: str, inset: float):
-    if text.upper() not in {label for types in _SIGN_TYPES.values() for label, _, _ in types}:
-        return _parse_range(text, "--window")
+def _parse_window(text, branch: str, inset, default_inset: float):
+    """The y4 window of ``--window``: a sign-type name, inset by ``--inset``
+    or else by ``default_inset``, or a numeric lo,hi; None without one.
+    An inset where no named window takes it is refused."""
+    labels = {label for types in _SIGN_TYPES.values() for label, _, _ in types}
+    if (text or "").upper() not in labels:
+        if inset is not None:
+            raise ValueError("--inset applies only to a named --window")
+        return None if text is None else _parse_range(text, "--window")
+    inset = default_inset if inset is None else inset
     try:
         lo, hi = window_for(branch, text.upper(), inset=inset)
     except KeyError as exc:
@@ -109,10 +116,9 @@ def _parse_window(text: str, branch: str, inset: float):
 
 def cmd_symmetric_scan(args) -> int:
     a_exp = Exponent.parse(args.A).value
-    if args.window:
-        records = isolate_roots(args.branch, a_exp,
-                                _parse_window(args.window, args.branch, args.inset),
-                                tol=args.tol)
+    window = _parse_window(args.window or None, args.branch, args.inset, _SCAN_INSET)
+    if window:
+        records = isolate_roots(args.branch, a_exp, window, tol=args.tol)
     else:
         records = scan_branch(args.branch, a_exp, tol=args.tol)
     if args.format == "csv":
@@ -151,7 +157,7 @@ def _family_svg() -> str:
 
 def cmd_certify(args) -> int:
     a_lo, a_hi = _parse_range(args.A_range, "--A-range")
-    window = _parse_window(args.window, args.branch, args.inset)
+    window = _parse_window(args.window, args.branch, args.inset, 1e-6)
     if args.mode == "unique-root":
         cert = certify_unique_root(window, (a_lo, a_hi), branch=args.branch,
                                    max_depth=args.max_depth)
@@ -371,8 +377,9 @@ def main(argv=None) -> int:
     p.add_argument("--branch", choices=("A", "B"), default="A")
     p.add_argument("--window", help="sign-type name (a2, b2, ...) or lo,hi")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--inset", type=float, default=_SCAN_INSET,
-                   help="shrink named windows away from their boundaries")
+    p.add_argument("--inset", type=float,
+                   help="shrink a named window away from its boundaries "
+                        f"(default {_SCAN_INSET:g})")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--svg-out", help="also write the family-curve SVG path data")
@@ -388,7 +395,7 @@ def main(argv=None) -> int:
     p.add_argument("--window", required=True,
                    help="sign-type name (a2, b2, ...) or lo,hi")
     p.add_argument("--A-range", dest="A_range", required=True, help="lo,hi")
-    p.add_argument("--inset", type=float, default=1e-6)
+    p.add_argument("--inset", type=float, help="as for symmetric-scan, default 1e-6")
     p.add_argument("--max-depth", type=int, default=60)
     p.add_argument("--out", default="-")
     p.add_argument("--stats", action="store_true",

@@ -10,9 +10,11 @@ Jet2, the package's one forward-mode AD type, carries a value with its
 first- and second-order terms in two variables through the same operator
 set.  Its components may be floats, Intervals or IntervalArrays, which
 gives simultaneous enclosures of a function and its derivatives over a
-box.  The certifier runs F's jet in y4 and A: one pass over the box
-centers and the whole boxes gives the mean-value form and, as the
-whole-box value, the natural form it is met with (``certify._mv_eval``).
+box.  The certifier runs two jets of F on each box: the jet in y4 at the
+box center and its exponent, of which only F and dF/dy4 are read, and
+the jet in y4 and A over the whole box.  Together they give the
+mean-value form and, as the whole-box value, the natural form it is met
+with (``certify._mv_eval``).
 The root scan needs F and dF/dy4 at one float exponent: its tangency guard
 runs F's jet in y4 with only those two slots as outputs
 (``symmetric._natural_eval``), and the simplicity check of a root
@@ -22,24 +24,25 @@ enclosure runs the scalar jet on one Interval
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate
 children, in one pass (after Rump's INTLAB).  Jet2 carries IntervalArray
-components unchanged.  The certifier and the tangency guard run F's jet as
+components unchanged.  The certifier and the tangency guard run F's jets as
 a plan instead (``_trace``): the scalar Jet2 formulas run once on register
 rows, with float constants and structural zeros kept as floats, and record
 their kernel calls; the plan makes the needed calls of one kind at one
-depth as one call on stacked rows, under one np.errstate, with the
-operators' bodies (``_quiet``).  A run takes the columns in blocks of one
-pass and reuses the rows of values no later call reads, so its memory does
-not grow with the frontier.  This is tape-based forward differentiation
-(A. Griewank and A. Walther, *Evaluating Derivatives*, 2008) on interval
-enclosures.  Each array operation repeats the scalar formula element by
-element, with the outward step of math.nextafter, and reproduces the
-Interval bounds bit for bit; where Interval raises, the element turns NaN
-instead.  sqrt uses np.sqrt, which is correctly rounded like math.sqrt.
-exp, log and integer powers call libm (math.exp, math.log, float **) once
-per element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
-from libm on about 4.6 % of exp arguments in [-30, 30], 5.3 % of
-power(x, -3) arguments in [0.05, 3] and 0.05 % of log arguments in
-[1e-5, 1e5] (200k float64 samples each, numpy 2.4 on an AVX-512 Xeon).
+depth, of every jet traced into it, as one call on stacked rows, under one
+np.errstate, with the operators' bodies (``_quiet``).  Only the calls that
+an output reads run.  A run takes the columns, one a box, in blocks of a
+fixed width and reuses the rows of values no later call reads, so its
+memory does not grow with the frontier.  This is tape-based forward
+differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
+2008) on interval enclosures.  Each array operation repeats the scalar
+formula element by element, with the outward step of math.nextafter, and
+reproduces the Interval bounds bit for bit; where Interval raises, the
+element turns NaN instead.  sqrt uses np.sqrt, which is correctly rounded
+like math.sqrt.  exp, log and integer powers call libm (math.exp, math.log,
+float **) once per element, never np.exp, np.log or np.power: numpy's SIMD
+kernels differ from libm on about 4.6 % of exp arguments in [-30, 30],
+5.3 % of power(x, -3) arguments in [0.05, 3] and 0.05 % of log arguments
+in [1e-5, 1e5] (200k float64 samples each, numpy 2.4 on an AVX-512 Xeon).
 That would break the bit-identity with the scalar path and the libm error
 bound behind the one- and two-ulp padding.  ``_libm`` is the package's one
 gate to libm for arrays: these three kernels send both bounds through it in
@@ -734,7 +737,7 @@ class _Plan:
 
     ``run`` takes the input IntervalArrays, all of one length, and returns
     one new IntervalArray per output.  It processes the columns in blocks
-    of 2 * ``_PASS_ROWS``, the jet rows of one full bisection pass, so the
+    of 2 * ``_PASS_ROWS``, the boxes of two full bisection passes, so the
     register file stays small whatever the number of columns."""
 
     __slots__ = ("size", "inputs", "consts", "steps", "out")
@@ -937,12 +940,15 @@ _VERDICTS = ("undecided", "F", "dF")
 # larger.  A pass pays a fixed cost of some hundreds of numpy calls (124
 # stacked kernel calls in the certifier's plan of F on branch B, 78 in the
 # scan's), and a row adds little to it: on a 2-core x86 host one box takes
-# 2.1-2.8 ms and 128 boxes 3.7-4.9 ms on the scan's plan, 4.0-4.5 and
-# 11.4-11.9 ms on the certifier's plan (two runs, medians of 15).  There the
-# three acceptance certificates took 0.456 s in process at 128 rows and at
-# one depth a pass, 0.454 s at 512 and 0.72 s at 1024 rows, where four
-# candidates a box waste rows (medians of 9).  A plan runs its columns in
-# blocks of 2 * _PASS_ROWS, the jet rows of one full pass.
+# 2.1-2.8 ms and 128 boxes 4.0-4.8 ms on the scan's plan, 3.8-5.2 and
+# 7.4-11.2 ms on the certifier's plan (four runs, medians of 15).  There the
+# three acceptance certificates took 0.445-0.468 s in process at 128 rows,
+# 0.49-0.56 s at 512 and 0.66-0.81 s at 1024 rows, where four candidates a
+# box waste rows (two runs, medians of 9).  A plan runs its columns, one a
+# box, in blocks of 2 * _PASS_ROWS, so that a pass whose frontier outgrows
+# _PASS_ROWS, up to twice that, still runs as one block: with blocks of
+# _PASS_ROWS columns the three certificates took 0.43-0.49 s against
+# 0.39-0.44 s (three other runs, medians of 9).
 _PASS_ROWS = 128
 
 # Boxes of the bisection tree that one ``_bisect`` call may make.  The

@@ -17,7 +17,8 @@ from pentacc.geometry import (
 )
 import pentacc.intervals as intervals
 from pentacc.intervals import (Box, Interval, IntervalArray, IntervalDomainError, Jet2,
-                               _BoxEval, _VERDICTS, _bisect, _leaf, _stats, split_bounds)
+                               _BoxEval, _VERDICTS, _bisect, _leaf, _stats, _trace,
+                               split_bounds)
 from pentacc.certify import (
     _mv_eval,
     certify_no_common_zero,
@@ -518,12 +519,12 @@ def test_look_ahead_matches_by_depth_on_the_scan_guard(branch, a_exp, runs,
 def _scalar_box_eval(box: Box, branch: str) -> tuple:
     """One box with the scalar classes: (f, df, hint_f, hint_df).
 
-    The reference for the batched kernel: Jet2(Interval) at the center and
-    over the box give the mean-value form, the whole-box jet's value and
-    y-derivative the natural form, and the two are intersected.  A scalar
-    jet pass fails as a whole, so the whole-box jet runs first; where it
-    raises, or the radicand dips below zero, the box is not evaluable and
-    the oracle raises too.
+    The reference for the batched kernel: the jet in y4 at the center, at
+    the center's exponent, and the jet in (y4, A) over the box give the
+    mean-value form, the whole-box jet's value and y-derivative the natural
+    form, and the two are intersected.  A scalar jet pass fails as a whole,
+    so the whole-box jet runs first; where it raises, or the radicand dips
+    below zero, the box is not evaluable and the oracle raises too.
     """
     rad = branch_radicand(box.y4)
     if rad.lo < 0.0:
@@ -537,7 +538,7 @@ def _scalar_box_eval(box: Box, branch: str) -> tuple:
     try:
         my, ma = box.y4.mid, box.a.mid
         center = F(Jet2.variable_y(Interval.around(my)), branch=branch,
-                   a_exp=Jet2.variable_a(Interval.around(ma)))
+                   a_exp=Jet2(Interval.around(ma)))
         off_y, off_a = box.y4 - my, box.a - ma
         mv = (center.v + wide.dy * off_y + wide.da * off_a,
               center.dy + wide.dyy * off_y + wide.dya * off_a)
@@ -585,20 +586,44 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
     np.testing.assert_array_equal(got[ev.ok].view(np.int64), want[ev.ok].view(np.int64))
     np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ev.ok],
                                   hints[ev.ok])
-    # the root scan's natural form on the same y4 intervals: its plan of F
-    # and dF/dy4 gives the bits of the jet run slot by slot, invalid in the
-    # same places
-    y = IntervalArray([b.y4.lo for b in boxes], [b.y4.hi for b in boxes])
+    # the plan's center outputs give the bits of F and dF/dy4 of the (y4, A)
+    # jet at the box centers run slot by slot over IntervalArray, and the
+    # root scan's plan of its natural form those of the jet in y4 over the
+    # same y4 intervals, invalid in the same places
+    import pentacc.certify as certify
+    ylo, yhi, alo, ahi = np.array([b.key() for b in boxes]).T
+    y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
+    yc, ac = IntervalArray.around(y.mid), IntervalArray.around(a.mid)
+    center = F(Jet2.variable_y(yc), a_exp=Jet2.variable_a(ac), branch=branch)
+    pairs = list(zip(certify._f_plan(branch).run(yc, ac, y, a)[:2], (center.v, center.dy)))
+    assert 0 < (center.v.valid & center.dy.valid).sum() < len(boxes)
     for a_exp in (2.0, 2.5, 3.0, 4.0):
-        nat = _natural_eval(y.lo, y.hi, None, None, branch=branch, a_exp=a_exp)
+        nat = _natural_eval(ylo, yhi, None, None, branch=branch, a_exp=a_exp)
         jet = F(Jet2.variable_y(y), a_exp, branch)
         assert 0 < nat.ok.sum() < len(boxes)
         np.testing.assert_array_equal(nat.ok, jet.v.valid & jet.dy.valid)
-        for planned, by_slot in ((nat.f, jet.v), (nat.df, jet.dy)):
-            ok = by_slot.valid
-            np.testing.assert_array_equal(planned.valid, ok)
-            for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
-                np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
+        pairs += [(nat.f, jet.v), (nat.df, jet.dy)]
+    for planned, by_slot in pairs:
+        ok = by_slot.valid
+        np.testing.assert_array_equal(planned.valid, ok)
+        for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
+            np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_center_jet_adds_no_kernel_call(branch):
+    # the centers' jet stacks into the whole-box jet's kernel calls: the
+    # plan has the steps of the whole-box jet alone, and computes fewer
+    # elements a box than two columns of it would
+    import pentacc.certify as certify
+    whole = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
+                                              a_exp=Jet2.variable_a(a))), 2)
+    plan = certify._f_plan(branch)
+
+    def elements(plan):
+        return sum(stop - start for _, _, start, stop, *_ in plan.steps)
+    assert len(plan.steps) == len(whole.steps)
+    assert elements(plan) < 0.75 * 2 * elements(whole)
 
 
 def test_one_jet_pass_per_frontier(monkeypatch):
@@ -617,19 +642,20 @@ def test_one_jet_pass_per_frontier(monkeypatch):
     monkeypatch.setattr(certify, "F", counting_F)
     monkeypatch.setattr(intervals._Plan, "run", counting_run)
     boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(2011), "A", 50)]).T
-    # F is traced once per branch, on a jet of rows; later evaluations only
-    # run the plan, once over the 50 centers and the 50 whole boxes
+    # F is traced once per branch, on a jet of rows at the centers and one
+    # over the whole boxes, into one plan; later evaluations only run the
+    # plan, once over the 50 boxes, a column each
     certify._f_plan.cache_clear()
     ev = _mv_eval(*boxes, "A")
-    assert calls == ["Jet2"] and runs == [100] and ev.ok.size == 50
+    assert calls == ["Jet2", "Jet2"] and runs == [50] and ev.ok.size == 50
     ev = _mv_eval(*boxes, "A")
-    assert calls == ["Jet2"] and runs == [100, 100]
+    assert calls == ["Jet2", "Jet2"] and runs == [50, 50]
     # a certificate runs the plan once per pass of its bisection, and a
     # pass covers several of its 12 depths
     runs.clear()
     cert = _ACCEPTANCE["A4-no-common-zero"]()
     assert len(cert.stats["evals_per_depth"]) == 12
-    assert calls == ["Jet2"] and len(runs) == cert.stats["passes"] == 8
+    assert calls == ["Jet2", "Jet2"] and len(runs) == cert.stats["passes"] == 8
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
@@ -645,9 +671,8 @@ def test_no_plan_step_writes_a_row_it_reads(branch):
 
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_column_blocks_cannot_change_a_bit(branch, monkeypatch):
-    # a plan runs its columns in blocks of 2 * _PASS_ROWS; blocks of 6
-    # columns leave a short last block and split the 200 centers from the
-    # 200 whole boxes inside a block
+    # a plan runs its columns, one a box, in blocks of 2 * _PASS_ROWS;
+    # blocks of 6 columns split the 200 boxes and leave a short last block
     boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(7), branch, 200)]).T
     want = _mv_eval(*boxes, branch)
     monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
@@ -771,8 +796,9 @@ class DenseJet2:
 
 def _assert_sparse_inside_dense(sparse: tuple, dense: tuple) -> None:
     """Each sparse component lies inside the dense one where that is valid,
-    and the two pass the all-components validity test of ``_mv_eval`` on
-    the same elements where the value is valid."""
+    and on the elements where the value is valid the two jets have all
+    their components valid in the same places, as the whole-box jet of
+    ``_mv_eval`` must."""
     n = dense[0].lo.size
     value_ok = sparse[0].valid & dense[0].valid
     sparse_ok, dense_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)

@@ -450,6 +450,12 @@ def test_bifurcation_empty_range(tmp_path):
                  id="scan-inset-negative"),
     pytest.param(["symmetric-scan", "--A", "3", "--window", "a4", "--inset", "inf"],
                  id="scan-inset-inf"),
+    pytest.param(["symmetric-scan", "--A", "3", "--inset", "0.3"], id="scan-inset-without-window"),
+    pytest.param(["symmetric-scan", "--A", "3", "--window", "0.1,0.3", "--inset", "nan"],
+                 id="scan-inset-numeric-window"),
+    pytest.param(["certify", "--window", "0.1,0.3", "--inset", "-0.1", "--A-range", "2,3"],
+                 id="certify-inset-numeric-window"),
+    pytest.param(["certify", "--window", "", "--A-range", "2,3"], id="certify-window-empty"),
     pytest.param(["bifurcation", "--tol", "nan"], id="bifurcation-tol-nan"),
     pytest.param(["bifurcation", "--tol", "0"], id="bifurcation-tol-0"),
     pytest.param(["symmetric-scan", "--A", "3", "--tol", "0"], id="scan-tol-0"),
