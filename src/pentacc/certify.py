@@ -84,12 +84,13 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     evaluated together, by one run of the branch's plan (``_f_plan``),
     one column a box.  The mean-value form reads F and dF/dy4 at the box
     center and every slot of the whole-box jet.  Where it fails the
-    natural form is used alone, with the default split hint; a box where
-    the branch radicand dips below zero, where both forms fail, or where
-    their enclosures do not meet, is not ``ok``.
+    natural form is used alone, with the default split hint.  A box where
+    both forms fail, or where their enclosures do not meet, has NaN
+    enclosures.  So has a box whose branch radicand reaches zero: the plan
+    takes the radicand's square root through log, which is NaN there, and
+    every slot of F depends on that root.
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-    in_domain = branch_radicand(y).lo >= 0.0
     yw, aw = y.width, a.width
     my, ma = y.mid, a.mid
     slots = _f_plan(branch).run(IntervalArray.around(my), IntervalArray.around(ma), y, a)
@@ -97,7 +98,8 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     off_y, off_a = y - my, a - ma
     f_mv = center_v + dy * off_y + da * off_a
     df_mv = center_dy + dyy * off_y + dya * off_a
-    mv = np.logical_and.reduce([c.valid for c in (*slots, f_mv, df_mv)])
+    # NaN in any other slot reaches f_mv or df_mv
+    mv = v.valid & f_mv.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
         default = np.where(yw >= aw, 0, 1)
         hint_f = np.where(mv, np.where(dy.mag * yw >= da.mag * aw, 0, 1), default)
@@ -110,8 +112,7 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     # evaluable oracle boxes of the tests the met dF was wider than with it
     # on 290 boxes, by up to 23 %, F only by rounding, and the three
     # acceptance certificates had the same leaves either way.
-    f, df = _combine(f_mv, v, mv), _combine(df_mv, dy, mv)
-    return _BoxEval(f, df, hint_f, hint_df, in_domain & f.valid & df.valid)
+    return _BoxEval(_combine(f_mv, v, mv), _combine(df_mv, dy, mv), hint_f, hint_df)
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:
@@ -127,7 +128,7 @@ def eval_F_interval(box: Box, branch: str) -> tuple:
         raise OutOfDomainError(
             f"radicand interval {branch_radicand(box.y4)} dips below zero on {box.y4}")
     ev = _mv_eval(*([x] for x in box.key()), branch)
-    if not ev.ok[0]:
+    if not (ev.f.valid[0] and ev.df.valid[0]):
         raise IntervalDomainError(f"no evaluable form on {box.key()}")
     return (Interval(ev.f.lo[0], ev.f.hi[0]), Interval(ev.df.lo[0], ev.df.hi[0]))
 
@@ -169,14 +170,16 @@ def _check_request(window: tuple, a_range: tuple, max_depth: int) -> None:
     """Refuse a y4 window outside the branch domain [0, Y4_MAX], as
     ``symmetric.isolate_roots`` does (its boxes could never be decided, so
     bisection would split them to the depth cap), an exponent range that
-    is not 2 <= lo <= hi, where F is not defined, and a negative depth cap,
-    which would leave every seed box undecided."""
+    is not 2 <= lo <= hi, where F is not defined, or has an infinite end,
+    which no split can shrink, and a negative depth cap, which would leave
+    every seed box undecided."""
     lo, hi = window
     if not 0.0 <= lo <= hi <= Y4_MAX:
         raise OutOfDomainError(f"window {tuple(window)} is not inside the branch domain "
                                f"[0, {Y4_MAX!r}]")
-    if not 2.0 <= a_range[0] <= a_range[1]:
-        raise ValueError(f"exponent range {tuple(a_range)} must satisfy 2 <= lo <= hi")
+    if not 2.0 <= a_range[0] <= a_range[1] < np.inf:
+        raise ValueError(f"exponent range {tuple(a_range)} must be finite and satisfy "
+                         "2 <= lo <= hi")
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
 
@@ -230,8 +233,8 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     while F changes sign across it, so each exponent admits exactly one
     root.  The bracket is a heuristic only; every zone claim is verified
     with rigorous enclosures.  A window outside [0, Y4_MAX] raises
-    OutOfDomainError, and an exponent range that is not 2 <= lo <= hi or a
-    negative ``max_depth`` ValueError.
+    OutOfDomainError, and an exponent range that is not finite with
+    2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
     _check_request(window, a_range, max_depth)
     cert = Certificate(kind="unique_root", branch=branch,
@@ -266,7 +269,7 @@ def certify_no_common_zero(region: Box, branch: str = "A",
     enclosure.  Exhausted depth yields an undecided certificate listing the
     boxes where both enclosures still straddle zero.  A y4 range outside
     [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
-    2 <= lo <= hi or a negative ``max_depth`` ValueError.
+    finite with 2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
     _check_request((region.y4.lo, region.y4.hi), (region.a.lo, region.a.hi), max_depth)
     cert = Certificate(kind="no_common_zero", branch=branch,

@@ -237,9 +237,6 @@ class Interval:
         # real or interval exponent: x^e = exp(e * log x), needs x > 0
         return (self.log() * self._coerce(exponent)).exp()
 
-    def __rpow__(self, base):
-        return self._coerce(base) ** self
-
 
 @dataclass(frozen=True)
 class Box:
@@ -327,7 +324,8 @@ class IntervalArray:
     containing 0, an empty sqrt clip, a libm overflow), that element gets
     NaN bounds instead and NaN propagates through later operations;
     ``valid`` marks the other elements.  Floats, float arrays and
-    broadcastable shapes mix in as point intervals.
+    broadcastable shapes mix in as point intervals.  ``**`` and the
+    reflected ``-`` and ``/`` are Interval's: they only coerce and dispatch.
     """
 
     __slots__ = ("lo", "hi")
@@ -397,9 +395,6 @@ class IntervalArray:
         return IntervalArray._new(np.where(other.lo > self.lo, other.lo, self.lo),
                                   np.where(other.hi < self.hi, other.hi, self.hi))
 
-    def __getitem__(self, index) -> "IntervalArray":
-        return IntervalArray._new(self.lo[index], self.hi[index])
-
     def __repr__(self) -> str:
         return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
 
@@ -439,8 +434,7 @@ class IntervalArray:
         o = self._coerce(other)
         return IntervalArray._new(_adown(self.lo - o.hi), _aup(self.hi - o.lo))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    __rsub__ = Interval.__rsub__
 
     @_quiet
     def __mul__(self, other):
@@ -456,8 +450,7 @@ class IntervalArray:
         return self._hull((self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi),
                           o.contains_zero())
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+    __rtruediv__ = Interval.__rtruediv__
 
     def __abs__(self):
         lo, hi = self.lo, self.hi
@@ -506,12 +499,7 @@ class IntervalArray:
         lo = np.where(lo > 0.0, _adown(lo), 0.0) if n % 2 == 0 else _adown(lo)
         return IntervalArray._new(lo, _aup(hi))
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, int):
-            return self._int_pow(exponent)
-        if isinstance(exponent, float) and exponent.is_integer():
-            return self._int_pow(int(exponent))
-        return (self.log() * self._coerce(exponent)).exp()
+    __pow__ = Interval.__pow__
 
 
 def _zero(x) -> bool:
@@ -565,8 +553,9 @@ class _Row:
 
     It has the IntervalArray operators that the jet formulas use.  Each
     records the kernel call it stands for, with the operands in the order
-    that IntervalArray's operator passes them to the kernel; ``**`` is
-    IntervalArray's own dispatch over ``_int_pow``, ``log`` and ``exp``.
+    that IntervalArray's operator passes them to the kernel; ``**`` is the
+    dispatch over ``_int_pow``, ``log`` and ``exp`` that Interval and
+    IntervalArray share.
     """
 
     __slots__ = ("trace", "reg")
@@ -591,9 +580,6 @@ class _Row:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self.trace.op("div", self, other)
-
     def __rtruediv__(self, other):
         return self.trace.op("div", other, self)
 
@@ -617,7 +603,7 @@ class _Row:
         # a number operand stays a number; the trace makes its point row
         return x
 
-    __pow__ = IntervalArray.__pow__
+    __pow__ = Interval.__pow__
 
 
 # The kernel of each traced operation: the body of the IntervalArray
@@ -924,13 +910,15 @@ class CertLeaf:
 
 @dataclass(frozen=True)
 class _BoxEval:
-    """Enclosures of F and dF over a batch of boxes, with per-quantity split hints."""
+    """Enclosures of F and dF over a batch of boxes, with per-quantity split
+    hints (0 splits y4, 1 splits A).  NaN bounds in either enclosure are the
+    one mark of a box that cannot be evaluated; ``_bisect`` reads no verdict
+    or hint there."""
 
     f: IntervalArray
     df: IntervalArray
-    hint_f: np.ndarray     # coordinate whose error term dominates the F enclosure
-    hint_df: np.ndarray    # same for the dF enclosure
-    ok: np.ndarray         # f and df are enclosed, and the evaluator's own conditions hold
+    hint_f: np.ndarray | int = 0   # coordinate whose error term dominates the F enclosure
+    hint_df: np.ndarray | int = 0  # same for the dF enclosure
 
 
 # verdict codes returned by the deciders; 0 leaves a box open
@@ -1033,15 +1021,16 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
     ``_BoxEval``.  Each decider then runs once on that evaluation and maps
     it to arrays of verdict codes (indices into ``_VERDICTS``), split
     coordinates and a mask of the boxes whose enclosure straddles zero; it
-    is read for the rows of its own zone.  The pass then resolves one
-    depth after another.  A box with a verdict becomes a leaf carrying it;
-    any other box is split along the coordinate, or along y4 when it
-    cannot be evaluated, and is kept as undecided once it sits at
-    ``max_depth``, is narrower than ``floor`` in y4, or cannot be shrunk by
-    a split (a point box, or one whose midpoint rounds to an end).  Once
-    splitting the open boxes of a depth would take the tree past
-    ``_MAX_TREE_BOXES`` boxes, they are all kept as undecided, and the
-    stats count them as ``undecided_budget``.  The
+    is read for the rows of its own zone.  A box whose F or dF enclosure
+    has NaN bounds cannot be evaluated: it gets no verdict, whatever its
+    decider says.  The pass then resolves one depth after another.  A box
+    with a verdict becomes a leaf carrying it; any other box is split along
+    the coordinate, or along y4 when it cannot be evaluated, and is kept as
+    undecided once it sits at ``max_depth``, is narrower than ``floor`` in
+    y4, or cannot be shrunk by a split (a point box, or one whose midpoint
+    rounds to an end).  Once splitting the open boxes of a depth would take
+    the tree past ``_MAX_TREE_BOXES`` boxes, they are all kept as
+    undecided, and the stats count them as ``undecided_budget``.  The
     halves of a split box are its candidate rows in the batch; the boxes
     left open at the last level seed the next pass.  Enclosures, hints and
     verdicts are computed element by element, so a box's outcome does not
@@ -1068,7 +1057,8 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
             mine = tags == z
             for out, mask in zip((verdict, coord, straddles), decide(ev)):
                 np.copyto(out, mask, where=mine)
-        verdict[~ev.ok] = coord[~ev.ok] = 0
+        ok = ev.f.valid & ev.df.valid
+        verdict[~ok] = coord[~ok] = 0
         rows = np.arange(zone.size)  # the batch rows of this depth's boxes
         for level, start in enumerate(starts):
             box, code, axis = batch[:, rows], verdict[rows], coord[rows]
@@ -1085,9 +1075,8 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
                 budget += split
                 kept = open_
             undecided.extend(_leaf(listed[i], "undecided") for i in np.flatnonzero(kept).tolist())
-            ok = ev.ok[rows]
-            domain += int(np.count_nonzero(kept & ~ok))
-            straddle += int(np.count_nonzero(kept & ok & straddles[rows]))
+            domain += int(np.count_nonzero(kept & ~ok[rows]))
+            straddle += int(np.count_nonzero(kept & ok[rows] & straddles[rows]))
             codes = np.bincount(code[~open_ | kept], minlength=len(_VERDICTS))
             for name, n in zip(_VERDICTS, codes.tolist()):
                 by_verdict[name] += n

@@ -105,9 +105,6 @@ class LaurentPoly:
             me[mass - 1] = 1
         return cls({tuple(e): {tuple(me): Fraction(coeff)}})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -469,7 +466,7 @@ class TableReport:
         }
 
 
-def verify_tables(a_exp, table: RayTable | None = None) -> TableReport:
+def verify_tables(a_exp) -> TableReport:
     """Check every table entry against the prevariety membership test.
 
     Every cyclic-orbit member of every ray class must be in the prevariety,
@@ -479,7 +476,7 @@ def verify_tables(a_exp, table: RayTable | None = None) -> TableReport:
     the all-negative ray.
     """
     a_exp = Fraction(a_exp)
-    table = table or load_ray_table()
+    table = load_ray_table()
     system = build_system(a_exp)
     stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
     rays = []

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pentacc.geometry import (
+    Y4_MAX,
     OutOfDomainError,
     branch_radicand,
     collinear_endpoint_y4,
@@ -17,8 +19,8 @@ from pentacc.geometry import (
 )
 import pentacc.intervals as intervals
 from pentacc.intervals import (Box, Interval, IntervalArray, IntervalDomainError, Jet2,
-                               _BoxEval, _VERDICTS, _bisect, _leaf, _stats, _trace,
-                               split_bounds)
+                               _BoxEval, _VERDICTS, _bisect, _leaf, _no_common_zero_decider,
+                               _stats, _trace, split_bounds)
 from pentacc.certify import (
     _mv_eval,
     certify_no_common_zero,
@@ -67,7 +69,6 @@ def test_interval_values_contain_float_samples():
 
 
 def test_out_of_domain_box_rejected():
-    from pentacc.geometry import Y4_MAX
     with pytest.raises(OutOfDomainError):
         eval_F_interval(Box(Interval(Y4_MAX - 1e-3, Y4_MAX + 1e-3),
                             Interval.around(3.0)), "A")
@@ -81,6 +82,21 @@ def test_certificates_refuse_windows_outside_the_domain(window):
         certify_unique_root(window, (2.0, 3.0), "A")
     with pytest.raises(OutOfDomainError):
         certify_no_common_zero(Box(Interval(*window), Interval(2.0, 3.0)), "A")
+
+
+@pytest.mark.parametrize("a_range", [(2.0, math.inf), (math.inf, math.inf), (math.nan, 3.0),
+                                     (2.0, math.nan), (3.0, 2.0), (1.5, 3.0)],
+                         ids=["inf-hi", "inf", "nan-lo", "nan-hi", "inverted", "below-2"])
+def test_certificates_refuse_exponent_ranges(a_range):
+    # F is defined for A >= 2, and an infinite end leaves a seed box that
+    # no split shrinks: before it was refused, no-common-zero over
+    # [0.2, 0.3] x [2, inf] stopped undecided at depth 0.  A Box holds no
+    # NaN, inverted or below-2 exponent range of its own.
+    with pytest.raises(ValueError, match="exponent range"):
+        certify_unique_root(window_for("A", "A2"), a_range, "A")
+    if math.isinf(a_range[1]):
+        with pytest.raises(ValueError, match="exponent range"):
+            certify_no_common_zero(Box(Interval(0.2, 0.3), Interval(*a_range)), "A")
 
 
 def test_unique_root_certificate_vortex_only():
@@ -309,7 +325,8 @@ def _bisect_by_depth(zones, evaluate, max_depth: int, floor: float) -> tuple:
             mine = zone == z
             for out, mask in zip((verdict, coord, straddles), decide(ev)):
                 np.copyto(out, mask, where=mine)
-        verdict[~ev.ok] = coord[~ev.ok] = 0
+        ok = ev.f.valid & ev.df.valid
+        verdict[~ok] = coord[~ok] = 0
         evals.append(int(zone.size))
         rows = bounds.T.tolist()
         for i in np.flatnonzero(verdict).tolist():
@@ -319,8 +336,8 @@ def _bisect_by_depth(zones, evaluate, max_depth: int, floor: float) -> tuple:
         open_ = verdict == 0
         kept = open_ & ((bounds[1] - bounds[0] < floor) | (depth >= max_depth) | stuck)
         undecided.extend(_leaf(rows[i], "undecided") for i in np.flatnonzero(kept).tolist())
-        domain += int(np.count_nonzero(kept & ~ev.ok))
-        straddle += int(np.count_nonzero(kept & ev.ok & straddles))
+        domain += int(np.count_nonzero(kept & ~ok))
+        straddle += int(np.count_nonzero(kept & ok & straddles))
         codes = np.bincount(verdict[~open_ | kept], minlength=len(_VERDICTS))
         for name, n in zip(_VERDICTS, codes.tolist()):
             by_verdict[name] += n
@@ -386,18 +403,17 @@ def checked_bisect(monkeypatch):
 def _never_decided(ylo, yhi, alo, ahi) -> _BoxEval:
     """A box evaluator whose F and dF enclosures always straddle zero."""
     both = IntervalArray(np.full(ylo.size, -1.0), np.full(ylo.size, 1.0))
-    on_y, ok = np.zeros(ylo.size, dtype=int), np.ones(ylo.size, dtype=bool)
-    return _BoxEval(both, both, on_y, on_y, ok)
+    return _BoxEval(both, both)
 
 
 def _never_ok(ylo, yhi, alo, ahi) -> _BoxEval:
-    """A box evaluator that encloses nothing: no box is ``ok``."""
-    ev = _never_decided(ylo, yhi, alo, ahi)
-    return _BoxEval(ev.f, ev.df, ev.hint_f, ev.hint_df, ~ev.ok)
+    """A box evaluator that encloses nothing: every enclosure is NaN."""
+    nan = IntervalArray(np.full(ylo.size, np.nan), np.full(ylo.size, np.nan))
+    return _BoxEval(nan, nan)
 
 
 def _open_decider(ev) -> tuple:
-    n = ev.ok.size
+    n = ev.f.lo.size
     return np.zeros(n, dtype=int), np.ones(n, dtype=int), np.ones(n, dtype=bool)
 
 
@@ -581,11 +597,11 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
         hints[i] = (hint_f, hint_df)
     # the oracle must exercise both outcomes
     assert 0 < failed.sum() < len(boxes) // 2
-    np.testing.assert_array_equal(~ev.ok, failed)
+    ok = ev.f.valid & ev.df.valid
+    np.testing.assert_array_equal(~ok, failed)
     got = np.stack([ev.f.lo, ev.f.hi, ev.df.lo, ev.df.hi], axis=1)
-    np.testing.assert_array_equal(got[ev.ok].view(np.int64), want[ev.ok].view(np.int64))
-    np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ev.ok],
-                                  hints[ev.ok])
+    np.testing.assert_array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
+    np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ok], hints[ok])
     # the plan's center outputs give the bits of F and dF/dy4 of the (y4, A)
     # jet at the box centers run slot by slot over IntervalArray, and the
     # root scan's plan of its natural form those of the jet in y4 over the
@@ -600,14 +616,37 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
     for a_exp in (2.0, 2.5, 3.0, 4.0):
         nat = _natural_eval(ylo, yhi, None, None, branch=branch, a_exp=a_exp)
         jet = F(Jet2.variable_y(y), a_exp, branch)
-        assert 0 < nat.ok.sum() < len(boxes)
-        np.testing.assert_array_equal(nat.ok, jet.v.valid & jet.dy.valid)
+        assert 0 < (nat.f.valid & nat.df.valid).sum() < len(boxes)
         pairs += [(nat.f, jet.v), (nat.df, jet.dy)]
     for planned, by_slot in pairs:
         ok = by_slot.valid
         np.testing.assert_array_equal(planned.valid, ok)
         for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
             np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_boxes_reaching_past_the_domain_end_are_not_evaluable(branch):
+    # no evaluator checks the branch radicand: both plans take its square
+    # root through log, so a box whose radicand enclosure reaches zero has
+    # NaN enclosures of F and dF, and _bisect counts it as not evaluable
+    straddling = [(Y4_MAX - 1e-6, Y4_MAX + 1e-6), (Y4_MAX - 0.1, Y4_MAX + 0.1),
+                  (Y4_MAX, Y4_MAX)]
+    past = [(Y4_MAX + 1e-12, Y4_MAX + 2e-12), (Y4_MAX + 1e-6, Y4_MAX + 0.1), (2.0, 3.0)]
+    ylo, yhi = np.array(straddling + past).T
+    assert (branch_radicand(IntervalArray(ylo, yhi)).lo < 0.0).all()
+    # the certifier's evaluator and the scan guard's
+    for evaluate, alo, ahi in ((partial(_mv_eval, branch=branch), 2.0, 6.0),
+                               (partial(_natural_eval, branch=branch, a_exp=3.0), 3.0, 3.0)):
+        ev = evaluate(ylo, yhi, np.full(ylo.size, alo), np.full(ylo.size, ahi))
+        assert not ev.f.valid.any() and not ev.df.valid.any()
+        seeds = [(lo, hi, alo, ahi) for lo, hi in straddling + past]
+        leaves, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 0, 0.0)
+        assert not leaves and len(undecided) == stats["undecided_domain"] == len(seeds)
+        # the quarters of a box wholly past the end are not evaluable either
+        seeds = [(lo, hi, alo, ahi) for lo, hi in past]
+        leaves, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 2, 0.0)
+        assert not leaves and len(undecided) == stats["undecided_domain"] == 4 * len(seeds)
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
@@ -647,7 +686,7 @@ def test_one_jet_pass_per_frontier(monkeypatch):
     # plan, once over the 50 boxes, a column each
     certify._f_plan.cache_clear()
     ev = _mv_eval(*boxes, "A")
-    assert calls == ["Jet2", "Jet2"] and runs == [50] and ev.ok.size == 50
+    assert calls == ["Jet2", "Jet2"] and runs == [50] and ev.f.lo.size == 50
     ev = _mv_eval(*boxes, "A")
     assert calls == ["Jet2", "Jet2"] and runs == [50, 50]
     # a certificate runs the plan once per pass of its bisection, and a
@@ -677,7 +716,6 @@ def test_column_blocks_cannot_change_a_bit(branch, monkeypatch):
     want = _mv_eval(*boxes, branch)
     monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
     got = _mv_eval(*boxes, branch)
-    np.testing.assert_array_equal(got.ok, want.ok)
     for g, w in ((got.f, want.f), (got.df, want.df)):
         for x, y in ((g.lo, w.lo), (g.hi, w.hi)):
             np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
@@ -699,7 +737,7 @@ def test_box_evaluation_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ev.ok.sum() > 19_000
+    assert (ev.f.valid & ev.df.valid).sum() > 19_000
     assert peak < 32e6
 
 

@@ -270,6 +270,20 @@ def test_isolate_roots_window_validation():
         isolate_roots("A", 3.0, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("a_exp", [math.nan, math.inf, 0.0, 1.99])
+def test_scans_and_exclusions_refuse_exponents_outside_the_rule(a_exp):
+    # the rule of equations.Exponent: finite and at least 2.  Before it was
+    # applied, NaN and inf made every exclusion coefficient NaN and A1, A3
+    # and A5 read as excluded, the scan at NaN found no root, and at A = 0,
+    # where F vanishes identically, it reported every grid node unresolved
+    with pytest.raises(ValueError, match="exponent must be"):
+        isolate_roots("A", a_exp, (0.2, 0.36))
+    with pytest.raises(ValueError, match="exponent must be"):
+        scan_branch("B", a_exp)
+    with pytest.raises(ValueError, match="exponent must be"):
+        exclude_sign_types("A", a_exp)
+
+
 def _suspect_subcells(cell: Interval, branch: str, a_exp: float, depth: int) -> list:
     """The recursive scalar tangency guard, kept as the reference for the
     scan's run on ``intervals._bisect``: subcells where the natural interval
@@ -412,6 +426,22 @@ def test_exclusions_hold_on_grids(branch, a_exp):
     assert {c.sign_type for c in checks} == set(EXCLUDED_TYPES[branch])
     for check in checks:
         assert check.excluded, (check.sign_type, check.counterexamples[:2])
+
+
+def test_a_nan_coefficient_is_a_counterexample(monkeypatch):
+    # a coefficient that is not of the claimed strict sign breaks the
+    # claim, NaN included
+    coeffs = symmetric._exclusion_coeffs
+
+    def with_nan(equation, ys, a_exp, branch):
+        ca, cb = coeffs(equation, ys, a_exp, branch)
+        ca, cb = ca.copy(), cb.copy()
+        ca[7], cb[11] = math.nan, math.nan
+        return ca, cb
+    monkeypatch.setattr(symmetric, "_exclusion_coeffs", with_nan)
+    for check in exclude_sign_types("A", 3.0):
+        (_, ca, _), (_, _, cb) = check.counterexamples
+        assert not check.excluded and math.isnan(ca) and math.isnan(cb)
 
 
 def test_exclusion_equations_match_claims():

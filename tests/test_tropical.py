@@ -523,11 +523,13 @@ def test_table_reports_pinned(a_exp):
                      "witnesses": {}}
 
 
-def test_table_report_stats_count_rejected_weights():
+def test_table_report_stats_count_rejected_weights(monkeypatch):
+    import pentacc.tropical as tropical
     table = load_ray_table()
     single = ((1, 0),) + ((0, 0),) * 5
     bad = dataclasses.replace(table, cones=table.cones + (("bad", (single,)),))
-    report = verify_tables(Fraction(3), table=bad)
+    monkeypatch.setattr(tropical, "load_ray_table", lambda: bad)
+    report = verify_tables(Fraction(3))
     labels = [lab for lab, _ in build_system(Fraction(3))]
     assert report.failures[-1]["entry"] == "bad"
     witness = report.failures[-1]["witness"]
