@@ -11,22 +11,25 @@ boxes with the interval arithmetic from ``intervals``:
   and its derivative never vanish together; root counts cannot change, and
   in particular no root pair is born inside the region.
 
-Bisection runs breadth first, on ``intervals._bisect``.  A certificate
-keeps one frontier of boxes, with the three zones of a unique-root
-certificate in it together, tagged by zone, as numpy columns of box
-bounds.  Each pass evaluates the frontier, together with whole levels of
-its candidate children, by one call of the batched box kernel ``_mv_eval``
-on ``IntervalArray`` operands, and resolves every depth the batch covers:
-decided boxes become leaves, the rest are halved into their candidate
-rows, and the boxes left open at the last level form the next pass's
-frontier.  The kernel runs one traced plan of two jets of F, one column a
-box: the jet in y4 at the box center, whose value and dF/dy4 are the only
-outputs, and the second-order jet in (y4, A) over the whole box.  A box's
-verdict depends only on the box, so the leaves are the ones a depth-first
-bisection finds.  The tangency guard of
-``symmetric.isolate_roots`` runs on the same bisection; its box evaluator
-is the natural form of F and dF/dy4 at the scan's exponent, from a plan of
-F's jet in y4 alone (``symmetric._natural_eval``).
+Both go through one runner, ``_certify``: it runs the bisection, sorts
+its leaves and its undecided boxes, and builds the ``Certificate``, a
+frozen value, in one call.  Bisection runs breadth first, on
+``intervals._bisect``.  A certificate keeps one frontier of boxes, with
+the three zones of a unique-root certificate in it together, tagged by
+zone, as numpy columns of box bounds.  Each pass evaluates the frontier,
+together with whole levels of its candidate children, by one call of the
+batched box kernel ``_mv_eval`` on ``IntervalArray`` operands, and
+resolves every depth the batch covers: decided boxes become leaves, the
+rest are halved into their candidate rows, and the boxes left open at
+the last level form the next pass's frontier.  The kernel runs one
+traced plan of two jets of F, one column a box: the jet in y4 at the box
+center, whose value and dF/dy4 are the only outputs, and the
+second-order jet in (y4, A) over the whole box.  A box's verdict depends
+only on the box, so the leaves are the ones a depth-first bisection
+finds.  The tangency guard of ``symmetric.isolate_roots`` runs on the
+same bisection; its box evaluator is the natural form of F and dF/dy4 at
+the scan's exponent, from a plan of F's jet in y4 alone
+(``symmetric._natural_eval``).
 
 Certificates never assert more than was verified: exhausting the depth
 budget yields an undecided verdict carrying the offending boxes.
@@ -133,9 +136,13 @@ def eval_F_interval(box: Box, branch: str) -> tuple:
     return (Interval(ev.f.lo[0], ev.f.hi[0]), Interval(ev.df.lo[0], ev.df.hi[0]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """Outcome of an adaptive-bisection certification run."""
+    """Outcome of an adaptive-bisection certification run, a frozen value.
+
+    ``_certify`` builds it in one call from one bisection, with its leaves
+    and its undecided boxes each sorted by (y4 lo, A lo, y4 hi, A hi).
+    """
 
     kind: str
     branch: str
@@ -146,11 +153,6 @@ class Certificate:
     undecided: list = field(default_factory=list)
     detail: str = ""
     stats: dict = field(default_factory=_stats)
-
-    def finalize(self) -> "Certificate":
-        self.leaves.sort(key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
-        self.undecided.sort(key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
-        return self
 
     def to_json(self) -> dict:
         return {
@@ -223,6 +225,19 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     return c1, c2, lo_sign
 
 
+def _certify(kind: str, branch: str, window: tuple, a_range: tuple, zones: list,
+             max_depth: int, done: str, missing: str) -> Certificate:
+    """Bisect the zones (``intervals._bisect``) on the branch's box
+    evaluator ``_mv_eval`` and build the certificate, which is certified
+    when no box is left undecided.  Its detail is ``done`` then, and else
+    ``missing`` with ``{n}`` replaced by the count of undecided boxes."""
+    leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch), max_depth, 0.0)
+    order = partial(sorted, key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
+    return Certificate(kind, branch, tuple(window), tuple(a_range), not undecided,
+                       order(leaves), order(undecided),
+                       missing.format(n=len(undecided)) if undecided else done, stats)
+
+
 def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
                         max_depth: int = 60) -> Certificate:
     """Certify that F has exactly one simple zero in the window per exponent.
@@ -237,28 +252,21 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
     _check_request(window, a_range, max_depth)
-    cert = Certificate(kind="unique_root", branch=branch,
-                       window=tuple(window), a_range=tuple(a_range),
-                       certified=False)
     c1, c2, lo_sign = _locate_crossing(window, a_range, branch)
     if lo_sign == 0 or not window[0] < c1 < c2 < window[1]:
-        cert.detail = "no interior sign crossing found to isolate"
-        return cert.finalize()
+        return Certificate("unique_root", branch, tuple(window), tuple(a_range), False,
+                           detail="no interior sign crossing found to isolate")
     want = -lo_sign
-
     zones = [(_sign_decider(quantity, sign), [(lo, hi, a_range[0], a_range[1])])
              for lo, hi, quantity, sign in ((window[0], c1, "F", lo_sign),
                                             (c1, c2, "dF", want),
                                             (c2, window[1], "F", -lo_sign))]
-    cert.leaves, cert.undecided, cert.stats = _bisect(
-        zones, partial(_mv_eval, branch=branch), max_depth, 0.0)
-    cert.certified = not cert.undecided
-    cert.detail = (
+    return _certify(
+        "unique_root", branch, window, a_range, zones, max_depth,
         f"F sign {lo_sign:+d} on [{window[0]:.9g}, {c1:.9g}], strict "
         f"derivative sign {want:+d} on [{c1:.9g}, {c2:.9g}], F sign "
-        f"{-lo_sign:+d} on [{c2:.9g}, {window[1]:.9g}]" if cert.certified
-        else "a zone could not be resolved at the depth cap")
-    return cert.finalize()
+        f"{-lo_sign:+d} on [{c2:.9g}, {window[1]:.9g}]",
+        "a zone could not be resolved at the depth cap")
 
 
 def certify_no_common_zero(region: Box, branch: str = "A",
@@ -271,15 +279,8 @@ def certify_no_common_zero(region: Box, branch: str = "A",
     [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
     finite with 2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
-    _check_request((region.y4.lo, region.y4.hi), (region.a.lo, region.a.hi), max_depth)
-    cert = Certificate(kind="no_common_zero", branch=branch,
-                       window=(region.y4.lo, region.y4.hi),
-                       a_range=(region.a.lo, region.a.hi),
-                       certified=False)
-    cert.leaves, cert.undecided, cert.stats = _bisect(
-        [(_no_common_zero_decider, [region.key()])], partial(_mv_eval, branch=branch),
-        max_depth, 0.0)
-    cert.certified = not cert.undecided
-    cert.detail = ("every leaf excludes zero from F or dF/dy4" if cert.certified
-                   else f"{len(cert.undecided)} undecided boxes remain")
-    return cert.finalize()
+    window, a_range = (region.y4.lo, region.y4.hi), (region.a.lo, region.a.hi)
+    _check_request(window, a_range, max_depth)
+    return _certify("no_common_zero", branch, window, a_range,
+                    [(_no_common_zero_decider, [region.key()])], max_depth,
+                    "every leaf excludes zero from F or dF/dy4", "{n} undecided boxes remain")

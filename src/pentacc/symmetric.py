@@ -226,10 +226,13 @@ class RootRecord:
 
 
 def recover_masses(y4: float, branch: str, a_exp: float):
-    """Kernel masses and wedge-residual norm at a candidate root."""
+    """Kernel masses and wedge-residual norm at a candidate root; no masses
+    where the mass-coefficient matrix is not finite (a power overflowed)."""
     shape = SymmetricShape(y4, branch)
-    kern = mass_kernel(mass_coefficient_matrix(shape, a_exp))
-    if kern.masses is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = mass_coefficient_matrix(shape, a_exp)
+    kern = mass_kernel(matrix) if np.isfinite(matrix).all() else None
+    if kern is None or kern.masses is None:
         return None, False, math.inf
     config = symmetric_coords(shape)
     rep = laura_andoyer(config, kern.masses, a_exp)
@@ -277,10 +280,14 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     sign change at the enclosure ends plus an interval-derivative simplicity
     check.  Grid cells without a sign change that may hide an even-order
     zero go to the certifier's breadth-first bisection, ``intervals._bisect``,
-    which clears the subcells where the interval F or dF/dy4 excludes zero;
-    the rest are reported as unresolved records instead of being guessed at.
-    One INFO line per call on this module's logger gives the guard's seeds,
-    its boxes per depth, its passes, its unresolved cells and its wall time.
+    which clears the subcells where the interval F or dF/dy4 excludes zero.
+    A grid node where F is not finite (above A of about 1000 a power of a
+    distance overflows) has no sign, and neither has an exact zero unless
+    its neighbours have opposite signs: the two cells of such a node join
+    the subcells the guard leaves open, and their merged cells are reported
+    as unresolved records instead of being guessed at.  One INFO line per
+    call on this module's logger gives the guard's seeds, its boxes per
+    depth, its passes, the unresolved cells and its wall time.
     Raises OutOfDomainError when the window is empty (lo == hi) or not
     inside [0, Y4_MAX], and ValueError when the exponent breaks the rule of
     ``equations.Exponent`` (finite and at least 2), or when ``tol`` is not
@@ -295,7 +302,10 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
         raise OutOfDomainError(f"window {window} is not inside the branch domain")
     _check_resolution("tol", tol, hi)
     ys = np.linspace(lo, hi, _ROOT_GRID + 1)
-    vals = np.asarray(F(ys, a_exp, branch), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a node past overflow has no sign
+        vals = np.asarray(F(ys, a_exp, branch), dtype=float)
+    finite = np.isfinite(vals)
+    vals = np.where(finite, vals, 0.0)
     signs = np.sign(vals)
     f = partial(F, a_exp=a_exp, branch=branch)
 
@@ -305,14 +315,14 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
                             certified=_interval_sign_change(enclosure, branch, a_exp))
 
     records = [bracketed(i, i + 1) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
-    # exact zeros landing on grid nodes
+    # a grid node without a sign: an exact zero between opposite signs
+    # brackets a root, and any other leaves its two cells unresolved
+    cells = []
     for i in np.nonzero(signs == 0)[0]:
-        if 0 < i < _ROOT_GRID and signs[i - 1] * signs[i + 1] < 0:
+        if finite[i] and 0 < i < _ROOT_GRID and signs[i - 1] * signs[i + 1] < 0:
             records.append(bracketed(i - 1, i + 1))
         else:
-            j0, j1 = max(i - 1, 0), min(i + 1, _ROOT_GRID)
-            records.append(_make_record((float(ys[j0]), float(ys[j1])), branch,
-                                        a_exp, certified=False, resolved=False))
+            cells.append((float(ys[max(i - 1, 0)]), float(ys[min(i + 1, _ROOT_GRID)])))
 
     # tangency guard: same-sign cells that may hide an even-order zero are
     # screened cheaply, then refined by bisection down to depth 24 or width
@@ -321,7 +331,7 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     seeds = _tangency_seeds(ys, vals, a_exp)
     _, undecided, stats = _bisect([(_no_common_zero_decider, seeds)],
                                   partial(_natural_eval, branch=branch, a_exp=a_exp), 24, 1e-15)
-    cells = _merge_intervals([leaf.y4 for leaf in undecided])
+    cells = _merge_intervals(cells + [leaf.y4 for leaf in undecided])
     log.info("tangency guard on y4 [%r, %r] at A=%r: seeds %d, boxes per depth %s, "
              "passes %d, unresolved cells %d, %.3f s", float(lo), float(hi), a_exp, len(seeds),
              stats["evals_per_depth"], stats["passes"], len(cells),

@@ -1,5 +1,6 @@
 """Interval certification of uniqueness and bifurcation absence."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -141,6 +142,9 @@ def test_unique_root_claims_no_sign_where_F_vanishes_at_the_lower_end(monkeypatc
     assert not cert.certified and not cert.leaves
     assert cert.detail == "no interior sign crossing found to isolate"
     assert cert.stats["passes"] == 0
+    # a certificate is a frozen value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.certified = True
 
 
 def test_no_common_zero_on_convex_window():
@@ -157,6 +161,9 @@ def test_no_common_zero_fails_at_bifurcation():
                                   max_depth=20)
     assert not cert.certified
     assert (len(cert.leaves), len(cert.undecided)) == (767, 65)
+    assert cert.detail == "65 undecided boxes remain"
+    keys = [(l.y4[0], l.a[0], l.y4[1], l.a[1]) for l in cert.undecided]
+    assert keys == sorted(keys)
     assert cert.stats["max_depth"] == 20
     assert (cert.stats["undecided_domain"], cert.stats["undecided_straddle"]) == (0, 65)
     p = regular_pentagon_y4()
@@ -209,6 +216,7 @@ def test_undecided_stats_tell_straddling_from_wrong_sign(monkeypatch):
     monkeypatch.setattr(certify, "_locate_crossing", lambda *args: (s1, s2, lo_sign))
     cert = certify_unique_root(w, (2.0, 3.0), "A", max_depth=8)
     assert not cert.certified
+    assert cert.detail == "a zone could not be resolved at the depth cap"
     assert (len(cert.undecided), cert.stats["undecided_domain"],
             cert.stats["undecided_straddle"]) == (32, 0, 17)
     straddling = 0

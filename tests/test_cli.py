@@ -529,7 +529,8 @@ def test_symmetric_scan_csv_format(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["symmetric-scan", "--A", "2", "--branch", "A",
                  "--format", "csv", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert {r["sign_type"] for r in rows} == {"A2", "A4"}
 
@@ -584,8 +585,8 @@ def test_region_map_grid60_pinned(tmp_path, capsys):
     prefix = str(tmp_path / "regions")
     assert main(["region-map", "--A", "3", "--grid", "60", "--out", prefix]) == 0
     assert capsys.readouterr() == ("", "")
-    csv_bytes = open(prefix + ".csv", "rb").read()
-    svg_bytes = open(prefix + ".svg", "rb").read()
+    csv_bytes = Path(prefix + ".csv").read_bytes()
+    svg_bytes = Path(prefix + ".svg").read_bytes()
     with open(prefix + ".csv", newline="") as fh:
         counts = Counter(row["region"] for row in csv.DictReader(fh))
     assert dict(counts) == GRID60_LABELS
@@ -596,8 +597,8 @@ def test_region_map_grid60_pinned(tmp_path, capsys):
                  "--stats"]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert open(prefix + ".csv", "rb").read() == csv_bytes
-    assert open(prefix + ".svg", "rb").read() == svg_bytes
+    assert Path(prefix + ".csv").read_bytes() == csv_bytes
+    assert Path(prefix + ".svg").read_bytes() == svg_bytes
     lines = captured.err.splitlines()
     for closure in ("plus", "minus"):
         assert (f"pentacc.equations: region labels, {closure} closure: 3600 cells, "

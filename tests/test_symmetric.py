@@ -270,6 +270,92 @@ def test_isolate_roots_window_validation():
         isolate_roots("A", 3.0, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("branch, label, a_exp, top", [
+    ("A", "A2", 1100.0, 0.1585501), ("A", "A2", 2000.0, None), ("B", "B2", 1000.0, None)])
+def test_grid_overflow_leaves_cells_unresolved(branch, label, a_exp, top):
+    # above A of about 1000 a power of a distance overflows on the float
+    # grid and F is NaN or infinite at some nodes (A2 at 1100: 439 of the
+    # 4097, at 2000 all, B2 at 1000: all).  Such a node has no sign: its
+    # cells are unresolved, never read as "no root" and never a warning
+    lo, hi = window_for(branch, label, inset=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(F(np.linspace(lo, hi, 4097), a_exp, branch)).all()
+    [rec] = isolate_roots(branch, a_exp, (lo, hi))
+    assert not (rec.resolved or rec.simple or rec.sign_change_certified)
+    assert rec.masses is None and not rec.positive_masses
+    assert rec.enclosure[0] == lo
+    if top is None:
+        assert rec.enclosure[1] == hi
+    else:
+        assert rec.enclosure[1] == pytest.approx(top, abs=1e-7)
+
+
+def test_grid_below_overflow_keeps_its_roots():
+    records = isolate_roots("A", 1000.0, window_for("A", "A4", inset=1e-9))
+    assert len(records) == 3
+    assert all(r.resolved and r.sign_change_certified for r in records)
+
+
+def test_recover_masses_where_the_matrix_overflows():
+    # the matrix has infinite entries here; no masses, and no warning
+    assert symmetric.recover_masses(0.14, "A", 2000.0) == (None, False, math.inf)
+
+
+def _with_grid_node(monkeypatch, node: int, value: float) -> None:
+    """Make the 4097-point grid call of F return ``value`` at one node; every
+    other call of F passes through."""
+    real = symmetric.F
+
+    def patched(y4, a_exp, branch="A"):
+        out = real(y4, a_exp, branch)
+        if isinstance(y4, np.ndarray) and y4.shape == (4097,):
+            out = np.array(out, dtype=float)
+            out[node] = value
+        return out
+    monkeypatch.setattr(symmetric, "F", patched)
+
+
+def test_exact_zero_node_between_opposite_signs_brackets_the_root(monkeypatch):
+    win = window_for("A", "A2", inset=1e-9)
+    [root] = isolate_roots("A", 2.0, win)
+    ys = np.linspace(*win, 4097)
+    node = int(np.searchsorted(ys, root.y4))  # the first node past the root
+    _with_grid_node(monkeypatch, node, 0.0)
+    [rec] = isolate_roots("A", 2.0, win)
+    assert rec.resolved and rec.simple and rec.sign_change_certified
+    assert ys[node - 1] <= rec.enclosure[0] < rec.enclosure[1] <= ys[node + 1]
+    assert rec.y4 == pytest.approx(root.y4, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+def test_node_without_a_sign_leaves_its_two_cells_unresolved(monkeypatch, caplog, value):
+    # an exact zero whose neighbours share a sign, or a node where F is not
+    # finite, makes one unresolved record over its two cells, in the same
+    # list as the guard's cells; the A2 root stays as it was
+    win = window_for("A", "A2", inset=1e-9)
+    [root] = isolate_roots("A", 2.0, win)
+    ys = np.linspace(*win, 4097)
+    _with_grid_node(monkeypatch, 100, value)
+    with caplog.at_level("INFO", logger="pentacc.symmetric"):
+        records = isolate_roots("A", 2.0, win)
+    assert [r.enclosure for r in records] == [(ys[99], ys[101]), root.enclosure]
+    assert not records[0].resolved and records[1].resolved
+    assert "unresolved cells 1," in caplog.text
+
+
+def test_node_without_a_finite_value_brackets_no_root(monkeypatch):
+    # a NaN node between opposite signs is no sign change: its two cells
+    # are unresolved instead of refined
+    win = window_for("A", "A2", inset=1e-9)
+    [root] = isolate_roots("A", 2.0, win)
+    ys = np.linspace(*win, 4097)
+    node = int(np.searchsorted(ys, root.y4))
+    _with_grid_node(monkeypatch, node, math.nan)
+    [rec] = isolate_roots("A", 2.0, win)
+    assert not rec.resolved
+    assert rec.enclosure == (ys[node - 1], ys[node + 1])
+
+
 @pytest.mark.parametrize("a_exp", [math.nan, math.inf, 0.0, 1.99])
 def test_scans_and_exclusions_refuse_exponents_outside_the_rule(a_exp):
     # the rule of equations.Exponent: finite and at least 2.  Before it was
