@@ -1,7 +1,10 @@
 """Interval certification of root uniqueness and bifurcation absence.
 
 Two certificates are produced, both by adaptive bisection over (y4, A)
-boxes with the interval arithmetic from ``intervals``:
+boxes with the interval arithmetic from ``intervals``.  This module holds
+interval code only: the float strip around the sign crossing, where the
+unique-root certificate asks for a strict derivative sign, comes from
+``symmetric._locate_crossing``.
 
 - unique root: a strict sign change of F at the window ends for every
   exponent leaf, together with an interval derivative that excludes zero
@@ -45,7 +48,7 @@ import numpy as np
 from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
                         _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats, _trace)
-from .symmetric import F
+from .symmetric import F, _locate_crossing
 
 __all__ = [
     "CertLeaf",
@@ -197,41 +200,13 @@ def _sign_decider(quantity: str, sign: int):
     return decide
 
 
-def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
-    """Floating-point bracket of the sign crossing across sampled exponents.
-
-    Returns (c1, c2, lo_sign): a strip containing every sampled root, plus
-    the sign of F at the window's lower end and the least exponent, 0 when
-    F is 0 or NaN there.  Soundness never depends on this estimate; a bad
-    strip only makes certification fail, not lie.
-    """
-    lo, hi = window
-    roots = []
-    lo_sign = None
-    for a_exp in np.linspace(a_range[0], a_range[1], 9):
-        ys = np.linspace(lo, hi, 2049)
-        vals = np.asarray(F(ys, float(a_exp), branch))
-        if lo_sign is None:
-            lo_sign = int(vals[0] > 0) - int(vals[0] < 0)
-        signs = np.sign(vals)
-        idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        roots.extend(float(ys[i]) for i in idx)
-        roots.extend(float(ys[i + 1]) for i in idx)
-    if not roots:
-        return lo, hi, lo_sign
-    margin = 0.08 * (hi - lo)
-    c1 = max(lo, min(roots) - margin)
-    c2 = min(hi, max(roots) + margin)
-    return c1, c2, lo_sign
-
-
 def _certify(kind: str, branch: str, window: tuple, a_range: tuple, zones: list,
              max_depth: int, done: str, missing: str) -> Certificate:
     """Bisect the zones (``intervals._bisect``) on the branch's box
     evaluator ``_mv_eval`` and build the certificate, which is certified
     when no box is left undecided.  Its detail is ``done`` then, and else
     ``missing`` with ``{n}`` replaced by the count of undecided boxes."""
-    leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch), max_depth, 0.0)
+    leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch), max_depth)
     order = partial(sorted, key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
     return Certificate(kind, branch, tuple(window), tuple(a_range), not undecided,
                        order(leaves), order(undecided),

@@ -1010,7 +1010,7 @@ def _look_ahead(frontier: np.ndarray, levels_left: int) -> tuple:
     return np.concatenate(levels, axis=1), starts, ways
 
 
-def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
+def _bisect(zones, evaluate, max_depth: int) -> tuple:
     """Breadth-first adaptive bisection; returns (leaves, undecided, stats).
 
     ``zones`` lists (decide, seeds) pairs: a decider and the
@@ -1026,18 +1026,17 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
     decider says.  The pass then resolves one depth after another.  A box
     with a verdict becomes a leaf carrying it; any other box is split along
     the coordinate, or along y4 when it cannot be evaluated, and is kept as
-    undecided once it sits at ``max_depth``, is narrower than ``floor`` in
-    y4, or cannot be shrunk by a split (a point box, or one whose midpoint
-    rounds to an end).  Once splitting the open boxes of a depth would take
-    the tree past ``_MAX_TREE_BOXES`` boxes, they are all kept as
-    undecided, and the stats count them as ``undecided_budget``.  The
-    halves of a split box are its candidate rows in the batch; the boxes
-    left open at the last level seed the next pass.  Enclosures, hints and
-    verdicts are computed element by element, so a box's outcome does not
-    depend on the rest of its batch: the leaves, the undecided boxes and
-    every stat but ``passes`` and ``evaluated`` are those of one evaluation
-    per depth, and the leaves those of a depth-first bisection, in another
-    order.
+    undecided once it sits at ``max_depth`` or cannot be shrunk by a split
+    (a point box, or one whose midpoint rounds to an end).  Once splitting
+    the open boxes of a depth would take the tree past ``_MAX_TREE_BOXES``
+    boxes, they are all kept as undecided, and the stats count them as
+    ``undecided_budget``.  The halves of a split box are its candidate rows
+    in the batch; the boxes left open at the last level seed the next pass.
+    Enclosures, hints and verdicts are computed element by element, so a
+    box's outcome does not depend on the rest of its batch: the leaves, the
+    undecided boxes and every stat but ``passes`` and ``evaluated`` are
+    those of one evaluation per depth, and the leaves those of a
+    depth-first bisection, in another order.
     """
     leaves, undecided, evals, leaf_depths = [], [], [], []
     by_verdict = dict.fromkeys(_VERDICTS, 0)
@@ -1069,7 +1068,7 @@ def _bisect(zones, evaluate, max_depth: int, floor: float) -> tuple:
             lower, upper = (np.stack(h) for h in split_bounds(*box, axis))
             stuck = (lower == box).all(axis=0) | (upper == box).all(axis=0)
             open_ = code == 0
-            kept = open_ & ((box[1] - box[0] < floor) | (depth >= max_depth) | stuck)
+            kept = open_ & ((depth >= max_depth) | stuck)
             split = int(np.count_nonzero(open_ & ~kept))
             if sum(evals) + 2 * split > _MAX_TREE_BOXES:
                 budget += split

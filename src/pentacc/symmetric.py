@@ -6,6 +6,11 @@ generically (floats, arrays, jets, intervals), isolates its roots per
 sign-type window, recovers masses at each root, checks them against the two
 exact mass polynomials, scans for the root-count bifurcation in A, and
 verifies the grid sign arguments that exclude seven of the ten sign types.
+It also places the float strip around the sign crossing that
+``certify.certify_unique_root`` isolates.  F runs on a float grid in one
+function, ``_grid_signs``: the root scan, the root counts of the
+bifurcation check and that strip read a node's sign as 0 when F is 0 or
+not finite there.
 """
 
 from __future__ import annotations
@@ -302,11 +307,7 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
         raise OutOfDomainError(f"window {window} is not inside the branch domain")
     _check_resolution("tol", tol, hi)
     ys = np.linspace(lo, hi, _ROOT_GRID + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a node past overflow has no sign
-        vals = np.asarray(F(ys, a_exp, branch), dtype=float)
-    finite = np.isfinite(vals)
-    vals = np.where(finite, vals, 0.0)
-    signs = np.sign(vals)
+    vals, signs, finite = _grid_signs(ys, a_exp, branch)
     f = partial(F, a_exp=a_exp, branch=branch)
 
     def bracketed(i, j):  # the root between grid nodes i and j, refined
@@ -325,12 +326,12 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
             cells.append((float(ys[max(i - 1, 0)]), float(ys[min(i + 1, _ROOT_GRID)])))
 
     # tangency guard: same-sign cells that may hide an even-order zero are
-    # screened cheaply, then refined by bisection down to depth 24 or width
-    # 1e-15; only cells where F and dF still both straddle zero are reported
+    # screened cheaply, then refined by bisection down to depth 24; only
+    # cells where F and dF still both straddle zero are reported
     start = time.perf_counter()
     seeds = _tangency_seeds(ys, vals, a_exp)
     _, undecided, stats = _bisect([(_no_common_zero_decider, seeds)],
-                                  partial(_natural_eval, branch=branch, a_exp=a_exp), 24, 1e-15)
+                                  partial(_natural_eval, branch=branch, a_exp=a_exp), 24)
     cells = _merge_intervals(cells + [leaf.y4 for leaf in undecided])
     log.info("tangency guard on y4 [%r, %r] at A=%r: seeds %d, boxes per depth %s, "
              "passes %d, unresolved cells %d, %.3f s", float(lo), float(hi), a_exp, len(seeds),
@@ -341,6 +342,19 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
                                     certified=False, resolved=False))
     records.sort(key=lambda r: r.enclosure[0])
     return records
+
+
+def _grid_signs(ys, a_exp: float, branch: str) -> tuple:
+    """F on a float grid of y4 and the sign of each node: (vals, signs,
+    finite).  The one place F runs on a float grid.  Above A of about 1000
+    a power of a distance overflows and F is inf or NaN at some nodes; such
+    a node has value and sign 0 and ``finite`` False, so a sign is 0 when
+    F is 0 or not finite there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(F(ys, a_exp, branch), dtype=float)
+    finite = np.isfinite(vals)
+    vals = np.where(finite, vals, 0.0)
+    return vals, np.sign(vals), finite
 
 
 def _tangency_seeds(ys, vals, a_exp: float) -> list:
@@ -396,6 +410,30 @@ def _merge_intervals(cells: list) -> list:
         else:
             merged.append((lo, hi))
     return merged
+
+
+def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
+    """Floating-point bracket of the sign crossing across sampled exponents,
+    the strip around which ``certify.certify_unique_root`` sets its zones.
+
+    Returns (c1, c2, lo_sign): a strip containing every sampled root, plus
+    the sign of F at the window's lower end and the least exponent, 0 when
+    F is 0 or not finite there (``_grid_signs``).  Soundness never depends
+    on this estimate; a bad strip only makes certification fail, not lie.
+    """
+    lo, hi = window
+    ys = np.linspace(lo, hi, 2049)
+    signs = [_grid_signs(ys, float(a_exp), branch)[1]
+             for a_exp in np.linspace(a_range[0], a_range[1], 9)]
+    lo_sign = int(signs[0][0])
+    # the grid cells with a sign change at some sampled exponent
+    crossed = np.flatnonzero(np.any([s[:-1] * s[1:] < 0 for s in signs], axis=0))
+    if not crossed.size:
+        return lo, hi, lo_sign
+    margin = 0.08 * (hi - lo)
+    c1 = max(lo, float(ys[crossed[0]]) - margin)
+    c2 = min(hi, float(ys[crossed[-1] + 1]) + margin)
+    return c1, c2, lo_sign
 
 
 def scan_branch(branch: str, a_exp: float, tol: float = 1e-12) -> list:
@@ -466,10 +504,10 @@ def _a4_root_count(a_exp: float) -> int:
     offs = np.geomspace(_PENTAGON_EPS, min(p - lo, hi - p) - 1e-9, 120)
     ys = np.concatenate([np.linspace(lo, hi, 3001), p - offs, p + offs])
     ys = np.sort(ys[(ys > lo) & (ys < hi)])
-    vals = F(ys, a_exp, "A")
+    signs = _grid_signs(ys, a_exp, "A")[1]
     count = 0
     for side in (ys < p - 0.5 * _PENTAGON_EPS, ys > p + 0.5 * _PENTAGON_EPS):
-        s = np.sign(vals[side])
+        s = signs[side]
         count += int(np.sum(s[:-1] * s[1:] < 0))
     return count
 
@@ -548,7 +586,9 @@ def exclude_sign_types(branch: str, a_exp: float) -> list:
     coefficients of the claimed strict sign at each of ``_EXCLUSION_GRID``
     interior grid points, which rules out any positive-mass kernel there;
     a coefficient that is not of that sign, NaN included, is a
-    counterexample.  An exponent that breaks the rule of
+    counterexample.  Each coefficient is one product, +-(1 - R) times a
+    signed area, so where a power of a distance overflows it is +-inf of
+    the sign it has near there.  An exponent that breaks the rule of
     ``equations.Exponent`` (finite and at least 2) raises ValueError.
     """
     a_exp = Exponent(a_exp).value
@@ -559,7 +599,8 @@ def exclude_sign_types(branch: str, a_exp: float) -> list:
         equation, sign = claim
         lo, hi = window_for(branch, label)
         ys = np.linspace(lo, hi, _EXCLUSION_GRID + 2)[1:-1]
-        ca, cb = _exclusion_coeffs(equation, ys, a_exp, branch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ca, cb = _exclusion_coeffs(equation, ys, a_exp, branch)
         bad = np.nonzero(~((sign * ca > 0.0) & (sign * cb > 0.0)))[0]
         counterexamples = tuple(
             (float(ys[i]), float(ca[i]), float(cb[i])) for i in bad[:10])

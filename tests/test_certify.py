@@ -23,6 +23,7 @@ from pentacc.intervals import (Box, Interval, IntervalArray, IntervalDomainError
                                _BoxEval, _VERDICTS, _bisect, _leaf, _no_common_zero_decider,
                                _stats, _trace, split_bounds)
 from pentacc.certify import (
+    Certificate,
     _mv_eval,
     certify_no_common_zero,
     certify_unique_root,
@@ -126,9 +127,11 @@ def test_unique_root_requires_a_crossing():
 
 
 def test_unique_root_claims_no_sign_where_F_vanishes_at_the_lower_end(monkeypatch):
-    # F = 0 (or NaN) at the window's lower end gives no sign to claim for
-    # the first zone: the certifier reports that at once, and bisects nothing
+    # F = 0 (or not finite) at the window's lower end gives no sign to claim
+    # for the first zone: the certifier reports that at once, and bisects
+    # nothing.  The strip's grid of F runs in symmetric
     import pentacc.certify as certify
+    import pentacc.symmetric as symmetric
 
     def zero_at_lower_end(y4, *args, **kwargs):
         out = F(y4, *args, **kwargs)
@@ -136,7 +139,7 @@ def test_unique_root_claims_no_sign_where_F_vanishes_at_the_lower_end(monkeypatc
             out = out.copy()
             out[0] = 0.0
         return out
-    monkeypatch.setattr(certify, "F", zero_at_lower_end)
+    monkeypatch.setattr(symmetric, "F", zero_at_lower_end)
     assert certify._locate_crossing(window_for("A", "A2"), (2.0, 3.0), "A")[2] == 0
     cert = certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A")
     assert not cert.certified and not cert.leaves
@@ -145,6 +148,19 @@ def test_unique_root_claims_no_sign_where_F_vanishes_at_the_lower_end(monkeypatc
     # a certificate is a frozen value
     with pytest.raises(dataclasses.FrozenInstanceError):
         cert.certified = True
+
+
+@pytest.mark.parametrize("a_range", [(1000.0, 1100.0), (2.0, 2000.0)])
+def test_unique_root_where_F_overflows_on_the_strip_grid(a_range):
+    # above A of about 1000 a power of a distance overflows on the strip's
+    # float grid: a node where F is not finite has no sign, and no warning
+    # is raised.  The sampled crossings reach the window's lower end, so
+    # there is no interior strip to certify around
+    w = window_for("A", "A2")
+    cert = certify_unique_root(w, a_range, "A")
+    assert cert.to_json() == Certificate(
+        "unique_root", "A", w, a_range, False,
+        detail="no interior sign crossing found to isolate").to_json()
 
 
 def test_no_common_zero_on_convex_window():
@@ -316,7 +332,7 @@ def test_stats_record_where_the_leaves_lie():
     assert sum(cert.stats["leaf_depths"]) == len(cert.leaves) + len(cert.undecided)
 
 
-def _bisect_by_depth(zones, evaluate, max_depth: int, floor: float) -> tuple:
+def _bisect_by_depth(zones, evaluate, max_depth: int) -> tuple:
     """The reference for ``intervals._bisect``: the same bisection, with one
     ``evaluate`` call and one call of each decider per depth, on that
     depth's frontier alone.  Its stats count one pass per depth."""
@@ -342,7 +358,7 @@ def _bisect_by_depth(zones, evaluate, max_depth: int, floor: float) -> tuple:
         lower, upper = (np.stack(h) for h in split_bounds(*bounds, coord))
         stuck = (lower == bounds).all(axis=0) | (upper == bounds).all(axis=0)
         open_ = verdict == 0
-        kept = open_ & ((bounds[1] - bounds[0] < floor) | (depth >= max_depth) | stuck)
+        kept = open_ & ((depth >= max_depth) | stuck)
         undecided.extend(_leaf(rows[i], "undecided") for i in np.flatnonzero(kept).tolist())
         domain += int(np.count_nonzero(kept & ~ok))
         straddle += int(np.count_nonzero(kept & ok & straddles))
@@ -387,13 +403,13 @@ def checked_bisect(monkeypatch):
             return fn(*args)
         return wrapped
 
-    def run(zones, evaluate, max_depth: int, floor: float) -> tuple:
+    def run(zones, evaluate, max_depth: int) -> tuple:
         batches.clear()
         calls = []
         got = _bisect([(counted(calls, z, decide), seeds)
                        for z, (decide, seeds) in enumerate(zones)],
-                      counted(calls, "evaluate", evaluate), max_depth, floor)
-        want = _bisect_by_depth(zones, evaluate, max_depth, floor)
+                      counted(calls, "evaluate", evaluate), max_depth)
+        want = _bisect_by_depth(zones, evaluate, max_depth)
         for mine, ref in zip(got[:2], want[:2]):
             assert sorted(mine, key=_leaf_order) == sorted(ref, key=_leaf_order)
         stats, ref = dict(got[2]), dict(want[2])
@@ -425,39 +441,39 @@ def _open_decider(ev) -> tuple:
     return np.zeros(n, dtype=int), np.ones(n, dtype=int), np.ones(n, dtype=bool)
 
 
-def test_bisect_width_floor_depth_cap_and_one_decider_call_per_pass(checked_bisect):
-    # y4 width 2**-45 falls below the floor 1e-15 after 5 halvings (2**-50),
-    # so the floor stops the split before the depth cap of 8; the boxes have
-    # no A-width, so each box has two candidates, and one pass of
-    # 1 + 2 + ... + 64 rows covers every depth
-    seed = (0.5, 0.5 + 2.0 ** -45, 3.0, 3.0)
-    leaves, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided,
-                                              8, 1e-15)
+def test_bisect_stuck_boxes_depth_cap_and_one_decider_call_per_pass(checked_bisect):
+    # y4 width 2**-48 at 0.5 is 32 float spacings (2**-53): after 5 halvings
+    # a box is one spacing wide, its midpoint rounds to an end, and no split
+    # can shrink it, so it stays undecided before the depth cap of 8; the
+    # boxes have no A-width, so each box has two candidates, and one pass of
+    # 1 + 2 + ... + 32 rows covers every depth: the look-ahead builds no
+    # children that could not shrink
+    seed = (0.5, 0.5 + 2.0 ** -48, 3.0, 3.0)
+    leaves, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided, 8)
     assert not leaves and len(undecided) == 2 ** 5
     assert stats["evals_per_depth"] == [2 ** d for d in range(6)]
     assert stats["max_depth"] == 5 and stats["undecided_straddle"] == 2 ** 5
-    assert all(l.y4[1] - l.y4[0] == 2.0 ** -50 and l.a == (3.0, 3.0) for l in undecided)
+    assert all(l.y4[1] - l.y4[0] == 2.0 ** -53 and l.a == (3.0, 3.0) for l in undecided)
     assert sorted(l.y4 for l in undecided)[0][0] == seed[0]
-    assert stats["passes"] == 1 and checked_bisect.rows == [127]
-    # a cap below 5 holds: the boxes stop at the cap, still above the floor,
+    assert stats["passes"] == 1 and checked_bisect.rows == [63]
+    # a cap below 5 holds: the boxes stop at the cap, still able to shrink,
     # and the look-ahead stops there too
-    _, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided,
-                                         3, 1e-15)
+    _, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided, 3)
     assert len(undecided) == 2 ** 3 and stats["max_depth"] == 3
-    assert all(l.y4[1] - l.y4[0] == 2.0 ** -48 for l in undecided)
+    assert all(l.y4[1] - l.y4[0] == 2.0 ** -51 for l in undecided)
     assert checked_bisect.rows == [15]
-    # two zones with A-width, floor 0: four candidates a box; each decider
+    # two zones with A-width: four candidates a box; each decider
     # runs once per pass, whatever the number of boxes in its zone, and a
     # frontier larger than the row count is evaluated alone
     zones = [(_open_decider, [(0.0, 1.0, 2.0, 3.0)]),
              (_open_decider, [(1.0, 2.0, 2.0, 3.0), (2.0, 3.0, 2.0, 3.0)])]
-    _, undecided, stats = checked_bisect(zones, _never_decided, 6, 0.0)
+    _, undecided, stats = checked_bisect(zones, _never_decided, 6)
     assert len(undecided) == 3 * 2 ** 6
     assert stats["evals_per_depth"] == [3 * 2 ** d for d in range(7)]
     assert checked_bisect.rows == [3 + 12 + 48, 24 + 96, 96, 192]
     # nothing evaluates: every box is split along y4 down to the cap and
     # counted as not evaluable
-    _, undecided, stats = checked_bisect(zones, _never_ok, 5, 0.0)
+    _, undecided, stats = checked_bisect(zones, _never_ok, 5)
     assert len(undecided) == stats["undecided_domain"] == 3 * 2 ** 5
     assert all(l.y4[1] - l.y4[0] == 2.0 ** -5 and l.a[1] - l.a[0] == 1.0 for l in undecided)
     assert checked_bisect.rows == [63, 120, 96]
@@ -469,8 +485,7 @@ def test_bisect_width_floor_depth_cap_and_one_decider_call_per_pass(checked_bise
     (0.5, 0.5, 3.0, 3.0),                        # a point
 ], ids=["y4-ulp", "A-ulp", "point"])
 def test_a_box_no_split_can_shrink_stays_undecided(seed, checked_bisect):
-    leaves, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided,
-                                              8, 0.0)
+    leaves, undecided, stats = checked_bisect([(_open_decider, [seed])], _never_decided, 8)
     assert not leaves and [l.y4 + l.a for l in undecided] == [seed]
     assert stats["evals_per_depth"] == [1] and stats["undecided_straddle"] == 1
     # the look-ahead builds no children that could not shrink
@@ -496,7 +511,7 @@ def test_the_tree_box_budget_keeps_the_open_boxes_undecided(monkeypatch):
     # splitting the 8 open boxes would make 31
     monkeypatch.setattr(intervals, "_MAX_TREE_BOXES", 20)
     leaves, undecided, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])],
-                                       _never_decided, 60, 0.0)
+                                       _never_decided, 60)
     assert not leaves and len(undecided) == stats["undecided_budget"] == 8
     assert stats["evals_per_depth"] == [1, 2, 4, 8] and stats["box_evals"] == 15
     assert stats["leaf_depths"] == [0, 0, 0, 8] and stats["undecided_straddle"] == 8
@@ -504,10 +519,10 @@ def test_the_tree_box_budget_keeps_the_open_boxes_undecided(monkeypatch):
     # a budget of exactly 31 lets that split happen
     monkeypatch.setattr(intervals, "_MAX_TREE_BOXES", 31)
     _, undecided, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])],
-                                  _never_decided, 60, 0.0)
+                                  _never_decided, 60)
     assert len(undecided) == stats["undecided_budget"] == 16 and stats["box_evals"] == 31
     # a bisection within the budget has no such field
-    _, _, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])], _never_decided, 3, 0.0)
+    _, _, stats = _bisect([(_open_decider, [(0.0, 1.0, 2.0, 3.0)])], _never_decided, 3)
     assert "undecided_budget" not in stats and stats["box_evals"] == 15
 
 
@@ -525,17 +540,17 @@ def test_look_ahead_matches_by_depth_on_the_scan_guard(branch, a_exp, runs,
     import pentacc.symmetric as symmetric
     guards = []
 
-    def record(zones, evaluate, max_depth, floor):
-        guards.append((zones, evaluate, max_depth, floor))
+    def record(zones, evaluate, max_depth):
+        guards.append((zones, evaluate, max_depth))
         return [], [], _stats()
     monkeypatch.setattr(symmetric, "_bisect", record)
     scan_branch(branch, a_exp)
     # one guard per window with seeds; (passes, depths) at the scan's cap
     got = []
-    for zones, evaluate, max_depth, floor in guards:
-        assert (max_depth, floor) == (24, 1e-15)
+    for zones, evaluate, max_depth in guards:
+        assert max_depth == 24
         for cap in range(max_depth + 1):
-            stats = checked_bisect(zones, evaluate, cap, floor)[2]
+            stats = checked_bisect(zones, evaluate, cap)[2]
         got.append((stats["passes"], len(stats["evals_per_depth"])))
     assert got == runs
 
@@ -649,11 +664,11 @@ def test_boxes_reaching_past_the_domain_end_are_not_evaluable(branch):
         ev = evaluate(ylo, yhi, np.full(ylo.size, alo), np.full(ylo.size, ahi))
         assert not ev.f.valid.any() and not ev.df.valid.any()
         seeds = [(lo, hi, alo, ahi) for lo, hi in straddling + past]
-        leaves, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 0, 0.0)
+        leaves, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 0)
         assert not leaves and len(undecided) == stats["undecided_domain"] == len(seeds)
         # the quarters of a box wholly past the end are not evaluable either
         seeds = [(lo, hi, alo, ahi) for lo, hi in past]
-        leaves, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 2, 0.0)
+        leaves, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 2)
         assert not leaves and len(undecided) == stats["undecided_domain"] == 4 * len(seeds)
 
 

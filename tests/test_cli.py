@@ -162,6 +162,11 @@ def test_certify_unique_root_exit_codes(tmp_path, capsys):
     prefix = "pentacc: certificate stats: "
     assert captured.err.startswith(prefix)
     assert json.loads(captured.err[len(prefix):]) == cert["stats"]
+    # at A in [1000, 1100] F overflows on part of the strip's grid and no
+    # interior crossing is found: exit 2, and no warning on stderr
+    assert main(["certify", "--window", "a2", "--A-range", "1000,1100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["certified"] is False
 
 
 def test_certify_undecided_exit_code(tmp_path):
