@@ -27,11 +27,13 @@ rest are halved into their candidate rows, and the boxes left open at
 the last level form the next pass's frontier.  The kernel runs one
 traced plan of two jets of F, one column a box: the jet in y4 at the box
 center, whose value and dF/dy4 are the only outputs, and the
-second-order jet in (y4, A) over the whole box.  A box's verdict depends
-only on the box, so the leaves are the ones a depth-first bisection
-finds.  The tangency guard of ``symmetric.isolate_roots`` runs on the
-same bisection; its box evaluator is the natural form of F and dF/dy4 at
-the scan's exponent, from a plan of F's jet in y4 alone
+second-order jet in (y4, A) over the whole box.  The plan's calls that
+read y4 alone run once per distinct y4 interval of a pass, so the two
+halves of a box split along A share them.  A box's verdict depends only
+on the box, so the leaves are the ones a depth-first bisection finds.
+The tangency guard of ``symmetric.isolate_roots`` runs on the same
+bisection; its box evaluator is the natural form of F and dF/dy4 at the
+scan's exponent, from a plan of F's jet in y4 alone
 (``symmetric._natural_eval``).
 
 Certificates never assert more than was verified: exhausting the depth
@@ -69,17 +71,22 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
 
 @lru_cache(maxsize=None)
 def _f_plan(branch: str):
-    """F's jets on one branch, traced once into one plan over four rows: the
-    box centers' y4 and A, then the whole boxes' (``intervals._trace``).
-    The centers get the jet in y4 at their exponent, with only the value
-    and dF/dy4 as outputs, and the whole boxes the second-order jet in
-    (y4, A) with all five slots.  The two traces' calls of one kind at one
-    depth stack into one kernel call, so the centers add no call."""
-    def jets(yc, ac, y, a):
-        center = F(Jet2.variable_y(yc), branch=branch, a_exp=Jet2(ac))
-        whole = F(Jet2.variable_y(y), branch=branch, a_exp=Jet2.variable_a(a))
-        return center.v, center.dy, *Jet2._parts(whole)
-    return _trace(jets, 4)
+    """F's jets on one branch (``_f_jets``), traced once into one plan over
+    four rows: the box centers' y4 and A, then the whole boxes'
+    (``intervals._trace``).  The two traces' calls of one kind at one
+    depth stack into one kernel call, so the centers add no call.  Rows 0
+    and 2 hold y4: the calls that read them alone form the plan's first
+    stage, which runs once per distinct y4 column."""
+    return _trace(partial(_f_jets, branch=branch), 4, y4=(0, 2))
+
+
+def _f_jets(yc, ac, y, a, branch: str) -> tuple:
+    """The outputs of ``_f_plan``: the centers get the jet in y4 at their
+    exponent, with only the value and dF/dy4 as outputs, and the whole
+    boxes the second-order jet in (y4, A) with all five slots."""
+    center = F(Jet2.variable_y(yc), branch=branch, a_exp=Jet2(ac))
+    whole = F(Jet2.variable_y(y), branch=branch, a_exp=Jet2.variable_a(a))
+    return center.v, center.dy, *Jet2._parts(whole)
 
 
 def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:

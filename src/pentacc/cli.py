@@ -300,6 +300,8 @@ def _finite_numbers(value, depth: int) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+# r**(-A) may overflow at a large exponent: the residuals are checked instead
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_evaluate(args) -> int:
     try:
         with open(args.config) as fh:
@@ -348,6 +350,9 @@ def cmd_evaluate(args) -> int:
         _write(payload, args.out)
         return EXIT_INPUT
     # NaN and infinities are not JSON: an overflowing residual is an input error
+    if not all(math.isfinite(v) for r in reports for v in r["residuals"].values()):
+        raise ValueError(f"the residuals are not finite at A = {a_exp:g}: "
+                         "a power of a distance overflows")
     _write(json.dumps({"reports": reports}, indent=1, allow_nan=False), args.out)
     return EXIT_OK
 

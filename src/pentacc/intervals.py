@@ -32,17 +32,23 @@ depth, of every jet traced into it, as one call on stacked rows, under one
 np.errstate, with the operators' bodies (``_quiet``).  Only the calls that
 an output reads run.  A run takes the columns, one a box, in blocks of a
 fixed width and reuses the rows of values no later call reads, so its
-memory does not grow with the frontier.  This is tape-based forward
-differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
-2008) on interval enclosures.  Each array operation repeats the scalar
-formula element by element, with the outward step of math.nextafter, and
-reproduces the Interval bounds bit for bit; where Interval raises, the
-element turns NaN instead.  sqrt uses np.sqrt, which is correctly rounded
-like math.sqrt.  exp, log and integer powers call libm (math.exp, math.log,
-float **) once per element, never np.exp, np.log or np.power: numpy's SIMD
-kernels differ from libm on about 4.6 % of exp arguments in [-30, 30],
-5.3 % of power(x, -3) arguments in [0.05, 3] and 0.05 % of log arguments
-in [1e-5, 1e5] (200k float64 samples each, numpy 2.4 on an AVX-512 Xeon).
+memory does not grow with the frontier.  The certifier's plan names its
+input rows of y4: the calls that read y4 alone (the geometry, every log
+and integer power, 15 of 21 exp rows) form a first stage, which a run
+makes once per distinct y4 column of a block before it copies their rows
+out to every column.  The two halves of a box split along A share its
+y4, so the passes of the B2 certificate have a sixth as many y4 columns
+as boxes.  This is tape-based forward differentiation (A. Griewank and
+A. Walther, *Evaluating Derivatives*, 2008) on interval enclosures.  Each
+array operation repeats the scalar formula element by element, with the
+outward step of math.nextafter, and reproduces the Interval bounds bit
+for bit; where Interval raises, the element turns NaN instead.  sqrt uses
+np.sqrt, which is correctly rounded like math.sqrt.  exp, log and integer
+powers call libm (math.exp, math.log, float **) once per element, never
+np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
+4.6 % of exp arguments in [-30, 30], 5.3 % of power(x, -3) arguments in
+[0.05, 3] and 0.05 % of log arguments in [1e-5, 1e5] (200k float64
+samples each, numpy 2.4 on an AVX-512 Xeon).
 That would break the bit-identity with the scalar path and the libm error
 bound behind the one- and two-ulp padding.  ``_libm`` is the package's one
 gate to libm for arrays: these three kernels send both bounds through it in
@@ -623,8 +629,9 @@ _KERNELS = {
 
 def _rows(regs: list):
     """Register rows as a slice when they are consecutive, else an index array."""
-    if regs == list(range(regs[0], regs[0] + len(regs))):
-        return slice(regs[0], regs[0] + len(regs))
+    start = regs[0] if regs else 0
+    if regs == list(range(start, start + len(regs))):
+        return slice(start, start + len(regs))
     return np.array(regs, dtype=np.intp)
 
 
@@ -662,17 +669,30 @@ class _Trace:
             self.ops.append(key)
         return self.memo[key]
 
-    def compile(self, outputs) -> "_Plan":
-        """The plan that computes ``outputs``, rows or numbers: one stacked
-        kernel call for the needed calls of each (depth, kind, parameter),
-        by depth.  A call depends only on its operands, so the order of
-        independent calls cannot change a bit.  A row is given back once
-        the last step that reads it has run, and each step's results take
-        the lowest run of free rows; no step writes a row it reads."""
+    def compile(self, outputs, y4=()) -> "_Plan":
+        """The plan that computes ``outputs``, rows or numbers, in two stages.
+
+        Stage 1 holds the needed calls that read only the input rows ``y4``,
+        number operands and other stage-1 calls, so that they read y4
+        alone; stage 2 holds the rest.  Each stage makes one stacked kernel
+        call for its needed calls of each (depth, kind, parameter), by
+        depth.  Between the two, one expand step copies the stage-1 rows
+        that stage 2 or the outputs read to new rows, so that a stage-2
+        call's depth counts from the expand.  A call depends only on its
+        operands, so the order of independent calls cannot change a bit.
+        A row is given back once the last step that reads it has run, and
+        each step's results take the lowest run of free rows; no step
+        writes a row it reads."""
         outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
         depth = {}
+        early = {("in", i) for i in y4}  # the registers of stage 1
         for k, (_, _, regs) in enumerate(self.ops):
-            depth[("op", k)] = 1 + max(depth.get(r, 0) for r in regs)
+            late = not all(r in early or r[0] == "const" for r in regs)
+            if not late:
+                early.add(("op", k))
+            # the expand readies every stage-1 row at once
+            depth[("op", k)] = 1 + max(0 if late and r in early else depth.get(r, 0)
+                                       for r in regs)
         need, todo = set(), list(outs)
         while todo:
             reg = todo.pop()
@@ -680,57 +700,91 @@ class _Trace:
                 need.add(reg)
                 todo.extend(self.ops[reg[1]][2])
         groups = {}
-        for reg in sorted(need, key=lambda r: (depth[r], r[1])):
+        for reg in sorted(need, key=lambda r: (r not in early, depth[r], r[1])):
             kind, param, _ = self.ops[reg[1]]
-            groups.setdefault((depth[reg], kind, param), []).append(reg)
+            groups.setdefault((reg not in early, depth[reg], kind, param), []).append(reg)
+        # step `split` is the expand, between the groups of the two stages
+        items = list(groups.items())
+        split = sum(not late for (late, *_), _ in items)
+        live = {a for _, regs in items[split:] for reg in regs
+                for a in self.ops[reg[1]][2] if a in early}
+        live.update(o for o in outs if o in early)
+        items.insert(split, (None, live))
         last = {}  # the step that reads a register last; the outputs are read at the end
-        for s, regs in enumerate(groups.values()):
-            for reg in regs:
-                last.update(dict.fromkeys(self.ops[reg[1]][2], s))
-        last.update(dict.fromkeys(outs, len(groups)))
+        for s, (key, regs) in enumerate(items):
+            if key is not None:
+                for reg in regs:
+                    last.update(dict.fromkeys(self.ops[reg[1]][2], s))
+        last.update(dict.fromkeys(outs, len(items)))
         row = {("in", i): i for i in range(self.inputs)}
         row.update((c, self.inputs + c[1]) for c in self.consts.values())
         free = {r for reg, r in row.items() if reg not in last}
-        size, steps = len(row), []
-        for s, ((_, kind, param), regs) in enumerate(groups.items()):
+        size, stages = len(row), ([], [])
+        for s, (key, regs) in enumerate(items):
             start = _lowest_run(free, size, len(regs))
             stop = start + len(regs)
             free.difference_update(range(start, stop))
             size = max(size, stop)
+            if key is None:
+                regs = sorted(regs, key=row.get)
+                src = [row[a] for a in regs]
+                expand = (_rows(src), start, stop)
+                free.update(src)
+            else:
+                late, _, kind, param = key
+                args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
+                stages[late].append((_KERNELS[kind], () if param is None else (param,),
+                                     start, stop,
+                                     *(_rows([row[a] for a in col]) for col in args)))
+                free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
-            args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-            steps.append((_KERNELS[kind], () if param is None else (param,), start, stop,
-                          *(_rows([row[a] for a in col]) for col in args)))
-            free.update(row[a] for col in args for a in col if last[a] == s)
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        return _Plan(size, self.inputs, consts, steps, [row[o] for o in outs])
+        return _Plan(size, self.inputs, consts, list(y4), *stages, expand,
+                     [row[o] for o in outs])
 
 
-def _trace(fn, inputs: int) -> "_Plan":
+def _trace(fn, inputs: int, y4=()) -> "_Plan":
     """Run ``fn`` once on ``inputs`` traced rows and compile the kernel calls
-    of the rows and numbers it returns into one plan.  ``fn`` is the scalar
-    formula, unchanged: on a ``Jet2`` of rows, a float constant or a
+    of the rows and numbers it returns into one plan, whose first stage
+    holds the calls that read the input rows ``y4`` alone.  ``fn`` is the
+    scalar formula, unchanged: on a ``Jet2`` of rows, a float constant or a
     structural zero stays a float and runs no kernel."""
     trace = _Trace(inputs)
-    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))))
+    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4)
+
+
+def _run_steps(steps, reg_lo, reg_hi) -> None:
+    """Run stacked kernel calls on the columns of a register file."""
+    for kernel, param, start, stop, *args in steps:
+        r = kernel(*(IntervalArray._of(reg_lo[a], reg_hi[a]) for a in args), *param)
+        reg_lo[start:stop] = r.lo
+        reg_hi[start:stop] = r.hi
 
 
 class _Plan:
     """A traced formula: a register file of ``size`` rows holds the input
     rows, the number operands as point rows, and the results of the
-    stacked kernel calls of ``steps``, which reuse the rows of results no
-    later step reads; ``out`` lists the rows of the outputs.
+    stacked kernel calls of ``stage1`` and ``steps``, which reuse the rows
+    of results no later step reads; ``out`` lists the rows of the outputs.
+    The calls of ``stage1`` read the input rows ``y4`` alone; ``expand``
+    names the rows of theirs that ``steps`` or the outputs read, as
+    (source rows, first and end row of the copies).
 
     ``run`` takes the input IntervalArrays, all of one length, and returns
     one new IntervalArray per output.  It processes the columns in blocks
     of 2 * ``_PASS_ROWS``, the boxes of two full bisection passes, so the
-    register file stays small whatever the number of columns."""
+    register file stays small whatever the number of columns.  In each
+    block it runs ``stage1`` once per distinct column of the ``y4`` rows,
+    keyed by the bits of their bounds, copies the rows of ``expand`` out to
+    every column, and runs ``steps`` on every column.  Each element is
+    computed by the same kernel from the same operand bits as without a
+    first stage.  A plan without ``y4`` rows has no first stage."""
 
-    __slots__ = ("size", "inputs", "consts", "steps", "out")
+    __slots__ = ("size", "inputs", "consts", "y4", "stage1", "steps", "expand", "out")
 
-    def __init__(self, size, inputs, consts, steps, out):
-        self.size, self.inputs, self.consts, self.steps, self.out = (
-            size, inputs, consts, steps, out)
+    def __init__(self, size, inputs, consts, y4, stage1, steps, expand, out):
+        self.size, self.inputs, self.consts, self.y4 = size, inputs, consts, y4
+        self.stage1, self.steps, self.expand, self.out = stage1, steps, expand, out
 
     def run(self, *inputs: IntervalArray) -> list:
         n = inputs[0].lo.shape[0]
@@ -738,22 +792,30 @@ class _Plan:
         lo, hi = np.empty((self.size, width)), np.empty((self.size, width))
         out = [(np.empty(n), np.empty(n)) for _ in self.out]
         const_rows = slice(self.inputs, self.inputs + self.consts.size)
+        y4, (src, start, stop) = self.y4, self.expand
         with np.errstate(all="ignore"):
             for c0 in range(0, n, width):
                 cols = slice(c0, c0 + width)
                 m = min(width, n - c0)
-                reg_lo, reg_hi = lo[:, :m], hi[:, :m]
                 for i, x in enumerate(inputs):
-                    reg_lo[i] = x.lo[cols]
-                    reg_hi[i] = x.hi[cols]
-                reg_lo[const_rows] = reg_hi[const_rows] = self.consts[:, None]
-                for kernel, param, start, stop, *args in self.steps:
-                    r = kernel(*(IntervalArray._of(reg_lo[a], reg_hi[a]) for a in args), *param)
-                    reg_lo[start:stop] = r.lo
-                    reg_hi[start:stop] = r.hi
+                    lo[i, :m] = x.lo[cols]
+                    hi[i, :m] = x.hi[cols]
+                lo[const_rows, :m] = hi[const_rows, :m] = self.consts[:, None]
+                if y4:
+                    # one column per distinct bit pattern, so -0.0 and 0.0 stay apart
+                    bits = np.concatenate((lo[y4, :m], hi[y4, :m])).T.copy()
+                    key = bits.view(np.dtype((np.void, bits[0].nbytes))).ravel()
+                    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                    u = first.size
+                    lo[y4, :u] = lo[y4, :m][:, first]
+                    hi[y4, :u] = hi[y4, :m][:, first]
+                    _run_steps(self.stage1, lo[:, :u], hi[:, :u])
+                    lo[start:stop, :m] = lo[src, :u][:, inverse]
+                    hi[start:stop, :m] = hi[src, :u][:, inverse]
+                _run_steps(self.steps, lo[:, :m], hi[:, :m])
                 for (out_lo, out_hi), r in zip(out, self.out):
-                    out_lo[cols] = reg_lo[r]
-                    out_hi[cols] = reg_hi[r]
+                    out_lo[cols] = lo[r, :m]
+                    out_hi[cols] = hi[r, :m]
         return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
 
 
@@ -925,12 +987,15 @@ class _BoxEval:
 _VERDICTS = ("undecided", "F", "dF")
 
 # Rows a bisection pass evaluates at most, unless its frontier alone is
-# larger.  A pass pays a fixed cost of some hundreds of numpy calls (124
-# stacked kernel calls in the certifier's plan of F on branch B, 78 in the
-# scan's), and a row adds little to it: on a 2-core x86 host one box takes
-# 2.1-2.8 ms and 128 boxes 4.0-4.8 ms on the scan's plan, 3.8-5.2 and
-# 7.4-11.2 ms on the certifier's plan (four runs, medians of 15).  There the
-# three acceptance certificates took 0.445-0.468 s in process at 128 rows,
+# larger.  A pass pays a fixed cost of some hundreds of numpy calls (in
+# the certifier's plan of F on branch B, 83 stacked kernel calls in its y4
+# stage, one expand and 30 calls after it; 78 in the scan's plan), and a
+# row adds little to it.  On a 2-core x86 host one box takes 2.5-2.6 ms
+# and 128 boxes 4.9-5.4 ms on the scan's plan.  On the certifier's plan
+# one box takes 2.4-4.5 ms, 128 B2 boxes of distinct y4 7.7-11.3 ms, and
+# the 128 rows of a B2 pass, which hold 38 distinct y4 intervals,
+# 4.7-8.2 ms (four runs, medians of 15).  Before the y4 stage, the three
+# acceptance certificates took 0.445-0.468 s in process at 128 rows,
 # 0.49-0.56 s at 512 and 0.66-0.81 s at 1024 rows, where four candidates a
 # box waste rows (two runs, medians of 9).  A plan runs its columns, one a
 # box, in blocks of 2 * _PASS_ROWS, so that a pass whose frontier outgrows

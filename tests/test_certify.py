@@ -674,18 +674,21 @@ def test_boxes_reaching_past_the_domain_end_are_not_evaluable(branch):
 
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_center_jet_adds_no_kernel_call(branch):
-    # the centers' jet stacks into the whole-box jet's kernel calls: the
-    # plan has the steps of the whole-box jet alone, and computes fewer
-    # elements a box than two columns of it would
+    # the centers' jet stacks into the whole-box jet's kernel calls, stage by
+    # stage: in each stage the plan has the steps of the whole-box jet traced
+    # with its y4 row, and computes fewer elements a box than two columns of
+    # it would, in each stage and by a quarter over both
     import pentacc.certify as certify
     whole = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
-                                              a_exp=Jet2.variable_a(a))), 2)
+                                              a_exp=Jet2.variable_a(a))), 2, y4=(0,))
     plan = certify._f_plan(branch)
 
-    def elements(plan):
-        return sum(stop - start for _, _, start, stop, *_ in plan.steps)
-    assert len(plan.steps) == len(whole.steps)
-    assert elements(plan) < 0.75 * 2 * elements(whole)
+    def elements(steps):
+        return sum(stop - start for _, _, start, stop, *_ in steps)
+    for mine, its in ((plan.stage1, whole.stage1), (plan.steps, whole.steps)):
+        assert mine and len(mine) == len(its)
+        assert elements(mine) < 2 * elements(its)
+    assert elements(plan.stage1 + plan.steps) < 0.75 * 2 * elements(whole.stage1 + whole.steps)
 
 
 def test_one_jet_pass_per_frontier(monkeypatch):
@@ -724,7 +727,9 @@ def test_one_jet_pass_per_frontier(monkeypatch):
 def test_no_plan_step_writes_a_row_it_reads(branch):
     import pentacc.certify as certify
     plan = certify._f_plan(branch)
-    for _, _, start, stop, *args in plan.steps:
+    src, first, end = plan.expand
+    assert end > first
+    for _, _, start, stop, *args in (*plan.stage1, (None, (), first, end, src), *plan.steps):
         written = set(range(start, stop))
         for rows in args:
             read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
@@ -744,6 +749,89 @@ def test_column_blocks_cannot_change_a_bit(branch, monkeypatch):
             np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
     np.testing.assert_array_equal(got.hint_f, want.hint_f)
     np.testing.assert_array_equal(got.hint_df, want.hint_df)
+
+
+def _stage1_columns(plan, monkeypatch) -> list:
+    """The columns of each block on which ``plan`` runs its first stage
+    from now on, counted at its first stage-1 kernel call."""
+    seen = []
+    kernel, *rest = plan.stage1[0]
+
+    def counted(*args):
+        seen.append(args[0].lo.shape[-1])
+        return kernel(*args)
+    monkeypatch.setattr(plan, "stage1", [(counted, *rest), *plan.stage1[1:]])
+    return seen
+
+
+def _distinct_y4(ylo, yhi, width: int) -> list:
+    """The distinct (lo, hi) bit patterns of y4 in each block of ``width``
+    columns; the centers' y4 follows from them."""
+    bits = np.stack([ylo, yhi]).view(np.int64)
+    return [len(set(map(tuple, bits[:, c0:c0 + width].T.tolist())))
+            for c0 in range(0, bits.shape[1], width)]
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_staged_plan_keeps_every_bit(branch, monkeypatch):
+    # stage 1 of the certifier's plan runs once per distinct y4 column of a
+    # block; on batches that repeat y4 it gives the bits of the same jets
+    # traced without y4 rows, which run every call on every column
+    import pentacc.certify as certify
+    staged = certify._f_plan(branch)
+    flat = _trace(partial(certify._f_jets, branch=branch), 4)
+    assert not flat.stage1 and len(staged.stage1) + len(staged.steps) < len(flat.steps)
+    columns = _stage1_columns(staged, monkeypatch)
+
+    def check(ylo, yhi, alo, ahi) -> list:
+        y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
+        inputs = (IntervalArray.around(y.mid), IntervalArray.around(a.mid), y, a)
+        got = staged.run(*inputs)
+        for g, w in zip(got, flat.run(*inputs)):
+            ok = w.valid
+            np.testing.assert_array_equal(g.valid, ok)
+            for x, z in ((g.lo, w.lo), (g.hi, w.hi)):
+                np.testing.assert_array_equal(x[ok].view(np.int64), z[ok].view(np.int64))
+        assert columns == _distinct_y4(ylo, yhi, 2 * intervals._PASS_ROWS)
+        columns.clear()
+        return got
+
+    rng = np.random.default_rng(2025)
+    ylo, yhi, alo, ahi = np.array([b.key() for b in _oracle_boxes(rng, branch, 100)]).T
+    # A-split siblings: the two halves of each box along A, side by side
+    halves = split_bounds(ylo, yhi, alo, ahi, np.ones(100, dtype=int))
+    siblings = np.stack([np.stack(h) for h in halves], axis=2).reshape(4, -1)
+    check(*siblings)
+    assert _distinct_y4(*siblings[:2], 200)[0] < 150
+    # one y4 interval in two column blocks: blocks of 6 columns, 5 y4 intervals
+    monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
+    pick = np.arange(40) % 5
+    check(ylo[pick], yhi[pick], alo[:40], ahi[:40])
+    # a duplicated column past Y4_MAX, which cannot be evaluated, and y4
+    # bounds of 0.0 and -0.0, which are distinct keys
+    got = check(np.array([Y4_MAX + 1e-6, Y4_MAX + 1e-6, 0.0, -0.0, 0.0]),
+                np.array([Y4_MAX + 0.1, Y4_MAX + 0.1, 0.1, 0.1, 0.1]),
+                np.array([2.0, 2.0, 2.5, 2.5, 3.0]), np.array([6.0, 6.0, 3.0, 3.0, 3.5]))
+    assert all(not r.valid[:2].any() and r.valid[2:].all() for r in got)
+
+
+def test_stage_one_runs_once_per_distinct_y4_column(monkeypatch):
+    # every pass of the A4 no-common-zero certificate runs stage 1 on exactly
+    # its distinct y4 columns, which its A-split siblings make fewer than
+    # its boxes
+    import pentacc.certify as certify
+    plan = certify._f_plan("A")
+    columns, want = _stage1_columns(plan, monkeypatch), []
+    run = intervals._Plan.run
+
+    def counting_run(p, *inputs):
+        if p is plan:
+            want.extend(_distinct_y4(inputs[2].lo, inputs[2].hi, 2 * intervals._PASS_ROWS))
+        return run(p, *inputs)
+    monkeypatch.setattr(intervals._Plan, "run", counting_run)
+    cert = _ACCEPTANCE["A4-no-common-zero"]()
+    assert columns == want and len(want) == cert.stats["passes"] == 8
+    assert sum(want) < 0.5 * cert.stats["evaluated"]
 
 
 def test_box_evaluation_memory_is_bounded():

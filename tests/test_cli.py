@@ -364,15 +364,19 @@ def test_evaluate_malformed_config_exits_1(tmp_path, capsys, payload, message):
     assert capsys.readouterr() == ("", message + "\n")
 
 
-# numpy warns of the overflow, as in a command-line run, instead of raising
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_overflow_exits_1_without_nan(tmp_path, capsys):
-    # finite input whose r**(-A) overflows: the residuals would be NaN, not JSON
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({"distances": [1, 1.6, 1.6, 1.6, 1.6, 1e-110]}))
-    assert main(["evaluate", "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: Out of range float values")
+    # finite input whose r**(-A) overflows, a tiny distance at A = 3 or the
+    # symmetric shape at y4 = 0.3 at A = 2000: the residuals would be NaN,
+    # not JSON; the command says so, and numpy warns of nothing
+    shape = symmetric_coords(SymmetricShape(0.3, "A")).points.tolist()
+    for spec, a_text in (({"distances": [1, 1.6, 1.6, 1.6, 1.6, 1e-110]}, "3"),
+                         ({"points": shape, "A": 2000}, "2000")):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(spec))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: the residuals are not finite at A = {a_text}: "
+                "a power of a distance overflows\n")
 
 
 def test_region_map_outputs(tmp_path):
