@@ -73,8 +73,8 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
 def _f_plan(branch: str):
     """F's jets on one branch (``_f_jets``), traced once into one plan over
     four rows: the box centers' y4 and A, then the whole boxes'
-    (``intervals._trace``).  The two traces' calls of one kind at one
-    depth stack into one kernel call, so the centers add no call.  Rows 0
+    (``intervals._trace``).  The two traces' ready calls of one kind
+    stack into one kernel call, so the centers add no call.  Rows 0
     and 2 hold y4: the calls that read them alone form the plan's first
     stage, which runs once per distinct y4 column."""
     return _trace(partial(_f_jets, branch=branch), 4, y4=(0, 2))
@@ -229,15 +229,25 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     there), and on the middle strip the interval derivative excludes zero
     while F changes sign across it, so each exponent admits exactly one
     root.  The bracket is a heuristic only; every zone claim is verified
-    with rigorous enclosures.  A window outside [0, Y4_MAX] raises
-    OutOfDomainError, and an exponent range that is not finite with
-    2 <= lo <= hi or a negative ``max_depth`` ValueError.
+    with rigorous enclosures.  When F has no sign at the window's lower
+    end, no sign crossing was sampled, or the bracket reaches a window end,
+    nothing is bisected and the certificate is not certified; the detail
+    names a bracket that reaches a window end.  A window outside
+    [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
+    finite with 2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
     _check_request(window, a_range, max_depth)
     c1, c2, lo_sign = _locate_crossing(window, a_range, branch)
-    if lo_sign == 0 or not window[0] < c1 < c2 < window[1]:
+    detail = ""
+    if lo_sign == 0 or c1 is None:
+        detail = "no interior sign crossing found to isolate"
+    elif not window[0] < c1 < c2 < window[1]:
+        ends = [end for end, at in (("lower", c1 <= window[0]), ("upper", c2 >= window[1])) if at]
+        detail = (f"the float strip [{c1:.9g}, {c2:.9g}] around the sampled sign crossing "
+                  f"reaches the window's {' and '.join(ends)} end")
+    if detail:
         return Certificate("unique_root", branch, tuple(window), tuple(a_range), False,
-                           detail="no interior sign crossing found to isolate")
+                           detail=detail)
     want = -lo_sign
     zones = [(_sign_decider(quantity, sign), [(lo, hi, a_range[0], a_range[1])])
              for lo, hi, quantity, sign in ((window[0], c1, "F", lo_sign),

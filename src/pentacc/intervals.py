@@ -27,16 +27,17 @@ children, in one pass (after Rump's INTLAB).  Jet2 carries IntervalArray
 components unchanged.  The certifier and the tangency guard run F's jets as
 a plan instead (``_trace``): the scalar Jet2 formulas run once on register
 rows, with float constants and structural zeros kept as floats, and record
-their kernel calls; the plan makes the needed calls of one kind at one
-depth, of every jet traced into it, as one call on stacked rows, under one
-np.errstate, with the operators' bodies (``_quiet``).  Only the calls that
-an output reads run.  A run takes the columns, one a box, in blocks of a
-fixed width and reuses the rows of values no later call reads, so its
-memory does not grow with the frontier.  The certifier's plan names its
-input rows of y4: the calls that read y4 alone (the geometry, every log
-and integer power, 15 of 21 exp rows) form a first stage, which a run
-makes once per distinct y4 column of a block before it copies their rows
-out to every column.  The two halves of a box split along A share its
+their kernel calls; the plan makes the ready needed calls of one kind,
+of every jet traced into it, as one call on stacked rows, and picks the
+kind by the slack of its most urgent call (``_Trace._batches``); it runs
+under one np.errstate, with the operators' bodies (``_quiet``).  Only
+the calls that an output reads run.  A run takes the columns, one a box,
+in blocks of a fixed width and reuses the rows of values no later call
+reads, so its memory does not grow with the frontier.  The certifier's
+plan names its input rows of y4: the calls that read y4 alone (the
+geometry, every log and integer power, 15 of 21 exp rows) form a first
+stage, which a run makes once per distinct y4 column of a block before
+it copies their rows out to every column.  The two halves of a box split along A share its
 y4, so the passes of the B2 certificate have a sixth as many y4 columns
 as boxes.  This is tape-based forward differentiation (A. Griewank and
 A. Walther, *Evaluating Derivatives*, 2008) on interval enclosures.  Each
@@ -669,47 +670,79 @@ class _Trace:
             self.ops.append(key)
         return self.memo[key]
 
+    def _batches(self, stage: list) -> list:
+        """The stacked kernel calls of one stage, in run order, as
+        ((kind, parameter), registers): list scheduling by slack, after
+        the on-the-fly operation batching of Neubig, Goldberg and Dyer
+        (NeurIPS 2017) applied to a fixed tape.
+
+        ``stage`` lists the stage's calls by their index in call order.  A
+        call is ready once the stage's calls it reads have run; the rows
+        of the other stage, the inputs and the number operands are ready
+        from the start.  Its urgency is the longest chain of the stage's
+        calls that starts at it, which ranks the calls as their ALAP
+        levels do.  Each step takes the (kind, parameter) class whose most
+        urgent ready call has the longest chain, on ties the class with
+        more ready calls, then the lower class, and runs all of that
+        class's ready calls, in call order, as one call."""
+        readers = {k: [] for k in stage}
+        waiting = dict.fromkeys(stage, 0)
+        for k in stage:
+            for j in dict.fromkeys(r[1] for r in self.ops[k][2] if r[0] == "op"):
+                if j in readers:
+                    readers[j].append(k)
+                    waiting[k] += 1
+        chain = {}
+        for k in reversed(stage):
+            chain[k] = 1 + max((chain[r] for r in readers[k]), default=0)
+        ready, batches = {}, []
+        for k in stage:
+            if not waiting[k]:
+                ready.setdefault(self.ops[k][:2], []).append(k)
+        while ready:
+            cls = min(ready, key=lambda c: (-max(chain[k] for k in ready[c]),
+                                            -len(ready[c]), c))
+            calls = sorted(ready.pop(cls))
+            batches.append((cls, [("op", k) for k in calls]))
+            for k in calls:
+                for r in readers[k]:
+                    waiting[r] -= 1
+                    if not waiting[r]:
+                        ready.setdefault(self.ops[r][:2], []).append(r)
+        return batches
+
     def compile(self, outputs, y4=()) -> "_Plan":
         """The plan that computes ``outputs``, rows or numbers, in two stages.
 
         Stage 1 holds the needed calls that read only the input rows ``y4``,
         number operands and other stage-1 calls, so that they read y4
-        alone; stage 2 holds the rest.  Each stage makes one stacked kernel
-        call for its needed calls of each (depth, kind, parameter), by
-        depth.  Between the two, one expand step copies the stage-1 rows
-        that stage 2 or the outputs read to new rows, so that a stage-2
-        call's depth counts from the expand.  A call depends only on its
-        operands, so the order of independent calls cannot change a bit.
-        A row is given back once the last step that reads it has run, and
-        each step's results take the lowest run of free rows; no step
-        writes a row it reads."""
+        alone; stage 2 holds the rest.  Each stage runs its needed calls as
+        the stacked kernel calls of ``_batches``, each of calls of one kind
+        and parameter.  Between the two, one expand step copies the
+        stage-1 rows that stage 2 or the outputs read to new rows.  A call
+        depends only on its operands, so the order of independent calls
+        cannot change a bit.  A row is given back once the last step that
+        reads it has run, and each step's results take the lowest run of
+        free rows; no step writes a row it reads."""
         outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
-        depth = {}
         early = {("in", i) for i in y4}  # the registers of stage 1
         for k, (_, _, regs) in enumerate(self.ops):
-            late = not all(r in early or r[0] == "const" for r in regs)
-            if not late:
+            if all(r in early or r[0] == "const" for r in regs):
                 early.add(("op", k))
-            # the expand readies every stage-1 row at once
-            depth[("op", k)] = 1 + max(0 if late and r in early else depth.get(r, 0)
-                                       for r in regs)
         need, todo = set(), list(outs)
         while todo:
             reg = todo.pop()
             if reg[0] == "op" and reg not in need:
                 need.add(reg)
                 todo.extend(self.ops[reg[1]][2])
-        groups = {}
-        for reg in sorted(need, key=lambda r: (r not in early, depth[r], r[1])):
-            kind, param, _ = self.ops[reg[1]]
-            groups.setdefault((reg not in early, depth[reg], kind, param), []).append(reg)
-        # step `split` is the expand, between the groups of the two stages
-        items = list(groups.items())
-        split = sum(not late for (late, *_), _ in items)
-        live = {a for _, regs in items[split:] for reg in regs
+        stage1, stage2 = (self._batches(sorted(r[1] for r in need if (r in early) != late))
+                          for late in (False, True))
+        # step `split` is the expand, between the steps of the two stages
+        split = len(stage1)
+        live = {a for _, regs in stage2 for reg in regs
                 for a in self.ops[reg[1]][2] if a in early}
         live.update(o for o in outs if o in early)
-        items.insert(split, (None, live))
+        items = [*stage1, (None, live), *stage2]
         last = {}  # the step that reads a register last; the outputs are read at the end
         for s, (key, regs) in enumerate(items):
             if key is not None:
@@ -731,11 +764,11 @@ class _Trace:
                 expand = (_rows(src), start, stop)
                 free.update(src)
             else:
-                late, _, kind, param = key
+                kind, param = key
                 args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-                stages[late].append((_KERNELS[kind], () if param is None else (param,),
-                                     start, stop,
-                                     *(_rows([row[a] for a in col]) for col in args)))
+                stages[s > split].append((_KERNELS[kind], () if param is None else (param,),
+                                          start, stop,
+                                          *(_rows([row[a] for a in col]) for col in args)))
                 free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
@@ -988,9 +1021,11 @@ _VERDICTS = ("undecided", "F", "dF")
 
 # Rows a bisection pass evaluates at most, unless its frontier alone is
 # larger.  A pass pays a fixed cost of some hundreds of numpy calls (in
-# the certifier's plan of F on branch B, 83 stacked kernel calls in its y4
-# stage, one expand and 30 calls after it; 78 in the scan's plan), and a
-# row adds little to it.  On a 2-core x86 host one box takes 2.5-2.6 ms
+# the certifier's plan of F on branch B, 53 stacked kernel calls in its y4
+# stage, one expand and 20 calls after it; 49 in the scan's plan at
+# A = 3), and a row adds little to it.  The timings below were taken
+# when those plans made 83 + 30 and 78 calls, one per depth and kind.
+# On a 2-core x86 host one box takes 2.5-2.6 ms
 # and 128 boxes 4.9-5.4 ms on the scan's plan.  On the certifier's plan
 # one box takes 2.4-4.5 ms, 128 B2 boxes of distinct y4 7.7-11.3 ms, and
 # the 128 rows of a B2 pass, which hold 38 distinct y4 intervals,

@@ -416,10 +416,12 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     """Floating-point bracket of the sign crossing across sampled exponents,
     the strip around which ``certify.certify_unique_root`` sets its zones.
 
-    Returns (c1, c2, lo_sign): a strip containing every sampled root, plus
-    the sign of F at the window's lower end and the least exponent, 0 when
-    F is 0 or not finite there (``_grid_signs``).  Soundness never depends
-    on this estimate; a bad strip only makes certification fail, not lie.
+    Returns (c1, c2, lo_sign): a strip containing every sampled root,
+    widened by a margin and clipped to the window, or None and None when
+    no grid cell changes sign at a sampled exponent, plus the sign of F at
+    the window's lower end and the least exponent, 0 when F is 0 or not
+    finite there (``_grid_signs``).  Soundness never depends on this
+    estimate; a bad strip only makes certification fail, not lie.
     """
     lo, hi = window
     ys = np.linspace(lo, hi, 2049)
@@ -429,7 +431,7 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     # the grid cells with a sign change at some sampled exponent
     crossed = np.flatnonzero(np.any([s[:-1] * s[1:] < 0 for s in signs], axis=0))
     if not crossed.size:
-        return lo, hi, lo_sign
+        return None, None, lo_sign
     margin = 0.08 * (hi - lo)
     c1 = max(lo, float(ys[crossed[0]]) - margin)
     c2 = min(hi, float(ys[crossed[-1] + 1]) + margin)
@@ -512,13 +514,21 @@ def _a4_root_count(a_exp: float) -> int:
     return count
 
 
+# How far outside the bracket of A_c ``bifurcation_scan`` counts roots.
+# Within about 1e-8 of A_c, F near the pentagon is rounding noise that the
+# float count reads as sign changes (end counts of 7 and 21 at tol 1e-8);
+# 1e-4 away the counts are 0 and 2, as they are from 1e-6 to 1e-2 away.
+_COUNT_OFFSET = 1e-4
+
+
 def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     """Bracket the exponent where the convex-window root count jumps 1 -> 3.
 
     F vanishes at the regular pentagon p for every A, and the new root pair
     splits off p where g(A) = dF/dy4(p, A) changes sign, so the bracket
-    bisects g.  The root counts at its ends, 0 below and at least 2 above,
-    check the claim.  Returns (lo, hi) with hi - lo <= tol.  Raises
+    bisects g.  A float check backs the claim: the root counts
+    ``_COUNT_OFFSET`` below and above the bracket, clipped to the range,
+    are 0 and at least 2.  Returns (lo, hi) with hi - lo <= tol.  Raises
     NoBifurcationError when g has no strict sign change over the range or
     the end counts do not match, and ValueError when ``tol`` is not finite
     or is below the float spacing at the range's upper end, where the
@@ -537,10 +547,11 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
         raise NoBifurcationError(f"g = dF/dy4 at the pentagon is {g_lo:.3g} at A = {a_lo} "
                                  f"and {g_hi:.3g} at A = {a_hi}: no strict sign change")
     lo, hi = _refine(g, a_lo, g_lo, a_hi, tol)
-    counts = (_a4_root_count(lo), _a4_root_count(hi))
+    ends = (max(a_lo, lo - _COUNT_OFFSET), min(a_hi, hi + _COUNT_OFFSET))
+    counts = tuple(_a4_root_count(a) for a in ends)
     if counts[0] != 0 or counts[1] < 2:
-        raise NoBifurcationError(f"root counts {counts} at the ends of [{lo}, {hi}], "
-                                 "not 0 and at least 2")
+        raise NoBifurcationError(f"root counts {counts} at A = {ends[0]} and {ends[1]}, "
+                                 f"around [{lo}, {hi}], not 0 and at least 2")
     return lo, hi
 
 

@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,13 +158,33 @@ def test_unique_root_claims_no_sign_where_F_vanishes_at_the_lower_end(monkeypatc
 def test_unique_root_where_F_overflows_on_the_strip_grid(a_range):
     # above A of about 1000 a power of a distance overflows on the strip's
     # float grid: a node where F is not finite has no sign, and no warning
-    # is raised.  The sampled crossings reach the window's lower end, so
-    # there is no interior strip to certify around
+    # is raised.  The strip around the sampled crossings reaches the
+    # window's lower end, so there is no interior strip to certify around
+    import pentacc.certify as certify
     w = window_for("A", "A2")
     cert = certify_unique_root(w, a_range, "A")
+    c1, c2, _ = certify._locate_crossing(w, a_range, "A")
+    assert c1 == w[0] < c2 < w[1]
     assert cert.to_json() == Certificate(
         "unique_root", "A", w, a_range, False,
-        detail="no interior sign crossing found to isolate").to_json()
+        detail=f"the float strip [{c1:.9g}, {c2:.9g}] around the sampled sign crossing "
+               "reaches the window's lower end").to_json()
+
+
+def test_unique_root_says_when_the_strip_reaches_the_window_end():
+    # on A2 x [2, 10] every sampled exponent has one sign crossing, but the
+    # strip's margin takes it onto the window's lower end: the certificate
+    # is not certified, bisects nothing, and says so
+    import pentacc.certify as certify
+    w = window_for("A", "A2")
+    cert = certify_unique_root(w, (2.0, 10.0), "A")
+    assert not cert.certified and not cert.leaves and cert.stats["passes"] == 0
+    assert cert.detail == ("the float strip [0.133974596, 0.176390001] around the sampled "
+                           "sign crossing reaches the window's lower end")
+    # with no sampled crossing there is no strip at all
+    assert certify._locate_crossing((0.2, 0.3), (2.0, 3.0), "A")[:2] == (None, None)
+    cert = certify_unique_root((0.2, 0.3), (2.0, 3.0), "A")
+    assert cert.detail == "no interior sign crossing found to isolate"
 
 
 def test_no_common_zero_on_convex_window():
@@ -736,6 +760,73 @@ def test_no_plan_step_writes_a_row_it_reads(branch):
             assert written.isdisjoint(read)
 
 
+def _plans() -> dict:
+    """The certifier's plans and two of the scan guard's, by name."""
+    import pentacc.certify as certify
+    import pentacc.symmetric as symmetric
+    return {"certifier A": certify._f_plan("A"), "certifier B": certify._f_plan("B"),
+            "guard A 2": symmetric._natural_plan("A", 2.0),
+            "guard B 3": symmetric._natural_plan("B", 3.0)}
+
+
+def test_plans_batch_calls_by_slack():
+    # each plan makes at most three quarters of the stacked kernel calls a
+    # pass that one call per (depth, kind, parameter) made: 83 + 30 on
+    # branch B, 70 + 30 on branch A, and 78 in the guard at (B, 3)
+    calls = {name: len(plan.stage1) + len(plan.steps) for name, plan in _plans().items()}
+    assert calls["certifier B"] <= 0.75 * 113
+    assert calls["certifier A"] <= 0.75 * 100
+    assert calls["guard B 3"] <= 0.75 * 78
+
+
+@pytest.mark.parametrize("name", ["certifier A", "certifier B", "guard A 2", "guard B 3"])
+def test_every_plan_step_reads_rows_already_written(name):
+    # the input rows and the number operands' point rows are written before
+    # the first step; stage 2 and the outputs read the y4 input rows and
+    # the results of stage 1 only through the copies of the expand, since
+    # stage 1 runs on the distinct y4 columns alone
+    plan = _plans()[name]
+    given = set(range(plan.inputs + plan.consts.size))
+    written = set(given)
+
+    def check(steps):
+        for _, _, start, stop, *args in steps:
+            for rows in args:
+                read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
+                assert written.issuperset(read)
+            written.update(range(start, stop))
+    check(plan.stage1)
+    src, first, end = plan.expand
+    if plan.stage1:
+        check([(None, (), first, end, src)])
+        written = given.difference(plan.y4).union(range(first, end))
+    check(plan.steps)
+    assert written.issuperset(plan.out)
+
+
+def test_plan_steps_do_not_depend_on_the_hash_seed():
+    # the compiler keys registers by tuples of strings, whose set order
+    # follows PYTHONHASHSEED; the step tables of two interpreters with
+    # different seeds are the same
+    script = (
+        "from pentacc import certify, symmetric\n"
+        "def rows(r):\n"
+        "    return (r.start, r.stop) if isinstance(r, slice) else r.tolist()\n"
+        "for plan in (certify._f_plan('B'), symmetric._natural_plan('B', 3.0)):\n"
+        "    for kernel, param, start, stop, *args in (*plan.stage1, *plan.steps):\n"
+        "        print(kernel.__qualname__, param, start, stop, [rows(a) for a in args])\n"
+        "    print(plan.size, rows(plan.expand[0]), plan.expand[1:], plan.out)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    tables = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        tables.append(proc.stdout)
+    assert tables[0] == tables[1] and tables[0].count("\n") > 100
+
+
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_column_blocks_cannot_change_a_bit(branch, monkeypatch):
     # a plan runs its columns, one a box, in blocks of 2 * _PASS_ROWS;
@@ -780,7 +871,7 @@ def test_staged_plan_keeps_every_bit(branch, monkeypatch):
     import pentacc.certify as certify
     staged = certify._f_plan(branch)
     flat = _trace(partial(certify._f_jets, branch=branch), 4)
-    assert not flat.stage1 and len(staged.stage1) + len(staged.steps) < len(flat.steps)
+    assert not flat.stage1 and len(staged.stage1) + len(staged.steps) <= len(flat.steps)
     columns = _stage1_columns(staged, monkeypatch)
 
     def check(ylo, yhi, alo, ahi) -> list:

@@ -462,6 +462,15 @@ def test_bifurcation_bracket():
     assert _a4_root_count(hi) >= 2
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+def test_fine_bifurcation_bracket_holds_a_c(tol):
+    # within about 1e-8 of A_c the float root count at the bracket ends is
+    # rounding noise; the counts 1e-4 outside the bracket are 0 and 2
+    lo, hi = bifurcation_scan((3.0, 3.3), tol=tol)
+    assert hi - lo <= tol and lo <= 3.12036856285897 <= hi
+    assert (_a4_root_count(lo - 1e-4), _a4_root_count(hi + 1e-4)) == (0, 2)
+
+
 def test_no_bifurcation_below_three():
     # dF/dy4 at the pentagon is positive over the first range, negative over
     # the second
