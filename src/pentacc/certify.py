@@ -232,15 +232,19 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     with rigorous enclosures.  When F has no sign at the window's lower
     end, no sign crossing was sampled, or the bracket reaches a window end,
     nothing is bisected and the certificate is not certified; the detail
-    names a bracket that reaches a window end.  A window outside
+    names a bracket that reaches a window end, and, when there is no
+    bracket or no sign at the lower end, the count of float grid nodes
+    where F is not finite, if there are any.  A window outside
     [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
     finite with 2 <= lo <= hi or a negative ``max_depth`` ValueError.
     """
     _check_request(window, a_range, max_depth)
-    c1, c2, lo_sign = _locate_crossing(window, a_range, branch)
+    c1, c2, lo_sign, unsigned = _locate_crossing(window, a_range, branch)
     detail = ""
     if lo_sign == 0 or c1 is None:
-        detail = "no interior sign crossing found to isolate"
+        detail = (f"F is not finite at {unsigned} nodes of the float strip's grid, "
+                  "which have no sign, so no sign crossing could be placed to isolate"
+                  if unsigned else "no interior sign crossing found to isolate")
     elif not window[0] < c1 < c2 < window[1]:
         ends = [end for end, at in (("lower", c1 <= window[0]), ("upper", c2 >= window[1])) if at]
         detail = (f"the float strip [{c1:.9g}, {c2:.9g}] around the sampled sign crossing "

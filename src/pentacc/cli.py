@@ -438,7 +438,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bifurcation", help="bracket the root-count bifurcation in A")
+    p = sub.add_parser("bifurcation",
+                       help="certified enclosure of the root-count bifurcation exponent A_c")
     p.add_argument("--A-range", dest="A_range", default="3.0,3.3")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", default="-")

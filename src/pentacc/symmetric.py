@@ -4,8 +4,10 @@ The admissibility of masses on the symmetric family reduces to the vanishing
 of a 2x2 minor F of the mass-coefficient matrix.  This module evaluates F
 generically (floats, arrays, jets, intervals), isolates its roots per
 sign-type window, recovers masses at each root, checks them against the two
-exact mass polynomials, scans for the root-count bifurcation in A, and
-verifies the grid sign arguments that exclude seven of the ten sign types.
+exact mass polynomials, encloses the exponent A_c of the root-count
+bifurcation by interval Newton on the closed form of dF/dy4 at the regular
+pentagon, and verifies the grid sign arguments that exclude seven of the
+ten sign types.
 It also places the float strip around the sign crossing that
 ``certify.certify_unique_root`` isolates.  F runs on a float grid in one
 function, ``_grid_signs``: the root scan, the root counts of the
@@ -98,9 +100,11 @@ def F(y4, a_exp, branch: str = "A"):
 def F_dual(y4, a_exp, branch: str = "A") -> Jet2:
     """F's jet in y4 at a constant exponent: ``.v`` is F and ``.dy`` dF/dy4.
 
-    y4 is a float, an Interval or an IntervalArray.  The jet also carries
-    d2F/dy4^2, which its formulas compute and no caller reads; over an
-    Interval, an operation of that slot that raises fails the whole jet.
+    The per-root simplicity check runs it on an Interval and the tangency
+    guard's plan traces it on a row of y4 intervals; on a float it gives
+    dF/dy4 in floats.  The jet also carries d2F/dy4^2, which its formulas
+    compute and no caller reads; over an Interval, an operation of that
+    slot that raises fails the whole jet.
     """
     return F(Jet2.variable_y(y4), a_exp, branch)
 
@@ -416,26 +420,30 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     """Floating-point bracket of the sign crossing across sampled exponents,
     the strip around which ``certify.certify_unique_root`` sets its zones.
 
-    Returns (c1, c2, lo_sign): a strip containing every sampled root,
-    widened by a margin and clipped to the window, or None and None when
-    no grid cell changes sign at a sampled exponent, plus the sign of F at
+    Returns (c1, c2, lo_sign, unsigned): a strip containing every sampled
+    root, widened by a margin and clipped to the window, or None and None
+    when no grid cell changes sign at a sampled exponent; the sign of F at
     the window's lower end and the least exponent, 0 when F is 0 or not
-    finite there (``_grid_signs``).  Soundness never depends on this
-    estimate; a bad strip only makes certification fail, not lie.
+    finite there (``_grid_signs``); and the count of grid nodes, over all
+    sampled exponents, that have no sign because F is not finite there.
+    Soundness never depends on this estimate; a bad strip only makes
+    certification fail, not lie.
     """
     lo, hi = window
     ys = np.linspace(lo, hi, 2049)
-    signs = [_grid_signs(ys, float(a_exp), branch)[1]
+    grids = [_grid_signs(ys, float(a_exp), branch)
              for a_exp in np.linspace(a_range[0], a_range[1], 9)]
+    signs = [grid[1] for grid in grids]
+    unsigned = sum(int(np.count_nonzero(~finite)) for _, _, finite in grids)
     lo_sign = int(signs[0][0])
     # the grid cells with a sign change at some sampled exponent
     crossed = np.flatnonzero(np.any([s[:-1] * s[1:] < 0 for s in signs], axis=0))
     if not crossed.size:
-        return None, None, lo_sign
+        return None, None, lo_sign, unsigned
     margin = 0.08 * (hi - lo)
     c1 = max(lo, float(ys[crossed[0]]) - margin)
     c2 = min(hi, float(ys[crossed[-1] + 1]) + margin)
-    return c1, c2, lo_sign
+    return c1, c2, lo_sign, unsigned
 
 
 def scan_branch(branch: str, a_exp: float, tol: float = 1e-12) -> list:
@@ -514,45 +522,91 @@ def _a4_root_count(a_exp: float) -> int:
     return count
 
 
-# How far outside the bracket of A_c ``bifurcation_scan`` counts roots.
-# Within about 1e-8 of A_c, F near the pentagon is rounding noise that the
-# float count reads as sign changes (end counts of 7 and 21 at tol 1e-8);
-# 1e-4 away the counts are 0 and 2, as they are from 1e-6 to 1e-2 away.
+# How far outside the certified enclosure of A_c ``bifurcation_scan`` takes
+# its float root counts.  Within about 1e-8 of A_c, F near the pentagon is
+# rounding noise that the count reads as sign changes (counts of 7 and 21
+# at A_c -+ 1e-8); 1e-4 away the counts are 0 and 2, as they are from 1e-6
+# to 1e-2 away.
 _COUNT_OFFSET = 1e-4
+
+# sqrt(5) and log(phi), phi the golden ratio, as outward-rounded enclosures
+_SQRT5 = Interval.point(5.0).sqrt()
+_LOG_PHI = ((_SQRT5 + 1.0) / 2.0).log()
+
+
+def _pentagon_h(a: Interval) -> Interval:
+    """h(A) = 2(phi^A - 1) - sqrt(5) A over an interval of exponents: the
+    factor of dF/dy4 at the regular pentagon that vanishes at A_c."""
+    return 2.0 * ((a * _LOG_PHI).exp() - 1.0) - _SQRT5 * a
+
+
+def _pentagon_h_slope(a: Interval) -> Interval:
+    """h'(A) = 2 log(phi) phi^A - sqrt(5) over an interval of exponents."""
+    return 2.0 * _LOG_PHI * (a * _LOG_PHI).exp() - _SQRT5
 
 
 def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
-    """Bracket the exponent where the convex-window root count jumps 1 -> 3.
+    """Certified enclosure of the exponent A_c where the convex-window root
+    count jumps 1 -> 3.
 
     F vanishes at the regular pentagon p for every A, and the new root pair
-    splits off p where g(A) = dF/dy4(p, A) changes sign, so the bracket
-    bisects g.  A float check backs the claim: the root counts
-    ``_COUNT_OFFSET`` below and above the bracket, clipped to the range,
-    are 0 and at least 2.  Returns (lo, hi) with hi - lo <= tol.  Raises
-    NoBifurcationError when g has no strict sign change over the range or
-    the end counts do not match, and ValueError when ``tol`` is not finite
-    or is below the float spacing at the range's upper end, where the
-    bisection could not advance.
+    splits off p where g(A) = dF/dy4(p, A) changes sign.  g has a closed
+    form.  Write R = r^(-A) for a distance r, so dR/dy4 = -A R r'/r.  At p
+    the distances r13, r14 and r35 all equal phi, the golden ratio, so
+    R13 = R14 = R35 = t = phi^(-A), and the terms of dF/dy4 with a factor
+    R13 - R14 vanish.  What is left is a polynomial in the independent
+    symbols t and A whose coefficients are the areas, the distances and
+    their y4-derivatives at p:
+
+        g(A) = (5/2) sin 72deg (1 - t) ((sqrt(5)/2) A t - (1 - t)).
+
+    The tests check this identity exactly, in the number field of
+    sin 72deg.  Since (sqrt(5)/2) A t - (1 - t) = -(t/2) h(A) with
+    h(A) = 2(phi^A - 1) - sqrt(5) A, and 0 < t < 1 for A > 0, g vanishes
+    exactly where h does, with the opposite sign.
+
+    Certified: h has strict opposite signs at the range ends and
+    h'(A) = 2 log(phi) phi^A - sqrt(5) excludes zero on the range, so h has
+    exactly one root there, and interval Newton steps
+    X <- X & (m - h(m) / h'(X)), m the midpoint of X, on outward-rounded
+    ``Interval`` arithmetic narrow the range to an enclosure of that root
+    (after Moore, Kearfott and Cloud, *Introduction to Interval Analysis*,
+    SIAM 2009).  Float check: the root counts of F in the convex window,
+    ``_COUNT_OFFSET`` below and above the enclosure and clipped to the
+    range, are 0 and at least 2.
+
+    Returns (lo, hi) with hi - lo <= tol.  Raises NoBifurcationError when h
+    has no strict sign change over the range or the float counts do not
+    match.  Raises ValueError when the range is not inside [2, 3.5], when
+    ``tol`` is not finite or is below the float spacing at the range's upper
+    end, and when Newton stops narrowing while the enclosure is still wider
+    than ``tol``; the message names the narrowest certified width.
     """
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
     if not (2.0 <= a_lo < a_hi <= 3.5):
         raise ValueError(f"scan range must sit inside [2, 3.5], got {a_range}")
     _check_resolution("tol", tol, a_hi)
-
-    def g(a):
-        return F_dual(regular_pentagon_y4(), a, "A").dy
-
-    g_lo, g_hi = g(a_lo), g(a_hi)
-    if not g_lo * g_hi < 0.0:
-        raise NoBifurcationError(f"g = dF/dy4 at the pentagon is {g_lo:.3g} at A = {a_lo} "
-                                 f"and {g_hi:.3g} at A = {a_hi}: no strict sign change")
-    lo, hi = _refine(g, a_lo, g_lo, a_hi, tol)
-    ends = (max(a_lo, lo - _COUNT_OFFSET), min(a_hi, hi + _COUNT_OFFSET))
+    h_lo, h_hi = _pentagon_h(Interval.point(a_lo)), _pentagon_h(Interval.point(a_hi))
+    if not ((h_lo.strictly_negative() and h_hi.strictly_positive())
+            or (h_lo.strictly_positive() and h_hi.strictly_negative())):
+        raise NoBifurcationError(f"h = 2(phi^A - 1) - sqrt(5) A is {h_lo} at A = {a_lo} "
+                                 f"and {h_hi} at A = {a_hi}: no strict sign change")
+    x = Interval(a_lo, a_hi)
+    if _pentagon_h_slope(x).contains_zero():
+        raise ValueError(f"h' may vanish on {x}: h may have more than one root there")
+    while x.width > tol:
+        m = x.mid
+        step = x.intersect(m - _pentagon_h(Interval.point(m)) / _pentagon_h_slope(x))
+        if step.width >= x.width:
+            raise ValueError(f"interval Newton stops narrowing at width {x.width:.3g}, "
+                             f"above tol = {tol:.3g}")
+        x = step
+    ends = (max(a_lo, x.lo - _COUNT_OFFSET), min(a_hi, x.hi + _COUNT_OFFSET))
     counts = tuple(_a4_root_count(a) for a in ends)
     if counts[0] != 0 or counts[1] < 2:
         raise NoBifurcationError(f"root counts {counts} at A = {ends[0]} and {ends[1]}, "
-                                 f"around [{lo}, {hi}], not 0 and at least 2")
-    return lo, hi
+                                 f"around [{x.lo}, {x.hi}], not 0 and at least 2")
+    return x.lo, x.hi
 
 
 # ---------------------------------------------------------------------------

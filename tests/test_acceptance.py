@@ -131,12 +131,16 @@ def test_criterion_4_certifications():
 def test_criterion_5_bifurcation():
     t0 = time.perf_counter()
     lo, hi = bifurcation_scan((3.0, 3.3), tol=1e-6)
+    # the certified enclosure at tol 1e-12, by interval Newton
+    clo, chi = bifurcation_scan((3.0, 3.3), tol=1e-12)
     elapsed = time.perf_counter() - t0
     mid = 0.5 * (lo + hi)
     ok = (hi - lo <= 1e-6 and abs(mid - 3.12036856) <= 1e-3
+          and chi - clo <= 1e-12 and lo <= clo <= chi <= hi
           and elapsed < 120.0)
     _verdict(5, ok, f"A_c in [{lo:.8f}, {hi:.8f}] "
-             f"(reference 3.12036856), {elapsed:.1f}s")
+             f"(reference 3.12036856), certified in [{clo!r}, {chi!r}] "
+             f"of width {chi - clo:.3g}, {elapsed:.1f}s")
 
 
 def test_criterion_6_sign_type_exclusions():

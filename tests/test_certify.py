@@ -163,12 +163,28 @@ def test_unique_root_where_F_overflows_on_the_strip_grid(a_range):
     import pentacc.certify as certify
     w = window_for("A", "A2")
     cert = certify_unique_root(w, a_range, "A")
-    c1, c2, _ = certify._locate_crossing(w, a_range, "A")
+    c1, c2, _, _ = certify._locate_crossing(w, a_range, "A")
     assert c1 == w[0] < c2 < w[1]
     assert cert.to_json() == Certificate(
         "unique_root", "A", w, a_range, False,
         detail=f"the float strip [{c1:.9g}, {c2:.9g}] around the sampled sign crossing "
                "reaches the window's lower end").to_json()
+
+
+@pytest.mark.parametrize("branch, unsigned", [("A", 5364), ("B", 9 * 2049)])
+def test_unique_root_names_the_nodes_where_F_is_not_finite(branch, unsigned):
+    # on A2 and B2 x [1100, 1200] F overflows at the window's lower end and
+    # hides the sign crossing that the root scan still finds: the detail
+    # counts the strip grid's nodes without a sign instead of claiming
+    # that there is no crossing, and the verdict stays not certified
+    import pentacc.certify as certify
+    w = window_for(branch, f"{branch}2", inset=1e-6)
+    assert certify._locate_crossing(w, (1100.0, 1200.0), branch) == (None, None, 0, unsigned)
+    cert = certify_unique_root(w, (1100.0, 1200.0), branch)
+    assert cert.to_json() == Certificate(
+        "unique_root", branch, w, (1100.0, 1200.0), False,
+        detail=f"F is not finite at {unsigned} nodes of the float strip's grid, which "
+               "have no sign, so no sign crossing could be placed to isolate").to_json()
 
 
 def test_unique_root_says_when_the_strip_reaches_the_window_end():
@@ -249,11 +265,11 @@ def test_unique_root_deterministic():
 def test_undecided_stats_tell_straddling_from_wrong_sign(monkeypatch):
     import pentacc.certify as certify
     w = window_for("A", "A2")
-    c1, _, lo_sign = certify._locate_crossing(w, (2.0, 3.0), "A")
+    c1, _, lo_sign, _ = certify._locate_crossing(w, (2.0, 3.0), "A")
     # a strip left of the crossing: the right zone claims sign -lo_sign on
     # boxes left of the root, where F has the strict sign lo_sign
     s1, s2 = w[0] + 0.3 * (c1 - w[0]), w[0] + 0.6 * (c1 - w[0])
-    monkeypatch.setattr(certify, "_locate_crossing", lambda *args: (s1, s2, lo_sign))
+    monkeypatch.setattr(certify, "_locate_crossing", lambda *args: (s1, s2, lo_sign, 0))
     cert = certify_unique_root(w, (2.0, 3.0), "A", max_depth=8)
     assert not cert.certified
     assert cert.detail == "a zone could not be resolved at the depth cap"

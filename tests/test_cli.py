@@ -420,6 +420,15 @@ def test_fine_bifurcation_is_found(tmp_path):
     assert data["found"] is True and lo <= 3.12036856285897 <= hi
 
 
+def test_certified_bifurcation_at_tol_1e_12(tmp_path):
+    out = tmp_path / "bif.json"
+    assert main(["bifurcation", "--A-range", "3.0,3.3", "--tol", "1e-12",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    lo, hi = data["A_c_enclosure"]
+    assert data["found"] is True and hi - lo <= 1e-12 and lo <= 3.12036856285897 <= hi
+
+
 def test_bifurcation_empty_range(tmp_path):
     out = tmp_path / "bif2.json"
     assert main(["bifurcation", "--A-range", "2.0,2.5", "--out", str(out)]) == 3

@@ -462,13 +462,114 @@ def test_bifurcation_bracket():
     assert _a4_root_count(hi) >= 2
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-11, 1e-12])
 def test_fine_bifurcation_bracket_holds_a_c(tol):
     # within about 1e-8 of A_c the float root count at the bracket ends is
-    # rounding noise; the counts 1e-4 outside the bracket are 0 and 2
+    # rounding noise (a float bisection gave up at tol 1e-8 for that
+    # reason); the counts 1e-4 outside the bracket are 0 and 2
     lo, hi = bifurcation_scan((3.0, 3.3), tol=tol)
     assert hi - lo <= tol and lo <= 3.12036856285897 <= hi
     assert (_a4_root_count(lo - 1e-4), _a4_root_count(hi + 1e-4)) == (0, 2)
+
+
+def test_bifurcation_below_the_newton_floor_raises():
+    # 1e-15 is above the float spacing at 3.3, but below the narrowest
+    # enclosure that outward-rounded Newton steps reach: no wider bracket
+    # comes back
+    assert 1e-15 > math.ulp(3.3)
+    with pytest.raises(ValueError, match="stops narrowing at width"):
+        bifurcation_scan((3.0, 3.3), tol=1e-15)
+
+
+def test_pentagon_slope_closed_form_is_exact():
+    # dF/dy4 at p, run through F itself on first-order jets whose parts are
+    # exact polynomials in the symbols t and A over the number field
+    # Q(s), s = sqrt(10 + 2 sqrt 5) = 4 sin 72deg, which holds sqrt 5, phi
+    # and p.  Each r^(-A) is t, with derivative -A t r'/r, once r = phi is
+    # checked exactly.  (The sympy expressions of _exact_type, expanded,
+    # took more than 300 s.)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    s_sym = sympy.sqrt(10 + 2 * sympy.sqrt(5))
+    field = sympy.QQ.algebraic_field(s_sym)
+    poly, t, a = ring("t, A", field)
+    s = poly(field.from_sympy(s_sym))
+    half = sympy.Rational(1, 2)
+    sqrt5 = (s * s - 10) * half
+    phi = (1 + sqrt5) * half
+    p = s * (s * s - 8) * sympy.Rational(1, 16)
+    # p is the pentagon's apex height sqrt(5 + 2 sqrt 5) / 2: p > 0 and
+    # p^2 = (5 + 2 sqrt 5) / 4 exactly
+    assert p * p == (5 + 2 * sqrt5) * sympy.Rational(1, 4)
+    assert float(field.to_sympy(p.LC)) == pytest.approx(regular_pentagon_y4(), abs=1e-15)
+
+    def inverse(c):  # the inverse of a nonzero constant of the ring
+        assert c.is_ground and c
+        return poly(field.one / c.LC)
+
+    class Jet:
+        def __init__(self, v, d):
+            self.v, self.d = v, d
+
+        @staticmethod
+        def parts(x):
+            return (x.v, x.d) if isinstance(x, Jet) else (poly(sympy.Rational(x)), poly(0))
+
+        def __add__(self, other):
+            v, d = self.parts(other)
+            return Jet(self.v + v, self.d + d)
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            v, d = self.parts(other)
+            return Jet(self.v - v, self.d - d)
+
+        def __rsub__(self, other):
+            v, d = self.parts(other)
+            return Jet(v - self.v, d - self.d)
+
+        def __mul__(self, other):
+            v, d = self.parts(other)
+            return Jet(self.v * v, self.d * v + self.v * d)
+        __rmul__ = __mul__
+
+        def __truediv__(self, other):
+            v, d = self.parts(other)
+            inv = inverse(v)
+            return Jet(self.v * inv, (self.d * v - self.v * d) * inv * inv)
+
+        def __neg__(self):
+            return Jet(-self.v, -self.d)
+
+        def __abs__(self):  # r35 = |2 x3|, and x3 > 0 at p on branch A
+            assert float(field.to_sympy(self.v.LC)) > 0.0
+            return self
+
+        def sqrt(self):  # the radicand's root 2 s and r13 = r14 = phi, each checked
+            (w,) = [w for w in (2 * s, phi) if w * w == self.v]
+            return Jet(w, self.d * half * inverse(w))
+
+        def __pow__(self, exponent):  # r^(-A) at r = phi
+            assert exponent.v == -a and not exponent.d and self.v == phi
+            return Jet(t, -a * t * self.d * inverse(self.v))
+
+    slope = F(Jet(p, poly(1)), Jet(a, poly(0)), "A").d
+    sin72 = s * sympy.Rational(1, 4)
+    assert slope == sympy.Rational(5, 2) * sin72 * (1 - t) * (sqrt5 * half * a * t - (1 - t))
+
+
+def test_pentagon_slope_closed_form_matches_the_jet():
+    # dF/dy4 at the regular pentagon in closed form, t = phi^(-A)
+    p = regular_pentagon_y4()
+    for a_exp in np.linspace(2.0, 6.0, 25).tolist():
+        t = ((1.0 + math.sqrt(5.0)) / 2.0) ** -a_exp
+        slope = 2.5 * math.sin(math.radians(72.0)) * (1.0 - t) * (
+            math.sqrt(5.0) / 2.0 * a_exp * t - (1.0 - t))
+        assert F_dual(p, a_exp, "A").dy == pytest.approx(slope, rel=1e-12, abs=1e-14)
+        # the slope and h have opposite signs
+        h = symmetric._pentagon_h(Interval.point(a_exp))
+        assert (h.strictly_negative() and slope > 0) or (h.strictly_positive() and slope < 0)
 
 
 def test_no_bifurcation_below_three():
@@ -623,7 +724,7 @@ def _sha256(obj) -> str:
     (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
      "729db0e5748f5366d85c31a709239cca6fba6a8e12b70fd78b88dc5bba840426"),
     (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
-     "8d84b17cc691a330cfaedfd3be9540153c1b3bab046804a927c586e2e5e06646"),
+     "901c2283688fe8b908992990cc9e942678563ae209647d87569379573deca4ff"),
 ], ids=["scan-A2", "scan-A4", "scan-B3", "isolate-A3.12-A4", "isolate-B-domain",
         "bifurcation"])
 def test_scan_outputs_pinned(run, digest):
