@@ -17,9 +17,9 @@ mean-value form and, as the whole-box value, the natural form it is met
 with (``certify._mv_eval``).
 The root scan needs F and dF/dy4 at one float exponent: its tangency guard
 runs F's jet in y4 with only those two slots as outputs
-(``symmetric._natural_eval``), and the simplicity check of a root
-enclosure runs the scalar jet on one Interval
-(``symmetric._interval_simple``).
+(``symmetric._natural_eval``), and one run of the same plan gives dF/dy4
+over all the root enclosures of a window for their simplicity check.  No
+code of the package runs a Jet2 over intervals outside a plan.
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate

@@ -100,11 +100,12 @@ def F(y4, a_exp, branch: str = "A"):
 def F_dual(y4, a_exp, branch: str = "A") -> Jet2:
     """F's jet in y4 at a constant exponent: ``.v`` is F and ``.dy`` dF/dy4.
 
-    The per-root simplicity check runs it on an Interval and the tangency
-    guard's plan traces it on a row of y4 intervals; on a float it gives
-    dF/dy4 in floats.  The jet also carries d2F/dy4^2, which its formulas
-    compute and no caller reads; over an Interval, an operation of that
-    slot that raises fails the whole jet.
+    The tangency guard's plan (``_natural_plan``) traces it on a row of y4
+    intervals with ``.v`` and ``.dy`` as its only outputs, and that plan
+    serves both the guard and the simplicity check of the scan's roots; on
+    a float it gives dF/dy4 in floats.  Run directly on an Interval, as
+    the tests' reference does, the jet also computes d2F/dy4^2, which no
+    caller reads and whose failure fails the whole jet.
     """
     return F(Jet2.variable_y(y4), a_exp, branch)
 
@@ -248,15 +249,6 @@ def recover_masses(y4: float, branch: str, a_exp: float):
     return kern.masses, kern.positive, rep.max_abs
 
 
-def _interval_simple(enclosure: tuple, branch: str, a_exp: float) -> bool:
-    """True when the interval derivative excludes zero over the enclosure."""
-    try:
-        jet = F_dual(Interval(enclosure[0], enclosure[1]), a_exp, branch)
-    except (ArithmeticError, OutOfDomainError):
-        return False
-    return not jet.dy.contains_zero()
-
-
 def _interval_sign_change(enclosure: tuple, branch: str, a_exp: float) -> bool:
     """Rigorous check that F has opposite strict signs at the enclosure ends."""
     try:
@@ -268,7 +260,7 @@ def _interval_sign_change(enclosure: tuple, branch: str, a_exp: float) -> bool:
             or (fa.strictly_negative() and fb.strictly_positive()))
 
 
-def _make_record(enclosure: tuple, branch: str, a_exp: float,
+def _make_record(enclosure: tuple, branch: str, a_exp: float, simple: bool,
                  certified: bool, resolved: bool = True) -> RootRecord:
     mid = 0.5 * (enclosure[0] + enclosure[1])
     masses, positive, resid = recover_masses(mid, branch, a_exp)
@@ -276,27 +268,30 @@ def _make_record(enclosure: tuple, branch: str, a_exp: float,
         enclosure=enclosure, branch=branch,
         sign_type=classify_sign_type(SymmetricShape(mid, branch)),
         a_exp=a_exp, masses=masses, positive_masses=positive,
-        residual_max=resid,
-        simple=resolved and _interval_simple(enclosure, branch, a_exp),
+        residual_max=resid, simple=simple,
         sign_change_certified=certified, resolved=resolved)
 
 
 def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) -> list:
     """Disjoint sign-change enclosures of the zeros of F inside a window.
 
-    Roots are bracketed on a uniform grid of ``_ROOT_GRID`` cells, refined
-    by bisection to width at most ``tol``, then certified by a thin-interval
-    sign change at the enclosure ends plus an interval-derivative simplicity
-    check.  Grid cells without a sign change that may hide an even-order
-    zero go to the certifier's breadth-first bisection, ``intervals._bisect``,
-    which clears the subcells where the interval F or dF/dy4 excludes zero.
+    Roots are bracketed on a uniform grid of ``_ROOT_GRID`` cells and
+    refined by bisection to width at most ``tol``.  Each enclosure is
+    certified by strict opposite signs of F on a thin scalar Interval at
+    each end, and is simple where the enclosure of dF/dy4 over it excludes
+    zero; one run of the tangency guard's plan (``_natural_eval``) gives
+    dF/dy4 over all the root enclosures of the window.  Grid cells without
+    a sign change that may hide an even-order zero go to the certifier's
+    breadth-first bisection, ``intervals._bisect``, on the same plan, which
+    clears the subcells where the interval F or dF/dy4 excludes zero.
     A grid node where F is not finite (above A of about 1000 a power of a
     distance overflows) has no sign, and neither has an exact zero unless
     its neighbours have opposite signs: the two cells of such a node join
     the subcells the guard leaves open, and their merged cells are reported
     as unresolved records instead of being guessed at.  One INFO line per
     call on this module's logger gives the guard's seeds, its boxes per
-    depth, its passes, the unresolved cells and its wall time.
+    depth, its passes, the unresolved cells, the root enclosures checked,
+    how many of them are not simple, and the guard's wall time.
     Raises OutOfDomainError when the window is empty (lo == hi) or not
     inside [0, Y4_MAX], and ValueError when the exponent breaks the rule of
     ``equations.Exponent`` (finite and at least 2), or when ``tol`` is not
@@ -312,38 +307,41 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     _check_resolution("tol", tol, hi)
     ys = np.linspace(lo, hi, _ROOT_GRID + 1)
     vals, signs, finite = _grid_signs(ys, a_exp, branch)
-    f = partial(F, a_exp=a_exp, branch=branch)
-
-    def bracketed(i, j):  # the root between grid nodes i and j, refined
-        enclosure = _refine(f, float(ys[i]), float(vals[i]), float(ys[j]), tol)
-        return _make_record(enclosure, branch, a_exp,
-                            certified=_interval_sign_change(enclosure, branch, a_exp))
-
-    records = [bracketed(i, i + 1) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
+    brackets = [(i, i + 1) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
     # a grid node without a sign: an exact zero between opposite signs
     # brackets a root, and any other leaves its two cells unresolved
     cells = []
     for i in np.nonzero(signs == 0)[0]:
         if finite[i] and 0 < i < _ROOT_GRID and signs[i - 1] * signs[i + 1] < 0:
-            records.append(bracketed(i - 1, i + 1))
+            brackets.append((i - 1, i + 1))
         else:
             cells.append((float(ys[max(i - 1, 0)]), float(ys[min(i + 1, _ROOT_GRID)])))
+    f = partial(F, a_exp=a_exp, branch=branch)
+    roots = [_refine(f, float(ys[i]), float(vals[i]), float(ys[j]), tol) for i, j in brackets]
+    # a root is simple where the guard's dF/dy4 over its enclosure is valid
+    # and excludes zero: one run of the guard's plan for all roots
+    evaluate = partial(_natural_eval, branch=branch, a_exp=a_exp)
+    simple = []
+    if roots:
+        df = evaluate(*zip(*roots), a_exp, a_exp).df
+        simple = (df.valid & ~df.contains_zero()).tolist()
 
     # tangency guard: same-sign cells that may hide an even-order zero are
     # screened cheaply, then refined by bisection down to depth 24; only
     # cells where F and dF still both straddle zero are reported
     start = time.perf_counter()
     seeds = _tangency_seeds(ys, vals, a_exp)
-    _, undecided, stats = _bisect([(_no_common_zero_decider, seeds)],
-                                  partial(_natural_eval, branch=branch, a_exp=a_exp), 24)
+    _, undecided, stats = _bisect([(_no_common_zero_decider, seeds)], evaluate, 24)
     cells = _merge_intervals(cells + [leaf.y4 for leaf in undecided])
     log.info("tangency guard on y4 [%r, %r] at A=%r: seeds %d, boxes per depth %s, "
-             "passes %d, unresolved cells %d, %.3f s", float(lo), float(hi), a_exp, len(seeds),
-             stats["evals_per_depth"], stats["passes"], len(cells),
+             "passes %d, unresolved cells %d, roots %d, not simple %d, %.3f s",
+             float(lo), float(hi), a_exp, len(seeds), stats["evals_per_depth"],
+             stats["passes"], len(cells), len(roots), simple.count(False),
              time.perf_counter() - start)
-    for cell in cells:
-        records.append(_make_record(cell, branch, a_exp,
-                                    certified=False, resolved=False))
+    records = [_make_record(root, branch, a_exp, ok, _interval_sign_change(root, branch, a_exp))
+               for root, ok in zip(roots, simple)]
+    records += [_make_record(cell, branch, a_exp, False, False, resolved=False)
+                for cell in cells]
     records.sort(key=lambda r: r.enclosure[0])
     return records
 
@@ -363,10 +361,19 @@ def _grid_signs(ys, a_exp: float, branch: str) -> tuple:
 
 def _tangency_seeds(ys, vals, a_exp: float) -> list:
     """Same-sign grid cells close enough to zero to hide an even-order zero
-    of F, as (y4 lo, y4 hi, A, A) boxes."""
+    of F, as (y4 lo, y4 hi, A, A) boxes.
+
+    A cell is near when min(|F|) at its ends is below 8 (|dF| + 1e-300),
+    dF the step of F across it.  The rule runs on half of every value and
+    compares min(|F|)/16 with |dF|/2 + 1e-300/2: no intermediate overflows
+    at values up to the float maximum, and since scaling by a power of two
+    is exact, each verdict is that of the rule in full, read as true where
+    8 (|dF| + 1e-300) overflows.  Where halving a value rounds, that value
+    is below 1e-307 and the cell is near either way."""
     signs = np.sign(vals)
-    steps = np.abs(np.diff(vals))
-    near = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < 8.0 * (steps + 1e-300)
+    half = 0.5 * vals
+    steps = np.abs(np.diff(half))
+    near = np.minimum(np.abs(half[:-1]), np.abs(half[1:])) / 8.0 < steps + 0.5e-300
     return [(float(ys[i]), float(ys[i + 1]), a_exp, a_exp)
             for i in np.flatnonzero(near & (signs[:-1] * signs[1:] > 0)).tolist()]
 

@@ -108,6 +108,8 @@ def test_symmetric_scan_branch_b(tmp_path, capsys):
     assert head.startswith("pentacc.symmetric: tangency guard on y4 [0.13397")
     assert tail.startswith("seeds 67, boxes per depth [67, 12, 12, ")
     assert ", passes 8, unresolved cells 0, " in tail and tail.endswith(" s\n")
+    # the window's one root enclosure was checked for simplicity, and passed
+    assert ", roots 1, not simple 0, " in tail
 
 
 def test_symmetric_scan_quartic_has_four_records(tmp_path):

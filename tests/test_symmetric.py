@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import operator
+import warnings
 from functools import partial
 
 import numpy as np
@@ -405,6 +406,76 @@ def test_tangency_guard_matches_recursive_oracle(branch, a_exp, label):
                       for sub in _suspect_subcells(Interval(s[0], s[1]), branch, a_exp, cap))
         assert sorted(leaf.y4 for leaf in undecided) == want
         assert stats["evals_per_depth"][0] == len(seeds)
+
+
+def _seeds_in_full(ys, vals, a_exp: float) -> list:
+    """The tangency seeds' rule as first written, min(|F|) < 8 (|dF| + 1e-300)
+    on the values themselves.  Near the float maximum the step or the bound
+    overflows to inf, which the comparison reads as true."""
+    signs = np.sign(vals)
+    with np.errstate(over="ignore"):
+        steps = np.abs(np.diff(vals))
+        near = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < 8.0 * (steps + 1e-300)
+    return [(float(ys[i]), float(ys[i + 1]), a_exp, a_exp)
+            for i in np.flatnonzero(near & (signs[:-1] * signs[1:] > 0)).tolist()]
+
+
+@pytest.mark.parametrize("branch, label, a_exp", [
+    ("B", "B2", 50.0), ("B", "B2", 100.0), ("B", "B2", 200.0), ("B", "B2", 300.0),
+    ("B", "B3", 100.0), ("B", "B3", 300.0), ("B", "B4", 1000.0), ("B", "B5", 1000.0),
+    ("A", "A5", 1100.0)])
+def test_tangency_seeds_do_not_overflow(branch, label, a_exp):
+    # F reaches about 1e308 on these grids, where 8 (|dF| + 1e-300) once
+    # overflowed with a RuntimeWarning; the seeds are those of the rule in full
+    ys = np.linspace(*window_for(branch, label, inset=1e-9), 4097)
+    vals = symmetric._grid_signs(ys, a_exp, branch)[0]
+    assert np.abs(vals).max() > 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = _tangency_seeds(ys, vals, a_exp)
+    assert seeds == _seeds_in_full(ys, vals, a_exp)
+
+
+def test_tangency_seeds_at_the_float_extremes():
+    # values from subnormals to the float maximum, both signs, and zeros
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-323.0, 308.25, 4000)
+    vals = np.concatenate((rng.choice([-1.0, 1.0], 4000) * mags,
+                           [np.finfo(float).max, -np.finfo(float).max, np.finfo(float).max,
+                            5e-324, 0.0, -5e-324, 1e-310, 2e-308, 2.3e-308, 1e-300]))
+    vals[rng.integers(0, vals.size, 200)] = 0.0
+    ys = np.arange(vals.size, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = _tangency_seeds(ys, vals, 3.0)
+    assert seeds == _seeds_in_full(ys, vals, 3.0)
+
+
+@pytest.mark.parametrize("branch, a_exp", [("A", 2.0), ("A", 4.0), ("B", 3.0), ("A", 3.12)])
+def test_root_simplicity_reads_the_guards_plan(monkeypatch, branch, a_exp):
+    # each window's root enclosures get dF/dy4 from one run of the guard's
+    # plan, which matches the scalar jet on each enclosure bit for bit; a
+    # root is simple where that enclosure excludes zero
+    runs = []
+
+    def recording(ylo, yhi, alo, ahi, branch, a_exp):
+        out = _natural_eval(ylo, yhi, alo, ahi, branch=branch, a_exp=a_exp)
+        runs.append((list(zip(ylo, yhi)), out.df))
+        return out
+
+    monkeypatch.setattr(symmetric, "_natural_eval", recording)
+    for label in ALLOWED_TYPES[branch]:
+        runs.clear()
+        roots = [r for r in isolate_roots(branch, a_exp, window_for(branch, label, inset=1e-9))
+                 if r.resolved]
+        root_runs = [run for run in runs if sorted(run[0]) == [r.enclosure for r in roots]]
+        assert len(root_runs) == (1 if roots else 0)
+        for rec in roots:
+            boxes, df = root_runs[0]
+            k = boxes.index(rec.enclosure)
+            dy = F_dual(Interval(*rec.enclosure), a_exp, branch).dy
+            assert (float(df.lo[k]).hex(), float(df.hi[k]).hex()) == (dy.lo.hex(), dy.hi.hex())
+            assert rec.simple == (not dy.contains_zero())
 
 
 # ---------------------------------------------------------------------------
