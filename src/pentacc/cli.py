@@ -263,7 +263,8 @@ def cmd_tropical_verify(args) -> int:
         start = time.perf_counter()
         a_exp = Exponent.parse(text)
         if a_exp.rational is None:
-            raise ValueError(f"exponent {text} is not rational")
+            raise ValueError(f"exponent {text} is a decimal; give it as a fraction p/q, "
+                             "such as 5/2, for the exact tables")
         if args.ray:
             weights = _parse_ray(args.ray)
             system = build_system(a_exp.rational)

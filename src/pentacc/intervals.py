@@ -494,13 +494,14 @@ class IntervalArray:
         if n == 0:
             one = np.where(np.isnan(self.lo), math.nan, 1.0)
             return IntervalArray._new(one, one)
-        power = lambda v: v ** n  # noqa: E731  float ** is libm pow
+        # v ** n is pow(v, float(n)): the builtin maps with no Python frame per element
         if n < 0:
-            p0, p1 = _libm(power, np.where(self.contains_zero(), math.nan, (self.lo, self.hi)))
+            p0, p1 = _libm(pow, np.where(self.contains_zero(), math.nan, (self.lo, self.hi)),
+                           float(n))
             # NaN-propagating: an overflow in either bound invalidates the element
             return IntervalArray._new(_adown(np.minimum(p0, p1)), _aup(np.maximum(p0, p1)))
         a = abs(self) if n % 2 == 0 else self
-        lo, hi = _libm(power, (a.lo, a.hi))
+        lo, hi = _libm(pow, (a.lo, a.hi), float(n))
         # even n: Python's max(0.0, _down(lo)), as _adown keeps a positive lo
         # nonnegative; where lo is NaN the upper bound is too
         lo = np.where(lo > 0.0, _adown(lo), 0.0) if n % 2 == 0 else _adown(lo)

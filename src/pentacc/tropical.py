@@ -21,16 +21,22 @@ system polynomial keeps at least two terms; initial forms collect the terms
 of maximal weight, the Groebner-deformation convention under which the
 shipped ray and cone tables verify.
 
-Membership runs on projected points.  The lifted weight of a term with
-exponent (e_r, e_Q) is <e_r + (2 - A) e_Q, w> = <q e_r + (2q - p) e_Q, w> / q,
-so each term projects to the integer point q e_r + (2q - p) e_Q in Z^6, and
-each weight is scaled once by the least common multiple of its six
-denominators.  Both are positive rescalings, so every maximiser set is that
-of the rational lift.  All term weights of a batch of weights are one
-integer matrix product, and per-polynomial maxima and tie counts are
-``reduceat`` reductions.  The six binomials project to one point each, so
-they never decide membership; if they do not, the system was built for
-another exponent and the kernel raises ``ValueError``.
+Membership runs on projected points and integer rows.  The lifted weight of
+a term with exponent (e_r, e_Q) is <e_r + (2 - A) e_Q, w> = <q e_r + (2q - p)
+e_Q, w> / q, so each term projects to the integer point q e_r + (2q - p) e_Q
+in Z^6.  A table entry's class coordinate c0 + c1 A, summed over its
+generators, becomes the integer row q sum(c0) + p sum(c1), which is q times
+the rational weight; a weight given as rationals is instead multiplied once
+by the least common multiple of its six denominators.  All of these are
+positive rescalings, so every maximiser set is that of the rational lift,
+and orbits, their order and sizes, and coordinate-sum signs are those of
+the rational weights: the tables run on integers from the ray table to the
+kernel, and a weight becomes a ``Fraction`` only when a failure records it.
+All term weights of a batch of rows are one integer matrix product, and
+per-polynomial maxima and tie counts are ``reduceat`` reductions.  The six
+binomials project to one point each, so they never decide membership; if
+they do not, the system was built for another exponent and the kernel
+raises ``ValueError``.
 
 The products are exact at any size.  They run on int64 when a bound proves
 that nothing can overflow: every product and partial sum of a term weight is
@@ -71,9 +77,10 @@ __all__ = [
 NUM_VARIABLES = 12
 
 
-def _cls(i: int, j: int) -> int:
-    return PAIR_CLASS[(min(i, j), max(i, j))]
-
+# The class of the pair of bodies (i, j) at _CLASS[i - 1][j - 1]; None on
+# the diagonal.
+_CLASS = tuple(tuple(PAIR_CLASS.get((min(i, j), max(i, j))) for j in range(1, 6))
+               for i in range(1, 6))
 
 _ZERO_MASS = (0, 0, 0, 0, 0)
 
@@ -146,28 +153,27 @@ def build_f_poly(i: int, j: int) -> LaurentPoly:
     that of (i, k) itself.  Each product expands into signed monomials, and
     their integer coefficients are summed per exponent and mass.
     """
+    cls = _CLASS[i - 1]
     others = [k for k in range(1, 6) if k != i]
-    classes = {_cls(i, k) for k in others}
+    classes = {cls[k - 1] for k in others}
     coeffs: dict = {}
     for k in others:
-        cik = _cls(i, k)
+        cik, mass = cls[k - 1], tuple(int(m == k) for m in range(1, 6))
         cleared = [0] * NUM_VARIABLES
         for c in classes - {cik}:
             cleared[c] = 2
-        a_terms = [(-1, cik), (-1, _cls(i, j))] + ([(1, _cls(j, k))] if k != j else [])
+        a_terms = [(-1, cik), (-1, cls[j - 1])] + ([(1, _CLASS[j - 1][k - 1])] if k != j else [])
         for s_sign, s_var, s_pow in ((1, 6 + cik, 1), (-1, cik, 2)):  # Q - r^2
             for a_sign, a_cls in a_terms:
                 e = list(cleared)
                 e[s_var] += s_pow
                 e[a_cls] += 2
-                key = (tuple(e), k)
+                key = (tuple(e), mass)
                 coeffs[key] = coeffs.get(key, 0) + s_sign * a_sign
     terms: dict = {}
-    for (e, k), c in coeffs.items():
+    for (e, mass), c in coeffs.items():
         if c:
-            mass = [0] * 5
-            mass[k - 1] = 1
-            terms.setdefault(e, {})[tuple(mass)] = Fraction(c)
+            terms.setdefault(e, {})[mass] = Fraction(c)
     return LaurentPoly(terms)
 
 
@@ -198,12 +204,13 @@ def build_cayley_menger_poly(points: tuple) -> LaurentPoly:
     each Leibniz term is a signed monomial whose exponent counts its r^2
     factors; the determinant is the integer sum of those monomials.
     """
+    cls = [_CLASS[i - 1] for i in points]
     coeffs: dict = {}
     for perm, sgn in _DERANGEMENTS:
         e = [0] * NUM_VARIABLES
         for a in range(1, 5):
             if perm[a]:
-                e[_cls(points[a - 1], points[perm[a] - 1])] += 2
+                e[cls[a - 1][points[perm[a] - 1] - 1]] += 2
         key = tuple(e)
         coeffs[key] = coeffs.get(key, 0) + sgn
     return LaurentPoly({e: {_ZERO_MASS: Fraction(c)} for e, c in coeffs.items() if c})
@@ -249,15 +256,11 @@ class WeightVector:
     def __post_init__(self):
         if len(self.weights) != 6:
             raise ValueError("expected six class weights")
-        object.__setattr__(self, "weights",
-                           tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(
+            w if isinstance(w, Fraction) else Fraction(w) for w in self.weights))
 
     def scaled(self, c) -> "WeightVector":
         return WeightVector(tuple(Fraction(c) * w for w in self.weights))
-
-    @property
-    def coordinate_sum(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
 
 
 # Cyclic relabeling i -> i+1 fixes the edge class and 5-cycles the diagonals;
@@ -266,33 +269,38 @@ CYCLE_CLASS_MAP = {0: 0, 1: 3, 3: 5, 5: 2, 2: 4, 4: 1}
 REFLECT_CLASS_MAP = {0: 0, 1: 4, 4: 1, 2: 3, 3: 2, 5: 5}
 
 
-def _relabel(w: WeightVector, class_map: dict) -> WeightVector:
+def _relabel(weights: tuple, class_map: dict) -> tuple:
     """The weight of each class c moved to class ``class_map[c]``."""
-    out = [Fraction(0)] * 6
-    for c, x in enumerate(w.weights):
+    out = [0] * 6
+    for c, x in enumerate(weights):
         out[class_map[c]] = x
-    return WeightVector(tuple(out))
+    return tuple(out)
 
 
 def cyclic_weight(w: WeightVector) -> WeightVector:
-    return _relabel(w, CYCLE_CLASS_MAP)
+    return WeightVector(_relabel(w.weights, CYCLE_CLASS_MAP))
 
 
 def reflect_weight(w: WeightVector) -> WeightVector:
-    return _relabel(w, REFLECT_CLASS_MAP)
+    return WeightVector(_relabel(w.weights, REFLECT_CLASS_MAP))
+
+
+def _orbit(weights: tuple, dihedral: bool = False) -> list:
+    """The distinct images of ``weights`` under the five rotations (and the
+    five reflections), sorted; for rationals and integer rows alike."""
+    images = [weights]
+    for _ in range(4):
+        images.append(_relabel(images[-1], CYCLE_CLASS_MAP))
+    if dihedral:
+        images += [_relabel(v, REFLECT_CLASS_MAP) for v in images]
+    return sorted(set(images))
 
 
 def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
     """Orbit under the cyclic relabeling, optionally with the reflection:
     the images of ``w`` under the five rotations (and the five reflections),
     sorted by weights."""
-    images = [w]
-    for _ in range(4):
-        images.append(cyclic_weight(images[-1]))
-    if dihedral:
-        images += [reflect_weight(v) for v in images]
-    unique = {v.weights: v for v in images}
-    return [unique[k] for k in sorted(unique)]
+    return [WeightVector(v) for v in _orbit(w.weights, dihedral)]
 
 
 # Below this bound on every entry, product and partial sum, int64 is exact.
@@ -325,28 +333,27 @@ def _scaled(w: WeightVector) -> list:
     return [x.numerator * (scale // x.denominator) for x in w.weights]
 
 
-def _top(polys: list, a_exp: Fraction, weights: list) -> tuple:
-    """(top, ties) of ``polys`` under each of ``weights``.
+def _top(polys: list, a_exp: Fraction, rows: list) -> tuple:
+    """(top, ties) of ``polys`` under each of the integer weight ``rows``.
 
     ``top[t, k]`` says whether term t attains its polynomial's maximal weight
-    under ``weights[k]``, and ``ties[i, k]`` counts the terms of polynomial i
+    under ``rows[k]``, and ``ties[i, k]`` counts the terms of polynomial i
     that do.  All term weights are one integer matrix product; maxima and
     counts are ``reduceat`` reductions over the polynomials' term blocks.
     """
     points = _project(polys, Fraction(a_exp))
-    scaled = [_scaled(w) for w in weights]
-    wmax = max((abs(x) for row in scaled for x in row), default=0)
+    wmax = max((abs(x) for row in rows for x in row), default=0)
     if points.dtype == object or 6 * _magnitude(points) * wmax >= _INT64_BOUND:
         points, dtype = points.astype(object), object
     else:
         dtype = np.int64
-    term_weights = points @ np.array(scaled, dtype=dtype).reshape(len(weights), 6).T
+    term_weights = points @ np.array(rows, dtype=dtype).reshape(len(rows), 6).T
     sizes = np.array([len(poly) for poly in polys], dtype=np.intp)
     filled = sizes > 0  # an empty polynomial has no top term
     starts = (np.cumsum(sizes) - sizes)[filled]
     maxima = np.maximum.reduceat(term_weights, starts, axis=0)
     top = term_weights == np.repeat(maxima, sizes[filled], axis=0)
-    ties = np.zeros((len(polys), len(weights)), dtype=np.intp)
+    ties = np.zeros((len(polys), len(rows)), dtype=np.intp)
     ties[filled] = np.add.reduceat(top, starts, axis=0, dtype=np.intp)
     return top, ties
 
@@ -363,12 +370,12 @@ def _check_exponent(system: list, a_exp: Fraction) -> None:
                                  f"not for A={a_exp}")
 
 
-def _memberships(system: list, a_exp: Fraction, weights: list) -> list:
-    """(ok, witness) of each weight: the witness is the first polynomial whose
-    maximal weight is attained by fewer than two terms, or None."""
+def _memberships(system: list, a_exp: Fraction, rows: list) -> list:
+    """(ok, witness) of each integer weight row: the witness is the first
+    polynomial whose maximal weight is attained by fewer than two terms, or None."""
     a_exp = Fraction(a_exp)
     _check_exponent(system, a_exp)
-    _, ties = _top([poly for _, poly in system], a_exp, weights)
+    _, ties = _top([poly for _, poly in system], a_exp, rows)
     single = ties < 2
     first = single.argmax(axis=0)
     return [(False, system[f][0]) if single[f, k] else (True, None)
@@ -388,7 +395,7 @@ def in_prevariety(w: WeightVector, system: list, a_exp: Fraction) -> tuple:
     a single monomial (masses generic), or is None on success.  Raises
     ``ValueError`` when ``system`` was built for another exponent.
     """
-    return _memberships(system, a_exp, [w])[0]
+    return _memberships(system, a_exp, [_scaled(w)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +410,21 @@ class RayTable:
     version: int
 
     def ray_weight(self, label: str, a_exp: Fraction) -> WeightVector:
+        """The ray's coordinates c0 + c1 A at ``a_exp``: its integer row over q."""
+        a_exp = Fraction(a_exp)
         for lab, coords, _ in self.rays:
             if lab == label:
-                return _affine_sum((coords,), a_exp)
-        raise KeyError(label)
-
-    def cone_interior_weight(self, label: str, a_exp: Fraction) -> WeightVector:
-        for lab, gens in self.cones:
-            if lab == label:
-                return _affine_sum(gens, a_exp)
+                q = a_exp.denominator
+                return WeightVector(tuple(Fraction(x, q)
+                                          for x in _row((coords,), a_exp.numerator, q)))
         raise KeyError(label)
 
 
-def _affine_sum(gens, a_exp: Fraction) -> WeightVector:
-    """The sum of the generators' coordinates c0 + c1 A at ``a_exp``: the
-    integers c0 and c1 are summed first, then multiplied by A once."""
-    a_exp = Fraction(a_exp)
-    return WeightVector(tuple(sum(g[c][0] for g in gens) + sum(g[c][1] for g in gens) * a_exp
-                              for c in range(6)))
+def _row(gens, p: int, q: int) -> tuple:
+    """q times the sum of the generators' coordinates c0 + c1 A at A = p/q:
+    the integers q sum(c0) + p sum(c1), a positive rescaling of the weight."""
+    return tuple(q * sum(g[c][0] for g in gens) + p * sum(g[c][1] for g in gens)
+                 for c in range(6))
 
 
 def load_ray_table() -> RayTable:
@@ -476,17 +480,17 @@ def verify_tables(a_exp) -> TableReport:
     the all-negative ray.
     """
     a_exp = Fraction(a_exp)
+    p, q = a_exp.numerator, a_exp.denominator
     table = load_ray_table()
     system = build_system(a_exp)
     stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
-    rays = []
-    for label, _, mult in table.rays:
-        w = table.ray_weight(label, a_exp)
-        rays.append((label, mult, w, weight_orbit(w)))
-    cones = [(label, table.cone_interior_weight(label, a_exp)) for label, _ in table.cones]
+    # integer rows, q times the rational weights, up to the failure entries
+    rays = [(label, mult, _row((coords,), p, q)) for label, coords, mult in table.rays]
+    orbits = [_orbit(row) for _, _, row in rays]
+    cones = [(label, _row(gens, p, q)) for label, gens in table.cones]
     # one batch for the whole table, consumed in report order
     verdicts = iter(_memberships(
-        system, a_exp, [m for *_, members in rays for m in members] + [w for _, w in cones]))
+        system, a_exp, [m for members in orbits for m in members] + [row for _, row in cones]))
 
     def member_of() -> tuple:
         ok, witness = next(verdicts)
@@ -496,20 +500,23 @@ def verify_tables(a_exp) -> TableReport:
             stats["witnesses"][witness] = stats["witnesses"].get(witness, 0) + 1
         return ok, witness
 
+    def rational(row) -> list:
+        return [str(Fraction(x, q)) for x in row]
+
     failures = []
     ray_results: dict = {}
     mult_results: dict = {}
     excluded = []
-    for label, mult, w, members in rays:
+    for (label, mult, row), members in zip(rays, orbits):
         all_in = True
         for member in members:
             ok, witness = member_of()
             all_in = all_in and ok
             if not ok:
-                failures.append({"entry": label, "weight": [str(x) for x in member.weights],
+                failures.append({"entry": label, "weight": rational(member),
                                  "witness": witness})
         ray_results[label] = {"orbit_size": len(members), "all_in": all_in}
-        dihedral = len(weight_orbit(w, dihedral=True))
+        dihedral = len(_orbit(row, dihedral=True))
         mult_results[label] = {
             "expected": mult,
             "dihedral_orbit": dihedral,
@@ -517,27 +524,24 @@ def verify_tables(a_exp) -> TableReport:
         }
         if not mult_results[label]["matches"]:
             failures.append({"entry": label, "witness": "multiplicity",
-                             "weight": [str(x) for x in w.weights]})
-        if w.coordinate_sum < 0:
+                             "weight": rational(row)})
+        if sum(row) < 0:
             excluded.append(label)
     # the all-negative class is the only one whose coordinate sum stays
-    # negative for every exponent >= 3; checked on the symbolic entries
-    always_negative = []
-    for label, coords, _ in table.rays:
-        s0 = sum(c0 for c0, _ in coords)
-        s1 = sum(c1 for _, c1 in coords)
-        if not (s1 >= 0 and s0 + 3 * s1 >= 0):
-            always_negative.append(label)
+    # negative for every exponent >= 3; checked on the symbolic entries: the
+    # sum is linear in A, so its slope (the row at p, q = 1, 0) and its value
+    # at A = 3 decide
+    always_negative = [label for label, coords, _ in table.rays
+                       if sum(_row((coords,), 1, 0)) < 0 or sum(_row((coords,), 3, 1)) < 0]
     if always_negative != ["h1"]:
         failures.append({"entry": "halfspace", "witness": str(always_negative),
                          "weight": []})
     cone_results: dict = {}
-    for label, w in cones:
+    for label, row in cones:
         ok, witness = member_of()
         cone_results[label] = ok
         if not ok:
-            failures.append({"entry": label, "weight": [str(x) for x in w.weights],
-                             "witness": witness})
+            failures.append({"entry": label, "weight": rational(row), "witness": witness})
     return TableReport(a_exp=a_exp, ray_results=ray_results,
                        cone_results=cone_results,
                        multiplicity_results=mult_results,

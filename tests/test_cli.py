@@ -236,7 +236,8 @@ def test_tropical_verify_single_ray_reject(tmp_path):
 def test_tropical_verify_rejects_irrational(tmp_path, capsys):
     assert main(["tropical-verify", "--A", "2.7182",
                  "--out", str(tmp_path / "x.json")]) == 1
-    assert capsys.readouterr().err == "error: exponent 2.7182 is not rational\n"
+    assert capsys.readouterr().err == ("error: exponent 2.7182 is a decimal; give it as a "
+                                       "fraction p/q, such as 5/2, for the exact tables\n")
 
 
 def test_tropical_verify_stats(tmp_path, capsys):

@@ -336,7 +336,10 @@ def test_interval_array_marks_scalar_failures_invalid():
         (lambda t: t ** 0.5 - t * t, lambda t: t ** 0.5 - t * t),
         (lambda t: abs(t) ** 3, lambda t: abs(t) ** 3),
     ]
-    bounds = [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 2.0), (0.5, 1.5), (1e200, 1e201)]
+    # integer powers, on both sides of overflow and underflow
+    cases += [(lambda t, n=n: t ** n,) * 2 for n in (-5, -4, -3, 2, 3, 400)]
+    bounds = [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 2.0), (0.5, 1.5), (1e200, 1e201),
+              (-1e-200, -1e-300), (0.9, 1.1)]
     arr = IntervalArray(*zip(*bounds))
     for scalar_op, array_op in cases:
         got = array_op(arr)

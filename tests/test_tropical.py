@@ -26,6 +26,10 @@ from pentacc.tropical import (
     weight_orbit,
     CYCLE_CLASS_MAP,
     _ZERO_MASS,
+    _memberships,
+    _orbit,
+    _row,
+    _scaled,
     _top,
 )
 from pentacc.geometry import PAIR_CLASS
@@ -36,8 +40,9 @@ CYCLE_MASS_MAP = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
 
 
 def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> LaurentPoly:
-    """Terms of maximal lifted weight, read from the membership kernel's ``_top``."""
-    top, _ = _top([poly], a_exp, [w])
+    """Terms of maximal lifted weight, read from the membership kernel's ``_top``
+    on the weight's integer row."""
+    top, _ = _top([poly], a_exp, [_scaled(w)])
     return LaurentPoly({e: mp for (e, mp), keep in zip(poly.terms.items(), top[:, 0]) if keep})
 
 
@@ -318,6 +323,13 @@ def _fraction_top_terms(poly, w, a_exp):
     return keep
 
 
+def _fraction_weight(gens, a_exp):
+    """The generators' coordinates c0 + c1 A summed in exact Fraction arithmetic."""
+    a_exp = Fraction(a_exp)
+    return WeightVector(tuple(sum(g[c][0] for g in gens) + sum(g[c][1] for g in gens) * a_exp
+                              for c in range(6)))
+
+
 def _oracle_weights(a_exp):
     """Zero and single-class rays, every dihedral orbit member of every table
     ray, every cone-interior weight, and seeded rational weights: random
@@ -331,7 +343,7 @@ def _oracle_weights(a_exp):
     members = [m for label, _, _ in table.rays
                for m in weight_orbit(table.ray_weight(label, a_exp), dihedral=True)]
     weights += members
-    weights += [table.cone_interior_weight(label, a_exp) for label, _ in table.cones]
+    weights += [_fraction_weight(gens, a_exp) for _, gens in table.cones]
     rng = random.Random(str(a_exp))
 
     def frac(lo):
@@ -536,3 +548,55 @@ def test_table_report_stats_count_rejected_weights(monkeypatch):
     assert report.stats == {"weights_tested": 56,
                             "polynomials_examined": 55 * 31 + labels.index(witness) + 1,
                             "witnesses": {witness: 1}}
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("a_exp", ORACLE_EXPONENTS + [Fraction(3 * 10 ** 19 + 1, 10 ** 19)],
+                         ids=str)
+def test_integer_rows_match_fraction_path(a_exp):
+    # every ray and cone: the integer row q sum(c0) + p sum(c1) against the
+    # rational weight c0 + c1 A summed in Fraction arithmetic
+    table = load_ray_table()
+    p, q = a_exp.numerator, a_exp.denominator
+    system = build_system(a_exp)
+    for label, coords, _ in table.rays:
+        assert table.ray_weight(label, a_exp) == _fraction_weight((coords,), a_exp)
+    rows, weights = [], []
+    for gens in [(coords,) for _, coords, _ in table.rays] + [gens for _, gens in table.cones]:
+        row, w = _row(gens, p, q), _fraction_weight(gens, a_exp)
+        orbit, members = _orbit(row), weight_orbit(w)
+        assert orbit == [tuple(q * x for x in m.weights) for m in members]
+        assert len(_orbit(row, dihedral=True)) == len(weight_orbit(w, dihedral=True))
+        assert _sign(sum(row)) == _sign(sum(w.weights))
+        rows += orbit
+        weights += members
+    assert _memberships(system, a_exp, rows) == [in_prevariety(w, system, a_exp)
+                                                 for w in weights]
+
+
+def test_table_report_failure_weights_are_the_rational_orbit(monkeypatch):
+    # a ray (0, 1 + A, -1, 0, 0, 0) whose five cyclic images are all rejected,
+    # listed with multiplicity 5 against its dihedral orbit of 10; every
+    # failure reports its weight as rationals at A = 7/3
+    import pentacc.tropical as tropical
+    a_exp = Fraction(7, 3)
+    table = load_ray_table()
+    coords = ((0, 0), (1, 1), (-1, 0)) + ((0, 0),) * 3
+    bad = dataclasses.replace(table, rays=table.rays + (("bad", coords, 5),))
+    monkeypatch.setattr(tropical, "load_ray_table", lambda: bad)
+    report = verify_tables(a_exp)
+    w = bad.ray_weight("bad", a_exp)
+    assert [str(x) for x in w.weights] == ["0", "10/3", "-1", "0", "0", "0"]
+    members = weight_orbit(w)
+    assert [f["entry"] for f in report.failures] == ["bad"] * 6
+    *rejected, multiplicity = report.failures
+    assert [f["weight"] for f in rejected] == [[str(x) for x in m.weights] for m in members]
+    assert all(f["witness"] in dict(build_system(a_exp)) for f in rejected)
+    assert multiplicity == {"entry": "bad", "witness": "multiplicity",
+                            "weight": [str(x) for x in w.weights]}
+    assert report.ray_results["bad"] == {"orbit_size": 5, "all_in": False}
+    assert report.multiplicity_results["bad"] == {"expected": 5, "dihedral_orbit": 10,
+                                                  "matches": False}
