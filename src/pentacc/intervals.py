@@ -209,6 +209,16 @@ class Interval:
             return -self
         return Interval(0.0, max(-self.lo, self.hi))
 
+    def _abs_part(self, c):
+        """Component c of |x| for a jet x with this value: negated where the
+        value is negative, kept where it is nonnegative; a value that
+        straddles 0 raises."""
+        if self.hi < 0.0:
+            return -c
+        if self.lo >= 0.0:
+            return c
+        raise IntervalDomainError(f"abs of a jet whose value {self} straddles 0")
+
     def sqrt(self) -> "Interval":
         clipped = self.intersect(Interval(0.0, _INF))
         return Interval(max(0.0, _down(math.sqrt(clipped.lo))), _up(math.sqrt(clipped.hi)))
@@ -330,9 +340,13 @@ class IntervalArray:
     log of an interval touching 0, a negative power of an interval
     containing 0, an empty sqrt clip, a libm overflow), that element gets
     NaN bounds instead and NaN propagates through later operations;
-    ``valid`` marks the other elements.  Floats, float arrays and
-    broadcastable shapes mix in as point intervals.  ``**`` and the
-    reflected ``-`` and ``/`` are Interval's: they only coerce and dispatch.
+    ``valid`` marks the other elements.  Every result goes through the one
+    checked constructor ``IntervalArray(lo, hi)``, which gives an element
+    with a NaN or inverted bound NaN bounds; ``_of`` wraps bounds that an
+    IntervalArray already holds, or a float constant, without the check.
+    Floats, float arrays and broadcastable shapes mix in as point
+    intervals.  ``**`` and the reflected ``-`` and ``/`` are Interval's:
+    they only coerce and dispatch.
     """
 
     __slots__ = ("lo", "hi")
@@ -340,9 +354,7 @@ class IntervalArray:
     __array_ufunc__ = None
 
     def __init__(self, lo, hi):
-        self._set(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-
-    def _set(self, lo, hi) -> None:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         ok = lo <= hi  # false for a NaN bound or an inverted pair
         if not np.logical_and.reduce(ok, axis=None):
             lo = np.where(ok, lo, math.nan)
@@ -351,24 +363,13 @@ class IntervalArray:
         self.hi = hi
 
     @classmethod
-    def _new(cls, lo, hi) -> "IntervalArray":
-        """An operation's result from float64 bounds, without conversion."""
-        out = object.__new__(cls)
-        out._set(lo, hi)
-        return out
-
-    @classmethod
     def _of(cls, lo, hi) -> "IntervalArray":
         """Bounds that an IntervalArray already holds (rows or elements of a
-        stack), without the check of ``_set``."""
+        stack), or a float constant, without the check of ``__init__``."""
         out = object.__new__(cls)
         out.lo = lo
         out.hi = hi
         return out
-
-    @classmethod
-    def point(cls, x) -> "IntervalArray":
-        return cls(x, x)
 
     @classmethod
     def around(cls, x) -> "IntervalArray":
@@ -399,8 +400,8 @@ class IntervalArray:
 
     def intersect(self, other: "IntervalArray") -> "IntervalArray":
         # Python's max(a, b) keeps a unless b > a; likewise min
-        return IntervalArray._new(np.where(other.lo > self.lo, other.lo, self.lo),
-                                  np.where(other.hi < self.hi, other.hi, self.hi))
+        return IntervalArray(np.where(other.lo > self.lo, other.lo, self.lo),
+                             np.where(other.hi < self.hi, other.hi, self.hi))
 
     def __repr__(self) -> str:
         return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
@@ -413,10 +414,8 @@ class IntervalArray:
             return x
         if isinstance(x, float):
             # a constant: a point whose float bounds broadcast
-            out = object.__new__(IntervalArray)
-            out.lo = out.hi = x
-            return out
-        return IntervalArray.point(x)
+            return IntervalArray._of(x, x)
+        return IntervalArray(x, x)
 
     @staticmethod
     def _hull(p, lo_nan) -> "IntervalArray":
@@ -424,22 +423,22 @@ class IntervalArray:
         lo = np.fmin(np.fmin(p[0], p[1]), np.fmin(p[2], p[3]))
         hi = np.fmax(np.fmax(p[0], p[1]), np.fmax(p[2], p[3]))
         lo = np.where(lo_nan | np.isnan(p[0]), math.nan, lo)
-        return IntervalArray._new(_adown(lo), _aup(hi))
+        return IntervalArray(_adown(lo), _aup(hi))
 
     @_quiet
     def __add__(self, other):
         o = self._coerce(other)
-        return IntervalArray._new(_adown(self.lo + o.lo), _aup(self.hi + o.hi))
+        return IntervalArray(_adown(self.lo + o.lo), _aup(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntervalArray._new(-self.hi, -self.lo)
+        return IntervalArray(-self.hi, -self.lo)
 
     @_quiet
     def __sub__(self, other):
         o = self._coerce(other)
-        return IntervalArray._new(_adown(self.lo - o.hi), _aup(self.hi - o.lo))
+        return IntervalArray(_adown(self.lo - o.hi), _aup(self.hi - o.lo))
 
     __rsub__ = Interval.__rsub__
 
@@ -464,8 +463,17 @@ class IntervalArray:
         pos = lo >= 0.0
         neg = ~pos & (hi <= 0.0)
         top = np.where(hi > -lo, hi, -lo)  # Python's max(-lo, hi)
-        return IntervalArray._new(np.where(pos, lo, np.where(neg, -hi, 0.0)),
-                                  np.where(pos, hi, np.where(neg, -lo, top)))
+        return IntervalArray(np.where(pos, lo, np.where(neg, -hi, 0.0)),
+                             np.where(pos, hi, np.where(neg, -lo, top)))
+
+    def _abs_part(self, c) -> "IntervalArray":
+        """Interval._abs_part on each element: an element whose value
+        straddles 0 becomes invalid instead of raising."""
+        c = IntervalArray._coerce(c)
+        neg = self.hi < 0.0
+        straddle = ~neg & ~(self.lo >= 0.0)
+        return IntervalArray(np.where(straddle, math.nan, np.where(neg, -c.hi, c.lo)),
+                             np.where(straddle, math.nan, np.where(neg, -c.lo, c.hi)))
 
     @_quiet
     def sqrt(self) -> "IntervalArray":
@@ -474,7 +482,7 @@ class IntervalArray:
         lo = np.where(lo > self.hi, math.nan, lo)
         s = _adown(np.sqrt(lo))
         # Python's max(0.0, s); where s is NaN the upper bound is too
-        return IntervalArray._new(np.where(s > 0.0, s, 0.0), _aup(np.sqrt(self.hi)))
+        return IntervalArray(np.where(s > 0.0, s, 0.0), _aup(np.sqrt(self.hi)))
 
     # exp, log and the integer powers call libm on both bounds at once
 
@@ -482,30 +490,30 @@ class IntervalArray:
     def exp(self) -> "IntervalArray":
         # two ulps outward, as Interval.exp
         lo, hi = _libm(math.exp, (self.lo, self.hi))
-        return IntervalArray._new(_adown(_adown(lo)), _aup(_aup(hi)))
+        return IntervalArray(_adown(_adown(lo)), _aup(_aup(hi)))
 
     @_quiet
     def log(self) -> "IntervalArray":
         lo, hi = _libm(math.log, (np.where(self.lo > 0.0, self.lo, math.nan), self.hi))
-        return IntervalArray._new(_adown(_adown(lo)), _aup(_aup(hi)))
+        return IntervalArray(_adown(_adown(lo)), _aup(_aup(hi)))
 
     @_quiet
     def _int_pow(self, n: int) -> "IntervalArray":
         if n == 0:
             one = np.where(np.isnan(self.lo), math.nan, 1.0)
-            return IntervalArray._new(one, one)
+            return IntervalArray(one, one)
         # v ** n is pow(v, float(n)): the builtin maps with no Python frame per element
         if n < 0:
             p0, p1 = _libm(pow, np.where(self.contains_zero(), math.nan, (self.lo, self.hi)),
                            float(n))
             # NaN-propagating: an overflow in either bound invalidates the element
-            return IntervalArray._new(_adown(np.minimum(p0, p1)), _aup(np.maximum(p0, p1)))
+            return IntervalArray(_adown(np.minimum(p0, p1)), _aup(np.maximum(p0, p1)))
         a = abs(self) if n % 2 == 0 else self
         lo, hi = _libm(pow, (a.lo, a.hi), float(n))
         # even n: Python's max(0.0, _down(lo)), as _adown keeps a positive lo
         # nonnegative; where lo is NaN the upper bound is too
         lo = np.where(lo > 0.0, _adown(lo), 0.0) if n % 2 == 0 else _adown(lo)
-        return IntervalArray._new(lo, _aup(hi))
+        return IntervalArray(lo, _aup(hi))
 
     __pow__ = Interval.__pow__
 
@@ -533,27 +541,6 @@ def _sub(x, y):
     if _zero(y):
         return x
     return -y if _zero(x) else x - y
-
-
-def _abs_part(v: IntervalArray, c) -> IntervalArray:
-    """Component c of |x| for a jet x with value array v.
-
-    It is negated where v < 0 and kept where v >= 0; elements where v
-    straddles 0 (the scalar classes raise there) become invalid.
-    """
-    c = IntervalArray._coerce(c)
-    neg = v.hi < 0.0
-    straddle = ~neg & ~(v.lo >= 0.0)
-    return IntervalArray._new(np.where(straddle, math.nan, np.where(neg, -c.hi, c.lo)),
-                              np.where(straddle, math.nan, np.where(neg, -c.lo, c.hi)))
-
-
-def _abs_parts(v, parts) -> list:
-    """Components of |x| for a jet x with value v, an IntervalArray or a
-    traced row.  A structural zero stays 0.0, as it does on the scalar
-    path."""
-    part = _Row._abs_part if isinstance(v, _Row) else _abs_part
-    return [0.0 if _zero(c) else part(v, c) for c in parts]
 
 
 class _Row:
@@ -625,7 +612,7 @@ _KERNELS = {
     "exp": IntervalArray.exp.__wrapped__,
     "log": IntervalArray.log.__wrapped__,
     "pow": IntervalArray._int_pow.__wrapped__,
-    "abs": _abs_part,
+    "abs": IntervalArray._abs_part,
 }
 
 
@@ -978,15 +965,11 @@ class Jet2:
 
     def __abs__(self):
         v = self.v
-        if isinstance(v, (IntervalArray, _Row)):
-            return Jet2(*_abs_parts(v, self._parts(self)))
-        if isinstance(v, Interval):
-            if v.strictly_negative():
-                return -self
-            if v.lo >= 0.0:
-                return self
-            raise IntervalDomainError("abs of a jet whose value interval straddles 0")
-        return -self if v < 0.0 else self
+        if isinstance(v, (int, float)):
+            return -self if v < 0.0 else self
+        # each interval type negates or keeps a part by the sign of v;
+        # a structural zero stays 0.0
+        return Jet2(*(0.0 if _zero(c) else v._abs_part(c) for c in self._parts(self)))
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def _interval_sign_change(enclosure: tuple, branch: str, a_exp: float) -> bool:
     try:
         fa = F(Interval.around(enclosure[0]), a_exp, branch)
         fb = F(Interval.around(enclosure[1]), a_exp, branch)
-    except (ArithmeticError, OutOfDomainError):
+    except ArithmeticError:
         return False
     return ((fa.strictly_positive() and fb.strictly_negative())
             or (fa.strictly_negative() and fb.strictly_positive()))
@@ -541,15 +541,11 @@ _SQRT5 = Interval.point(5.0).sqrt()
 _LOG_PHI = ((_SQRT5 + 1.0) / 2.0).log()
 
 
-def _pentagon_h(a: Interval) -> Interval:
-    """h(A) = 2(phi^A - 1) - sqrt(5) A over an interval of exponents: the
-    factor of dF/dy4 at the regular pentagon that vanishes at A_c."""
-    return 2.0 * ((a * _LOG_PHI).exp() - 1.0) - _SQRT5 * a
-
-
-def _pentagon_h_slope(a: Interval) -> Interval:
-    """h'(A) = 2 log(phi) phi^A - sqrt(5) over an interval of exponents."""
-    return 2.0 * _LOG_PHI * (a * _LOG_PHI).exp() - _SQRT5
+def _pentagon_h(a):
+    """h(A) = 2(phi^A - 1) - sqrt(5) A over an Interval of exponents, or
+    over a Jet2 in A, whose ``.da`` encloses h'(A): the factor of dF/dy4 at
+    the regular pentagon that vanishes at A_c."""
+    return 2.0 * ((a * _LOG_PHI).exp() - 1.0) - a * _SQRT5
 
 
 def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
@@ -572,9 +568,9 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     h(A) = 2(phi^A - 1) - sqrt(5) A, and 0 < t < 1 for A > 0, g vanishes
     exactly where h does, with the opposite sign.
 
-    Certified: h has strict opposite signs at the range ends and
-    h'(A) = 2 log(phi) phi^A - sqrt(5) excludes zero on the range, so h has
-    exactly one root there, and interval Newton steps
+    Certified: h has strict opposite signs at the range ends and h'(A),
+    the ``.da`` of h's jet in A (``Jet2``) over the range, excludes zero
+    there, so h has exactly one root there, and interval Newton steps
     X <- X & (m - h(m) / h'(X)), m the midpoint of X, on outward-rounded
     ``Interval`` arithmetic narrow the range to an enclosure of that root
     (after Moore, Kearfott and Cloud, *Introduction to Interval Analysis*,
@@ -599,11 +595,12 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
         raise NoBifurcationError(f"h = 2(phi^A - 1) - sqrt(5) A is {h_lo} at A = {a_lo} "
                                  f"and {h_hi} at A = {a_hi}: no strict sign change")
     x = Interval(a_lo, a_hi)
-    if _pentagon_h_slope(x).contains_zero():
+    if _pentagon_h(Jet2.variable_a(x)).da.contains_zero():
         raise ValueError(f"h' may vanish on {x}: h may have more than one root there")
     while x.width > tol:
         m = x.mid
-        step = x.intersect(m - _pentagon_h(Interval.point(m)) / _pentagon_h_slope(x))
+        slope = _pentagon_h(Jet2.variable_a(x)).da
+        step = x.intersect(m - _pentagon_h(Interval.point(m)) / slope)
         if step.width >= x.width:
             raise ValueError(f"interval Newton stops narrowing at width {x.width:.3g}, "
                              f"above tol = {tol:.3g}")

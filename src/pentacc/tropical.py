@@ -70,7 +70,6 @@ __all__ = [
     "TableReport",
     "cyclic_weight",
     "reflect_weight",
-    "weight_orbit",
 ]
 
 # Variable order: six r classes then six Q classes, matching class order.
@@ -294,13 +293,6 @@ def _orbit(weights: tuple, dihedral: bool = False) -> list:
     if dihedral:
         images += [_relabel(v, REFLECT_CLASS_MAP) for v in images]
     return sorted(set(images))
-
-
-def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
-    """Orbit under the cyclic relabeling, optionally with the reflection:
-    the images of ``w`` under the five rotations (and the five reflections),
-    sorted by weights."""
-    return [WeightVector(v) for v in _orbit(w.weights, dihedral)]
 
 
 # Below this bound on every entry, product and partial sum, int64 is exact.

@@ -334,6 +334,13 @@ def test_evaluate_collision_exits_1(tmp_path):
     assert "error" in json.loads(out.read_text())
 
 
+def test_evaluate_without_points_or_distances_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"masses": [1.0] * 5, "A": 3}))
+    assert main(["evaluate", "--config", str(path)]) == 1
+    assert "needs 'points' or 'distances'" in capsys.readouterr().err
+
+
 def test_evaluate_missing_file_exits_1(tmp_path):
     assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
 

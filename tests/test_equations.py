@@ -562,8 +562,20 @@ def test_region_classify_is_the_batch_of_one_of_region_labels():
     assert region_labels(t12, t23, "plus", 3.0) == ["III"]
     witness = region_classify(ChainAngles(0.903082161, 4.922594842, "plus"), 3.0)
     assert witness == RegionResult("III", interior_label=3)
-    interior = set()
+    interior, details = set(), set()
+    thetas = np.linspace(0.0, 2.0 * math.pi, 14)[1:-1]
+    grid = [t.ravel().tolist() for t in np.meshgrid(thetas, thetas, indexing="ij")]
     for closure in ("plus", "minus"):
+        # every cell of region-map --grid 12: a chain that does not close
+        # raises in region_classify and is "unrealizable" in region_labels
+        got = []
+        for a, b in zip(*grid):
+            try:
+                got.append(region_classify(ChainAngles(a, b, closure), 3.0))
+            except OutOfDomainError:
+                got.append(RegionResult("unrealizable"))
+        assert region_labels(*map(np.array, grid), closure, 3.0) == [r.region for r in got]
+        details.update(r.detail for r in got)
         t12, t23, pts = _grid_mixed_cells(12, closure, 3.0)
         labels = region_labels(t12, t23, closure, 3.0)
         # region_labels runs _concave_regions on exactly this stack
@@ -573,6 +585,7 @@ def test_region_classify_is_the_batch_of_one_of_region_labels():
                 for a, b in zip(t12.tolist(), t23.tolist())] == want
         interior.update(r.interior_label for r in want)
     assert interior == {1, 2, 3, 4, 5}
+    assert "two-mass equations infeasible" in details
 
 
 def test_a_quantity_self_pair_convention():

@@ -497,6 +497,8 @@ def test_boundaries_are_named():
     assert t.label == "boundary" and "A4/A5" in t.boundary
     t = classify_sign_type(SymmetricShape(square_endpoint_y4(), "B"))
     assert t.label == "boundary" and "collision" in t.boundary
+    t = classify_sign_type(SymmetricShape(regular_pentagon_y4(), "B"))
+    assert t.label == "boundary" and "Delta134" in t.boundary and "B3/B4" in t.boundary
 
 
 def _signs_for(shape):

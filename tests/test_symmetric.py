@@ -25,7 +25,9 @@ from pentacc.geometry import (
     symmetric_coords,
 )
 from pentacc.equations import _WEDGE_ROWS, laura_andoyer, mass_coefficient_matrix
-from pentacc.intervals import Interval, _bisect, _no_common_zero_decider
+from pentacc.certify import eval_F_interval
+from pentacc.intervals import (Box, Interval, IntervalDomainError, Jet2, _bisect,
+                               _no_common_zero_decider)
 from pentacc.symmetric import (
     ALLOWED_TYPES,
     EXCLUDED_TYPES,
@@ -232,12 +234,38 @@ def test_newtonian_convex_window_has_only_the_pentagon():
     assert np.allclose(records[0].masses.as_array(), 1.0, atol=1e-7)
 
 
+def test_pentagon_root_near_a_c_is_simple_without_a_certified_sign_change():
+    # the two flags are separate checks: near A_c the slope of F at the
+    # pentagon is small, and F on the thin Interval at the enclosure's
+    # lower end contains zero
+    (rec,) = [r for r in scan_branch("A", 3.0) if r.sign_type.label == "A4"]
+    assert rec.enclosure == (1.5388417685875253, 1.5388417685884348)
+    assert rec.simple and rec.resolved and not rec.sign_change_certified
+    assert F(Interval.around(rec.enclosure[0]), 3.0, "A").contains_zero()
+
+
 def test_quartic_convex_window_has_three_roots():
     records = isolate_roots("A", 4.0, window_for("A", "A4", inset=1e-9))
     assert len(records) == 3
     assert all(r.positive_masses for r in records)
     ys = sorted(r.y4 for r in records)
     assert ys[1] == pytest.approx(regular_pentagon_y4(), abs=1e-9)
+
+
+def test_refine_brackets_an_exact_zero_at_a_midpoint():
+    # the first midpoint is the zero: a bracket of width tol/2 around it
+    assert symmetric._refine(lambda x: x - 0.5, 0.0, -0.5, 1.0, 1e-3) == (0.49975, 0.50025)
+
+
+def test_sign_change_fails_where_interval_F_is_undefined():
+    # at branch B's q3 = q5 collision r35 is 0, so its negative power, and
+    # with it F on a thin Interval, raises: no sign change is certified
+    y4 = square_endpoint_y4()
+    with pytest.raises(IntervalDomainError):
+        F(Interval.around(y4), 3.0, "B")
+    assert symmetric._interval_sign_change((y4, y4), "B", 3.0) is False
+    with pytest.raises(IntervalDomainError, match="no evaluable form"):
+        eval_F_interval(Box(Interval.around(y4), Interval.point(3.0)), "B")
 
 
 def test_root_counts_stable_under_tolerance_refinement():
@@ -548,8 +576,27 @@ def test_bifurcation_below_the_newton_floor_raises():
     # enclosure that outward-rounded Newton steps reach: no wider bracket
     # comes back
     assert 1e-15 > math.ulp(3.3)
-    with pytest.raises(ValueError, match="stops narrowing at width"):
-        bifurcation_scan((3.0, 3.3), tol=1e-15)
+    assert bifurcation_scan((3.0, 3.3), tol=1e-12) == (3.120368562858957, 3.120368562858982)
+    for tol in (2e-14, 1e-15):
+        with pytest.raises(ValueError, match="stops narrowing at width 2.35e-14"):
+            bifurcation_scan((3.0, 3.3), tol=tol)
+
+
+def test_pentagon_h_slope_from_the_jet_in_a():
+    # h'(A) = 2 log(phi) phi^A - sqrt(5), written out on Intervals, and the
+    # .da of h's jet in A enclose the same real, so they meet
+    log_phi = symmetric._LOG_PHI
+    for a_exp in np.linspace(2.0, 3.5, 13).tolist():
+        a = Interval.point(a_exp)
+        slope = symmetric._pentagon_h(Jet2.variable_a(a)).da
+        closed = 2.0 * log_phi * (a * log_phi).exp() - symmetric._SQRT5
+        slope.intersect(closed)  # raises when they are disjoint
+        assert slope.width < 1e-13
+        # the value slot is h itself
+        h = symmetric._pentagon_h(Jet2.variable_a(a)).v
+        assert (h.lo, h.hi) == (symmetric._pentagon_h(a).lo, symmetric._pentagon_h(a).hi)
+    # over the scan's range h' excludes zero: h has one root there
+    assert symmetric._pentagon_h(Jet2.variable_a(Interval(3.0, 3.3))).da.strictly_positive()
 
 
 def test_pentagon_slope_closed_form_is_exact():
@@ -782,6 +829,8 @@ def _sha256(obj) -> str:
 # guard refines the most cells, and the whole branch-B domain holds two
 # cells the guard reports unresolved (at the q1 = q3 collision and at the
 # domain end) and three records without masses, whose residual_max is null.
+# The bifurcation enclosure is [3.120368324793926, 3.1203688055615353], with
+# h' read from h's jet in A.
 @pytest.mark.parametrize("run, digest", [
     (lambda: [r.to_json() for r in scan_branch("A", 2.0)],
      "d46c3a1536d5b80d02a0d9dfa70ba2be2aa401285213799477a02aefe8ddf829"),
@@ -795,7 +844,7 @@ def _sha256(obj) -> str:
     (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
      "729db0e5748f5366d85c31a709239cca6fba6a8e12b70fd78b88dc5bba840426"),
     (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
-     "901c2283688fe8b908992990cc9e942678563ae209647d87569379573deca4ff"),
+     "76bafb39641967d3eeef77bac191cef235600f4ac4972031d60c2e60a0bc6dff"),
 ], ids=["scan-A2", "scan-A4", "scan-B3", "isolate-A3.12-A4", "isolate-B-domain",
         "bifurcation"])
 def test_scan_outputs_pinned(run, digest):

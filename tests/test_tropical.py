@@ -23,7 +23,6 @@ from pentacc.tropical import (
     load_ray_table,
     reflect_weight,
     verify_tables,
-    weight_orbit,
     CYCLE_CLASS_MAP,
     _ZERO_MASS,
     _memberships,
@@ -44,6 +43,12 @@ def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> Laurent
     on the weight's integer row."""
     top, _ = _top([poly], a_exp, [_scaled(w)])
     return LaurentPoly({e: mp for (e, mp), keep in zip(poly.terms.items(), top[:, 0]) if keep})
+
+
+def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
+    """The images of ``w`` under the five rotations (and the five
+    reflections), sorted by weights: ``_orbit`` on rational weights."""
+    return [WeightVector(v) for v in _orbit(w.weights, dihedral)]
 
 
 def specialize_masses(poly: LaurentPoly, masses) -> LaurentPoly:
@@ -182,6 +187,11 @@ def test_listed_rays_accepted():
         for member in weight_orbit(w):
             ok, witness = in_prevariety(member, system, Fraction(3))
             assert ok, (label, witness)
+
+
+def test_ray_weight_of_an_unknown_label_raises():
+    with pytest.raises(KeyError):
+        load_ray_table().ray_weight("no-such-ray", Fraction(3))
 
 
 def test_membership_is_scale_invariant():
