@@ -226,8 +226,10 @@ def _boundary_svg(thetas, labels: dict) -> str:
     """
     n = len(thetas)
     half = 0.5 * (thetas[1] - thetas[0]) if n > 1 else 0.1
-    low, high = (thetas - half).tolist(), (thetas + half).tolist()
-    mid = (0.5 * (thetas[:-1] + thetas[1:])).tolist()
+    # each grid-line value is formatted once, then joined into the segments
+    low, high, mid = ([f"{x:.4f}" for x in values.tolist()]
+                      for values in (thetas - half, thetas + half,
+                                     0.5 * (thetas[:-1] + thetas[1:])))
     paths = []
     for closure in ("plus", "minus"):
         grid = np.array(labels[closure]).reshape(n, n)
@@ -240,9 +242,9 @@ def _boundary_svg(thetas, labels: dict) -> str:
         segs = []
         for key in np.sort(np.concatenate(keys)).tolist():
             (i, j), across = divmod(key >> 1, n), key & 1
-            segs.append((low[i], mid[j], high[i], mid[j]) if across
-                        else (mid[i], low[j], mid[i], high[j]))
-        d = " ".join(f"M {a:.4f} {b:.4f} L {c:.4f} {e:.4f}" for a, b, c, e in segs)
+            segs.append(f"M {low[i]} {mid[j]} L {high[i]} {mid[j]}" if across
+                        else f"M {mid[i]} {low[j]} L {mid[i]} {high[j]}")
+        d = " ".join(segs)
         paths.append(f'<path class="closure-{closure}" d="{d}" fill="none"/>')
     body = "\n".join(paths)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 6.3 6.3">\n'

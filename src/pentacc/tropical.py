@@ -24,7 +24,11 @@ shipped ray and cone tables verify.
 Membership runs on projected points and integer rows.  The lifted weight of
 a term with exponent (e_r, e_Q) is <e_r + (2 - A) e_Q, w> = <q e_r + (2q - p)
 e_Q, w> / q, so each term projects to the integer point q e_r + (2q - p) e_Q
-in Z^6.  A table entry's class coordinate c0 + c1 A, summed over its
+in Z^6.  The 25 polynomials that do not depend on A, and their stacked
+exponents, are built once per process on first use and shared by every
+system; ``build_system`` adds the six binomials and projects every term once,
+and the ``System`` it returns carries those points, so that a membership test
+projects nothing.  A table entry's class coordinate c0 + c1 A, summed over its
 generators, becomes the integer row q sum(c0) + p sum(c1), which is q times
 the rational weight; a weight given as rationals is instead multiplied once
 by the least common multiple of its six denominators.  All of these are
@@ -34,9 +38,9 @@ the rational weights: the tables run on integers from the ray table to the
 kernel, and a weight becomes a ``Fraction`` only when a failure records it.
 All term weights of a batch of rows are one integer matrix product, and
 per-polynomial maxima and tie counts are ``reduceat`` reductions.  The six
-binomials project to one point each, so they never decide membership; if
-they do not, the system was built for another exponent and the kernel
-raises ``ValueError``.
+binomials project to one point each, so they never decide membership; a
+system records the exponent they encode, and the kernel raises
+``ValueError`` when asked about another.
 
 The products are exact at any size.  They run on int64 when a bound proves
 that nothing can overflow: every product and partial sum of a term weight is
@@ -50,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from importlib import resources
 from itertools import chain, combinations, permutations
@@ -65,6 +70,7 @@ __all__ = [
     "RayTable",
     "load_ray_table",
     "build_system",
+    "System",
     "in_prevariety",
     "verify_tables",
     "TableReport",
@@ -220,26 +226,109 @@ def build_q_relation(c: int, p: int, q: int) -> LaurentPoly:
     return (LaurentPoly.monomial(exps={c: p}, q_exps={c: q}) - _r(c, 2 * q))
 
 
-def build_system(a_exp: Fraction) -> list:
+# Below this bound on every entry, product and partial sum, int64 is exact.
+_INT64_BOUND = 2 ** 62
+
+
+def _magnitude(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _exponents(polys) -> tuple:
+    """(e_r, e_Q): each term's r and Q exponents, one row per term in
+    polynomial and term order; int64 when every entry fits, else Python ints."""
+    exps = list(chain.from_iterable(poly.terms for poly in polys))
+    try:
+        e = np.fromiter(chain.from_iterable(exps), dtype=np.int64,
+                        count=NUM_VARIABLES * len(exps))
+    except OverflowError:
+        e = np.array(list(chain.from_iterable(exps)), dtype=object)
+    e = e.reshape(len(exps), NUM_VARIABLES)
+    return e[:, :6], e[:, 6:]
+
+
+def _project(e_r: np.ndarray, e_q: np.ndarray, a_exp: Fraction) -> np.ndarray:
+    """The terms' points q e_r + (2q - p) e_Q at A = p/q, from their stacked
+    exponent halves; int64 when the bound allows, else Python ints."""
+    p, q = a_exp.numerator, a_exp.denominator
+    if 2 * max(_magnitude(e_r), _magnitude(e_q)) * max(q, abs(2 * q - p)) >= _INT64_BOUND:
+        e_r, e_q = e_r.astype(object), e_q.astype(object)
+    return q * e_r + (2 * q - p) * e_q
+
+
+@lru_cache(maxsize=None)
+def _a_free() -> tuple:
+    """The 25 polynomials that do not depend on A, as (label, poly) pairs,
+    and their stacked exponent halves (e_r, e_Q), one row per term.
+
+    Built once per process, on first use; every system shares them, so
+    they are read-only.
+    """
+    pairs = [(f"f{i}{j}", build_f_poly(i, j))
+             for i in range(1, 6) for j in range(1, 6) if i != j]
+    pairs += [("CM" + "".join(map(str, sub)), build_cayley_menger_poly(sub))
+              for sub in combinations(range(1, 6), 4)]
+    e_r, e_q = _exponents([poly for _, poly in pairs])
+    e_r.flags.writeable = e_q.flags.writeable = False
+    return tuple(pairs), e_r, e_q
+
+
+def _encoded_exponent(pairs: tuple) -> Fraction:
+    """The exponent p'/q' of the ``Qrel`` binomials Q^q' r^p' - r^(2q'): the only
+    one at which each projects to a single point."""
+    built = set()
+    for label, poly in pairs:
+        if label.startswith("Qrel"):
+            e = next(e for e in poly.terms if any(e[6:]))
+            c = next(c for c in range(6) if e[6 + c])
+            built.add(Fraction(e[c], e[6 + c]))
+    (a_exp,) = built
+    return a_exp
+
+
+class System(tuple):
+    """The finiteness system at one exponent, as (label, poly) pairs.
+
+    It also carries what membership needs at every call, computed once when
+    ``build_system`` makes it: ``a_exp``, the exponent that its ``Qrel``
+    binomials encode; ``points``, each term's projected point in system and
+    term order, with ``magnitude`` its largest absolute entry; and the term
+    blocks of the non-empty polynomials (``filled``, ``sizes``, ``starts``).
+    """
+
+    def __new__(cls, pairs: tuple, e_r: np.ndarray, e_q: np.ndarray):
+        self = super().__new__(cls, pairs)
+        self.a_exp = _encoded_exponent(pairs)
+        self.points = _project(e_r, e_q, self.a_exp)
+        self.magnitude = _magnitude(self.points)
+        sizes = np.array([len(poly) for _, poly in pairs], dtype=np.intp)
+        self.filled = sizes > 0  # an empty polynomial has no top term
+        self.sizes = sizes[self.filled]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        for a in (self.points, self.filled, self.sizes, self.starts):
+            a.flags.writeable = False
+        return self
+
+
+def build_system(a_exp: Fraction) -> System:
     """The full finiteness system for a rational exponent, as (label, poly).
 
     Twenty mutual-distance polynomials, five Cayley-Menger determinants, and
     six Q-defining binomials: 31 in total, with generic mass coefficients.
+    The first 25 do not depend on A; they are built once per process and
+    shared by every system.  The result is a ``System``: a tuple of the
+    pairs that also carries its terms' projected points, so that membership
+    tests on it project nothing.
     """
     a_exp = Fraction(a_exp)
     if a_exp < 2:
         raise ValueError(f"exponent must be >= 2, got {a_exp}")
     p, q = a_exp.numerator, a_exp.denominator
-    system = []
-    for i in range(1, 6):
-        for j in range(1, 6):
-            if i != j:
-                system.append((f"f{i}{j}", build_f_poly(i, j)))
-    for sub in combinations(range(1, 6), 4):
-        system.append(("CM" + "".join(map(str, sub)), build_cayley_menger_poly(sub)))
-    for c in range(6):
-        system.append((f"Qrel{c}", build_q_relation(c, p, q)))
-    return system
+    pairs, e_r, e_q = _a_free()
+    relations = [(f"Qrel{c}", build_q_relation(c, p, q)) for c in range(6)]
+    rel_r, rel_q = _exponents([poly for _, poly in relations])
+    return System(pairs + tuple(relations), np.concatenate([e_r, rel_r]),
+                  np.concatenate([e_q, rel_q]))
 
 
 @dataclass(frozen=True)
@@ -295,97 +384,66 @@ def _orbit(weights: tuple, dihedral: bool = False) -> list:
     return sorted(set(images))
 
 
-# Below this bound on every entry, product and partial sum, int64 is exact.
-_INT64_BOUND = 2 ** 62
-
-
-def _magnitude(a: np.ndarray) -> int:
-    return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
-def _project(polys: list, a_exp: Fraction) -> np.ndarray:
-    """Each term's exponent (e_r, e_Q) projected to q e_r + (2q - p) e_Q, one row per
-    term in system and term order; int64 when the bound allows, else Python ints."""
-    p, q = a_exp.numerator, a_exp.denominator
-    exps = list(chain.from_iterable(poly.terms for poly in polys))
-    try:
-        e = np.fromiter(chain.from_iterable(exps), dtype=np.int64,
-                        count=NUM_VARIABLES * len(exps))
-    except OverflowError:
-        e = np.array(list(chain.from_iterable(exps)), dtype=object)
-    e = e.reshape(len(exps), NUM_VARIABLES)
-    if 2 * _magnitude(e) * max(q, abs(2 * q - p)) >= _INT64_BOUND:
-        e = e.astype(object)
-    return q * e[:, :6] + (2 * q - p) * e[:, 6:]
-
-
 def _scaled(w: WeightVector) -> list:
     """The six weights times the lcm of their denominators: a positive rescaling."""
     scale = math.lcm(*(x.denominator for x in w.weights))
     return [x.numerator * (scale // x.denominator) for x in w.weights]
 
 
-def _top(polys: list, a_exp: Fraction, rows: list) -> tuple:
-    """(top, ties) of ``polys`` under each of the integer weight ``rows``.
+def _top(system: System, rows: list) -> tuple:
+    """(top, ties) of the system under each of the integer weight ``rows``.
 
     ``top[t, k]`` says whether term t attains its polynomial's maximal weight
     under ``rows[k]``, and ``ties[i, k]`` counts the terms of polynomial i
-    that do.  All term weights are one integer matrix product; maxima and
-    counts are ``reduceat`` reductions over the polynomials' term blocks.
+    that do.  All term weights are one integer matrix product of the stored
+    points; maxima and counts are ``reduceat`` reductions over the
+    polynomials' term blocks.
     """
-    points = _project(polys, Fraction(a_exp))
+    points = system.points
     wmax = max((abs(x) for row in rows for x in row), default=0)
-    if points.dtype == object or 6 * _magnitude(points) * wmax >= _INT64_BOUND:
+    if points.dtype == object or 6 * system.magnitude * wmax >= _INT64_BOUND:
         points, dtype = points.astype(object), object
     else:
         dtype = np.int64
     term_weights = points @ np.array(rows, dtype=dtype).reshape(len(rows), 6).T
-    sizes = np.array([len(poly) for poly in polys], dtype=np.intp)
-    filled = sizes > 0  # an empty polynomial has no top term
-    starts = (np.cumsum(sizes) - sizes)[filled]
-    maxima = np.maximum.reduceat(term_weights, starts, axis=0)
-    top = term_weights == np.repeat(maxima, sizes[filled], axis=0)
-    ties = np.zeros((len(polys), len(rows)), dtype=np.intp)
-    ties[filled] = np.add.reduceat(top, starts, axis=0, dtype=np.intp)
+    maxima = np.maximum.reduceat(term_weights, system.starts, axis=0)
+    top = term_weights == np.repeat(maxima, system.sizes, axis=0)
+    ties = np.zeros((len(system), len(rows)), dtype=np.intp)
+    ties[system.filled] = np.add.reduceat(top, system.starts, axis=0, dtype=np.intp)
     return top, ties
 
 
-def _check_exponent(system: list, a_exp: Fraction) -> None:
-    """A ``Qrel`` binomial Q^q' r^p' - r^(2q') projects to one point only at A = p'/q'."""
-    for label, poly in system:
-        if label.startswith("Qrel"):
-            e = next(e for e in poly.terms if any(e[6:]))
-            c = next(c for c in range(6) if e[6 + c])
-            built = Fraction(e[c], e[6 + c])
-            if built != a_exp:
-                raise ValueError(f"system was built for A={built}, "
-                                 f"not for A={a_exp}")
-
-
-def _memberships(system: list, a_exp: Fraction, rows: list) -> list:
+def _memberships(system: System, a_exp: Fraction, rows: list) -> list:
     """(ok, witness) of each integer weight row: the witness is the first
     polynomial whose maximal weight is attained by fewer than two terms, or None."""
+    if not isinstance(system, System):
+        raise TypeError("membership takes the System that build_system returns, "
+                        f"not a {type(system).__name__}")
     a_exp = Fraction(a_exp)
-    _check_exponent(system, a_exp)
-    _, ties = _top([poly for _, poly in system], a_exp, rows)
+    if system.a_exp != a_exp:
+        raise ValueError(f"system was built for A={system.a_exp}, not for A={a_exp}")
+    _, ties = _top(system, rows)
     single = ties < 2
     first = single.argmax(axis=0)
     return [(False, system[f][0]) if single[f, k] else (True, None)
             for k, f in enumerate(first.tolist())]
 
 
-def _polys_examined(system: list, witness) -> int:
+def _polys_examined(system: System, witness) -> int:
     """Initial forms a membership test computes: the whole system, or the
     polynomials up to and including the witness."""
     return len(system) if witness is None else [lab for lab, _ in system].index(witness) + 1
 
 
-def in_prevariety(w: WeightVector, system: list, a_exp: Fraction) -> tuple:
+def in_prevariety(w: WeightVector, system: System, a_exp: Fraction) -> tuple:
     """(bool, witness): every initial form must keep at least two terms.
 
     The witness names the first polynomial whose initial form degenerates to
-    a single monomial (masses generic), or is None on success.  Raises
-    ``ValueError`` when ``system`` was built for another exponent.
+    a single monomial (masses generic), or is None on success.  ``system`` is
+    what ``build_system`` returns: its terms were projected when it was
+    built, so a call projects nothing.  Raises ``ValueError`` when it was
+    built for another exponent, and ``TypeError`` when it is not a
+    ``System``.
     """
     return _memberships(system, a_exp, [_scaled(w)])[0]
 

@@ -8,8 +8,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+import pentacc.tropical as tropical
 from pentacc.tropical import (
     NUM_VARIABLES,
     LaurentPoly,
@@ -25,11 +27,12 @@ from pentacc.tropical import (
     verify_tables,
     CYCLE_CLASS_MAP,
     _ZERO_MASS,
+    _exponents,
     _memberships,
     _orbit,
+    _project,
     _row,
     _scaled,
-    _top,
 )
 from pentacc.geometry import PAIR_CLASS
 
@@ -39,10 +42,13 @@ CYCLE_MASS_MAP = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
 
 
 def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> LaurentPoly:
-    """Terms of maximal lifted weight, read from the membership kernel's ``_top``
-    on the weight's integer row."""
-    top, _ = _top([poly], a_exp, [_scaled(w)])
-    return LaurentPoly({e: mp for (e, mp), keep in zip(poly.terms.items(), top[:, 0]) if keep})
+    """Terms of maximal lifted weight: the projected points of ``_project``
+    against the weight's integer row, in Python integers."""
+    points = _project(*_exponents([poly]), Fraction(a_exp)).astype(object)
+    weights = (points @ np.array(_scaled(w), dtype=object)).tolist()
+    best = max(weights, default=None)
+    return LaurentPoly({e: mp for (e, mp), wt in zip(poly.terms.items(), weights)
+                        if wt == best})
 
 
 def weight_orbit(w: WeightVector, dihedral: bool = False) -> list:
@@ -546,7 +552,6 @@ def test_table_reports_pinned(a_exp):
 
 
 def test_table_report_stats_count_rejected_weights(monkeypatch):
-    import pentacc.tropical as tropical
     table = load_ray_table()
     single = ((1, 0),) + ((0, 0),) * 5
     bad = dataclasses.replace(table, cones=table.cones + (("bad", (single,)),))
@@ -591,7 +596,6 @@ def test_table_report_failure_weights_are_the_rational_orbit(monkeypatch):
     # a ray (0, 1 + A, -1, 0, 0, 0) whose five cyclic images are all rejected,
     # listed with multiplicity 5 against its dihedral orbit of 10; every
     # failure reports its weight as rationals at A = 7/3
-    import pentacc.tropical as tropical
     a_exp = Fraction(7, 3)
     table = load_ray_table()
     coords = ((0, 0), (1, 1), (-1, 0)) + ((0, 0),) * 3
@@ -610,3 +614,66 @@ def test_table_report_failure_weights_are_the_rational_orbit(monkeypatch):
     assert report.ray_results["bad"] == {"orbit_size": 5, "all_in": False}
     assert report.multiplicity_results["bad"] == {"expected": 5, "dihedral_orbit": 10,
                                                   "matches": False}
+
+
+# ---------------------------------------------------------------------------
+# the compiled system: A-free polynomials built once, points projected at build
+
+def test_membership_projects_nothing_after_the_build(monkeypatch):
+    calls = Counter()
+    project = tropical._project
+
+    def counting(*args):
+        calls["project"] += 1
+        return project(*args)
+
+    monkeypatch.setattr(tropical, "_project", counting)
+    system = build_system(Fraction(3))
+    built = calls["project"]
+    table = load_ray_table()
+    # 14 cyclic orbit members of shipped rays, then the six single-class rays
+    weights = [m for label, _, _ in table.rays
+               for m in weight_orbit(table.ray_weight(label, Fraction(3)))][:14]
+    weights += [WeightVector(tuple(int(k == c) for k in range(6))) for c in range(6)]
+    verdicts = [in_prevariety(w, system, Fraction(3)) for w in weights]
+    assert calls["project"] == built == 1
+    assert verdicts[:14] == [(True, None)] * 14
+    assert all(not ok and witness for ok, witness in verdicts[14:])
+
+
+@pytest.mark.parametrize("a_exp, dtype", [(Fraction(3), np.int64),
+                                          (Fraction(3 * 10 ** 19 + 1, 10 ** 19), object)],
+                         ids=str)
+def test_stored_points_are_the_projection_of_the_system(a_exp, dtype):
+    system = build_system(a_exp)
+    expected = _project(*_exponents([poly for _, poly in system]), a_exp)
+    assert system.points.dtype == expected.dtype == dtype
+    assert system.points.tolist() == expected.tolist()
+    assert system.a_exp == a_exp
+    assert list(system.sizes) == [len(poly) for _, poly in system]
+    assert system.sizes.sum() == len(system.points)
+
+
+def test_shared_a_free_polynomials_stay_unchanged():
+    s3, s52 = build_system(Fraction(3)), build_system(Fraction(5, 2))
+    for (label, poly), (label2, poly2) in zip(s3[:25], s52[:25]):
+        assert label == label2 and poly is poly2
+    fresh = {f"f{i}{j}": build_f_poly(i, j)
+             for i in range(1, 6) for j in range(1, 6) if i != j}
+    fresh.update(("CM" + "".join(map(str, sub)), build_cayley_menger_poly(sub))
+                 for sub in combinations(range(1, 6), 4))
+    for system in (s3, s52):
+        assert dict(system[:25]) == fresh
+    assert dict(s3)["Qrel0"] == build_q_relation(0, 3, 1)
+    assert dict(s52)["Qrel0"] == build_q_relation(0, 5, 2)
+
+
+def test_membership_refuses_a_hand_made_system():
+    system = build_system(Fraction(3))
+    pairs = list(system)
+    w = WeightVector((0,) * 6)
+    for other in (pairs, tuple(pairs)):
+        with pytest.raises(TypeError, match="build_system"):
+            in_prevariety(w, other, Fraction(3))
+        with pytest.raises(TypeError, match="build_system"):
+            _memberships(other, Fraction(3), [_scaled(w)])
