@@ -203,13 +203,16 @@ def cmd_region_map(args) -> int:
     labels = {closure: region_labels(t12, t23, closure, a_exp)
               for closure in ("plus", "minus")}
     # the lines csv.writer would write: each float as its repr, no field
-    # that needs quotes, \r\n line ends; one closure's lines at a time
+    # that needs quotes, \r\n line ends; one closure's lines at a time, each
+    # a cell's "theta12,theta23," prefix, made once for both closures, and
+    # its label's "closure,region\r\n" suffix, made once per label
     text = [repr(t) for t in thetas.tolist()]
+    prefixes = [f"{a},{b}," for a, b in product(text, repeat=2)]
     with open(args.out + ".csv", "w", newline="") as fh:
         fh.write("theta12,theta23,closure,region\r\n")
         for closure, labs in labels.items():
-            fh.write("".join(f"{a},{b},{closure},{lab}\r\n"
-                             for (a, b), lab in zip(product(text, repeat=2), labs)))
+            suffix = {lab: f"{closure},{lab}\r\n" for lab in set(labs)}
+            fh.write("".join([prefix + suffix[lab] for prefix, lab in zip(prefixes, labs)]))
     _write(_boundary_svg(thetas, labels), args.out + ".svg")
     if log.isEnabledFor(logging.INFO):
         counts = Counter(lab for labs in labels.values() for lab in labs)
@@ -256,6 +259,8 @@ def _parse_ray(text: str) -> WeightVector:
         return WeightVector(tuple(Fraction(x) for x in text.split(",")))
     except ZeroDivisionError:
         raise ValueError(f"--ray {text} has a zero denominator") from None
+    except ValueError:  # a field that is no rational, or not six of them
+        raise ValueError(f"--ray needs six comma-separated rationals, got {text!r}") from None
 
 
 def cmd_tropical_verify(args) -> int:

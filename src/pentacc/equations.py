@@ -91,19 +91,20 @@ class Exponent:
     def parse(cls, text) -> "Exponent":
         """Parse '3', '2.5', or '5/2'; fractions keep their exact form.
 
-        A non-finite value, a zero denominator or a fraction too large for
-        a float raises ValueError.
+        Text that is neither, a non-finite value, a zero denominator or a
+        fraction too large for a float raises ValueError.
         """
         if isinstance(text, (int, Fraction)):
             return cls._from_fraction(Fraction(text))
         s = str(text).strip()
-        if "/" in s:
-            try:
-                f = Fraction(s)
-            except ZeroDivisionError:
-                raise ValueError(f"exponent {s} has a zero denominator") from None
-            return cls._from_fraction(f)
-        v = float(s)
+        try:
+            v = Fraction(s) if "/" in s else float(s)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {s} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"exponent needs a number or a fraction p/q, got {s!r}") from None
+        if isinstance(v, Fraction):
+            return cls._from_fraction(v)
         if v.is_integer():
             return cls(v, Fraction(int(v)))
         return cls(v, None)

@@ -26,21 +26,25 @@ a term with exponent (e_r, e_Q) is <e_r + (2 - A) e_Q, w> = <q e_r + (2q - p)
 e_Q, w> / q, so each term projects to the integer point q e_r + (2q - p) e_Q
 in Z^6.  The 25 polynomials that do not depend on A, and their stacked
 exponents, are built once per process on first use and shared by every
-system; ``build_system`` adds the six binomials and projects every term once,
-and the ``System`` it returns carries those points, so that a membership test
-projects nothing.  A table entry's class coordinate c0 + c1 A, summed over its
-generators, becomes the integer row q sum(c0) + p sum(c1), which is q times
-the rational weight; a weight given as rationals is instead multiplied once
-by the least common multiple of its six denominators.  All of these are
-positive rescalings, so every maximiser set is that of the rational lift,
-and orbits, their order and sizes, and coordinate-sum signs are those of
-the rational weights: the tables run on integers from the ray table to the
-kernel, and a weight becomes a ``Fraction`` only when a failure records it.
-All term weights of a batch of rows are one integer matrix product, and
-per-polynomial maxima and tie counts are ``reduceat`` reductions.  The six
-binomials project to one point each, so they never decide membership; a
-system records the exponent they encode, and the kernel raises
-``ValueError`` when asked about another.
+system; ``build_system`` makes the six binomials directly, two terms each,
+and projects every term once, and the ``System`` it returns carries those
+points, so that a membership test projects nothing.  A table entry's class
+coordinate c0 + c1 A, summed over its generators, becomes the integer row
+q sum(c0) + p sum(c1), which is q times the rational weight.  The ray table
+is read once per process, and from its first use on it keeps sum(c0) and
+sum(c1) of every entry and the half-space verdict, so that a table check at
+A = p/q only combines those rows, builds its system and tests every weight;
+nothing is built at import.  A weight given as rationals is instead
+multiplied once by the least common multiple of its six denominators.  All
+of these are positive rescalings, so every maximiser set is that of the
+rational lift, and orbits, their order and sizes, and coordinate-sum signs
+are those of the rational weights: the tables run on integers from the ray
+table to the kernel, and a weight becomes a ``Fraction`` only when a failure
+records it.  All term weights of a batch of rows are one integer matrix
+product, and per-polynomial maxima and tie counts are ``reduceat``
+reductions.  The six binomials project to one point each, so they never
+decide membership; a system records the exponent they encode, and the
+kernel raises ``ValueError`` when asked about another.
 
 The products are exact at any size.  They run on int64 when a bound proves
 that nothing can overflow: every product and partial sum of a term weight is
@@ -54,10 +58,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from importlib import resources
 from itertools import chain, combinations, permutations
+from operator import itemgetter
 
 import numpy as np
 
@@ -145,10 +150,6 @@ class LaurentPoly:
         return self + (-other)
 
 
-def _r(c: int, power: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(exps={c: power})
-
-
 def build_f_poly(i: int, j: int) -> LaurentPoly:
     """Cleared-denominator mutual-distance equation for the ordered pair (i, j).
 
@@ -222,8 +223,11 @@ def build_cayley_menger_poly(points: tuple) -> LaurentPoly:
 
 
 def build_q_relation(c: int, p: int, q: int) -> LaurentPoly:
-    """Defining binomial Q_c^q r_c^p - r_c^(2q)."""
-    return (LaurentPoly.monomial(exps={c: p}, q_exps={c: q}) - _r(c, 2 * q))
+    """Defining binomial Q_c^q r_c^p - r_c^(2q), its two terms in that order."""
+    head, tail = [0] * NUM_VARIABLES, [0] * NUM_VARIABLES
+    head[c], head[6 + c], tail[c] = p, q, 2 * q
+    return LaurentPoly({tuple(head): {_ZERO_MASS: Fraction(1)},
+                        tuple(tail): {_ZERO_MASS: Fraction(-1)}})
 
 
 # Below this bound on every entry, product and partial sum, int64 is exact.
@@ -275,15 +279,15 @@ def _a_free() -> tuple:
 
 def _encoded_exponent(pairs: tuple) -> Fraction:
     """The exponent p'/q' of the ``Qrel`` binomials Q^q' r^p' - r^(2q'): the only
-    one at which each projects to a single point."""
-    built = set()
-    for label, poly in pairs:
-        if label.startswith("Qrel"):
-            e = next(e for e in poly.terms if any(e[6:]))
-            c = next(c for c in range(6) if e[6 + c])
-            built.add(Fraction(e[c], e[6 + c]))
-    (a_exp,) = built
-    return a_exp
+    one at which each projects to a single point.  Raises ``ValueError`` unless
+    they encode exactly one."""
+    heads = {(e[c], e[6 + c]) for label, poly in pairs if label.startswith("Qrel")
+             for e in poly.terms for c in range(6) if e[6 + c]}
+    built = {Fraction(p, q) for p, q in heads}
+    if len(built) != 1:
+        found = ", ".join(map(str, sorted(built))) or "none"
+        raise ValueError(f"the Qrel binomials must encode one exponent, found {found}")
+    return built.pop()
 
 
 class System(tuple):
@@ -294,6 +298,8 @@ class System(tuple):
     binomials encode; ``points``, each term's projected point in system and
     term order, with ``magnitude`` its largest absolute entry; and the term
     blocks of the non-empty polynomials (``filled``, ``sizes``, ``starts``).
+    Pairs whose ``Qrel`` binomials encode no exponent, or more than one,
+    raise ``ValueError`` naming the exponents found.
     """
 
     def __new__(cls, pairs: tuple, e_r: np.ndarray, e_q: np.ndarray):
@@ -373,15 +379,18 @@ def reflect_weight(w: WeightVector) -> WeightVector:
     return WeightVector(_relabel(w.weights, REFLECT_CLASS_MAP))
 
 
-def _orbit(weights: tuple, dihedral: bool = False) -> list:
+# The relabelings of the coordinates as getters, the five rotations and then
+# the five reflections: an image of w is _IMAGES[k](w), as _relabel gives it.
+_IMAGES = [tuple(range(6))]
+for _ in range(4):
+    _IMAGES.append(_relabel(_IMAGES[-1], CYCLE_CLASS_MAP))
+_IMAGES = [itemgetter(*v) for v in _IMAGES + [_relabel(v, REFLECT_CLASS_MAP) for v in _IMAGES]]
+
+
+def _orbit(weights, dihedral: bool = False) -> list:
     """The distinct images of ``weights`` under the five rotations (and the
-    five reflections), sorted; for rationals and integer rows alike."""
-    images = [weights]
-    for _ in range(4):
-        images.append(_relabel(images[-1], CYCLE_CLASS_MAP))
-    if dihedral:
-        images += [_relabel(v, REFLECT_CLASS_MAP) for v in images]
-    return sorted(set(images))
+    five reflections), sorted tuples; for rationals and integer rows alike."""
+    return sorted({image(weights) for image in _IMAGES[:10 if dihedral else 5]})
 
 
 def _scaled(w: WeightVector) -> list:
@@ -400,7 +409,7 @@ def _top(system: System, rows: list) -> tuple:
     polynomials' term blocks.
     """
     points = system.points
-    wmax = max((abs(x) for row in rows for x in row), default=0)
+    wmax = max(map(abs, chain.from_iterable(rows)), default=0)
     if points.dtype == object or 6 * system.magnitude * wmax >= _INT64_BOUND:
         points, dtype = points.astype(object), object
     else:
@@ -453,20 +462,45 @@ def in_prevariety(w: WeightVector, system: System, a_exp: Fraction) -> tuple:
 
 @dataclass(frozen=True)
 class RayTable:
-    """Symbolic-in-A ray classes with multiplicities, plus cone generators."""
+    """Symbolic-in-A ray classes with multiplicities, plus cone generators.
+
+    A table compiles what does not depend on A once, on first use: every
+    entry's coefficient rows and the half-space verdict (``_compiled``).
+    They derive from ``rays`` and ``cones`` alone, so a copy made by
+    ``dataclasses.replace`` compiles its own.
+    """
 
     rays: tuple      # (label, coords as ((c0, c1), ...) , multiplicity)
     cones: tuple     # (label, generators as tuples of coords)
     version: int
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """(sums, magnitude, always_negative): every ray's, then every cone's,
+        coefficient rows sum(c0) = ``_row(gens, 0, 1)`` and sum(c1) =
+        ``_row(gens, 1, 0)`` as ``sums[k]``, their largest absolute entry, and
+        the rays whose coordinate sum is negative at some A >= 3."""
+        gens = [(coords,) for _, coords, _ in self.rays] + [g for _, g in self.cones]
+        sums = np.array([(_row(g, 0, 1), _row(g, 1, 0)) for g in gens], dtype=object)
+        # the sum is linear in A: its slope sum(c1) and its value at A = 3 decide
+        totals = sums[:len(self.rays)].sum(axis=2).tolist()
+        negative = [r[0] for r, (s0, s1) in zip(self.rays, totals) if s1 < 0 or s0 + 3 * s1 < 0]
+        magnitude = _magnitude(sums)
+        return (sums if magnitude >= _INT64_BOUND else sums.astype(np.int64)), magnitude, negative
+
+    def _rows(self, p: int, q: int) -> np.ndarray:
+        """Every ray's, then every cone's, ``_row`` at A = p/q from the compiled
+        sums, q sum(c0) + p sum(c1); Python ints when int64 could overflow."""
+        sums, magnitude, _ = self._compiled
+        sums = sums.astype(object) if (q + abs(p)) * magnitude >= _INT64_BOUND else sums
+        return q * sums[:, 0] + p * sums[:, 1]
+
     def ray_weight(self, label: str, a_exp: Fraction) -> WeightVector:
         """The ray's coordinates c0 + c1 A at ``a_exp``: its integer row over q."""
-        a_exp = Fraction(a_exp)
-        for lab, coords, _ in self.rays:
+        p, q = Fraction(a_exp).as_integer_ratio()
+        for (lab, _, _), row in zip(self.rays, self._rows(p, q).tolist()):
             if lab == label:
-                q = a_exp.denominator
-                return WeightVector(tuple(Fraction(x, q)
-                                          for x in _row((coords,), a_exp.numerator, q)))
+                return WeightVector(tuple(Fraction(x, q) for x in row))
         raise KeyError(label)
 
 
@@ -477,7 +511,10 @@ def _row(gens, p: int, q: int) -> tuple:
                  for c in range(6))
 
 
+@lru_cache(maxsize=None)
 def load_ray_table() -> RayTable:
+    """The shipped table, read once per process: every call returns the same
+    frozen ``RayTable``, which compiles its rows once."""
     data = json.loads(
         resources.files("pentacc").joinpath("data/ray_cone_tables.json").read_text())
     rays = tuple(
@@ -535,9 +572,10 @@ def verify_tables(a_exp) -> TableReport:
     system = build_system(a_exp)
     stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
     # integer rows, q times the rational weights, up to the failure entries
-    rays = [(label, mult, _row((coords,), p, q)) for label, coords, mult in table.rays]
+    rows = table._rows(p, q).tolist()
+    rays = [(label, mult, row) for (label, _, mult), row in zip(table.rays, rows)]
     orbits = [_orbit(row) for _, _, row in rays]
-    cones = [(label, _row(gens, p, q)) for label, gens in table.cones]
+    cones = [(label, row) for (label, _), row in zip(table.cones, rows[len(rays):])]
     # one batch for the whole table, consumed in report order
     verdicts = iter(_memberships(
         system, a_exp, [m for members in orbits for m in members] + [row for _, row in cones]))
@@ -577,14 +615,10 @@ def verify_tables(a_exp) -> TableReport:
                              "weight": rational(row)})
         if sum(row) < 0:
             excluded.append(label)
-    # the all-negative class is the only one whose coordinate sum stays
-    # negative for every exponent >= 3; checked on the symbolic entries: the
-    # sum is linear in A, so its slope (the row at p, q = 1, 0) and its value
-    # at A = 3 decide
-    always_negative = [label for label, coords, _ in table.rays
-                       if sum(_row((coords,), 1, 0)) < 0 or sum(_row((coords,), 3, 1)) < 0]
-    if always_negative != ["h1"]:
-        failures.append({"entry": "halfspace", "witness": str(always_negative),
+    # the all-negative class is the only one whose coordinate sum is negative
+    # at some exponent >= 3, which the table decides once, on its symbolic entries
+    if table._compiled[2] != ["h1"]:
+        failures.append({"entry": "halfspace", "witness": str(table._compiled[2]),
                          "weight": []})
     cone_results: dict = {}
     for label, row in cones:

@@ -537,6 +537,29 @@ def test_malformed_pair_names_its_flag(argv, flag, capsys, monkeypatch, tmp_path
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["tropical-verify", "--A", "x"],
+                 "exponent needs a number or a fraction p/q, got 'x'", id="tropical-A-word"),
+    pytest.param(["region-map", "--A", "x"],
+                 "exponent needs a number or a fraction p/q, got 'x'", id="region-map-A-word"),
+    pytest.param(["region-map", "--A", "x", "--point", "108,108"],
+                 "exponent needs a number or a fraction p/q, got 'x'", id="region-map-point-A-word"),
+    pytest.param(["tropical-verify", "--A", "5/x"],
+                 "exponent needs a number or a fraction p/q, got '5/x'", id="tropical-A-bad-fraction"),
+    pytest.param(["tropical-verify", "--A", "3", "--ray", "1,2,3,4,5,"],
+                 "--ray needs six comma-separated rationals, got '1,2,3,4,5,'",
+                 id="tropical-ray-empty-field"),
+    pytest.param(["tropical-verify", "--A", "3", "--ray", "1,2,3"],
+                 "--ray needs six comma-separated rationals, got '1,2,3'",
+                 id="tropical-ray-three-fields"),
+])
+def test_unparsable_number_names_its_input(argv, message, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_symmetric_scan_output_is_strict_json(tmp_path):
     # the whole branch-B domain at A = 2 yields three records without masses,
     # whose residual is not finite: JSON null, not the non-JSON Infinity

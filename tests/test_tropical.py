@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pentacc.tropical as tropical
 from pentacc.tropical import (
     NUM_VARIABLES,
     LaurentPoly,
+    System,
     WeightVector,
     build_cayley_menger_poly,
     build_f_poly,
@@ -573,14 +575,19 @@ def _sign(x) -> int:
                          ids=str)
 def test_integer_rows_match_fraction_path(a_exp):
     # every ray and cone: the integer row q sum(c0) + p sum(c1) against the
-    # rational weight c0 + c1 A summed in Fraction arithmetic
+    # rational weight c0 + c1 A summed in Fraction arithmetic, and the rows
+    # the table compiled, on Python ints at the last exponent
     table = load_ray_table()
     p, q = a_exp.numerator, a_exp.denominator
     system = build_system(a_exp)
     for label, coords, _ in table.rays:
         assert table.ray_weight(label, a_exp) == _fraction_weight((coords,), a_exp)
+    entries = [(coords,) for _, coords, _ in table.rays] + [gens for _, gens in table.cones]
+    compiled = table._rows(p, q)
+    assert compiled.dtype == (object if q > 2 ** 62 else np.int64)
+    assert [tuple(row) for row in compiled.tolist()] == [_row(gens, p, q) for gens in entries]
     rows, weights = [], []
-    for gens in [(coords,) for _, coords, _ in table.rays] + [gens for _, gens in table.cones]:
+    for gens in entries:
         row, w = _row(gens, p, q), _fraction_weight(gens, a_exp)
         orbit, members = _orbit(row), weight_orbit(w)
         assert orbit == [tuple(q * x for x in m.weights) for m in members]
@@ -677,3 +684,50 @@ def test_membership_refuses_a_hand_made_system():
             in_prevariety(w, other, Fraction(3))
         with pytest.raises(TypeError, match="build_system"):
             _memberships(other, Fraction(3), [_scaled(w)])
+
+
+def test_system_needs_exactly_one_encoded_exponent():
+    s3, s52 = build_system(Fraction(3)), build_system(Fraction(5, 2))
+    for pairs, found in ((s3[:30] + s52[30:], "5/2, 3"), (s3[:25], "none")):
+        with pytest.raises(ValueError, match=f"encode one exponent, found {found}$"):
+            System(pairs, *_exponents([poly for _, poly in pairs]))
+
+
+@pytest.mark.parametrize("a_exp", [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 3)],
+                         ids=str)
+def test_direct_binomials_match_composed_monomials(a_exp):
+    p, q = a_exp.numerator, a_exp.denominator
+    for c in range(6):
+        built = build_q_relation(c, p, q)
+        composed = (LaurentPoly.monomial(exps={c: p}, q_exps={c: q})
+                    - LaurentPoly.monomial(exps={c: 2 * q}))
+        assert built == composed
+        assert list(built.terms) == list(composed.terms)
+        assert [type(x) for mp in built.terms.values() for x in mp.values()] == [Fraction] * 2
+
+
+# ---------------------------------------------------------------------------
+# the ray table: read once per process, its rows compiled once per table
+
+def test_ray_table_is_read_and_compiled_once_per_process(monkeypatch):
+    calls = Counter()
+    row = tropical._row
+
+    def counting_loads(text):
+        calls["loads"] += 1
+        return json.loads(text)
+
+    def counting_row(*args):
+        calls["row"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(tropical, "json", SimpleNamespace(loads=counting_loads))
+    monkeypatch.setattr(tropical, "_row", counting_row)
+    load_ray_table.cache_clear()
+    reports = [verify_tables(a_exp).to_json()
+               for a_exp in (Fraction(3), Fraction(7, 3), Fraction(3))]
+    table = load_ray_table()
+    # sum(c0) and sum(c1) of every ray and cone, once
+    assert calls == {"loads": 1, "row": 2 * (len(table.rays) + len(table.cones))}
+    assert table is load_ray_table()
+    assert reports[0] == reports[2] and reports[0] != reports[1]
