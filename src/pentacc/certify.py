@@ -49,7 +49,8 @@ import numpy as np
 
 from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
-                        _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _stats, _trace)
+                        _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _rounding,
+                        _stats, _trace)
 from .symmetric import F, _locate_crossing
 
 __all__ = [
@@ -212,8 +213,11 @@ def _certify(kind: str, branch: str, window: tuple, a_range: tuple, zones: list,
     """Bisect the zones (``intervals._bisect``) on the branch's box
     evaluator ``_mv_eval`` and build the certificate, which is certified
     when no box is left undecided.  Its detail is ``done`` then, and else
-    ``missing`` with ``{n}`` replaced by the count of undecided boxes."""
+    ``missing`` with ``{n}`` replaced by the count of undecided boxes.
+    Its stats name the rounding path the interval kernels ran
+    (``intervals._rounding``)."""
     leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch), max_depth)
+    stats["rounding"] = _rounding()
     order = partial(sorted, key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
     return Certificate(kind, branch, tuple(window), tuple(a_range), not undecided,
                        order(leaves), order(undecided),

@@ -412,7 +412,8 @@ def main(argv=None) -> int:
     p.add_argument("--max-depth", type=int, default=60)
     p.add_argument("--out", default="-")
     p.add_argument("--stats", action="store_true",
-                   help="print the certificate's stats to stderr")
+                   help="print the certificate's stats, with the rounding path of its "
+                        "interval kernels, to stderr")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("region-map",

@@ -1,10 +1,11 @@
 """Rigorous interval arithmetic with outward rounding, plus second-order jets.
 
 Every arithmetic operation returns an interval that contains the exact real
-result for all points of the operand intervals.  Outward rounding is done by
-nudging each computed bound one ulp outward with math.nextafter; exp and log
-get two ulps to absorb libm error.  No rounding-mode switching is required,
-which keeps the arithmetic portable.
+result for all points of the operand intervals.  The scalar Interval rounds
+to nearest and nudges each computed bound one ulp outward with
+math.nextafter; exp and log get two ulps to absorb libm error.  It switches
+no rounding mode, which keeps it portable.  The array kernels of +, -, *
+and / switch to upward rounding instead where the host allows it (below).
 
 Jet2, the package's one forward-mode AD type, carries a value with its
 first- and second-order terms in two variables through the same operator
@@ -40,23 +41,38 @@ stage, which a run makes once per distinct y4 column of a block before
 it copies their rows out to every column.  The two halves of a box split along A share its
 y4, so the passes of the B2 certificate have a sixth as many y4 columns
 as boxes.  This is tape-based forward differentiation (A. Griewank and
-A. Walther, *Evaluating Derivatives*, 2008) on interval enclosures.  Each
-array operation repeats the scalar formula element by element, with the
-outward step of math.nextafter, and reproduces the Interval bounds bit
-for bit; where Interval raises, the element turns NaN instead.  sqrt uses
-np.sqrt, which is correctly rounded like math.sqrt.  exp, log and integer
-powers call libm (math.exp, math.log, float **) once per element, never
-np.exp, np.log or np.power: numpy's SIMD kernels differ from libm on about
-4.6 % of exp arguments in [-30, 30], 5.3 % of power(x, -3) arguments in
-[0.05, 3] and 0.05 % of log arguments in [1e-5, 1e5] (200k float64
-samples each, numpy 2.4 on an AVX-512 Xeon).
-That would break the bit-identity with the scalar path and the libm error
-bound behind the one- and two-ulp padding.  ``_libm`` is the package's one
-gate to libm for arrays: these three kernels send both bounds through it in
-one call, and ``geometry.chain_points`` (cos, sin, hypot, a square),
-``geometry.interior_angles`` (atan2), and the two-mass coefficients (a
-square) and the mutual-distance residual tables (r**-A and r**2) of
-``equations`` call it too.
+A. Walther, *Evaluating Derivatives*, 2008) on interval enclosures.
+
+Each array operation follows the scalar formula element by element; where
+Interval raises, the element turns NaN instead.  The add, sub, mul and div
+kernels take one of two rounding paths, which the first kernel call picks
+for the process from a self-test (``_fenv``); ``certify`` records it in a
+certificate's stats.  On the upward path they run under upward rounding,
+set with the C library's fesetround through ctypes, as INTLAB does (S. M.
+Rump, *Developments in Reliable Computing*, 1999; IEEE 754-2008 §4.3): an
+upper bound is the operation as it is, a lower bound minus the operation
+on negated operands.  Its bounds lie inside the scalar Interval's, up to
+one ulp tighter per operation.  On the step path, where the host has no
+fesetround or numpy does not round upward under it, the same formulas run
+under round to nearest and step each bound one ulp outward with
+np.nextafter, which reproduces the Interval bounds bit for bit.  Every
+other kernel, and everything outside the four, runs under the caller's
+rounding mode, round to nearest: CPython's float parsing assumes it, and
+glibc states its libm error bounds for it.
+
+sqrt uses np.sqrt, which is correctly rounded like math.sqrt.  exp, log
+and integer powers call libm (math.exp, math.log, float **) once per
+element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
+from libm on about 4.6 % of exp arguments in [-30, 30], 5.3 % of
+power(x, -3) arguments in [0.05, 3] and 0.05 % of log arguments in
+[1e-5, 1e5] (200k float64 samples each, numpy 2.4 on an AVX-512 Xeon).
+That would break the libm error bound behind the one- and two-ulp padding,
+and the bit-identity with the scalar path on the step path.  ``_libm`` is
+the package's one gate to libm for arrays: these three kernels send both
+bounds through it in one call, and ``geometry.chain_points`` (cos, sin,
+hypot, a square), ``geometry.interior_angles`` (atan2), and the two-mass
+coefficients (a square) and the mutual-distance residual tables (r**-A and
+r**2) of ``equations`` call it too.
 
 The module ends with the package's one adaptive-bisection loop,
 ``_bisect``, next to its split rule ``split_bounds``.  It runs breadth first
@@ -71,8 +87,10 @@ children, both halves along each coordinate a box may split on, up to
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +317,92 @@ def _aup(x):
     return np.nextafter(x, _INF)
 
 
+# fesetround's argument for rounding toward +inf, by platform.machine():
+# FE_UPWARD of glibc on x86-64 and of glibc and Apple's libc on 64-bit ARM
+_FE_UPWARD = {"x86_64": 0x800, "aarch64": 0x400000, "arm64": 0x400000}
+
+# The rounding path of the add, sub, mul and div kernels, fixed by the
+# first kernel call (``_fenv``): the C library's (fegetround, fesetround,
+# upward mode) where the self-test passed, False on the step path, None
+# before the first call.
+_FENV = None
+
+
+def _c_fenv():
+    """fegetround and fesetround of the C math library, through ctypes, or
+    None where neither the process nor libm.so.6 has them."""
+    for name in (None, "libm.so.6"):
+        try:
+            lib = ctypes.CDLL(name)
+            get, set_ = lib.fegetround, lib.fesetround
+        except (OSError, AttributeError, TypeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), ctypes.c_int
+        return get, set_
+    return None
+
+
+# Operands of +, -, * and / whose exact result lies just above its
+# round-to-nearest value, which is given: 1 + 2^-60 and 1 - (-2^-60) round
+# to 1, (1 + 2^-52) * (1 - 2^-53) = 1 + 2^-53 - 2^-105 to 1, and
+# 1 / (1 + 2^-52) = 1 - 2^-52 + 2^-104 - ... to 1 - 2^-52.
+_SELF_TEST = ((np.add, 1.0, 2.0 ** -60, 1.0),
+              (np.subtract, 1.0, -2.0 ** -60, 1.0),
+              (np.multiply, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0),
+              (np.divide, 1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52))
+
+
+def _self_test(get, set_, mode) -> bool:
+    """Whether numpy's float64 +, -, * and / round upward under ``mode``,
+    and to nearest again once the caller's mode is back.  The operands are
+    one element, 67 (numpy's SIMD loops and their tail) and a block of two
+    rows of 67 columns cut from wider rows, as a plan's steps read their
+    register file; the second operand is such an array or a float."""
+    shapes = (lambda v: np.full(1, v), lambda v: np.full(67, v),
+              lambda v: np.full((2, 80), v)[:, :67])
+    cases = [(op, full(x), (full(y), y), nearest)
+             for op, x, y, nearest in _SELF_TEST for full in shapes]
+    caller = get()
+    try:
+        switched = set_(mode) == 0
+        up = [[op(x, y) for y in ys] for op, x, ys, _ in cases]
+    finally:
+        set_(caller)
+    return switched and all(
+        (u == np.nextafter(nearest, _INF)).all() and (op(x, y) == nearest).all()
+        for (op, x, ys, nearest), us in zip(cases, up) for u, y in zip(us, ys))
+
+
+def _fenv():
+    """The rounding path of the add, sub, mul and div kernels, decided at
+    the first call: (fegetround, fesetround, upward mode) where the C
+    library switches numpy's float64 arithmetic to upward rounding
+    (``_self_test``), else False, the step path."""
+    global _FENV
+    if _FENV is None:
+        mode = _FE_UPWARD.get(platform.machine().lower())
+        env = _c_fenv() if mode is not None else None
+        _FENV = (*env, mode) if env and _self_test(*env, mode) else False
+    return _FENV
+
+
+def _rounding() -> str:
+    """The rounding path the kernels run: "upward" or "step"."""
+    return "upward" if _fenv() else "step"
+
+
+def _upper(neg_lo, hi) -> "IntervalArray":
+    """The interval [-neg_lo, hi] from the upper bounds of -x and of x, as
+    the add, sub, mul and div kernels compute them.  Under upward rounding
+    they are bounds as they are.  On the step path they were rounded to
+    nearest, and each moves one ulp up first: -nextafter(RN(-x), +inf) is
+    nextafter(RN(x), -inf), the step of the scalar ``Interval``."""
+    if not _FENV:
+        neg_lo, hi = _aup(neg_lo), _aup(hi)
+    return IntervalArray(-neg_lo, hi)
+
+
 def _libm(fn, *args) -> np.ndarray:
     """``fn`` mapped over the broadcast arguments as Python floats.
 
@@ -330,12 +434,36 @@ def _quiet(op):
     return wrapped
 
 
+def _upward(op):
+    """``_quiet`` for the add, sub, mul and div kernels: run under upward
+    rounding where the host takes it (``_fenv``), and give the caller's
+    rounding mode back in any case."""
+    @functools.wraps(op)
+    def wrapped(*args):
+        env = _fenv()
+        with np.errstate(all="ignore"):
+            if not env:
+                return op(*args)
+            get, set_, mode = env
+            caller = get()
+            set_(mode)
+            try:
+                return op(*args)
+            finally:
+                set_(caller)
+    return wrapped
+
+
 class IntervalArray:
     """Element-wise intervals [lo[i], hi[i]] held in two float64 arrays.
 
-    Each operation follows the scalar ``Interval`` formula on every element,
-    so element i of a result has the bounds ``Interval`` computes from
-    element i of the operands, bit for bit.  Where ``Interval`` raises for an
+    Each operation follows the scalar ``Interval`` formula on every element.
+    On the step path of the module's rounding (module docstring), element i
+    of a result has the bounds ``Interval`` computes from element i of the
+    operands, bit for bit.  On the upward path, +, -, * and / give bounds
+    inside those, and every other operation the bounds ``Interval`` computes
+    from the same operand bounds, so an element valid on the step path is
+    valid on the upward path too.  Where ``Interval`` raises for an
     element (NaN or inverted bound, division by an interval containing 0,
     log of an interval touching 0, a negative power of an interval
     containing 0, an empty sqrt clip, a libm overflow), that element gets
@@ -356,7 +484,7 @@ class IntervalArray:
     def __init__(self, lo, hi):
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         ok = lo <= hi  # false for a NaN bound or an inverted pair
-        if not np.logical_and.reduce(ok, axis=None):
+        if np.count_nonzero(ok) != ok.size:
             lo = np.where(ok, lo, math.nan)
             hi = np.where(ok, hi, math.nan)
         self.lo = lo
@@ -417,44 +545,50 @@ class IntervalArray:
             return IntervalArray._of(x, x)
         return IntervalArray(x, x)
 
-    @staticmethod
-    def _hull(p, lo_nan) -> "IntervalArray":
-        # Python's min/max over the tuple p skip a NaN except in first place
-        lo = np.fmin(np.fmin(p[0], p[1]), np.fmin(p[2], p[3]))
-        hi = np.fmax(np.fmax(p[0], p[1]), np.fmax(p[2], p[3]))
-        lo = np.where(lo_nan | np.isnan(p[0]), math.nan, lo)
-        return IntervalArray(_adown(lo), _aup(hi))
+    def _hull(self, op, o, lo_nan=None) -> "IntervalArray":
+        """The hull of ``op`` (multiply or divide) over the bounds of self
+        and o, and NaN where ``lo_nan`` is set: the maximum of the four
+        results on -self is minus the lower bound, that of the four on self
+        the upper bound.  Python's max over a tuple skips a NaN except in
+        first place, as ``Interval``'s does; a NaN first result makes the
+        element invalid, and the other three are all NaN only where it is
+        NaN too."""
+        nlo, nhi = -self.lo, -self.hi
+        neg_lo = np.maximum(op(nlo, o.lo),
+                            np.fmax(np.fmax(op(nlo, o.hi), op(nhi, o.lo)), op(nhi, o.hi)))
+        if lo_nan is not None:
+            neg_lo = np.where(lo_nan, math.nan, neg_lo)
+        hi = np.fmax(np.fmax(op(self.lo, o.lo), op(self.lo, o.hi)),
+                     np.fmax(op(self.hi, o.lo), op(self.hi, o.hi)))
+        return _upper(neg_lo, hi)
 
-    @_quiet
+    @_upward
     def __add__(self, other):
         o = self._coerce(other)
-        return IntervalArray(_adown(self.lo + o.lo), _aup(self.hi + o.hi))
+        return _upper((-self.lo) - o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo)
 
-    @_quiet
+    @_upward
     def __sub__(self, other):
         o = self._coerce(other)
-        return IntervalArray(_adown(self.lo - o.hi), _aup(self.hi - o.lo))
+        return _upper(o.hi - self.lo, self.hi - o.lo)
 
     __rsub__ = Interval.__rsub__
 
-    @_quiet
+    @_upward
     def __mul__(self, other):
-        o = self._coerce(other)
-        return self._hull((self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi),
-                          False)
+        return self._hull(np.multiply, self._coerce(other))
 
     __rmul__ = __mul__
 
-    @_quiet
+    @_upward
     def __truediv__(self, other):
         o = self._coerce(other)
-        return self._hull((self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi),
-                          o.contains_zero())
+        return self._hull(np.divide, o, o.contains_zero())
 
     __rtruediv__ = Interval.__rtruediv__
 
@@ -602,17 +736,20 @@ class _Row:
 
 
 # The kernel of each traced operation: the body of the IntervalArray
-# operator, without the errstate that a plan's run enters once.
+# operator, without the errstate that a plan's run enters once, and the
+# rounding it runs under (``_run_steps``): upward (True) for add, sub, mul
+# and div, the caller's mode (False) for the libm kernels, either (None)
+# for neg and abs, which round nothing.
 _KERNELS = {
-    "add": IntervalArray.__add__.__wrapped__,
-    "sub": IntervalArray.__sub__.__wrapped__,
-    "mul": IntervalArray.__mul__.__wrapped__,
-    "div": IntervalArray.__truediv__.__wrapped__,
-    "neg": IntervalArray.__neg__,
-    "exp": IntervalArray.exp.__wrapped__,
-    "log": IntervalArray.log.__wrapped__,
-    "pow": IntervalArray._int_pow.__wrapped__,
-    "abs": IntervalArray._abs_part,
+    "add": (IntervalArray.__add__.__wrapped__, True),
+    "sub": (IntervalArray.__sub__.__wrapped__, True),
+    "mul": (IntervalArray.__mul__.__wrapped__, True),
+    "div": (IntervalArray.__truediv__.__wrapped__, True),
+    "neg": (IntervalArray.__neg__, None),
+    "exp": (IntervalArray.exp.__wrapped__, False),
+    "log": (IntervalArray.log.__wrapped__, False),
+    "pow": (IntervalArray._int_pow.__wrapped__, False),
+    "abs": (IntervalArray._abs_part, None),
 }
 
 
@@ -754,7 +891,7 @@ class _Trace:
             else:
                 kind, param = key
                 args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-                stages[s > split].append((_KERNELS[kind], () if param is None else (param,),
+                stages[s > split].append((*_KERNELS[kind], () if param is None else (param,),
                                           start, stop,
                                           *(_rows([row[a] for a in col]) for col in args)))
                 free.update(row[a] for col in args for a in col if last[a] == s)
@@ -775,11 +912,28 @@ def _trace(fn, inputs: int, y4=()) -> "_Plan":
 
 
 def _run_steps(steps, reg_lo, reg_hi) -> None:
-    """Run stacked kernel calls on the columns of a register file."""
-    for kernel, param, start, stop, *args in steps:
-        r = kernel(*(IntervalArray._of(reg_lo[a], reg_hi[a]) for a in args), *param)
-        reg_lo[start:stop] = r.lo
-        reg_hi[start:stop] = r.hi
+    """Run stacked kernel calls on the columns of a register file.
+
+    Each step names its rounding (``_KERNELS``): the add, sub, mul and div
+    calls run under upward rounding where the host takes it (``_fenv``),
+    the libm calls under the caller's mode.  The mode changes only where
+    the next call needs the other one, and the caller's is back when the
+    steps end or a call raises."""
+    env = _fenv()
+    get, set_, mode = env or (None, None, None)
+    caller = current = get() if env else None
+    try:
+        for kernel, upward, param, start, stop, *args in steps:
+            want = current if upward is None else mode if upward else caller
+            if want != current:
+                set_(want)
+                current = want
+            r = kernel(*(IntervalArray._of(reg_lo[a], reg_hi[a]) for a in args), *param)
+            reg_lo[start:stop] = r.lo
+            reg_hi[start:stop] = r.hi
+    finally:
+        if current != caller:
+            set_(caller)
 
 
 class _Plan:

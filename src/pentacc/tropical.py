@@ -108,46 +108,11 @@ class LaurentPoly:
     def __init__(self, terms: dict | None = None):
         self.terms = terms if terms is not None else {}
 
-    @classmethod
-    def monomial(cls, exps: dict | None = None, q_exps: dict | None = None,
-                 mass: int | None = None, coeff=1) -> "LaurentPoly":
-        """Single term c * m_mass * prod r_c^e * prod Q_c^e."""
-        e = [0] * NUM_VARIABLES
-        for c, p in (exps or {}).items():
-            e[c] += p
-        for c, p in (q_exps or {}).items():
-            e[6 + c] += p
-        me = [0] * 5
-        if mass is not None:
-            me[mass - 1] = 1
-        return cls({tuple(e): {tuple(me): Fraction(coeff)}})
-
     def __len__(self) -> int:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = {e: dict(mp) for e, mp in self.terms.items()}
-        for e, mp in other.terms.items():
-            tgt = out.setdefault(e, {})
-            for me, c in mp.items():
-                acc = tgt.get(me, Fraction(0)) + c
-                if acc:
-                    tgt[me] = acc
-                else:
-                    tgt.pop(me, None)
-            if not tgt:
-                del out[e]
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: {me: -c for me, c in mp.items()}
-                            for e, mp in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
 
 def build_f_poly(i: int, j: int) -> LaurentPoly:

@@ -326,14 +326,18 @@ _ACCEPTANCE = {
 # certificates; box_evals counts every bisection node, 2L - Z for L leaves
 # in Z zones.  A pass evaluates several depths, so there are fewer passes
 # than depths.
-@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", [
+_PINS = [
     (_ACCEPTANCE["A2"], 39, 75, 6, 3,
      "acba8116764ae55904636f9d37913619150b70c87debed28c245187d62d92a95"),
     (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8,
      "b5dbe57d0893d25b792cd10414882bd00d14e18132d351f0a992728d03b63128"),
     (_ACCEPTANCE["B2"], 1985, 3967, 28, 26,
      "5c93acc1548e9a4b016a9259f37461b6e3776b8f690649b7a28209d65bb9b46d"),
-], ids=list(_ACCEPTANCE))
+]
+
+
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", _PINS,
+                         ids=list(_ACCEPTANCE))
 def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, passes, digest):
     cert = build()
     assert cert.certified and not cert.undecided
@@ -347,6 +351,19 @@ def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, pas
     assert len(stats["evals_per_depth"]) == max_depth + 1
     assert stats["passes"] == passes and stats["evaluated"] >= box_evals
     assert cert.to_json()["stats"] == stats
+
+
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", _PINS,
+                         ids=list(_ACCEPTANCE))
+def test_acceptance_certificates_on_the_step_path(build, leaves, box_evals, max_depth, passes,
+                                                  digest, monkeypatch):
+    # with the interval kernels forced onto the step path, each rounded to
+    # nearest and stepped one ulp outward, the certificates keep their pins
+    monkeypatch.setattr(intervals, "_FENV", False)
+    cert = build()
+    assert cert.stats["rounding"] == "step"
+    assert (len(cert.leaves), _leaf_sha256(cert)) == (leaves, digest)
+    assert (cert.stats["box_evals"], cert.stats["passes"]) == (box_evals, passes)
 
 
 def test_stats_record_where_the_leaves_lie():
@@ -643,10 +660,9 @@ def _oracle_boxes(rng, branch: str, n: int) -> list:
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
-def test_batched_box_eval_matches_scalar_oracle(branch):
+def test_batched_box_eval_matches_scalar_oracle(branch, rounding_paths):
     rng = np.random.default_rng(2011 if branch == "A" else 2012)
     boxes = _oracle_boxes(rng, branch, 1000)
-    ev = _mv_eval(*np.array([b.key() for b in boxes]).T, branch)
     want = np.full((len(boxes), 4), np.nan)
     hints = np.zeros((len(boxes), 2), dtype=int)
     failed = np.zeros(len(boxes), dtype=bool)
@@ -660,32 +676,35 @@ def test_batched_box_eval_matches_scalar_oracle(branch):
         hints[i] = (hint_f, hint_df)
     # the oracle must exercise both outcomes
     assert 0 < failed.sum() < len(boxes) // 2
-    ok = ev.f.valid & ev.df.valid
-    np.testing.assert_array_equal(~ok, failed)
-    got = np.stack([ev.f.lo, ev.f.hi, ev.df.lo, ev.df.hi], axis=1)
-    np.testing.assert_array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
-    np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ok], hints[ok])
-    # the plan's center outputs give the bits of F and dF/dy4 of the (y4, A)
-    # jet at the box centers run slot by slot over IntervalArray, and the
-    # root scan's plan of its natural form those of the jet in y4 over the
-    # same y4 intervals, invalid in the same places
     import pentacc.certify as certify
     ylo, yhi, alo, ahi = np.array([b.key() for b in boxes]).T
-    y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-    yc, ac = IntervalArray.around(y.mid), IntervalArray.around(a.mid)
-    center = F(Jet2.variable_y(yc), a_exp=Jet2.variable_a(ac), branch=branch)
-    pairs = list(zip(certify._f_plan(branch).run(yc, ac, y, a)[:2], (center.v, center.dy)))
-    assert 0 < (center.v.valid & center.dy.valid).sum() < len(boxes)
-    for a_exp in (2.0, 2.5, 3.0, 4.0):
-        nat = _natural_eval(ylo, yhi, None, None, branch=branch, a_exp=a_exp)
-        jet = F(Jet2.variable_y(y), a_exp, branch)
-        assert 0 < (nat.f.valid & nat.df.valid).sum() < len(boxes)
-        pairs += [(nat.f, jet.v), (nat.df, jet.dy)]
-    for planned, by_slot in pairs:
-        ok = by_slot.valid
-        np.testing.assert_array_equal(planned.valid, ok)
-        for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
-            np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
+    for _ in rounding_paths:
+        ev = _mv_eval(ylo, yhi, alo, ahi, branch)
+        ok = ev.f.valid & ev.df.valid
+        np.testing.assert_array_equal(~ok, failed)
+        rounding_paths.check(ev.f.lo[ok], ev.f.hi[ok], want[ok, 0], want[ok, 1])
+        rounding_paths.check(ev.df.lo[ok], ev.df.hi[ok], want[ok, 2], want[ok, 3])
+        np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ok], hints[ok])
+        # on either path, the plan's center outputs give the bits of F and
+        # dF/dy4 of the (y4, A) jet at the box centers run slot by slot over
+        # IntervalArray, and the root scan's plan of its natural form those
+        # of the jet in y4 over the same y4 intervals, invalid in the same
+        # places
+        y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
+        yc, ac = IntervalArray.around(y.mid), IntervalArray.around(a.mid)
+        center = F(Jet2.variable_y(yc), a_exp=Jet2.variable_a(ac), branch=branch)
+        pairs = list(zip(certify._f_plan(branch).run(yc, ac, y, a)[:2], (center.v, center.dy)))
+        assert 0 < (center.v.valid & center.dy.valid).sum() < len(boxes)
+        for a_exp in (2.0, 2.5, 3.0, 4.0):
+            nat = _natural_eval(ylo, yhi, None, None, branch=branch, a_exp=a_exp)
+            jet = F(Jet2.variable_y(y), a_exp, branch)
+            assert 0 < (nat.f.valid & nat.df.valid).sum() < len(boxes)
+            pairs += [(nat.f, jet.v), (nat.df, jet.dy)]
+        for planned, by_slot in pairs:
+            ok = by_slot.valid
+            np.testing.assert_array_equal(planned.valid, ok)
+            for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
+                np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
@@ -724,7 +743,7 @@ def test_center_jet_adds_no_kernel_call(branch):
     plan = certify._f_plan(branch)
 
     def elements(steps):
-        return sum(stop - start for _, _, start, stop, *_ in steps)
+        return sum(stop - start for _, _, _, start, stop, *_ in steps)
     for mine, its in ((plan.stage1, whole.stage1), (plan.steps, whole.steps)):
         assert mine and len(mine) == len(its)
         assert elements(mine) < 2 * elements(its)
@@ -769,7 +788,8 @@ def test_no_plan_step_writes_a_row_it_reads(branch):
     plan = certify._f_plan(branch)
     src, first, end = plan.expand
     assert end > first
-    for _, _, start, stop, *args in (*plan.stage1, (None, (), first, end, src), *plan.steps):
+    for _, _, _, start, stop, *args in (*plan.stage1, (None, None, (), first, end, src),
+                                        *plan.steps):
         written = set(range(start, stop))
         for rows in args:
             read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
@@ -806,7 +826,7 @@ def test_every_plan_step_reads_rows_already_written(name):
     written = set(given)
 
     def check(steps):
-        for _, _, start, stop, *args in steps:
+        for _, _, _, start, stop, *args in steps:
             for rows in args:
                 read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
                 assert written.issuperset(read)
@@ -814,7 +834,7 @@ def test_every_plan_step_reads_rows_already_written(name):
     check(plan.stage1)
     src, first, end = plan.expand
     if plan.stage1:
-        check([(None, (), first, end, src)])
+        check([(None, None, (), first, end, src)])
         written = given.difference(plan.y4).union(range(first, end))
     check(plan.steps)
     assert written.issuperset(plan.out)
@@ -829,8 +849,8 @@ def test_plan_steps_do_not_depend_on_the_hash_seed():
         "def rows(r):\n"
         "    return (r.start, r.stop) if isinstance(r, slice) else r.tolist()\n"
         "for plan in (certify._f_plan('B'), symmetric._natural_plan('B', 3.0)):\n"
-        "    for kernel, param, start, stop, *args in (*plan.stage1, *plan.steps):\n"
-        "        print(kernel.__qualname__, param, start, stop, [rows(a) for a in args])\n"
+        "    for kernel, upward, param, start, stop, *args in (*plan.stage1, *plan.steps):\n"
+        "        print(kernel.__qualname__, upward, param, start, stop, [rows(a) for a in args])\n"
         "    print(plan.size, rows(plan.expand[0]), plan.expand[1:], plan.out)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     tables = []

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pentacc import cli
+from pentacc import cli, intervals
 from pentacc.cli import main
 from pentacc.geometry import SymmetricShape, regular_pentagon_y4, symmetric_coords
 from pentacc.tropical import build_system
@@ -164,6 +164,8 @@ def test_certify_unique_root_exit_codes(tmp_path, capsys):
     prefix = "pentacc: certificate stats: "
     assert captured.err.startswith(prefix)
     assert json.loads(captured.err[len(prefix):]) == cert["stats"]
+    # the stats name the rounding path that the interval kernels ran
+    assert cert["stats"]["rounding"] == intervals._rounding()
     # at A in [1000, 1100] F overflows on part of the strip's grid and no
     # interior crossing is found: exit 2, and no warning on stderr
     assert main(["certify", "--window", "a2", "--A-range", "1000,1100"]) == 2

@@ -2,12 +2,15 @@
 
 import decimal
 import math
+import operator
+import platform
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import pentacc.intervals as intervals
 from pentacc.intervals import (
     Box,
     Interval,
@@ -178,18 +181,20 @@ def _evaluate(kind, op, xs, ys):
 
 @pytest.mark.parametrize("kind", [Interval, IntervalArray])
 @pytest.mark.parametrize("op", ["+", "-", "*", "*c", "/", -3, -2, -1, 2, 3, 5, -2.0])
-def test_outward_rounding_contains_exact_result(kind, op):
+def test_outward_rounding_contains_exact_result(kind, op, rounding_paths):
+    # the array kernels are audited on both rounding paths
     rng = np.random.default_rng(31)
     xs, ys = _audit_operands(rng, 400), _audit_operands(rng, 400)
-    checked = 0
-    for x, y, r in zip(xs, ys, _evaluate(kind, op, xs, ys)):
-        if r is None:
-            continue
-        lo, hi = _exact_range(op, x, y)
-        assert r[0] == -math.inf or Fraction(r[0]) <= lo, (op, x, y, r)
-        assert r[1] == math.inf or Fraction(r[1]) >= hi, (op, x, y, r)
-        checked += 1
-    assert checked >= 200
+    for _ in rounding_paths if kind is IntervalArray else ["scalar"]:
+        checked = 0
+        for x, y, r in zip(xs, ys, _evaluate(kind, op, xs, ys)):
+            if r is None:
+                continue
+            lo, hi = _exact_range(op, x, y)
+            assert r[0] == -math.inf or Fraction(r[0]) <= lo, (op, x, y, r)
+            assert r[1] == math.inf or Fraction(r[1]) >= hi, (op, x, y, r)
+            checked += 1
+        assert checked >= 200
 
 
 
@@ -325,8 +330,10 @@ def test_libm_gate_broadcasts_and_gives_nan_where_a_call_raises():
     check(_libm(math.cos, 2.5), math.cos, 2.5)
 
 
-def test_interval_array_marks_scalar_failures_invalid():
-    """Each element equals the scalar result, or is NaN where Interval raises."""
+def test_interval_array_marks_scalar_failures_invalid(rounding_paths):
+    """Each element is NaN where Interval raises; elsewhere it has the
+    scalar result's bits on the step path and lies inside it on the upward
+    path."""
     cases = [
         (lambda t: t / Interval(-1.0, 1.0), lambda t: t / IntervalArray(-1.0, 1.0)),
         (lambda t: t.log(), lambda t: t.log()),
@@ -341,17 +348,18 @@ def test_interval_array_marks_scalar_failures_invalid():
     bounds = [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 2.0), (0.5, 1.5), (1e200, 1e201),
               (-1e-200, -1e-300), (0.9, 1.1)]
     arr = IntervalArray(*zip(*bounds))
-    for scalar_op, array_op in cases:
-        got = array_op(arr)
-        for i, b in enumerate(bounds):
-            try:
-                want = scalar_op(Interval(*b))
-            except (IntervalDomainError, OverflowError):
-                assert math.isnan(got.lo[i]) and math.isnan(got.hi[i])
-                assert not got.valid[i]
-            else:
-                assert (got.lo[i], got.hi[i]) == (want.lo, want.hi)
-                assert got.valid[i]
+    for _ in rounding_paths:
+        for scalar_op, array_op in cases:
+            got = array_op(arr)
+            for i, b in enumerate(bounds):
+                try:
+                    want = scalar_op(Interval(*b))
+                except (IntervalDomainError, OverflowError):
+                    assert math.isnan(got.lo[i]) and math.isnan(got.hi[i])
+                    assert not got.valid[i]
+                else:
+                    rounding_paths.check(got.lo[i], got.hi[i], want.lo, want.hi)
+                    assert got.valid[i]
 
 
 def test_array_outward_step_is_math_nextafter():
@@ -369,6 +377,135 @@ def test_array_outward_step_is_math_nextafter():
         want = np.array([math.nextafter(v, direction) for v in x.tolist()])
         same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
         assert same.all(), x[~same]
+
+
+# fesetround's argument for rounding toward -inf, by platform.machine()
+_FE_DOWNWARD = {"x86_64": 0x400, "aarch64": 0x800000, "arm64": 0x800000}
+
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+# the four kernels as a plan traces them: a traced row divides only a number
+_TRACEABLE = (operator.add, operator.sub, operator.mul, lambda x, y: 1.5 / y)
+
+
+def _host_fenv() -> tuple:
+    """The (fegetround, fesetround, upward mode) the kernels switch with."""
+    env = intervals._fenv()
+    if not env:
+        pytest.skip("numpy's arithmetic does not round upward under this host's fesetround")
+    return env
+
+
+def _mixed_plan():
+    """A plan whose steps mix the upward kernels with the libm ones."""
+    return _trace(lambda x, y: [((x * y + 1.0 / y - x).exp() * y - 1.5).log() ** 2], 2)
+
+
+def _some_operands() -> tuple:
+    rng = np.random.default_rng(34)
+    x = _interval_array(rng, 300, -3.0, 3.0)
+    return x, _interval_array(rng, 300, 0.25, 2.0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.machine() not in intervals._FE_UPWARD,
+                    reason="the upward path is claimed for Linux on x86-64 and aarch64")
+def test_linux_hosts_take_the_upward_path():
+    assert intervals._rounding() == "upward"
+
+
+@pytest.mark.parametrize("caller", ["nearest", "downward"])
+def test_kernels_give_the_callers_rounding_mode_back(caller, monkeypatch):
+    # after a plan run, after the operators, and after a kernel or an
+    # operator that raises, the caller's rounding mode is back
+    get, set_, up = _host_fenv()
+    nearest = get()
+    mode = nearest if caller == "nearest" else _FE_DOWNWARD[platform.machine().lower()]
+    x, y = _some_operands()
+    plan, raising = _mixed_plan(), _mixed_plan()
+
+    def boom(*args):
+        raise ZeroDivisionError("a kernel failed")
+    # the first upward kernel after a libm one raises
+    late = next(k for k, step in enumerate(raising.steps)
+                if step[1] and any(s[1] is False for s in raising.steps[:k]))
+    raising.steps = [*raising.steps[:late], (boom, *raising.steps[late][1:])]
+    seen = []
+    assert set_(mode) == 0
+    try:
+        plan.run(x, y)
+        seen.append(get())
+        for op in _ARITHMETIC:
+            op(x, y)
+        seen.append(get())
+        with pytest.raises(ZeroDivisionError):
+            raising.run(x, y)
+        seen.append(get())
+        assert intervals._self_test(get, set_, up)
+        seen.append(get())
+        monkeypatch.setattr(IntervalArray, "_coerce", boom)
+        with pytest.raises(ZeroDivisionError):
+            x * y
+        seen.append(get())
+    finally:
+        set_(nearest)
+    assert seen == [mode] * 5
+
+
+def test_float_parsing_and_libm_are_unchanged_after_a_plan_run():
+    # CPython's float parsing and glibc's error bounds assume nearest: a
+    # plan run and the operators leave both as they were
+    _host_fenv()
+    xs = [0.1, 1.0, 2.5, -3.0, 700.0]
+    before = (float("0.1").hex(), (1.0 / 3.0).hex(), _libm(math.exp, xs).tobytes())
+    x, y = _some_operands()
+    _mixed_plan().run(x, y)
+    for op in _ARITHMETIC:
+        op(x, y)
+    assert (float("0.1").hex(), (1.0 / 3.0).hex(), _libm(math.exp, xs).tobytes()) == before
+    assert before[0] == "0x1.999999999999ap-4"
+    assert _libm(math.exp, xs).tolist() == [math.exp(v) for v in xs]
+
+
+@pytest.mark.parametrize("failure", ["no fesetround", "mode not honoured", "unknown machine"])
+def test_a_failed_self_test_gives_the_step_paths_bits(failure, monkeypatch):
+    # where the self-test fails the kernels step each bound one ulp outward
+    # after rounding to nearest: the scalar Interval's bits
+    monkeypatch.setattr(intervals, "_FENV", None)
+    if failure == "no fesetround":
+        monkeypatch.setattr(intervals, "_c_fenv", lambda: None)
+    elif failure == "mode not honoured":
+        # FE_TONEAREST is 0 on every host: nothing rounds upward
+        monkeypatch.setattr(intervals, "_FE_UPWARD", dict.fromkeys(intervals._FE_UPWARD, 0))
+    else:
+        monkeypatch.setattr(intervals, "_FE_UPWARD", {})
+    x, y = _some_operands()
+    traced = _trace(lambda *xy: [op(*xy) for op in _TRACEABLE], 2).run(x, y)
+    assert intervals._FENV is False and intervals._rounding() == "step"
+    got = [(op, r) for op, r in zip(_TRACEABLE, traced)]
+    got += [(op, op(x, y)) for op in (*_TRACEABLE, operator.truediv)]
+    for op, r in got:
+        want = np.full((2, x.lo.size), np.nan)
+        for i in range(x.lo.size):
+            try:
+                w = op(Interval(x.lo[i], x.hi[i]), Interval(y.lo[i], y.hi[i]))
+            except IntervalDomainError:
+                continue
+            want[:, i] = w.lo, w.hi
+        np.testing.assert_array_equal(np.stack([r.lo, r.hi]).view(np.int64), want.view(np.int64))
+
+
+def test_upward_kernels_lie_inside_the_step_paths_bounds(rounding_paths):
+    # the upward path is on where the host takes it: its bounds lie inside
+    # the step path's, one ulp tighter on many elements
+    x, y = _some_operands()
+    got = {path: [op(x, y) for op in _ARITHMETIC] for path in rounding_paths}
+    if "upward" not in got:
+        pytest.skip("this host runs the step path only")
+    for step, up in zip(got["step"], got["upward"]):
+        np.testing.assert_array_equal(up.valid, step.valid)
+        ok = step.valid
+        assert (up.lo[ok] >= step.lo[ok]).all() and (up.hi[ok] <= step.hi[ok]).all()
+        assert (up.hi[ok] < step.hi[ok]).mean() > 0.25 and (up.lo[ok] > step.lo[ok]).mean() > 0.25
 
 
 def test_box_split_and_validation():
@@ -518,10 +655,11 @@ _STACKED_OPS = {
 }
 
 
-def _assert_matches_the_scalar_jets(got: tuple, operands: tuple, apply) -> None:
+def _assert_matches_the_scalar_jets(got: tuple, operands: tuple, apply, paths) -> None:
     """``got``, the slots of ``apply`` on array operands, element by element
-    against ``apply`` on the scalar jets: the same bits, and invalid exactly
-    where the scalar path raises."""
+    against ``apply`` on the scalar jets: invalid exactly where the scalar
+    path raises, and elsewhere the bounds ``paths.check`` asks for, the
+    same bits on the step path."""
     n = operands[0].v.lo.size
     raised = np.zeros(n, dtype=bool)
     want = np.full((5, 2, n), np.nan)
@@ -551,10 +689,7 @@ def _assert_matches_the_scalar_jets(got: tuple, operands: tuple, apply) -> None:
             np.testing.assert_array_equal(part.lo[zero[slot] & ~raised], 0.0)
             np.testing.assert_array_equal(part.hi[zero[slot] & ~raised], 0.0)
             rest = ~zero[slot] & ~raised
-            np.testing.assert_array_equal(part.lo[rest].view(np.int64),
-                                          want[slot, 0, rest].view(np.int64))
-            np.testing.assert_array_equal(part.hi[rest].view(np.int64),
-                                          want[slot, 1, rest].view(np.int64))
+            paths.check(part.lo[rest], part.hi[rest], want[slot, 0, rest], want[slot, 1, rest])
 
 
 def _run_traced(apply, operands: tuple) -> list:
@@ -574,21 +709,24 @@ def _run_traced(apply, operands: tuple) -> list:
 
 
 @pytest.mark.parametrize("op", list(_STACKED_OPS))
-def test_stacked_jet_matches_the_scalar_jets_element_by_element(op):
+def test_stacked_jet_matches_the_scalar_jets_element_by_element(op, rounding_paths):
     apply = _STACKED_OPS[op]
     operands = _stacked_operands()
-    _assert_matches_the_scalar_jets(_slots(apply(*operands)), operands, apply)
+    for _ in rounding_paths:
+        _assert_matches_the_scalar_jets(_slots(apply(*operands)), operands, apply,
+                                        rounding_paths)
 
 
 @pytest.mark.parametrize("op", list(_STACKED_OPS))
-def test_traced_jet_matches_the_scalar_jets_element_by_element(op):
+def test_traced_jet_matches_the_scalar_jets_element_by_element(op, rounding_paths):
     # the plan of the formula, every output a row: a float slot comes out
     # as a row of that float
     apply = _STACKED_OPS[op]
     operands = _stacked_operands()
-    got = _run_traced(apply, operands)
-    assert len(got) == 5 and all(isinstance(p, IntervalArray) for p in got)
-    _assert_matches_the_scalar_jets(got, operands, apply)
+    for _ in rounding_paths:
+        got = _run_traced(apply, operands)
+        assert len(got) == 5 and all(isinstance(p, IntervalArray) for p in got)
+        _assert_matches_the_scalar_jets(got, operands, apply, rounding_paths)
 
 
 def test_stacked_jet_keeps_constants_and_zeros_as_floats():

@@ -480,10 +480,12 @@ def test_tangency_seeds_at_the_float_extremes():
 
 
 @pytest.mark.parametrize("branch, a_exp", [("A", 2.0), ("A", 4.0), ("B", 3.0), ("A", 3.12)])
-def test_root_simplicity_reads_the_guards_plan(monkeypatch, branch, a_exp):
+def test_root_simplicity_reads_the_guards_plan(monkeypatch, branch, a_exp, rounding_paths):
     # each window's root enclosures get dF/dy4 from one run of the guard's
-    # plan, which matches the scalar jet on each enclosure bit for bit; a
-    # root is simple where that enclosure excludes zero
+    # plan, which matches the scalar jet on each enclosure bit for bit on
+    # the step path and lies inside it on the upward path; a root is
+    # simple where that enclosure excludes zero, on either path where the
+    # scalar one does
     runs = []
 
     def recording(ylo, yhi, alo, ahi, branch, a_exp):
@@ -492,18 +494,19 @@ def test_root_simplicity_reads_the_guards_plan(monkeypatch, branch, a_exp):
         return out
 
     monkeypatch.setattr(symmetric, "_natural_eval", recording)
-    for label in ALLOWED_TYPES[branch]:
-        runs.clear()
-        roots = [r for r in isolate_roots(branch, a_exp, window_for(branch, label, inset=1e-9))
-                 if r.resolved]
-        root_runs = [run for run in runs if sorted(run[0]) == [r.enclosure for r in roots]]
-        assert len(root_runs) == (1 if roots else 0)
-        for rec in roots:
-            boxes, df = root_runs[0]
-            k = boxes.index(rec.enclosure)
-            dy = F_dual(Interval(*rec.enclosure), a_exp, branch).dy
-            assert (float(df.lo[k]).hex(), float(df.hi[k]).hex()) == (dy.lo.hex(), dy.hi.hex())
-            assert rec.simple == (not dy.contains_zero())
+    for _ in rounding_paths:
+        for label in ALLOWED_TYPES[branch]:
+            runs.clear()
+            roots = [r for r in isolate_roots(branch, a_exp, window_for(branch, label, inset=1e-9))
+                     if r.resolved]
+            root_runs = [run for run in runs if sorted(run[0]) == [r.enclosure for r in roots]]
+            assert len(root_runs) == (1 if roots else 0)
+            for rec in roots:
+                boxes, df = root_runs[0]
+                k = boxes.index(rec.enclosure)
+                dy = F_dual(Interval(*rec.enclosure), a_exp, branch).dy
+                rounding_paths.check(df.lo[k], df.hi[k], dy.lo, dy.hi)
+                assert rec.simple == (not dy.contains_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,44 @@ from pentacc.geometry import PAIR_CLASS
 CYCLE_MASS_MAP = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
 
 
+# The reference arithmetic of the tests on LaurentPoly: the package builds
+# its polynomials as integer monomial sums and needs none of it.
+
+def monomial(exps: dict | None = None, q_exps: dict | None = None,
+             mass: int | None = None, coeff=1) -> LaurentPoly:
+    """Single term c * m_mass * prod r_c^e * prod Q_c^e."""
+    e = [0] * NUM_VARIABLES
+    for c, p in (exps or {}).items():
+        e[c] += p
+    for c, p in (q_exps or {}).items():
+        e[6 + c] += p
+    me = [0] * 5
+    if mass is not None:
+        me[mass - 1] = 1
+    return LaurentPoly({tuple(e): {tuple(me): Fraction(coeff)}})
+
+
+def poly_sum(*polys: LaurentPoly) -> LaurentPoly:
+    """The sum of the polynomials, without the terms that cancel."""
+    out: dict = {}
+    for poly in polys:
+        for e, mp in poly.terms.items():
+            tgt = out.setdefault(e, {})
+            for me, c in mp.items():
+                acc = tgt.get(me, Fraction(0)) + c
+                if acc:
+                    tgt[me] = acc
+                else:
+                    tgt.pop(me, None)
+            if not tgt:
+                del out[e]
+    return LaurentPoly(out)
+
+
+def poly_neg(poly: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly({e: {me: -c for me, c in mp.items()} for e, mp in poly.terms.items()})
+
+
 def initial_form(poly: LaurentPoly, w: WeightVector, a_exp: Fraction) -> LaurentPoly:
     """Terms of maximal lifted weight: the projected points of ``_project``
     against the weight's integer row, in Python integers."""
@@ -130,17 +168,14 @@ def test_cyclic_symmetry_of_the_construction():
 
 
 def test_mass_specialization_drops_cancelled_terms():
-    p = LaurentPoly.monomial(exps={0: 1}, mass=1) \
-        - LaurentPoly.monomial(exps={0: 1}, mass=2)
+    p = poly_sum(monomial(exps={0: 1}, mass=1), poly_neg(monomial(exps={0: 1}, mass=2)))
     assert len(specialize_masses(p, [1, 1, 1, 1, 1])) == 0
     assert len(specialize_masses(p, [2, 1, 1, 1, 1])) == 1
 
 
 def test_initial_form_examples():
     # x^2 + x y + y^3 in the first two variables
-    poly = (LaurentPoly.monomial(exps={0: 2})
-            + LaurentPoly.monomial(exps={0: 1, 1: 1})
-            + LaurentPoly.monomial(exps={1: 3}))
+    poly = poly_sum(monomial(exps={0: 2}), monomial(exps={0: 1, 1: 1}), monomial(exps={1: 3}))
     w = WeightVector((-1, -1, 0, 0, 0, 0))
     init = initial_form(poly, w, Fraction(3))
     assert len(init) == 2
@@ -154,9 +189,8 @@ def test_initial_form_examples():
 def test_initial_form_with_exponents_beyond_int64():
     # x^(2^70) y + x y^(2^70) + x^(2^69) y^(2^69): exponents too large for int64
     big = 2 ** 70
-    poly = (LaurentPoly.monomial(exps={0: big, 1: 1})
-            + LaurentPoly.monomial(exps={0: 1, 1: big})
-            + LaurentPoly.monomial(exps={0: big // 2, 1: big // 2}))
+    poly = poly_sum(monomial(exps={0: big, 1: 1}), monomial(exps={0: 1, 1: big}),
+                    monomial(exps={0: big // 2, 1: big // 2}))
     for w, kept in ((WeightVector((1, 1, 0, 0, 0, 0)), 2),
                     (WeightVector((1, -1, 0, 0, 0, 0)), 1),
                     (WeightVector((-1, -1, 0, 0, 0, 0)), 1)):
@@ -430,17 +464,17 @@ def _leibniz_cayley_menger(points):
         if a == b:
             return LaurentPoly()
         if a == 0 or b == 0:
-            return LaurentPoly.monomial()
+            return monomial()
         i, j = sorted((points[a - 1], points[b - 1]))
-        return LaurentPoly.monomial(exps={PAIR_CLASS[(i, j)]: 2})
+        return monomial(exps={PAIR_CLASS[(i, j)]: 2})
 
     det = LaurentPoly()
     for perm in permutations(range(5)):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(5), 2))
-        term = LaurentPoly.monomial(coeff=(-1) ** inversions)
+        term = monomial(coeff=(-1) ** inversions)
         for a in range(5):
             term = _mul(term, entry(a, perm[a]))
-        det = det + term
+        det = poly_sum(det, term)
     return det
 
 
@@ -461,20 +495,20 @@ def _chained_f_poly(i, j):
         return PAIR_CLASS[(min(a, b), max(a, b))]
 
     def r2(c):
-        return LaurentPoly.monomial(exps={c: 2})
+        return monomial(exps={c: 2})
 
     others = [k for k in range(1, 6) if k != i]
     total = LaurentPoly()
     for k in others:
         cik = cls(i, k)
-        aijk = -r2(cik) - r2(cls(i, j))
+        aijk = poly_sum(poly_neg(r2(cik)), poly_neg(r2(cls(i, j))))
         if k != j:
-            aijk = aijk + r2(cls(j, k))
-        s_num = LaurentPoly.monomial(q_exps={cik: 1}) - r2(cik)
-        term = _mul(_mul(LaurentPoly.monomial(mass=k), s_num), aijk)
+            aijk = poly_sum(aijk, r2(cls(j, k)))
+        s_num = poly_sum(monomial(q_exps={cik: 1}), poly_neg(r2(cik)))
+        term = _mul(_mul(monomial(mass=k), s_num), aijk)
         for c in sorted({cls(i, m) for m in others} - {cik}):
             term = _mul(term, r2(c))
-        total = total + term
+        total = poly_sum(total, term)
     return total
 
 
@@ -699,8 +733,8 @@ def test_direct_binomials_match_composed_monomials(a_exp):
     p, q = a_exp.numerator, a_exp.denominator
     for c in range(6):
         built = build_q_relation(c, p, q)
-        composed = (LaurentPoly.monomial(exps={c: p}, q_exps={c: q})
-                    - LaurentPoly.monomial(exps={c: 2 * q}))
+        composed = poly_sum(monomial(exps={c: p}, q_exps={c: q}),
+                            poly_neg(monomial(exps={c: 2 * q})))
         assert built == composed
         assert list(built.terms) == list(composed.terms)
         assert [type(x) for mp in built.terms.values() for x in mp.values()] == [Fraction] * 2
