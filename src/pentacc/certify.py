@@ -28,9 +28,13 @@ the last level form the next pass's frontier.  The kernel runs one
 traced plan of two jets of F, one column a box: the jet in y4 at the box
 center, whose value and dF/dy4 are the only outputs, and the
 second-order jet in (y4, A) over the whole box.  The plan's calls that
-read y4 alone run once per distinct y4 interval of a pass, so the two
-halves of a box split along A share them.  A box's verdict depends only
-on the box, so the leaves are the ones a depth-first bisection finds.
+read y4 alone run once per distinct y4 interval of a certificate: the
+certificate's evaluator keeps their rows in one memo from pass to pass
+(``intervals._Y4Memo``), so the two halves of a box split along A share
+them, and a pass that finds an interval missing computes the y4 halves
+of its intervals too, which the next pass's boxes take.  A box's verdict
+depends only on the box, so the leaves are the ones a depth-first
+bisection finds.
 The tangency guard of ``symmetric.isolate_roots`` runs on the same
 bisection; its box evaluator is the natural form of F and dF/dy4 at the
 scan's exponent, from a plan of F's jet in y4 alone
@@ -49,8 +53,8 @@ import numpy as np
 
 from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
-                        _BoxEval, _VERDICTS, _bisect, _no_common_zero_decider, _rounding,
-                        _stats, _trace)
+                        _BoxEval, _VERDICTS, _Y4Memo, _bisect, _no_common_zero_decider,
+                        _rounding, _stats, _trace, split_bounds)
 from .symmetric import F, _locate_crossing
 
 __all__ = [
@@ -77,7 +81,8 @@ def _f_plan(branch: str):
     (``intervals._trace``).  The two traces' ready calls of one kind
     stack into one kernel call, so the centers add no call.  Rows 0
     and 2 hold y4: the calls that read them alone form the plan's first
-    stage, which runs once per distinct y4 column."""
+    stage, whose rows a run takes from a y4 memo that computes each
+    distinct y4 column once (``intervals._Y4Memo``, ``_y4_halves``)."""
     return _trace(partial(_f_jets, branch=branch), 4, y4=(0, 2))
 
 
@@ -90,7 +95,7 @@ def _f_jets(yc, ac, y, a, branch: str) -> tuple:
     return center.v, center.dy, *Jet2._parts(whole)
 
 
-def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
+def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _BoxEval:
     """Mean-value enclosures around each box center, crossed with the
     natural interval form where both evaluate.
 
@@ -107,7 +112,8 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     yw, aw = y.width, a.width
     my, ma = y.mid, a.mid
-    slots = _f_plan(branch).run(IntervalArray.around(my), IntervalArray.around(ma), y, a)
+    slots = _f_plan(branch).run(IntervalArray.around(my), IntervalArray.around(ma), y, a,
+                                memo=memo)
     center_v, center_dy, v, dy, da, dyy, dya = slots
     off_y, off_a = y - my, a - ma
     f_mv = center_v + dy * off_y + da * off_a
@@ -127,6 +133,18 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str) -> _BoxEval:
     # on 290 boxes, by up to 23 %, F only by rounding, and the three
     # acceptance certificates had the same leaves either way.
     return _BoxEval(_combine(f_mv, v, mv), _combine(df_mv, dy, mv), hint_f, hint_df)
+
+
+def _y4_halves(lo, hi) -> tuple:
+    """The ``y4`` rows of ``_f_plan`` (the centers' y4, then y4, as
+    ``_mv_eval`` makes them) of both y4 halves of each of their columns,
+    lower halves first: ``split_bounds`` with coordinate 0, which splits
+    y4 whatever the exponent."""
+    point = np.zeros_like(lo[1])
+    lower, upper = split_bounds(lo[1], hi[1], point, point, 0)
+    y = IntervalArray(np.concatenate((lower[0], upper[0])), np.concatenate((lower[1], upper[1])))
+    center = IntervalArray.around(y.mid)
+    return np.stack((center.lo, y.lo)), np.stack((center.hi, y.hi))
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:
@@ -215,9 +233,13 @@ def _certify(kind: str, branch: str, window: tuple, a_range: tuple, zones: list,
     when no box is left undecided.  Its detail is ``done`` then, and else
     ``missing`` with ``{n}`` replaced by the count of undecided boxes.
     Its stats name the rounding path the interval kernels ran
-    (``intervals._rounding``)."""
-    leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch), max_depth)
-    stats["rounding"] = _rounding()
+    (``intervals._rounding``).  The evaluator keeps one y4 memo
+    (``intervals._Y4Memo``) for the whole bisection, and the stats count
+    its stage-1 runs and the y4 columns they computed."""
+    memo = _Y4Memo(_y4_halves)
+    leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch, memo=memo),
+                                       max_depth)
+    stats.update(rounding=_rounding(), stage1_runs=memo.runs, stage1_columns=memo.columns)
     order = partial(sorted, key=lambda l: (l.y4[0], l.a[0], l.y4[1], l.a[1]))
     return Certificate(kind, branch, tuple(window), tuple(a_range), not undecided,
                        order(leaves), order(undecided),

@@ -37,11 +37,16 @@ in blocks of a fixed width and reuses the rows of values no later call
 reads, so its memory does not grow with the frontier.  The certifier's
 plan names its input rows of y4: the calls that read y4 alone (the
 geometry, every log and integer power, 15 of 21 exp rows) form a first
-stage, which a run makes once per distinct y4 column of a block before
-it copies their rows out to every column.  The two halves of a box split along A share its
-y4, so the passes of the B2 certificate have a sixth as many y4 columns
-as boxes.  This is tape-based forward differentiation (A. Griewank and
-A. Walther, *Evaluating Derivatives*, 2008) on interval enclosures.
+stage, whose rows a run takes for each distinct y4 column from a memo
+keyed by the column's bits (``_Y4Memo``) before it copies them out to
+every column.  The two halves of a box split along A share its y4, so
+the passes of the B2 certificate have a sixth as many y4 columns as
+boxes.  A certificate keeps one memo for its whole bisection, and a pass
+that finds a column missing computes the y4 halves of its columns too,
+which hold every y4 column of the next pass: the first stage runs on 12
+of B2's 26 passes.  This is tape-based forward differentiation (A.
+Griewank and A. Walther, *Evaluating Derivatives*, 2008) on interval
+enclosures.
 
 Each array operation follows the scalar formula element by element; where
 Interval raises, the element turns NaN instead.  The add, sub, mul and div
@@ -949,11 +954,13 @@ class _Plan:
     one new IntervalArray per output.  It processes the columns in blocks
     of 2 * ``_PASS_ROWS``, the boxes of two full bisection passes, so the
     register file stays small whatever the number of columns.  In each
-    block it runs ``stage1`` once per distinct column of the ``y4`` rows,
-    keyed by the bits of their bounds, copies the rows of ``expand`` out to
-    every column, and runs ``steps`` on every column.  Each element is
-    computed by the same kernel from the same operand bits as without a
-    first stage.  A plan without ``y4`` rows has no first stage."""
+    block it takes the ``expand`` rows of every distinct column of the
+    ``y4`` rows from a ``_Y4Memo``, which runs ``stage1`` on the columns
+    it lacks, copies them out to every column, and runs ``steps`` on every
+    column.  Without a memo each block gets a new one, so ``stage1`` runs
+    once per distinct y4 column of a block.  Each element is computed by
+    the same kernel from the same operand bits as without a first stage.
+    A plan without ``y4`` rows has no first stage."""
 
     __slots__ = ("size", "inputs", "consts", "y4", "stage1", "steps", "expand", "out")
 
@@ -961,13 +968,13 @@ class _Plan:
         self.size, self.inputs, self.consts, self.y4 = size, inputs, consts, y4
         self.stage1, self.steps, self.expand, self.out = stage1, steps, expand, out
 
-    def run(self, *inputs: IntervalArray) -> list:
+    def run(self, *inputs: IntervalArray, memo: "_Y4Memo | None" = None) -> list:
         n = inputs[0].lo.shape[0]
         width = min(n, 2 * _PASS_ROWS) or 1
         lo, hi = np.empty((self.size, width)), np.empty((self.size, width))
         out = [(np.empty(n), np.empty(n)) for _ in self.out]
         const_rows = slice(self.inputs, self.inputs + self.consts.size)
-        y4, (src, start, stop) = self.y4, self.expand
+        y4, (_, start, stop) = self.y4, self.expand
         with np.errstate(all="ignore"):
             for c0 in range(0, n, width):
                 cols = slice(c0, c0 + width)
@@ -977,21 +984,115 @@ class _Plan:
                     hi[i, :m] = x.hi[cols]
                 lo[const_rows, :m] = hi[const_rows, :m] = self.consts[:, None]
                 if y4:
-                    # one column per distinct bit pattern, so -0.0 and 0.0 stay apart
-                    bits = np.concatenate((lo[y4, :m], hi[y4, :m])).T.copy()
-                    key = bits.view(np.dtype((np.void, bits[0].nbytes))).ravel()
-                    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-                    u = first.size
-                    lo[y4, :u] = lo[y4, :m][:, first]
-                    hi[y4, :u] = hi[y4, :m][:, first]
-                    _run_steps(self.stage1, lo[:, :u], hi[:, :u])
-                    lo[start:stop, :m] = lo[src, :u][:, inverse]
-                    hi[start:stop, :m] = hi[src, :u][:, inverse]
+                    rows_lo, rows_hi, at = (_Y4Memo() if memo is None else memo).look_up(
+                        self, lo, hi, m)
+                    lo[start:stop, :m] = rows_lo[:, at]
+                    hi[start:stop, :m] = rows_hi[:, at]
                 _run_steps(self.steps, lo[:, :m], hi[:, :m])
                 for (out_lo, out_hi), r in zip(out, self.out):
                     out_lo[cols] = lo[r, :m]
                     out_hi[cols] = hi[r, :m]
+        if memo is not None:
+            memo.prune()
         return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
+
+    def _stage_one(self, y_lo, y_hi, lo, hi) -> tuple:
+        """Run ``stage1`` on the columns of the ``y4`` rows (y_lo, y_hi) and
+        return their ``expand`` source rows.  It runs in the first columns
+        of a block's register file (lo, hi), as the block's rows stay
+        valid: ``stage1`` writes only rows that ``steps`` reads after the
+        expand or a step of theirs wrote them, and the number rows get the
+        same values.  Where the columns do not fit, it runs in a file of
+        their own."""
+        k = y_lo.shape[1]
+        if k > lo.shape[1]:
+            lo, hi = np.empty((self.size, k)), np.empty((self.size, k))
+        lo, hi = lo[:, :k], hi[:, :k]
+        lo[self.y4], hi[self.y4] = y_lo, y_hi
+        const_rows = slice(self.inputs, self.inputs + self.consts.size)
+        lo[const_rows] = hi[const_rows] = self.consts[:, None]
+        _run_steps(self.stage1, lo, hi)
+        src = self.expand[0]
+        return lo[src], hi[src]
+
+
+def _column_bits(lo, hi) -> np.ndarray:
+    """The bits of each column of the rows (lo, hi), one void element a
+    column, so that -0.0 and 0.0 differ."""
+    bits = np.concatenate((lo, hi)).T.copy()
+    return bits.view(np.dtype((np.void, bits[0].nbytes))).ravel()
+
+
+class _Y4Memo:
+    """The ``expand`` source rows of a plan's first stage, one column per
+    y4 column, keyed by the bits of the column's ``y4`` rows, so that -0.0
+    and 0.0 stay apart; it outlives a ``_Plan.run``.
+
+    A certificate's box evaluator keeps one for its whole bisection
+    (``certify._certify``) and gives it ``halves``, which maps ``y4``
+    rows, one column a box, to the ``y4`` rows of both y4 halves of each
+    box, as the bisection splits it.  A pass's boxes keep their parent's
+    y4 or take one half of it, so a pass whose columns the memo holds
+    runs no first stage.  A block of a run that lacks one runs it once,
+    on the columns it lacks together with the halves of all its columns
+    that the memo does not hold.  A block of more than 2 * ``_PASS_ROWS``
+    / 3 distinct columns is element-bound, as its halves would not fit a
+    block: it takes no halves, and the memo drops what it holds first, so
+    that a wide run holds about one block's rows.  At the end of a run the
+    memo keeps the run's columns and their halves, at most three times the
+    run's distinct columns.  A column is found by its bits alone, so the
+    halves cannot change a bit, only save stage-1 runs.  ``runs`` and
+    ``columns`` count the stage-1 runs and the columns they computed."""
+
+    __slots__ = ("halves", "keys", "lo", "hi", "live", "runs", "columns")
+
+    def __init__(self, halves=None):
+        self.halves = halves
+        self.keys = {}            # the bits of a y4 column -> its column of lo and hi
+        self.lo = self.hi = None  # the expand source rows by column
+        self.live = set()         # the keys of this run's columns and their halves
+        self.runs = self.columns = 0
+
+    def look_up(self, plan: _Plan, lo, hi, m: int) -> tuple:
+        """The ``expand`` source rows of the first m columns of a block's
+        register file (lo, hi), whose input and number rows are filled,
+        after running ``stage1`` on the y4 columns the memo lacks, as
+        (lo, hi, the column of lo and hi that each column reads)."""
+        y_lo, y_hi = lo[plan.y4, :m], hi[plan.y4, :m]
+        key = _column_bits(y_lo, y_hi)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        y_lo, y_hi, keys = y_lo[:, first], y_hi[:, first], key[first].tolist()
+        u = len(keys)
+        if self.halves is not None and 3 * u <= 2 * _PASS_ROWS:
+            h_lo, h_hi = self.halves(y_lo, y_hi)
+            y_lo, y_hi = np.hstack((y_lo, h_lo)), np.hstack((y_hi, h_hi))
+            keys += _column_bits(h_lo, h_hi).tolist()
+        elif self.halves is not None:
+            self.keys, self.lo, self.hi = {}, None, None
+        self.live.update(keys)
+        if any(k not in self.keys for k in keys[:u]):
+            todo = {}
+            for j, k in enumerate(keys):
+                if k not in self.keys:
+                    todo.setdefault(k, j)
+            pick = list(todo.values())
+            new_lo, new_hi = plan._stage_one(y_lo[:, pick], y_hi[:, pick], lo, hi)
+            held = 0 if self.lo is None else self.lo.shape[1]
+            self.keys.update(zip(todo, range(held, held + len(pick))))
+            self.lo = new_lo if self.lo is None else np.hstack((self.lo, new_lo))
+            self.hi = new_hi if self.hi is None else np.hstack((self.hi, new_hi))
+            self.runs += 1
+            self.columns += len(pick)
+        return self.lo, self.hi, np.array([self.keys[k] for k in keys[:u]])[inverse]
+
+    def prune(self) -> None:
+        """Keep only the columns of the run that ends and their halves."""
+        keep = [k for k in self.keys if k in self.live]
+        if len(keep) < len(self.keys):
+            pick = [self.keys[k] for k in keep]
+            self.lo, self.hi = self.lo[:, pick], self.hi[:, pick]
+            self.keys = dict(zip(keep, range(len(keep))))
+        self.live = set()
 
 
 class Jet2:
@@ -1161,8 +1262,11 @@ _VERDICTS = ("undecided", "F", "dF")
 # larger.  A pass pays a fixed cost of some hundreds of numpy calls (in
 # the certifier's plan of F on branch B, 53 stacked kernel calls in its y4
 # stage, one expand and 20 calls after it; 49 in the scan's plan at
-# A = 3), and a row adds little to it.  The timings below were taken
-# when those plans made 83 + 30 and 78 calls, one per depth and kind.
+# A = 3), and a row adds little to it.  The y4 stage runs on a pass's
+# distinct y4 columns, and only on the passes whose columns a
+# certificate's y4 memo lacks (``_Y4Memo``): 12 of B2's 26.  The timings
+# below were taken when those plans made 83 + 30 and 78 calls, one per
+# depth and kind, and ran the y4 stage on every pass.
 # On a 2-core x86 host one box takes 2.5-2.6 ms
 # and 128 boxes 4.9-5.4 ms on the scan's plan.  On the certifier's plan
 # one box takes 2.4-4.5 ms, 128 B2 boxes of distinct y4 7.7-11.3 ms, and

@@ -325,20 +325,26 @@ _ACCEPTANCE = {
 # The digests pin every leaf box and verdict of the three acceptance
 # certificates; box_evals counts every bisection node, 2L - Z for L leaves
 # in Z zones.  A pass evaluates several depths, so there are fewer passes
-# than depths.
+# than depths.  The y4 memo runs stage 1 on fewer passes than there are,
+# as (runs, y4 columns computed).
 _PINS = [
-    (_ACCEPTANCE["A2"], 39, 75, 6, 3,
+    (_ACCEPTANCE["A2"], 39, 75, 6, 3, (2, 77),
      "acba8116764ae55904636f9d37913619150b70c87debed28c245187d62d92a95"),
-    (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8,
+    (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8, (4, 211),
      "b5dbe57d0893d25b792cd10414882bd00d14e18132d351f0a992728d03b63128"),
-    (_ACCEPTANCE["B2"], 1985, 3967, 28, 26,
+    (_ACCEPTANCE["B2"], 1985, 3967, 28, 26, (12, 483),
      "5c93acc1548e9a4b016a9259f37461b6e3776b8f690649b7a28209d65bb9b46d"),
 ]
 
 
-@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", _PINS,
+def _stage1_stats(stats) -> tuple:
+    return stats["stage1_runs"], stats["stage1_columns"]
+
+
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, stage1, digest", _PINS,
                          ids=list(_ACCEPTANCE))
-def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, passes, digest):
+def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, passes, stage1,
+                                        digest):
     cert = build()
     assert cert.certified and not cert.undecided
     assert len(cert.leaves) == leaves
@@ -350,13 +356,14 @@ def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, pas
     assert sum(stats["evals_per_depth"]) == box_evals
     assert len(stats["evals_per_depth"]) == max_depth + 1
     assert stats["passes"] == passes and stats["evaluated"] >= box_evals
+    assert _stage1_stats(stats) == stage1
     assert cert.to_json()["stats"] == stats
 
 
-@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, digest", _PINS,
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, stage1, digest", _PINS,
                          ids=list(_ACCEPTANCE))
 def test_acceptance_certificates_on_the_step_path(build, leaves, box_evals, max_depth, passes,
-                                                  digest, monkeypatch):
+                                                  stage1, digest, monkeypatch):
     # with the interval kernels forced onto the step path, each rounded to
     # nearest and stepped one ulp outward, the certificates keep their pins
     monkeypatch.setattr(intervals, "_FENV", False)
@@ -364,6 +371,7 @@ def test_acceptance_certificates_on_the_step_path(build, leaves, box_evals, max_
     assert cert.stats["rounding"] == "step"
     assert (len(cert.leaves), _leaf_sha256(cert)) == (leaves, digest)
     assert (cert.stats["box_evals"], cert.stats["passes"]) == (box_evals, passes)
+    assert _stage1_stats(cert.stats) == stage1
 
 
 def test_stats_record_where_the_leaves_lie():
@@ -759,9 +767,9 @@ def test_one_jet_pass_per_frontier(monkeypatch):
         calls.append(type(args[0]).__name__)
         return F(*args, **kwargs)
 
-    def counting_run(plan, *inputs):
+    def counting_run(plan, *inputs, **kwargs):
         runs.append(inputs[0].lo.size)
-        return run(plan, *inputs)
+        return run(plan, *inputs, **kwargs)
     run = intervals._Plan.run
     monkeypatch.setattr(certify, "F", counting_F)
     monkeypatch.setattr(intervals._Plan, "run", counting_run)
@@ -942,23 +950,81 @@ def test_staged_plan_keeps_every_bit(branch, monkeypatch):
     assert all(not r.valid[:2].any() and r.valid[2:].all() for r in got)
 
 
-def test_stage_one_runs_once_per_distinct_y4_column(monkeypatch):
-    # every pass of the A4 no-common-zero certificate runs stage 1 on exactly
-    # its distinct y4 columns, which its A-split siblings make fewer than
-    # its boxes
-    import pentacc.certify as certify
-    plan = certify._f_plan("A")
-    columns, want = _stage1_columns(plan, monkeypatch), []
-    run = intervals._Plan.run
+def _y4_keys(y4_lo, y4_hi) -> list:
+    """The bit patterns of the columns of a plan's y4 rows."""
+    bits = np.concatenate([y4_lo, y4_hi]).view(np.int64)
+    return list(map(tuple, bits.T.tolist()))
 
-    def counting_run(p, *inputs):
-        if p is plan:
-            want.extend(_distinct_y4(inputs[2].lo, inputs[2].hi, 2 * intervals._PASS_ROWS))
-        return run(p, *inputs)
-    monkeypatch.setattr(intervals._Plan, "run", counting_run)
-    cert = _ACCEPTANCE["A4-no-common-zero"]()
-    assert columns == want and len(want) == cert.stats["passes"] == 8
-    assert sum(want) < 0.5 * cert.stats["evaluated"]
+
+def _recorded_passes(monkeypatch) -> list:
+    """Each run of the certifier's plan from now on, as (its columns, the
+    y4 columns it reads, the y4 columns of each of its stage-1 runs, its
+    memo)."""
+    runs, run, stage_one = [], intervals._Plan.run, intervals._Plan._stage_one
+
+    def recording_run(plan, *inputs, memo=None):
+        y4 = [inputs[i] for i in plan.y4]
+        read = set(_y4_keys([y.lo for y in y4], [y.hi for y in y4]))
+        runs.append((inputs[0].lo.size, read, [], memo))
+        return run(plan, *inputs, memo=memo)
+
+    def recording_stage_one(plan, y_lo, y_hi, *registers):
+        runs[-1][2].append(_y4_keys(y_lo, y_hi))
+        return stage_one(plan, y_lo, y_hi, *registers)
+    monkeypatch.setattr(intervals._Plan, "run", recording_run)
+    monkeypatch.setattr(intervals._Plan, "_stage_one", recording_stage_one)
+    return runs
+
+
+def _halves(keys) -> set:
+    """The y4 columns of both y4 halves of the given ones."""
+    import pentacc.certify as certify
+    bits = np.array(sorted(keys), dtype=np.int64).T.view(float)
+    return set(_y4_keys(*certify._y4_halves(bits[:2], bits[2:])))
+
+
+@pytest.mark.parametrize("name", list(_ACCEPTANCE))
+def test_stage_one_computes_each_y4_column_once(name, monkeypatch):
+    # a certificate's evaluator keeps its y4 columns' stage-1 rows from pass
+    # to pass: no column is computed twice, each computed column is read by
+    # its pass or is a y4 half of one read there, a block of columns runs
+    # stage 1 once at most, and a pass whose columns the memo holds runs
+    # none, so there are fewer runs than passes
+    passes = _recorded_passes(monkeypatch)
+    stats = _ACCEPTANCE[name]().stats
+    computed = [key for *_, runs, _ in passes for cols in runs for key in cols]
+    assert len(computed) == len(set(computed)) == stats["stage1_columns"]
+    for n, read, runs, _ in passes:
+        assert len(runs) <= -(-n // (2 * intervals._PASS_ROWS))
+        assert all(read | _halves(read) >= set(cols) for cols in runs)
+    assert sum(len(runs) for *_, runs, _ in passes) == stats["stage1_runs"]
+    assert len(passes) == stats["passes"]
+    assert stats["stage1_runs"] <= stats["passes"] / 2 or name == "A2"
+    if name == "A4-no-common-zero":
+        assert stats["stage1_runs"] < stats["passes"] == 8
+
+
+@pytest.mark.parametrize("path", ["upward", "step", "small blocks"])
+@pytest.mark.parametrize("name", list(_ACCEPTANCE))
+def test_y4_memo_keeps_every_bit(name, path, monkeypatch):
+    # the certificate with the memo against the one that _bisect gives on
+    # a stateless _mv_eval, run once per pass: the same leaves, undecided
+    # boxes and stats, but for the memo's own counts; blocks of 6 columns
+    # make most blocks element-bound, which keep one block's columns only
+    if path == "step":
+        monkeypatch.setattr(intervals, "_FENV", False)
+    if path == "small blocks":
+        monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
+    cert = _ACCEPTANCE[name]()
+    run = intervals._Plan.run
+    monkeypatch.setattr(intervals._Plan, "run",
+                        lambda plan, *inputs, memo=None: run(plan, *inputs))
+    ref = _ACCEPTANCE[name]()
+    got, want = dataclasses.asdict(cert), dataclasses.asdict(ref)
+    for key in ("stage1_runs", "stage1_columns"):
+        assert got["stats"].pop(key) > 0 and want["stats"].pop(key) == 0
+    assert got == want and got["leaves"]
+    assert cert.stats["rounding"] == ("step" if path == "step" else intervals._rounding())
 
 
 def test_box_evaluation_memory_is_bounded():
@@ -977,6 +1043,39 @@ def test_box_evaluation_memory_is_bounded():
         tracemalloc.stop()
     assert (ev.f.valid & ev.df.valid).sum() > 19_000
     assert peak < 32e6
+
+
+def test_y4_memo_memory_is_bounded(monkeypatch):
+    # after each pass of B2 the memo holds the pass's columns and their
+    # halves at most; a 20,000-box pass through a certificate's evaluator,
+    # whose full blocks are element-bound, keeps few columns and stays under
+    # the bound of test_box_evaluation_memory_is_bounded
+    import tracemalloc
+    import pentacc.certify as certify
+    passes = _recorded_passes(monkeypatch)
+    _ACCEPTANCE["B2"]()
+    for _, read, _, memo in passes:
+        assert len(memo.keys) == memo.lo.shape[1] <= 3 * len(read)
+    monkeypatch.undo()
+    lo, hi = window_for("B", "B2", inset=1e-6)
+    edges = np.linspace(lo, hi, 20001)
+    boxes = (edges[:-1], edges[1:], np.full(20000, 2.0), np.full(20000, 6.0))
+    memo = intervals._Y4Memo(certify._y4_halves)
+    _mv_eval(*(b[:4] for b in boxes), "B", memo=memo)
+    tracemalloc.start()
+    try:
+        ev = _mv_eval(*boxes, "B", memo=memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ev.f.valid & ev.df.valid).sum() > 19_000
+    assert peak < 32e6
+    # one element-bound block's columns, then the short last block's with
+    # their halves; each of the 79 blocks ran stage 1 once, after the
+    # four boxes before
+    block = 2 * intervals._PASS_ROWS
+    assert len(memo.keys) <= 2 * block
+    assert memo.runs == 1 + -(-20000 // block)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,8 @@ def test_certify_unique_root_exit_codes(tmp_path, capsys):
     assert json.loads(captured.err[len(prefix):]) == cert["stats"]
     # the stats name the rounding path that the interval kernels ran
     assert cert["stats"]["rounding"] == intervals._rounding()
+    # and count the y4 stage's runs and the y4 intervals they computed
+    assert (cert["stats"]["stage1_runs"], cert["stats"]["stage1_columns"]) == (2, 77)
     # at A in [1000, 1100] F overflows on part of the strip's grid and no
     # interior crossing is found: exit 2, and no warning on stderr
     assert main(["certify", "--window", "a2", "--A-range", "1000,1100"]) == 2
