@@ -183,6 +183,9 @@ def cmd_region_map(args) -> int:
     if args.point:
         # single-cell query; angles arrive in degrees
         t12_deg, t23_deg = _parse_pair(args.point, "--point")
+        for name, deg in (("theta12", t12_deg), ("theta23", t23_deg)):
+            if not 0.0 < deg < 360.0:
+                raise ValueError(f"--point {name} must lie in (0, 360) degrees, got {deg:g}")
         try:
             res = region_classify(
                 ChainAngles(math.radians(t12_deg), math.radians(t23_deg),

@@ -19,8 +19,9 @@ with (``certify._mv_eval``).
 The root scan needs F and dF/dy4 at one float exponent: its tangency guard
 runs F's jet in y4 with only those two slots as outputs
 (``symmetric._natural_eval``), and one run of the same plan gives dF/dy4
-over all the root enclosures of a window for their simplicity check.  No
-code of the package runs a Jet2 over intervals outside a plan.
+over all the root enclosures of a window for their simplicity check and
+their Newton step.  No code of the package runs a Jet2 over intervals
+outside a plan.
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate
@@ -40,13 +41,13 @@ geometry, every log and integer power, 15 of 21 exp rows) form a first
 stage, whose rows a run takes for each distinct y4 column from a memo
 keyed by the column's bits (``_Y4Memo``) before it copies them out to
 every column.  The two halves of a box split along A share its y4, so
-the passes of the B2 certificate have a sixth as many y4 columns as
-boxes.  A certificate keeps one memo for its whole bisection, and a pass
-that finds a column missing computes the y4 halves of its columns too,
-which hold every y4 column of the next pass: the first stage runs on 12
-of B2's 26 passes.  This is tape-based forward differentiation (A.
-Griewank and A. Walther, *Evaluating Derivatives*, 2008) on interval
-enclosures.
+a pass has far fewer y4 columns than boxes.  A certificate keeps one memo
+for its whole bisection, and a pass that finds a column missing computes
+the y4 halves of its columns too, which hold every y4 column of the next
+pass, so many passes run no first stage (``stage1_runs`` in a
+certificate's stats counts those that do).  This is tape-based forward
+differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
+2008) on interval enclosures.
 
 Each array operation follows the scalar formula element by element; where
 Interval raises, the element turns NaN instead.  The add, sub, mul and div
@@ -162,12 +163,6 @@ class Interval:
 
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0.0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0.0
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)
@@ -1259,26 +1254,13 @@ class _BoxEval:
 _VERDICTS = ("undecided", "F", "dF")
 
 # Rows a bisection pass evaluates at most, unless its frontier alone is
-# larger.  A pass pays a fixed cost of some hundreds of numpy calls (in
-# the certifier's plan of F on branch B, 53 stacked kernel calls in its y4
-# stage, one expand and 20 calls after it; 49 in the scan's plan at
-# A = 3), and a row adds little to it.  The y4 stage runs on a pass's
-# distinct y4 columns, and only on the passes whose columns a
-# certificate's y4 memo lacks (``_Y4Memo``): 12 of B2's 26.  The timings
-# below were taken when those plans made 83 + 30 and 78 calls, one per
-# depth and kind, and ran the y4 stage on every pass.
-# On a 2-core x86 host one box takes 2.5-2.6 ms
-# and 128 boxes 4.9-5.4 ms on the scan's plan.  On the certifier's plan
-# one box takes 2.4-4.5 ms, 128 B2 boxes of distinct y4 7.7-11.3 ms, and
-# the 128 rows of a B2 pass, which hold 38 distinct y4 intervals,
-# 4.7-8.2 ms (four runs, medians of 15).  Before the y4 stage, the three
-# acceptance certificates took 0.445-0.468 s in process at 128 rows,
-# 0.49-0.56 s at 512 and 0.66-0.81 s at 1024 rows, where four candidates a
-# box waste rows (two runs, medians of 9).  A plan runs its columns, one a
-# box, in blocks of 2 * _PASS_ROWS, so that a pass whose frontier outgrows
-# _PASS_ROWS, up to twice that, still runs as one block: with blocks of
-# _PASS_ROWS columns the three certificates took 0.43-0.49 s against
-# 0.39-0.44 s (three other runs, medians of 9).
+# larger.  A pass pays a fixed cost per stacked kernel call of its plan,
+# and a row adds little to it, so a pass evaluates the frontier together
+# with whole levels of its candidate children.  A plan runs its columns in
+# blocks of 2 * _PASS_ROWS, so that a pass whose frontier outgrows
+# _PASS_ROWS, up to twice that, still runs as one block.  Of 64 to 1024
+# rows, 128 ran the three acceptance certificates fastest; CHANGES.md
+# holds the timings.
 _PASS_ROWS = 128
 
 # Boxes of the bisection tree that one ``_bisect`` call may make.  The

@@ -7,7 +7,8 @@ sign-type window, recovers masses at each root, checks them against the two
 exact mass polynomials, encloses the exponent A_c of the root-count
 bifurcation by interval Newton on the closed form of dF/dy4 at the regular
 pentagon, and verifies the grid sign arguments that exclude seven of the
-ten sign types.
+ten sign types.  One interval Newton step, ``_newton_step``, certifies
+both each simple root of the scan and A_c.
 It also places the float strip around the sign crossing that
 ``certify.certify_unique_root`` isolates.  F runs on a float grid in one
 function, ``_grid_signs``: the root scan, the root counts of the
@@ -46,8 +47,8 @@ from .equations import (
     mass_coefficient_matrix,
     mass_kernel,
 )
-from .intervals import (Interval, IntervalArray, Jet2, _BoxEval, _bisect,
-                        _no_common_zero_decider, _trace)
+from .intervals import (Interval, IntervalArray, IntervalDomainError, Jet2, _BoxEval,
+                        _bisect, _no_common_zero_decider, _trace)
 
 log = logging.getLogger(__name__)
 
@@ -102,10 +103,11 @@ def F_dual(y4, a_exp, branch: str = "A") -> Jet2:
 
     The tangency guard's plan (``_natural_plan``) traces it on a row of y4
     intervals with ``.v`` and ``.dy`` as its only outputs, and that plan
-    serves both the guard and the simplicity check of the scan's roots; on
-    a float it gives dF/dy4 in floats.  Run directly on an Interval, as
-    the tests' reference does, the jet also computes d2F/dy4^2, which no
-    caller reads and whose failure fails the whole jet.
+    serves both the guard and the simplicity and Newton checks of the
+    scan's roots; on a float it gives dF/dy4 in floats.  Run directly on
+    an Interval, as the tests' reference does, the jet also computes
+    d2F/dy4^2, which no caller reads and whose failure fails the whole
+    jet.
     """
     return F(Jet2.variable_y(y4), a_exp, branch)
 
@@ -249,15 +251,21 @@ def recover_masses(y4: float, branch: str, a_exp: float):
     return kern.masses, kern.positive, rep.max_abs
 
 
-def _interval_sign_change(enclosure: tuple, branch: str, a_exp: float) -> bool:
-    """Rigorous check that F has opposite strict signs at the enclosure ends."""
+def _newton_step(f, x: Interval, slope: Interval) -> Interval:
+    """The interval Newton step N(X) = m - f(m) / f'(X), m the midpoint of
+    X, f(m) from ``f`` on the point Interval at m, and ``slope`` an
+    enclosure of f' over X (Moore, Kearfott and Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009).  Every zero of f in X lies in N(X), so
+    an empty X & N(X) proves that X holds none, and N(X) inside the
+    interior of X proves that X holds exactly one: a simple zero, with
+    strict opposite signs of f at the ends of X.  Where f is undefined at
+    m or the slope holds zero, the step says nothing: N(X) is the whole
+    line."""
+    m = x.mid
     try:
-        fa = F(Interval.around(enclosure[0]), a_exp, branch)
-        fb = F(Interval.around(enclosure[1]), a_exp, branch)
+        return m - f(Interval.point(m)) / slope
     except ArithmeticError:
-        return False
-    return ((fa.strictly_positive() and fb.strictly_negative())
-            or (fa.strictly_negative() and fb.strictly_positive()))
+        return Interval(-math.inf, math.inf)
 
 
 def _make_record(enclosure: tuple, branch: str, a_exp: float, simple: bool,
@@ -276,11 +284,16 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     """Disjoint sign-change enclosures of the zeros of F inside a window.
 
     Roots are bracketed on a uniform grid of ``_ROOT_GRID`` cells and
-    refined by bisection to width at most ``tol``.  Each enclosure is
-    certified by strict opposite signs of F on a thin scalar Interval at
-    each end, and is simple where the enclosure of dF/dy4 over it excludes
-    zero; one run of the tangency guard's plan (``_natural_eval``) gives
-    dF/dy4 over all the root enclosures of the window.  Grid cells without
+    refined by bisection to width at most ``tol``.  An enclosure X is
+    simple where the enclosure of dF/dy4 over it excludes zero; one run of
+    the tangency guard's plan (``_natural_eval``) gives dF/dy4 over all
+    the root enclosures of the window.  A simple enclosure is certified
+    (``sign_change_certified``) where one interval Newton step on that
+    slope, N(X) = m - F(m) / dF/dy4(X) with F(m) on the scalar Interval at
+    the midpoint m (``_newton_step``), lies inside the interior of X: then
+    X holds exactly one zero of F, a simple one, and F has strict opposite
+    signs at its ends.  A sign change of F through a pole, at a collision,
+    is not simple, and so never certified.  Grid cells without
     a sign change that may hide an even-order zero go to the certifier's
     breadth-first bisection, ``intervals._bisect``, on the same plan, which
     clears the subcells where the interval F or dF/dy4 excludes zero.
@@ -319,12 +332,17 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     f = partial(F, a_exp=a_exp, branch=branch)
     roots = [_refine(f, float(ys[i]), float(vals[i]), float(ys[j]), tol) for i, j in brackets]
     # a root is simple where the guard's dF/dy4 over its enclosure is valid
-    # and excludes zero: one run of the guard's plan for all roots
+    # and excludes zero (one run of the guard's plan for all roots), and
+    # certified where one Newton step on that slope lands inside it
     evaluate = partial(_natural_eval, branch=branch, a_exp=a_exp)
-    simple = []
+    simple, certified = [], []
     if roots:
         df = evaluate(*zip(*roots), a_exp, a_exp).df
         simple = (df.valid & ~df.contains_zero()).tolist()
+        for root, ok, slope_lo, slope_hi in zip(roots, simple, df.lo, df.hi):
+            x = Interval(*root)
+            n = _newton_step(f, x, Interval(slope_lo, slope_hi)) if ok else x
+            certified.append(x.lo < n.lo and n.hi < x.hi)
 
     # tangency guard: same-sign cells that may hide an even-order zero are
     # screened cheaply, then refined by bisection down to depth 24; only
@@ -338,8 +356,8 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
              float(lo), float(hi), a_exp, len(seeds), stats["evals_per_depth"],
              stats["passes"], len(cells), len(roots), simple.count(False),
              time.perf_counter() - start)
-    records = [_make_record(root, branch, a_exp, ok, _interval_sign_change(root, branch, a_exp))
-               for root, ok in zip(roots, simple)]
+    records = [_make_record(root, branch, a_exp, ok, cert)
+               for root, ok, cert in zip(roots, simple, certified)]
     records += [_make_record(cell, branch, a_exp, False, False, resolved=False)
                 for cell in cells]
     records.sort(key=lambda r: r.enclosure[0])
@@ -568,42 +586,41 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     h(A) = 2(phi^A - 1) - sqrt(5) A, and 0 < t < 1 for A > 0, g vanishes
     exactly where h does, with the opposite sign.
 
-    Certified: h has strict opposite signs at the range ends and h'(A),
-    the ``.da`` of h's jet in A (``Jet2``) over the range, excludes zero
-    there, so h has exactly one root there, and interval Newton steps
-    X <- X & (m - h(m) / h'(X)), m the midpoint of X, on outward-rounded
-    ``Interval`` arithmetic narrow the range to an enclosure of that root
-    (after Moore, Kearfott and Cloud, *Introduction to Interval Analysis*,
-    SIAM 2009).  Float check: the root counts of F in the convex window,
+    Certified: interval Newton steps X <- X & N(X) (``_newton_step``),
+    starting from the range, with N(X) = m - h(m) / h'(X), m the midpoint
+    of X and h'(X) the ``.da`` of h's jet in A (``Jet2``) over X, on
+    outward-rounded ``Interval`` arithmetic.  The first step whose N(X)
+    lies inside the interior of X proves that X, and so the range, holds
+    exactly one root of h; later steps narrow X around it until its width
+    is at most ``tol``.  An empty X & N(X) proves that the range holds no
+    root.  Float check: the root counts of F in the convex window,
     ``_COUNT_OFFSET`` below and above the enclosure and clipped to the
     range, are 0 and at least 2.
 
-    Returns (lo, hi) with hi - lo <= tol.  Raises NoBifurcationError when h
-    has no strict sign change over the range or the float counts do not
-    match.  Raises ValueError when the range is not inside [2, 3.5], when
-    ``tol`` is not finite or is below the float spacing at the range's upper
-    end, and when Newton stops narrowing while the enclosure is still wider
-    than ``tol``; the message names the narrowest certified width.
+    Returns (lo, hi) with hi - lo <= tol.  Raises NoBifurcationError when a
+    Newton step proves that h has no root in the range or the float counts
+    do not match.  Raises ValueError when the range is not inside [2, 3.5],
+    when ``tol`` is not finite or is below the float spacing at the range's
+    upper end, and when Newton stops narrowing before it has proved a root
+    in an enclosure no wider than ``tol``; the message names the narrowest
+    width it reached.
     """
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
     if not (2.0 <= a_lo < a_hi <= 3.5):
         raise ValueError(f"scan range must sit inside [2, 3.5], got {a_range}")
     _check_resolution("tol", tol, a_hi)
-    h_lo, h_hi = _pentagon_h(Interval.point(a_lo)), _pentagon_h(Interval.point(a_hi))
-    if not ((h_lo.strictly_negative() and h_hi.strictly_positive())
-            or (h_lo.strictly_positive() and h_hi.strictly_negative())):
-        raise NoBifurcationError(f"h = 2(phi^A - 1) - sqrt(5) A is {h_lo} at A = {a_lo} "
-                                 f"and {h_hi} at A = {a_hi}: no strict sign change")
-    x = Interval(a_lo, a_hi)
-    if _pentagon_h(Jet2.variable_a(x)).da.contains_zero():
-        raise ValueError(f"h' may vanish on {x}: h may have more than one root there")
-    while x.width > tol:
-        m = x.mid
-        slope = _pentagon_h(Jet2.variable_a(x)).da
-        step = x.intersect(m - _pentagon_h(Interval.point(m)) / slope)
+    x, proved = Interval(a_lo, a_hi), False
+    while not proved or x.width > tol:
+        n = _newton_step(_pentagon_h, x, _pentagon_h(Jet2.variable_a(x)).da)
+        proved = proved or x.lo < n.lo and n.hi < x.hi
+        try:
+            step = x.intersect(n)
+        except IntervalDomainError as exc:
+            raise NoBifurcationError(f"h = 2(phi^A - 1) - sqrt(5) A has no zero on "
+                                     f"[{a_lo}, {a_hi}]: {exc}") from None
         if step.width >= x.width:
             raise ValueError(f"interval Newton stops narrowing at width {x.width:.3g}, "
-                             f"above tol = {tol:.3g}")
+                             f"before it certifies an enclosure no wider than tol = {tol:.3g}")
         x = step
     ends = (max(a_lo, x.lo - _COUNT_OFFSET), min(a_hi, x.hi + _COUNT_OFFSET))
     counts = tuple(_a4_root_count(a) for a in ends)

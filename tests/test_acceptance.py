@@ -102,7 +102,7 @@ def test_criterion_3_endpoint_signs():
             Box(Interval.around(square_endpoint_y4()), Interval.point(a_exp)), "A")
         f_col, _ = eval_F_interval(
             Box(Interval.around(collinear_endpoint_y4()), Interval.point(a_exp)), "A")
-        ok = ok and f_sq.strictly_positive() and f_col.strictly_negative()
+        ok = ok and f_sq.lo > 0.0 and f_col.hi < 0.0
     _verdict(3, ok, f"strict interval enclosures at both endpoints for A in "
              f"{exponents}")
 

@@ -49,9 +49,9 @@ def thin_box(y4: float, a_exp: float) -> Box:
 @pytest.mark.parametrize("a_exp", [2.0, 3.0, 6.0])
 def test_thin_interval_endpoint_signs(a_exp):
     f_sq, _ = eval_F_interval(thin_box(square_endpoint_y4(), a_exp), "A")
-    assert f_sq.strictly_positive()
+    assert f_sq.lo > 0.0
     f_col, _ = eval_F_interval(thin_box(collinear_endpoint_y4(), a_exp), "A")
-    assert f_col.strictly_negative()
+    assert f_col.hi < 0.0
 
 
 def test_box_containing_pentagon_root_contains_zero():

@@ -629,6 +629,19 @@ def test_region_map_point_query(capsys):
     assert json.loads(capsys.readouterr().out)["region"] == "unrealizable"
 
 
+@pytest.mark.parametrize("point, message", [
+    ("400,30", "theta12 must lie in (0, 360) degrees, got 400"),
+    ("108,-5", "theta23 must lie in (0, 360) degrees, got -5"),
+    ("360,108", "theta12 must lie in (0, 360) degrees, got 360"),
+    ("108,nan", "theta23 must lie in (0, 360) degrees, got nan"),
+])
+def test_region_map_point_checks_its_angles_in_degrees(point, message, capsys):
+    # --point takes degrees, so a bad angle is reported in degrees and
+    # names the flag, not in the radians the classifier works in
+    assert main(["region-map", "--A", "3", "--point", point]) == 1
+    assert capsys.readouterr().err == f"error: --point {message}\n"
+
+
 def test_region_map_point_reports_collision_like_the_grid(capsys):
     # theta12 next to 0 puts q3 on q1; the grid labels such a cell "collision"
     assert main(["region-map", "--A", "3", "--point", "1e-13,108"]) == 0

@@ -235,13 +235,44 @@ def test_newtonian_convex_window_has_only_the_pentagon():
 
 
 def test_pentagon_root_near_a_c_is_simple_without_a_certified_sign_change():
-    # the two flags are separate checks: near A_c the slope of F at the
-    # pentagon is small, and F on the thin Interval at the enclosure's
-    # lower end contains zero
+    # near A_c the slope of F at the pentagon is small: it excludes zero,
+    # but one Newton step from the enclosure's midpoint does not land inside
+    # the enclosure, and F at its lower end contains zero
     (rec,) = [r for r in scan_branch("A", 3.0) if r.sign_type.label == "A4"]
     assert rec.enclosure == (1.5388417685875253, 1.5388417685884348)
     assert rec.simple and rec.resolved and not rec.sign_change_certified
-    assert F(Interval.around(rec.enclosure[0]), 3.0, "A").contains_zero()
+    assert F(Interval.point(rec.enclosure[0]), 3.0, "A").contains_zero()
+
+
+def _end_signs_strict(rec, end=Interval.point) -> bool:
+    """The reference rule for a root record: scalar F on the Interval
+    ``end`` of each end of the enclosure has a strict sign, and the two
+    signs are opposite; False where F raises."""
+    try:
+        fa, fb = (F(end(y), rec.a_exp, rec.branch) for y in rec.enclosure)
+    except ArithmeticError:
+        return False
+    return (fa.lo > 0.0 and fb.hi < 0.0) or (fa.hi < 0.0 and fb.lo > 0.0)
+
+
+def test_newton_certificate_matches_the_strict_end_signs():
+    # one Newton step that lands inside a root's enclosure, on a slope that
+    # excludes zero, implies strict opposite signs of F at its ends; over
+    # A = 2 to 6 by 1/8, 50 and 1000 on both branches the scan's flag
+    # equals the end-sign rule on every resolved record.  On ends widened
+    # by one ulp, as the scan once checked them, F loses its sign at three
+    widened = []
+    for branch in "AB":
+        for a_exp in [2.0 + k / 8 for k in range(33)] + [50.0, 1000.0]:
+            for rec in scan_branch(branch, a_exp):
+                if not rec.resolved:
+                    assert not (rec.simple or rec.sign_change_certified)
+                    continue
+                assert rec.sign_change_certified == _end_signs_strict(rec)
+                if rec.sign_change_certified and not _end_signs_strict(rec, Interval.around):
+                    widened.append((branch, a_exp, rec.enclosure[0]))
+    assert widened == [("A", 2.625, 1.5388417685875253), ("A", 3.625, 1.5388417685875253),
+                       ("A", 4.5, 1.1808949070232324)]
 
 
 def test_quartic_convex_window_has_three_roots():
@@ -259,13 +290,25 @@ def test_refine_brackets_an_exact_zero_at_a_midpoint():
 
 def test_sign_change_fails_where_interval_F_is_undefined():
     # at branch B's q3 = q5 collision r35 is 0, so its negative power, and
-    # with it F on a thin Interval, raises: no sign change is certified
+    # with it F on a thin Interval, raises; past the end of the domain the
+    # branch radicand is negative and F on a point Interval raises too.
+    # There the Newton step says nothing and does not raise: N(X) is the
+    # whole line, so no sign change is certified
     y4 = square_endpoint_y4()
     with pytest.raises(IntervalDomainError):
         F(Interval.around(y4), 3.0, "B")
-    assert symmetric._interval_sign_change((y4, y4), "B", 3.0) is False
     with pytest.raises(IntervalDomainError, match="no evaluable form"):
         eval_F_interval(Box(Interval.around(y4), Interval.point(3.0)), "B")
+    x = Interval(Y4_MAX + 1e-9, Y4_MAX + 3e-9)
+    with pytest.raises(IntervalDomainError):
+        F(Interval.point(x.mid), 3.0, "A")
+    f = partial(F, a_exp=3.0, branch="A")
+    n = symmetric._newton_step(f, x, Interval(1.0, 2.0))
+    assert (n.lo, n.hi) == (-math.inf, math.inf)
+    assert not (x.lo < n.lo and n.hi < x.hi)
+    # so does a slope that holds zero, where the quotient is undefined
+    n = symmetric._newton_step(f, Interval(1.0, 1.1), Interval(-1.0, 1.0))
+    assert (n.lo, n.hi) == (-math.inf, math.inf)
 
 
 def test_root_counts_stable_under_tolerance_refinement():
@@ -599,7 +642,7 @@ def test_pentagon_h_slope_from_the_jet_in_a():
         h = symmetric._pentagon_h(Jet2.variable_a(a)).v
         assert (h.lo, h.hi) == (symmetric._pentagon_h(a).lo, symmetric._pentagon_h(a).hi)
     # over the scan's range h' excludes zero: h has one root there
-    assert symmetric._pentagon_h(Jet2.variable_a(Interval(3.0, 3.3))).da.strictly_positive()
+    assert symmetric._pentagon_h(Jet2.variable_a(Interval(3.0, 3.3))).da.lo > 0.0
 
 
 def test_pentagon_slope_closed_form_is_exact():
@@ -690,14 +733,14 @@ def test_pentagon_slope_closed_form_matches_the_jet():
         assert F_dual(p, a_exp, "A").dy == pytest.approx(slope, rel=1e-12, abs=1e-14)
         # the slope and h have opposite signs
         h = symmetric._pentagon_h(Interval.point(a_exp))
-        assert (h.strictly_negative() and slope > 0) or (h.strictly_positive() and slope < 0)
+        assert (h.hi < 0.0 and slope > 0) or (h.lo > 0.0 and slope < 0)
 
 
 def test_no_bifurcation_below_three():
     # dF/dy4 at the pentagon is positive over the first range, negative over
-    # the second
-    for a_range in ((2.0, 3.0), (3.13, 3.3)):
-        with pytest.raises(NoBifurcationError):
+    # the second; a Newton step on h leaves an empty intersection with each
+    for a_range in ((2.0, 3.0), (3.13, 3.3), (2.0, 2.5), (3.2, 3.5)):
+        with pytest.raises(NoBifurcationError, match="has no zero on .*empty intersection"):
             bifurcation_scan(a_range)
 
 
@@ -832,6 +875,9 @@ def _sha256(obj) -> str:
 # guard refines the most cells, and the whole branch-B domain holds two
 # cells the guard reports unresolved (at the q1 = q3 collision and at the
 # domain end) and three records without masses, whose residual_max is null.
+# Two of those, at the q3 = q5 collisions (y4 near 0.134 and 1.866), are
+# sign changes of F through a pole: dF/dy4 is not defined over them, so they
+# are not simple and carry no certificate.
 # The bifurcation enclosure is [3.120368324793926, 3.1203688055615353], with
 # h' read from h's jet in A.
 @pytest.mark.parametrize("run, digest", [
@@ -845,7 +891,7 @@ def _sha256(obj) -> str:
                                                  window_for("A", "A4", inset=1e-9))],
      "021feb2b301b101ced54808b6e2ed59143366f65619a055839caaee64ad861b6"),
     (lambda: [r.to_json() for r in isolate_roots("B", 2.0, (0.0, Y4_MAX))],
-     "729db0e5748f5366d85c31a709239cca6fba6a8e12b70fd78b88dc5bba840426"),
+     "cf8a9cb5ff7b0e391927fca1a3ba9d8e9031fe3f8b37ed4270511c7c50468bd3"),
     (lambda: list(bifurcation_scan((3.0, 3.3), tol=1e-6)),
      "76bafb39641967d3eeef77bac191cef235600f4ac4972031d60c2e60a0bc6dff"),
 ], ids=["scan-A2", "scan-A4", "scan-B3", "isolate-A3.12-A4", "isolate-B-domain",
