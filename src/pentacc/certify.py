@@ -21,13 +21,17 @@ frozen value, in one call.  Bisection runs breadth first, on
 the three zones of a unique-root certificate in it together, tagged by
 zone, as numpy columns of box bounds.  Each pass evaluates the frontier,
 together with whole levels of its candidate children, by one call of the
-batched box kernel ``_mv_eval`` on ``IntervalArray`` operands, and
-resolves every depth the batch covers: decided boxes become leaves, the
-rest are halved into their candidate rows, and the boxes left open at
-the last level form the next pass's frontier.  The kernel runs one
-traced plan of two jets of F, one column a box: the jet in y4 at the box
-center, whose value and dF/dy4 are the only outputs, and the
-second-order jet in (y4, A) over the whole box.  The plan's calls that
+batched box evaluator ``_mv_eval`` on their bound arrays, and resolves
+every depth the batch covers: decided boxes become leaves, the rest are
+halved into their candidate rows, and the boxes left open at the last
+level form the next pass's frontier.  The evaluator runs one traced plan,
+one column a box, of two jets of F and the mean-value sums over them:
+the jet in y4 at the box center, of which only the value and dF/dy4 are
+computed, and the second-order jet in (y4, A) over the whole box.  The
+plan outputs the mean-value enclosures of F and dF/dy4 and the whole-box
+slots, so all interval arithmetic of a pass runs in the plan; the
+evaluator only picks split hints and meets the mean-value form with the
+natural one.  The plan's calls that
 read y4 alone run once per distinct y4 interval of a certificate: the
 certificate's evaluator keeps their rows in one memo from pass to pass
 (``intervals._Y4Memo``), so the two halves of a box split along A share
@@ -74,25 +78,42 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
     return IntervalArray(np.where(mv, both.lo, nat_enc.lo), np.where(mv, both.hi, nat_enc.hi))
 
 
+# the input rows of ``_f_plan`` (``_f_inputs``) that hold y4
+_Y4_ROWS = (0, 2, 4)
+
+
 @lru_cache(maxsize=None)
 def _f_plan(branch: str):
-    """F's jets on one branch (``_f_jets``), traced once into one plan over
-    four rows: the box centers' y4 and A, then the whole boxes'
-    (``intervals._trace``).  The two traces' ready calls of one kind
-    stack into one kernel call, so the centers add no call.  Rows 0
-    and 2 hold y4: the calls that read them alone form the plan's first
-    stage, whose rows a run takes from a y4 memo that computes each
-    distinct y4 column once (``intervals._Y4Memo``, ``_y4_halves``)."""
-    return _trace(partial(_f_jets, branch=branch), 4, y4=(0, 2))
+    """F's jets on one branch and their mean-value sums (``_f_jets``),
+    traced once into one plan over six rows: the box centers' y4 and A,
+    the whole boxes', then the box midpoints' as points
+    (``intervals._trace``).  The two jets' ready calls of one kind stack
+    into one kernel call, so the centers add no call.  Rows 0, 2 and 4
+    hold y4: the calls that read them alone form the plan's first stage,
+    whose rows a run takes from a y4 memo that computes each distinct y4
+    column once (``intervals._Y4Memo``, ``_y4_halves``)."""
+    return _trace(partial(_f_jets, branch=branch), 6, y4=_Y4_ROWS)
 
 
-def _f_jets(yc, ac, y, a, branch: str) -> tuple:
-    """The outputs of ``_f_plan``: the centers get the jet in y4 at their
-    exponent, with only the value and dF/dy4 as outputs, and the whole
-    boxes the second-order jet in (y4, A) with all five slots."""
+def _f_jets(yc, ac, y, a, my, ma, branch: str) -> tuple:
+    """The outputs of ``_f_plan``: the mean-value forms of F and dF/dy4,
+    then the five slots of the second-order jet in (y4, A) over the whole
+    boxes.  The mean-value forms add to F and dF/dy4 of the jet in y4 at
+    the centers' exponent the whole-box jet's first and second
+    derivatives times the boxes' offsets from their midpoints."""
     center = F(Jet2.variable_y(yc), branch=branch, a_exp=Jet2(ac))
     whole = F(Jet2.variable_y(y), branch=branch, a_exp=Jet2.variable_a(a))
-    return center.v, center.dy, *Jet2._parts(whole)
+    off_y, off_a = y - my, a - ma
+    return (center.v + whole.dy * off_y + whole.da * off_a,
+            center.dy + whole.dyy * off_y + whole.dya * off_a, *Jet2._parts(whole))
+
+
+def _f_inputs(y: IntervalArray, a: IntervalArray) -> tuple:
+    """The six input rows of ``_f_plan`` for boxes y x a: the centers'
+    one-ulp enclosures, the boxes, the midpoints as points."""
+    my, ma = y.mid, a.mid
+    return (IntervalArray.around(my), IntervalArray.around(ma), y, a,
+            IntervalArray(my, my), IntervalArray(ma, ma))
 
 
 def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _BoxEval:
@@ -101,23 +122,18 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _B
 
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
     evaluated together, by one run of the branch's plan (``_f_plan``),
-    one column a box.  The mean-value form reads F and dF/dy4 at the box
-    center and every slot of the whole-box jet.  Where it fails the
-    natural form is used alone, with the default split hint.  A box where
-    both forms fail, or where their enclosures do not meet, has NaN
-    enclosures.  So has a box whose branch radicand reaches zero: the plan
-    takes the radicand's square root through log, which is NaN there, and
-    every slot of F depends on that root.
+    one column a box, which gives the mean-value forms and every slot of
+    the whole-box jet.  This function only picks the split hints and meets
+    the two forms.  Where the mean-value form fails the natural form is
+    used alone, with the default split hint.  A box where both forms fail,
+    or where their enclosures do not meet, has NaN enclosures.  So has a
+    box whose branch radicand reaches zero: the plan takes the radicand's
+    square root through log, which is NaN there, and every slot of F
+    depends on that root.
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     yw, aw = y.width, a.width
-    my, ma = y.mid, a.mid
-    slots = _f_plan(branch).run(IntervalArray.around(my), IntervalArray.around(ma), y, a,
-                                memo=memo)
-    center_v, center_dy, v, dy, da, dyy, dya = slots
-    off_y, off_a = y - my, a - ma
-    f_mv = center_v + dy * off_y + da * off_a
-    df_mv = center_dy + dyy * off_y + dya * off_a
+    f_mv, df_mv, v, dy, da, dyy, dya = _f_plan(branch).run(*_f_inputs(y, a), memo=memo)
     # NaN in any other slot reaches f_mv or df_mv
     mv = v.valid & f_mv.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
@@ -136,15 +152,15 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _B
 
 
 def _y4_halves(lo, hi) -> tuple:
-    """The ``y4`` rows of ``_f_plan`` (the centers' y4, then y4, as
-    ``_mv_eval`` makes them) of both y4 halves of each of their columns,
-    lower halves first: ``split_bounds`` with coordinate 0, which splits
-    y4 whatever the exponent."""
+    """The ``y4`` rows of ``_f_plan`` (the centers' y4, y4, then the
+    midpoints, as ``_f_inputs`` makes them) of both y4 halves of each of
+    their columns, lower halves first: ``split_bounds`` with coordinate 0,
+    which splits y4 whatever the exponent."""
     point = np.zeros_like(lo[1])
     lower, upper = split_bounds(lo[1], hi[1], point, point, 0)
     y = IntervalArray(np.concatenate((lower[0], upper[0])), np.concatenate((lower[1], upper[1])))
-    center = IntervalArray.around(y.mid)
-    return np.stack((center.lo, y.lo)), np.stack((center.hi, y.hi))
+    rows = [_f_inputs(y, y)[i] for i in _Y4_ROWS]
+    return np.stack([r.lo for r in rows]), np.stack([r.hi for r in rows])
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:

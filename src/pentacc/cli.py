@@ -126,13 +126,13 @@ def cmd_symmetric_scan(args) -> int:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["y4", "branch", "sign_type", "A", "m1", "m2", "m3", "m4",
-                    "m5", "residual_max", "simple", "resolved"])
+                    "m5", "residual_max", "simple", "sign_change_certified", "resolved"])
         for r in records:
             masses = list(r.masses.as_array()) if r.masses else [""] * 5
             # an empty field where the JSON has null, as for absent masses
             resid = r.residual_max if math.isfinite(r.residual_max) else ""
             w.writerow([r.y4, r.branch, r.sign_type.label, r.a_exp, *masses,
-                        resid, r.simple, r.resolved])
+                        resid, r.simple, r.sign_change_certified, r.resolved])
         payload = buf.getvalue()
     else:
         payload = json.dumps([r.to_json() for r in records], indent=1)

@@ -172,8 +172,8 @@ def family_terms(y4, branch: str, a_exp=None) -> dict:
     r13, r14, r35; with an exponent also R13, R14, R35 = r**(-a_exp).  This
     is the single source of these quantities for F, the mass-coefficient
     matrix, the exclusion coefficients and the sign-type classifier.  Works
-    for floats, numpy arrays, Intervals, IntervalArrays and Jet2 jets over
-    any of these, for y4 and for the exponent.
+    for floats, numpy arrays, Intervals, a traced plan's rows and Jet2 jets
+    over any of these, for y4 and for the exponent.
     """
     x3, y3 = branch_position(y4, branch)
     dy = y4 - y3

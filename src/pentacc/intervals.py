@@ -5,34 +5,33 @@ result for all points of the operand intervals.  The scalar Interval rounds
 to nearest and nudges each computed bound one ulp outward with
 math.nextafter; exp and log get two ulps to absorb libm error.  It switches
 no rounding mode, which keeps it portable.  The array kernels of +, -, *
-and / switch to upward rounding instead where the host allows it (below).
+and /, which run only inside a plan (below), switch to upward rounding
+instead where the host allows it.
 
 Jet2, the package's one forward-mode AD type, carries a value with its
 first- and second-order terms in two variables through the same operator
-set.  Its components may be floats, Intervals or IntervalArrays, which
-gives simultaneous enclosures of a function and its derivatives over a
-box.  The certifier runs two jets of F on each box: the jet in y4 at the
-box center and its exponent, of which only F and dF/dy4 are read, and
-the jet in y4 and A over the whole box.  Together they give the
-mean-value form and, as the whole-box value, the natural form it is met
-with (``certify._mv_eval``).
+set.  Its components may be floats, Intervals or the register rows of a
+plan, which gives simultaneous enclosures of a function and its derivatives
+over a box.  The certifier's plan runs two jets of F on each box, the jet
+in y4 at the box center and its exponent and the jet in y4 and A over the
+whole box, and sums them into the mean-value form of F and dF/dy4; the
+whole-box value and y4-slope are the natural form that
+``certify._mv_eval`` meets it with.
 The root scan needs F and dF/dy4 at one float exponent: its tangency guard
 runs F's jet in y4 with only those two slots as outputs
 (``symmetric._natural_eval``), and one run of the same plan gives dF/dy4
 over all the root enclosures of a window for their simplicity check and
-their Newton step.  No code of the package runs a Jet2 over intervals
-outside a plan.
+their Newton step.
 
 IntervalArray holds many intervals as two float64 arrays, so that the
 certifier evaluates a whole bisection frontier, with levels of candidate
-children, in one pass (after Rump's INTLAB).  Jet2 carries IntervalArray
-components unchanged.  The certifier and the tangency guard run F's jets as
-a plan instead (``_trace``): the scalar Jet2 formulas run once on register
-rows, with float constants and structural zeros kept as floats, and record
-their kernel calls; the plan makes the ready needed calls of one kind,
-of every jet traced into it, as one call on stacked rows, and picks the
-kind by the slack of its most urgent call (``_Trace._batches``); it runs
-under one np.errstate, with the operators' bodies (``_quiet``).  Only
+children, in one pass (after Rump's INTLAB).  It holds bounds and has no
+arithmetic operators: its kernels run only inside a plan (``_trace``).  The
+scalar Jet2 formulas run once on register rows, with float constants and
+structural zeros kept as floats, and record their kernel calls; the plan
+makes the ready needed calls of one kind, of every jet traced into it, as
+one call on stacked rows, and picks the kind by the slack of its most
+urgent call (``_Trace._batches``); it runs under one np.errstate.  Only
 the calls that an output reads run.  A run takes the columns, one a box,
 in blocks of a fixed width and reuses the rows of values no later call
 reads, so its memory does not grow with the frontier.  The certifier's
@@ -49,9 +48,9 @@ certificate's stats counts those that do).  This is tape-based forward
 differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
 2008) on interval enclosures.
 
-Each array operation follows the scalar formula element by element; where
+Each array kernel follows the scalar formula element by element; where
 Interval raises, the element turns NaN instead.  The add, sub, mul and div
-kernels take one of two rounding paths, which the first kernel call picks
+kernels take one of two rounding paths, which the first plan run picks
 for the process from a self-test (``_fenv``); ``certify`` records it in a
 certificate's stats.  On the upward path they run under upward rounding,
 set with the C library's fesetround through ctypes, as INTLAB does (S. M.
@@ -64,11 +63,11 @@ under round to nearest and step each bound one ulp outward with
 np.nextafter, which reproduces the Interval bounds bit for bit.  Every
 other kernel, and everything outside the four, runs under the caller's
 rounding mode, round to nearest: CPython's float parsing assumes it, and
-glibc states its libm error bounds for it.
+glibc states its libm error bounds for it.  A plan run switches the mode
+around the four (``_run_steps``) and gives the caller's back.
 
-sqrt uses np.sqrt, which is correctly rounded like math.sqrt.  exp, log
-and integer powers call libm (math.exp, math.log, float **) once per
-element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
+exp, log and integer powers call libm (math.exp, math.log, float **) once
+per element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
 from libm on about 4.6 % of exp arguments in [-30, 30], 5.3 % of
 power(x, -3) arguments in [0.05, 3] and 0.05 % of log arguments in
 [1e-5, 1e5] (200k float64 samples each, numpy 2.4 on an AVX-512 Xeon).
@@ -94,7 +93,6 @@ children, both halves along each coordinate a box may split on, up to
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import platform
 from dataclasses import dataclass
@@ -322,9 +320,9 @@ def _aup(x):
 _FE_UPWARD = {"x86_64": 0x800, "aarch64": 0x400000, "arm64": 0x400000}
 
 # The rounding path of the add, sub, mul and div kernels, fixed by the
-# first kernel call (``_fenv``): the C library's (fegetround, fesetround,
+# first plan run (``_fenv``): the C library's (fegetround, fesetround,
 # upward mode) where the self-test passed, False on the step path, None
-# before the first call.
+# before the first run.
 _FENV = None
 
 
@@ -424,62 +422,30 @@ def _libm(fn, *args) -> np.ndarray:
     return np.asarray(out, dtype=float).reshape(arrays[0].shape)
 
 
-def _quiet(op):
-    """Run an IntervalArray operation with numpy's floating-point warnings off;
-    invalid results become NaN elements instead."""
-    @functools.wraps(op)
-    def wrapped(*args):
-        with np.errstate(all="ignore"):
-            return op(*args)
-    return wrapped
-
-
-def _upward(op):
-    """``_quiet`` for the add, sub, mul and div kernels: run under upward
-    rounding where the host takes it (``_fenv``), and give the caller's
-    rounding mode back in any case."""
-    @functools.wraps(op)
-    def wrapped(*args):
-        env = _fenv()
-        with np.errstate(all="ignore"):
-            if not env:
-                return op(*args)
-            get, set_, mode = env
-            caller = get()
-            set_(mode)
-            try:
-                return op(*args)
-            finally:
-                set_(caller)
-    return wrapped
-
-
 class IntervalArray:
     """Element-wise intervals [lo[i], hi[i]] held in two float64 arrays.
 
-    Each operation follows the scalar ``Interval`` formula on every element.
-    On the step path of the module's rounding (module docstring), element i
-    of a result has the bounds ``Interval`` computes from element i of the
-    operands, bit for bit.  On the upward path, +, -, * and / give bounds
-    inside those, and every other operation the bounds ``Interval`` computes
-    from the same operand bounds, so an element valid on the step path is
-    valid on the upward path too.  Where ``Interval`` raises for an
-    element (NaN or inverted bound, division by an interval containing 0,
-    log of an interval touching 0, a negative power of an interval
-    containing 0, an empty sqrt clip, a libm overflow), that element gets
-    NaN bounds instead and NaN propagates through later operations;
-    ``valid`` marks the other elements.  Every result goes through the one
-    checked constructor ``IntervalArray(lo, hi)``, which gives an element
-    with a NaN or inverted bound NaN bounds; ``_of`` wraps bounds that an
-    IntervalArray already holds, or a float constant, without the check.
-    Floats, float arrays and broadcastable shapes mix in as point
-    intervals.  ``**`` and the reflected ``-`` and ``/`` are Interval's:
-    they only coerce and dispatch.
+    A container of bounds, with no arithmetic operators: its kernels, the
+    private methods that ``_KERNELS`` names, run only in a plan's steps
+    (``_run_steps``), on rows of the plan's register file.  Each follows
+    the scalar ``Interval`` formula on every element.  On the step path of
+    the module's rounding (module docstring), element i of a result has
+    the bounds ``Interval`` computes from element i of the operands, bit
+    for bit.  On the upward path, +, -, * and / give bounds inside those,
+    and every other kernel the bounds ``Interval`` computes from the same
+    operand bounds, so an element valid on the step path is valid on the
+    upward path too.  Where ``Interval`` raises for an element (NaN or
+    inverted bound, division by an interval containing 0, log of an
+    interval touching 0, a negative power of an interval containing 0, a
+    libm overflow), that element gets NaN bounds instead and NaN
+    propagates through later kernels; ``valid`` marks the other elements.
+    Every result goes through the one checked constructor
+    ``IntervalArray(lo, hi)``, which gives an element with a NaN or
+    inverted bound NaN bounds; ``_of`` wraps bounds that an IntervalArray
+    already holds, or a float constant, without the check.
     """
 
     __slots__ = ("lo", "hi")
-    # numpy scalars and arrays defer to the reflected operators below
-    __array_ufunc__ = None
 
     def __init__(self, lo, hi):
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -510,14 +476,14 @@ class IntervalArray:
         return ~np.isnan(self.lo)
 
     @property
-    @_quiet
     def width(self) -> np.ndarray:
-        return self.hi - self.lo
+        with np.errstate(all="ignore"):
+            return self.hi - self.lo
 
     @property
-    @_quiet
     def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        with np.errstate(all="ignore"):
+            return 0.5 * (self.lo + self.hi)
 
     @property
     def mag(self) -> np.ndarray:
@@ -534,16 +500,7 @@ class IntervalArray:
     def __repr__(self) -> str:
         return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
 
-    # ---- arithmetic ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> "IntervalArray":
-        if isinstance(x, IntervalArray):
-            return x
-        if isinstance(x, float):
-            # a constant: a point whose float bounds broadcast
-            return IntervalArray._of(x, x)
-        return IntervalArray(x, x)
+    # ---- kernels ------------------------------------------------------
 
     def _hull(self, op, o, lo_nan=None) -> "IntervalArray":
         """The hull of ``op`` (multiply or divide) over the bounds of self
@@ -562,35 +519,20 @@ class IntervalArray:
                      np.fmax(op(self.hi, o.lo), op(self.hi, o.hi)))
         return _upper(neg_lo, hi)
 
-    @_upward
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _add(self, o):
         return _upper((-self.lo) - o.lo, self.hi + o.hi)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntervalArray(-self.hi, -self.lo)
-
-    @_upward
-    def __sub__(self, other):
-        o = self._coerce(other)
+    def _sub(self, o):
         return _upper(o.hi - self.lo, self.hi - o.lo)
 
-    __rsub__ = Interval.__rsub__
+    def _mul(self, o):
+        return self._hull(np.multiply, o)
 
-    @_upward
-    def __mul__(self, other):
-        return self._hull(np.multiply, self._coerce(other))
-
-    __rmul__ = __mul__
-
-    @_upward
-    def __truediv__(self, other):
-        o = self._coerce(other)
+    def _div(self, o):
         return self._hull(np.divide, o, o.contains_zero())
 
-    __rtruediv__ = Interval.__rtruediv__
+    def _neg(self):
+        return IntervalArray(-self.hi, -self.lo)
 
     def __abs__(self):
         lo, hi = self.lo, self.hi
@@ -603,35 +545,22 @@ class IntervalArray:
     def _abs_part(self, c) -> "IntervalArray":
         """Interval._abs_part on each element: an element whose value
         straddles 0 becomes invalid instead of raising."""
-        c = IntervalArray._coerce(c)
         neg = self.hi < 0.0
         straddle = ~neg & ~(self.lo >= 0.0)
         return IntervalArray(np.where(straddle, math.nan, np.where(neg, -c.hi, c.lo)),
                              np.where(straddle, math.nan, np.where(neg, -c.lo, c.hi)))
 
-    @_quiet
-    def sqrt(self) -> "IntervalArray":
-        # clip to [0, inf] as Interval.intersect does; np.sqrt is correctly rounded
-        lo = np.where(0.0 > self.lo, 0.0, self.lo)
-        lo = np.where(lo > self.hi, math.nan, lo)
-        s = _adown(np.sqrt(lo))
-        # Python's max(0.0, s); where s is NaN the upper bound is too
-        return IntervalArray(np.where(s > 0.0, s, 0.0), _aup(np.sqrt(self.hi)))
-
     # exp, log and the integer powers call libm on both bounds at once
 
-    @_quiet
-    def exp(self) -> "IntervalArray":
+    def _exp(self) -> "IntervalArray":
         # two ulps outward, as Interval.exp
         lo, hi = _libm(math.exp, (self.lo, self.hi))
         return IntervalArray(_adown(_adown(lo)), _aup(_aup(hi)))
 
-    @_quiet
-    def log(self) -> "IntervalArray":
+    def _log(self) -> "IntervalArray":
         lo, hi = _libm(math.log, (np.where(self.lo > 0.0, self.lo, math.nan), self.hi))
         return IntervalArray(_adown(_adown(lo)), _aup(_aup(hi)))
 
-    @_quiet
     def _int_pow(self, n: int) -> "IntervalArray":
         if n == 0:
             one = np.where(np.isnan(self.lo), math.nan, 1.0)
@@ -648,8 +577,6 @@ class IntervalArray:
         # nonnegative; where lo is NaN the upper bound is too
         lo = np.where(lo > 0.0, _adown(lo), 0.0) if n % 2 == 0 else _adown(lo)
         return IntervalArray(lo, _aup(hi))
-
-    __pow__ = Interval.__pow__
 
 
 def _zero(x) -> bool:
@@ -680,11 +607,10 @@ def _sub(x, y):
 class _Row:
     """A register row of a plan while its formula is traced (``_trace``).
 
-    It has the IntervalArray operators that the jet formulas use.  Each
-    records the kernel call it stands for, with the operands in the order
-    that IntervalArray's operator passes them to the kernel; ``**`` is the
-    dispatch over ``_int_pow``, ``log`` and ``exp`` that Interval and
-    IntervalArray share.
+    It has the operators that the jet formulas use.  Each records the
+    kernel call it stands for (``_KERNELS``), with the operands in the
+    order that Interval's operator takes them; ``**`` is Interval's
+    dispatch over ``_int_pow``, ``log`` and ``exp``.
     """
 
     __slots__ = ("trace", "reg")
@@ -735,20 +661,20 @@ class _Row:
     __pow__ = Interval.__pow__
 
 
-# The kernel of each traced operation: the body of the IntervalArray
-# operator, without the errstate that a plan's run enters once, and the
-# rounding it runs under (``_run_steps``): upward (True) for add, sub, mul
-# and div, the caller's mode (False) for the libm kernels, either (None)
-# for neg and abs, which round nothing.
+# The kernel of each traced operation, an IntervalArray method that runs
+# under the errstate a plan's run enters once, and the rounding it runs
+# under (``_run_steps``): upward (True) for add, sub, mul and div, the
+# caller's mode (False) for the libm kernels, either (None) for neg and
+# abs, which round nothing.
 _KERNELS = {
-    "add": (IntervalArray.__add__.__wrapped__, True),
-    "sub": (IntervalArray.__sub__.__wrapped__, True),
-    "mul": (IntervalArray.__mul__.__wrapped__, True),
-    "div": (IntervalArray.__truediv__.__wrapped__, True),
-    "neg": (IntervalArray.__neg__, None),
-    "exp": (IntervalArray.exp.__wrapped__, False),
-    "log": (IntervalArray.log.__wrapped__, False),
-    "pow": (IntervalArray._int_pow.__wrapped__, False),
+    "add": (IntervalArray._add, True),
+    "sub": (IntervalArray._sub, True),
+    "mul": (IntervalArray._mul, True),
+    "div": (IntervalArray._div, True),
+    "neg": (IntervalArray._neg, None),
+    "exp": (IntervalArray._exp, False),
+    "log": (IntervalArray._log, False),
+    "pow": (IntervalArray._int_pow, False),
     "abs": (IntervalArray._abs_part, None),
 }
 
@@ -782,8 +708,8 @@ class _Trace:
         self.memo = {}    # each distinct call runs once: log(v) serves every v ** c
 
     def const(self, x) -> tuple:
-        """The register of a number operand: the point IntervalArray._coerce
-        makes of it, one row for each float."""
+        """The register of a number operand: its point row, one for each
+        float."""
         x = float(x)
         return self.consts.setdefault(repr(x), ("const", len(self.consts), x))
 
@@ -1093,7 +1019,7 @@ class _Y4Memo:
 class Jet2:
     """Second-order jet in two variables (y, a), minus the pure a-a term.
 
-    Carries (v, dy, da, dyy, dya) with Interval, IntervalArray or float
+    Carries (v, dy, da, dyy, dya) with Interval, plan row or float
     components: enough for mean-value enclosures of a function and of its
     y-derivative over a rectangle.  Exponentials with jet-valued exponents route through
     exp/log, which is how r**(-A) differentiates in both variables.
@@ -1105,9 +1031,9 @@ class Jet2:
     Since 0 encloses an identically zero term, enclosures are never wider
     than with the terms computed, only cheaper.
 
-    Over IntervalArray the formulas run slot by slot.  The certifier and the
-    root scan's tangency guard do not run them there: they trace F on a jet
-    of rows once (``_trace``) and run the plan.
+    Over interval arrays the formulas run only as a plan: the certifier
+    and the root scan's tangency guard trace F on a jet of rows once
+    (``_trace``) and run the plan.
     """
 
     __slots__ = ("v", "dy", "da", "dyy", "dya")

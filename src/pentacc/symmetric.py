@@ -599,7 +599,7 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
 
     Returns (lo, hi) with hi - lo <= tol.  Raises NoBifurcationError when a
     Newton step proves that h has no root in the range or the float counts
-    do not match.  Raises ValueError when the range is not inside [2, 3.5],
+    do not match.  Raises ValueError when the range breaks 2 <= lo < hi <= 3.5,
     when ``tol`` is not finite or is below the float spacing at the range's
     upper end, and when Newton stops narrowing before it has proved a root
     in an enclosure no wider than ``tol``; the message names the narrowest
@@ -607,7 +607,7 @@ def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     """
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
     if not (2.0 <= a_lo < a_hi <= 3.5):
-        raise ValueError(f"scan range must sit inside [2, 3.5], got {a_range}")
+        raise ValueError(f"scan range must satisfy 2 <= lo < hi <= 3.5, got {a_range}")
     _check_resolution("tol", tol, a_hi)
     x, proved = Interval(a_lo, a_hi), False
     while not proved or x.width > tol:

@@ -693,21 +693,24 @@ def test_batched_box_eval_matches_scalar_oracle(branch, rounding_paths):
         rounding_paths.check(ev.f.lo[ok], ev.f.hi[ok], want[ok, 0], want[ok, 1])
         rounding_paths.check(ev.df.lo[ok], ev.df.hi[ok], want[ok, 2], want[ok, 3])
         np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ok], hints[ok])
-        # on either path, the plan's center outputs give the bits of F and
-        # dF/dy4 of the (y4, A) jet at the box centers run slot by slot over
-        # IntervalArray, and the root scan's plan of its natural form those
-        # of the jet in y4 over the same y4 intervals, invalid in the same
-        # places
+        # on either path, the certifier's jet in y4 at the box centers gives
+        # the bits of F and dF/dy4 of the (y4, A) jet there, each traced
+        # alone, and the root scan's plan of its natural form those of the
+        # jet in y4 over the same y4 intervals traced with all its slots,
+        # invalid in the same places
         y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-        yc, ac = IntervalArray.around(y.mid), IntervalArray.around(a.mid)
-        center = F(Jet2.variable_y(yc), a_exp=Jet2.variable_a(ac), branch=branch)
-        pairs = list(zip(certify._f_plan(branch).run(yc, ac, y, a)[:2], (center.v, center.dy)))
-        assert 0 < (center.v.valid & center.dy.valid).sum() < len(boxes)
+        yc, ac = certify._f_inputs(y, a)[:2]
+        center = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
+                                                   a_exp=Jet2(a)))[:2], 2).run(yc, ac)
+        full = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
+                                                 a_exp=Jet2.variable_a(a))), 2).run(yc, ac)
+        pairs = list(zip(center, full[:2]))
+        assert 0 < (full[0].valid & full[1].valid).sum() < len(boxes)
         for a_exp in (2.0, 2.5, 3.0, 4.0):
             nat = _natural_eval(ylo, yhi, None, None, branch=branch, a_exp=a_exp)
-            jet = F(Jet2.variable_y(y), a_exp, branch)
+            jet = _trace(lambda y: Jet2._parts(F(Jet2.variable_y(y), a_exp, branch)), 1).run(y)
             assert 0 < (nat.f.valid & nat.df.valid).sum() < len(boxes)
-            pairs += [(nat.f, jet.v), (nat.df, jet.dy)]
+            pairs += [(nat.f, jet[0]), (nat.df, jet[1])]
         for planned, by_slot in pairs:
             ok = by_slot.valid
             np.testing.assert_array_equal(planned.valid, ok)
@@ -724,7 +727,8 @@ def test_boxes_reaching_past_the_domain_end_are_not_evaluable(branch):
                   (Y4_MAX, Y4_MAX)]
     past = [(Y4_MAX + 1e-12, Y4_MAX + 2e-12), (Y4_MAX + 1e-6, Y4_MAX + 0.1), (2.0, 3.0)]
     ylo, yhi = np.array(straddling + past).T
-    assert (branch_radicand(IntervalArray(ylo, yhi)).lo < 0.0).all()
+    radicand = _trace(lambda y: [branch_radicand(y)], 1).run(IntervalArray(ylo, yhi))[0]
+    assert (radicand.lo < 0.0).all()
     # the certifier's evaluator and the scan guard's
     for evaluate, alo, ahi in ((partial(_mv_eval, branch=branch), 2.0, 6.0),
                                (partial(_natural_eval, branch=branch, a_exp=3.0), 3.0, 3.0)):
@@ -742,12 +746,18 @@ def test_boxes_reaching_past_the_domain_end_are_not_evaluable(branch):
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_center_jet_adds_no_kernel_call(branch):
     # the centers' jet stacks into the whole-box jet's kernel calls, stage by
-    # stage: in each stage the plan has the steps of the whole-box jet traced
-    # with its y4 row, and computes fewer elements a box than two columns of
-    # it would, in each stage and by a quarter over both
+    # stage: in each stage the plan has the steps of the whole-box jet and
+    # its mean-value sums, traced with the centers' F and dF/dy4 as input
+    # rows, and computes fewer elements a box than two columns of it would,
+    # in each stage and by a quarter over both
     import pentacc.certify as certify
-    whole = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
-                                              a_exp=Jet2.variable_a(a))), 2, y4=(0,))
+
+    def sums(y, a, my, ma, center_v, center_dy):
+        jet = F(Jet2.variable_y(y), branch=branch, a_exp=Jet2.variable_a(a))
+        off_y, off_a = y - my, a - ma
+        return (center_v + jet.dy * off_y + jet.da * off_a,
+                center_dy + jet.dyy * off_y + jet.dya * off_a, *Jet2._parts(jet))
+    whole = _trace(sums, 6, y4=(0, 2))
     plan = certify._f_plan(branch)
 
     def elements(steps):
@@ -914,13 +924,12 @@ def test_staged_plan_keeps_every_bit(branch, monkeypatch):
     # traced without y4 rows, which run every call on every column
     import pentacc.certify as certify
     staged = certify._f_plan(branch)
-    flat = _trace(partial(certify._f_jets, branch=branch), 4)
+    flat = _trace(partial(certify._f_jets, branch=branch), 6)
     assert not flat.stage1 and len(staged.stage1) + len(staged.steps) <= len(flat.steps)
     columns = _stage1_columns(staged, monkeypatch)
 
     def check(ylo, yhi, alo, ahi) -> list:
-        y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-        inputs = (IntervalArray.around(y.mid), IntervalArray.around(a.mid), y, a)
+        inputs = certify._f_inputs(IntervalArray(ylo, yhi), IntervalArray(alo, ahi))
         got = staged.run(*inputs)
         for g, w in zip(got, flat.run(*inputs)):
             ok = w.valid
@@ -980,7 +989,8 @@ def _halves(keys) -> set:
     """The y4 columns of both y4 halves of the given ones."""
     import pentacc.certify as certify
     bits = np.array(sorted(keys), dtype=np.int64).T.view(float)
-    return set(_y4_keys(*certify._y4_halves(bits[:2], bits[2:])))
+    rows = bits.shape[0] // 2
+    return set(_y4_keys(*certify._y4_halves(bits[:rows], bits[rows:])))
 
 
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))
@@ -1081,20 +1091,8 @@ def test_y4_memo_memory_is_bounded(monkeypatch):
 # ---------------------------------------------------------------------------
 # structural zeros: the dense jet formulas as the oracle
 
-def _dense_abs_parts(v, parts) -> list:
-    neg = v.hi < 0.0
-    straddle = ~neg & ~(v.lo >= 0.0)
-    out = []
-    for c in parts:
-        c = IntervalArray._coerce(c)
-        lo, hi = np.where(neg, -c.hi, c.lo), np.where(neg, -c.lo, c.hi)
-        out.append(IntervalArray(np.where(straddle, np.nan, lo),
-                                 np.where(straddle, np.nan, hi)))
-    return out
-
-
 class DenseJet2:
-    """``Jet2`` with every term computed, zeros included, on IntervalArray."""
+    """``Jet2`` with every term computed, zeros included, on plan rows."""
 
     def __init__(self, v, dy=0.0, da=0.0, dyy=0.0, dya=0.0):
         self.v, self.dy, self.da, self.dyy, self.dya = v, dy, da, dyy, dya
@@ -1166,7 +1164,21 @@ class DenseJet2:
                          inv * self.dya - (inv * self.dy) * (inv * self.da))
 
     def __abs__(self):
-        return DenseJet2(*_dense_abs_parts(self.v, self.parts()))
+        # a float part, a zero included, is a point row of the abs kernel
+        return DenseJet2(*(self.v._abs_part(c) for c in self.parts()))
+
+
+def _traced_slots(formula, *inputs: IntervalArray) -> list:
+    """The slots that ``formula`` returns on rows, traced into one plan and
+    run on the inputs: a row slot as the IntervalArray the plan outputs, a
+    float slot as the float."""
+    slots = []
+
+    def traced(*rows):
+        slots.extend(formula(*rows))
+        return slots
+    got = _trace(traced, len(inputs)).run(*inputs)
+    return [s if isinstance(s, float) else g for s, g in zip(slots, got)]
 
 
 def _assert_sparse_inside_dense(sparse: tuple, dense: tuple) -> None:
@@ -1191,23 +1203,27 @@ def _assert_sparse_inside_dense(sparse: tuple, dense: tuple) -> None:
 
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_structural_zeros_are_sound_and_kept(branch):
+    import pentacc.certify as certify
     rng = np.random.default_rng(2011 if branch == "A" else 2012)
     ylo, yhi, alo, ahi = np.array([b.key() for b in _oracle_boxes(rng, branch, 1000)]).T
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-    for yy, aa in ((IntervalArray.around(y.mid), IntervalArray.around(a.mid)), (y, a)):
-        sparse = F(Jet2.variable_y(yy), a_exp=Jet2.variable_a(aa), branch=branch)
-        dense = F(DenseJet2(yy, 1.0), a_exp=DenseJet2(aa, 0.0, 1.0), branch=branch)
-        _assert_sparse_inside_dense(
-            (sparse.v, sparse.dy, sparse.da, sparse.dyy, sparse.dya), dense.parts())
+    for yy, aa in (certify._f_inputs(y, a)[:2], (y, a)):
+        sparse = _traced_slots(lambda y, a: Jet2._parts(
+            F(Jet2.variable_y(y), a_exp=Jet2.variable_a(a), branch=branch)), yy, aa)
+        dense = _traced_slots(lambda y, a: F(
+            DenseJet2(y, 1.0), a_exp=DenseJet2(a, 0.0, 1.0), branch=branch).parts(), yy, aa)
+        _assert_sparse_inside_dense(sparse, dense)
     # the root scan's jet in y4 alone, at a float exponent
     for a_exp in (2.5, 3.0):
-        sparse, dense = F_dual(y, a_exp, branch), F(DenseJet2(y, 1.0), a_exp, branch)
-        _assert_sparse_inside_dense(
-            (sparse.v, sparse.dy, sparse.da, sparse.dyy, sparse.dya), dense.parts())
+        sparse = _traced_slots(lambda y: Jet2._parts(F_dual(y, a_exp, branch)), y)
+        dense = _traced_slots(lambda y: F(DenseJet2(y, 1.0), a_exp, branch).parts(), y)
+        _assert_sparse_inside_dense(sparse, dense)
     # the areas and distances depend on y4 alone: no a-derivative is computed
-    terms = family_terms(Jet2.variable_y(y), branch, a_exp=Jet2.variable_a(a))
+    trace = intervals._Trace(2)
+    y_row, a_row = (intervals._Row(trace, ("in", i)) for i in range(2))
+    terms = family_terms(Jet2.variable_y(y_row), branch, a_exp=Jet2.variable_a(a_row))
     for name in ("d123", "d124", "d134", "d135", "d145", "d345", "r13", "r14", "r35"):
         assert type(terms[name].da) is float and terms[name].da == 0.0, name
         assert type(terms[name].dya) is float and terms[name].dya == 0.0, name
     for name in ("R13", "R14", "R35"):
-        assert isinstance(terms[name].da, IntervalArray), name
+        assert isinstance(terms[name].da, intervals._Row), name

@@ -443,6 +443,13 @@ def test_certified_bifurcation_at_tol_1e_12(tmp_path):
     assert data["found"] is True and hi - lo <= 1e-12 and lo <= 3.12036856285897 <= hi
 
 
+def test_bifurcation_point_range_names_the_rule(capsys):
+    # a one-point range: both ends lie inside [2, 3.5], and the error says
+    # that lo < hi is the rule it breaks
+    assert main(["bifurcation", "--A-range", "3,3", "--out", "-"]) == 1
+    assert "2 <= lo < hi <= 3.5, got (3.0, 3.0)" in capsys.readouterr().err
+
+
 def test_bifurcation_empty_range(tmp_path):
     out = tmp_path / "bif2.json"
     assert main(["bifurcation", "--A-range", "2.0,2.5", "--out", str(out)]) == 3
@@ -597,6 +604,25 @@ def test_symmetric_scan_csv_format(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert {r["sign_type"] for r in rows} == {"A2", "A4"}
+
+
+def test_symmetric_scan_csv_keeps_the_certificate_flag(tmp_path):
+    # at A = 3 the regular pentagon's root is simple but not certified, the
+    # A2 root both: the CSV tells them apart as the JSON does
+    argv = ["symmetric-scan", "--A", "3", "--branch", "A"]
+    assert main(argv + ["--out", str(tmp_path / "scan.json")]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
+    records = json.loads((tmp_path / "scan.json").read_text())
+    with open(tmp_path / "scan.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    names = reader.fieldnames
+    assert names[names.index("simple"):] == ["simple", "sign_change_certified", "resolved"]
+    flags = {r["sign_type"]: (r["simple"], r["sign_change_certified"]) for r in rows}
+    assert flags["A2"] == ("True", "True") and flags["A4"] == ("True", "False")
+    assert ([(r["simple"], r["sign_change_certified"], r["resolved"]) for r in rows]
+            == [(str(r["simple"]), str(r["sign_change_certified"]), str(r["resolved"]))
+                for r in records])
 
 
 def test_symmetric_scan_csv_leaves_missing_residual_empty(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pentacc.intervals as intervals
+from pentacc.certify import certify_unique_root
 from pentacc.intervals import (
     Box,
     Interval,
@@ -18,9 +19,11 @@ from pentacc.intervals import (
     IntervalDomainError,
     Jet2,
     _libm,
+    _Row,
     _trace,
     split_bounds,
 )
+from pentacc.symmetric import scan_branch, window_for
 
 
 def test_addition_example():
@@ -63,6 +66,12 @@ def test_log_domain():
         Interval(0.0, 1.0).log()
 
 
+def _divide(x, y):
+    """x / y on Intervals, and the div kernel on two plan rows, which no
+    jet formula records: a jet divides a row only into a number."""
+    return x.trace.op("div", x, y) if isinstance(x, _Row) else x / y
+
+
 def _apply(op, x, y):
     if op == "+":
         return x + y
@@ -70,7 +79,18 @@ def _apply(op, x, y):
         return x - y
     if op == "*":
         return x * y
-    return x / y
+    return _divide(x, y)
+
+
+def _run_one(fn, *inputs: IntervalArray) -> IntervalArray:
+    """``fn`` on rows, traced into a plan with one output and run on the
+    IntervalArray inputs."""
+    return _trace(lambda *rows: [fn(*rows)], len(inputs)).run(*inputs)[0]
+
+
+def _one(bounds) -> IntervalArray:
+    """A one-element IntervalArray."""
+    return IntervalArray([bounds[0]], [bounds[1]])
 
 
 def test_randomized_inclusion():
@@ -155,9 +175,10 @@ def _exact_range(op, x, y):
 def _evaluate(kind, op, xs, ys):
     """(lo, hi) per operand pair, or None where the class rejects it.
 
-    For "*c" the second operand is the float ys[i][0], as the constants in
-    the jets; IntervalArray then takes one element at a time, since its
-    float factor is a scalar.
+    IntervalArray runs the operation as a one-call plan.  For "*c" the
+    second operand is the float ys[i][0], as the constants in the jets,
+    which a plan holds as a point row; IntervalArray then takes one element
+    at a time, a plan for each constant.
     """
     def apply(x, y):
         if isinstance(op, (int, float)):
@@ -165,11 +186,15 @@ def _evaluate(kind, op, xs, ys):
         return x * y if op == "*c" else _apply(op, x, y)
 
     if kind is IntervalArray and op != "*c":
-        r = apply(IntervalArray(*zip(*xs)), IntervalArray(*zip(*ys)))
+        r = _run_one(apply, IntervalArray(*zip(*xs)), IntervalArray(*zip(*ys)))
         return [(lo, hi) if not math.isnan(lo) else None
                 for lo, hi in zip(r.lo.tolist(), r.hi.tolist())]
     out = []
     for x, y in zip(xs, ys):
+        if kind is IntervalArray:
+            r = _run_one(lambda t, c=y[0]: apply(t, c), _one(x))
+            out.append(None if math.isnan(r.lo[0]) else (float(r.lo[0]), float(r.hi[0])))
+            continue
         try:
             r = apply(kind(*x), y[0] if op == "*c" else kind(*y))
         except (IntervalDomainError, OverflowError):
@@ -182,7 +207,7 @@ def _evaluate(kind, op, xs, ys):
 @pytest.mark.parametrize("kind", [Interval, IntervalArray])
 @pytest.mark.parametrize("op", ["+", "-", "*", "*c", "/", -3, -2, -1, 2, 3, 5, -2.0])
 def test_outward_rounding_contains_exact_result(kind, op, rounding_paths):
-    # the array kernels are audited on both rounding paths
+    # the array kernels are audited in plans, on both rounding paths
     rng = np.random.default_rng(31)
     xs, ys = _audit_operands(rng, 400), _audit_operands(rng, 400)
     for _ in rounding_paths if kind is IntervalArray else ["scalar"]:
@@ -269,17 +294,20 @@ def _transcendental(kind, op, operands) -> list:
     """(lo, hi) per operand pair, or None where the class rejects it."""
     def apply(x, e):
         if op == "**":
-            return x ** (e if not isinstance(e, tuple) else kind(*e))
+            return x ** e
         return getattr(x, op)()
 
     if kind is IntervalArray:
-        # one element at a time, since a float exponent broadcasts as a scalar
-        results = [apply(IntervalArray(*x), e) for x, e in operands]
-        return [None if math.isnan(r.lo) else (float(r.lo), float(r.hi)) for r in results]
+        # one element at a time, a one-call plan each, since a float
+        # exponent is a constant of the plan; an interval one is an input
+        results = [_run_one(apply, _one(x), _one(e)) if isinstance(e, tuple)
+                   else _run_one(lambda t, e=e: apply(t, e), _one(x)) for x, e in operands]
+        return [None if math.isnan(r.lo[0]) else (float(r.lo[0]), float(r.hi[0]))
+                for r in results]
     out = []
     for x, e in operands:
         try:
-            r = apply(Interval(*x), e)
+            r = apply(Interval(*x), Interval(*e) if isinstance(e, tuple) else e)
         except (IntervalDomainError, OverflowError):
             out.append(None)
             continue
@@ -289,22 +317,24 @@ def _transcendental(kind, op, operands) -> list:
 
 @pytest.mark.parametrize("kind", [Interval, IntervalArray])
 @pytest.mark.parametrize("op", ["exp", "log", "**"])
-def test_transcendental_rounding_contains_exact_result(kind, op):
+def test_transcendental_rounding_contains_exact_result(kind, op, rounding_paths):
+    # the array kernels are audited in plans, on both rounding paths
     rng = np.random.default_rng(37)
     operands = _transcendental_operands(rng, op, 300)
-    results = _transcendental(kind, op, operands)
-    checked = 0
-    for (x, e), r in zip(operands, results):
-        if r is None:
-            continue
-        lo, hi = _exact_transcendental(op, x, e)
-        assert r[0] == -math.inf or decimal.Decimal(r[0]) <= lo, (op, x, e, r)
-        assert r[1] == math.inf or decimal.Decimal(r[1]) >= hi, (op, x, e, r)
-        checked += 1
-    assert checked >= 200
-    # the edges are exercised on both sides: some results overflow, some do not
-    if op != "log":
-        assert None in results[300:] and any(r is not None for r in results[300:])
+    for _ in rounding_paths if kind is IntervalArray else ["scalar"]:
+        results = _transcendental(kind, op, operands)
+        checked = 0
+        for (x, e), r in zip(operands, results):
+            if r is None:
+                continue
+            lo, hi = _exact_transcendental(op, x, e)
+            assert r[0] == -math.inf or decimal.Decimal(r[0]) <= lo, (op, x, e, r)
+            assert r[1] == math.inf or decimal.Decimal(r[1]) >= hi, (op, x, e, r)
+            checked += 1
+        assert checked >= 200
+        # the edges are exercised on both sides: some results overflow, some do not
+        if op != "log":
+            assert None in results[300:] and any(r is not None for r in results[300:])
 
 def test_libm_gate_broadcasts_and_gives_nan_where_a_call_raises():
     def check(got, fn, *args):
@@ -331,26 +361,26 @@ def test_libm_gate_broadcasts_and_gives_nan_where_a_call_raises():
 
 
 def test_interval_array_marks_scalar_failures_invalid(rounding_paths):
-    """Each element is NaN where Interval raises; elsewhere it has the
-    scalar result's bits on the step path and lies inside it on the upward
-    path."""
-    cases = [
-        (lambda t: t / Interval(-1.0, 1.0), lambda t: t / IntervalArray(-1.0, 1.0)),
-        (lambda t: t.log(), lambda t: t.log()),
-        (lambda t: t ** -2, lambda t: t ** -2),
-        (lambda t: t.sqrt(), lambda t: t.sqrt()),
-        (lambda t: (t * 800.0).exp(), lambda t: (t * 800.0).exp()),
-        (lambda t: t ** 0.5 - t * t, lambda t: t ** 0.5 - t * t),
-        (lambda t: abs(t) ** 3, lambda t: abs(t) ** 3),
-    ]
-    # integer powers, on both sides of overflow and underflow
-    cases += [(lambda t, n=n: t ** n,) * 2 for n in (-5, -4, -3, 2, 3, 400)]
+    """Each element of a plan's output is NaN where Interval raises;
+    elsewhere it has the scalar result's bits on the step path and lies
+    inside it on the upward path."""
     bounds = [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.0), (0.0, 2.0), (0.5, 1.5), (1e200, 1e201),
               (-1e-200, -1e-300), (0.9, 1.1)]
     arr = IntervalArray(*zip(*bounds))
+    # (the scalar formula, the plan's formula on rows, the plan's input)
+    cases = [(f, f, arr) for f in (lambda t: t.log(), lambda t: t ** -2,
+                                   lambda t: (t * 800.0).exp(), lambda t: t ** 0.5 - t * t)]
+    # integer powers, on both sides of overflow and underflow
+    cases += [(lambda t, n=n: t ** n,) * 2 + (arr,) for n in (-5, -4, -3, 2, 3, 400)]
+    # a division by a row of [-1, 1]; abs of an array rounds nothing and
+    # runs before the plan
+    divisor = IntervalArray(np.full(len(bounds), -1.0), np.full(len(bounds), 1.0))
+    cases += [(lambda t: t / Interval(-1.0, 1.0), None, arr),
+              (lambda t: abs(t) ** 3, lambda t: t ** 3, abs(arr))]
     for _ in rounding_paths:
-        for scalar_op, array_op in cases:
-            got = array_op(arr)
+        for scalar_op, array_op, x in cases:
+            got = (_run_one(_divide, x, divisor) if array_op is None
+                   else _run_one(array_op, x))
             for i, b in enumerate(bounds):
                 try:
                     want = scalar_op(Interval(*b))
@@ -382,9 +412,9 @@ def test_array_outward_step_is_math_nextafter():
 # fesetround's argument for rounding toward -inf, by platform.machine()
 _FE_DOWNWARD = {"x86_64": 0x400, "aarch64": 0x800000, "arm64": 0x800000}
 
-_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
-# the four kernels as a plan traces them: a traced row divides only a number
-_TRACEABLE = (operator.add, operator.sub, operator.mul, lambda x, y: 1.5 / y)
+# the four kernels, on Intervals or as a plan traces them; a jet divides
+# a row only into a number, and _divide records the div kernel on two rows
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, _divide)
 
 
 def _host_fenv() -> tuple:
@@ -414,9 +444,9 @@ def test_linux_hosts_take_the_upward_path():
 
 
 @pytest.mark.parametrize("caller", ["nearest", "downward"])
-def test_kernels_give_the_callers_rounding_mode_back(caller, monkeypatch):
-    # after a plan run, after the operators, and after a kernel or an
-    # operator that raises, the caller's rounding mode is back
+def test_kernels_give_the_callers_rounding_mode_back(caller):
+    # after a plan run, after one whose kernel raises, and after the
+    # self-test, the caller's rounding mode is back
     get, set_, up = _host_fenv()
     nearest = get()
     mode = nearest if caller == "nearest" else _FE_DOWNWARD[platform.machine().lower()]
@@ -434,33 +464,47 @@ def test_kernels_give_the_callers_rounding_mode_back(caller, monkeypatch):
     try:
         plan.run(x, y)
         seen.append(get())
-        for op in _ARITHMETIC:
-            op(x, y)
-        seen.append(get())
         with pytest.raises(ZeroDivisionError):
             raising.run(x, y)
         seen.append(get())
         assert intervals._self_test(get, set_, up)
         seen.append(get())
-        monkeypatch.setattr(IntervalArray, "_coerce", boom)
-        with pytest.raises(ZeroDivisionError):
-            x * y
-        seen.append(get())
     finally:
         set_(nearest)
-    assert seen == [mode] * 5
+    assert seen == [mode] * 3
+
+
+@pytest.mark.parametrize("caller", ["nearest", "downward"])
+def test_only_plans_compute_interval_arrays(caller):
+    # IntervalArray has no arithmetic that could round to nearest unseen;
+    # and the certifier and the scan, whose plans switch the rounding mode,
+    # give the caller's back
+    x, y = _some_operands()
+    for op in (lambda: x + y, lambda: x * 2.0, lambda: x ** 2):
+        with pytest.raises(TypeError):
+            op()
+    get, set_, _ = _host_fenv()
+    nearest = get()
+    mode = nearest if caller == "nearest" else _FE_DOWNWARD[platform.machine().lower()]
+    assert set_(mode) == 0
+    try:
+        certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A")
+        scan_branch("B", 3.0)
+        seen = get()
+    finally:
+        set_(nearest)
+    assert seen == mode
 
 
 def test_float_parsing_and_libm_are_unchanged_after_a_plan_run():
     # CPython's float parsing and glibc's error bounds assume nearest: a
-    # plan run and the operators leave both as they were
+    # plan run of every kernel leaves both as they were
     _host_fenv()
     xs = [0.1, 1.0, 2.5, -3.0, 700.0]
     before = (float("0.1").hex(), (1.0 / 3.0).hex(), _libm(math.exp, xs).tobytes())
     x, y = _some_operands()
     _mixed_plan().run(x, y)
-    for op in _ARITHMETIC:
-        op(x, y)
+    _trace(lambda *xy: [op(*xy) for op in _ARITHMETIC], 2).run(x, y)
     assert (float("0.1").hex(), (1.0 / 3.0).hex(), _libm(math.exp, xs).tobytes()) == before
     assert before[0] == "0x1.999999999999ap-4"
     assert _libm(math.exp, xs).tolist() == [math.exp(v) for v in xs]
@@ -479,10 +523,11 @@ def test_a_failed_self_test_gives_the_step_paths_bits(failure, monkeypatch):
     else:
         monkeypatch.setattr(intervals, "_FE_UPWARD", {})
     x, y = _some_operands()
-    traced = _trace(lambda *xy: [op(*xy) for op in _TRACEABLE], 2).run(x, y)
+    ops = (*_ARITHMETIC, lambda x, y: 1.5 / y)
+    traced = _trace(lambda *xy: [op(*xy) for op in ops], 2).run(x, y)
     assert intervals._FENV is False and intervals._rounding() == "step"
-    got = [(op, r) for op, r in zip(_TRACEABLE, traced)]
-    got += [(op, op(x, y)) for op in (*_TRACEABLE, operator.truediv)]
+    got = [(op, r) for op, r in zip(ops, traced)]
+    got += [(op, _run_one(op, x, y)) for op in ops]
     for op, r in got:
         want = np.full((2, x.lo.size), np.nan)
         for i in range(x.lo.size):
@@ -498,7 +543,7 @@ def test_upward_kernels_lie_inside_the_step_paths_bounds(rounding_paths):
     # the upward path is on where the host takes it: its bounds lie inside
     # the step path's, one ulp tighter on many elements
     x, y = _some_operands()
-    got = {path: [op(x, y) for op in _ARITHMETIC] for path in rounding_paths}
+    got = {path: [_run_one(op, x, y) for op in _ARITHMETIC] for path in rounding_paths}
     if "upward" not in got:
         pytest.skip("this host runs the step path only")
     for step, up in zip(got["step"], got["upward"]):
@@ -583,8 +628,8 @@ def test_jet_interval_components_enclose_point_values():
 
 
 # ---------------------------------------------------------------------------
-# Jet2 over IntervalArray, slot by slot and as a traced plan, against Jet2
-# over Interval
+# Jet2 over IntervalArray as a traced plan, one formula alone and every
+# formula in one plan, against Jet2 over Interval
 
 def _slots(jet) -> tuple:
     return jet.v, jet.dy, jet.da, jet.dyy, jet.dya
@@ -656,11 +701,12 @@ _STACKED_OPS = {
 
 
 def _assert_matches_the_scalar_jets(got: tuple, operands: tuple, apply, paths) -> None:
-    """``got``, the slots of ``apply`` on array operands, element by element
-    against ``apply`` on the scalar jets: invalid exactly where the scalar
-    path raises, and elsewhere the bounds ``paths.check`` asks for, the
-    same bits on the step path."""
+    """``got``, the five slots of ``apply`` on array operands as a plan
+    outputs them, element by element against ``apply`` on the scalar jets:
+    invalid exactly where the scalar path raises, and elsewhere the bounds
+    ``paths.check`` asks for, the same bits on the step path."""
     n = operands[0].v.lo.size
+    assert len(got) == 5 and all(isinstance(p, IntervalArray) for p in got)
     raised = np.zeros(n, dtype=bool)
     want = np.full((5, 2, n), np.nan)
     zero = np.zeros((5, n), dtype=bool)  # the scalar slot is a structural zero
@@ -670,31 +716,26 @@ def _assert_matches_the_scalar_jets(got: tuple, operands: tuple, apply, paths) -
         except (IntervalDomainError, OverflowError):
             raised[i] = True
             continue
-        for slot, (part, s) in enumerate(zip(got, scalar)):
-            if isinstance(part, float):
-                # a constant or structural zero: the same float for every element
-                assert type(part) is float and isinstance(s, float) and part == s, (slot, i)
-            else:
-                # abs turns a constant c into the points -c and c, and a plan
-                # outputs a float as a row of it
-                want[slot, :, i] = (s, s) if isinstance(s, float) else (s.lo, s.hi)
-                zero[slot, i] = isinstance(s, float) and s == 0.0
+        for slot, s in enumerate(scalar):
+            # abs turns a constant c into the points -c and c, and a plan
+            # outputs a float as a row of it
+            want[slot, :, i] = (s, s) if isinstance(s, float) else (s.lo, s.hi)
+            zero[slot, i] = isinstance(s, float) and s == 0.0
     # exactly where the scalar path raises, the array jet is invalid
     assert got[0].valid.size == n
-    np.testing.assert_array_equal(
-        np.logical_and.reduce([p.valid for p in got if isinstance(p, IntervalArray)]), ~raised)
+    np.testing.assert_array_equal(np.logical_and.reduce([p.valid for p in got]), ~raised)
     for slot, part in enumerate(got):
-        if isinstance(part, IntervalArray):
-            # a structural zero is 0.0 or -0.0, as negations leave it: by value
-            np.testing.assert_array_equal(part.lo[zero[slot] & ~raised], 0.0)
-            np.testing.assert_array_equal(part.hi[zero[slot] & ~raised], 0.0)
-            rest = ~zero[slot] & ~raised
-            paths.check(part.lo[rest], part.hi[rest], want[slot, 0, rest], want[slot, 1, rest])
+        # a structural zero is 0.0 or -0.0, as negations leave it: by value
+        np.testing.assert_array_equal(part.lo[zero[slot] & ~raised], 0.0)
+        np.testing.assert_array_equal(part.hi[zero[slot] & ~raised], 0.0)
+        rest = ~zero[slot] & ~raised
+        paths.check(part.lo[rest], part.hi[rest], want[slot, 0, rest], want[slot, 1, rest])
 
 
 def _run_traced(apply, operands: tuple) -> list:
     """``apply`` traced on jets of rows, with the array slots of the
-    operands as the plan's inputs."""
+    operands as the plan's inputs; a jet's five slots are the outputs, or
+    every slot of a tuple of them."""
     arrays = [p for x in operands for p in (_slots(x) if isinstance(x, Jet2) else (x,))
               if isinstance(p, IntervalArray)]
 
@@ -703,18 +744,29 @@ def _run_traced(apply, operands: tuple) -> list:
 
         def row(p):
             return next(rows) if isinstance(p, IntervalArray) else p
-        return _slots(apply(*(Jet2(*map(row, _slots(x))) if isinstance(x, Jet2) else row(x)
-                              for x in operands)))
+        out = apply(*(Jet2(*map(row, _slots(x))) if isinstance(x, Jet2) else row(x)
+                      for x in operands))
+        return _slots(out) if isinstance(out, Jet2) else out
     return _trace(formula, len(arrays)).run(*arrays)
+
+
+def _every_op(x, y, a) -> tuple:
+    """The slots of every formula of ``_STACKED_OPS``, one after another."""
+    return tuple(p for apply in _STACKED_OPS.values() for p in _slots(apply(x, y, a)))
 
 
 @pytest.mark.parametrize("op", list(_STACKED_OPS))
 def test_stacked_jet_matches_the_scalar_jets_element_by_element(op, rounding_paths):
+    # one plan with the slots of every formula as outputs, whose ready calls
+    # of one kind stack across the formulas into one kernel call: the
+    # formula's five outputs there
     apply = _STACKED_OPS[op]
     operands = _stacked_operands()
+    k = list(_STACKED_OPS).index(op)
     for _ in rounding_paths:
-        _assert_matches_the_scalar_jets(_slots(apply(*operands)), operands, apply,
-                                        rounding_paths)
+        got = _run_traced(_every_op, operands)
+        assert len(got) == 5 * len(_STACKED_OPS)
+        _assert_matches_the_scalar_jets(got[5 * k:5 * k + 5], operands, apply, rounding_paths)
 
 
 @pytest.mark.parametrize("op", list(_STACKED_OPS))
@@ -724,21 +776,29 @@ def test_traced_jet_matches_the_scalar_jets_element_by_element(op, rounding_path
     apply = _STACKED_OPS[op]
     operands = _stacked_operands()
     for _ in rounding_paths:
-        got = _run_traced(apply, operands)
-        assert len(got) == 5 and all(isinstance(p, IntervalArray) for p in got)
-        _assert_matches_the_scalar_jets(got, operands, apply, rounding_paths)
+        _assert_matches_the_scalar_jets(_run_traced(apply, operands), operands, apply,
+                                        rounding_paths)
 
 
 def test_stacked_jet_keeps_constants_and_zeros_as_floats():
-    x, y, a = _stacked_operands()
-    t = Jet2.variable_y(a)
-    u = t * t  # dyy = 2.0 * (1.0 * 1.0): the exact float, not a widened interval
-    assert [type(p) for p in _slots(u)] == [IntervalArray, IntervalArray, float, float, float]
+    # on jets of rows a constant or structural zero stays a float, and runs
+    # no kernel
+    jets = {}
+
+    def formula(x, y, a):
+        t = Jet2.variable_y(a)
+        jets.update(u=t * t, z=3.0 * (y - 1.0), zero=x * 0.0)
+        return jets["u"]
+    u_rows = _run_traced(formula, _stacked_operands())
+    u, z = jets["u"], jets["z"]
+    # dyy = 2.0 * (1.0 * 1.0): the exact float, not a widened interval
+    assert [type(p) for p in _slots(u)] == [_Row, _Row, float, float, float]
     assert (u.da, u.dyy, u.dya) == (0.0, 2.0, 0.0)
-    z = 3.0 * (y - 1.0)
     assert type(z.da) is float and z.da == 7.5 and type(z.dyy) is float and z.dyy == 0.0
-    # a jet whose every slot is a float leaves the arrays
-    assert all(type(p) is float for p in _slots(x * 0.0))
+    # a jet whose every slot is a float leaves the rows
+    assert all(type(p) is float for p in _slots(jets["zero"]))
+    # the plan outputs a float slot as a point row of it
+    assert (u_rows[3].lo == 2.0).all() and (u_rows[3].hi == 2.0).all()
 
 
 def test_stacked_jet_results_own_their_rows():
@@ -753,8 +813,8 @@ def test_stacked_jet_results_own_their_rows():
 
 def test_stacked_jet_operands_make_scalar_path_fail_somewhere():
     # the operands exercise both outcomes for the partial operations
-    x, y, a = _stacked_operands()
-    for f in (lambda: 1.0 / x, lambda: y / x, lambda: x.exp(), lambda: y.log(),
-              lambda: abs(x), lambda: x ** y):
-        valid = f().v.valid
+    operands = _stacked_operands()
+    for f in (lambda x, y, a: 1.0 / x, lambda x, y, a: y / x, lambda x, y, a: x.exp(),
+              lambda x, y, a: y.log(), lambda x, y, a: abs(x), lambda x, y, a: x ** y):
+        valid = _run_traced(f, operands)[0].valid
         assert 0 < valid.sum() < valid.size

@@ -754,6 +754,11 @@ def test_bifurcation_needs_the_root_counts_to_agree(monkeypatch):
 def test_bifurcation_range_validation():
     with pytest.raises(ValueError):
         bifurcation_scan((1.0, 3.3))
+    # both ends inside [2, 3.5], yet empty or inverted: the message states
+    # the rule that fails
+    for a_range in ((3.0, 3.0), (3.3, 3.0)):
+        with pytest.raises(ValueError, match=r"2 <= lo < hi <= 3\.5, got \(3\.\d, 3\.0\)"):
+            bifurcation_scan(a_range)
 
 
 # explicit ids keep the case names stable in test reports
