@@ -24,19 +24,24 @@ together with whole levels of its candidate children, by one call of the
 batched box evaluator ``_mv_eval`` on their bound arrays, and resolves
 every depth the batch covers: decided boxes become leaves, the rest are
 halved into their candidate rows, and the boxes left open at the last
-level form the next pass's frontier.  The evaluator runs one traced plan,
-one column a box, of two jets of F and the mean-value sums over them:
-the jet in y4 at the box center, of which only the value and dF/dy4 are
-computed, and the second-order jet in (y4, A) over the whole box.  The
-plan outputs the mean-value enclosures of F and dF/dy4 and the whole-box
+level form the next pass's frontier.  The evaluator runs one traced plan
+on the boxes alone, one column a box, of two jets of F and the
+mean-value sums over them: the jet in y4 at the box's float midpoint,
+which the plan fills itself as a point row and of which only the value
+and dF/dy4 are computed, and the second-order jet in (y4, A) over the
+whole box.  The mean-value form holds for any center inside the box
+(R. E. Moore, R. B. Kearfott and M. J. Cloud, *Introduction to Interval
+Analysis*, 2009), and the midpoint lies inside wherever lo + hi is
+finite, which ``_check_request`` asks of the exponent range.  The plan
+outputs the mean-value enclosures of F and dF/dy4 and the whole-box
 slots, so all interval arithmetic of a pass runs in the plan; the
 evaluator only picks split hints and meets the mean-value form with the
-natural one.  The plan's calls that
-read y4 alone run once per distinct y4 interval of a certificate: the
-certificate's evaluator keeps their rows in one memo from pass to pass
-(``intervals._Y4Memo``), so the two halves of a box split along A share
-them, and a pass that finds an interval missing computes the y4 halves
-of its intervals too, which the next pass's boxes take.  A box's verdict
+natural one.  The plan's calls that read y4 alone run once per distinct
+y4 interval of a certificate: the certificate's evaluator keeps their
+rows in one memo from pass to pass (``intervals._Y4Memo``), so the two
+halves of a box split along A share them, and a pass that finds an
+interval missing computes the y4 halves of its intervals too, which the
+memo splits itself and the next pass's boxes take.  A box's verdict
 depends only on the box, so the leaves are the ones a depth-first
 bisection finds.
 The tangency guard of ``symmetric.isolate_roots`` runs on the same
@@ -58,7 +63,7 @@ import numpy as np
 from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
                         _BoxEval, _VERDICTS, _Y4Memo, _bisect, _no_common_zero_decider,
-                        _rounding, _stats, _trace, split_bounds)
+                        _rounding, _stats, _trace)
 from .symmetric import F, _locate_crossing
 
 __all__ = [
@@ -78,54 +83,44 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
     return IntervalArray(np.where(mv, both.lo, nat_enc.lo), np.where(mv, both.hi, nat_enc.hi))
 
 
-# the input rows of ``_f_plan`` (``_f_inputs``) that hold y4
-_Y4_ROWS = (0, 2, 4)
-
-
 @lru_cache(maxsize=None)
 def _f_plan(branch: str):
     """F's jets on one branch and their mean-value sums (``_f_jets``),
-    traced once into one plan over six rows: the box centers' y4 and A,
-    the whole boxes', then the box midpoints' as points
-    (``intervals._trace``).  The two jets' ready calls of one kind stack
-    into one kernel call, so the centers add no call.  Rows 0, 2 and 4
-    hold y4: the calls that read them alone form the plan's first stage,
-    whose rows a run takes from a y4 memo that computes each distinct y4
-    column once (``intervals._Y4Memo``, ``_y4_halves``)."""
-    return _trace(partial(_f_jets, branch=branch), 6, y4=_Y4_ROWS)
+    traced once into one plan over two rows, the boxes' y4 and A
+    (``intervals._trace``), whose midpoints the plan fills itself.  The two
+    jets' ready calls of one kind stack into one kernel call, so the
+    centers add no call.  Row 0 holds y4: the calls that read it alone
+    form the plan's first stage, whose rows a run takes from a y4 memo that
+    computes each distinct y4 interval once (``intervals._Y4Memo``)."""
+    return _trace(partial(_f_jets, branch=branch), 2, y4=(0,))
 
 
-def _f_jets(yc, ac, y, a, my, ma, branch: str) -> tuple:
-    """The outputs of ``_f_plan``: the mean-value forms of F and dF/dy4,
-    then the five slots of the second-order jet in (y4, A) over the whole
-    boxes.  The mean-value forms add to F and dF/dy4 of the jet in y4 at
-    the centers' exponent the whole-box jet's first and second
-    derivatives times the boxes' offsets from their midpoints."""
-    center = F(Jet2.variable_y(yc), branch=branch, a_exp=Jet2(ac))
+def _f_jets(y, a, branch: str) -> tuple:
+    """The outputs of ``_f_plan`` on the boxes y x a: the mean-value forms
+    of F and dF/dy4, then the five slots of the second-order jet in (y4, A)
+    over the whole boxes.  The mean-value forms add to F and dF/dy4 of the
+    jet in y4 at the box midpoints (``y.mid``, ``a.mid``) the whole-box
+    jet's first and second derivatives times the boxes' offsets from those
+    midpoints.  The form holds for any center inside the box, and a
+    midpoint rounded to nearest lies inside it wherever lo + hi is finite
+    (``_check_request``)."""
+    center = F(Jet2.variable_y(y.mid), branch=branch, a_exp=Jet2(a.mid))
     whole = F(Jet2.variable_y(y), branch=branch, a_exp=Jet2.variable_a(a))
-    off_y, off_a = y - my, a - ma
+    off_y, off_a = y - y.mid, a - a.mid
     return (center.v + whole.dy * off_y + whole.da * off_a,
             center.dy + whole.dyy * off_y + whole.dya * off_a, *Jet2._parts(whole))
 
 
-def _f_inputs(y: IntervalArray, a: IntervalArray) -> tuple:
-    """The six input rows of ``_f_plan`` for boxes y x a: the centers'
-    one-ulp enclosures, the boxes, the midpoints as points."""
-    my, ma = y.mid, a.mid
-    return (IntervalArray.around(my), IntervalArray.around(ma), y, a,
-            IntervalArray(my, my), IntervalArray(ma, ma))
-
-
 def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _BoxEval:
-    """Mean-value enclosures around each box center, crossed with the
+    """Mean-value enclosures around each box midpoint, crossed with the
     natural interval form where both evaluate.
 
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
-    evaluated together, by one run of the branch's plan (``_f_plan``),
-    one column a box, which gives the mean-value forms and every slot of
-    the whole-box jet.  This function only picks the split hints and meets
-    the two forms.  Where the mean-value form fails the natural form is
-    used alone, with the default split hint.  A box where both forms fail,
+    evaluated together, by one run of the branch's plan (``_f_plan``) on
+    the boxes alone, one column a box, which gives the mean-value forms
+    and every slot of the whole-box jet.  This function only picks the
+    split hints and meets the two forms.  Where the mean-value form fails
+    the natural form is used alone, with the default split hint.  A box where both forms fail,
     or where their enclosures do not meet, has NaN enclosures.  So has a
     box whose branch radicand reaches zero: the plan takes the radicand's
     square root through log, which is NaN there, and every slot of F
@@ -133,7 +128,7 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _B
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     yw, aw = y.width, a.width
-    f_mv, df_mv, v, dy, da, dyy, dya = _f_plan(branch).run(*_f_inputs(y, a), memo=memo)
+    f_mv, df_mv, v, dy, da, dyy, dya = _f_plan(branch).run(y, a, memo=memo)
     # NaN in any other slot reaches f_mv or df_mv
     mv = v.valid & f_mv.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
@@ -149,18 +144,6 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _B
     # on 290 boxes, by up to 23 %, F only by rounding, and the three
     # acceptance certificates had the same leaves either way.
     return _BoxEval(_combine(f_mv, v, mv), _combine(df_mv, dy, mv), hint_f, hint_df)
-
-
-def _y4_halves(lo, hi) -> tuple:
-    """The ``y4`` rows of ``_f_plan`` (the centers' y4, y4, then the
-    midpoints, as ``_f_inputs`` makes them) of both y4 halves of each of
-    their columns, lower halves first: ``split_bounds`` with coordinate 0,
-    which splits y4 whatever the exponent."""
-    point = np.zeros_like(lo[1])
-    lower, upper = split_bounds(lo[1], hi[1], point, point, 0)
-    y = IntervalArray(np.concatenate((lower[0], upper[0])), np.concatenate((lower[1], upper[1])))
-    rows = [_f_inputs(y, y)[i] for i in _Y4_ROWS]
-    return np.stack([r.lo for r in rows]), np.stack([r.hi for r in rows])
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:
@@ -218,15 +201,16 @@ def _check_request(window: tuple, a_range: tuple, max_depth: int) -> None:
     ``symmetric.isolate_roots`` does (its boxes could never be decided, so
     bisection would split them to the depth cap), an exponent range that
     is not 2 <= lo <= hi, where F is not defined, or has an infinite end,
-    which no split can shrink, and a negative depth cap, which would leave
-    every seed box undecided."""
+    which no split can shrink, or whose lo + hi overflows, so that its
+    midpoint, the center of the mean-value form, lies outside it, and a
+    negative depth cap, which would leave every seed box undecided."""
     lo, hi = window
     if not 0.0 <= lo <= hi <= Y4_MAX:
         raise OutOfDomainError(f"window {tuple(window)} is not inside the branch domain "
                                f"[0, {Y4_MAX!r}]")
-    if not 2.0 <= a_range[0] <= a_range[1] < np.inf:
-        raise ValueError(f"exponent range {tuple(a_range)} must be finite and satisfy "
-                         "2 <= lo <= hi")
+    if not (2.0 <= a_range[0] <= a_range[1] and np.isfinite(sum(map(float, a_range)))):
+        raise ValueError(f"exponent range {tuple(a_range)} must satisfy 2 <= lo <= hi "
+                         "with lo + hi finite")
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
 
@@ -252,7 +236,7 @@ def _certify(kind: str, branch: str, window: tuple, a_range: tuple, zones: list,
     (``intervals._rounding``).  The evaluator keeps one y4 memo
     (``intervals._Y4Memo``) for the whole bisection, and the stats count
     its stage-1 runs and the y4 columns they computed."""
-    memo = _Y4Memo(_y4_halves)
+    memo = _Y4Memo()
     leaves, undecided, stats = _bisect(zones, partial(_mv_eval, branch=branch, memo=memo),
                                        max_depth)
     stats.update(rounding=_rounding(), stage1_runs=memo.runs, stage1_columns=memo.columns)
@@ -278,7 +262,8 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
     bracket or no sign at the lower end, the count of float grid nodes
     where F is not finite, if there are any.  A window outside
     [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
-    finite with 2 <= lo <= hi or a negative ``max_depth`` ValueError.
+    finite with 2 <= lo <= hi, or whose lo + hi overflows, or a negative
+    ``max_depth`` ValueError.
     """
     _check_request(window, a_range, max_depth)
     c1, c2, lo_sign, unsigned = _locate_crossing(window, a_range, branch)
@@ -315,7 +300,8 @@ def certify_no_common_zero(region: Box, branch: str = "A",
     enclosure.  Exhausted depth yields an undecided certificate listing the
     boxes where both enclosures still straddle zero.  A y4 range outside
     [0, Y4_MAX] raises OutOfDomainError, and an exponent range that is not
-    finite with 2 <= lo <= hi or a negative ``max_depth`` ValueError.
+    finite with 2 <= lo <= hi, or whose lo + hi overflows, or a negative
+    ``max_depth`` ValueError.
     """
     window, a_range = (region.y4.lo, region.y4.hi), (region.a.lo, region.a.hi)
     _check_request(window, a_range, max_depth)

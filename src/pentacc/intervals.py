@@ -12,10 +12,11 @@ Jet2, the package's one forward-mode AD type, carries a value with its
 first- and second-order terms in two variables through the same operator
 set.  Its components may be floats, Intervals or the register rows of a
 plan, which gives simultaneous enclosures of a function and its derivatives
-over a box.  The certifier's plan runs two jets of F on each box, the jet
-in y4 at the box center and its exponent and the jet in y4 and A over the
-whole box, and sums them into the mean-value form of F and dF/dy4; the
-whole-box value and y4-slope are the natural form that
+over a box.  The certifier's plan takes the boxes alone and runs two jets
+of F on each, the jet in y4 at the box midpoint and its exponent, point
+rows that the plan fills itself (``_Row.mid``), and the jet in y4 and A
+over the whole box, and sums them into the mean-value form of F and
+dF/dy4; the whole-box value and y4-slope are the natural form that
 ``certify._mv_eval`` meets it with.
 The root scan needs F and dF/dy4 at one float exponent: its tangency guard
 runs F's jet in y4 with only those two slots as outputs
@@ -35,14 +36,15 @@ urgent call (``_Trace._batches``); it runs under one np.errstate.  Only
 the calls that an output reads run.  A run takes the columns, one a box,
 in blocks of a fixed width and reuses the rows of values no later call
 reads, so its memory does not grow with the frontier.  The certifier's
-plan names its input rows of y4: the calls that read y4 alone (the
-geometry, every log and integer power, 15 of 21 exp rows) form a first
-stage, whose rows a run takes for each distinct y4 column from a memo
-keyed by the column's bits (``_Y4Memo``) before it copies them out to
-every column.  The two halves of a box split along A share its y4, so
-a pass has far fewer y4 columns than boxes.  A certificate keeps one memo
-for its whole bisection, and a pass that finds a column missing computes
-the y4 halves of its columns too, which hold every y4 column of the next
+plan names its y4 input row: the calls that read y4 alone (the y4
+midpoint, the geometry, every log and integer power, 15 of 21 exp rows)
+form a first stage, whose rows a run takes for each distinct y4 interval
+from a memo keyed by the interval's bits (``_Y4Memo``) before it copies
+them out to every column.  The two halves of a box split along A share
+its y4, so a pass has far fewer y4 columns than boxes.  A certificate
+keeps one memo for its whole bisection, and a pass that finds a column
+missing computes the y4 halves of its columns too, which the memo splits
+itself by the bisection's rule and which hold every y4 column of the next
 pass, so many passes run no first stage (``stage1_runs`` in a
 certificate's stats counts those that do).  This is tape-based forward
 differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
@@ -51,7 +53,8 @@ differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
 Each array kernel follows the scalar formula element by element; where
 Interval raises, the element turns NaN instead.  The add, sub, mul and div
 kernels take one of two rounding paths, which the first plan run picks
-for the process from a self-test (``_fenv``); ``certify`` records it in a
+for the process from a self-test under FE_TONEAREST and FE_UPWARD, not
+under the caller's mode (``_fenv``); ``certify`` records it in a
 certificate's stats.  On the upward path they run under upward rounding,
 set with the C library's fesetround through ctypes, as INTLAB does (S. M.
 Rump, *Developments in Reliable Computing*, 1999; IEEE 754-2008 §4.3): an
@@ -61,10 +64,14 @@ one ulp tighter per operation.  On the step path, where the host has no
 fesetround or numpy does not round upward under it, the same formulas run
 under round to nearest and step each bound one ulp outward with
 np.nextafter, which reproduces the Interval bounds bit for bit.  Every
-other kernel, and everything outside the four, runs under the caller's
-rounding mode, round to nearest: CPython's float parsing assumes it, and
-glibc states its libm error bounds for it.  A plan run switches the mode
-around the four (``_run_steps``) and gives the caller's back.
+other step of a plan, the libm kernels and the midpoint fill, runs under
+round to nearest whatever the caller's mode, as the four do on the step
+path: glibc states its libm error bounds for it, and the midpoints are
+then the bits of ``IntervalArray.mid``.  A plan run switches the mode
+where its steps need another one (``_run_steps``), wherever ctypes finds
+fesetround, and gives the caller's back.  Float code outside plans, the
+box splits among it, runs in the caller's mode, which CPython's float
+parsing assumes to be round to nearest.
 
 exp, log and integer powers call libm (math.exp, math.log, float **) once
 per element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
@@ -319,10 +326,15 @@ def _aup(x):
 # FE_UPWARD of glibc on x86-64 and of glibc and Apple's libc on 64-bit ARM
 _FE_UPWARD = {"x86_64": 0x800, "aarch64": 0x400000, "arm64": 0x400000}
 
-# The rounding path of the add, sub, mul and div kernels, fixed by the
-# first plan run (``_fenv``): the C library's (fegetround, fesetround,
-# upward mode) where the self-test passed, False on the step path, None
-# before the first run.
+# FE_TONEAREST on the same three hosts
+_FE_TONEAREST = 0
+
+# The C library's (fegetround, fesetround, the mode of the add, sub, mul
+# and div kernels), fixed by the first plan run (``_fenv``): that mode is
+# upward where the self-test passed and FE_TONEAREST on the step path.
+# False where ctypes finds neither function or the machine is not in
+# ``_FE_UPWARD``, a step path that switches no mode; None before the first
+# run.
 _FENV = None
 
 
@@ -352,42 +364,48 @@ _SELF_TEST = ((np.add, 1.0, 2.0 ** -60, 1.0),
 
 
 def _self_test(get, set_, mode) -> bool:
-    """Whether numpy's float64 +, -, * and / round upward under ``mode``,
-    and to nearest again once the caller's mode is back.  The operands are
-    one element, 67 (numpy's SIMD loops and their tail) and a block of two
-    rows of 67 columns cut from wider rows, as a plan's steps read their
-    register file; the second operand is such an array or a float."""
+    """Whether numpy's float64 +, -, * and / round to nearest under
+    FE_TONEAREST and upward under ``mode``; the caller's mode is back at
+    the end.  The operands are one element, 67 (numpy's SIMD loops and
+    their tail) and a block of two rows of 67 columns cut from wider rows,
+    as a plan's steps read their register file; the second operand is
+    such an array or a float."""
     shapes = (lambda v: np.full(1, v), lambda v: np.full(67, v),
               lambda v: np.full((2, 80), v)[:, :67])
     cases = [(op, full(x), (full(y), y), nearest)
              for op, x, y, nearest in _SELF_TEST for full in shapes]
     caller = get()
     try:
-        switched = set_(mode) == 0
+        switched = set_(_FE_TONEAREST) == 0
+        near = [[op(x, y) for y in ys] for op, x, ys, _ in cases]
+        switched &= set_(mode) == 0
         up = [[op(x, y) for y in ys] for op, x, ys, _ in cases]
     finally:
         set_(caller)
     return switched and all(
-        (u == np.nextafter(nearest, _INF)).all() and (op(x, y) == nearest).all()
-        for (op, x, ys, nearest), us in zip(cases, up) for u, y in zip(us, ys))
+        (u == np.nextafter(nearest, _INF)).all() and (n == nearest).all()
+        for (*_, nearest), us, ns in zip(cases, up, near) for u, n in zip(us, ns))
 
 
 def _fenv():
-    """The rounding path of the add, sub, mul and div kernels, decided at
-    the first call: (fegetround, fesetround, upward mode) where the C
-    library switches numpy's float64 arithmetic to upward rounding
-    (``_self_test``), else False, the step path."""
+    """The rounding of the plan steps, decided at the first call:
+    (fegetround, fesetround, the add, sub, mul and div kernels' mode)
+    where ctypes finds the C library's functions on a known machine, with
+    the upward mode where they switch numpy's float64 arithmetic to upward
+    rounding (``_self_test``) and FE_TONEAREST, the step path, where not;
+    else False, the step path in the caller's mode."""
     global _FENV
     if _FENV is None:
         mode = _FE_UPWARD.get(platform.machine().lower())
         env = _c_fenv() if mode is not None else None
-        _FENV = (*env, mode) if env and _self_test(*env, mode) else False
+        _FENV = (*env, mode if _self_test(*env, mode) else _FE_TONEAREST) if env else False
     return _FENV
 
 
 def _rounding() -> str:
     """The rounding path the kernels run: "upward" or "step"."""
-    return "upward" if _fenv() else "step"
+    env = _fenv()
+    return "upward" if env and env[2] != _FE_TONEAREST else "step"
 
 
 def _upper(neg_lo, hi) -> "IntervalArray":
@@ -396,7 +414,7 @@ def _upper(neg_lo, hi) -> "IntervalArray":
     they are bounds as they are.  On the step path they were rounded to
     nearest, and each moves one ulp up first: -nextafter(RN(-x), +inf) is
     nextafter(RN(x), -inf), the step of the scalar ``Interval``."""
-    if not _FENV:
+    if not _FENV or _FENV[2] == _FE_TONEAREST:
         neg_lo, hi = _aup(neg_lo), _aup(hi)
     return IntervalArray(-neg_lo, hi)
 
@@ -465,12 +483,6 @@ class IntervalArray:
         out.hi = hi
         return out
 
-    @classmethod
-    def around(cls, x) -> "IntervalArray":
-        """One-ulp fattening of each element, as ``Interval.around``."""
-        x = np.asarray(x, dtype=float)
-        return cls(_adown(x), _aup(x))
-
     @property
     def valid(self) -> np.ndarray:
         return ~np.isnan(self.lo)
@@ -533,6 +545,12 @@ class IntervalArray:
 
     def _neg(self):
         return IntervalArray(-self.hi, -self.lo)
+
+    def _mid(self):
+        """The points 0.5 * (lo + hi), the bits of ``mid`` under round to
+        nearest; NaN where the element is."""
+        m = 0.5 * (self.lo + self.hi)
+        return IntervalArray._of(m, m)
 
     def __abs__(self):
         lo, hi = self.lo, self.hi
@@ -610,7 +628,9 @@ class _Row:
     It has the operators that the jet formulas use.  Each records the
     kernel call it stands for (``_KERNELS``), with the operands in the
     order that Interval's operator takes them; ``**`` is Interval's
-    dispatch over ``_int_pow``, ``log`` and ``exp``.
+    dispatch over ``_int_pow``, ``log`` and ``exp``.  An input row also
+    has ``mid``, the float midpoint of each of its intervals as a point
+    row, which the plan fills itself.
     """
 
     __slots__ = ("trace", "reg")
@@ -653,6 +673,14 @@ class _Row:
     def _abs_part(self, c):
         return self.trace.op("abs", self, c)
 
+    @property
+    def mid(self):
+        """The float midpoint of an input row as a point row, which the plan
+        fills before the calls of its stage (``_Trace.compile``)."""
+        if self.reg[0] != "in":
+            raise ValueError("only an input row has a midpoint row")
+        return self.trace.op("mid", self)
+
     @staticmethod
     def _coerce(x):
         # a number operand stays a number; the trace makes its point row
@@ -663,9 +691,9 @@ class _Row:
 
 # The kernel of each traced operation, an IntervalArray method that runs
 # under the errstate a plan's run enters once, and the rounding it runs
-# under (``_run_steps``): upward (True) for add, sub, mul and div, the
-# caller's mode (False) for the libm kernels, either (None) for neg and
-# abs, which round nothing.
+# under (``_run_steps``): upward (True) for add, sub, mul and div, to
+# nearest (False) for the libm kernels and the midpoints, either (None)
+# for neg and abs, which round nothing.
 _KERNELS = {
     "add": (IntervalArray._add, True),
     "sub": (IntervalArray._sub, True),
@@ -676,6 +704,7 @@ _KERNELS = {
     "log": (IntervalArray._log, False),
     "pow": (IntervalArray._int_pow, False),
     "abs": (IntervalArray._abs_part, None),
+    "mid": (IntervalArray._mid, False),
 }
 
 
@@ -767,13 +796,16 @@ class _Trace:
 
         Stage 1 holds the needed calls that read only the input rows ``y4``,
         number operands and other stage-1 calls, so that they read y4
-        alone; stage 2 holds the rest.  Each stage runs its needed calls as
-        the stacked kernel calls of ``_batches``, each of calls of one kind
-        and parameter.  Between the two, one expand step copies the
-        stage-1 rows that stage 2 or the outputs read to new rows.  A call
-        depends only on its operands, so the order of independent calls
-        cannot change a bit.  A row is given back once the last step that
-        reads it has run, and each step's results take the lowest run of
+        alone; stage 2 holds the rest.  Each stage first fills the midpoint
+        rows (``_Row.mid``) it needs, in one fill step, which is no stacked
+        call, and then runs its other needed calls as the stacked kernel
+        calls of ``_batches``, each of calls of one kind and parameter.
+        Between the two stages, one expand step copies the stage-1 rows that
+        stage 2 or the outputs read to new rows.  A call depends only on
+        its operands, so the order of independent calls cannot change a
+        bit.  The midpoint rows follow the input rows, and the number rows
+        follow them.  A row is given back once the last step that reads it
+        has run, and each stacked call's results take the lowest run of
         free rows; no step writes a row it reads."""
         outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
         early = {("in", i) for i in y4}  # the registers of stage 1
@@ -786,26 +818,31 @@ class _Trace:
             if reg[0] == "op" and reg not in need:
                 need.add(reg)
                 todo.extend(self.ops[reg[1]][2])
-        stage1, stage2 = (self._batches(sorted(r[1] for r in need if (r in early) != late))
-                          for late in (False, True))
-        # step `split` is the expand, between the steps of the two stages
-        split = len(stage1)
+        calls = [sorted(r[1] for r in need if (r in early) != late) for late in (False, True)]
+        mids = [[("op", k) for k in c if self.ops[k][0] == "mid"] for c in calls]
+        stage1, stage2 = (self._batches([k for k in c if self.ops[k][0] != "mid"]) for c in calls)
         live = {a for _, regs in stage2 for reg in regs
                 for a in self.ops[reg[1]][2] if a in early}
         live.update(o for o in outs if o in early)
-        items = [*stage1, (None, live), *stage2]
+        fill1, fill2 = ([(("mid", None), regs)] if regs else [] for regs in mids)
+        # step `split` is the expand, between the steps of the two stages
+        split = len(fill1) + len(stage1)
+        items = [*fill1, *stage1, (None, live), *fill2, *stage2]
         last = {}  # the step that reads a register last; the outputs are read at the end
         for s, (key, regs) in enumerate(items):
             if key is not None:
                 for reg in regs:
                     last.update(dict.fromkeys(self.ops[reg[1]][2], s))
         last.update(dict.fromkeys(outs, len(items)))
-        row = {("in", i): i for i in range(self.inputs)}
-        row.update((c, self.inputs + c[1]) for c in self.consts.values())
+        # the input rows, the midpoint rows, stage 1's first, then the number rows
+        order = [("in", i) for i in range(self.inputs)] + mids[0] + mids[1]
+        row = {reg: r for r, reg in enumerate(order)}
+        const_rows = slice(len(row), len(row) + len(self.consts))
+        row.update((c, const_rows.start + c[1]) for c in self.consts.values())
         free = {r for reg, r in row.items() if reg not in last}
-        size, stages = len(row), ([], [])
+        size, steps = len(row), ([], [], [], [])  # each stage's fill, then its calls
         for s, (key, regs) in enumerate(items):
-            start = _lowest_run(free, size, len(regs))
+            start = row[regs[0]] if key == ("mid", None) else _lowest_run(free, size, len(regs))
             stop = start + len(regs)
             free.difference_update(range(start, stop))
             size = max(size, stop)
@@ -817,13 +854,13 @@ class _Trace:
             else:
                 kind, param = key
                 args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-                stages[s > split].append((*_KERNELS[kind], () if param is None else (param,),
-                                          start, stop,
-                                          *(_rows([row[a] for a in col]) for col in args)))
+                steps[2 * (s > split) + (kind != "mid")].append(
+                    (*_KERNELS[kind], () if param is None else (param,), start, stop,
+                     *(_rows([row[a] for a in col]) for col in args)))
                 free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        return _Plan(size, self.inputs, consts, list(y4), *stages, expand,
+        return _Plan(size, const_rows, consts, list(y4), steps[::2], steps[1], steps[3], expand,
                      [row[o] for o in outs])
 
 
@@ -832,7 +869,9 @@ def _trace(fn, inputs: int, y4=()) -> "_Plan":
     of the rows and numbers it returns into one plan, whose first stage
     holds the calls that read the input rows ``y4`` alone.  ``fn`` is the
     scalar formula, unchanged: on a ``Jet2`` of rows, a float constant or a
-    structural zero stays a float and runs no kernel."""
+    structural zero stays a float and runs no kernel.  The plan's inputs
+    are the input rows alone: it fills the midpoint rows that ``fn`` reads
+    (``_Row.mid``) itself, 0.5 * (lo + hi) under round to nearest."""
     trace = _Trace(inputs)
     return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4)
 
@@ -841,16 +880,17 @@ def _run_steps(steps, reg_lo, reg_hi) -> None:
     """Run stacked kernel calls on the columns of a register file.
 
     Each step names its rounding (``_KERNELS``): the add, sub, mul and div
-    calls run under upward rounding where the host takes it (``_fenv``),
-    the libm calls under the caller's mode.  The mode changes only where
-    the next call needs the other one, and the caller's is back when the
-    steps end or a call raises."""
+    calls run in the mode of ``_fenv``, upward on the upward path and to
+    nearest on the step path, and the libm calls and the midpoints to
+    nearest.  The mode changes only where the next call needs another one,
+    and the caller's is back when the steps end or a call raises.  Where
+    ``_fenv`` found no fesetround every call runs in the caller's mode."""
     env = _fenv()
-    get, set_, mode = env or (None, None, None)
+    get, set_, mode, nearest = (*env, _FE_TONEAREST) if env else (None,) * 4
     caller = current = get() if env else None
     try:
         for kernel, upward, param, start, stop, *args in steps:
-            want = current if upward is None else mode if upward else caller
+            want = current if upward is None else mode if upward else nearest
             if want != current:
                 set_(want)
                 current = want
@@ -864,37 +904,40 @@ def _run_steps(steps, reg_lo, reg_hi) -> None:
 
 class _Plan:
     """A traced formula: a register file of ``size`` rows holds the input
-    rows, the number operands as point rows, and the results of the
-    stacked kernel calls of ``stage1`` and ``steps``, which reuse the rows
-    of results no later step reads; ``out`` lists the rows of the outputs.
-    The calls of ``stage1`` read the input rows ``y4`` alone; ``expand``
-    names the rows of theirs that ``steps`` or the outputs read, as
-    (source rows, first and end row of the copies).
+    rows, the midpoint rows that the fill steps of each stage write
+    (``fill``, a list of at most one step for each stage), the number
+    operands as point rows (``const_rows``), and the results of the stacked
+    kernel calls of ``stage1`` and ``steps``, which reuse the rows of
+    results no later step reads; ``out`` lists the rows of the outputs.
+    The first stage, ``fill[0]`` and ``stage1``, reads the input rows
+    ``y4`` alone; ``expand`` names the rows of its results that the second
+    stage, ``fill[1]`` and ``steps``, or the outputs read, as (source rows,
+    first and end row of the copies).
 
     ``run`` takes the input IntervalArrays, all of one length, and returns
     one new IntervalArray per output.  It processes the columns in blocks
     of 2 * ``_PASS_ROWS``, the boxes of two full bisection passes, so the
     register file stays small whatever the number of columns.  In each
     block it takes the ``expand`` rows of every distinct column of the
-    ``y4`` rows from a ``_Y4Memo``, which runs ``stage1`` on the columns
-    it lacks, copies them out to every column, and runs ``steps`` on every
-    column.  Without a memo each block gets a new one, so ``stage1`` runs
-    once per distinct y4 column of a block.  Each element is computed by
-    the same kernel from the same operand bits as without a first stage.
-    A plan without ``y4`` rows has no first stage."""
+    ``y4`` rows from a ``_Y4Memo``, which runs the first stage on the
+    columns it lacks, copies them out to every column, and runs the second
+    stage on every column.  Without a memo each block gets a new one, which
+    runs the first stage once on the block's distinct y4 columns and, where
+    the block is not element-bound, their y4 halves.  Each element is
+    computed by the same kernel from the same operand bits as without a
+    first stage.  A plan without ``y4`` rows has no first stage."""
 
-    __slots__ = ("size", "inputs", "consts", "y4", "stage1", "steps", "expand", "out")
+    __slots__ = ("size", "const_rows", "consts", "y4", "fill", "stage1", "steps", "expand", "out")
 
-    def __init__(self, size, inputs, consts, y4, stage1, steps, expand, out):
-        self.size, self.inputs, self.consts, self.y4 = size, inputs, consts, y4
-        self.stage1, self.steps, self.expand, self.out = stage1, steps, expand, out
+    def __init__(self, size, const_rows, consts, y4, fill, stage1, steps, expand, out):
+        self.size, self.const_rows, self.consts, self.fill = size, const_rows, consts, fill
+        self.y4, self.stage1, self.steps, self.expand, self.out = y4, stage1, steps, expand, out
 
     def run(self, *inputs: IntervalArray, memo: "_Y4Memo | None" = None) -> list:
         n = inputs[0].lo.shape[0]
         width = min(n, 2 * _PASS_ROWS) or 1
         lo, hi = np.empty((self.size, width)), np.empty((self.size, width))
         out = [(np.empty(n), np.empty(n)) for _ in self.out]
-        const_rows = slice(self.inputs, self.inputs + self.consts.size)
         y4, (_, start, stop) = self.y4, self.expand
         with np.errstate(all="ignore"):
             for c0 in range(0, n, width):
@@ -903,13 +946,13 @@ class _Plan:
                 for i, x in enumerate(inputs):
                     lo[i, :m] = x.lo[cols]
                     hi[i, :m] = x.hi[cols]
-                lo[const_rows, :m] = hi[const_rows, :m] = self.consts[:, None]
+                lo[self.const_rows, :m] = hi[self.const_rows, :m] = self.consts[:, None]
                 if y4:
                     rows_lo, rows_hi, at = (_Y4Memo() if memo is None else memo).look_up(
                         self, lo, hi, m)
                     lo[start:stop, :m] = rows_lo[:, at]
                     hi[start:stop, :m] = rows_hi[:, at]
-                _run_steps(self.steps, lo[:, :m], hi[:, :m])
+                _run_steps(self.fill[1] + self.steps, lo[:, :m], hi[:, :m])
                 for (out_lo, out_hi), r in zip(out, self.out):
                     out_lo[cols] = lo[r, :m]
                     out_hi[cols] = hi[r, :m]
@@ -918,21 +961,20 @@ class _Plan:
         return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
 
     def _stage_one(self, y_lo, y_hi, lo, hi) -> tuple:
-        """Run ``stage1`` on the columns of the ``y4`` rows (y_lo, y_hi) and
-        return their ``expand`` source rows.  It runs in the first columns
-        of a block's register file (lo, hi), as the block's rows stay
-        valid: ``stage1`` writes only rows that ``steps`` reads after the
-        expand or a step of theirs wrote them, and the number rows get the
-        same values.  Where the columns do not fit, it runs in a file of
-        their own."""
+        """Run the first stage on the columns of the ``y4`` rows (y_lo,
+        y_hi) and return their ``expand`` source rows.  It runs in
+        the first columns of a block's register file (lo, hi), as the
+        block's rows stay valid: the first stage writes only rows that the
+        second reads after the expand or a step of its own wrote them, and
+        the number rows get the same values.  Where the columns do not
+        fit, it runs in a file of their own."""
         k = y_lo.shape[1]
         if k > lo.shape[1]:
             lo, hi = np.empty((self.size, k)), np.empty((self.size, k))
         lo, hi = lo[:, :k], hi[:, :k]
         lo[self.y4], hi[self.y4] = y_lo, y_hi
-        const_rows = slice(self.inputs, self.inputs + self.consts.size)
-        lo[const_rows] = hi[const_rows] = self.consts[:, None]
-        _run_steps(self.stage1, lo, hi)
+        lo[self.const_rows] = hi[self.const_rows] = self.consts[:, None]
+        _run_steps(self.fill[0] + self.stage1, lo, hi)
         src = self.expand[0]
         return lo[src], hi[src]
 
@@ -950,25 +992,23 @@ class _Y4Memo:
     and 0.0 stay apart; it outlives a ``_Plan.run``.
 
     A certificate's box evaluator keeps one for its whole bisection
-    (``certify._certify``) and gives it ``halves``, which maps ``y4``
-    rows, one column a box, to the ``y4`` rows of both y4 halves of each
-    box, as the bisection splits it.  A pass's boxes keep their parent's
-    y4 or take one half of it, so a pass whose columns the memo holds
-    runs no first stage.  A block of a run that lacks one runs it once,
-    on the columns it lacks together with the halves of all its columns
-    that the memo does not hold.  A block of more than 2 * ``_PASS_ROWS``
-    / 3 distinct columns is element-bound, as its halves would not fit a
-    block: it takes no halves, and the memo drops what it holds first, so
-    that a wide run holds about one block's rows.  At the end of a run the
-    memo keeps the run's columns and their halves, at most three times the
-    run's distinct columns.  A column is found by its bits alone, so the
-    halves cannot change a bit, only save stage-1 runs.  ``runs`` and
-    ``columns`` count the stage-1 runs and the columns they computed."""
+    (``certify._certify``).  A pass's boxes keep their parent's y4 or take
+    one half of it, as ``split_bounds`` makes them, so a block of a run
+    that lacks a column runs the first stage once, on the columns it lacks
+    together with the y4 halves of all its columns that the memo does not
+    hold, and a pass whose columns the memo holds runs none.  A block of
+    more than 2 * ``_PASS_ROWS`` / 3 distinct columns is element-bound, as
+    its halves would not fit a block: it takes no halves, and the memo
+    drops what it holds first, so that a wide run holds about one block's
+    rows.  At the end of a run the memo keeps the run's columns and their
+    halves, at most three times the run's distinct columns.  A column is
+    found by its bits alone, so the halves cannot change a bit, only save
+    stage-1 runs.  ``runs`` and ``columns`` count the stage-1 runs and the
+    columns they computed."""
 
-    __slots__ = ("halves", "keys", "lo", "hi", "live", "runs", "columns")
+    __slots__ = ("keys", "lo", "hi", "live", "runs", "columns")
 
-    def __init__(self, halves=None):
-        self.halves = halves
+    def __init__(self):
         self.keys = {}            # the bits of a y4 column -> its column of lo and hi
         self.lo = self.hi = None  # the expand source rows by column
         self.live = set()         # the keys of this run's columns and their halves
@@ -977,18 +1017,18 @@ class _Y4Memo:
     def look_up(self, plan: _Plan, lo, hi, m: int) -> tuple:
         """The ``expand`` source rows of the first m columns of a block's
         register file (lo, hi), whose input and number rows are filled,
-        after running ``stage1`` on the y4 columns the memo lacks, as
+        after running the first stage on the y4 columns the memo lacks, as
         (lo, hi, the column of lo and hi that each column reads)."""
         y_lo, y_hi = lo[plan.y4, :m], hi[plan.y4, :m]
         key = _column_bits(y_lo, y_hi)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         y_lo, y_hi, keys = y_lo[:, first], y_hi[:, first], key[first].tolist()
         u = len(keys)
-        if self.halves is not None and 3 * u <= 2 * _PASS_ROWS:
-            h_lo, h_hi = self.halves(y_lo, y_hi)
-            y_lo, y_hi = np.hstack((y_lo, h_lo)), np.hstack((y_hi, h_hi))
-            keys += _column_bits(h_lo, h_hi).tolist()
-        elif self.halves is not None:
+        if 3 * u <= 2 * _PASS_ROWS:
+            (l_lo, l_hi, *_), (u_lo, u_hi, *_) = split_bounds(y_lo, y_hi, 0.0, 0.0, 0)
+            y_lo, y_hi = np.hstack((y_lo, l_lo, u_lo)), np.hstack((y_hi, l_hi, u_hi))
+            keys += _column_bits(y_lo[:, u:], y_hi[:, u:]).tolist()
+        else:
             self.keys, self.lo, self.hi = {}, None, None
         self.live.update(keys)
         if any(k not in self.keys for k in keys[:u]):

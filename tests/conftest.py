@@ -11,11 +11,12 @@ class RoundingPaths:
     tests that hold them against the scalar ``Interval``.
 
     Iterating puts the add, sub, mul and div kernels on the step path,
-    where every array bound must have the scalar bound's bits, and then,
-    where the host rounds upward (``intervals._fenv``), on the upward
-    path, where each array bound must lie inside the scalar one (lo >=,
-    hi <=).  ``check`` asserts the claim of the path the loop is on;
-    ``exact`` says which claim that is.
+    under round to nearest where the host has fesetround, where every
+    array bound must have the scalar bound's bits, and then, where the
+    host rounds upward (``intervals._fenv``), on the upward path, where
+    each array bound must lie inside the scalar one (lo >=, hi <=).
+    ``check`` asserts the claim of the path the loop is on; ``exact`` says
+    which claim that is.
     """
 
     def __init__(self, monkeypatch):
@@ -24,8 +25,9 @@ class RoundingPaths:
 
     def __iter__(self):
         env = intervals._fenv()
-        for exact in (True, False) if env else (True,):
-            self.monkeypatch.setattr(intervals, "_FENV", False if exact else env)
+        step = (*env[:2], intervals._FE_TONEAREST) if env else False
+        for exact in (True, False) if intervals._rounding() == "upward" else (True,):
+            self.monkeypatch.setattr(intervals, "_FENV", step if exact else env)
             self.exact = exact
             yield "step" if exact else "upward"
         self.monkeypatch.setattr(intervals, "_FENV", env)

@@ -105,6 +105,21 @@ def test_certificates_refuse_exponent_ranges(a_range):
             certify_no_common_zero(Box(Interval(0.2, 0.3), Interval(*a_range)), "A")
 
 
+def test_certificates_refuse_an_exponent_range_whose_midpoint_overflows():
+    # 0.5 * (lo + hi) is inf there, outside the range, so it can center no
+    # mean-value form: before the range was refused, split_bounds warned
+    # of an overflow and no-common-zero over [0.2, 0.3] x [1e308, 1.7e308]
+    # returned 1024 undecided boxes
+    a_range = (1e308, 1.7e308)
+    with pytest.raises(ValueError, match=r"exponent range .* lo \+ hi finite"):
+        certify_unique_root(window_for("A", "A2"), a_range, "A")
+    with pytest.raises(ValueError, match=r"exponent range .* lo \+ hi finite"):
+        certify_no_common_zero(Box(Interval(0.2, 0.3), Interval(*a_range)), "A")
+    # a range near the float maximum whose sum is finite is still taken
+    assert not certify_no_common_zero(
+        Box(Interval(0.2, 0.3), Interval(8e307, 8.9e307)), "A", max_depth=0).certified
+
+
 def test_unique_root_certificate_vortex_only():
     cert = certify_unique_root(window_for("A", "A2"), (2.0, 2.0), "A")
     assert cert.certified
@@ -620,15 +635,16 @@ def test_look_ahead_matches_by_depth_on_the_scan_guard(branch, a_exp, runs,
     assert got == runs
 
 
-def _scalar_box_eval(box: Box, branch: str) -> tuple:
+def _scalar_box_eval(box: Box, branch: str, center=Interval.point) -> tuple:
     """One box with the scalar classes: (f, df, hint_f, hint_df).
 
-    The reference for the batched kernel: the jet in y4 at the center, at
-    the center's exponent, and the jet in (y4, A) over the box give the
-    mean-value form, the whole-box jet's value and y-derivative the natural
-    form, and the two are intersected.  A scalar jet pass fails as a whole,
-    so the whole-box jet runs first; where it raises, or the radicand dips
-    below zero, the box is not evaluable and the oracle raises too.
+    The reference for the batched kernel: the jet in y4 at the box
+    midpoint, at the midpoint's exponent, each enclosed by ``center``, and
+    the jet in (y4, A) over the box give the mean-value form, the whole-box
+    jet's value and y-derivative the natural form, and the two are
+    intersected.  A scalar jet pass fails as a whole, so the whole-box jet
+    runs first; where it raises, or the radicand dips below zero, the box
+    is not evaluable and the oracle raises too.
     """
     rad = branch_radicand(box.y4)
     if rad.lo < 0.0:
@@ -641,11 +657,10 @@ def _scalar_box_eval(box: Box, branch: str) -> tuple:
     hint_f = hint_df = 0 if box.y4.width >= box.a.width else 1
     try:
         my, ma = box.y4.mid, box.a.mid
-        center = F(Jet2.variable_y(Interval.around(my)), branch=branch,
-                   a_exp=Jet2(Interval.around(ma)))
+        at = F(Jet2.variable_y(center(my)), branch=branch, a_exp=Jet2(center(ma)))
         off_y, off_a = box.y4 - my, box.a - ma
-        mv = (center.v + wide.dy * off_y + wide.da * off_a,
-              center.dy + wide.dyy * off_y + wide.dya * off_a)
+        mv = (at.v + wide.dy * off_y + wide.da * off_a,
+              at.dy + wide.dyy * off_y + wide.dya * off_a)
         hint_f = 0 if wide.dy.mag * box.y4.width >= wide.da.mag * box.a.width else 1
         hint_df = 0 if wide.dyy.mag * box.y4.width >= wide.dya.mag * box.a.width else 1
     except (IntervalDomainError, OverflowError):
@@ -684,7 +699,6 @@ def test_batched_box_eval_matches_scalar_oracle(branch, rounding_paths):
         hints[i] = (hint_f, hint_df)
     # the oracle must exercise both outcomes
     assert 0 < failed.sum() < len(boxes) // 2
-    import pentacc.certify as certify
     ylo, yhi, alo, ahi = np.array([b.key() for b in boxes]).T
     for _ in rounding_paths:
         ev = _mv_eval(ylo, yhi, alo, ahi, branch)
@@ -693,17 +707,16 @@ def test_batched_box_eval_matches_scalar_oracle(branch, rounding_paths):
         rounding_paths.check(ev.f.lo[ok], ev.f.hi[ok], want[ok, 0], want[ok, 1])
         rounding_paths.check(ev.df.lo[ok], ev.df.hi[ok], want[ok, 2], want[ok, 3])
         np.testing.assert_array_equal(np.stack([ev.hint_f, ev.hint_df], axis=1)[ok], hints[ok])
-        # on either path, the certifier's jet in y4 at the box centers gives
-        # the bits of F and dF/dy4 of the (y4, A) jet there, each traced
-        # alone, and the root scan's plan of its natural form those of the
-        # jet in y4 over the same y4 intervals traced with all its slots,
-        # invalid in the same places
+        # on either path, the certifier's jet in y4 at the box midpoints
+        # gives the bits of F and dF/dy4 of the (y4, A) jet there, each
+        # traced alone on the boxes, and the root scan's plan of its natural
+        # form those of the jet in y4 over the same y4 intervals traced with
+        # all its slots, invalid in the same places
         y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-        yc, ac = certify._f_inputs(y, a)[:2]
-        center = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
-                                                   a_exp=Jet2(a)))[:2], 2).run(yc, ac)
-        full = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y), branch=branch,
-                                                 a_exp=Jet2.variable_a(a))), 2).run(yc, ac)
+        center = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y.mid), branch=branch,
+                                                   a_exp=Jet2(a.mid)))[:2], 2).run(y, a)
+        full = _trace(lambda y, a: Jet2._parts(F(Jet2.variable_y(y.mid), branch=branch,
+                                                 a_exp=Jet2.variable_a(a.mid))), 2).run(y, a)
         pairs = list(zip(center, full[:2]))
         assert 0 < (full[0].valid & full[1].valid).sum() < len(boxes)
         for a_exp in (2.0, 2.5, 3.0, 4.0):
@@ -716,6 +729,32 @@ def test_batched_box_eval_matches_scalar_oracle(branch, rounding_paths):
             np.testing.assert_array_equal(planned.valid, ok)
             for p, q in ((planned.lo, by_slot.lo), (planned.hi, by_slot.hi)):
                 np.testing.assert_array_equal(p[ok].view(np.int64), q[ok].view(np.int64))
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_midpoint_center_lies_inside_the_one_ulp_center(branch, rounding_paths):
+    # the mean-value form holds for any center in the box: at the float
+    # midpoints, as point rows, F and dF/dy4 lie inside the scalar form at
+    # the midpoints' one-ulp enclosures, on every box where that form
+    # evaluates, and strictly inside on most of them
+    rng = np.random.default_rng(2011 if branch == "A" else 2012)
+    boxes = _oracle_boxes(rng, branch, 1000)
+    wide = {}
+    for i, box in enumerate(boxes):
+        try:
+            wide[i] = _scalar_box_eval(box, branch, center=Interval.around)[:2]
+        except (IntervalDomainError, OutOfDomainError):
+            continue
+    assert len(wide) > len(boxes) // 2
+    ylo, yhi, alo, ahi = np.array([b.key() for b in boxes]).T
+    for _ in rounding_paths:
+        ev = _mv_eval(ylo, yhi, alo, ahi, branch)
+        tighter = 0
+        for i, (f, df) in wide.items():
+            for got, want in ((ev.f, f), (ev.df, df)):
+                assert want.lo <= got.lo[i] <= got.hi[i] <= want.hi, (i, got, want)
+                tighter += (want.lo, want.hi) != (got.lo[i], got.hi[i])
+        assert tighter > len(wide)
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
@@ -806,8 +845,11 @@ def test_no_plan_step_writes_a_row_it_reads(branch):
     plan = certify._f_plan(branch)
     src, first, end = plan.expand
     assert end > first
-    for _, _, _, start, stop, *args in (*plan.stage1, (None, None, (), first, end, src),
-                                        *plan.steps):
+    # one fill step a stage: the y4 midpoints in the first, the A ones in the second
+    assert [len(f) for f in plan.fill] == [1, 1]
+    for _, _, _, start, stop, *args in (*plan.fill[0], *plan.stage1,
+                                        (None, None, (), first, end, src),
+                                        *plan.fill[1], *plan.steps):
         written = set(range(start, stop))
         for rows in args:
             read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
@@ -836,11 +878,13 @@ def test_plans_batch_calls_by_slack():
 @pytest.mark.parametrize("name", ["certifier A", "certifier B", "guard A 2", "guard B 3"])
 def test_every_plan_step_reads_rows_already_written(name):
     # the input rows and the number operands' point rows are written before
-    # the first step; stage 2 and the outputs read the y4 input rows and
-    # the results of stage 1 only through the copies of the expand, since
-    # stage 1 runs on the distinct y4 columns alone
+    # the first step, and each stage's midpoint rows by its fill step;
+    # stage 2 and the outputs read the y4 input rows and the results of
+    # stage 1 only through the copies of the expand, since stage 1 runs on
+    # the distinct y4 columns alone
     plan = _plans()[name]
-    given = set(range(plan.inputs + plan.consts.size))
+    fills = {r for *_, start, stop, _ in plan.fill[0] + plan.fill[1] for r in range(start, stop)}
+    given = set(range(plan.const_rows.stop)) - fills
     written = set(given)
 
     def check(steps):
@@ -849,12 +893,12 @@ def test_every_plan_step_reads_rows_already_written(name):
                 read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
                 assert written.issuperset(read)
             written.update(range(start, stop))
-    check(plan.stage1)
+    check(plan.fill[0] + plan.stage1)
     src, first, end = plan.expand
     if plan.stage1:
         check([(None, None, (), first, end, src)])
         written = given.difference(plan.y4).union(range(first, end))
-    check(plan.steps)
+    check(plan.fill[1] + plan.steps)
     assert written.issuperset(plan.out)
 
 
@@ -911,32 +955,48 @@ def _stage1_columns(plan, monkeypatch) -> list:
 
 def _distinct_y4(ylo, yhi, width: int) -> list:
     """The distinct (lo, hi) bit patterns of y4 in each block of ``width``
-    columns; the centers' y4 follows from them."""
+    columns."""
+    return [len(keys) for keys in _y4_blocks(ylo, yhi, width)]
+
+
+def _y4_blocks(ylo, yhi, width: int) -> list:
+    """The set of (lo, hi) bit patterns of y4 in each block of ``width``
+    columns."""
     bits = np.stack([ylo, yhi]).view(np.int64)
-    return [len(set(map(tuple, bits[:, c0:c0 + width].T.tolist())))
+    return [set(map(tuple, bits[:, c0:c0 + width].T.tolist()))
             for c0 in range(0, bits.shape[1], width)]
+
+
+def _stage1_columns_without_memo(ylo, yhi) -> list:
+    """The columns of each block of a run without a memo on which stage 1
+    runs: the block's distinct y4 columns, with their y4 halves where the
+    block is not element-bound (``intervals._Y4Memo``)."""
+    block = 2 * intervals._PASS_ROWS
+    return [len(keys | _halves(keys)) if 3 * len(keys) <= block else len(keys)
+            for keys in _y4_blocks(ylo, yhi, block)]
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_staged_plan_keeps_every_bit(branch, monkeypatch):
     # stage 1 of the certifier's plan runs once per distinct y4 column of a
-    # block; on batches that repeat y4 it gives the bits of the same jets
-    # traced without y4 rows, which run every call on every column
+    # block, and its y4 halves where the block is not element-bound; on
+    # batches that repeat y4 it gives the bits of the same jets traced
+    # without y4 rows, which run every call on every column
     import pentacc.certify as certify
     staged = certify._f_plan(branch)
-    flat = _trace(partial(certify._f_jets, branch=branch), 6)
+    flat = _trace(partial(certify._f_jets, branch=branch), 2)
     assert not flat.stage1 and len(staged.stage1) + len(staged.steps) <= len(flat.steps)
     columns = _stage1_columns(staged, monkeypatch)
 
     def check(ylo, yhi, alo, ahi) -> list:
-        inputs = certify._f_inputs(IntervalArray(ylo, yhi), IntervalArray(alo, ahi))
+        inputs = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
         got = staged.run(*inputs)
         for g, w in zip(got, flat.run(*inputs)):
             ok = w.valid
             np.testing.assert_array_equal(g.valid, ok)
             for x, z in ((g.lo, w.lo), (g.hi, w.hi)):
                 np.testing.assert_array_equal(x[ok].view(np.int64), z[ok].view(np.int64))
-        assert columns == _distinct_y4(ylo, yhi, 2 * intervals._PASS_ROWS)
+        assert columns == _stage1_columns_without_memo(ylo, yhi)
         columns.clear()
         return got
 
@@ -986,11 +1046,13 @@ def _recorded_passes(monkeypatch) -> list:
 
 
 def _halves(keys) -> set:
-    """The y4 columns of both y4 halves of the given ones."""
-    import pentacc.certify as certify
-    bits = np.array(sorted(keys), dtype=np.int64).T.view(float)
-    rows = bits.shape[0] // 2
-    return set(_y4_keys(*certify._y4_halves(bits[:rows], bits[rows:])))
+    """The y4 columns of both y4 halves of the given ones, as the bisection
+    splits them (``split_bounds`` along y4)."""
+    if not keys:
+        return set()
+    lo, hi = np.array(sorted(keys), dtype=np.int64).T.view(float)
+    (l_lo, l_hi, *_), (u_lo, u_hi, *_) = split_bounds(lo, hi, 0.0, 0.0, 0)
+    return set(_y4_keys([np.concatenate((l_lo, u_lo))], [np.concatenate((l_hi, u_hi))]))
 
 
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))
@@ -1061,7 +1123,6 @@ def test_y4_memo_memory_is_bounded(monkeypatch):
     # whose full blocks are element-bound, keeps few columns and stays under
     # the bound of test_box_evaluation_memory_is_bounded
     import tracemalloc
-    import pentacc.certify as certify
     passes = _recorded_passes(monkeypatch)
     _ACCEPTANCE["B2"]()
     for _, read, _, memo in passes:
@@ -1070,7 +1131,7 @@ def test_y4_memo_memory_is_bounded(monkeypatch):
     lo, hi = window_for("B", "B2", inset=1e-6)
     edges = np.linspace(lo, hi, 20001)
     boxes = (edges[:-1], edges[1:], np.full(20000, 2.0), np.full(20000, 6.0))
-    memo = intervals._Y4Memo(certify._y4_halves)
+    memo = intervals._Y4Memo()
     _mv_eval(*(b[:4] for b in boxes), "B", memo=memo)
     tracemalloc.start()
     try:
@@ -1203,15 +1264,16 @@ def _assert_sparse_inside_dense(sparse: tuple, dense: tuple) -> None:
 
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_structural_zeros_are_sound_and_kept(branch):
-    import pentacc.certify as certify
     rng = np.random.default_rng(2011 if branch == "A" else 2012)
     ylo, yhi, alo, ahi = np.array([b.key() for b in _oracle_boxes(rng, branch, 1000)]).T
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
-    for yy, aa in (certify._f_inputs(y, a)[:2], (y, a)):
+    # at the box midpoints, as the certifier's center jet runs, and over the boxes
+    for at in (lambda row: row.mid, lambda row: row):
         sparse = _traced_slots(lambda y, a: Jet2._parts(
-            F(Jet2.variable_y(y), a_exp=Jet2.variable_a(a), branch=branch)), yy, aa)
+            F(Jet2.variable_y(at(y)), a_exp=Jet2.variable_a(at(a)), branch=branch)), y, a)
         dense = _traced_slots(lambda y, a: F(
-            DenseJet2(y, 1.0), a_exp=DenseJet2(a, 0.0, 1.0), branch=branch).parts(), yy, aa)
+            DenseJet2(at(y), 1.0), a_exp=DenseJet2(at(a), 0.0, 1.0), branch=branch).parts(),
+            y, a)
         _assert_sparse_inside_dense(sparse, dense)
     # the root scan's jet in y4 alone, at a float exponent
     for a_exp in (2.5, 3.0):

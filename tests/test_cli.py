@@ -290,6 +290,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert json.loads(proc.stdout)["all_passed"] is True
 
 
+def test_certify_refuses_a_range_whose_midpoint_overflows_without_a_warning(tmp_path):
+    # 1e308 + 1.7e308 overflows: the range is refused before any array
+    # arithmetic, so that under PYTHONWARNINGS=error the entry point prints
+    # one error line and exits 1, with no overflow warning's traceback
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run([sys.executable, "-m", "pentacc", "certify", "--mode",
+                           "no-common-zero", "--window", "0.2,0.3", "--A-range", "1e308,1.7e308"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: exponent range") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and not proc.stdout
+    assert not list(tmp_path.iterdir())
+
+
 def test_evaluate_pentagon(tmp_path):
     config = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A"))
     payload = {"points": config.points.tolist(), "masses": [1.0] * 5, "A": 3}
@@ -522,6 +537,8 @@ def test_bifurcation_empty_range(tmp_path):
     pytest.param(["certify", "--window", "a2", "--A-range", "1,3"], id="certify-range-below-2"),
     pytest.param(["certify", "--mode", "no-common-zero", "--window", "a4", "--A-range", "1,3"],
                  id="certify-no-common-zero-range-below-2"),
+    pytest.param(["certify", "--window", "a2", "--A-range", "1e308,1.7e308"],
+                 id="certify-range-midpoint-overflows"),
     pytest.param(["bifurcation", "--tol", "0.01", "--out", "missing/bif.json"],
                  id="bifurcation-out-missing-dir"),
 ])

@@ -3,9 +3,12 @@
 import decimal
 import math
 import operator
+import os
 import platform
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,8 +412,10 @@ def test_array_outward_step_is_math_nextafter():
         assert same.all(), x[~same]
 
 
-# fesetround's argument for rounding toward -inf, by platform.machine()
+# fesetround's argument for rounding toward -inf and toward zero, by
+# platform.machine()
 _FE_DOWNWARD = {"x86_64": 0x400, "aarch64": 0x800000, "arm64": 0x800000}
+_FE_TOWARDZERO = {"x86_64": 0xC00, "aarch64": 0xC00000, "arm64": 0xC00000}
 
 # the four kernels, on Intervals or as a plan traces them; a jet divides
 # a row only into a number, and _divide records the div kernel on two rows
@@ -420,7 +425,7 @@ _ARITHMETIC = (operator.add, operator.sub, operator.mul, _divide)
 def _host_fenv() -> tuple:
     """The (fegetround, fesetround, upward mode) the kernels switch with."""
     env = intervals._fenv()
-    if not env:
+    if intervals._rounding() != "upward":
         pytest.skip("numpy's arithmetic does not round upward under this host's fesetround")
     return env
 
@@ -510,6 +515,66 @@ def test_float_parsing_and_libm_are_unchanged_after_a_plan_run():
     assert _libm(math.exp, xs).tolist() == [math.exp(v) for v in xs]
 
 
+@pytest.mark.parametrize("caller", ["downward", "towardzero", "upward"])
+def test_plans_run_to_nearest_whatever_the_callers_mode(caller, rounding_paths):
+    # every step but the four upward kernels, and the midpoint fill, runs
+    # under round to nearest: under a directed caller mode the certifier's
+    # plan and the scan guard's give the bits of the run under nearest, on
+    # both rounding paths, and the caller's mode is back after them
+    import pentacc.certify as certify
+    import pentacc.symmetric as symmetric
+    env = intervals._fenv()
+    if not env:
+        pytest.skip("this host has no fesetround that ctypes finds")
+    get, set_, _ = env
+    machine = platform.machine().lower()
+    mode = {"downward": _FE_DOWNWARD, "towardzero": _FE_TOWARDZERO,
+            "upward": intervals._FE_UPWARD}[caller][machine]
+    rng = np.random.default_rng(38)
+    lo, hi = window_for("B", "B2")
+    ylo, alo = rng.uniform(lo, hi, 200), rng.uniform(2.0, 5.0, 200)
+    y = IntervalArray(ylo, ylo + 10.0 ** rng.uniform(-9.0, -1.0, 200))
+    a = IntervalArray(alo, alo + 10.0 ** rng.uniform(-9.0, 0.0, 200))
+
+    def outputs() -> list:
+        return [*certify._f_plan("B").run(y, a), *symmetric._natural_plan("B", 3.0).run(y)]
+    for _ in rounding_paths:
+        want = outputs()
+        nearest = get()
+        assert set_(mode) == 0
+        try:
+            got = outputs()
+            back = get()
+        finally:
+            set_(nearest)
+        assert back == mode
+        assert all(w.valid.sum() > 100 for w in want)
+        for g, w in zip(got, want):
+            for p, q in ((g.lo, w.lo), (g.hi, w.hi)):
+                np.testing.assert_array_equal(p.view(np.int64), q.view(np.int64))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.machine() != "x86_64",
+                    reason="FE_UPWARD is 0x800 on glibc x86-64")
+def test_a_first_plan_run_under_upward_rounding_takes_the_upward_path():
+    # the self-test checks round to nearest under FE_TONEAREST, not under
+    # the caller's mode, so a process whose first plan run happens under
+    # FE_UPWARD still takes the upward path
+    script = ("import ctypes\n"
+              "from pentacc import intervals\n"
+              "libm = ctypes.CDLL('libm.so.6')\n"
+              "assert libm.fesetround(0x800) == 0\n"
+              "path = intervals._rounding()\n"
+              "mode = libm.fegetround()\n"
+              "libm.fesetround(0)\n"
+              "print(path, hex(mode))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "upward 0x800\n"
+
+
 @pytest.mark.parametrize("failure", ["no fesetround", "mode not honoured", "unknown machine"])
 def test_a_failed_self_test_gives_the_step_paths_bits(failure, monkeypatch):
     # where the self-test fails the kernels step each bound one ulp outward
@@ -525,7 +590,12 @@ def test_a_failed_self_test_gives_the_step_paths_bits(failure, monkeypatch):
     x, y = _some_operands()
     ops = (*_ARITHMETIC, lambda x, y: 1.5 / y)
     traced = _trace(lambda *xy: [op(*xy) for op in ops], 2).run(x, y)
-    assert intervals._FENV is False and intervals._rounding() == "step"
+    assert intervals._rounding() == "step"
+    # where ctypes found fesetround the step path keeps it, to run to nearest
+    if failure == "mode not honoured":
+        assert intervals._FENV[2] == intervals._FE_TONEAREST
+    else:
+        assert intervals._FENV is False
     got = [(op, r) for op, r in zip(ops, traced)]
     got += [(op, _run_one(op, x, y)) for op in ops]
     for op, r in got:
