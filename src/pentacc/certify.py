@@ -36,18 +36,26 @@ finite, which ``_check_request`` asks of the exponent range.  The plan
 outputs the mean-value enclosures of F and dF/dy4 and the whole-box
 slots, so all interval arithmetic of a pass runs in the plan; the
 evaluator only picks split hints and meets the mean-value form with the
-natural one.  The plan's calls that read y4 alone run once per distinct
-y4 interval of a certificate: the certificate's evaluator keeps their
-rows in one memo from pass to pass (``intervals._Y4Memo``), so the two
-halves of a box split along A share them, and a pass that finds an
-interval missing computes the y4 halves of its intervals too, which the
-memo splits itself and the next pass's boxes take.  A box's verdict
-depends only on the box, so the leaves are the ones a depth-first
-bisection finds.
+natural one.  A box computes only the quantity its zone's decider reads:
+an F-sign zone reads F, the strip's derivative zone dF/dy4, and the
+no-common-zero decider both.  ``intervals._bisect`` passes each box's
+quantities to the evaluator, whose plan runs each step only on the boxes
+whose quantity reads it, and runs a block of F-zone boxes alone on the
+plan of F's outputs alone (activity analysis: A. Griewank and A.
+Walther, *Evaluating Derivatives*, 2008).  The plan's calls that read
+y4 alone run once per distinct y4 interval of a certificate and quantity:
+the certificate's evaluator keeps their rows in one memo from pass to
+pass (``intervals._Y4Memo``), so the two halves of a box split along A
+share them, and a pass that finds an interval missing computes the y4
+halves of its intervals too, which the memo splits itself and the next
+pass's boxes take.  A box's verdict depends only on the box, so the
+leaves are the ones a depth-first bisection finds.
 The tangency guard of ``symmetric.isolate_roots`` runs on the same
 bisection; its box evaluator is the natural form of F and dF/dy4 at the
 scan's exponent, from a plan of F's jet in y4 alone
-(``symmetric._natural_eval``).
+(``symmetric._natural_eval``), which computes both on every box.  The
+two certificates run under round to nearest whatever the caller's mode
+(``intervals._to_nearest``), so their bits do not depend on it.
 
 Certificates never assert more than was verified: exhausting the depth
 budget yields an undecided verdict carrying the offending boxes.
@@ -63,7 +71,7 @@ import numpy as np
 from .geometry import OutOfDomainError, Y4_MAX, branch_radicand
 from .intervals import (Box, CertLeaf, Interval, IntervalArray, IntervalDomainError, Jet2,
                         _BoxEval, _VERDICTS, _Y4Memo, _bisect, _no_common_zero_decider,
-                        _rounding, _stats, _trace)
+                        _rounding, _stats, _to_nearest, _trace)
 from .symmetric import F, _locate_crossing
 
 __all__ = [
@@ -83,6 +91,12 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
     return IntervalArray(np.where(mv, both.lo, nat_enc.lo), np.where(mv, both.hi, nat_enc.hi))
 
 
+# The outputs of ``_f_jets`` that each quantity reads, its group in
+# ``_f_plan``: F's mean-value form, its natural form (the whole-box value)
+# and the slopes of its split hint, then the same of dF/dy4
+_GROUPS = ((0, 2, 3, 4), (1, 3, 5, 6))
+
+
 @lru_cache(maxsize=None)
 def _f_plan(branch: str):
     """F's jets on one branch and their mean-value sums (``_f_jets``),
@@ -91,8 +105,13 @@ def _f_plan(branch: str):
     jets' ready calls of one kind stack into one kernel call, so the
     centers add no call.  Row 0 holds y4: the calls that read it alone
     form the plan's first stage, whose rows a run takes from a y4 memo that
-    computes each distinct y4 interval once (``intervals._Y4Memo``)."""
-    return _trace(partial(_f_jets, branch=branch), 2, y4=(0,))
+    computes each distinct y4 interval once (``intervals._Y4Memo``).  Each
+    step knows whether F's outputs, dF/dy4's or both read it (``_GROUPS``),
+    so a box runs only the steps of the quantities it needs, and a block
+    of boxes that need F alone runs the plan of F's outputs alone, 33 + 16
+    stacked calls on branch A and 40 + 16 on B against 47 + 23 and
+    53 + 23."""
+    return _trace(partial(_f_jets, branch=branch), 2, y4=(0,), groups=_GROUPS)
 
 
 def _f_jets(y, a, branch: str) -> tuple:
@@ -111,16 +130,21 @@ def _f_jets(y, a, branch: str) -> tuple:
             center.dy + whole.dyy * off_y + whole.dya * off_a, *Jet2._parts(whole))
 
 
-def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _BoxEval:
+def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None,
+             need=None) -> _BoxEval:
     """Mean-value enclosures around each box midpoint, crossed with the
     natural interval form where both evaluate.
 
     The boxes [ylo, yhi] x [alo, ahi] arrive as float arrays and are
     evaluated together, by one run of the branch's plan (``_f_plan``) on
     the boxes alone, one column a box, which gives the mean-value forms
-    and every slot of the whole-box jet.  This function only picks the
-    split hints and meets the two forms.  Where the mean-value form fails
-    the natural form is used alone, with the default split hint.  A box where both forms fail,
+    and every slot of the whole-box jet.  ``need`` gives the quantities
+    each box needs, as ``intervals._bisect`` passes them (F 1, dF/dy4 2;
+    by default both); a box computes only the plan's outputs that those
+    read, and its other enclosure is NaN.  This function only picks the
+    split hints and meets the two forms.  Where a quantity's mean-value
+    form or its natural form fails, the natural form is used alone, with
+    the default split hint.  A box where both forms fail,
     or where their enclosures do not meet, has NaN enclosures.  So has a
     box whose branch radicand reaches zero: the plan takes the radicand's
     square root through log, which is NaN there, and every slot of F
@@ -128,13 +152,13 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _B
     """
     y, a = IntervalArray(ylo, yhi), IntervalArray(alo, ahi)
     yw, aw = y.width, a.width
-    f_mv, df_mv, v, dy, da, dyy, dya = _f_plan(branch).run(y, a, memo=memo)
-    # NaN in any other slot reaches f_mv or df_mv
-    mv = v.valid & f_mv.valid & df_mv.valid
+    f_mv, df_mv, v, dy, da, dyy, dya = _f_plan(branch).run(y, a, memo=memo, need=need)
+    # NaN in a slope of a split hint reaches that quantity's mean-value form
+    mv_f, mv_df = v.valid & f_mv.valid, dy.valid & df_mv.valid
     with np.errstate(invalid="ignore", over="ignore"):
         default = np.where(yw >= aw, 0, 1)
-        hint_f = np.where(mv, np.where(dy.mag * yw >= da.mag * aw, 0, 1), default)
-        hint_df = np.where(mv, np.where(dyy.mag * yw >= dya.mag * aw, 0, 1), default)
+        hint_f = np.where(mv_f, np.where(dy.mag * yw >= da.mag * aw, 0, 1), default)
+        hint_df = np.where(mv_df, np.where(dyy.mag * yw >= dya.mag * aw, 0, 1), default)
     # The natural form, the whole-box value and y4-slope, decides boxes the
     # mean-value form leaves straddling zero: without it A4 no-common-zero
     # over [2, 3] needs 195 leaves instead of 194, and B2 unique-root over
@@ -143,7 +167,7 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None) -> _B
     # evaluable oracle boxes of the tests the met dF was wider than with it
     # on 290 boxes, by up to 23 %, F only by rounding, and the three
     # acceptance certificates had the same leaves either way.
-    return _BoxEval(_combine(f_mv, v, mv), _combine(df_mv, dy, mv), hint_f, hint_df)
+    return _BoxEval(_combine(f_mv, v, mv_f), _combine(df_mv, dy, mv_df), hint_f, hint_df)
 
 
 def eval_F_interval(box: Box, branch: str) -> tuple:
@@ -216,13 +240,16 @@ def _check_request(window: tuple, a_range: tuple, max_depth: int) -> None:
 
 
 def _sign_decider(quantity: str, sign: int):
-    """Decide boxes on which F (or dF/dy4) has the given strict sign."""
+    """Decide boxes on which F (or dF/dy4) has the given strict sign.  The
+    decider reads that quantity alone (``reads``, its verdict code, the bit
+    ``intervals._bisect`` passes to the evaluator)."""
     code = _VERDICTS.index(quantity)
 
     def decide(ev: _BoxEval) -> tuple:
         enc, hint = (ev.f, ev.hint_f) if quantity == "F" else (ev.df, ev.hint_df)
         ok = enc.hi < 0.0 if sign < 0 else enc.lo > 0.0
         return np.where(ok, code, 0), hint, enc.contains_zero()
+    decide.reads = code
     return decide
 
 
@@ -246,6 +273,7 @@ def _certify(kind: str, branch: str, window: tuple, a_range: tuple, zones: list,
                        missing.format(n=len(undecided)) if undecided else done, stats)
 
 
+@_to_nearest
 def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
                         max_depth: int = 60) -> Certificate:
     """Certify that F has exactly one simple zero in the window per exponent.
@@ -292,6 +320,7 @@ def certify_unique_root(window: tuple, a_range: tuple, branch: str = "A",
         "a zone could not be resolved at the depth cap")
 
 
+@_to_nearest
 def certify_no_common_zero(region: Box, branch: str = "A",
                            max_depth: int = 60) -> Certificate:
     """Certify that F and dF/dy4 have no common zero on a region.

@@ -33,7 +33,11 @@ structural zeros kept as floats, and record their kernel calls; the plan
 makes the ready needed calls of one kind, of every jet traced into it, as
 one call on stacked rows, and picks the kind by the slack of its most
 urgent call (``_Trace._batches``); it runs under one np.errstate.  Only
-the calls that an output reads run.  A run takes the columns, one a box,
+the calls that an output reads run, and on each column only those that
+the outputs it needs read: the certifier's plan knows, for each step,
+whether the outputs of F, of dF/dy4 or both read it, runs it on the
+columns of those alone, and runs a block whose columns need F alone on a
+plan of F's outputs alone.  A run takes the columns, one a box,
 in blocks of a fixed width and reuses the rows of values no later call
 reads, so its memory does not grow with the frontier.  The certifier's
 plan names its y4 input row: the calls that read y4 alone (the y4
@@ -42,7 +46,8 @@ form a first stage, whose rows a run takes for each distinct y4 interval
 from a memo keyed by the interval's bits (``_Y4Memo``) before it copies
 them out to every column.  The two halves of a box split along A share
 its y4, so a pass has far fewer y4 columns than boxes.  A certificate
-keeps one memo for its whole bisection, and a pass that finds a column
+keeps one memo for its whole bisection, which serves a column only to
+columns that need what it was computed for, and a pass that finds a column
 missing computes the y4 halves of its columns too, which the memo splits
 itself by the bisection's rule and which hold every y4 column of the next
 pass, so many passes run no first stage (``stage1_runs`` in a
@@ -70,8 +75,9 @@ path: glibc states its libm error bounds for it, and the midpoints are
 then the bits of ``IntervalArray.mid``.  A plan run switches the mode
 where its steps need another one (``_run_steps``), wherever ctypes finds
 fesetround, and gives the caller's back.  Float code outside plans, the
-box splits among it, runs in the caller's mode, which CPython's float
-parsing assumes to be round to nearest.
+box splits among it, runs under round to nearest too, which CPython's
+float parsing assumes: the public certificates, root scans and A_c scan
+switch to it there and give the caller's mode back (``_to_nearest``).
 
 exp, log and integer powers call libm (math.exp, math.log, float **) once
 per element, never np.exp, np.log or np.power: numpy's SIMD kernels differ
@@ -100,6 +106,7 @@ children, both halves along each coordinate a box may split on, up to
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import platform
 from dataclasses import dataclass
@@ -406,6 +413,27 @@ def _rounding() -> str:
     """The rounding path the kernels run: "upward" or "step"."""
     env = _fenv()
     return "upward" if env and env[2] != _FE_TONEAREST else "step"
+
+
+def _to_nearest(fn):
+    """``fn`` run under round to nearest wherever ``_fenv`` found
+    fesetround, with the caller's mode back when it returns or raises.
+    The public certificates and root scans take it, so that their float
+    code outside plans (the box splits, the float grids, the scalar
+    Interval steps, whose libm error bounds glibc states for round to
+    nearest) gives the same bits whatever the caller's mode."""
+    @functools.wraps(fn)
+    def nearest(*args, **kwargs):
+        env = _fenv()
+        caller = env[0]() if env else _FE_TONEAREST
+        if caller == _FE_TONEAREST:
+            return fn(*args, **kwargs)
+        env[1](_FE_TONEAREST)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            env[1](caller)
+    return nearest
 
 
 def _upper(neg_lo, hi) -> "IntervalArray":
@@ -716,6 +744,14 @@ def _rows(regs: list):
     return np.array(regs, dtype=np.intp)
 
 
+def _bits(groups) -> int:
+    """The union of group bits."""
+    union = 0
+    for g in groups:
+        union |= g
+    return union
+
+
 def _lowest_run(free: set, size: int, k: int) -> int:
     """The first row of the lowest run of k free rows, where the rows from
     ``size`` on are free."""
@@ -791,7 +827,7 @@ class _Trace:
                         ready.setdefault(self.ops[r][:2], []).append(r)
         return batches
 
-    def compile(self, outputs, y4=()) -> "_Plan":
+    def compile(self, outputs, y4=(), groups=()) -> "_Plan":
         """The plan that computes ``outputs``, rows or numbers, in two stages.
 
         Stage 1 holds the needed calls that read only the input rows ``y4``,
@@ -806,19 +842,48 @@ class _Trace:
         bit.  The midpoint rows follow the input rows, and the number rows
         follow them.  A row is given back once the last step that reads it
         has run, and each stacked call's results take the lowest run of
-        free rows; no step writes a row it reads."""
+        free rows; no step writes a row it reads.
+
+        ``groups`` lists at most two groups of outputs by their indices,
+        the outputs that one kind of column reads; without it all outputs
+        are one group.  A call belongs to the groups whose outputs read it
+        (activity analysis: A. Griewank and A. Walther, *Evaluating
+        Derivatives*, 2008), and each step to the groups of its calls
+        (``_Plan.reads``); the steps stay those of all the needed calls, so
+        a step may hold calls of both groups.  Where the calls of one group
+        alone make fewer stacked calls, that group also gets a plan of its
+        own, compiled from its outputs alone, which runs the blocks whose
+        columns read that group alone (``_Plan.alone``); its stage-1 rows
+        are a subset of this plan's, which a y4 memo holds for both."""
         outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
+        groups = groups or (range(len(outs)),)
+        plan, live = self._compile(outs, y4, groups)
+        for g, group in enumerate(groups if len(groups) > 1 else ()):
+            alone, _ = self._compile([outs[i] for i in group], y4,
+                                     [range(len(group)) if h == g else () for h in range(2)],
+                                     live)
+            if len(alone.stage1) + len(alone.steps) < len(plan.stage1) + len(plan.steps):
+                plan.alone[1 << g] = (alone, list(group))
+        return plan
+
+    def _compile(self, outs, y4, groups, memo=None) -> tuple:
+        """The plan of ``compile`` for the output registers ``outs``, and
+        the registers that its expand step copies, in the order of its
+        rows.  Its stage-1 rows sit in a y4 memo in the order of the
+        registers ``memo`` (by default its own) at the rows ``_Plan.pick``."""
         early = {("in", i) for i in y4}  # the registers of stage 1
         for k, (_, _, regs) in enumerate(self.ops):
             if all(r in early or r[0] == "const" for r in regs):
                 early.add(("op", k))
-        need, todo = set(), list(outs)
-        while todo:
-            reg = todo.pop()
-            if reg[0] == "op" and reg not in need:
-                need.add(reg)
-                todo.extend(self.ops[reg[1]][2])
-        calls = [sorted(r[1] for r in need if (r in early) != late) for late in (False, True)]
+        reads = {}  # each needed call's register -> the bits of the groups that read it
+        for g, group in enumerate(groups):
+            todo = [outs[i] for i in group]
+            while todo:
+                reg = todo.pop()
+                if reg[0] == "op" and not reads.get(reg, 0) & 1 << g:
+                    reads[reg] = reads.get(reg, 0) | 1 << g
+                    todo.extend(self.ops[reg[1]][2])
+        calls = [sorted(r[1] for r in reads if (r in early) != late) for late in (False, True)]
         mids = [[("op", k) for k in c if self.ops[k][0] == "mid"] for c in calls]
         stage1, stage2 = (self._batches([k for k in c if self.ops[k][0] != "mid"]) for c in calls)
         live = {a for _, regs in stage2 for reg in regs
@@ -841,43 +906,54 @@ class _Trace:
         row.update((c, const_rows.start + c[1]) for c in self.consts.values())
         free = {r for reg, r in row.items() if reg not in last}
         size, steps = len(row), ([], [], [], [])  # each stage's fill, then its calls
+        bits = ([], [], [], [])  # the groups of each of those steps
         for s, (key, regs) in enumerate(items):
             start = row[regs[0]] if key == ("mid", None) else _lowest_run(free, size, len(regs))
             stop = start + len(regs)
             free.difference_update(range(start, stop))
             size = max(size, stop)
             if key is None:
-                regs = sorted(regs, key=row.get)
-                src = [row[a] for a in regs]
+                regs = copied = sorted(regs, key=row.get)
+                src = [row[a] for a in copied]
                 expand = (_rows(src), start, stop)
                 free.update(src)
             else:
                 kind, param = key
                 args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-                steps[2 * (s > split) + (kind != "mid")].append(
-                    (*_KERNELS[kind], () if param is None else (param,), start, stop,
-                     *(_rows([row[a] for a in col]) for col in args)))
+                at = 2 * (s > split) + (kind != "mid")
+                steps[at].append((*_KERNELS[kind], () if param is None else (param,), start,
+                                  stop, *(_rows([row[a] for a in col]) for col in args)))
+                bits[at].append(_bits(reads[reg] for reg in regs))
                 free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        return _Plan(size, const_rows, consts, list(y4), steps[::2], steps[1], steps[3], expand,
-                     [row[o] for o in outs])
+        out_reads = [_bits(1 << g for g, group in enumerate(groups) if i in group)
+                     for i in range(len(outs))]
+        pick = slice(None) if memo is None else np.array([memo.index(r) for r in copied])
+        plan = _Plan(size, const_rows, consts, list(y4), steps[::2], steps[1], steps[3], expand,
+                     [row[o] for o in outs], (bits[0] + bits[1], bits[2] + bits[3]), out_reads,
+                     pick, len(copied if memo is None else memo))
+        return plan, copied
 
 
-def _trace(fn, inputs: int, y4=()) -> "_Plan":
+def _trace(fn, inputs: int, y4=(), groups=()) -> "_Plan":
     """Run ``fn`` once on ``inputs`` traced rows and compile the kernel calls
     of the rows and numbers it returns into one plan, whose first stage
-    holds the calls that read the input rows ``y4`` alone.  ``fn`` is the
-    scalar formula, unchanged: on a ``Jet2`` of rows, a float constant or a
-    structural zero stays a float and runs no kernel.  The plan's inputs
-    are the input rows alone: it fills the midpoint rows that ``fn`` reads
-    (``_Row.mid``) itself, 0.5 * (lo + hi) under round to nearest."""
+    holds the calls that read the input rows ``y4`` alone, and whose steps
+    know the ``groups`` of outputs that read them (``_Trace.compile``).
+    ``fn`` is the scalar formula, unchanged: on a ``Jet2`` of rows, a float
+    constant or a structural zero stays a float and runs no kernel.  The
+    plan's inputs are the input rows alone: it fills the midpoint rows that
+    ``fn`` reads (``_Row.mid``) itself, 0.5 * (lo + hi) under round to
+    nearest."""
     trace = _Trace(inputs)
-    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4)
+    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4, groups)
 
 
-def _run_steps(steps, reg_lo, reg_hi) -> None:
-    """Run stacked kernel calls on the columns of a register file.
+def _run_steps(steps, files) -> None:
+    """Run stacked kernel calls, each on its register file, the rows (lo,
+    hi) of the columns it runs on (``_files``), and none whose file is
+    None.
 
     Each step names its rounding (``_KERNELS``): the add, sub, mul and div
     calls run in the mode of ``_fenv``, upward on the upward path and to
@@ -888,18 +964,53 @@ def _run_steps(steps, reg_lo, reg_hi) -> None:
     env = _fenv()
     get, set_, mode, nearest = (*env, _FE_TONEAREST) if env else (None,) * 4
     caller = current = get() if env else None
+    of = IntervalArray._of
     try:
-        for kernel, upward, param, start, stop, *args in steps:
+        for (kernel, upward, param, start, stop, *args), file in zip(steps, files):
+            if file is None:
+                continue
             want = current if upward is None else mode if upward else nearest
             if want != current:
                 set_(want)
                 current = want
-            r = kernel(*(IntervalArray._of(reg_lo[a], reg_hi[a]) for a in args), *param)
+            reg_lo, reg_hi = file
+            r = kernel(*[of(reg_lo[a], reg_hi[a]) for a in args], *param)
             reg_lo[start:stop] = r.lo
             reg_hi[start:stop] = r.hi
     finally:
         if current != caller:
             set_(caller)
+
+
+# The order of a block's columns by the groups that read them, as bits (1
+# and 2, ``_Trace.compile``): group 0 alone, then both, then group 1 alone,
+# so that the columns of each group are contiguous (``_spans``)
+_GROUP_ORDER = (1, 3, 2)
+
+
+def _grouped(bits) -> np.ndarray:
+    """The order that puts columns read by the groups ``bits`` in
+    ``_GROUP_ORDER``, keeping the order of columns of one kind."""
+    return np.concatenate([np.flatnonzero(bits == b) for b in _GROUP_ORDER])
+
+
+def _spans(bits) -> dict:
+    """The columns that each set of groups reads, by its bits, as slices of
+    columns whose groups ``bits`` (each nonzero) are in ``_GROUP_ORDER``: a
+    step of group 0 runs on the columns of group 0 alone and of both, one
+    of group 1 on those of both and of group 1 alone, one of both on all."""
+    count = np.bincount(bits, minlength=4).tolist()
+    n = len(bits)
+    return {0: slice(0, 0), 1: slice(0, count[1] + count[3]), 2: slice(count[1], n),
+            3: slice(0, n)}
+
+
+def _files(reads, lo, hi, spans) -> list:
+    """The register file of each step whose groups are ``reads``: the
+    columns of (lo, hi) in its span (``_spans``), or None where that is
+    empty."""
+    files = {b: (lo[:, s], hi[:, s]) if s.start < s.stop else None for b, s in spans.items()}
+    return [files[b] for b in reads]
 
 
 class _Plan:
@@ -912,71 +1023,143 @@ class _Plan:
     The first stage, ``fill[0]`` and ``stage1``, reads the input rows
     ``y4`` alone; ``expand`` names the rows of its results that the second
     stage, ``fill[1]`` and ``steps``, or the outputs read, as (source rows,
-    first and end row of the copies).
+    first and end row of the copies).  ``reads`` gives the groups of
+    outputs that read each step of the two stages, as bits
+    (``_Trace.compile``), and ``out_reads`` those of each output; ``alone``
+    maps a group's bit to the plan of its outputs alone and their indices.
+    A y4 memo column holds the ``expand`` source rows at its rows ``pick``,
+    of ``memo_rows``, the layout of the plan that ``alone`` belongs to.
 
     ``run`` takes the input IntervalArrays, all of one length, and returns
     one new IntervalArray per output.  It processes the columns in blocks
     of 2 * ``_PASS_ROWS``, the boxes of two full bisection passes, so the
-    register file stays small whatever the number of columns.  In each
-    block it takes the ``expand`` rows of every distinct column of the
-    ``y4`` rows from a ``_Y4Memo``, which runs the first stage on the
-    columns it lacks, copies them out to every column, and runs the second
-    stage on every column.  Without a memo each block gets a new one, which
-    runs the first stage once on the block's distinct y4 columns and, where
-    the block is not element-bound, their y4 halves.  Each element is
-    computed by the same kernel from the same operand bits as without a
-    first stage.  A plan without ``y4`` rows has no first stage."""
+    register file stays small whatever the number of columns.  ``need``
+    gives the groups that read each column, as bits (by default all).  A
+    block whose columns read one group alone runs that group's plan where
+    ``alone`` has one; any other block takes its columns in the copy-in in
+    ``_GROUP_ORDER``, so that each step runs on the contiguous columns of
+    its groups (``_spans``), and not at all where there are none.  An
+    output is NaN on a column whose groups do not read it.  In each block
+    it takes the ``expand`` rows of every distinct column of the ``y4``
+    rows, for the groups that read it, from a ``_Y4Memo``, which runs the
+    first stage on the columns it lacks, copies them out to every column,
+    and runs the second stage.  Without a memo the first stage runs on the
+    block's distinct y4 columns alone.  Each element is computed by the
+    same kernel from the same operand bits as without a first stage or
+    groups.  A plan without ``y4`` rows has no first stage."""
 
-    __slots__ = ("size", "const_rows", "consts", "y4", "fill", "stage1", "steps", "expand", "out")
+    __slots__ = ("size", "const_rows", "consts", "y4", "fill", "stage1", "steps", "expand", "out",
+                 "reads", "out_reads", "alone", "pick", "memo_rows")
 
-    def __init__(self, size, const_rows, consts, y4, fill, stage1, steps, expand, out):
+    def __init__(self, size, const_rows, consts, y4, fill, stage1, steps, expand, out, reads,
+                 out_reads, pick, memo_rows):
         self.size, self.const_rows, self.consts, self.fill = size, const_rows, consts, fill
         self.y4, self.stage1, self.steps, self.expand, self.out = y4, stage1, steps, expand, out
+        self.reads, self.out_reads, self.pick, self.memo_rows = reads, out_reads, pick, memo_rows
+        self.alone = {}
 
-    def run(self, *inputs: IntervalArray, memo: "_Y4Memo | None" = None) -> list:
+    def run(self, *inputs: IntervalArray, memo: "_Y4Memo | None" = None, need=None) -> list:
         n = inputs[0].lo.shape[0]
         width = min(n, 2 * _PASS_ROWS) or 1
-        lo, hi = np.empty((self.size, width)), np.empty((self.size, width))
+        size = max([self.size] + [plan.size for plan, _ in self.alone.values()])
+        lo, hi = np.empty((size, width)), np.empty((size, width))
         out = [(np.empty(n), np.empty(n)) for _ in self.out]
-        y4, (_, start, stop) = self.y4, self.expand
+        if need is None:
+            need = np.full(n, _bits(self.out_reads))
         with np.errstate(all="ignore"):
             for c0 in range(0, n, width):
-                cols = slice(c0, c0 + width)
                 m = min(width, n - c0)
+                cols, bits = slice(c0, c0 + m), need[c0:c0 + m]
+                kind = int(bits[0]) if bits.min() == bits.max() else 0  # 0: mixed
+                plan, outputs = self.alone.get(kind, (self, range(len(self.out))))
+                if not kind:
+                    order = _grouped(bits)
+                    cols, bits = c0 + order, bits[order]
                 for i, x in enumerate(inputs):
                     lo[i, :m] = x.lo[cols]
                     hi[i, :m] = x.hi[cols]
-                lo[self.const_rows, :m] = hi[self.const_rows, :m] = self.consts[:, None]
-                if y4:
-                    rows_lo, rows_hi, at = (_Y4Memo() if memo is None else memo).look_up(
-                        self, lo, hi, m)
-                    lo[start:stop, :m] = rows_lo[:, at]
-                    hi[start:stop, :m] = rows_hi[:, at]
-                _run_steps(self.fill[1] + self.steps, lo[:, :m], hi[:, :m])
-                for (out_lo, out_hi), r in zip(out, self.out):
-                    out_lo[cols] = lo[r, :m]
-                    out_hi[cols] = hi[r, :m]
+                spans = _spans(bits)
+                plan._block(lo, hi, bits, spans, memo)
+                made = dict(zip(outputs, zip(plan.out, plan.out_reads)))
+                for i, (out_lo, out_hi) in enumerate(out):
+                    r, b = made.get(i, (None, 0))
+                    s = spans[b]
+                    if s.start == s.stop:
+                        out_lo[cols] = out_hi[cols] = math.nan
+                        continue
+                    out_lo[cols], out_hi[cols] = lo[r, :m], hi[r, :m]
+                    if s.stop - s.start < m:  # a mixed block, whose cols is an index array
+                        gaps = np.concatenate((cols[:s.start], cols[s.stop:]))
+                        out_lo[gaps] = out_hi[gaps] = math.nan
         if memo is not None:
             memo.prune()
         return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
 
-    def _stage_one(self, y_lo, y_hi, lo, hi) -> tuple:
+    def _block(self, lo, hi, bits, spans, memo) -> None:
+        """Run the plan on a block of columns, the first ones of a register
+        file (lo, hi), whose input rows hold them; the groups ``bits`` read
+        them, in ``_GROUP_ORDER`` (``spans``)."""
+        m = len(bits)
+        lo[self.const_rows, :m] = hi[self.const_rows, :m] = self.consts[:, None]
+        if self.y4:
+            rows_lo, rows_hi, at = self._y4_rows(lo, hi, bits, memo)
+            _, start, stop = self.expand
+            lo[start:stop, :m] = rows_lo[self.pick][:, at]
+            hi[start:stop, :m] = rows_hi[self.pick][:, at]
+        _run_steps(self.fill[1] + self.steps, _files(self.reads[1], lo[:, :m], hi[:, :m], spans))
+
+    def _y4_rows(self, lo, hi, bits, memo) -> tuple:
+        """The rows (lo, hi) of y4 memo columns that hold the first stage's
+        results for a block, the first columns of a register file (lo, hi),
+        which the groups ``bits`` read, and the column of them that each
+        block column reads.  Without a memo the first stage runs on the
+        block's distinct y4 columns alone.  It runs in the file, whose width
+        holds the y4 halves of a block that is not element-bound."""
+        y_lo, y_hi = lo[self.y4, :len(bits)], hi[self.y4, :len(bits)]
+        key = _column_bits(y_lo, y_hi)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        if bits[0] == bits[-1]:  # one kind of column
+            want = np.full(first.size, bits[0])
+        else:
+            want = np.zeros(first.size, dtype=bits.dtype)
+            for b in (1, 2):
+                want[inverse[bits & b > 0]] |= b
+        y_lo, y_hi = y_lo[:, first], y_hi[:, first]
+        if memo is None:
+            return (*self._stage_one(y_lo, y_hi, want, lo, hi), inverse)
+        rows_lo, rows_hi, at = memo.look_up(self, y_lo, y_hi, key[first].tolist(), want.tolist(),
+                                            lo, hi)
+        return rows_lo, rows_hi, at[inverse]
+
+    def _stage_one(self, y_lo, y_hi, want, lo, hi) -> tuple:
         """Run the first stage on the columns of the ``y4`` rows (y_lo,
-        y_hi) and return their ``expand`` source rows.  It runs in
-        the first columns of a block's register file (lo, hi), as the
-        block's rows stay valid: the first stage writes only rows that the
-        second reads after the expand or a step of its own wrote them, and
-        the number rows get the same values.  Where the columns do not
-        fit, it runs in a file of their own."""
+        y_hi), each for the groups ``want``, and return their ``expand``
+        source rows as y4 memo columns (``pick``; the other rows NaN).  It
+        runs in the first columns of a block's register file (lo, hi), in
+        ``_GROUP_ORDER``, as the block's rows stay valid: the first stage
+        writes only rows that the second reads after the expand or a step
+        of its own wrote them, and the number rows get the same values.
+        Where the columns do not fit, it runs in a file of their own."""
         k = y_lo.shape[1]
         if k > lo.shape[1]:
             lo, hi = np.empty((self.size, k)), np.empty((self.size, k))
         lo, hi = lo[:, :k], hi[:, :k]
+        back = slice(None)  # the columns of the results in the order of y_lo
+        if want.min() != want.max():
+            order = _grouped(want)
+            back = np.empty_like(order)
+            back[order] = np.arange(k)
+            y_lo, y_hi, want = y_lo[:, order], y_hi[:, order], want[order]
         lo[self.y4], hi[self.y4] = y_lo, y_hi
         lo[self.const_rows] = hi[self.const_rows] = self.consts[:, None]
-        _run_steps(self.fill[0] + self.stage1, lo, hi)
+        _run_steps(self.fill[0] + self.stage1, _files(self.reads[0], lo, hi, _spans(want)))
         src = self.expand[0]
-        return lo[src], hi[src]
+        if isinstance(self.pick, slice):  # a memo column holds exactly these rows
+            return lo[src][:, back], hi[src][:, back]
+        rows_lo, rows_hi = (np.full((self.memo_rows, k), math.nan) for _ in range(2))
+        rows_lo[self.pick], rows_hi[self.pick] = lo[src][:, back], hi[src][:, back]
+        return rows_lo, rows_hi
 
 
 def _column_bits(lo, hi) -> np.ndarray:
@@ -989,62 +1172,79 @@ def _column_bits(lo, hi) -> np.ndarray:
 class _Y4Memo:
     """The ``expand`` source rows of a plan's first stage, one column per
     y4 column, keyed by the bits of the column's ``y4`` rows, so that -0.0
-    and 0.0 stay apart; it outlives a ``_Plan.run``.
+    and 0.0 stay apart, with the groups of outputs it was computed for; it
+    outlives a ``_Plan.run``.  The plans of one traced formula, the whole
+    plan and the plans of its groups alone (``_Plan.alone``), share its
+    columns, at their rows ``pick``, and it serves a column only to a
+    column whose groups it was computed for.
 
     A certificate's box evaluator keeps one for its whole bisection
     (``certify._certify``).  A pass's boxes keep their parent's y4 or take
     one half of it, as ``split_bounds`` makes them, so a block of a run
     that lacks a column runs the first stage once, on the columns it lacks
     together with the y4 halves of all its columns that the memo does not
-    hold, and a pass whose columns the memo holds runs none.  A block of
-    more than 2 * ``_PASS_ROWS`` / 3 distinct columns is element-bound, as
-    its halves would not fit a block: it takes no halves, and the memo
-    drops what it holds first, so that a wide run holds about one block's
-    rows.  At the end of a run the memo keeps the run's columns and their
-    halves, at most three times the run's distinct columns.  A column is
-    found by its bits alone, so the halves cannot change a bit, only save
-    stage-1 runs.  ``runs`` and ``columns`` count the stage-1 runs and the
-    columns they computed."""
+    hold, for the groups of their parents, and a pass whose columns the
+    memo holds runs none.  A block of more than 2 * ``_PASS_ROWS`` / 3
+    distinct columns is element-bound, as its halves would not fit a
+    block: it takes no halves, and the memo drops what it holds first, so
+    that a wide run holds about one block's rows.  At the end of a run the
+    memo keeps the run's columns and their halves, at most three times the
+    run's distinct columns.  A column is found by its bits alone, so the
+    halves cannot change a bit, only save stage-1 runs.  ``runs`` and
+    ``columns`` count the stage-1 runs and the columns they computed."""
 
-    __slots__ = ("keys", "lo", "hi", "live", "runs", "columns")
+    __slots__ = ("keys", "groups", "lo", "hi", "live", "runs", "columns")
 
     def __init__(self):
         self.keys = {}            # the bits of a y4 column -> its column of lo and hi
+        self.groups = {}          # the bits of a y4 column -> the groups it was computed for
         self.lo = self.hi = None  # the expand source rows by column
         self.live = set()         # the keys of this run's columns and their halves
         self.runs = self.columns = 0
 
-    def look_up(self, plan: _Plan, lo, hi, m: int) -> tuple:
-        """The ``expand`` source rows of the first m columns of a block's
-        register file (lo, hi), whose input and number rows are filled,
-        after running the first stage on the y4 columns the memo lacks, as
-        (lo, hi, the column of lo and hi that each column reads)."""
-        y_lo, y_hi = lo[plan.y4, :m], hi[plan.y4, :m]
-        key = _column_bits(y_lo, y_hi)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        y_lo, y_hi, keys = y_lo[:, first], y_hi[:, first], key[first].tolist()
+    def look_up(self, plan: _Plan, y_lo, y_hi, keys: list, want, lo, hi) -> tuple:
+        """The memo's rows (lo, hi) and the column of them that holds each
+        distinct y4 column (y_lo, y_hi) of a block, whose bits are ``keys``,
+        for the groups ``want``, after running the first stage of ``plan``
+        in the block's register file (lo, hi) on the columns it lacks for
+        their groups."""
         u = len(keys)
         if 3 * u <= 2 * _PASS_ROWS:
             (l_lo, l_hi, *_), (u_lo, u_hi, *_) = split_bounds(y_lo, y_hi, 0.0, 0.0, 0)
             y_lo, y_hi = np.hstack((y_lo, l_lo, u_lo)), np.hstack((y_hi, l_hi, u_hi))
-            keys += _column_bits(y_lo[:, u:], y_hi[:, u:]).tolist()
+            keys = keys + _column_bits(y_lo[:, u:], y_hi[:, u:]).tolist()
+            want = want * 3
         else:
-            self.keys, self.lo, self.hi = {}, None, None
+            self.keys, self.groups, self.lo, self.hi = {}, {}, None, None
         self.live.update(keys)
-        if any(k not in self.keys for k in keys[:u]):
-            todo = {}
-            for j, k in enumerate(keys):
-                if k not in self.keys:
+        held = self.groups
+        if any(w & ~held.get(k, 0) for k, w in zip(keys[:u], want)):
+            todo = {}  # each key to compute -> a column of it
+            for j, (k, w) in enumerate(zip(keys, want)):
+                if w & ~held.get(k, 0):
                     todo.setdefault(k, j)
+            wants = dict.fromkeys(todo, 0)  # computed for the groups of all its columns
+            for k, w in zip(keys, want):
+                if k in wants:
+                    wants[k] |= w
             pick = list(todo.values())
-            new_lo, new_hi = plan._stage_one(y_lo[:, pick], y_hi[:, pick], lo, hi)
-            held = 0 if self.lo is None else self.lo.shape[1]
-            self.keys.update(zip(todo, range(held, held + len(pick))))
+            want = np.array(list(wants.values()))
+            # the columns of one kind run on that kind's own plan, where it
+            # has one, in a file of its own: the block's file holds rows of
+            # ``plan``
+            kind = int(want[0]) if want.min() == want.max() else 0
+            runner = plan.alone.get(kind, (plan,))[0]
+            new_lo, new_hi = runner._stage_one(y_lo[:, pick], y_hi[:, pick], want,
+                                               *((lo, hi) if runner is plan else
+                                                 (lo[:, :0], hi[:, :0])))
+            start = 0 if self.lo is None else self.lo.shape[1]
+            self.keys.update((k, start + i) for i, k in enumerate(todo))
+            self.groups.update(wants)
             self.lo = new_lo if self.lo is None else np.hstack((self.lo, new_lo))
             self.hi = new_hi if self.hi is None else np.hstack((self.hi, new_hi))
             self.runs += 1
             self.columns += len(pick)
-        return self.lo, self.hi, np.array([self.keys[k] for k in keys[:u]])[inverse]
+        return self.lo, self.hi, np.array([self.keys[k] for k in keys[:u]])
 
     def prune(self) -> None:
         """Keep only the columns of the run that ends and their halves."""
@@ -1053,6 +1253,7 @@ class _Y4Memo:
             pick = [self.keys[k] for k in keep]
             self.lo, self.hi = self.lo[:, pick], self.hi[:, pick]
             self.keys = dict(zip(keep, range(len(keep))))
+            self.groups = {k: self.groups[k] for k in keep}
         self.live = set()
 
 
@@ -1206,9 +1407,10 @@ class CertLeaf:
 @dataclass(frozen=True)
 class _BoxEval:
     """Enclosures of F and dF over a batch of boxes, with per-quantity split
-    hints (0 splits y4, 1 splits A).  NaN bounds in either enclosure are the
-    one mark of a box that cannot be evaluated; ``_bisect`` reads no verdict
-    or hint there."""
+    hints (0 splits y4, 1 splits A).  NaN bounds in an enclosure that a
+    box's decider reads are the one mark of a box that cannot be
+    evaluated; ``_bisect`` reads no verdict or hint there.  A box's other
+    enclosure may be NaN because it was not computed."""
 
     f: IntervalArray
     df: IntervalArray
@@ -1307,13 +1509,17 @@ def _bisect(zones, evaluate, max_depth: int) -> tuple:
     (ylo, yhi, alo, ahi) bounds of its seed boxes.  All boxes share one
     frontier, tagged by zone index.  Each pass evaluates the frontier
     together with whole levels of its candidate children (``_look_ahead``)
-    by one ``evaluate`` call on the bound arrays, which returns a
-    ``_BoxEval``.  Each decider then runs once on that evaluation and maps
-    it to arrays of verdict codes (indices into ``_VERDICTS``), split
-    coordinates and a mask of the boxes whose enclosure straddles zero; it
-    is read for the rows of its own zone.  A box whose F or dF enclosure
-    has NaN bounds cannot be evaluated: it gets no verdict, whatever its
-    decider says.  The pass then resolves one depth after another.  A box
+    by one ``evaluate`` call on the bound arrays and ``need``, which
+    returns a ``_BoxEval``.  ``need`` gives, for each row, the quantities
+    that its zone's decider reads, as bits: F 1 and dF 2, their verdict
+    codes, from the decider's ``reads`` (both where it has none).  The
+    evaluator may leave a quantity that a row does not need NaN.  Each
+    decider then runs once on that evaluation and maps it to arrays of
+    verdict codes (indices into ``_VERDICTS``), split coordinates and a
+    mask of the boxes whose enclosure straddles zero; it is read for the
+    rows of its own zone.  A box whose enclosure of a quantity its decider
+    reads has NaN bounds cannot be evaluated: it gets no verdict, whatever
+    its decider says.  The pass then resolves one depth after another.  A box
     with a verdict becomes a leaf carrying it; any other box is split along
     the coordinate, or along y4 when it cannot be evaluated, and is kept as
     undecided once it sits at ``max_depth`` or cannot be shrunk by a split
@@ -1332,21 +1538,25 @@ def _bisect(zones, evaluate, max_depth: int) -> tuple:
     by_verdict = dict.fromkeys(_VERDICTS, 0)
     zone = np.array([z for z, (_, seeds) in enumerate(zones) for _ in seeds], dtype=int)
     bounds = np.array([s for _, seeds in zones for s in seeds], dtype=float).reshape(-1, 4).T
+    reads = np.array([getattr(decide, "reads", 3) for decide, _ in zones], dtype=int)
     domain = straddle = depth = passes = evaluated = budget = 0
     while zone.size:
         batch, starts, ways = _look_ahead(bounds, max_depth - depth)
-        ev = evaluate(*batch)
-        passes += 1
-        evaluated += batch.shape[1]
         # row p * ways**l + j of level l descends from frontier box p
         tags = np.concatenate([np.repeat(zone, ways ** l) for l in range(len(starts))])
+        need = reads[tags]
+        ev = evaluate(*batch, need=need)
+        passes += 1
+        evaluated += batch.shape[1]
         verdict, coord = np.zeros(tags.size, dtype=int), np.zeros(tags.size, dtype=int)
-        straddles = np.zeros(tags.size, dtype=bool)
+        straddles, ok = np.zeros(tags.size, dtype=bool), np.zeros(tags.size, dtype=bool)
+        # a box is evaluable where each quantity its zone reads has bounds
+        valid = {1: ev.f.valid, 2: ev.df.valid}
+        valid[3] = valid[1] & valid[2]
         for z, (decide, _) in enumerate(zones):
             mine = tags == z
-            for out, mask in zip((verdict, coord, straddles), decide(ev)):
+            for out, mask in zip((verdict, coord, straddles, ok), (*decide(ev), valid[reads[z]])):
                 np.copyto(out, mask, where=mine)
-        ok = ev.f.valid & ev.df.valid
         verdict[~ok] = coord[~ok] = 0
         rows = np.arange(zone.size)  # the batch rows of this depth's boxes
         for level, start in enumerate(starts):

@@ -48,7 +48,7 @@ from .equations import (
     mass_kernel,
 )
 from .intervals import (Interval, IntervalArray, IntervalDomainError, Jet2, _BoxEval,
-                        _bisect, _no_common_zero_decider, _trace)
+                        _bisect, _no_common_zero_decider, _to_nearest, _trace)
 
 log = logging.getLogger(__name__)
 
@@ -280,6 +280,7 @@ def _make_record(enclosure: tuple, branch: str, a_exp: float, simple: bool,
         sign_change_certified=certified, resolved=resolved)
 
 
+@_to_nearest
 def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) -> list:
     """Disjoint sign-change enclosures of the zeros of F inside a window.
 
@@ -416,7 +417,7 @@ def _natural_plan(branch: str, a_exp: float):
     return _trace(value_and_slope, 1)
 
 
-def _natural_eval(ylo, yhi, alo, ahi, branch: str, a_exp: float) -> _BoxEval:
+def _natural_eval(ylo, yhi, alo, ahi, branch: str, a_exp: float, need=None) -> _BoxEval:
     """The natural form of F and dF/dy4 over y4 intervals at one exponent.
 
     The exponent columns of the boxes are ignored: ``a_exp`` enters as a
@@ -426,7 +427,9 @@ def _natural_eval(ylo, yhi, alo, ahi, branch: str, a_exp: float) -> _BoxEval:
     of the branch radicand through log and exp, so a box whose radicand
     enclosure reaches zero, at or past the end of the domain, has NaN
     enclosures; bisection splits it like any open box.  Every split hint
-    is y4, the default.
+    is y4, the default.  Both quantities are computed on every box: the
+    guard's decider reads both, so ``need`` (``intervals._bisect``) is
+    ignored.
     """
     return _BoxEval(*_natural_plan(branch, float(a_exp)).run(IntervalArray(ylo, yhi)))
 
@@ -471,6 +474,7 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     return c1, c2, lo_sign, unsigned
 
 
+@_to_nearest
 def scan_branch(branch: str, a_exp: float, tol: float = 1e-12) -> list:
     """Roots of F over the allowed sign-type windows of a branch, each
     inset by ``_SCAN_INSET``; ``isolate_roots`` checks ``a_exp`` and
@@ -566,6 +570,7 @@ def _pentagon_h(a):
     return 2.0 * ((a * _LOG_PHI).exp() - 1.0) - a * _SQRT5
 
 
+@_to_nearest
 def bifurcation_scan(a_range: tuple, tol: float = 1e-6) -> tuple:
     """Certified enclosure of the exponent A_c where the convex-window root
     count jumps 1 -> 3.

@@ -389,6 +389,100 @@ def test_acceptance_certificates_on_the_step_path(build, leaves, box_evals, max_
     assert _stage1_stats(cert.stats) == stage1
 
 
+@pytest.mark.parametrize("build, leaves, box_evals, max_depth, passes, stage1, digest", _PINS,
+                         ids=list(_ACCEPTANCE))
+def test_acceptance_certificates_in_small_blocks(build, leaves, box_evals, max_depth, passes,
+                                                 stage1, digest, monkeypatch):
+    # with passes of 3 rows, run in blocks of 6 columns, most blocks mix
+    # the columns of several zones, and the certificates keep their leaves
+    # and their bisection tree
+    monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
+    cert = build()
+    assert (len(cert.leaves), _leaf_sha256(cert)) == (leaves, digest)
+    assert (cert.stats["box_evals"], cert.stats["max_depth"]) == (box_evals, max_depth)
+
+
+def _recorded_blocks(monkeypatch) -> list:
+    """Each block of columns that a plan runs from now on, its first stage
+    apart, as [the plan, the stage (1 or 2), the groups of its columns (bits,
+    in the order the plan takes them), and for each step the groups that
+    read it, whether it is a stacked call (not a fill step) and the columns
+    its kernel received]."""
+    blocks, stack = [], []
+    block, stage_one, run_steps = (intervals._Plan._block, intervals._Plan._stage_one,
+                                   intervals._run_steps)
+
+    def recording_block(plan, lo, hi, bits, spans, memo):
+        stack.append([plan, 2, bits.tolist(), []])
+        try:
+            return block(plan, lo, hi, bits, spans, memo)
+        finally:
+            blocks.append(stack.pop())
+
+    def recording_stage_one(plan, y_lo, y_hi, want, lo, hi):
+        stack.append([plan, 1, sorted(want.tolist(), key=intervals._GROUP_ORDER.index), []])
+        try:
+            return stage_one(plan, y_lo, y_hi, want, lo, hi)
+        finally:
+            blocks.append(stack.pop())
+
+    def recording_run_steps(steps, files):
+        plan, stage, _, seen = stack[-1]
+        for step, reads, file in zip(steps, plan.reads[stage - 1], files):
+            seen.append((reads, step[0] is not IntervalArray._mid,
+                         0 if file is None else file[0].shape[1]))
+        return run_steps(steps, files)
+    monkeypatch.setattr(intervals._Plan, "_block", recording_block)
+    monkeypatch.setattr(intervals._Plan, "_stage_one", recording_stage_one)
+    monkeypatch.setattr(intervals, "_run_steps", recording_run_steps)
+    return blocks
+
+
+# the stacked calls of the certifier's plan, stage 1 + stage 2, on each
+# branch, and those of the plan of F's outputs alone
+_CALLS = {"A": (47, 23), "B": (53, 23)}
+_F_CALLS = {"A": (33, 16), "B": (40, 16)}
+
+
+@pytest.mark.parametrize("name", list(_ACCEPTANCE))
+def test_each_column_runs_only_the_calls_its_quantities_read(name, monkeypatch):
+    # a kernel receives the columns whose groups read its step and no
+    # other, and the plan takes a block's columns F-zone first, so a step
+    # that dF alone reads never runs on an F-zone column; a block of F-zone
+    # columns alone runs the plan of F's outputs alone, and no block makes
+    # more stacked calls than the whole plan
+    import pentacc.certify as certify
+    blocks = _recorded_blocks(monkeypatch)
+    assert _ACCEPTANCE[name]().certified
+    branch = "B" if name == "B2" else "A"
+    plan = certify._f_plan(branch)
+    f_alone, group = plan.alone[1]
+    assert (len(plan.stage1), len(plan.steps)) == _CALLS[branch]
+    assert (len(f_alone.stage1), len(f_alone.steps)) == _F_CALLS[branch]
+    assert group == [0, 2, 3, 4] and set(plan.alone) == {1}
+    kinds = []
+    for mine, stage, bits, seen in blocks:
+        assert bits == sorted(bits, key=intervals._GROUP_ORDER.index)
+        counts = {b: bits.count(b) for b in (1, 2, 3)}
+        read = {1: counts[1] + counts[3], 2: counts[2] + counts[3], 3: len(bits)}
+        assert [cols for *_, cols in seen] == [read[reads] for reads, *_ in seen]
+        pure_f = set(bits) == {1}
+        assert mine is (f_alone if pure_f else plan)
+        calls = sum(1 for _, stacked, cols in seen if stacked and cols)
+        assert calls <= (_F_CALLS if pure_f else _CALLS)[branch][stage - 1]
+        if stage == 2:
+            kinds.append(tuple(sorted(set(bits))))
+    # F-zone and dF-zone boxes of a unique-root certificate never share a
+    # y4 column; every no-common-zero box reads both.  19 of B2's 27 blocks
+    # hold F-zone boxes alone
+    if name == "A4-no-common-zero":
+        assert set(kinds) == {(3,)}
+    else:
+        assert set(kinds) == {(1,), (1, 2)}
+    if name == "B2":
+        assert kinds.count((1,)) == 19 and len(kinds) == 27
+
+
 def test_stats_record_where_the_leaves_lie():
     cert = certify_unique_root(window_for("B", "B2", inset=1e-6), (2.0, 6.0), "B",
                                max_depth=80)
@@ -415,21 +509,26 @@ def test_stats_record_where_the_leaves_lie():
 def _bisect_by_depth(zones, evaluate, max_depth: int) -> tuple:
     """The reference for ``intervals._bisect``: the same bisection, with one
     ``evaluate`` call and one call of each decider per depth, on that
-    depth's frontier alone.  Its stats count one pass per depth."""
+    depth's frontier alone.  Each box needs the quantities its decider
+    reads (F 1, dF 2; both where it names none), and is evaluable where
+    those have bounds.  Its stats count one pass per depth."""
     leaves, undecided, evals, leaf_depths = [], [], [], []
     by_verdict = dict.fromkeys(_VERDICTS, 0)
     zone = np.array([z for z, (_, seeds) in enumerate(zones) for _ in seeds], dtype=int)
     bounds = np.array([s for _, seeds in zones for s in seeds], dtype=float).reshape(-1, 4).T
+    reads = [getattr(decide, "reads", 3) for decide, _ in zones]
     domain = straddle = depth = 0
     while zone.size:
-        ev = evaluate(*bounds)
+        need = np.array([reads[z] for z in zone.tolist()], dtype=int)
+        ev = evaluate(*bounds, need=need)
         verdict, coord = np.zeros(zone.size, dtype=int), np.zeros(zone.size, dtype=int)
         straddles = np.zeros(zone.size, dtype=bool)
         for z, (decide, _) in enumerate(zones):
             mine = zone == z
             for out, mask in zip((verdict, coord, straddles), decide(ev)):
                 np.copyto(out, mask, where=mine)
-        ok = ev.f.valid & ev.df.valid
+        ok = np.where(need == 1, ev.f.valid,
+                      np.where(need == 2, ev.df.valid, ev.f.valid & ev.df.valid))
         verdict[~ok] = coord[~ok] = 0
         evals.append(int(zone.size))
         rows = bounds.T.tolist()
@@ -478,9 +577,10 @@ def checked_bisect(monkeypatch):
     monkeypatch.setattr(intervals, "_look_ahead", recording)
 
     def counted(calls: list, tag, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(tag)
-            return fn(*args)
+            return fn(*args, **kwargs)
+        wrapped.reads = getattr(fn, "reads", 3)
         return wrapped
 
     def run(zones, evaluate, max_depth: int) -> tuple:
@@ -504,13 +604,13 @@ def checked_bisect(monkeypatch):
     return run
 
 
-def _never_decided(ylo, yhi, alo, ahi) -> _BoxEval:
+def _never_decided(ylo, yhi, alo, ahi, need=None) -> _BoxEval:
     """A box evaluator whose F and dF enclosures always straddle zero."""
     both = IntervalArray(np.full(ylo.size, -1.0), np.full(ylo.size, 1.0))
     return _BoxEval(both, both)
 
 
-def _never_ok(ylo, yhi, alo, ahi) -> _BoxEval:
+def _never_ok(ylo, yhi, alo, ahi, need=None) -> _BoxEval:
     """A box evaluator that encloses nothing: every enclosure is NaN."""
     nan = IntervalArray(np.full(ylo.size, np.nan), np.full(ylo.size, np.nan))
     return _BoxEval(nan, nan)
@@ -969,19 +1069,18 @@ def _y4_blocks(ylo, yhi, width: int) -> list:
 
 def _stage1_columns_without_memo(ylo, yhi) -> list:
     """The columns of each block of a run without a memo on which stage 1
-    runs: the block's distinct y4 columns, with their y4 halves where the
-    block is not element-bound (``intervals._Y4Memo``)."""
-    block = 2 * intervals._PASS_ROWS
-    return [len(keys | _halves(keys)) if 3 * len(keys) <= block else len(keys)
-            for keys in _y4_blocks(ylo, yhi, block)]
+    runs: the block's distinct y4 columns alone, never their y4 halves,
+    which no later run reads."""
+    return _distinct_y4(ylo, yhi, 2 * intervals._PASS_ROWS)
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
 def test_staged_plan_keeps_every_bit(branch, monkeypatch):
-    # stage 1 of the certifier's plan runs once per distinct y4 column of a
-    # block, and its y4 halves where the block is not element-bound; on
-    # batches that repeat y4 it gives the bits of the same jets traced
-    # without y4 rows, which run every call on every column
+    # without a memo, stage 1 of the certifier's plan runs once per
+    # distinct y4 column of a block, and never on their y4 halves, which
+    # no later run reads; on batches that repeat y4 it gives the bits of
+    # the same jets traced without y4 rows, which run every call on every
+    # column
     import pentacc.certify as certify
     staged = certify._f_plan(branch)
     flat = _trace(partial(certify._f_jets, branch=branch), 2)
@@ -1007,6 +1106,10 @@ def test_staged_plan_keeps_every_bit(branch, monkeypatch):
     siblings = np.stack([np.stack(h) for h in halves], axis=2).reshape(4, -1)
     check(*siblings)
     assert _distinct_y4(*siblings[:2], 200)[0] < 150
+    # 10 boxes, one without A-width split along y4: 11 y4 columns, whose
+    # halves would fit the block, make 11 stage-1 columns, not 33
+    check(*siblings[:, :20])
+    assert _stage1_columns_without_memo(*siblings[:2, :20]) == [11]
     # one y4 interval in two column blocks: blocks of 6 columns, 5 y4 intervals
     monkeypatch.setattr(intervals, "_PASS_ROWS", 3)
     pick = np.arange(40) % 5
@@ -1031,11 +1134,11 @@ def _recorded_passes(monkeypatch) -> list:
     memo)."""
     runs, run, stage_one = [], intervals._Plan.run, intervals._Plan._stage_one
 
-    def recording_run(plan, *inputs, memo=None):
+    def recording_run(plan, *inputs, memo=None, need=None):
         y4 = [inputs[i] for i in plan.y4]
         read = set(_y4_keys([y.lo for y in y4], [y.hi for y in y4]))
         runs.append((inputs[0].lo.size, read, [], memo))
-        return run(plan, *inputs, memo=memo)
+        return run(plan, *inputs, memo=memo, need=need)
 
     def recording_stage_one(plan, y_lo, y_hi, *registers):
         runs[-1][2].append(_y4_keys(y_lo, y_hi))
@@ -1080,9 +1183,10 @@ def test_stage_one_computes_each_y4_column_once(name, monkeypatch):
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))
 def test_y4_memo_keeps_every_bit(name, path, monkeypatch):
     # the certificate with the memo against the one that _bisect gives on
-    # a stateless _mv_eval, run once per pass: the same leaves, undecided
-    # boxes and stats, but for the memo's own counts; blocks of 6 columns
-    # make most blocks element-bound, which keep one block's columns only
+    # a stateless _mv_eval, run once per pass, that computes both
+    # quantities on every box: the same leaves, undecided boxes and stats,
+    # but for the memo's own counts; blocks of 6 columns make most blocks
+    # element-bound, which keep one block's columns only
     if path == "step":
         monkeypatch.setattr(intervals, "_FENV", False)
     if path == "small blocks":
@@ -1090,13 +1194,57 @@ def test_y4_memo_keeps_every_bit(name, path, monkeypatch):
     cert = _ACCEPTANCE[name]()
     run = intervals._Plan.run
     monkeypatch.setattr(intervals._Plan, "run",
-                        lambda plan, *inputs, memo=None: run(plan, *inputs))
+                        lambda plan, *inputs, memo=None, need=None: run(plan, *inputs))
     ref = _ACCEPTANCE[name]()
     got, want = dataclasses.asdict(cert), dataclasses.asdict(ref)
     for key in ("stage1_runs", "stage1_columns"):
         assert got["stats"].pop(key) > 0 and want["stats"].pop(key) == 0
     assert got == want and got["leaves"]
     assert cert.stats["rounding"] == ("step" if path == "step" else intervals._rounding())
+
+
+@pytest.mark.parametrize("branch", ["A", "B"])
+def test_y4_memo_serves_a_column_only_to_the_groups_it_was_computed_for(branch):
+    # a y4 column computed for F's outputs alone lacks the rows that dF/dy4
+    # reads: a later box that needs dF/dy4 there runs stage 1 again, for
+    # every group its box reads, and each box gets the bits of a run without
+    # a memo, which computes both quantities; a column computed for both
+    # serves either
+    import pentacc.certify as certify
+    plan = certify._f_plan(branch)
+    boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(39), branch, 40)]).T
+    y, a = IntervalArray(*boxes[:2]), IntervalArray(*boxes[2:])
+    want = plan.run(y, a)
+    memo = intervals._Y4Memo()
+    # F's outputs, dF/dy4's, and dy, which both read
+    assert plan.out_reads == [1, 2, 1, 3, 1, 2, 2]
+
+    def check(need) -> None:
+        got = plan.run(y, a, memo=memo, need=need)
+        for g, w, groups in zip(got, want, plan.out_reads):
+            read = need & groups > 0
+            for x, z in ((g.lo, w.lo), (g.hi, w.hi)):
+                np.testing.assert_array_equal(x[read].view(np.int64), z[read].view(np.int64))
+            assert np.isnan(g.lo[~read]).all()
+    ones = np.ones(40, dtype=int)
+    check(ones)
+    assert memo.runs == 1 and set(memo.groups.values()) == {1}
+    check(2 * ones)
+    assert memo.runs == 2 and set(memo.groups.values()) == {2}
+    # half the boxes need F, half dF/dy4, and one y4 column serves both
+    mixed = np.where(np.arange(40) % 2 == 0, 1, 2)
+    y, a = IntervalArray(*boxes[:2, [0] * 40]), IntervalArray(*boxes[2:])
+    want = plan.run(y, a)
+    check(mixed)
+    assert memo.runs == 3 and memo.groups[_column_bits_of(y)] == 3
+    check(ones)
+    check(2 * ones)
+    assert memo.runs == 3
+
+
+def _column_bits_of(y: IntervalArray) -> bytes:
+    """The memo key of the first column of the y4 row ``y``."""
+    return intervals._column_bits(y.lo[None, :1], y.hi[None, :1]).tolist()[0]
 
 
 def test_box_evaluation_memory_is_bounded():

@@ -1,6 +1,7 @@
 """Interval arithmetic and second-order jets."""
 
 import decimal
+import json
 import math
 import operator
 import os
@@ -499,6 +500,34 @@ def test_only_plans_compute_interval_arrays(caller):
     finally:
         set_(nearest)
     assert seen == mode
+
+
+def test_results_do_not_depend_on_the_callers_rounding_mode():
+    # the public certificates and scans run their float code outside plans
+    # (box splits, float grids, scalar Newton steps) under round to
+    # nearest: under a caller in FE_DOWNWARD the A2 certificate, the scan
+    # of branch B at A = 3 and the A_c enclosure are byte-identical to
+    # their runs under nearest, and the caller's mode is back after them
+    from pentacc.symmetric import bifurcation_scan
+    env = intervals._fenv()
+    if not env:
+        pytest.skip("this host has no fesetround that ctypes finds")
+    get, set_, _ = env
+
+    def outputs() -> tuple:
+        cert = certify_unique_root(window_for("A", "A2"), (2.0, 3.0), "A")
+        return (json.dumps(cert.to_json()), repr(scan_branch("B", 3.0)),
+                repr(bifurcation_scan((3.0, 3.3))))
+    want = outputs()
+    nearest = get()
+    assert set_(_FE_DOWNWARD[platform.machine().lower()]) == 0
+    try:
+        got = outputs()
+        back = get()
+    finally:
+        set_(nearest)
+    assert back == _FE_DOWNWARD[platform.machine().lower()]
+    assert got == want
 
 
 def test_float_parsing_and_libm_are_unchanged_after_a_plan_run():

@@ -531,7 +531,7 @@ def test_root_simplicity_reads_the_guards_plan(monkeypatch, branch, a_exp, round
     # scalar one does
     runs = []
 
-    def recording(ylo, yhi, alo, ahi, branch, a_exp):
+    def recording(ylo, yhi, alo, ahi, branch, a_exp, need=None):
         out = _natural_eval(ylo, yhi, alo, ahi, branch=branch, a_exp=a_exp)
         runs.append((list(zip(ylo, yhi)), out.df))
         return out
