@@ -33,21 +33,19 @@ structural zeros kept as floats, and record their kernel calls; the plan
 makes the ready needed calls of one kind, of every jet traced into it, as
 one call on stacked rows, and picks the kind by the slack of its most
 urgent call (``_Trace._batches``); it runs under one np.errstate.  Only
-the calls that an output reads run, and on each column only those that
-the outputs it needs read: the certifier's plan knows, for each step,
-whether the outputs of F, of dF/dy4 or both read it, runs it on the
-columns of those alone, and runs a block whose columns need F alone on a
-plan of F's outputs alone.  A run takes the columns, one a box,
+the calls that an output reads run.  A run takes the columns, one a box,
 in blocks of a fixed width and reuses the rows of values no later call
 reads, so its memory does not grow with the frontier.  The certifier's
-plan names its y4 input row: the calls that read y4 alone (the y4
-midpoint, the geometry, every log and integer power, 15 of 21 exp rows)
-form a first stage, whose rows a run takes for each distinct y4 interval
-from a memo keyed by the interval's bits (``_Y4Memo``) before it copies
-them out to every column.  The two halves of a box split along A share
-its y4, so a pass has far fewer y4 columns than boxes.  A certificate
-keeps one memo for its whole bisection, which serves a column only to
-columns that need what it was computed for, and a pass that finds a column
+plan holds a second plan, of F's outputs alone: a block whose columns all
+need F alone runs that plan, and any other block the whole plan, each on
+every one of its columns.  The certifier's plan names its y4 input row:
+the calls that read y4 alone (the y4 midpoint, the geometry, every log
+and integer power, 15 of 21 exp rows) form a first stage, whose rows a
+run takes for each distinct y4 interval from a memo keyed by the
+interval's bits (``_Y4Memo``) before it copies them out to every column.
+The two halves of a box split along A share its y4, so a pass has far
+fewer y4 columns than boxes.  A certificate keeps one memo for its whole
+bisection, shared by its two plans, and a pass that finds a column
 missing computes the y4 halves of its columns too, which the memo splits
 itself by the bisection's rule and which hold every y4 column of the next
 pass, so many passes run no first stage (``stage1_runs`` in a
@@ -744,14 +742,6 @@ def _rows(regs: list):
     return np.array(regs, dtype=np.intp)
 
 
-def _bits(groups) -> int:
-    """The union of group bits."""
-    union = 0
-    for g in groups:
-        union |= g
-    return union
-
-
 def _lowest_run(free: set, size: int, k: int) -> int:
     """The first row of the lowest run of k free rows, where the rows from
     ``size`` on are free."""
@@ -827,7 +817,7 @@ class _Trace:
                         ready.setdefault(self.ops[r][:2], []).append(r)
         return batches
 
-    def compile(self, outputs, y4=(), groups=()) -> "_Plan":
+    def compile(self, outputs, y4=(), alone=()) -> "_Plan":
         """The plan that computes ``outputs``, rows or numbers, in two stages.
 
         Stage 1 holds the needed calls that read only the input rows ``y4``,
@@ -844,29 +834,19 @@ class _Trace:
         has run, and each stacked call's results take the lowest run of
         free rows; no step writes a row it reads.
 
-        ``groups`` lists at most two groups of outputs by their indices,
-        the outputs that one kind of column reads; without it all outputs
-        are one group.  A call belongs to the groups whose outputs read it
-        (activity analysis: A. Griewank and A. Walther, *Evaluating
-        Derivatives*, 2008), and each step to the groups of its calls
-        (``_Plan.reads``); the steps stay those of all the needed calls, so
-        a step may hold calls of both groups.  Where the calls of one group
-        alone make fewer stacked calls, that group also gets a plan of its
-        own, compiled from its outputs alone, which runs the blocks whose
-        columns read that group alone (``_Plan.alone``); its stage-1 rows
-        are a subset of this plan's, which a y4 memo holds for both."""
+        ``alone`` lists some of the outputs by their indices, F's in the
+        certifier's plan.  They also get a plan of their own, compiled from
+        them alone (activity analysis: A. Griewank and A. Walther,
+        *Evaluating Derivatives*, 2008), which runs the blocks whose columns
+        all need them alone (``_Plan.alone``).  Its stage-1 rows are a subset
+        of this plan's, so one y4 memo holds the columns of both."""
         outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
-        groups = groups or (range(len(outs)),)
-        plan, live = self._compile(outs, y4, groups)
-        for g, group in enumerate(groups if len(groups) > 1 else ()):
-            alone, _ = self._compile([outs[i] for i in group], y4,
-                                     [range(len(group)) if h == g else () for h in range(2)],
-                                     live)
-            if len(alone.stage1) + len(alone.steps) < len(plan.stage1) + len(plan.steps):
-                plan.alone[1 << g] = (alone, list(group))
+        plan, live = self._compile(outs, y4)
+        if alone:
+            plan.alone = (self._compile([outs[i] for i in alone], y4, live)[0], list(alone))
         return plan
 
-    def _compile(self, outs, y4, groups, memo=None) -> tuple:
+    def _compile(self, outs, y4, memo=None) -> tuple:
         """The plan of ``compile`` for the output registers ``outs``, and
         the registers that its expand step copies, in the order of its
         rows.  Its stage-1 rows sit in a y4 memo in the order of the
@@ -875,15 +855,13 @@ class _Trace:
         for k, (_, _, regs) in enumerate(self.ops):
             if all(r in early or r[0] == "const" for r in regs):
                 early.add(("op", k))
-        reads = {}  # each needed call's register -> the bits of the groups that read it
-        for g, group in enumerate(groups):
-            todo = [outs[i] for i in group]
-            while todo:
-                reg = todo.pop()
-                if reg[0] == "op" and not reads.get(reg, 0) & 1 << g:
-                    reads[reg] = reads.get(reg, 0) | 1 << g
-                    todo.extend(self.ops[reg[1]][2])
-        calls = [sorted(r[1] for r in reads if (r in early) != late) for late in (False, True)]
+        need, todo = set(), list(outs)
+        while todo:
+            reg = todo.pop()
+            if reg[0] == "op" and reg not in need:
+                need.add(reg)
+                todo.extend(self.ops[reg[1]][2])
+        calls = [sorted(r[1] for r in need if (r in early) != late) for late in (False, True)]
         mids = [[("op", k) for k in c if self.ops[k][0] == "mid"] for c in calls]
         stage1, stage2 = (self._batches([k for k in c if self.ops[k][0] != "mid"]) for c in calls)
         live = {a for _, regs in stage2 for reg in regs
@@ -906,7 +884,6 @@ class _Trace:
         row.update((c, const_rows.start + c[1]) for c in self.consts.values())
         free = {r for reg, r in row.items() if reg not in last}
         size, steps = len(row), ([], [], [], [])  # each stage's fill, then its calls
-        bits = ([], [], [], [])  # the groups of each of those steps
         for s, (key, regs) in enumerate(items):
             start = row[regs[0]] if key == ("mid", None) else _lowest_run(free, size, len(regs))
             stop = start + len(regs)
@@ -920,40 +897,34 @@ class _Trace:
             else:
                 kind, param = key
                 args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-                at = 2 * (s > split) + (kind != "mid")
-                steps[at].append((*_KERNELS[kind], () if param is None else (param,), start,
-                                  stop, *(_rows([row[a] for a in col]) for col in args)))
-                bits[at].append(_bits(reads[reg] for reg in regs))
+                steps[2 * (s > split) + (kind != "mid")].append(
+                    (*_KERNELS[kind], () if param is None else (param,), start, stop,
+                     *(_rows([row[a] for a in col]) for col in args)))
                 free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        out_reads = [_bits(1 << g for g, group in enumerate(groups) if i in group)
-                     for i in range(len(outs))]
         pick = slice(None) if memo is None else np.array([memo.index(r) for r in copied])
         plan = _Plan(size, const_rows, consts, list(y4), steps[::2], steps[1], steps[3], expand,
-                     [row[o] for o in outs], (bits[0] + bits[1], bits[2] + bits[3]), out_reads,
-                     pick, len(copied if memo is None else memo))
+                     [row[o] for o in outs], pick, len(copied if memo is None else memo))
         return plan, copied
 
 
-def _trace(fn, inputs: int, y4=(), groups=()) -> "_Plan":
+def _trace(fn, inputs: int, y4=(), alone=()) -> "_Plan":
     """Run ``fn`` once on ``inputs`` traced rows and compile the kernel calls
     of the rows and numbers it returns into one plan, whose first stage
-    holds the calls that read the input rows ``y4`` alone, and whose steps
-    know the ``groups`` of outputs that read them (``_Trace.compile``).
+    holds the calls that read the input rows ``y4`` alone, and which holds
+    a second plan of the outputs that ``alone`` lists (``_Trace.compile``).
     ``fn`` is the scalar formula, unchanged: on a ``Jet2`` of rows, a float
     constant or a structural zero stays a float and runs no kernel.  The
     plan's inputs are the input rows alone: it fills the midpoint rows that
     ``fn`` reads (``_Row.mid``) itself, 0.5 * (lo + hi) under round to
     nearest."""
     trace = _Trace(inputs)
-    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4, groups)
+    return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4, alone)
 
 
-def _run_steps(steps, files) -> None:
-    """Run stacked kernel calls, each on its register file, the rows (lo,
-    hi) of the columns it runs on (``_files``), and none whose file is
-    None.
+def _run_steps(steps, reg_lo, reg_hi) -> None:
+    """Run stacked kernel calls on every column of a register file.
 
     Each step names its rounding (``_KERNELS``): the add, sub, mul and div
     calls run in the mode of ``_fenv``, upward on the upward path and to
@@ -966,51 +937,17 @@ def _run_steps(steps, files) -> None:
     caller = current = get() if env else None
     of = IntervalArray._of
     try:
-        for (kernel, upward, param, start, stop, *args), file in zip(steps, files):
-            if file is None:
-                continue
+        for kernel, upward, param, start, stop, *args in steps:
             want = current if upward is None else mode if upward else nearest
             if want != current:
                 set_(want)
                 current = want
-            reg_lo, reg_hi = file
             r = kernel(*[of(reg_lo[a], reg_hi[a]) for a in args], *param)
             reg_lo[start:stop] = r.lo
             reg_hi[start:stop] = r.hi
     finally:
         if current != caller:
             set_(caller)
-
-
-# The order of a block's columns by the groups that read them, as bits (1
-# and 2, ``_Trace.compile``): group 0 alone, then both, then group 1 alone,
-# so that the columns of each group are contiguous (``_spans``)
-_GROUP_ORDER = (1, 3, 2)
-
-
-def _grouped(bits) -> np.ndarray:
-    """The order that puts columns read by the groups ``bits`` in
-    ``_GROUP_ORDER``, keeping the order of columns of one kind."""
-    return np.concatenate([np.flatnonzero(bits == b) for b in _GROUP_ORDER])
-
-
-def _spans(bits) -> dict:
-    """The columns that each set of groups reads, by its bits, as slices of
-    columns whose groups ``bits`` (each nonzero) are in ``_GROUP_ORDER``: a
-    step of group 0 runs on the columns of group 0 alone and of both, one
-    of group 1 on those of both and of group 1 alone, one of both on all."""
-    count = np.bincount(bits, minlength=4).tolist()
-    n = len(bits)
-    return {0: slice(0, 0), 1: slice(0, count[1] + count[3]), 2: slice(count[1], n),
-            3: slice(0, n)}
-
-
-def _files(reads, lo, hi, spans) -> list:
-    """The register file of each step whose groups are ``reads``: the
-    columns of (lo, hi) in its span (``_spans``), or None where that is
-    empty."""
-    files = {b: (lo[:, s], hi[:, s]) if s.start < s.stop else None for b, s in spans.items()}
-    return [files[b] for b in reads]
 
 
 class _Plan:
@@ -1023,142 +960,111 @@ class _Plan:
     The first stage, ``fill[0]`` and ``stage1``, reads the input rows
     ``y4`` alone; ``expand`` names the rows of its results that the second
     stage, ``fill[1]`` and ``steps``, or the outputs read, as (source rows,
-    first and end row of the copies).  ``reads`` gives the groups of
-    outputs that read each step of the two stages, as bits
-    (``_Trace.compile``), and ``out_reads`` those of each output; ``alone``
-    maps a group's bit to the plan of its outputs alone and their indices.
-    A y4 memo column holds the ``expand`` source rows at its rows ``pick``,
+    first and end row of the copies).  ``alone`` is None or the plan of
+    some of the outputs alone with their indices (``_Trace.compile``).  A
+    y4 memo column holds the ``expand`` source rows at its rows ``pick``,
     of ``memo_rows``, the layout of the plan that ``alone`` belongs to.
 
     ``run`` takes the input IntervalArrays, all of one length, and returns
     one new IntervalArray per output.  It processes the columns in blocks
     of 2 * ``_PASS_ROWS``, the boxes of two full bisection passes, so the
     register file stays small whatever the number of columns.  ``need``
-    gives the groups that read each column, as bits (by default all).  A
-    block whose columns read one group alone runs that group's plan where
-    ``alone`` has one; any other block takes its columns in the copy-in in
-    ``_GROUP_ORDER``, so that each step runs on the contiguous columns of
-    its groups (``_spans``), and not at all where there are none.  An
-    output is NaN on a column whose groups do not read it.  In each block
-    it takes the ``expand`` rows of every distinct column of the ``y4``
-    rows, for the groups that read it, from a ``_Y4Memo``, which runs the
+    gives the outputs that each column needs, as bits: 1 for those of
+    ``alone`` alone (by default all).  A block whose columns' bits OR to 1
+    runs the plan of ``alone`` on every one of its columns, and its other
+    outputs are NaN there; any other block runs the whole plan on every one
+    of its columns.  In each block it takes the ``expand`` rows of every
+    distinct column of the ``y4`` rows from a ``_Y4Memo``, which runs the
     first stage on the columns it lacks, copies them out to every column,
     and runs the second stage.  Without a memo the first stage runs on the
     block's distinct y4 columns alone.  Each element is computed by the
-    same kernel from the same operand bits as without a first stage or
-    groups.  A plan without ``y4`` rows has no first stage."""
+    same kernel from the same operand bits as without a first stage, in
+    either plan.  A plan without ``y4`` rows has no first stage."""
 
     __slots__ = ("size", "const_rows", "consts", "y4", "fill", "stage1", "steps", "expand", "out",
-                 "reads", "out_reads", "alone", "pick", "memo_rows")
+                 "alone", "pick", "memo_rows")
 
-    def __init__(self, size, const_rows, consts, y4, fill, stage1, steps, expand, out, reads,
-                 out_reads, pick, memo_rows):
+    def __init__(self, size, const_rows, consts, y4, fill, stage1, steps, expand, out, pick,
+                 memo_rows):
         self.size, self.const_rows, self.consts, self.fill = size, const_rows, consts, fill
         self.y4, self.stage1, self.steps, self.expand, self.out = y4, stage1, steps, expand, out
-        self.reads, self.out_reads, self.pick, self.memo_rows = reads, out_reads, pick, memo_rows
-        self.alone = {}
+        self.alone, self.pick, self.memo_rows = None, pick, memo_rows
 
     def run(self, *inputs: IntervalArray, memo: "_Y4Memo | None" = None, need=None) -> list:
         n = inputs[0].lo.shape[0]
         width = min(n, 2 * _PASS_ROWS) or 1
-        size = max([self.size] + [plan.size for plan, _ in self.alone.values()])
+        size = max(self.size, self.alone[0].size if self.alone else 0)
         lo, hi = np.empty((size, width)), np.empty((size, width))
         out = [(np.empty(n), np.empty(n)) for _ in self.out]
-        if need is None:
-            need = np.full(n, _bits(self.out_reads))
         with np.errstate(all="ignore"):
             for c0 in range(0, n, width):
                 m = min(width, n - c0)
-                cols, bits = slice(c0, c0 + m), need[c0:c0 + m]
-                kind = int(bits[0]) if bits.min() == bits.max() else 0  # 0: mixed
-                plan, outputs = self.alone.get(kind, (self, range(len(self.out))))
-                if not kind:
-                    order = _grouped(bits)
-                    cols, bits = c0 + order, bits[order]
+                cols = slice(c0, c0 + m)
+                plan, outputs = self, range(len(self.out))
+                if self.alone and need is not None and np.bitwise_or.reduce(need[cols]) == 1:
+                    plan, outputs = self.alone
                 for i, x in enumerate(inputs):
                     lo[i, :m] = x.lo[cols]
                     hi[i, :m] = x.hi[cols]
-                spans = _spans(bits)
-                plan._block(lo, hi, bits, spans, memo)
-                made = dict(zip(outputs, zip(plan.out, plan.out_reads)))
+                plan._block(lo, hi, m, memo)
+                rows = dict(zip(outputs, plan.out))
                 for i, (out_lo, out_hi) in enumerate(out):
-                    r, b = made.get(i, (None, 0))
-                    s = spans[b]
-                    if s.start == s.stop:
-                        out_lo[cols] = out_hi[cols] = math.nan
-                        continue
-                    out_lo[cols], out_hi[cols] = lo[r, :m], hi[r, :m]
-                    if s.stop - s.start < m:  # a mixed block, whose cols is an index array
-                        gaps = np.concatenate((cols[:s.start], cols[s.stop:]))
-                        out_lo[gaps] = out_hi[gaps] = math.nan
+                    r = rows.get(i)
+                    out_lo[cols] = math.nan if r is None else lo[r, :m]
+                    out_hi[cols] = math.nan if r is None else hi[r, :m]
         if memo is not None:
             memo.prune()
         return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
 
-    def _block(self, lo, hi, bits, spans, memo) -> None:
-        """Run the plan on a block of columns, the first ones of a register
-        file (lo, hi), whose input rows hold them; the groups ``bits`` read
-        them, in ``_GROUP_ORDER`` (``spans``)."""
-        m = len(bits)
+    def _block(self, lo, hi, m: int, memo) -> None:
+        """Run the plan on the first m columns of a register file (lo, hi),
+        whose input rows hold them."""
         lo[self.const_rows, :m] = hi[self.const_rows, :m] = self.consts[:, None]
         if self.y4:
-            rows_lo, rows_hi, at = self._y4_rows(lo, hi, bits, memo)
+            rows_lo, rows_hi, at = self._y4_rows(lo, hi, m, memo)
             _, start, stop = self.expand
             lo[start:stop, :m] = rows_lo[self.pick][:, at]
             hi[start:stop, :m] = rows_hi[self.pick][:, at]
-        _run_steps(self.fill[1] + self.steps, _files(self.reads[1], lo[:, :m], hi[:, :m], spans))
+        _run_steps(self.fill[1] + self.steps, lo[:, :m], hi[:, :m])
 
-    def _y4_rows(self, lo, hi, bits, memo) -> tuple:
+    def _y4_rows(self, lo, hi, m: int, memo) -> tuple:
         """The rows (lo, hi) of y4 memo columns that hold the first stage's
-        results for a block, the first columns of a register file (lo, hi),
-        which the groups ``bits`` read, and the column of them that each
-        block column reads.  Without a memo the first stage runs on the
-        block's distinct y4 columns alone.  It runs in the file, whose width
-        holds the y4 halves of a block that is not element-bound."""
-        y_lo, y_hi = lo[self.y4, :len(bits)], hi[self.y4, :len(bits)]
+        results for the first m columns of a register file (lo, hi), and the
+        column of them that each of those reads.  Without a memo the first
+        stage runs on their distinct y4 columns alone.  It runs in the file,
+        whose width holds the y4 halves of a block that is not
+        element-bound."""
+        y_lo, y_hi = lo[self.y4, :m], hi[self.y4, :m]
         key = _column_bits(y_lo, y_hi)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         inverse = inverse.reshape(-1)
-        if bits[0] == bits[-1]:  # one kind of column
-            want = np.full(first.size, bits[0])
-        else:
-            want = np.zeros(first.size, dtype=bits.dtype)
-            for b in (1, 2):
-                want[inverse[bits & b > 0]] |= b
         y_lo, y_hi = y_lo[:, first], y_hi[:, first]
         if memo is None:
-            return (*self._stage_one(y_lo, y_hi, want, lo, hi), inverse)
-        rows_lo, rows_hi, at = memo.look_up(self, y_lo, y_hi, key[first].tolist(), want.tolist(),
-                                            lo, hi)
+            return (*self._stage_one(y_lo, y_hi, lo, hi), inverse)
+        rows_lo, rows_hi, at = memo.look_up(self, y_lo, y_hi, key[first].tolist(), lo, hi)
         return rows_lo, rows_hi, at[inverse]
 
-    def _stage_one(self, y_lo, y_hi, want, lo, hi) -> tuple:
+    def _stage_one(self, y_lo, y_hi, lo, hi) -> tuple:
         """Run the first stage on the columns of the ``y4`` rows (y_lo,
-        y_hi), each for the groups ``want``, and return their ``expand``
-        source rows as y4 memo columns (``pick``; the other rows NaN).  It
-        runs in the first columns of a block's register file (lo, hi), in
-        ``_GROUP_ORDER``, as the block's rows stay valid: the first stage
-        writes only rows that the second reads after the expand or a step
-        of its own wrote them, and the number rows get the same values.
-        Where the columns do not fit, it runs in a file of their own."""
+        y_hi) and return their ``expand`` source rows as y4 memo columns
+        (``pick``; the other rows NaN).  It runs in the first columns of a
+        block's register file (lo, hi), as the block's rows stay valid: the
+        first stage writes only rows that the second reads after the expand
+        or a step of its own wrote them, and the number rows get the same
+        values.  Where the columns do not fit, it runs in a file of their
+        own."""
         k = y_lo.shape[1]
         if k > lo.shape[1]:
             lo, hi = np.empty((self.size, k)), np.empty((self.size, k))
         lo, hi = lo[:, :k], hi[:, :k]
-        back = slice(None)  # the columns of the results in the order of y_lo
-        if want.min() != want.max():
-            order = _grouped(want)
-            back = np.empty_like(order)
-            back[order] = np.arange(k)
-            y_lo, y_hi, want = y_lo[:, order], y_hi[:, order], want[order]
         lo[self.y4], hi[self.y4] = y_lo, y_hi
         lo[self.const_rows] = hi[self.const_rows] = self.consts[:, None]
-        _run_steps(self.fill[0] + self.stage1, _files(self.reads[0], lo, hi, _spans(want)))
+        _run_steps(self.fill[0] + self.stage1, lo, hi)
         src = self.expand[0]
         if isinstance(self.pick, slice):  # a memo column holds exactly these rows
-            return lo[src][:, back], hi[src][:, back]
+            return lo[src], hi[src]
         rows_lo, rows_hi = (np.full((self.memo_rows, k), math.nan) for _ in range(2))
-        rows_lo[self.pick], rows_hi[self.pick] = lo[src][:, back], hi[src][:, back]
+        rows_lo[self.pick], rows_hi[self.pick] = lo[src], hi[src]
         return rows_lo, rows_hi
 
 
@@ -1172,74 +1078,62 @@ def _column_bits(lo, hi) -> np.ndarray:
 class _Y4Memo:
     """The ``expand`` source rows of a plan's first stage, one column per
     y4 column, keyed by the bits of the column's ``y4`` rows, so that -0.0
-    and 0.0 stay apart, with the groups of outputs it was computed for; it
-    outlives a ``_Plan.run``.  The plans of one traced formula, the whole
-    plan and the plans of its groups alone (``_Plan.alone``), share its
-    columns, at their rows ``pick``, and it serves a column only to a
-    column whose groups it was computed for.
+    and 0.0 stay apart; it outlives a ``_Plan.run``.  The two plans of one
+    traced formula, the whole plan and the plan of some outputs alone
+    (``_Plan.alone``), share its columns, at their rows ``pick``.  It
+    records which of them computed each column: a column of the whole plan
+    serves both, and one of the other plan serves that plan alone, so that
+    the whole plan computes it again.
 
     A certificate's box evaluator keeps one for its whole bisection
     (``certify._certify``).  A pass's boxes keep their parent's y4 or take
     one half of it, as ``split_bounds`` makes them, so a block of a run
     that lacks a column runs the first stage once, on the columns it lacks
     together with the y4 halves of all its columns that the memo does not
-    hold, for the groups of their parents, and a pass whose columns the
-    memo holds runs none.  A block of more than 2 * ``_PASS_ROWS`` / 3
-    distinct columns is element-bound, as its halves would not fit a
-    block: it takes no halves, and the memo drops what it holds first, so
-    that a wide run holds about one block's rows.  At the end of a run the
-    memo keeps the run's columns and their halves, at most three times the
-    run's distinct columns.  A column is found by its bits alone, so the
-    halves cannot change a bit, only save stage-1 runs.  ``runs`` and
-    ``columns`` count the stage-1 runs and the columns they computed."""
+    hold for its plan, and a pass whose columns the memo holds runs none.
+    A block of more than 2 * ``_PASS_ROWS`` / 3 distinct columns is
+    element-bound, as its halves would not fit a block: it takes no halves,
+    and the memo drops what it holds first, so that a wide run holds about
+    one block's rows.  At the end of a run the memo keeps the run's columns
+    and their halves, at most three times the run's distinct columns.  A
+    column is found by its bits alone, so the halves cannot change a bit,
+    only save stage-1 runs.  ``runs`` and ``columns`` count the stage-1
+    runs and the columns they computed."""
 
-    __slots__ = ("keys", "groups", "lo", "hi", "live", "runs", "columns")
+    __slots__ = ("keys", "whole", "lo", "hi", "live", "runs", "columns")
 
     def __init__(self):
         self.keys = {}            # the bits of a y4 column -> its column of lo and hi
-        self.groups = {}          # the bits of a y4 column -> the groups it was computed for
+        self.whole = {}           # the bits of a y4 column -> whether the whole plan computed it
         self.lo = self.hi = None  # the expand source rows by column
         self.live = set()         # the keys of this run's columns and their halves
         self.runs = self.columns = 0
 
-    def look_up(self, plan: _Plan, y_lo, y_hi, keys: list, want, lo, hi) -> tuple:
+    def look_up(self, plan: _Plan, y_lo, y_hi, keys: list, lo, hi) -> tuple:
         """The memo's rows (lo, hi) and the column of them that holds each
         distinct y4 column (y_lo, y_hi) of a block, whose bits are ``keys``,
-        for the groups ``want``, after running the first stage of ``plan``
-        in the block's register file (lo, hi) on the columns it lacks for
-        their groups."""
+        after running the first stage of ``plan`` in the block's register
+        file (lo, hi) on the columns it lacks for ``plan``."""
         u = len(keys)
         if 3 * u <= 2 * _PASS_ROWS:
             (l_lo, l_hi, *_), (u_lo, u_hi, *_) = split_bounds(y_lo, y_hi, 0.0, 0.0, 0)
             y_lo, y_hi = np.hstack((y_lo, l_lo, u_lo)), np.hstack((y_hi, l_hi, u_hi))
             keys = keys + _column_bits(y_lo[:, u:], y_hi[:, u:]).tolist()
-            want = want * 3
         else:
-            self.keys, self.groups, self.lo, self.hi = {}, {}, None, None
+            self.keys, self.whole, self.lo, self.hi = {}, {}, None, None
         self.live.update(keys)
-        held = self.groups
-        if any(w & ~held.get(k, 0) for k, w in zip(keys[:u], want)):
+        whole = isinstance(plan.pick, slice)
+        serves = {True, whole}  # the ``whole`` records of the columns that serve ``plan``
+        if any(self.whole.get(k) not in serves for k in keys[:u]):
             todo = {}  # each key to compute -> a column of it
-            for j, (k, w) in enumerate(zip(keys, want)):
-                if w & ~held.get(k, 0):
+            for j, k in enumerate(keys):
+                if self.whole.get(k) not in serves:
                     todo.setdefault(k, j)
-            wants = dict.fromkeys(todo, 0)  # computed for the groups of all its columns
-            for k, w in zip(keys, want):
-                if k in wants:
-                    wants[k] |= w
             pick = list(todo.values())
-            want = np.array(list(wants.values()))
-            # the columns of one kind run on that kind's own plan, where it
-            # has one, in a file of its own: the block's file holds rows of
-            # ``plan``
-            kind = int(want[0]) if want.min() == want.max() else 0
-            runner = plan.alone.get(kind, (plan,))[0]
-            new_lo, new_hi = runner._stage_one(y_lo[:, pick], y_hi[:, pick], want,
-                                               *((lo, hi) if runner is plan else
-                                                 (lo[:, :0], hi[:, :0])))
+            new_lo, new_hi = plan._stage_one(y_lo[:, pick], y_hi[:, pick], lo, hi)
             start = 0 if self.lo is None else self.lo.shape[1]
             self.keys.update((k, start + i) for i, k in enumerate(todo))
-            self.groups.update(wants)
+            self.whole.update(dict.fromkeys(todo, whole))
             self.lo = new_lo if self.lo is None else np.hstack((self.lo, new_lo))
             self.hi = new_hi if self.hi is None else np.hstack((self.hi, new_hi))
             self.runs += 1
@@ -1253,7 +1147,7 @@ class _Y4Memo:
             pick = [self.keys[k] for k in keep]
             self.lo, self.hi = self.lo[:, pick], self.hi[:, pick]
             self.keys = dict(zip(keep, range(len(keep))))
-            self.groups = {k: self.groups[k] for k in keep}
+            self.whole = {k: self.whole[k] for k in keep}
         self.live = set()
 
 

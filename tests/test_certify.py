@@ -403,35 +403,42 @@ def test_acceptance_certificates_in_small_blocks(build, leaves, box_evals, max_d
 
 
 def _recorded_blocks(monkeypatch) -> list:
-    """Each block of columns that a plan runs from now on, its first stage
-    apart, as [the plan, the stage (1 or 2), the groups of its columns (bits,
-    in the order the plan takes them), and for each step the groups that
-    read it, whether it is a stacked call (not a fill step) and the columns
-    its kernel received]."""
-    blocks, stack = [], []
-    block, stage_one, run_steps = (intervals._Plan._block, intervals._Plan._stage_one,
-                                   intervals._run_steps)
+    """Each block of columns that a plan runs from now on, and each first
+    stage inside one, as [the plan, the stage (1 or 2), the need bits of
+    the block's columns (stage 2) or the plan of the enclosing block
+    (stage 1), the columns it runs on, and for each step whether it is a
+    stacked call (not a fill step) and the columns its kernel received]."""
+    blocks, stack, current = [], [], []
+    run, block, stage_one, run_steps = (intervals._Plan.run, intervals._Plan._block,
+                                        intervals._Plan._stage_one, intervals._run_steps)
 
-    def recording_block(plan, lo, hi, bits, spans, memo):
-        stack.append([plan, 2, bits.tolist(), []])
+    def recording_run(plan, *inputs, memo=None, need=None):
+        n = inputs[0].lo.size
+        current[:] = [np.full(n, 3) if need is None else need, 0,
+                      min(n, 2 * intervals._PASS_ROWS) or 1]
+        return run(plan, *inputs, memo=memo, need=need)
+
+    def recording_block(plan, lo, hi, m, memo):
+        need, c0, width = current
+        current[1] += width
+        stack.append([plan, 2, need[c0:c0 + m].tolist(), m, []])
         try:
-            return block(plan, lo, hi, bits, spans, memo)
+            return block(plan, lo, hi, m, memo)
         finally:
             blocks.append(stack.pop())
 
-    def recording_stage_one(plan, y_lo, y_hi, want, lo, hi):
-        stack.append([plan, 1, sorted(want.tolist(), key=intervals._GROUP_ORDER.index), []])
+    def recording_stage_one(plan, y_lo, y_hi, lo, hi):
+        stack.append([plan, 1, stack[-1][0], y_lo.shape[1], []])
         try:
-            return stage_one(plan, y_lo, y_hi, want, lo, hi)
+            return stage_one(plan, y_lo, y_hi, lo, hi)
         finally:
             blocks.append(stack.pop())
 
-    def recording_run_steps(steps, files):
-        plan, stage, _, seen = stack[-1]
-        for step, reads, file in zip(steps, plan.reads[stage - 1], files):
-            seen.append((reads, step[0] is not IntervalArray._mid,
-                         0 if file is None else file[0].shape[1]))
-        return run_steps(steps, files)
+    def recording_run_steps(steps, reg_lo, reg_hi):
+        stack[-1][-1].extend((step[0] is not IntervalArray._mid, reg_lo.shape[1])
+                             for step in steps)
+        return run_steps(steps, reg_lo, reg_hi)
+    monkeypatch.setattr(intervals._Plan, "run", recording_run)
     monkeypatch.setattr(intervals._Plan, "_block", recording_block)
     monkeypatch.setattr(intervals._Plan, "_stage_one", recording_stage_one)
     monkeypatch.setattr(intervals, "_run_steps", recording_run_steps)
@@ -445,36 +452,35 @@ _F_CALLS = {"A": (33, 16), "B": (40, 16)}
 
 
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))
-def test_each_column_runs_only_the_calls_its_quantities_read(name, monkeypatch):
-    # a kernel receives the columns whose groups read its step and no
-    # other, and the plan takes a block's columns F-zone first, so a step
-    # that dF alone reads never runs on an F-zone column; a block of F-zone
-    # columns alone runs the plan of F's outputs alone, and no block makes
-    # more stacked calls than the whole plan
+def test_a_block_runs_the_f_plan_exactly_when_its_columns_need_f_alone(name, monkeypatch):
+    # a block whose columns all need F alone runs the plan of F's outputs
+    # alone, and any other block the whole plan; every stacked call of
+    # either receives all of the block's columns, or of its first stage's,
+    # and no block makes more stacked calls than its plan has
     import pentacc.certify as certify
     blocks = _recorded_blocks(monkeypatch)
     assert _ACCEPTANCE[name]().certified
     branch = "B" if name == "B2" else "A"
     plan = certify._f_plan(branch)
-    f_alone, group = plan.alone[1]
+    f_plan, outputs = plan.alone
     assert (len(plan.stage1), len(plan.steps)) == _CALLS[branch]
-    assert (len(f_alone.stage1), len(f_alone.steps)) == _F_CALLS[branch]
-    assert group == [0, 2, 3, 4] and set(plan.alone) == {1}
+    assert (len(f_plan.stage1), len(f_plan.steps)) == _F_CALLS[branch]
+    assert outputs == [0, 2, 3, 4] and f_plan.alone is None
     kinds = []
-    for mine, stage, bits, seen in blocks:
-        assert bits == sorted(bits, key=intervals._GROUP_ORDER.index)
-        counts = {b: bits.count(b) for b in (1, 2, 3)}
-        read = {1: counts[1] + counts[3], 2: counts[2] + counts[3], 3: len(bits)}
-        assert [cols for *_, cols in seen] == [read[reads] for reads, *_ in seen]
-        pure_f = set(bits) == {1}
-        assert mine is (f_alone if pure_f else plan)
-        calls = sum(1 for _, stacked, cols in seen if stacked and cols)
-        assert calls <= (_F_CALLS if pure_f else _CALLS)[branch][stage - 1]
-        if stage == 2:
-            kinds.append(tuple(sorted(set(bits))))
-    # F-zone and dF-zone boxes of a unique-root certificate never share a
-    # y4 column; every no-common-zero box reads both.  19 of B2's 27 blocks
-    # hold F-zone boxes alone
+    for mine, stage, tag, columns, seen in blocks:
+        if stage == 1:
+            assert mine is tag  # the first stage of the block's own plan
+        else:
+            assert mine is (f_plan if set(tag) == {1} else plan)
+            kinds.append(tuple(sorted(set(tag))))
+        assert {cols for _, cols in seen} == {columns}
+        calls = sum(1 for stacked, _ in seen if stacked)
+        assert calls == len(mine.stage1 if stage == 1 else mine.steps)
+        assert calls <= (_F_CALLS if mine is f_plan else _CALLS)[branch][stage - 1]
+    # every no-common-zero box reads both quantities, so each of its blocks
+    # runs the whole plan; a unique-root block holds F-zone boxes alone or
+    # F-zone and dF-zone boxes together, and 19 of B2's 27 blocks hold
+    # F-zone boxes alone
     if name == "A4-no-common-zero":
         assert set(kinds) == {(3,)}
     else:
@@ -1204,47 +1210,82 @@ def test_y4_memo_keeps_every_bit(name, path, monkeypatch):
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
-def test_y4_memo_serves_a_column_only_to_the_groups_it_was_computed_for(branch):
-    # a y4 column computed for F's outputs alone lacks the rows that dF/dy4
-    # reads: a later box that needs dF/dy4 there runs stage 1 again, for
-    # every group its box reads, and each box gets the bits of a run without
-    # a memo, which computes both quantities; a column computed for both
-    # serves either
+def test_y4_memo_recomputes_an_f_plan_column_for_the_whole_plan(branch):
+    # the certifier's two plans share one y4 memo: a y4 column that the
+    # plan of F's outputs alone computed lacks rows that the whole plan
+    # reads, so the whole plan computes it again, while a column of the
+    # whole plan serves both; the outputs a box reads have the bits of a
+    # run of the whole plan without a memo
     import pentacc.certify as certify
     plan = certify._f_plan(branch)
+    f_outputs = plan.alone[1]
     boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(39), branch, 40)]).T
     y, a = IntervalArray(*boxes[:2]), IntervalArray(*boxes[2:])
     want = plan.run(y, a)
-    memo = intervals._Y4Memo()
-    # F's outputs, dF/dy4's, and dy, which both read
-    assert plan.out_reads == [1, 2, 1, 3, 1, 2, 2]
 
-    def check(need) -> None:
+    def check(memo, need) -> None:
         got = plan.run(y, a, memo=memo, need=need)
-        for g, w, groups in zip(got, want, plan.out_reads):
-            read = need & groups > 0
+        f_alone = (need == 1).all()
+        for i, (g, w) in enumerate(zip(got, want)):
+            if f_alone and i not in f_outputs:
+                assert np.isnan(g.lo).all() and np.isnan(g.hi).all()
+                continue
             for x, z in ((g.lo, w.lo), (g.hi, w.hi)):
-                np.testing.assert_array_equal(x[read].view(np.int64), z[read].view(np.int64))
-            assert np.isnan(g.lo[~read]).all()
+                np.testing.assert_array_equal(x.view(np.int64), z.view(np.int64))
     ones = np.ones(40, dtype=int)
-    check(ones)
-    assert memo.runs == 1 and set(memo.groups.values()) == {1}
-    check(2 * ones)
-    assert memo.runs == 2 and set(memo.groups.values()) == {2}
-    # half the boxes need F, half dF/dy4, and one y4 column serves both
     mixed = np.where(np.arange(40) % 2 == 0, 1, 2)
-    y, a = IntervalArray(*boxes[:2, [0] * 40]), IntervalArray(*boxes[2:])
-    want = plan.run(y, a)
-    check(mixed)
-    assert memo.runs == 3 and memo.groups[_column_bits_of(y)] == 3
-    check(ones)
-    check(2 * ones)
-    assert memo.runs == 3
+    memo = intervals._Y4Memo()
+    check(memo, ones)
+    assert memo.runs == 1 and set(memo.whole.values()) == {False}
+    computed = memo.columns
+    check(memo, ones)
+    assert memo.runs == 1
+    check(memo, mixed)
+    assert memo.runs == 2 and memo.columns == 2 * computed
+    assert set(memo.whole.values()) == {True}
+    for need in (ones, 2 * ones, 3 * ones, mixed):
+        check(memo, need)
+    assert memo.runs == 2
+    # a column of the whole plan serves the plan of F's outputs alone
+    memo = intervals._Y4Memo()
+    check(memo, 3 * ones)
+    check(memo, ones)
+    assert memo.runs == 1 and memo.columns == computed
 
 
-def _column_bits_of(y: IntervalArray) -> bytes:
-    """The memo key of the first column of the y4 row ``y``."""
-    return intervals._column_bits(y.lo[None, :1], y.hi[None, :1]).tolist()[0]
+@pytest.mark.parametrize("pass_rows", [128, 3])
+def test_an_f_sign_zone_and_a_no_common_zero_zone_in_one_frontier(pass_rows, monkeypatch):
+    # no certificate puts them together: the boxes of an F-sign zone need F
+    # alone (1) and those of a no-common-zero zone both quantities (3), so
+    # blocks that hold both run the whole plan; each zone's leaves and
+    # undecided boxes are those of bisecting it alone, in blocks of 256
+    # columns and of 6
+    from pentacc.certify import _sign_decider
+    from pentacc.symmetric import _locate_crossing
+    monkeypatch.setattr(intervals, "_PASS_ROWS", pass_rows)
+    window = window_for("A", "A2")
+    c1, _, lo_sign, _ = _locate_crossing(window, (2.0, 3.0), "A")
+    zones = [(_sign_decider("F", lo_sign), [(window[0], c1, 2.0, 3.0)]),
+             (_no_common_zero_decider, [(*window_for("A", "A4", inset=1e-9), 2.0, 3.3)])]
+    needs, memo = [], intervals._Y4Memo()
+
+    def evaluate(*bounds, need):
+        needs.append(need)
+        return _mv_eval(*bounds, "A", memo=memo, need=need)
+    leaves, undecided, _ = _bisect(zones, evaluate, 12)
+    width = 2 * pass_rows
+    assert any({1, 3} <= set(need[c0:c0 + width].tolist())
+               for need in needs for c0 in range(0, need.size, width))
+    for decide, [(ylo, yhi, alo, ahi)] in zones:
+        alone = _bisect([(decide, [(ylo, yhi, alo, ahi)])],
+                        partial(_mv_eval, branch="A", memo=intervals._Y4Memo()), 12)
+
+        def mine(boxes) -> list:
+            return sorted((l for l in boxes if ylo <= l.y4[0] and l.y4[1] <= yhi),
+                          key=_leaf_order)
+        assert mine(leaves) == sorted(alone[0], key=_leaf_order) and alone[0]
+        assert mine(undecided) == sorted(alone[1], key=_leaf_order)
+    assert undecided
 
 
 def test_box_evaluation_memory_is_bounded():
