@@ -20,16 +20,16 @@ frozen value, in one call.  Bisection runs breadth first, on
 ``intervals._bisect``.  A certificate keeps one frontier of boxes, with
 the three zones of a unique-root certificate in it together, tagged by
 zone, as numpy columns of box bounds.  Each pass evaluates the frontier,
-together with whole levels of its candidate children, by one call of the
-batched box evaluator ``_mv_eval`` on their bound arrays, and resolves
-every depth the batch covers: decided boxes become leaves, the rest are
-halved into their candidate rows, and the boxes left open at the last
-level form the next pass's frontier.  The evaluator runs one traced plan
-on the boxes alone, one column a box, of two jets of F and the
-mean-value sums over them: the jet in y4 at the box's float midpoint,
-which the plan fills itself as a point row and of which only the value
-and dF/dy4 are computed, and the second-order jet in (y4, A) over the
-whole box.  The mean-value form holds for any center inside the box
+together with whole levels of its candidate children and chains of y4
+halves toward the window ends, by one call of the batched box evaluator
+``_mv_eval`` on their bound arrays, and resolves every box whose row the
+batch holds: decided boxes become leaves, the rest are halved into their
+candidate rows, and the halves the batch lacks form the next pass's
+frontier.  The evaluator runs one traced plan on the boxes alone, one
+column a box, of two jets of F and the mean-value sums over them: the
+jet in y4 at the box's float midpoint, which the plan fills itself as a
+point row and of which only the value and dF/dy4 are computed, and the
+second-order jet in (y4, A) over the whole box.  The mean-value form holds for any center inside the box
 (R. E. Moore, R. B. Kearfott and M. J. Cloud, *Introduction to Interval
 Analysis*, 2009), and the midpoint lies inside wherever lo + hi is
 finite, which ``_check_request`` asks of the exponent range.  The plan

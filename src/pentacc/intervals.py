@@ -92,13 +92,19 @@ r**2) of ``equations`` call it too.
 
 The module ends with the package's one adaptive-bisection loop,
 ``_bisect``, next to its split rule ``split_bounds``.  It runs breadth first
-over a frontier of (y4, A) boxes and takes the box evaluator and the
-deciders as arguments; the certifier and the root scan's tangency guard
-both run on it (after W. Tucker, *Validated Numerics*, 2011).  A pass costs
-about the same whatever its size up to some hundred rows, so each pass
-evaluates the frontier together with whole levels of its candidate
-children, both halves along each coordinate a box may split on, up to
-``_PASS_ROWS`` rows, and resolves as many depths as that batch covers.
+over a frontier of (y4, A) boxes, each at its own depth, and takes the box
+evaluator and the deciders as arguments; the certifier and the root scan's
+tangency guard both run on it (after W. Tucker, *Validated Numerics*,
+2011).  A pass costs about the same whatever its size up to some hundred
+rows, so each pass evaluates the frontier together with whole levels of
+its candidate children, both halves along each coordinate a box may split
+on, and then chains toward the window ends, up to ``_PASS_ROWS`` rows: a
+box at the lowest or highest y4 gets its y4 half toward that end, that
+half's half, and so on, for the leaves that pile up toward an end.  The
+pass resolves every box whose row it holds, down the levels and along the
+chains, and the boxes left open seed the next pass.  The chains follow the
+boxes graded toward an end, as a geometric mesh is graded toward a
+singular point (C. Schwab, *p- and hp-Finite Element Methods*, 1998).
 """
 
 from __future__ import annotations
@@ -903,7 +909,9 @@ class _Trace:
                 free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        pick = slice(None) if memo is None else np.array([memo.index(r) for r in copied])
+        # an index array even where ``alone`` reads no stage-1 row
+        pick = (slice(None) if memo is None
+                else np.array([memo.index(r) for r in copied], dtype=np.intp))
         plan = _Plan(size, const_rows, consts, list(y4), steps[::2], steps[1], steps[3], expand,
                      [row[o] for o in outs], pick, len(copied if memo is None else memo))
         return plan, copied
@@ -1318,11 +1326,12 @@ _VERDICTS = ("undecided", "F", "dF")
 # Rows a bisection pass evaluates at most, unless its frontier alone is
 # larger.  A pass pays a fixed cost per stacked kernel call of its plan,
 # and a row adds little to it, so a pass evaluates the frontier together
-# with whole levels of its candidate children.  A plan runs its columns in
-# blocks of 2 * _PASS_ROWS, so that a pass whose frontier outgrows
-# _PASS_ROWS, up to twice that, still runs as one block.  Of 64 to 1024
-# rows, 128 ran the three acceptance certificates fastest; CHANGES.md
-# holds the timings.
+# with whole levels of its candidate children and, in the rows left, chains
+# of y4 halves toward the window ends, where the leaves pile up.  A plan
+# runs its columns in blocks of 2 * _PASS_ROWS, so that a pass whose
+# frontier outgrows _PASS_ROWS, up to twice that, still runs as one block.
+# Of 64 to 1024 rows, 128 ran the three acceptance certificates fastest;
+# CHANGES.md holds the timings.
 _PASS_ROWS = 128
 
 # Boxes of the bisection tree that one ``_bisect`` call may make.  The
@@ -1333,8 +1342,7 @@ _MAX_TREE_BOXES = 1 << 16
 
 
 def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0,
-           leaf_depths=(), leaves_by_verdict=None, passes=0, evaluated=0,
-           undecided_budget=0) -> dict:
+           leaf_depths=(), leaves_by_verdict=None, pass_rows=(), undecided_budget=0) -> dict:
     """How a bisection was reached: the boxes of the bisection tree at each
     depth (the root is depth 0), which ``box_evals`` sums, and two kinds of
     undecided box: those not evaluable (out of the branch domain or no
@@ -1343,10 +1351,12 @@ def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0,
     sign for its zone, or is one that no split can shrink.  Where the
     leaves lie: ``leaf_depths[d]`` counts the leaves, undecided ones
     included, made at depth d, and ``leaves_by_verdict`` counts them by
-    verdict.  ``passes`` counts the ``evaluate`` calls and ``evaluated``
-    the rows they evaluated, look-ahead rows included.  ``undecided_budget``,
-    present only when nonzero, counts the open boxes kept undecided because
-    splitting them would take the tree past ``_MAX_TREE_BOXES``."""
+    verdict.  ``pass_rows`` lists the rows of each ``evaluate`` call,
+    look-ahead and chain rows included; ``passes`` counts the calls and
+    ``evaluated`` sums the rows, and ``pass_rows`` is present only when
+    there was a pass.  ``undecided_budget``, present only when nonzero,
+    counts the open boxes kept undecided because splitting them would take
+    the tree past ``_MAX_TREE_BOXES``."""
     stats = {
         "box_evals": sum(evals_per_depth),
         "max_depth": max(len(evals_per_depth) - 1, 0),
@@ -1355,9 +1365,11 @@ def _stats(evals_per_depth=(), undecided_domain=0, undecided_straddle=0,
         "undecided_straddle": undecided_straddle,
         "leaf_depths": list(leaf_depths),
         "leaves_by_verdict": dict(leaves_by_verdict or dict.fromkeys(_VERDICTS, 0)),
-        "passes": passes,
-        "evaluated": evaluated,
+        "passes": len(pass_rows),
+        "evaluated": sum(pass_rows),
     }
+    if pass_rows:
+        stats["pass_rows"] = list(pass_rows)
     if undecided_budget:
         stats["undecided_budget"] = undecided_budget
     return stats
@@ -1368,32 +1380,93 @@ def _leaf(row, verdict: str) -> CertLeaf:
 
 
 def _look_ahead(frontier: np.ndarray, levels_left: int) -> tuple:
-    """The rows of one bisection pass: the frontier's (4, n) box bounds,
-    then whole levels of candidate children, while the batch stays within
-    ``_PASS_ROWS`` rows and ``levels_left`` levels, and while a split can
-    shrink a box of the last level (``_bisect`` keeps any other box as
-    undecided).  The candidates of a box are both halves along each
+    """The whole levels of one bisection pass: the frontier's (4, n) box
+    bounds, then whole levels of candidate children, while the batch stays
+    within ``_PASS_ROWS`` rows and ``levels_left`` levels (``_bisect``
+    passes the depth cap less the frontier's least depth), and while a
+    split can shrink a box of the last level (``_bisect`` keeps any other
+    box as undecided).  The candidates of a box are both halves along each
     coordinate it may split on: y4 alone when no frontier box has A-width
     (``split_bounds`` then always splits y4), else y4 and A.  Returns
-    (rows, the first row of each level, the candidates per box); box p of
-    a level has its halves along coordinate c at (first row of the next
-    level) + ways * p + 2 * c, + 1 for the upper half.
+    (rows, levels, the candidates per box); row r of any level but the
+    last has its halves along coordinate c at rows n + ways * r + 2 * c
+    and one more, the upper half.
     """
     coords = (0, 1) if np.any(frontier[3] - frontier[2] > 0.0) else (0,)
     ways = 2 * len(coords)
-    levels = [frontier]
-    starts = [0]
-    while (len(levels) <= levels_left
-           and starts[-1] + (1 + ways) * levels[-1].shape[1] <= _PASS_ROWS):
+    levels, width = [frontier], frontier.shape[1]
+    while len(levels) <= levels_left and width + ways * levels[-1].shape[1] <= _PASS_ROWS:
         last = levels[-1]
-        halves = [np.stack(h) for c in coords
-                  for h in split_bounds(*last, np.full(last.shape[1], c))]
-        if all(((lower == last).all(axis=0) | (upper == last).all(axis=0)).all()
-               for lower, upper in zip(halves[::2], halves[1::2])):
+        # (coordinate, lower or upper, bound, box)
+        halves = np.array([split_bounds(*last, c) for c in coords])
+        if (halves == last).all(axis=2).any(axis=1).all():
             break
-        starts.append(starts[-1] + last.shape[1])
-        levels.append(np.stack(halves, axis=2).reshape(4, -1))
-    return np.concatenate(levels, axis=1), starts, ways
+        levels.append(halves.transpose(2, 3, 0, 1).reshape(4, -1))
+        width += levels[-1].shape[1]
+    return np.concatenate(levels, axis=1), len(levels), ways
+
+
+def _chains(parents: np.ndarray, end: np.ndarray, want: np.ndarray) -> tuple:
+    """Chains of y4 halves toward a window end: for each box of ``parents``,
+    (4, k) bounds, its half toward ``end`` (0 the lower y4 end, 1 the
+    upper) by ``split_bounds`` along y4, that half's half, and so on, up to
+    ``want`` rows, at least one; a chain ends at a box that no split can
+    shrink.  One ``split_bounds`` call makes a step of every chain.  Returns
+    the (4, rows) bounds, chain after chain, and the rows of each chain."""
+    steps, taken, alive = [], [], True
+    for j in range(want.max()):
+        halves = np.array(split_bounds(*parents, 0))
+        alive = alive & (j < want) & ~(halves == parents).all(axis=1).any(axis=0)
+        parents = np.where(end == 1, halves[1], halves[0])
+        steps.append(parents)
+        taken.append(alive)
+    taken = np.array(taken).T
+    return np.array(steps).transpose(1, 2, 0)[:, taken], taken.sum(axis=1)
+
+
+def _pass_batch(bounds, depth, reach, max_depth: int) -> tuple:
+    """The rows of one ``_bisect`` pass on the (4, n) frontier ``bounds``,
+    whose boxes sit at ``depth`` and ask for ``reach[e]`` chain rows toward
+    the lower (e = 0) and the upper end: the whole levels of
+    ``_look_ahead``, then, in the rows left of ``_PASS_ROWS``, a chain
+    (``_chains``) for each box that asks for rows, from its last-level
+    descendant along y4 toward that end, while the rows and ``max_depth``
+    allow.  Returns the (4, rows) batch, its whole levels, the candidates
+    per box, the frontier box of each row, and two (2, rows) arrays:
+    ``succ[h, r]``, the chain row that holds row r's lower (h = 0) or upper
+    half if it is a chain row, else -1 (None without chains), and
+    ``grow[e, r]``, the chain rows that the halves of row r at end e ask
+    for: twice a chain's rows after its last row, one elsewhere."""
+    n = bounds.shape[1]
+    whole, levels, ways = _look_ahead(bounds, max_depth - int(depth.min()))
+    width = whole.shape[1]
+    # row p * ways**l + j of level l descends from frontier box p
+    root = np.concatenate([np.repeat(np.arange(n), ways ** l) for l in range(levels)])
+    # (parent row, end, rows, frontier box) for each chain
+    room, plan = _PASS_ROWS - width, []
+    for p, e in zip(*(np.nonzero(reach.T) if room > 0 else ((), ()))):
+        want = min(int(reach[e, p]), max_depth - int(depth[p]) - levels + 1, room)
+        if want > 0:
+            row = int(p)
+            for _ in range(levels - 1):
+                row = n + ways * row + int(e)
+            plan.append((row, int(e), want, int(p)))
+            room -= want
+    if not plan:
+        return whole, levels, ways, root, None, np.ones((2, width), dtype=int)
+    chain, rows = _chains(whole[:, [c[0] for c in plan]], np.array([c[1] for c in plan]),
+                          np.array([c[2] for c in plan]))
+    batch = np.concatenate([whole, chain], axis=1)
+    succ = np.full((2, batch.shape[1]), -1)
+    grow = np.ones((2, batch.shape[1]), dtype=int)
+    top = width
+    for (row, e, _, _), k in zip(plan, rows.tolist()):
+        if k:
+            succ[e, [row, *range(top, top + k - 1)]] = np.arange(top, top + k)
+            grow[e, top + k - 1] = 2 * k
+            top += k
+    root = np.concatenate([root, np.repeat([c[3] for c in plan], rows)])
+    return batch, levels, ways, root, succ, grow
 
 
 def _bisect(zones, evaluate, max_depth: int) -> tuple:
@@ -1401,47 +1474,63 @@ def _bisect(zones, evaluate, max_depth: int) -> tuple:
 
     ``zones`` lists (decide, seeds) pairs: a decider and the
     (ylo, yhi, alo, ahi) bounds of its seed boxes.  All boxes share one
-    frontier, tagged by zone index.  Each pass evaluates the frontier
-    together with whole levels of its candidate children (``_look_ahead``)
-    by one ``evaluate`` call on the bound arrays and ``need``, which
-    returns a ``_BoxEval``.  ``need`` gives, for each row, the quantities
-    that its zone's decider reads, as bits: F 1 and dF 2, their verdict
-    codes, from the decider's ``reads`` (both where it has none).  The
-    evaluator may leave a quantity that a row does not need NaN.  Each
-    decider then runs once on that evaluation and maps it to arrays of
-    verdict codes (indices into ``_VERDICTS``), split coordinates and a
-    mask of the boxes whose enclosure straddles zero; it is read for the
-    rows of its own zone.  A box whose enclosure of a quantity its decider
-    reads has NaN bounds cannot be evaluated: it gets no verdict, whatever
-    its decider says.  The pass then resolves one depth after another.  A box
-    with a verdict becomes a leaf carrying it; any other box is split along
-    the coordinate, or along y4 when it cannot be evaluated, and is kept as
-    undecided once it sits at ``max_depth`` or cannot be shrunk by a split
-    (a point box, or one whose midpoint rounds to an end).  Once splitting
-    the open boxes of a depth would take the tree past ``_MAX_TREE_BOXES``
-    boxes, they are all kept as undecided, and the stats count them as
-    ``undecided_budget``.  The halves of a split box are its candidate rows
-    in the batch; the boxes left open at the last level seed the next pass.
+    frontier, tagged by zone index, and each box carries its depth: the
+    frontier may mix depths.  Each pass evaluates the frontier together
+    with whole levels of its candidate children (``_look_ahead``) and, in
+    the rows left of ``_PASS_ROWS``, chains toward the window ends
+    (``_chains``, ``_pass_batch``), by one ``evaluate`` call on the bound
+    arrays and ``need``, which returns a ``_BoxEval``.  A chain starts at each
+    frontier box that touches the lowest or the highest y4 of all seeds:
+    it holds the y4 half toward that end of the box's last-level
+    descendant along y4, that half's half, and so on.  It asks for one row,
+    twice the rows of the box's last chain where every one of them was
+    used, and one row again once a chain breaks.  ``need`` gives, for each
+    row, the quantities that its zone's decider reads, as bits: F 1 and
+    dF 2, their verdict codes, from the decider's ``reads`` (both where it
+    has none).  The evaluator may leave a quantity that a row does not
+    need NaN.  Each decider then runs once on that evaluation and maps it
+    to arrays of verdict codes (indices into ``_VERDICTS``), split
+    coordinates and a mask of the boxes whose enclosure straddles zero; it
+    is read for the rows of its own zone.  A box whose enclosure of a
+    quantity its decider reads has NaN bounds cannot be evaluated: it gets
+    no verdict, whatever its decider says.  The pass then resolves its
+    frontier, then the halves of its open boxes that the batch holds, and
+    so on until none is left.  A box with a verdict becomes a leaf
+    carrying it; any other box is split along the coordinate, or along y4
+    when it cannot be evaluated, and is kept as undecided once it sits at
+    ``max_depth`` or cannot be shrunk by a split (a point box, or one
+    whose midpoint rounds to an end).  A half whose bounds are a row of
+    the batch is resolved in the same pass; any other half, such as one of
+    a chain box split along A, joins the next pass's frontier.  The tree's
+    boxes are counted as they are made: once splitting the open boxes of
+    one step of that resolution would take the tree past
+    ``_MAX_TREE_BOXES`` boxes, they are all kept as undecided, and the
+    stats count them as ``undecided_budget``; on a frontier of one depth a
+    step is one depth, and the cap cuts the tree after a whole depth.
     Enclosures, hints and verdicts are computed element by element, so a
-    box's outcome does not depend on the rest of its batch: the leaves, the
-    undecided boxes and every stat but ``passes`` and ``evaluated`` are
-    those of one evaluation per depth, and the leaves those of a
-    depth-first bisection, in another order.
+    box's outcome does not depend on the rest of its batch, and a chain
+    row is used or wasted but never moves a verdict: within the budget the
+    leaves, the undecided boxes and every stat but ``passes``,
+    ``evaluated`` and ``pass_rows`` are those of one evaluation per depth,
+    and the leaves those of a depth-first bisection, in another order.
     """
-    leaves, undecided, evals, leaf_depths = [], [], [], []
-    by_verdict = dict.fromkeys(_VERDICTS, 0)
+    leaves, undecided, seen, leaf_at, verdicts, pass_rows = [], [], [], [], [], []
     zone = np.array([z for z, (_, seeds) in enumerate(zones) for _ in seeds], dtype=int)
     bounds = np.array([s for _, seeds in zones for s in seeds], dtype=float).reshape(-1, 4).T
     reads = np.array([getattr(decide, "reads", 3) for decide, _ in zones], dtype=int)
-    domain = straddle = depth = passes = evaluated = budget = 0
+    ends = np.array([[bounds[0].min(initial=_INF)], [bounds[1].max(initial=-_INF)]])
+    depth = np.zeros(zone.size, dtype=int)
+    # the chain rows each frontier box asks for, toward the lower and the upper end
+    reach = (bounds[:2] == ends).astype(int)
+    made, domain, straddle, budget = zone.size, 0, 0, 0
     while zone.size:
-        batch, starts, ways = _look_ahead(bounds, max_depth - depth)
-        # row p * ways**l + j of level l descends from frontier box p
-        tags = np.concatenate([np.repeat(zone, ways ** l) for l in range(len(starts))])
-        need = reads[tags]
-        ev = evaluate(*batch, need=need)
-        passes += 1
-        evaluated += batch.shape[1]
+        n = zone.size
+        batch, levels, ways, root, succ, grow = _pass_batch(bounds, depth, reach, max_depth)
+        # a row at step s of the resolution below sits s depths below its
+        # frontier box, whether in a whole level or in a chain
+        tags, base = zone[root], depth[root]
+        ev = evaluate(*batch, need=reads[tags])
+        pass_rows.append(batch.shape[1])
         verdict, coord = np.zeros(tags.size, dtype=int), np.zeros(tags.size, dtype=int)
         straddles, ok = np.zeros(tags.size, dtype=bool), np.zeros(tags.size, dtype=bool)
         # a box is evaluable where each quantity its zone reads has bounds
@@ -1452,40 +1541,66 @@ def _bisect(zones, evaluate, max_depth: int) -> tuple:
             for out, mask in zip((verdict, coord, straddles, ok), (*decide(ev), valid[reads[z]])):
                 np.copyto(out, mask, where=mine)
         verdict[~ok] = coord[~ok] = 0
-        rows = np.arange(zone.size)  # the batch rows of this depth's boxes
-        for level, start in enumerate(starts):
-            box, code, axis = batch[:, rows], verdict[rows], coord[rows]
-            evals.append(int(rows.size))
-            listed = box.T.tolist()
-            for i in np.flatnonzero(code).tolist():
-                leaves.append(_leaf(listed[i], _VERDICTS[code[i]]))
-            lower, upper = (np.stack(h) for h in split_bounds(*box, axis))
-            stuck = (lower == box).all(axis=0) | (upper == box).all(axis=0)
-            open_ = code == 0
-            kept = open_ & ((depth >= max_depth) | stuck)
+        # the batch rows of this step's boxes and of the leaves; the next
+        # frontier's boxes, their batch rows and their depths less one
+        rows, step, ended = np.arange(n), 0, []
+        parts, came, deep = [np.empty((4, 0))], [rows[:0]], [rows[:0]]
+        while rows.size:
+            box, axis, d = batch[:, rows], coord[rows], base[rows] + step
+            lower, upper = halves = np.array(split_bounds(*box, axis))
+            stuck = (halves == box).all(axis=1).any(axis=0)
+            open_ = verdict[rows] == 0
+            kept = open_ & ((d >= max_depth) | stuck)
             split = int(np.count_nonzero(open_ & ~kept))
-            if sum(evals) + 2 * split > _MAX_TREE_BOXES:
+            if made + 2 * split > _MAX_TREE_BOXES:
                 budget += split
                 kept = open_
-            undecided.extend(_leaf(listed[i], "undecided") for i in np.flatnonzero(kept).tolist())
-            domain += int(np.count_nonzero(kept & ~ok[rows]))
-            straddle += int(np.count_nonzero(kept & ok[rows] & straddles[rows]))
-            codes = np.bincount(code[~open_ | kept], minlength=len(_VERDICTS))
-            for name, n in zip(_VERDICTS, codes.tolist()):
-                by_verdict[name] += n
-            leaf_depths.append(int(codes.sum()))
+            else:
+                made += 2 * split
+            done = ~open_ | kept
+            seen.append(d)
+            leaf_at.append(d[done])
+            ended.append(rows[done])
             open_ &= ~kept
-            depth += 1
-            if level + 1 == len(starts) or not open_.any():
-                break
-            first = starts[level + 1] + ways * (rows[open_] - start)
-            if ways == 4:
-                first += 2 * axis[open_]
-            rows = np.concatenate([first, first + 1])
-        bounds = np.concatenate([lower[:, open_], upper[:, open_]], axis=1)
-        zone = np.tile(tags[rows[open_]], 2)
-    return leaves, undecided, _stats(evals, domain, straddle, leaf_depths, by_verdict,
-                                     passes, evaluated, budget)
+            step += 1
+            if step < levels:
+                # the halves of row r along coordinate c are rows
+                # n + ways * r + 2 * c and one more
+                first = n + ways * rows[open_]
+                if ways == 4:
+                    first += 2 * axis[open_]
+                rows = np.concatenate([first, first + 1])
+                continue
+            # a half that is its chain row is resolved next in this pass, and
+            # any other one joins the next frontier
+            nxt = [rows[:0]]
+            for h, half in enumerate((lower, upper)):
+                miss = open_
+                if succ is not None:
+                    cand = succ[h, rows]
+                    hit = open_ & (cand >= 0)
+                    hit[hit] = (batch[:, cand[hit]] == half[:, hit]).all(axis=0)
+                    miss = open_ & ~hit
+                    nxt.append(cand[hit])
+                parts.append(half[:, miss])
+                came.append(rows[miss])
+                deep.append(d[miss])
+            rows = np.concatenate(nxt)
+        ended = np.concatenate(ended)
+        codes = verdict[ended]
+        verdicts.append(codes)
+        for row, code in zip(batch[:, ended].T.tolist(), codes.tolist()):
+            (leaves if code else undecided).append(_leaf(row, _VERDICTS[code]))
+        domain += int(np.count_nonzero((codes == 0) & ~ok[ended]))
+        straddle += int(np.count_nonzero((codes == 0) & ok[ended] & straddles[ended]))
+        bounds, came = np.concatenate(parts, axis=1), np.concatenate(came)
+        zone, depth = tags[came], np.concatenate(deep) + 1
+        reach = grow[:, came] * (bounds[:2] == ends)
+    evals = np.bincount(np.concatenate([np.zeros(0, dtype=int), *seen]))
+    leaf_depths, codes = (np.bincount(np.concatenate([np.zeros(0, dtype=int), *c]), minlength=m)
+                          for c, m in ((leaf_at, evals.size), (verdicts, len(_VERDICTS))))
+    return leaves, undecided, _stats(evals.tolist(), domain, straddle, leaf_depths.tolist(),
+                                     dict(zip(_VERDICTS, codes.tolist())), pass_rows, budget)
 
 
 def _no_common_zero_decider(ev: _BoxEval) -> tuple:

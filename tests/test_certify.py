@@ -340,14 +340,15 @@ _ACCEPTANCE = {
 # The digests pin every leaf box and verdict of the three acceptance
 # certificates; box_evals counts every bisection node, 2L - Z for L leaves
 # in Z zones.  A pass evaluates several depths, so there are fewer passes
-# than depths.  The y4 memo runs stage 1 on fewer passes than there are,
-# as (runs, y4 columns computed).
+# than depths: B2's chains toward its window ends take it from 26 passes
+# to 14.  The y4 memo runs stage 1 on fewer passes than there are, as
+# (runs, y4 columns computed).
 _PINS = [
-    (_ACCEPTANCE["A2"], 39, 75, 6, 3, (2, 77),
+    (_ACCEPTANCE["A2"], 39, 75, 6, 3, (2, 81),
      "acba8116764ae55904636f9d37913619150b70c87debed28c245187d62d92a95"),
-    (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8, (4, 211),
+    (_ACCEPTANCE["A4-no-common-zero"], 194, 387, 11, 8, (4, 219),
      "b5dbe57d0893d25b792cd10414882bd00d14e18132d351f0a992728d03b63128"),
-    (_ACCEPTANCE["B2"], 1985, 3967, 28, 26, (12, 483),
+    (_ACCEPTANCE["B2"], 1985, 3967, 28, 14, (6, 385),
      "5c93acc1548e9a4b016a9259f37461b6e3776b8f690649b7a28209d65bb9b46d"),
 ]
 
@@ -371,6 +372,7 @@ def test_acceptance_certificates_pinned(build, leaves, box_evals, max_depth, pas
     assert sum(stats["evals_per_depth"]) == box_evals
     assert len(stats["evals_per_depth"]) == max_depth + 1
     assert stats["passes"] == passes and stats["evaluated"] >= box_evals
+    assert len(stats["pass_rows"]) == passes and sum(stats["pass_rows"]) == stats["evaluated"]
     assert _stage1_stats(stats) == stage1
     assert cert.to_json()["stats"] == stats
 
@@ -479,14 +481,14 @@ def test_a_block_runs_the_f_plan_exactly_when_its_columns_need_f_alone(name, mon
         assert calls <= (_F_CALLS if mine is f_plan else _CALLS)[branch][stage - 1]
     # every no-common-zero box reads both quantities, so each of its blocks
     # runs the whole plan; a unique-root block holds F-zone boxes alone or
-    # F-zone and dF-zone boxes together, and 19 of B2's 27 blocks hold
+    # F-zone and dF-zone boxes together, and 14 of B2's 24 blocks hold
     # F-zone boxes alone
     if name == "A4-no-common-zero":
         assert set(kinds) == {(3,)}
     else:
         assert set(kinds) == {(1,), (1, 2)}
     if name == "B2":
-        assert kinds.count((1,)) == 19 and len(kinds) == 27
+        assert kinds.count((1,)) == 14 and len(kinds) == 24
 
 
 def test_stats_record_where_the_leaves_lie():
@@ -555,8 +557,7 @@ def _bisect_by_depth(zones, evaluate, max_depth: int) -> tuple:
         depth += 1
         bounds = np.concatenate([lower[:, open_], upper[:, open_]], axis=1)
         zone = np.concatenate([zone[open_], zone[open_]])
-    return leaves, undecided, _stats(evals, domain, straddle, leaf_depths, by_verdict,
-                                     len(evals), sum(evals))
+    return leaves, undecided, _stats(evals, domain, straddle, leaf_depths, by_verdict, evals)
 
 
 def _leaf_order(leaf) -> tuple:
@@ -568,29 +569,29 @@ def checked_bisect(monkeypatch):
     """``_bisect``, checked against ``_bisect_by_depth`` on each call.
 
     Both run on the same input.  They must agree on the sorted leaves, the
-    sorted undecided boxes and every stats field but ``passes`` and
-    ``evaluated``; each pass must call the evaluator and then each decider
-    once, and evaluate no more than max(frontier, ``_PASS_ROWS``) rows.
-    The rows of each pass of the last call are in ``checked_bisect.rows``.
+    sorted undecided boxes and every stats field but ``passes``,
+    ``evaluated`` and ``pass_rows``; each pass must call the evaluator and
+    then each decider once, and evaluate no more than max(frontier,
+    ``_PASS_ROWS``) rows, look-ahead and chain rows included.  The rows of
+    each pass of the last call are in ``checked_bisect.rows``.
     """
-    batches = []
+    frontiers = []
     look_ahead = intervals._look_ahead
 
     def recording(frontier, levels_left):
-        batch = look_ahead(frontier, levels_left)
-        batches.append((frontier.shape[1], batch[0].shape[1]))
-        return batch
+        frontiers.append(frontier.shape[1])
+        return look_ahead(frontier, levels_left)
     monkeypatch.setattr(intervals, "_look_ahead", recording)
 
     def counted(calls: list, tag, fn):
         def wrapped(*args, **kwargs):
-            calls.append(tag)
+            calls.append(tag if tag != "evaluate" else (tag, args[0].size))
             return fn(*args, **kwargs)
         wrapped.reads = getattr(fn, "reads", 3)
         return wrapped
 
     def run(zones, evaluate, max_depth: int) -> tuple:
-        batches.clear()
+        frontiers.clear()
         calls = []
         got = _bisect([(counted(calls, z, decide), seeds)
                        for z, (decide, seeds) in enumerate(zones)],
@@ -600,12 +601,14 @@ def checked_bisect(monkeypatch):
             assert sorted(mine, key=_leaf_order) == sorted(ref, key=_leaf_order)
         stats, ref = dict(got[2]), dict(want[2])
         passes, evaluated = stats.pop("passes"), stats.pop("evaluated")
+        rows = stats.pop("pass_rows", [])
         assert passes <= ref.pop("passes") and evaluated >= ref.pop("evaluated")
+        ref.pop("pass_rows")
         assert stats == ref
-        assert calls == ["evaluate", *range(len(zones))] * passes
-        assert sum(rows for _, rows in batches) == evaluated
-        assert all(rows <= max(frontier, intervals._PASS_ROWS) for frontier, rows in batches)
-        run.rows = [rows for _, rows in batches]
+        assert len(rows) == len(frontiers) == passes and sum(rows) == evaluated
+        assert calls == [c for r in rows for c in (("evaluate", r), *range(len(zones)))]
+        assert all(r <= max(f, intervals._PASS_ROWS) for f, r in zip(frontiers, rows))
+        run.rows = rows
         return got
     return run
 
@@ -650,19 +653,23 @@ def test_bisect_stuck_boxes_depth_cap_and_one_decider_call_per_pass(checked_bise
     assert checked_bisect.rows == [15]
     # two zones with A-width: four candidates a box; each decider
     # runs once per pass, whatever the number of boxes in its zone, and a
-    # frontier larger than the row count is evaluated alone
+    # frontier larger than the row count is evaluated alone; the rows left
+    # hold one chain row for each box at y4 = 0 or 3, up to the row count
+    # (2, 8 and 32 rows), all wasted, since every box splits along A
     zones = [(_open_decider, [(0.0, 1.0, 2.0, 3.0)]),
              (_open_decider, [(1.0, 2.0, 2.0, 3.0), (2.0, 3.0, 2.0, 3.0)])]
     _, undecided, stats = checked_bisect(zones, _never_decided, 6)
     assert len(undecided) == 3 * 2 ** 6
     assert stats["evals_per_depth"] == [3 * 2 ** d for d in range(7)]
-    assert checked_bisect.rows == [3 + 12 + 48, 24 + 96, 96, 192]
+    assert checked_bisect.rows == [3 + 12 + 48 + 2, 24 + 96 + 8, 96 + 32, 192]
     # nothing evaluates: every box is split along y4 down to the cap and
-    # counted as not evaluable
+    # counted as not evaluable; the first pass's two chain rows are used,
+    # and the frontier of 22 boxes at depth 3 and 4 at depth 4 that they
+    # leave is too wide for a whole level, so this takes a pass more
     _, undecided, stats = checked_bisect(zones, _never_ok, 5)
     assert len(undecided) == stats["undecided_domain"] == 3 * 2 ** 5
     assert all(l.y4[1] - l.y4[0] == 2.0 ** -5 and l.a[1] - l.a[0] == 1.0 for l in undecided)
-    assert checked_bisect.rows == [63, 120, 96]
+    assert checked_bisect.rows == [63 + 2, 22 + 4 + 2, 50, 88]
 
 
 @pytest.mark.parametrize("seed", [
@@ -720,7 +727,7 @@ def test_look_ahead_matches_by_depth_on_the_certificates(name, checked_bisect, m
 
 
 @pytest.mark.parametrize("branch, a_exp, runs", [
-    ("A", 2.0, [(1, 1), (1, 1)]), ("A", 4.0, [(1, 1), (1, 1)]), ("B", 3.0, [(8, 21)])])
+    ("A", 2.0, [(1, 1), (1, 1)]), ("A", 4.0, [(1, 1), (1, 1)]), ("B", 3.0, [(6, 21)])])
 def test_look_ahead_matches_by_depth_on_the_scan_guard(branch, a_exp, runs,
                                                        checked_bisect, monkeypatch):
     import pentacc.symmetric as symmetric
@@ -739,6 +746,76 @@ def test_look_ahead_matches_by_depth_on_the_scan_guard(branch, a_exp, runs,
             stats = checked_bisect(zones, evaluate, cap)[2]
         got.append((stats["passes"], len(stats["evals_per_depth"])))
     assert got == runs
+
+
+def _synthetic_evaluator(bottom, top, a_weight, nan_band=(math.inf, math.inf)):
+    """A box evaluator whose leaves pile up toward two points, ``bottom``
+    and ``top``: F's enclosure is d -+ 2w, for d the distance from the box
+    to the nearer point and w its y4-width plus ``a_weight`` times its
+    A-width, so that it excludes zero once d > 2w, and dF's is A - 2.5 over
+    the box, widened by its y4-width.  Both hints split A where
+    ``a_weight`` times the A-width outgrows the y4-width.  Both enclosures
+    are NaN on the boxes that meet ``nan_band``."""
+    def evaluate(ylo, yhi, alo, ahi, need=None):
+        w = (yhi - ylo) + a_weight * (ahi - alo)
+        d = np.minimum(ylo - bottom, top - yhi)
+        bad = (ylo < nan_band[1]) & (yhi > nan_band[0])
+        f, df = (IntervalArray(np.where(bad, np.nan, l), np.where(bad, np.nan, h))
+                 for l, h in ((d - 2 * w, d + 2 * w),
+                              (alo - 2.5 - (yhi - ylo), ahi - 2.5 + (yhi - ylo))))
+        hint = (a_weight * (ahi - alo) > yhi - ylo).astype(int)
+        return _BoxEval(f, df, hint, hint)
+    return evaluate
+
+
+# (bottom, top, a_weight, the NaN band, depth cap) from the window
+# [lo, hi] and the drawn exponent k: a pile toward a point just beyond one
+# end, which a chain follows; the same pile with boxes that split along A
+# on the way, which breaks the chains; and a pile toward a point at the
+# top end itself, with a band that nothing evaluates, which leaves boxes
+# undecided at the cap
+_SYNTHETIC = {
+    "top-pile": lambda lo, hi, k: (lo - 1.0, hi + 2.0 ** -k, 0.0, (math.inf,) * 2, 60),
+    "bottom-pile": lambda lo, hi, k: (lo - 2.0 ** -k, hi + 1.0, 0.0, (math.inf,) * 2, 60),
+    "a-splits": lambda lo, hi, k: (lo - 1.0, hi + 2.0 ** -k, 0.125, (math.inf,) * 2, 60),
+    "undecidable": lambda lo, hi, k: (lo - 1.0, hi, 0.0625, (0.5 * (lo + hi),) * 2, 14),
+}
+
+
+@pytest.mark.parametrize("pass_rows", [128, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", list(_SYNTHETIC))
+def test_chains_keep_the_bisection_of_one_evaluation_per_depth(case, seed, pass_rows,
+                                                                checked_bisect, monkeypatch):
+    # a seeded window in three zones, the middle one an F-sign zone that
+    # reads F alone; checked_bisect compares every output but the passes
+    # and their rows with one evaluation per depth
+    from pentacc.certify import _sign_decider
+    monkeypatch.setattr(intervals, "_PASS_ROWS", pass_rows)
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(0.1, 0.3))
+    hi = lo + float(rng.uniform(0.3, 0.6))
+    c1, c2 = sorted(float(c) for c in rng.uniform(lo + 0.05, hi - 0.05, 2))
+    a_hi = 2.0 + float(rng.uniform(0.5, 2.0))
+    bottom, top, a_weight, band, cap = _SYNTHETIC[case](lo, hi, int(rng.integers(20, 26)))
+    zones = [(_no_common_zero_decider, [(lo, c1, 2.0, a_hi)]),
+             (_sign_decider("F", 1), [(c1, c2, 2.0, a_hi)]),
+             (_no_common_zero_decider, [(c2, hi, 2.0, a_hi)])]
+    evaluate = _synthetic_evaluator(bottom, top, a_weight, band)
+    leaves, undecided, stats = checked_bisect(zones, evaluate, cap)
+    depths = len(stats["evals_per_depth"])
+    if case == "undecidable":
+        assert stats["undecided_domain"] and stats["undecided_straddle"]
+        assert depths == cap + 1
+    else:
+        assert leaves and not undecided and 20 < depths <= cap
+    if case.endswith("pile") and pass_rows == 128:
+        # the chains take a pile in fewer passes than it has depths, and
+        # than the whole levels take alone
+        assert stats["passes"] < depths
+        monkeypatch.setattr(intervals, "_chains", lambda parents, end, want: (
+            np.empty((4, 0)), np.zeros(len(end), dtype=int)))
+        assert stats["passes"] < _bisect(zones, evaluate, cap)[2]["passes"]
 
 
 def _scalar_box_eval(box: Box, branch: str, center=Interval.point) -> tuple:

@@ -107,7 +107,7 @@ def test_symmetric_scan_branch_b(tmp_path, capsys):
     head, tail = captured.err.split(" at A=3.0: ")
     assert head.startswith("pentacc.symmetric: tangency guard on y4 [0.13397")
     assert tail.startswith("seeds 67, boxes per depth [67, 12, 12, ")
-    assert ", passes 8, unresolved cells 0, " in tail and tail.endswith(" s\n")
+    assert ", passes 6, unresolved cells 0, " in tail and tail.endswith(" s\n")
     # the window's one root enclosure was checked for simplicity, and passed
     assert ", roots 1, not simple 0, " in tail
 
@@ -167,7 +167,7 @@ def test_certify_unique_root_exit_codes(tmp_path, capsys):
     # the stats name the rounding path that the interval kernels ran
     assert cert["stats"]["rounding"] == intervals._rounding()
     # and count the y4 stage's runs and the y4 intervals they computed
-    assert (cert["stats"]["stage1_runs"], cert["stats"]["stage1_columns"]) == (2, 77)
+    assert (cert["stats"]["stage1_runs"], cert["stats"]["stage1_columns"]) == (2, 81)
     # at A in [1000, 1100] F overflows on part of the strip's grid and no
     # interior crossing is found: exit 2, and no warning on stderr
     assert main(["certify", "--window", "a2", "--A-range", "1000,1100"]) == 2

@@ -25,6 +25,7 @@ from pentacc.intervals import (
     _libm,
     _Row,
     _trace,
+    _Y4Memo,
     split_bounds,
 )
 from pentacc.symmetric import scan_branch, window_for
@@ -917,3 +918,20 @@ def test_stacked_jet_operands_make_scalar_path_fail_somewhere():
               lambda x, y, a: y.log(), lambda x, y, a: abs(x), lambda x, y, a: x ** y):
         valid = _run_traced(f, operands)[0].valid
         assert 0 < valid.sum() < valid.size
+
+
+def test_a_plan_whose_alone_outputs_read_no_y4_row_runs():
+    # the plan of a * a alone reads no row of the y4 stage, so a memo
+    # column picks no row for it: that empty pick must still be an index
+    # array, or every run raises IndexError
+    plan = _trace(lambda y, a: (y.exp() * a, a * a), 2, y4=(0,), alone=(1,))
+    y = IntervalArray(np.array([0.1, 0.1, 0.2]), np.array([0.2, 0.2, 0.3]))
+    a = IntervalArray(np.array([2.0, 2.5, 3.0]), np.array([3.0, 3.5, 3.0]))
+    whole = plan.run(y, a)
+    for memo in (None, _Y4Memo()):
+        f, square = plan.run(y, a, memo=memo, need=np.ones(3, dtype=int))
+        assert np.isnan(f.lo).all() and np.isnan(f.hi).all()
+        assert square.lo.tobytes() == whole[1].lo.tobytes()
+        assert square.hi.tobytes() == whole[1].hi.tobytes()
+        for lo, hi, x in zip(square.lo, square.hi, (2.0, 2.5, 3.0)):
+            assert lo <= x * x <= hi
