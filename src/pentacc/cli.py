@@ -39,7 +39,7 @@ from .equations import (
     la2_feasible,
     laura_andoyer,
     region_classify,
-    region_labels,
+    region_labels_by_closure,
     symmetric_g,
 )
 from .intervals import Box, Interval
@@ -203,8 +203,7 @@ def cmd_region_map(args) -> int:
     thetas = np.linspace(0.0, 2.0 * math.pi, n + 2)[1:-1]
     t12, t23 = (t.ravel() for t in np.meshgrid(thetas, thetas, indexing="ij"))
     # labels[closure][i * n + j] is the cell (thetas[i], thetas[j])
-    labels = {closure: region_labels(t12, t23, closure, a_exp)
-              for closure in ("plus", "minus")}
+    labels = region_labels_by_closure(t12, t23, a_exp)
     # the lines csv.writer would write: each float as its repr, no field
     # that needs quotes, \r\n line ends; one closure's lines at a time, each
     # a cell's "theta12,theta23," prefix, made once for both closures, and

@@ -33,7 +33,8 @@ from .geometry import (
     PAIRS,
     PlanarConfiguration,
     SymmetricShape,
-    chain_points,
+    _chain,
+    _close,
     collision_error,
     cyclic_from_angles,
     distance_masks,
@@ -44,7 +45,7 @@ from .geometry import (
     oriented_areas,
     pair_distances,
 )
-from .intervals import _libm
+from .intervals import _libm, _libm_distinct
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +69,7 @@ __all__ = [
     "la2_feasible",
     "region_classify",
     "region_labels",
+    "region_labels_by_closure",
     "TWO_MASS_PAIRS",
 ]
 
@@ -428,8 +430,9 @@ def _two_mass(points, a_exp: float) -> tuple:
         raise ValueError("two-mass equations require an equilateral cyclic pentagon")
     scale = d[:, :1]  # r12
     # libm pow, as Python's r ** 2 in the scalar formula: numpy's x**2 is
-    # x*x, which differs in the last bit on about 0.1 % of arguments
-    scale_sq = _libm(pow, scale[:, 0], 2.0)
+    # x*x, which differs in the last bit on about 0.1 % of arguments; once
+    # per distinct r12, of which a grid of chain points holds two
+    scale_sq = _libm_distinct(pow, scale[:, 0], 2.0)
     coef = np.empty((len(pts), len(TWO_MASS_PAIRS), 2))
     with np.errstate(all="ignore"):  # only colliding rows divide by zero
         R = (d / scale) ** (-a_exp)
@@ -550,16 +553,9 @@ def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
     return RegionResult(str(code))
 
 
-def region_labels(theta12, theta23, closure: str, a_exp: float) -> list:
-    """Region of each cell of arrays of chain angles (radians).
-
-    Returns one label per cell: "I", "II", "III", "none" (infeasible or
-    failing the region III conditions), "unrealizable" (the chain does not
-    close) or "collision".  The cells are classified together by the array
-    kernels, and the feasible cells with mixed diagonals take the region III
-    test together.  Labels equal ``region_classify(...).region``.
-    """
-    points, realizable = chain_points(theta12, theta23, closure)
+def _closure_labels(chain: tuple, closure: str, a_exp: float) -> list:
+    """``region_labels`` of one closure from the shared chain ``_chain``."""
+    points, realizable = _close(chain, closure)
     pts = points[realizable]
     codes = _region_codes(pts, a_exp)
     found = np.where(codes == "infeasible", "none", codes).astype(object)
@@ -570,3 +566,23 @@ def region_labels(theta12, theta23, closure: str, a_exp: float) -> list:
     labels = np.full(realizable.size, "unrealizable", dtype=object)
     labels[realizable] = found
     return labels.tolist()
+
+
+def region_labels(theta12, theta23, closure: str, a_exp: float) -> list:
+    """Region of each cell of arrays of chain angles (radians).
+
+    Returns one label per cell: "I", "II", "III", "none" (infeasible or
+    failing the region III conditions), "unrealizable" (the chain does not
+    close) or "collision".  The cells are classified together by the array
+    kernels, and the feasible cells with mixed diagonals take the region III
+    test together.  Labels equal ``region_classify(...).region``.
+    """
+    return _closure_labels(_chain(theta12, theta23), closure, a_exp)
+
+
+def region_labels_by_closure(theta12, theta23, a_exp: float) -> dict:
+    """``region_labels`` of the "plus" and "minus" closures, by closure: one
+    chain for both, and each closure classified on its own, which keeps
+    the arrays a call holds to one closure's cells."""
+    chain = _chain(theta12, theta23)
+    return {closure: _closure_labels(chain, closure, a_exp) for closure in ("plus", "minus")}

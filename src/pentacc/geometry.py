@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .intervals import _libm
+from .intervals import _libm, _libm_distinct
 
 __all__ = [
     "CollisionError",
@@ -410,18 +410,10 @@ class ChainAngles:
             raise ValueError(f"closure must be 'plus' or 'minus', got {self.closure!r}")
 
 
-def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
-    """Unit-edge cyclic pentagons for arrays of chain angles.
-
-    ``theta12`` and ``theta23`` are 1-D arrays in radians, read as in
-    ``ChainAngles``.  Returns ``(points, realizable)``: an (N, 5, 2) stack
-    of normalized configurations and a mask of the cells whose chain closes
-    with two more unit edges (1e-12 <= |q4 - q1| <= 2).  q5 is NaN where the
-    mask is False.  ``cyclic_from_angles`` is the batch of one of this
-    kernel.
-    """
-    if closure not in ("plus", "minus"):
-        raise ValueError(f"closure must be 'plus' or 'minus', got {closure!r}")
+def _chain(theta12, theta23) -> tuple:
+    """``chain_points``' part that no closure changes: (q3x, q3y, q4x, q4y,
+    gx, gy, dist, realizable, h), the gap (gx, gy) = q1 - q4 of length dist
+    and h >= 0, q5's distance from the gap's midpoint."""
     t12 = np.asarray(theta12, dtype=float)
     t23 = np.asarray(theta23, dtype=float)
     # q1 = (-0.5, 0) and q2 = (0.5, 0).  Each expression repeats the
@@ -432,23 +424,32 @@ def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
     # while Python's x**2 calls libm pow.  On an AVX-512 Xeon (numpy 2.4)
     # np.hypot differs from math.hypot on 1297 of 200k arguments in
     # [-3, 3]^2 and x*x from x**2 on 880 of 1M in [0, 1.2] (np.cos and
-    # np.sin agreed on 2M).  The libm calls cost about 3 ms per 7200-cell
-    # grid.
+    # np.sin agreed on 2M).  A grid's angles repeat (60 distinct values of
+    # d23 and 453 of d34 in a 3600-cell grid), so cos and sin run once per
+    # distinct one (``intervals._libm_distinct``).  The libm calls cost
+    # about 1.1 ms per 3600-cell grid, once for both closures.
     d23 = math.pi - t12
-    q3x = 0.5 + _libm(math.cos, d23)
-    q3y = 0.0 + _libm(math.sin, d23)
+    q3x = 0.5 + _libm_distinct(math.cos, d23)
+    q3y = 0.0 + _libm_distinct(math.sin, d23)
     d34 = d23 + math.pi - t23
-    q4x = q3x + _libm(math.cos, d34)
-    q4y = q3y + _libm(math.sin, d34)
+    q4x = q3x + _libm_distinct(math.cos, d34)
+    q4y = q3y + _libm_distinct(math.sin, d34)
     gx, gy = -0.5 - q4x, 0.0 - q4y
     dist = _libm(math.hypot, gx, gy)
     # written so that a NaN distance (from a non-finite angle) is unrealizable
     realizable = (dist >= 1e-12) & (dist <= 2.0)
     h_sq = 1.0 - _libm(pow, dist / 2.0, 2.0)
-    h = np.sqrt(np.maximum(h_sq, 0.0))
+    return q3x, q3y, q4x, q4y, gx, gy, dist, realizable, np.sqrt(np.maximum(h_sq, 0.0))
+
+
+def _close(chain: tuple, closure: str) -> tuple:
+    """``chain_points`` of one closure from the shared part ``_chain``."""
+    if closure not in ("plus", "minus"):
+        raise ValueError(f"closure must be 'plus' or 'minus', got {closure!r}")
+    q3x, q3y, q4x, q4y, gx, gy, dist, realizable, h = chain
     if closure == "minus":
         h = -h
-    pts = np.empty((t12.size, 5, 2))
+    pts = np.empty((q3x.size, 5, 2))
     pts[:, 0] = (-0.5, 0.0)
     pts[:, 1] = (0.5, 0.0)
     pts[:, 2, 0], pts[:, 2, 1] = q3x, q3y
@@ -458,6 +459,19 @@ def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
         pts[:, 4, 1] = 0.5 * (q4y + 0.0) + h * (-gx / dist)
     pts[~realizable, 4] = np.nan
     return pts, realizable
+
+
+def chain_points(theta12, theta23, closure: str = "plus") -> tuple:
+    """Unit-edge cyclic pentagons for arrays of chain angles.
+
+    ``theta12`` and ``theta23`` are 1-D arrays in radians, read as in
+    ``ChainAngles``.  Returns ``(points, realizable)``: an (N, 5, 2) stack
+    of normalized configurations and a mask of the cells whose chain closes
+    with two more unit edges (1e-12 <= |q4 - q1| <= 2).  q5 is NaN where the
+    mask is False.  ``cyclic_from_angles`` is the batch of one of this
+    kernel.
+    """
+    return _close(_chain(theta12, theta23), closure)
 
 
 def cyclic_from_angles(angles: ChainAngles) -> PlanarConfiguration:

@@ -88,7 +88,9 @@ the package's one gate to libm for arrays: these three kernels send both
 bounds through it in one call, and ``geometry.chain_points`` (cos, sin,
 hypot, a square), ``geometry.interior_angles`` (atan2), and the two-mass
 coefficients (a square) and the mutual-distance residual tables (r**-A and
-r**2) of ``equations`` call it too.
+r**2) of ``equations`` call it too.  Where the arguments repeat (the
+chain's cos and sin, the two-mass square of r12) the call site takes
+``_libm_distinct``, which runs ``_libm`` once per distinct argument.
 
 The module ends with the package's one adaptive-bisection loop,
 ``_bisect``, next to its split rule ``split_bounds``.  It runs breadth first
@@ -246,7 +248,9 @@ class Interval:
     def _abs_part(self, c):
         """Component c of |x| for a jet x with this value: negated where the
         value is negative, kept where it is nonnegative; a value that
-        straddles 0 raises."""
+        straddles 0 raises.  A float c becomes a point interval, as a plan
+        makes a row of it, so that later terms round alike."""
+        c = self._coerce(c)
         if self.hi < 0.0:
             return -c
         if self.lo >= 0.0:
@@ -470,6 +474,25 @@ def _libm(fn, *args) -> np.ndarray:
             except (OverflowError, ValueError, ZeroDivisionError):
                 out.append(math.nan)
     return np.asarray(out, dtype=float).reshape(arrays[0].shape)
+
+
+def _libm_distinct(fn, *args) -> np.ndarray:
+    """``_libm`` run once per distinct tuple of broadcast arguments, keyed
+    by the bits of the array arguments (-0.0 is not 0.0), and broadcast
+    back.  A stable sort groups the keys: it is fast on a grid's sorted
+    runs, and np.unique's sort would add 0.25 MB of numpy code to a run's
+    peak memory."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    cols = [a.ravel() for a in arrays]
+    keys = [c.view(np.int64) for c, a in zip(cols, args) if np.ndim(a)] or [cols[0].view(np.int64)]
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)  # where a run of equal tuples starts
+    new[:1] = True
+    for key in (k[order] for k in keys):
+        new[1:] |= key[1:] != key[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)  # each tuple's run
+    inverse[order] = np.cumsum(new, dtype=np.intp) - 1
+    return _libm(fn, *(c[order[new]] for c in cols))[inverse].reshape(arrays[0].shape)
 
 
 class IntervalArray:
@@ -898,7 +921,9 @@ class _Trace:
             if key is None:
                 regs = copied = sorted(regs, key=row.get)
                 src = [row[a] for a in copied]
-                expand = (_rows(src), start, stop)
+                # an index array, so that a y4 memo keeps a copy of the rows,
+                # never a view of a file that the second stage overwrites
+                expand = (np.array(src, dtype=np.intp), start, stop)
                 free.update(src)
             else:
                 kind, param = key

@@ -365,9 +365,10 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     return records
 
 
-def _grid_signs(ys, a_exp: float, branch: str) -> tuple:
+def _grid_signs(ys, a_exp, branch: str) -> tuple:
     """F on a float grid of y4 and the sign of each node: (vals, signs,
-    finite).  The one place F runs on a float grid.  Above A of about 1000
+    finite); ``a_exp`` is a float, or an array that broadcasts against
+    ``ys``.  The one place F runs on a float grid.  Above A of about 1000
     a power of a distance overflows and F is inf or NaN at some nodes; such
     a node has value and sign 0 and ``finite`` False, so a sign is 0 when
     F is 0 or not finite there."""
@@ -459,13 +460,12 @@ def _locate_crossing(window: tuple, a_range: tuple, branch: str) -> tuple:
     """
     lo, hi = window
     ys = np.linspace(lo, hi, 2049)
-    grids = [_grid_signs(ys, float(a_exp), branch)
-             for a_exp in np.linspace(a_range[0], a_range[1], 9)]
-    signs = [grid[1] for grid in grids]
-    unsigned = sum(int(np.count_nonzero(~finite)) for _, _, finite in grids)
-    lo_sign = int(signs[0][0])
+    # the nine sampled exponents' grids in one broadcast call, a row each
+    _, signs, finite = _grid_signs(ys[None, :], np.linspace(*a_range, 9)[:, None], branch)
+    unsigned = int(np.count_nonzero(~finite))
+    lo_sign = int(signs[0, 0])
     # the grid cells with a sign change at some sampled exponent
-    crossed = np.flatnonzero(np.any([s[:-1] * s[1:] < 0 for s in signs], axis=0))
+    crossed = np.flatnonzero(np.any(signs[:, :-1] * signs[:, 1:] < 0, axis=0))
     if not crossed.size:
         return None, None, lo_sign, unsigned
     margin = 0.08 * (hi - lo)

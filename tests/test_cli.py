@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pentacc import cli, intervals
+from pentacc import cli, equations, geometry, intervals
 from pentacc.cli import main
 from pentacc.geometry import SymmetricShape, regular_pentagon_y4, symmetric_coords
 from pentacc.tropical import build_system
@@ -726,6 +726,40 @@ def test_region_map_grid60_pinned(tmp_path, capsys):
     summary = [line for line in lines if line.startswith("pentacc: region map: 7200 cells")]
     assert len(summary) == 1
     assert json.loads(summary[0].split(" labels ", 1)[1]) == GRID60_LABELS
+
+
+# SHA-256 of the outputs of region-map --A 5/2 --grid 200 before the two
+# closures shared one chain; CI's smoke step checks the same CSV digest
+GRID200_CSV_SHA256 = "9e14ba440e774ba9b562bc832d1fc6455b3fe7a9f37d1595deecb629f22c3d4d"
+GRID200_SVG_SHA256 = "712a4638ab5315037b49c1071a48de4ebcceb5d3096ac9da8a9a84b240cbbd81"
+
+
+def test_region_map_grid200_pinned(tmp_path, capsys):
+    prefix = str(tmp_path / "regions")
+    assert main(["region-map", "--A", "5/2", "--grid", "200", "--out", prefix, "--stats"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    for closure in ("plus", "minus"):
+        assert (f"pentacc.equations: region labels, {closure} closure: 40000 cells, "
+                "27729 realizable, 2972 sent to the region III test") in lines
+    assert hashlib.sha256(Path(prefix + ".csv").read_bytes()).hexdigest() == GRID200_CSV_SHA256
+    assert hashlib.sha256(Path(prefix + ".svg").read_bytes()).hexdigest() == GRID200_SVG_SHA256
+
+
+def test_region_map_evaluates_each_libm_argument_of_its_chain_once(tmp_path, monkeypatch):
+    # a grid-60 map made 52,296 libm evaluations when each closure built its
+    # own chain and every argument went to libm; now the chain's cos and sin
+    # run once per distinct angle, hypot and the square of dist/2 once per
+    # cell, and r12's square once per distinct r12
+    count = [0]
+    libm = intervals._libm
+
+    def record(fn, *args):
+        count[0] += np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))[0].size
+        return libm(fn, *args)
+    for module in (intervals, geometry, equations):
+        monkeypatch.setattr(module, "_libm", record)
+    assert main(["region-map", "--A", "3", "--grid", "60", "--out", str(tmp_path / "r")]) == 0
+    assert count[0] <= 12400
 
 
 def test_readme_library_example_runs(capsys):

@@ -41,6 +41,7 @@ from pentacc.equations import (
     mass_kernel,
     region_classify,
     region_labels,
+    region_labels_by_closure,
     symmetric_g,
 )
 from test_geometry import _hull_indices
@@ -586,6 +587,19 @@ def test_region_classify_is_the_batch_of_one_of_region_labels():
         interior.update(r.interior_label for r in want)
     assert interior == {1, 2, 3, 4, 5}
     assert "two-mass equations infeasible" in details
+
+
+@pytest.mark.parametrize("n", [7, 60, 200])
+def test_both_closures_on_one_chain_are_region_labels_of_each(n):
+    # region-map's grids: the closures share one chain and are classified
+    # one after the other, each as region_labels classifies it alone
+    thetas = np.linspace(0.0, 2.0 * math.pi, n + 2)[1:-1]
+    t12, t23 = (t.ravel() for t in np.meshgrid(thetas, thetas, indexing="ij"))
+    for a_exp in (2.0, 2.5, 3.0, 10.0):
+        both = region_labels_by_closure(t12, t23, a_exp)
+        assert list(both) == ["plus", "minus"]
+        for closure in ("plus", "minus"):
+            assert both[closure] == region_labels(t12, t23, closure, a_exp)
 
 
 def test_a_quantity_self_pair_convention():

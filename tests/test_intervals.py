@@ -23,6 +23,7 @@ from pentacc.intervals import (
     IntervalDomainError,
     Jet2,
     _libm,
+    _libm_distinct,
     _Row,
     _trace,
     _Y4Memo,
@@ -363,6 +364,38 @@ def test_libm_gate_broadcasts_and_gives_nan_where_a_call_raises():
     ys = np.linspace(-3.0, 3.0, 101)
     check(_libm(math.hypot, ys[:, None], ys), math.hypot, ys[:, None], ys)
     check(_libm(math.cos, 2.5), math.cos, 2.5)
+
+
+def _bits(v) -> tuple:
+    return tuple(np.asarray(v, dtype=float).view(np.uint64).ravel().tolist())
+
+
+def test_libm_distinct_gives_libms_bits_with_one_call_per_distinct_argument():
+    nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]  # another payload
+    x = np.array([0.5, -0.0, 0.0, 0.5, math.nan, nan2, -0.0, 3.0, math.nan, -2.0, 0.5])
+    edges = np.concatenate((x, [math.inf, -math.inf, 1e300, math.inf]))
+    cases = [(math.cos, (edges,)), (math.sin, (edges,)), (pow, (edges, 2.0)),
+             (pow, (edges, -3.0)), (pow, (2.0, edges)), (math.atan2, (edges, edges[::-1])),
+             (math.atan2, (edges[:, None], edges)), (math.cos, (np.empty(0),)),
+             (math.sin, (0.5,))]
+    for fn, args in cases:
+        # cos and sin of an infinity raise, pow of 1e300 overflows: NaN there
+        got = _libm_distinct(fn, *args)
+        assert got.shape == _libm(fn, *args).shape
+        assert _bits(got) == _bits(_libm(fn, *args)), (fn, args)
+    # with no call that raises, each distinct tuple of argument bits makes
+    # one call: -0.0 and 0.0 two, the two NaN payloads two
+    for fn, args in [(math.cos, (x,)), (math.sin, (x,)), (pow, (x, 2.0)),
+                     (math.atan2, (edges, edges[::-1])), (math.atan2, (x[:, None], x))]:
+        calls = []
+
+        def record(*vals, fn=fn):
+            calls.append(_bits(vals))
+            return fn(*vals)
+        assert _bits(_libm_distinct(record, *args)) == _bits(_libm(fn, *args))
+        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        want = set(zip(*(_bits(c) for c in cols)))
+        assert len(calls) == len(want) and set(calls) == want, fn
 
 
 def test_interval_array_marks_scalar_failures_invalid(rounding_paths):
@@ -797,6 +830,8 @@ _STACKED_OPS = {
     "log y": lambda x, y, a: y.log(),
     "abs x": lambda x, y, a: abs(x),
     "abs y": lambda x, y, a: abs(y),
+    # x's dy slot is the float 1.0, which abs makes a row of signs
+    "abs x * y": lambda x, y, a: abs(x) * y,
 }
 
 
@@ -935,3 +970,169 @@ def test_a_plan_whose_alone_outputs_read_no_y4_row_runs():
         assert square.hi.tobytes() == whole[1].hi.tobytes()
         for lo, hi, x in zip(square.lo, square.hi, (2.0, 2.5, 3.0)):
             assert lo <= x * x <= hi
+
+
+# The plan compiler's fuzz: random straight-line formulas over (y, a), each
+# step (name, parameter, operand indices), where value 0 is y and 1 is a.
+# "c/", "c*" and "c-" take a number as the left operand, "pow" an integer
+# exponent, "mid" reads an input's midpoint, and "abs" is x._abs_part(c) on
+# rows and Intervals and abs(x) on jets.  A formula runs on rows and on the
+# scalar Interval, or on the jets of the variables y and a over each, as the
+# certifier runs F; a jet outputs its five slots.
+_FUZZ_STEPS = {
+    "add": (2, lambda p, x, y: x + y),
+    "sub": (2, lambda p, x, y: x - y),
+    "mul": (2, lambda p, x, y: x * y),
+    "div": (2, lambda p, x, y: _divide(x, y)),
+    "abs": (2, lambda p, x, c: abs(x) if isinstance(x, Jet2) else x._abs_part(c)),
+    "neg": (1, lambda p, x: -x),
+    "exp": (1, lambda p, x: x.exp()),
+    "log": (1, lambda p, x: x.log()),
+    "pow": (1, lambda p, x: x ** p),
+    "c/": (1, lambda p, x: p / x),
+    "c*": (1, lambda p, x: p * x),
+    "c-": (1, lambda p, x: p - x),
+    "mid": (1, lambda p, x: x.mid if isinstance(x, _Row) else Interval.point(x.mid)),
+}
+
+
+def _fuzz_formula(rng, jets: bool) -> tuple:
+    """(steps, outputs, alone): 3 to 24 steps (12 on jets, and no "mid"),
+    up to 4 outputs, each a value index or, on rows, a number, and a random
+    subset of the outputs' rows as ``alone``."""
+    names = [name for name in _FUZZ_STEPS if not (jets and name == "mid")]
+    steps = []
+    for k in range(int(rng.integers(3, 13 if jets else 25))):
+        name = names[int(rng.integers(len(names)))]
+        arity, _ = _FUZZ_STEPS[name]
+        # y4-only chains are common, so that the first stage has work
+        args = [int(rng.integers(2)) if name == "mid" else int(rng.integers(2 + k))
+                for _ in range(arity)]
+        param = (int(rng.integers(-3, 5)) if name == "pow"
+                 else float(rng.choice([0.5, -1.5, 2.0, 3.0])) if name in ("c/", "c*", "c-")
+                 else None)
+        steps.append((name, param, args))
+    count = 2 + len(steps)
+    outputs = [float(rng.choice([0.25, -2.0])) if not jets and rng.random() < 0.05
+               else int(count - 1 - rng.integers(min(count, 6)))
+               for _ in range(rng.integers(1, 5))]
+    alone = [i for i in range(5 * len(outputs) if jets else len(outputs)) if rng.random() < 0.5]
+    return steps, outputs, alone
+
+
+def _fuzz_text(steps, outputs, alone, jets: bool) -> str:
+    lines = [f"v{2 + k} = {name}{'' if p is None else f'[{p}]'}"
+             f"({', '.join(f'v{i}' for i in args)})" for k, (name, p, args) in enumerate(steps)]
+    outs = ", ".join(repr(o) if isinstance(o, float) else f"v{o}" for o in outputs)
+    return "\n".join(lines + [f"outputs {outs}{' (jets)' if jets else ''}; alone {alone}"])
+
+
+def _fuzz_run(steps, outputs, jets: bool, y, a) -> list:
+    """The formula's outputs on rows or on Intervals, on jets their slots;
+    on Intervals, a value whose step raises, or that reads such a value,
+    is None, and so is each slot of such a jet."""
+    vals = [Jet2.variable_y(y), Jet2.variable_a(a)] if jets else [y, a]
+    for name, p, args in steps:
+        xs = [vals[i] for i in args]
+        try:
+            vals.append(None if None in xs else _FUZZ_STEPS[name][1](p, *xs))
+        except (IntervalDomainError, OverflowError):
+            vals.append(None)
+    outs = [o if isinstance(o, float) else vals[o] for o in outputs]
+    if jets:
+        return [p for o in outs for p in ((None,) * 5 if o is None else _slots(o))]
+    return outs
+
+
+def _fuzz_columns(rng, n: int) -> tuple:
+    """n (y, a) columns whose y intervals repeat, some straddling 0."""
+    pool = rng.uniform(-1.0, 2.5, int(rng.integers(1, 6)))
+    y_lo = pool[rng.integers(pool.size, size=n)]
+    y_hi = y_lo + 10.0 ** rng.uniform(-6.0, 0.0, pool.size)[rng.integers(pool.size, size=n)]
+    a_lo = rng.uniform(-0.5, 3.0, n)
+    return (IntervalArray(y_lo, np.maximum(y_lo, y_hi)),
+            IntervalArray(a_lo, a_lo + 10.0 ** rng.uniform(-6.0, 0.0, n)))
+
+
+def _fuzz_want(steps, outputs, jets: bool, y, a) -> tuple:
+    """(lo, hi, ok): the formula's output rows on the scalar Interval, one
+    row an output row and one column a column, and where the scalar path
+    succeeds; a float output, such as a jet's structural zero, is a point."""
+    want = []
+    for j in range(y.lo.size):
+        out = _fuzz_run(steps, outputs, jets, Interval(y.lo[j], y.hi[j]),
+                        Interval(a.lo[j], a.hi[j]))
+        want.append([(math.nan, math.nan) if w is None else (w, w) if isinstance(w, float)
+                     else (w.lo, w.hi) for w in out])
+    lo, hi = np.array(want, dtype=float).transpose(2, 1, 0)
+    return lo, hi, ~np.isnan(lo)
+
+
+def _fuzz_check(got, want, alone, need, paths, strict: bool) -> None:
+    """The output rows of a plan run against ``_fuzz_want``: NaN in a
+    block that ran the plan of ``alone`` if the row is not in it, else
+    valid wherever the scalar path is, with ``paths.check``'s bounds.  On
+    the step path a ``strict`` check also asks for NaN wherever the scalar
+    path raises; a jet is invalid on the scalar path as a whole, but the
+    plan's slots can be valid one by one."""
+    want_lo, want_hi, ok = want
+    n = ok.shape[1]
+    width = min(n, 2 * intervals._PASS_ROWS)
+    ran_alone = np.zeros(n, dtype=bool)
+    if need is not None and alone:
+        for c0 in range(0, n, width):
+            ran_alone[c0:c0 + width] = np.bitwise_or.reduce(need[c0:c0 + width]) == 1
+    assert len(got) == len(ok)
+    for i, part in enumerate(got):
+        skip = ran_alone & (i not in alone)
+        assert np.isnan(part.lo[skip]).all() and np.isnan(part.hi[skip]).all(), i
+        assert part.valid[ok[i] & ~skip].all(), (i, part.lo, want_lo[i])
+        if strict and paths.exact:
+            assert not part.valid[~ok[i] & ~skip].any(), (i, part.lo, want_lo[i])
+        sel = ok[i] & ~skip
+        paths.check(part.lo[sel], part.hi[sel], want_lo[i, sel], want_hi[i, sel])
+
+
+# formulas per seed on rows and on jets, about 1 s of Tier-1 a seed
+_FUZZ_FORMULAS = {False: 60, True: 12}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_plan_compiler_matches_the_scalar_interval_on_random_formulas(
+        seed, rounding_paths, monkeypatch):
+    # random formulas traced into plans with a y4 stage and an ``alone``
+    # plan, run whole and with need bits, without and with a y4 memo that
+    # a second run reuses on halves and repeats of the first run's y4
+    # columns; one block of columns, and blocks of 6 columns, which split
+    # the runs and make memo blocks of more than 4 y4 columns element-bound
+    for jets, count in _FUZZ_FORMULAS.items():
+        for k in range(count):
+            rng = np.random.default_rng((seed, int(jets), k))
+            steps, outputs, alone = _fuzz_formula(rng, jets)
+            try:
+                _fuzz_one(rng, steps, outputs, alone, jets, rounding_paths, monkeypatch)
+            except AssertionError as exc:
+                raise AssertionError(f"seed {seed}, formula {k}:\n"
+                                     f"{_fuzz_text(steps, outputs, alone, jets)}\n{exc}") from exc
+
+
+def _fuzz_one(rng, steps, outputs, alone, jets, paths, monkeypatch) -> None:
+    plan = _trace(lambda y, a: _fuzz_run(steps, outputs, jets, y, a), 2, y4=(0,), alone=alone)
+    y, a = _fuzz_columns(rng, int(rng.integers(1, 40)))
+    (l_lo, l_hi, *_), (u_lo, u_hi, *_) = split_bounds(y.lo, y.hi, a.lo, a.hi, 0)
+    pick = rng.integers(y.lo.size, size=y.lo.size)
+    half = rng.random(y.lo.size) < 0.5
+    y2 = IntervalArray(np.where(half, l_lo, u_lo)[pick], np.where(half, l_hi, u_hi)[pick])
+    a2 = IntervalArray(a.lo[pick], a.hi[pick])
+    need = rng.choice([np.ones(y.lo.size, dtype=int), np.full(y.lo.size, 3),
+                       rng.choice([1, 3], y.lo.size)])
+    runs = [(ys, as_, _fuzz_want(steps, outputs, jets, ys, as_)) for ys, as_ in ((y, a), (y2, a2))]
+    for rows in (128, 3):
+        monkeypatch.setattr(intervals, "_PASS_ROWS", rows)
+        for _ in paths:
+            _fuzz_check(plan.run(y, a), runs[0][2], alone, None, paths, not jets)
+            memo = _Y4Memo()
+            for ys, as_, want in runs:
+                for m in (None, memo):
+                    _fuzz_check(plan.run(ys, as_, memo=m, need=need), want, alone, need, paths,
+                                not jets)
