@@ -40,16 +40,15 @@ natural one.  Each zone's decider reads one quantity or both: an
 F-sign zone reads F, the strip's derivative zone dF/dy4, and the
 no-common-zero decider both.  ``intervals._bisect`` passes each box's
 quantities to the evaluator, and the plan runs a block of boxes that all
-need F alone on a plan of F's outputs alone, and any other block on the
-whole plan, each on every box of the block (activity analysis: A.
-Griewank and A. Walther, *Evaluating Derivatives*, 2008).  The plans'
-calls that read y4 alone run once per distinct y4 interval of a
-certificate, and once more where the whole plan needs an interval that
-the F plan computed: the certificate's evaluator keeps their rows in one
-memo from pass to pass (``intervals._Y4Memo``), so the two halves of a
-box split along A share them, and a pass that finds an interval missing
-computes the y4 halves of its intervals too, which the memo splits
-itself and the next pass's boxes take.  A box's verdict depends only on
+need F alone on a second stage of F's outputs alone, and any other block
+on the whole plan's, each on every box of the block (activity analysis:
+A. Griewank and A. Walther, *Evaluating Derivatives*, 2008).  Both follow
+the plan's one first stage, the calls that read y4 alone, which run once
+per distinct y4 interval of a certificate: the certificate's evaluator
+keeps their rows in one memo from pass to pass (``intervals._Y4Memo``),
+so the two halves of a box split along A share them, and a pass that
+finds an interval missing computes the y4 halves of its intervals too,
+which the memo splits itself and the next pass's boxes take.  A box's verdict depends only on
 the box, so the leaves are the ones a depth-first bisection finds.
 The tangency guard of ``symmetric.isolate_roots`` runs on the same
 bisection; its box evaluator is the natural form of F and dF/dy4 at the
@@ -92,9 +91,9 @@ def _combine(mv_enc: IntervalArray, nat_enc: IntervalArray, mv) -> IntervalArray
     return IntervalArray(np.where(mv, both.lo, nat_enc.lo), np.where(mv, both.hi, nat_enc.hi))
 
 
-# The outputs of ``_f_jets`` that F reads, those of the second plan of
-# ``_f_plan``: F's mean-value form, its natural form (the whole-box value)
-# and the slopes of its split hint
+# The outputs of ``_f_jets`` that F reads, those of the second stage of
+# ``_f_plan`` for F alone: F's mean-value form, its natural form (the
+# whole-box value) and the slopes of its split hint
 _F_OUTPUTS = (0, 2, 3, 4)
 
 
@@ -106,11 +105,11 @@ def _f_plan(branch: str):
     jets' ready calls of one kind stack into one kernel call, so the
     centers add no call.  Row 0 holds y4: the calls that read it alone
     form the plan's first stage, whose rows a run takes from a y4 memo that
-    computes each distinct y4 interval once (``intervals._Y4Memo``).  A
-    block of boxes that all need F alone runs the plan of F's outputs alone
-    (``_F_OUTPUTS``) on every box, 33 + 16 stacked calls on branch A and
-    40 + 16 on B, and any other block the whole plan, 47 + 23 and
-    53 + 23."""
+    computes each distinct y4 interval once (``intervals._Y4Memo``): 47
+    stacked calls on branch A and 53 on B.  A block of boxes that all need
+    F alone then runs the second stage of F's outputs alone
+    (``_F_OUTPUTS``) on every box, 16 stacked calls on either branch, and
+    any other block the whole plan's, 23."""
     return _trace(partial(_f_jets, branch=branch), 2, y4=(0,), alone=_F_OUTPUTS)
 
 
@@ -140,8 +139,8 @@ def _mv_eval(ylo, yhi, alo, ahi, branch: str, memo: _Y4Memo | None = None,
     the boxes alone, one column a box, which gives the mean-value forms
     and every slot of the whole-box jet.  ``need`` gives the quantities
     each box needs, as ``intervals._bisect`` passes them (F 1, dF/dy4 2;
-    by default both); a block of boxes that all need F alone runs the plan
-    of F's outputs alone, and their dF/dy4 enclosures are NaN.  This
+    by default both); a block of boxes that all need F alone runs the
+    second stage of F's outputs alone, and their dF/dy4 enclosures are NaN.  This
     function only picks the split hints and meets the two forms.  Where a
     quantity's mean-value form or its natural form fails, the natural form
     is used alone, with the default split hint.  A box where both forms

@@ -68,7 +68,6 @@ __all__ = [
     "mass_kernel",
     "la2_feasible",
     "region_classify",
-    "region_labels",
     "region_labels_by_closure",
     "TWO_MASS_PAIRS",
 ]
@@ -534,8 +533,8 @@ def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
     shapes satisfying the interior-body conditions after the cyclic
     relabeling that moves the interior body to position 5; reflected copies
     are accepted through the mirror image.  Raises OutOfDomainError when the
-    chain does not close and CollisionError when two bodies coincide.  This
-    is the batch of one of ``region_labels``.
+    chain does not close and CollisionError when two bodies coincide.
+    ``region_labels_by_closure`` classifies arrays of cells as it does.
     """
     config = cyclic_from_angles(angles)
     code = _region_codes(config.points[None], a_exp)[0]
@@ -554,7 +553,8 @@ def region_classify(angles: ChainAngles, a_exp: float) -> RegionResult:
 
 
 def _closure_labels(chain: tuple, closure: str, a_exp: float) -> list:
-    """``region_labels`` of one closure from the shared chain ``_chain``."""
+    """The labels of ``region_labels_by_closure`` for one closure, from the
+    shared chain ``_chain``."""
     points, realizable = _close(chain, closure)
     pts = points[realizable]
     codes = _region_codes(pts, a_exp)
@@ -568,21 +568,18 @@ def _closure_labels(chain: tuple, closure: str, a_exp: float) -> list:
     return labels.tolist()
 
 
-def region_labels(theta12, theta23, closure: str, a_exp: float) -> list:
-    """Region of each cell of arrays of chain angles (radians).
-
-    Returns one label per cell: "I", "II", "III", "none" (infeasible or
-    failing the region III conditions), "unrealizable" (the chain does not
-    close) or "collision".  The cells are classified together by the array
-    kernels, and the feasible cells with mixed diagonals take the region III
-    test together.  Labels equal ``region_classify(...).region``.
-    """
-    return _closure_labels(_chain(theta12, theta23), closure, a_exp)
-
-
 def region_labels_by_closure(theta12, theta23, a_exp: float) -> dict:
-    """``region_labels`` of the "plus" and "minus" closures, by closure: one
-    chain for both, and each closure classified on its own, which keeps
-    the arrays a call holds to one closure's cells."""
+    """Region of each cell of arrays of chain angles (radians), for the
+    "plus" and "minus" closures, by closure.
+
+    Each closure has one label per cell: "I", "II", "III", "none"
+    (infeasible or failing the region III conditions), "unrealizable" (the
+    chain does not close) or "collision".  The cells are classified
+    together by the array kernels, and the feasible cells with mixed
+    diagonals take the region III test together.  Labels equal
+    ``region_classify(...).region``.  Both closures build on one chain, and
+    each is classified on its own, which keeps the arrays a call holds to
+    one closure's cells.
+    """
     chain = _chain(theta12, theta23)
     return {closure: _closure_labels(chain, closure, a_exp) for closure in ("plus", "minus")}

@@ -36,22 +36,22 @@ urgent call (``_Trace._batches``); it runs under one np.errstate.  Only
 the calls that an output reads run.  A run takes the columns, one a box,
 in blocks of a fixed width and reuses the rows of values no later call
 reads, so its memory does not grow with the frontier.  The certifier's
-plan holds a second plan, of F's outputs alone: a block whose columns all
-need F alone runs that plan, and any other block the whole plan, each on
-every one of its columns.  The certifier's plan names its y4 input row:
-the calls that read y4 alone (the y4 midpoint, the geometry, every log
-and integer power, 15 of 21 exp rows) form a first stage, whose rows a
-run takes for each distinct y4 interval from a memo keyed by the
-interval's bits (``_Y4Memo``) before it copies them out to every column.
-The two halves of a box split along A share its y4, so a pass has far
-fewer y4 columns than boxes.  A certificate keeps one memo for its whole
-bisection, shared by its two plans, and a pass that finds a column
-missing computes the y4 halves of its columns too, which the memo splits
-itself by the bisection's rule and which hold every y4 column of the next
-pass, so many passes run no first stage (``stage1_runs`` in a
-certificate's stats counts those that do).  This is tape-based forward
-differentiation (A. Griewank and A. Walther, *Evaluating Derivatives*,
-2008) on interval enclosures.
+plan names its y4 input row: the calls that read y4 alone (the y4
+midpoint, the geometry, every log and integer power, 15 of 21 exp rows)
+form a first stage, whose rows a run takes for each distinct y4 interval
+from a memo keyed by the interval's bits (``_Y4Memo``) before it copies
+them out to every column.  The plan has one first stage and two second
+stages: that of every output, and that of F's outputs alone, which runs
+on a block whose columns all need F alone, each on every one of the
+block's columns.  The two halves of a box split along A share its y4, so
+a pass has far fewer y4 columns than boxes.  A certificate keeps one
+memo for its whole bisection, and a pass that finds a column missing
+computes the y4 halves of its columns too, which the memo splits itself
+by the bisection's rule and which hold every y4 column of the next pass,
+so many passes run no first stage (``stage1_runs`` in a certificate's
+stats counts those that do).  This is tape-based forward differentiation
+(A. Griewank and A. Walther, *Evaluating Derivatives*, 2008) on interval
+enclosures.
 
 Each array kernel follows the scalar formula element by element; where
 Interval raises, the element turns NaN instead.  The add, sub, mul and div
@@ -851,107 +851,121 @@ class _Trace:
 
         Stage 1 holds the needed calls that read only the input rows ``y4``,
         number operands and other stage-1 calls, so that they read y4
-        alone; stage 2 holds the rest.  Each stage first fills the midpoint
-        rows (``_Row.mid``) it needs, in one fill step, which is no stacked
-        call, and then runs its other needed calls as the stacked kernel
-        calls of ``_batches``, each of calls of one kind and parameter.
-        Between the two stages, one expand step copies the stage-1 rows that
-        stage 2 or the outputs read to new rows.  A call depends only on
-        its operands, so the order of independent calls cannot change a
-        bit.  The midpoint rows follow the input rows, and the number rows
-        follow them.  A row is given back once the last step that reads it
-        has run, and each stacked call's results take the lowest run of
-        free rows; no step writes a row it reads.
+        alone; stage 2 holds the rest.  Each stage's steps start with one
+        fill step of the midpoint rows (``_Row.mid``) it needs, which is no
+        stacked call, and go on with its other needed calls as the stacked
+        kernel calls of ``_batches``, each of calls of one kind and
+        parameter.  Stage 1 runs in a register file of its own; between the
+        two stages, one expand step copies its rows that stage 2 or the
+        outputs read to the lowest free rows of a block's file.  A call
+        depends only on its operands, so the order of independent calls
+        cannot change a bit.  The midpoint rows follow the input rows, and
+        the number rows follow them.  A row is given back once the last
+        step that reads it has run, and each stacked call's results take
+        the lowest run of free rows; no step writes a row it reads.
 
         ``alone`` lists some of the outputs by their indices, F's in the
-        certifier's plan.  They also get a plan of their own, compiled from
-        them alone (activity analysis: A. Griewank and A. Walther,
-        *Evaluating Derivatives*, 2008), which runs the blocks whose columns
-        all need them alone (``_Plan.alone``).  Its stage-1 rows are a subset
-        of this plan's, so one y4 memo holds the columns of both."""
+        certifier's plan.  They get a second stage 2 of their own, of the
+        calls that they alone need (activity analysis: A. Griewank and A.
+        Walther, *Evaluating Derivatives*, 2008), after the same stage 1
+        and expand: it fills the same midpoint rows and places its calls
+        in the rows that the expand leaves free for it (``_Plan.alone``)."""
         outs = [o.reg if isinstance(o, _Row) else self.const(o) for o in outputs]
-        plan, live = self._compile(outs, y4)
-        if alone:
-            plan.alone = (self._compile([outs[i] for i in alone], y4, live)[0], list(alone))
-        return plan
-
-    def _compile(self, outs, y4, memo=None) -> tuple:
-        """The plan of ``compile`` for the output registers ``outs``, and
-        the registers that its expand step copies, in the order of its
-        rows.  Its stage-1 rows sit in a y4 memo in the order of the
-        registers ``memo`` (by default its own) at the rows ``_Plan.pick``."""
         early = {("in", i) for i in y4}  # the registers of stage 1
         for k, (_, _, regs) in enumerate(self.ops):
             if all(r in early or r[0] == "const" for r in regs):
                 early.add(("op", k))
+        need = self._needed(outs)
+        calls = [[k for k in need if (("op", k) in early) != late] for late in (False, True)]
+        mids = [[("op", k) for k in c if self.ops[k][0] == "mid"] for c in calls]
+        fill1, fill2 = ([(("mid", None), regs)] if regs else [] for regs in mids)
+        late = {k for k in calls[1] if self.ops[k][0] != "mid"}  # stage 2's stacked calls
+        parts = [range(len(outs))] + ([alone] if alone else [])
+        stage2 = [[*fill2, *self._batches([k for k in self._needed([outs[i] for i in part])
+                                           if k in late])] for part in parts]
+        live = early.intersection([*outs, *(a for _, regs in stage2[0] for reg in regs
+                                            for a in self.ops[reg[1]][2])])
+        # the input rows, the midpoint rows, stage 1's first, then the number rows
+        order = [("in", i) for i in range(self.inputs)] + mids[0] + mids[1]
+        row = {reg: r for r, reg in enumerate(order)}
+        const_rows = slice(len(row), len(row) + len(self.consts))
+        row.update((c, const_rows.start + c[1]) for c in self.consts.values())
+        # stage 1 runs in a file of its own, whose ``live`` rows the expand
+        # copies to a block's file
+        first = dict(row)
+        stage1, size = self._place([*fill1, *self._batches(
+            [k for k in calls[0] if self.ops[k][0] != "mid"])], live, first, len(row), 0)
+        live = sorted(live, key=first.get)
+        (expand,), end = self._place([(None, live)], outs, row, len(row), 0, stage2[0])
+        # an index array, so that a y4 memo keeps a copy of the rows
+        expand = (np.array([first[a] for a in live], dtype=np.intp), *expand)
+        programs = []
+        for part, items in zip(parts, stage2):
+            rows = dict(row)  # each stage 2 starts from the rows the expand leaves
+            steps, end = self._place(items, [outs[i] for i in part], rows, end, 1)
+            programs.append((steps, [rows[o] if i in part else None for i, o in enumerate(outs)]))
+            size = max(size, end)
+        consts = np.array([c[2] for c in self.consts.values()], dtype=float)
+        return _Plan(size, const_rows, consts, list(y4), stage1, expand, *programs[0],
+                     programs[1] if alone else None)
+
+    def _needed(self, outs) -> list:
+        """The calls that the registers ``outs`` read, by their index in
+        call order."""
         need, todo = set(), list(outs)
         while todo:
             reg = todo.pop()
             if reg[0] == "op" and reg not in need:
                 need.add(reg)
                 todo.extend(self.ops[reg[1]][2])
-        calls = [sorted(r[1] for r in need if (r in early) != late) for late in (False, True)]
-        mids = [[("op", k) for k in c if self.ops[k][0] == "mid"] for c in calls]
-        stage1, stage2 = (self._batches([k for k in c if self.ops[k][0] != "mid"]) for c in calls)
-        live = {a for _, regs in stage2 for reg in regs
-                for a in self.ops[reg[1]][2] if a in early}
-        live.update(o for o in outs if o in early)
-        fill1, fill2 = ([(("mid", None), regs)] if regs else [] for regs in mids)
-        # step `split` is the expand, between the steps of the two stages
-        split = len(fill1) + len(stage1)
-        items = [*fill1, *stage1, (None, live), *fill2, *stage2]
+        return sorted(r[1] for r in need)
+
+    def _place(self, items, outs, row, size: int, at: int, then=()) -> tuple:
+        """The steps of ``items``, counted from ``at``, and the rows they
+        take in all, of which the first ``size`` exist before them.  A step
+        reads each register at its row in ``row``, which learns the rows of
+        the registers that the steps write.  A row is free unless it holds
+        a register that a step of ``items`` or of the ``then`` items after
+        them, or the outputs ``outs``, read after it.  An expand item (key
+        None) gives its step as (first row, end row) of the copies of its
+        registers, which free the rows that hold any of them here, the y4
+        input rows."""
         last = {}  # the step that reads a register last; the outputs are read at the end
-        for s, (key, regs) in enumerate(items):
+        for s, (key, regs) in enumerate([*items, *then], at):
             if key is not None:
                 for reg in regs:
                     last.update(dict.fromkeys(self.ops[reg[1]][2], s))
-        last.update(dict.fromkeys(outs, len(items)))
-        # the input rows, the midpoint rows, stage 1's first, then the number rows
-        order = [("in", i) for i in range(self.inputs)] + mids[0] + mids[1]
-        row = {reg: r for r, reg in enumerate(order)}
-        const_rows = slice(len(row), len(row) + len(self.consts))
-        row.update((c, const_rows.start + c[1]) for c in self.consts.values())
-        free = {r for reg, r in row.items() if reg not in last}
-        size, steps = len(row), ([], [], [], [])  # each stage's fill, then its calls
-        for s, (key, regs) in enumerate(items):
+        last.update(dict.fromkeys(outs, at + len(items) + len(then)))
+        free = set(range(size)).difference(row[r] for r in last if r in row)
+        steps = []
+        for s, (key, regs) in enumerate(items, at):
             start = row[regs[0]] if key == ("mid", None) else _lowest_run(free, size, len(regs))
             stop = start + len(regs)
             free.difference_update(range(start, stop))
             size = max(size, stop)
-            if key is None:
-                regs = copied = sorted(regs, key=row.get)
-                src = [row[a] for a in copied]
-                # an index array, so that a y4 memo keeps a copy of the rows,
-                # never a view of a file that the second stage overwrites
-                expand = (np.array(src, dtype=np.intp), start, stop)
-                free.update(src)
+            if key is None:  # the expand, whose copies replace the y4 input rows
+                steps.append((start, stop))
+                free.update(row[a] for a in regs if a in row)
             else:
                 kind, param = key
                 args = list(zip(*(self.ops[reg[1]][2] for reg in regs)))
-                steps[2 * (s > split) + (kind != "mid")].append(
-                    (*_KERNELS[kind], () if param is None else (param,), start, stop,
-                     *(_rows([row[a] for a in col]) for col in args)))
+                steps.append((*_KERNELS[kind], () if param is None else (param,), start, stop,
+                              *(_rows([row[a] for a in col]) for col in args)))
                 free.update(row[a] for col in args for a in col if last[a] == s)
             row.update((reg, start + i) for i, reg in enumerate(regs))
-        consts = np.array([c[2] for c in self.consts.values()], dtype=float)
-        # an index array even where ``alone`` reads no stage-1 row
-        pick = (slice(None) if memo is None
-                else np.array([memo.index(r) for r in copied], dtype=np.intp))
-        plan = _Plan(size, const_rows, consts, list(y4), steps[::2], steps[1], steps[3], expand,
-                     [row[o] for o in outs], pick, len(copied if memo is None else memo))
-        return plan, copied
+        return steps, size
 
 
 def _trace(fn, inputs: int, y4=(), alone=()) -> "_Plan":
     """Run ``fn`` once on ``inputs`` traced rows and compile the kernel calls
     of the rows and numbers it returns into one plan, whose first stage
     holds the calls that read the input rows ``y4`` alone, and which holds
-    a second plan of the outputs that ``alone`` lists (``_Trace.compile``).
-    ``fn`` is the scalar formula, unchanged: on a ``Jet2`` of rows, a float
-    constant or a structural zero stays a float and runs no kernel.  The
-    plan's inputs are the input rows alone: it fills the midpoint rows that
-    ``fn`` reads (``_Row.mid``) itself, 0.5 * (lo + hi) under round to
-    nearest."""
+    a second stage 2 of the outputs that ``alone`` lists
+    (``_Trace.compile``).  ``fn`` is the scalar formula, unchanged: on a
+    ``Jet2`` of rows, a float constant or a structural zero stays a float
+    and runs no kernel.  The plan's inputs are the input rows alone: it
+    fills the midpoint rows that ``fn`` reads (``_Row.mid``) itself,
+    0.5 * (lo + hi) under round to nearest."""
     trace = _Trace(inputs)
     return trace.compile(fn(*(_Row(trace, ("in", i)) for i in range(inputs))), y4, alone)
 
@@ -985,18 +999,19 @@ def _run_steps(steps, reg_lo, reg_hi) -> None:
 
 class _Plan:
     """A traced formula: a register file of ``size`` rows holds the input
-    rows, the midpoint rows that the fill steps of each stage write
-    (``fill``, a list of at most one step for each stage), the number
-    operands as point rows (``const_rows``), and the results of the stacked
-    kernel calls of ``stage1`` and ``steps``, which reuse the rows of
-    results no later step reads; ``out`` lists the rows of the outputs.
-    The first stage, ``fill[0]`` and ``stage1``, reads the input rows
-    ``y4`` alone; ``expand`` names the rows of its results that the second
-    stage, ``fill[1]`` and ``steps``, or the outputs read, as (source rows,
-    first and end row of the copies).  ``alone`` is None or the plan of
-    some of the outputs alone with their indices (``_Trace.compile``).  A
-    y4 memo column holds the ``expand`` source rows at its rows ``pick``,
-    of ``memo_rows``, the layout of the plan that ``alone`` belongs to.
+    rows, the midpoint rows, the number operands as point rows
+    (``const_rows``), and the results of the stacked kernel calls, which
+    reuse the rows of results no later step reads.  The first stage,
+    ``stage1``, reads the input rows ``y4`` alone, in a file of its own;
+    ``expand`` names the rows of its results that the second stage or the
+    outputs read, as (their rows in that file, first and end row of their
+    copies in a block's file).  ``steps`` is the second stage
+    of every output, and ``out`` lists the rows of the outputs.  ``alone``
+    is None or a second stage 2 of some of the outputs alone, as (its
+    steps, the row of each output or None where it does not compute it),
+    which follows the same first stage and expand (``_Trace.compile``).
+    Each stage's steps start with the fill step of its midpoint rows, if
+    it reads any.
 
     ``run`` takes the input IntervalArrays, all of one length, and returns
     one new IntervalArray per output.  It processes the columns in blocks
@@ -1004,101 +1019,76 @@ class _Plan:
     register file stays small whatever the number of columns.  ``need``
     gives the outputs that each column needs, as bits: 1 for those of
     ``alone`` alone (by default all).  A block whose columns' bits OR to 1
-    runs the plan of ``alone`` on every one of its columns, and its other
-    outputs are NaN there; any other block runs the whole plan on every one
-    of its columns.  In each block it takes the ``expand`` rows of every
-    distinct column of the ``y4`` rows from a ``_Y4Memo``, which runs the
-    first stage on the columns it lacks, copies them out to every column,
-    and runs the second stage.  Without a memo the first stage runs on the
-    block's distinct y4 columns alone.  Each element is computed by the
-    same kernel from the same operand bits as without a first stage, in
-    either plan.  A plan without ``y4`` rows has no first stage."""
+    runs the second stage of ``alone`` on every one of its columns, and
+    its other outputs are NaN there; any other block runs ``steps`` on
+    every one of its columns.  In each block it takes the ``expand`` rows
+    of every distinct column of the ``y4`` rows from a ``_Y4Memo``, which
+    runs the first stage on the columns it lacks, in a register file of
+    their own, copies them out to every column, and runs the second stage.
+    Without a memo the first stage runs on the block's distinct y4 columns
+    alone.  Each element is computed by the same kernel from the same
+    operand bits as without a first stage, in either second stage.  A plan
+    without ``y4`` rows has no first stage."""
 
-    __slots__ = ("size", "const_rows", "consts", "y4", "fill", "stage1", "steps", "expand", "out",
-                 "alone", "pick", "memo_rows")
+    __slots__ = ("size", "const_rows", "consts", "y4", "stage1", "expand", "steps", "out", "alone")
 
-    def __init__(self, size, const_rows, consts, y4, fill, stage1, steps, expand, out, pick,
-                 memo_rows):
-        self.size, self.const_rows, self.consts, self.fill = size, const_rows, consts, fill
-        self.y4, self.stage1, self.steps, self.expand, self.out = y4, stage1, steps, expand, out
-        self.alone, self.pick, self.memo_rows = None, pick, memo_rows
+    def __init__(self, size, const_rows, consts, y4, stage1, expand, steps, out, alone):
+        self.size, self.const_rows, self.consts, self.y4 = size, const_rows, consts, y4
+        self.stage1, self.expand, self.steps, self.out = stage1, expand, steps, out
+        self.alone = alone
 
     def run(self, *inputs: IntervalArray, memo: "_Y4Memo | None" = None, need=None) -> list:
         n = inputs[0].lo.shape[0]
         width = min(n, 2 * _PASS_ROWS) or 1
-        size = max(self.size, self.alone[0].size if self.alone else 0)
-        lo, hi = np.empty((size, width)), np.empty((size, width))
+        lo, hi = np.empty((self.size, width)), np.empty((self.size, width))
         out = [(np.empty(n), np.empty(n)) for _ in self.out]
         with np.errstate(all="ignore"):
             for c0 in range(0, n, width):
                 m = min(width, n - c0)
                 cols = slice(c0, c0 + m)
-                plan, outputs = self, range(len(self.out))
-                if self.alone and need is not None and np.bitwise_or.reduce(need[cols]) == 1:
-                    plan, outputs = self.alone
+                alone = self.alone and need is not None and np.bitwise_or.reduce(need[cols]) == 1
+                steps, rows = self.alone if alone else (self.steps, self.out)
                 for i, x in enumerate(inputs):
                     lo[i, :m] = x.lo[cols]
                     hi[i, :m] = x.hi[cols]
-                plan._block(lo, hi, m, memo)
-                rows = dict(zip(outputs, plan.out))
-                for i, (out_lo, out_hi) in enumerate(out):
-                    r = rows.get(i)
+                self._block(lo, hi, m, memo, steps)
+                for r, (out_lo, out_hi) in zip(rows, out):
                     out_lo[cols] = math.nan if r is None else lo[r, :m]
                     out_hi[cols] = math.nan if r is None else hi[r, :m]
         if memo is not None:
             memo.prune()
         return [IntervalArray._of(out_lo, out_hi) for out_lo, out_hi in out]
 
-    def _block(self, lo, hi, m: int, memo) -> None:
-        """Run the plan on the first m columns of a register file (lo, hi),
-        whose input rows hold them."""
+    def _block(self, lo, hi, m: int, memo, steps) -> None:
+        """Run the plan, with the second stage ``steps``, on the first m
+        columns of a register file (lo, hi), whose input rows hold them.
+        The first stage's rows come from the memo, or without one from a
+        run on the block's distinct y4 columns alone."""
         lo[self.const_rows, :m] = hi[self.const_rows, :m] = self.consts[:, None]
         if self.y4:
-            rows_lo, rows_hi, at = self._y4_rows(lo, hi, m, memo)
+            y_lo, y_hi = lo[self.y4, :m], hi[self.y4, :m]
+            key = _column_bits(y_lo, y_hi)
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            y_lo, y_hi = y_lo[:, first], y_hi[:, first]
+            if memo is None:
+                (rows_lo, rows_hi), at = self._stage_one(y_lo, y_hi), np.arange(first.size)
+            else:
+                rows_lo, rows_hi, at = memo.look_up(self, y_lo, y_hi, key[first].tolist())
+            at = at[inverse.reshape(-1)]
             _, start, stop = self.expand
-            lo[start:stop, :m] = rows_lo[self.pick][:, at]
-            hi[start:stop, :m] = rows_hi[self.pick][:, at]
-        _run_steps(self.fill[1] + self.steps, lo[:, :m], hi[:, :m])
+            lo[start:stop, :m] = rows_lo[:, at]
+            hi[start:stop, :m] = rows_hi[:, at]
+        _run_steps(steps, lo[:, :m], hi[:, :m])
 
-    def _y4_rows(self, lo, hi, m: int, memo) -> tuple:
-        """The rows (lo, hi) of y4 memo columns that hold the first stage's
-        results for the first m columns of a register file (lo, hi), and the
-        column of them that each of those reads.  Without a memo the first
-        stage runs on their distinct y4 columns alone.  It runs in the file,
-        whose width holds the y4 halves of a block that is not
-        element-bound."""
-        y_lo, y_hi = lo[self.y4, :m], hi[self.y4, :m]
-        key = _column_bits(y_lo, y_hi)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        y_lo, y_hi = y_lo[:, first], y_hi[:, first]
-        if memo is None:
-            return (*self._stage_one(y_lo, y_hi, lo, hi), inverse)
-        rows_lo, rows_hi, at = memo.look_up(self, y_lo, y_hi, key[first].tolist(), lo, hi)
-        return rows_lo, rows_hi, at[inverse]
-
-    def _stage_one(self, y_lo, y_hi, lo, hi) -> tuple:
+    def _stage_one(self, y_lo, y_hi) -> tuple:
         """Run the first stage on the columns of the ``y4`` rows (y_lo,
-        y_hi) and return their ``expand`` source rows as y4 memo columns
-        (``pick``; the other rows NaN).  It runs in the first columns of a
-        block's register file (lo, hi), as the block's rows stay valid: the
-        first stage writes only rows that the second reads after the expand
-        or a step of its own wrote them, and the number rows get the same
-        values.  Where the columns do not fit, it runs in a file of their
-        own."""
-        k = y_lo.shape[1]
-        if k > lo.shape[1]:
-            lo, hi = np.empty((self.size, k)), np.empty((self.size, k))
-        lo, hi = lo[:, :k], hi[:, :k]
+        y_hi), in a register file of their own, and return their ``expand``
+        source rows as y4 memo columns."""
+        lo, hi = (np.empty((self.size, y_lo.shape[1])) for _ in range(2))
         lo[self.y4], hi[self.y4] = y_lo, y_hi
         lo[self.const_rows] = hi[self.const_rows] = self.consts[:, None]
-        _run_steps(self.fill[0] + self.stage1, lo, hi)
-        src = self.expand[0]
-        if isinstance(self.pick, slice):  # a memo column holds exactly these rows
-            return lo[src], hi[src]
-        rows_lo, rows_hi = (np.full((self.memo_rows, k), math.nan) for _ in range(2))
-        rows_lo[self.pick], rows_hi[self.pick] = lo[src], hi[src]
-        return rows_lo, rows_hi
+        _run_steps(self.stage1, lo, hi)
+        return lo[self.expand[0]], hi[self.expand[0]]
 
 
 def _column_bits(lo, hi) -> np.ndarray:
@@ -1111,62 +1101,55 @@ def _column_bits(lo, hi) -> np.ndarray:
 class _Y4Memo:
     """The ``expand`` source rows of a plan's first stage, one column per
     y4 column, keyed by the bits of the column's ``y4`` rows, so that -0.0
-    and 0.0 stay apart; it outlives a ``_Plan.run``.  The two plans of one
-    traced formula, the whole plan and the plan of some outputs alone
-    (``_Plan.alone``), share its columns, at their rows ``pick``.  It
-    records which of them computed each column: a column of the whole plan
-    serves both, and one of the other plan serves that plan alone, so that
-    the whole plan computes it again.
+    and 0.0 stay apart; it outlives a ``_Plan.run``.  Both second stages
+    of a plan (``_Plan.alone``) read the same first stage, so every column
+    serves every block.
 
     A certificate's box evaluator keeps one for its whole bisection
     (``certify._certify``).  A pass's boxes keep their parent's y4 or take
     one half of it, as ``split_bounds`` makes them, so a block of a run
     that lacks a column runs the first stage once, on the columns it lacks
     together with the y4 halves of all its columns that the memo does not
-    hold for its plan, and a pass whose columns the memo holds runs none.
-    A block of more than 2 * ``_PASS_ROWS`` / 3 distinct columns is
-    element-bound, as its halves would not fit a block: it takes no halves,
-    and the memo drops what it holds first, so that a wide run holds about
-    one block's rows.  At the end of a run the memo keeps the run's columns
-    and their halves, at most three times the run's distinct columns.  A
-    column is found by its bits alone, so the halves cannot change a bit,
-    only save stage-1 runs.  ``runs`` and ``columns`` count the stage-1
-    runs and the columns they computed."""
+    hold, and a pass whose columns the memo holds runs none.  A block of
+    more than 2 * ``_PASS_ROWS`` / 3 distinct columns is element-bound, as
+    its halves would not fit a block: it takes no halves, and the memo
+    drops what it holds first, so that a wide run holds about one block's
+    rows.  At the end of a run the memo keeps the run's columns and their
+    halves, at most three times the run's distinct columns.  A column is
+    found by its bits alone, so the halves cannot change a bit, only save
+    stage-1 runs.  ``runs`` and ``columns`` count the stage-1 runs and the
+    columns they computed."""
 
-    __slots__ = ("keys", "whole", "lo", "hi", "live", "runs", "columns")
+    __slots__ = ("keys", "lo", "hi", "live", "runs", "columns")
 
     def __init__(self):
         self.keys = {}            # the bits of a y4 column -> its column of lo and hi
-        self.whole = {}           # the bits of a y4 column -> whether the whole plan computed it
         self.lo = self.hi = None  # the expand source rows by column
         self.live = set()         # the keys of this run's columns and their halves
         self.runs = self.columns = 0
 
-    def look_up(self, plan: _Plan, y_lo, y_hi, keys: list, lo, hi) -> tuple:
+    def look_up(self, plan: _Plan, y_lo, y_hi, keys: list) -> tuple:
         """The memo's rows (lo, hi) and the column of them that holds each
         distinct y4 column (y_lo, y_hi) of a block, whose bits are ``keys``,
-        after running the first stage of ``plan`` in the block's register
-        file (lo, hi) on the columns it lacks for ``plan``."""
+        after running the first stage of ``plan`` on the columns it
+        lacks."""
         u = len(keys)
         if 3 * u <= 2 * _PASS_ROWS:
             (l_lo, l_hi, *_), (u_lo, u_hi, *_) = split_bounds(y_lo, y_hi, 0.0, 0.0, 0)
             y_lo, y_hi = np.hstack((y_lo, l_lo, u_lo)), np.hstack((y_hi, l_hi, u_hi))
             keys = keys + _column_bits(y_lo[:, u:], y_hi[:, u:]).tolist()
         else:
-            self.keys, self.whole, self.lo, self.hi = {}, {}, None, None
+            self.keys, self.lo, self.hi = {}, None, None
         self.live.update(keys)
-        whole = isinstance(plan.pick, slice)
-        serves = {True, whole}  # the ``whole`` records of the columns that serve ``plan``
-        if any(self.whole.get(k) not in serves for k in keys[:u]):
+        if any(k not in self.keys for k in keys[:u]):
             todo = {}  # each key to compute -> a column of it
             for j, k in enumerate(keys):
-                if self.whole.get(k) not in serves:
+                if k not in self.keys:
                     todo.setdefault(k, j)
             pick = list(todo.values())
-            new_lo, new_hi = plan._stage_one(y_lo[:, pick], y_hi[:, pick], lo, hi)
+            new_lo, new_hi = plan._stage_one(y_lo[:, pick], y_hi[:, pick])
             start = 0 if self.lo is None else self.lo.shape[1]
             self.keys.update((k, start + i) for i, k in enumerate(todo))
-            self.whole.update(dict.fromkeys(todo, whole))
             self.lo = new_lo if self.lo is None else np.hstack((self.lo, new_lo))
             self.hi = new_hi if self.hi is None else np.hstack((self.hi, new_hi))
             self.runs += 1
@@ -1180,7 +1163,6 @@ class _Y4Memo:
             pick = [self.keys[k] for k in keep]
             self.lo, self.hi = self.lo[:, pick], self.hi[:, pick]
             self.keys = dict(zip(keep, range(len(keep))))
-            self.whole = {k: self.whole[k] for k in keep}
         self.live = set()
 
 

@@ -406,10 +406,11 @@ def test_acceptance_certificates_in_small_blocks(build, leaves, box_evals, max_d
 
 def _recorded_blocks(monkeypatch) -> list:
     """Each block of columns that a plan runs from now on, and each first
-    stage inside one, as [the plan, the stage (1 or 2), the need bits of
-    the block's columns (stage 2) or the plan of the enclosing block
-    (stage 1), the columns it runs on, and for each step whether it is a
-    stacked call (not a fill step) and the columns its kernel received]."""
+    stage inside one, as [the plan, the steps it runs (a second stage, or
+    the plan's first stage), the need bits of the block's columns (second
+    stage) or the second stage of the enclosing block (first stage), the
+    columns it runs on, and for each step whether it is a stacked call
+    (not a fill step) and the columns its kernel received]."""
     blocks, stack, current = [], [], []
     run, block, stage_one, run_steps = (intervals._Plan.run, intervals._Plan._block,
                                         intervals._Plan._stage_one, intervals._run_steps)
@@ -420,19 +421,19 @@ def _recorded_blocks(monkeypatch) -> list:
                       min(n, 2 * intervals._PASS_ROWS) or 1]
         return run(plan, *inputs, memo=memo, need=need)
 
-    def recording_block(plan, lo, hi, m, memo):
+    def recording_block(plan, lo, hi, m, memo, steps):
         need, c0, width = current
         current[1] += width
-        stack.append([plan, 2, need[c0:c0 + m].tolist(), m, []])
+        stack.append([plan, steps, need[c0:c0 + m].tolist(), m, []])
         try:
-            return block(plan, lo, hi, m, memo)
+            return block(plan, lo, hi, m, memo, steps)
         finally:
             blocks.append(stack.pop())
 
-    def recording_stage_one(plan, y_lo, y_hi, lo, hi):
-        stack.append([plan, 1, stack[-1][0], y_lo.shape[1], []])
+    def recording_stage_one(plan, y_lo, y_hi):
+        stack.append([plan, plan.stage1, stack[-1][1], y_lo.shape[1], []])
         try:
-            return stage_one(plan, y_lo, y_hi, lo, hi)
+            return stage_one(plan, y_lo, y_hi)
         finally:
             blocks.append(stack.pop())
 
@@ -447,38 +448,50 @@ def _recorded_blocks(monkeypatch) -> list:
     return blocks
 
 
+def _stacked(steps) -> int:
+    """The stacked kernel calls among a plan's steps: all but the midpoint
+    fill step that starts each stage."""
+    return sum(1 for step in steps if step[0] is not IntervalArray._mid)
+
+
 # the stacked calls of the certifier's plan, stage 1 + stage 2, on each
-# branch, and those of the plan of F's outputs alone
+# branch, and those of the second stage of F's outputs alone, which runs
+# after the same stage 1
 _CALLS = {"A": (47, 23), "B": (53, 23)}
-_F_CALLS = {"A": (33, 16), "B": (40, 16)}
+_F_CALLS = {"A": 16, "B": 16}
+# the stage-1 runs of each acceptance certificate that a block of boxes
+# that all need F alone starts
+_F_STAGE1_RUNS = {"A2": 1, "A4-no-common-zero": 0, "B2": 1}
 
 
 @pytest.mark.parametrize("name", list(_ACCEPTANCE))
 def test_a_block_runs_the_f_plan_exactly_when_its_columns_need_f_alone(name, monkeypatch):
-    # a block whose columns all need F alone runs the plan of F's outputs
-    # alone, and any other block the whole plan; every stacked call of
-    # either receives all of the block's columns, or of its first stage's,
-    # and no block makes more stacked calls than its plan has
+    # a block whose columns all need F alone runs the second stage of F's
+    # outputs alone, and any other block the whole plan's; either runs
+    # after the plan's one first stage; every stacked call receives all of
+    # the block's columns, or of its first stage's, and a block makes
+    # exactly the stacked calls of its steps
     import pentacc.certify as certify
     blocks = _recorded_blocks(monkeypatch)
-    assert _ACCEPTANCE[name]().certified
+    stats = _ACCEPTANCE[name]().stats
     branch = "B" if name == "B2" else "A"
     plan = certify._f_plan(branch)
-    f_plan, outputs = plan.alone
-    assert (len(plan.stage1), len(plan.steps)) == _CALLS[branch]
-    assert (len(f_plan.stage1), len(f_plan.steps)) == _F_CALLS[branch]
-    assert outputs == [0, 2, 3, 4] and f_plan.alone is None
-    kinds = []
-    for mine, stage, tag, columns, seen in blocks:
-        if stage == 1:
-            assert mine is tag  # the first stage of the block's own plan
+    f_steps, f_out = plan.alone
+    assert (_stacked(plan.stage1), _stacked(plan.steps)) == _CALLS[branch]
+    assert _stacked(f_steps) == _F_CALLS[branch]
+    assert [i for i, r in enumerate(f_out) if r is not None] == [0, 2, 3, 4]
+    kinds, stage1 = [], []
+    for mine, steps, tag, columns, seen in blocks:
+        assert mine is plan
+        if steps is plan.stage1:
+            stage1.append(tag)  # the second stage of the enclosing block
         else:
-            assert mine is (f_plan if set(tag) == {1} else plan)
+            assert steps is (f_steps if set(tag) == {1} else plan.steps)
             kinds.append(tuple(sorted(set(tag))))
         assert {cols for _, cols in seen} == {columns}
-        calls = sum(1 for stacked, _ in seen if stacked)
-        assert calls == len(mine.stage1 if stage == 1 else mine.steps)
-        assert calls <= (_F_CALLS if mine is f_plan else _CALLS)[branch][stage - 1]
+        assert sum(1 for stacked, _ in seen if stacked) == _stacked(steps)
+    assert len(stage1) == stats["stage1_runs"]
+    assert sum(1 for tag in stage1 if tag is f_steps) == _F_STAGE1_RUNS[name]
     # every no-common-zero box reads both quantities, so each of its blocks
     # runs the whole plan; a unique-root block holds F-zone boxes alone or
     # F-zone and dF-zone boxes together, and 14 of B2's 24 blocks hold
@@ -983,9 +996,10 @@ def test_center_jet_adds_no_kernel_call(branch):
     plan = certify._f_plan(branch)
 
     def elements(steps):
-        return sum(stop - start for _, _, _, start, stop, *_ in steps)
+        return sum(stop - start for kernel, _, _, start, stop, *_ in steps
+                   if kernel is not IntervalArray._mid)
     for mine, its in ((plan.stage1, whole.stage1), (plan.steps, whole.steps)):
-        assert mine and len(mine) == len(its)
+        assert _stacked(mine) and _stacked(mine) == _stacked(its)
         assert elements(mine) < 2 * elements(its)
     assert elements(plan.stage1 + plan.steps) < 0.75 * 2 * elements(whole.stage1 + whole.steps)
 
@@ -1027,12 +1041,13 @@ def test_no_plan_step_writes_a_row_it_reads(branch):
     import pentacc.certify as certify
     plan = certify._f_plan(branch)
     src, first, end = plan.expand
-    assert end > first
-    # one fill step a stage: the y4 midpoints in the first, the A ones in the second
-    assert [len(f) for f in plan.fill] == [1, 1]
-    for _, _, _, start, stop, *args in (*plan.fill[0], *plan.stage1,
-                                        (None, None, (), first, end, src),
-                                        *plan.fill[1], *plan.steps):
+    assert end - first == len(src) > 0
+    # each stage starts with its one fill step: the y4 midpoints in the
+    # first stage, the A ones in both second stages; the expand copies
+    # stage 1's rows from its own file to a block's
+    for steps in (plan.stage1, plan.steps, plan.alone[0]):
+        assert [k for k, step in enumerate(steps) if step[0] is IntervalArray._mid] == [0]
+    for _, _, _, start, stop, *args in (*plan.stage1, *plan.steps, *plan.alone[0]):
         written = set(range(start, stop))
         for rows in args:
             read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
@@ -1052,7 +1067,7 @@ def test_plans_batch_calls_by_slack():
     # each plan makes at most three quarters of the stacked kernel calls a
     # pass that one call per (depth, kind, parameter) made: 83 + 30 on
     # branch B, 70 + 30 on branch A, and 78 in the guard at (B, 3)
-    calls = {name: len(plan.stage1) + len(plan.steps) for name, plan in _plans().items()}
+    calls = {name: _stacked(plan.stage1) + _stacked(plan.steps) for name, plan in _plans().items()}
     assert calls["certifier B"] <= 0.75 * 113
     assert calls["certifier A"] <= 0.75 * 100
     assert calls["guard B 3"] <= 0.75 * 78
@@ -1060,29 +1075,32 @@ def test_plans_batch_calls_by_slack():
 
 @pytest.mark.parametrize("name", ["certifier A", "certifier B", "guard A 2", "guard B 3"])
 def test_every_plan_step_reads_rows_already_written(name):
-    # the input rows and the number operands' point rows are written before
-    # the first step, and each stage's midpoint rows by its fill step;
-    # stage 2 and the outputs read the y4 input rows and the results of
-    # stage 1 only through the copies of the expand, since stage 1 runs on
-    # the distinct y4 columns alone
+    # the number operands' point rows are written before the first step of
+    # each stage, and each stage's midpoint rows by its fill step; stage 1
+    # runs on the distinct y4 columns alone, in a file of their own that
+    # holds their y4 input rows, and the expand copies its rows to a
+    # block's file, which holds every input row; both second stages and
+    # their outputs read the y4 input rows and the results of stage 1 only
+    # through the copies of the expand
     plan = _plans()[name]
-    fills = {r for *_, start, stop, _ in plan.fill[0] + plan.fill[1] for r in range(start, stop)}
+    fills = {r for steps in (plan.stage1, plan.steps) for kernel, _, _, start, stop, *_ in steps
+             if kernel is IntervalArray._mid for r in range(start, stop)}
     given = set(range(plan.const_rows.stop)) - fills
-    written = set(given)
+    consts = set(range(plan.const_rows.start, plan.const_rows.stop))
 
-    def check(steps):
+    def check(written, steps) -> set:
         for _, _, _, start, stop, *args in steps:
             for rows in args:
                 read = range(plan.size)[rows] if isinstance(rows, slice) else rows.tolist()
                 assert written.issuperset(read)
             written.update(range(start, stop))
-    check(plan.fill[0] + plan.stage1)
+        return written
     src, first, end = plan.expand
     if plan.stage1:
-        check([(None, None, (), first, end, src)])
-        written = given.difference(plan.y4).union(range(first, end))
-    check(plan.fill[1] + plan.steps)
-    assert written.issuperset(plan.out)
+        check(consts.union(plan.y4), [*plan.stage1, (None, None, (), first, end, src)])
+        given = given.difference(plan.y4).union(range(first, end))
+    for steps, out in [(plan.steps, plan.out)] + ([plan.alone] if plan.alone else []):
+        assert check(set(given), steps).issuperset(r for r in out if r is not None)
 
 
 def test_plan_steps_do_not_depend_on_the_hash_seed():
@@ -1094,9 +1112,11 @@ def test_plan_steps_do_not_depend_on_the_hash_seed():
         "def rows(r):\n"
         "    return (r.start, r.stop) if isinstance(r, slice) else r.tolist()\n"
         "for plan in (certify._f_plan('B'), symmetric._natural_plan('B', 3.0)):\n"
-        "    for kernel, upward, param, start, stop, *args in (*plan.stage1, *plan.steps):\n"
+        "    for kernel, upward, param, start, stop, *args in (\n"
+        "            *plan.stage1, *plan.steps, *(plan.alone[0] if plan.alone else ())):\n"
         "        print(kernel.__qualname__, upward, param, start, stop, [rows(a) for a in args])\n"
-        "    print(plan.size, rows(plan.expand[0]), plan.expand[1:], plan.out)\n")
+        "    print(plan.size, rows(plan.expand[0]), plan.expand[1:], plan.out,\n"
+        "          plan.alone and plan.alone[1])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     tables = []
     for seed in ("1", "2"):
@@ -1167,7 +1187,8 @@ def test_staged_plan_keeps_every_bit(branch, monkeypatch):
     import pentacc.certify as certify
     staged = certify._f_plan(branch)
     flat = _trace(partial(certify._f_jets, branch=branch), 2)
-    assert not flat.stage1 and len(staged.stage1) + len(staged.steps) <= len(flat.steps)
+    assert not flat.stage1
+    assert _stacked(staged.stage1) + _stacked(staged.steps) <= _stacked(flat.steps)
     columns = _stage1_columns(staged, monkeypatch)
 
     def check(ylo, yhi, alo, ahi) -> list:
@@ -1287,15 +1308,16 @@ def test_y4_memo_keeps_every_bit(name, path, monkeypatch):
 
 
 @pytest.mark.parametrize("branch", ["A", "B"])
-def test_y4_memo_recomputes_an_f_plan_column_for_the_whole_plan(branch):
-    # the certifier's two plans share one y4 memo: a y4 column that the
-    # plan of F's outputs alone computed lacks rows that the whole plan
-    # reads, so the whole plan computes it again, while a column of the
-    # whole plan serves both; the outputs a box reads have the bits of a
-    # run of the whole plan without a memo
+def test_y4_memo_fills_an_f_alone_miss_for_the_whole_plan(branch):
+    # the certifier's two second stages follow one first stage and share
+    # one y4 memo: a block whose boxes all need F alone and that misses
+    # computes the columns that later blocks of the whole plan read, so
+    # those run no first stage; every output a box reads has the bits of a
+    # run of the whole plan without a memo, and the others of an F-alone
+    # block are NaN
     import pentacc.certify as certify
     plan = certify._f_plan(branch)
-    f_outputs = plan.alone[1]
+    f_out = plan.alone[1]
     boxes = np.array([b.key() for b in _oracle_boxes(np.random.default_rng(39), branch, 40)]).T
     y, a = IntervalArray(*boxes[:2]), IntervalArray(*boxes[2:])
     want = plan.run(y, a)
@@ -1303,8 +1325,8 @@ def test_y4_memo_recomputes_an_f_plan_column_for_the_whole_plan(branch):
     def check(memo, need) -> None:
         got = plan.run(y, a, memo=memo, need=need)
         f_alone = (need == 1).all()
-        for i, (g, w) in enumerate(zip(got, want)):
-            if f_alone and i not in f_outputs:
+        for g, w, r in zip(got, want, f_out):
+            if f_alone and r is None:
                 assert np.isnan(g.lo).all() and np.isnan(g.hi).all()
                 continue
             for x, z in ((g.lo, w.lo), (g.hi, w.hi)):
@@ -1313,17 +1335,12 @@ def test_y4_memo_recomputes_an_f_plan_column_for_the_whole_plan(branch):
     mixed = np.where(np.arange(40) % 2 == 0, 1, 2)
     memo = intervals._Y4Memo()
     check(memo, ones)
-    assert memo.runs == 1 and set(memo.whole.values()) == {False}
-    computed = memo.columns
-    check(memo, ones)
     assert memo.runs == 1
-    check(memo, mixed)
-    assert memo.runs == 2 and memo.columns == 2 * computed
-    assert set(memo.whole.values()) == {True}
-    for need in (ones, 2 * ones, 3 * ones, mixed):
+    computed = memo.columns
+    for need in (3 * ones, mixed, 2 * ones, ones):
         check(memo, need)
-    assert memo.runs == 2
-    # a column of the whole plan serves the plan of F's outputs alone
+    assert memo.runs == 1 and memo.columns == computed
+    # the whole plan's miss serves F's second stage as well, column for column
     memo = intervals._Y4Memo()
     check(memo, 3 * ones)
     check(memo, ones)

@@ -40,7 +40,6 @@ from pentacc.equations import (
     mass_coefficient_matrix,
     mass_kernel,
     region_classify,
-    region_labels,
     region_labels_by_closure,
     symmetric_g,
 )
@@ -346,7 +345,7 @@ def test_regions_cover_all_interior_labels():
     t12, t23 = rng.uniform(0.05, 2 * math.pi - 0.05, (4000, 2)).T
     labels = set()
     for closure in ("plus", "minus"):
-        found = region_labels(t12, t23, closure, 3.0)
+        found = region_labels_by_closure(t12, t23, 3.0)[closure]
         for k in (k for k, lab in enumerate(found) if lab == "III"):
             res = region_classify(ChainAngles(float(t12[k]), float(t23[k]), closure), 3.0)
             assert res.region == "III"
@@ -503,7 +502,7 @@ def test_batched_region_kernel_matches_scalar_oracle():
                 if want is not None:
                     assert coef[n].tobytes() == np.array(want).tobytes()
                 want_labels[k] = _oracle_label(oracle[k], r, want)
-            labels = region_labels(t12, t23, closure, a_exp)
+            labels = region_labels_by_closure(t12, t23, a_exp)[closure]
             assert labels == want_labels
             seen.update(labels)
             # r12 = 1 on chain points; scaled copies exercise the r12**2
@@ -560,7 +559,7 @@ def test_batched_region3_matches_scalar_oracle():
 
 def test_region_classify_is_the_batch_of_one_of_region_labels():
     t12, t23 = np.array([0.903082161]), np.array([4.922594842])
-    assert region_labels(t12, t23, "plus", 3.0) == ["III"]
+    assert region_labels_by_closure(t12, t23, 3.0)["plus"] == ["III"]
     witness = region_classify(ChainAngles(0.903082161, 4.922594842, "plus"), 3.0)
     assert witness == RegionResult("III", interior_label=3)
     interior, details = set(), set()
@@ -568,18 +567,19 @@ def test_region_classify_is_the_batch_of_one_of_region_labels():
     grid = [t.ravel().tolist() for t in np.meshgrid(thetas, thetas, indexing="ij")]
     for closure in ("plus", "minus"):
         # every cell of region-map --grid 12: a chain that does not close
-        # raises in region_classify and is "unrealizable" in region_labels
+        # raises in region_classify and is "unrealizable" in its labels
         got = []
         for a, b in zip(*grid):
             try:
                 got.append(region_classify(ChainAngles(a, b, closure), 3.0))
             except OutOfDomainError:
                 got.append(RegionResult("unrealizable"))
-        assert region_labels(*map(np.array, grid), closure, 3.0) == [r.region for r in got]
+        labels = region_labels_by_closure(*map(np.array, grid), 3.0)[closure]
+        assert labels == [r.region for r in got]
         details.update(r.detail for r in got)
         t12, t23, pts = _grid_mixed_cells(12, closure, 3.0)
-        labels = region_labels(t12, t23, closure, 3.0)
-        # region_labels runs _concave_regions on exactly this stack
+        labels = region_labels_by_closure(t12, t23, 3.0)[closure]
+        # the labels run _concave_regions on exactly this stack
         want = _expected(*_concave_regions(pts))
         assert labels == [r.region for r in want]
         assert [region_classify(ChainAngles(a, b, closure), 3.0)
@@ -592,14 +592,22 @@ def test_region_classify_is_the_batch_of_one_of_region_labels():
 @pytest.mark.parametrize("n", [7, 60, 200])
 def test_both_closures_on_one_chain_are_region_labels_of_each(n):
     # region-map's grids: the closures share one chain and are classified
-    # one after the other, each as region_labels classifies it alone
+    # one after the other, each as the array kernels classify the stack of
+    # its own chain_points call
     thetas = np.linspace(0.0, 2.0 * math.pi, n + 2)[1:-1]
     t12, t23 = (t.ravel() for t in np.meshgrid(thetas, thetas, indexing="ij"))
     for a_exp in (2.0, 2.5, 3.0, 10.0):
         both = region_labels_by_closure(t12, t23, a_exp)
         assert list(both) == ["plus", "minus"]
         for closure in ("plus", "minus"):
-            assert both[closure] == region_labels(t12, t23, closure, a_exp)
+            pts, realizable = chain_points(t12, t23, closure)
+            codes = _region_codes(pts[realizable], a_exp)
+            found = np.where(codes == "infeasible", "none", codes).astype(object)
+            mixed = codes == "mixed"
+            found[mixed] = np.where(_concave_regions(pts[realizable][mixed])[1], "III", "none")
+            want = np.full(realizable.size, "unrealizable", dtype=object)
+            want[realizable] = found
+            assert both[closure] == want.tolist()
 
 
 def test_a_quantity_self_pair_convention():

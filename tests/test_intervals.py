@@ -956,9 +956,8 @@ def test_stacked_jet_operands_make_scalar_path_fail_somewhere():
 
 
 def test_a_plan_whose_alone_outputs_read_no_y4_row_runs():
-    # the plan of a * a alone reads no row of the y4 stage, so a memo
-    # column picks no row for it: that empty pick must still be an index
-    # array, or every run raises IndexError
+    # the second stage of a * a alone reads no row of the expand, yet its
+    # blocks run after the plan's one first stage, with a memo and without
     plan = _trace(lambda y, a: (y.exp() * a, a * a), 2, y4=(0,), alone=(1,))
     y = IntervalArray(np.array([0.1, 0.1, 0.2]), np.array([0.2, 0.2, 0.3]))
     a = IntervalArray(np.array([2.0, 2.5, 3.0]), np.array([3.0, 3.5, 3.0]))
@@ -1070,8 +1069,8 @@ def _fuzz_want(steps, outputs, jets: bool, y, a) -> tuple:
 
 def _fuzz_check(got, want, alone, need, paths, strict: bool) -> None:
     """The output rows of a plan run against ``_fuzz_want``: NaN in a
-    block that ran the plan of ``alone`` if the row is not in it, else
-    valid wherever the scalar path is, with ``paths.check``'s bounds.  On
+    block that ran the second stage of ``alone`` if the row is not in it,
+    else valid wherever the scalar path is, with ``paths.check``'s bounds.  On
     the step path a ``strict`` check also asks for NaN wherever the scalar
     path raises; a jet is invalid on the scalar path as a whole, but the
     plan's slots can be valid one by one."""
@@ -1100,11 +1099,12 @@ _FUZZ_FORMULAS = {False: 60, True: 12}
 @pytest.mark.parametrize("seed", [7, 11])
 def test_plan_compiler_matches_the_scalar_interval_on_random_formulas(
         seed, rounding_paths, monkeypatch):
-    # random formulas traced into plans with a y4 stage and an ``alone``
-    # plan, run whole and with need bits, without and with a y4 memo that
-    # a second run reuses on halves and repeats of the first run's y4
-    # columns; one block of columns, and blocks of 6 columns, which split
-    # the runs and make memo blocks of more than 4 y4 columns element-bound
+    # random formulas traced into plans with a y4 stage and a second stage
+    # of the ``alone`` outputs, run whole and with need bits drawn for each
+    # run, without and with a y4 memo that a second run reuses on halves
+    # and repeats of the first run's y4 columns; one block of columns, and
+    # blocks of 6 columns, which split the runs and make memo blocks of
+    # more than 4 y4 columns element-bound
     for jets, count in _FUZZ_FORMULAS.items():
         for k in range(count):
             rng = np.random.default_rng((seed, int(jets), k))
@@ -1124,15 +1124,17 @@ def _fuzz_one(rng, steps, outputs, alone, jets, paths, monkeypatch) -> None:
     half = rng.random(y.lo.size) < 0.5
     y2 = IntervalArray(np.where(half, l_lo, u_lo)[pick], np.where(half, l_hi, u_hi)[pick])
     a2 = IntervalArray(a.lo[pick], a.hi[pick])
-    need = rng.choice([np.ones(y.lo.size, dtype=int), np.full(y.lo.size, 3),
-                       rng.choice([1, 3], y.lo.size)])
-    runs = [(ys, as_, _fuzz_want(steps, outputs, jets, ys, as_)) for ys, as_ in ((y, a), (y2, a2))]
+    # each run draws its need bits, so that a run of F's outputs alone can
+    # fill the memo that a run of every output reads next
+    runs = [(ys, as_, rng.choice([np.ones(ys.lo.size, dtype=int), np.full(ys.lo.size, 3),
+                                  rng.choice([1, 3], ys.lo.size)]),
+             _fuzz_want(steps, outputs, jets, ys, as_)) for ys, as_ in ((y, a), (y2, a2))]
     for rows in (128, 3):
         monkeypatch.setattr(intervals, "_PASS_ROWS", rows)
         for _ in paths:
-            _fuzz_check(plan.run(y, a), runs[0][2], alone, None, paths, not jets)
+            _fuzz_check(plan.run(y, a), runs[0][3], alone, None, paths, not jets)
             memo = _Y4Memo()
-            for ys, as_, want in runs:
+            for ys, as_, need, want in runs:
                 for m in (None, memo):
                     _fuzz_check(plan.run(ys, as_, memo=m, need=need), want, alone, need, paths,
                                 not jets)
