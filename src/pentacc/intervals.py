@@ -894,15 +894,15 @@ class _Trace:
         # copies to a block's file
         first = dict(row)
         stage1, size = self._place([*fill1, *self._batches(
-            [k for k in calls[0] if self.ops[k][0] != "mid"])], live, first, len(row), 0)
+            [k for k in calls[0] if self.ops[k][0] != "mid"])], live, first, len(row))
         live = sorted(live, key=first.get)
-        (expand,), end = self._place([(None, live)], outs, row, len(row), 0, stage2[0])
+        (expand,), end = self._place([(None, live)], outs, row, len(row), stage2[0])
         # an index array, so that a y4 memo keeps a copy of the rows
         expand = (np.array([first[a] for a in live], dtype=np.intp), *expand)
         programs = []
         for part, items in zip(parts, stage2):
             rows = dict(row)  # each stage 2 starts from the rows the expand leaves
-            steps, end = self._place(items, [outs[i] for i in part], rows, end, 1)
+            steps, end = self._place(items, [outs[i] for i in part], rows, end)
             programs.append((steps, [rows[o] if i in part else None for i, o in enumerate(outs)]))
             size = max(size, end)
         consts = np.array([c[2] for c in self.consts.values()], dtype=float)
@@ -920,25 +920,25 @@ class _Trace:
                 todo.extend(self.ops[reg[1]][2])
         return sorted(r[1] for r in need)
 
-    def _place(self, items, outs, row, size: int, at: int, then=()) -> tuple:
-        """The steps of ``items``, counted from ``at``, and the rows they
-        take in all, of which the first ``size`` exist before them.  A step
-        reads each register at its row in ``row``, which learns the rows of
-        the registers that the steps write.  A row is free unless it holds
+    def _place(self, items, outs, row, size: int, then=()) -> tuple:
+        """The steps of ``items`` and the rows they take in all, of which the
+        first ``size`` exist before them.  A step reads each register at its
+        row in ``row``, which learns the rows of the registers that the steps
+        write.  A row is free unless it holds
         a register that a step of ``items`` or of the ``then`` items after
         them, or the outputs ``outs``, read after it.  An expand item (key
         None) gives its step as (first row, end row) of the copies of its
         registers, which free the rows that hold any of them here, the y4
         input rows."""
         last = {}  # the step that reads a register last; the outputs are read at the end
-        for s, (key, regs) in enumerate([*items, *then], at):
+        for s, (key, regs) in enumerate([*items, *then]):
             if key is not None:
                 for reg in regs:
                     last.update(dict.fromkeys(self.ops[reg[1]][2], s))
-        last.update(dict.fromkeys(outs, at + len(items) + len(then)))
+        last.update(dict.fromkeys(outs, len(items) + len(then)))
         free = set(range(size)).difference(row[r] for r in last if r in row)
         steps = []
-        for s, (key, regs) in enumerate(items, at):
+        for s, (key, regs) in enumerate(items):
             start = row[regs[0]] if key == ("mid", None) else _lowest_run(free, size, len(regs))
             stop = start + len(regs)
             free.difference_update(range(start, stop))

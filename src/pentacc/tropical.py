@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -149,17 +150,8 @@ def build_f_poly(i: int, j: int) -> LaurentPoly:
 
 
 def _perm_sign(perm: tuple) -> int:
-    """Sign of a permutation: -1 per cycle of even length."""
-    sgn, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        length, t = 0, start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length and length % 2 == 0:
-            sgn = -sgn
-    return sgn
+    """Sign of a permutation: the parity of its inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 # The bordered Cayley-Menger matrix has a zero diagonal, so only the 44
@@ -364,15 +356,20 @@ def _scaled(w: WeightVector) -> list:
     return [x.numerator * (scale // x.denominator) for x in w.weights]
 
 
-def _top(system: System, rows: list) -> tuple:
-    """(top, ties) of the system under each of the integer weight ``rows``.
+def _memberships(system: System, a_exp: Fraction, rows: list) -> list:
+    """(ok, witness) of each integer weight row: the witness is the first
+    polynomial whose maximal weight is attained by fewer than two terms, or None.
 
-    ``top[t, k]`` says whether term t attains its polynomial's maximal weight
-    under ``rows[k]``, and ``ties[i, k]`` counts the terms of polynomial i
-    that do.  All term weights are one integer matrix product of the stored
-    points; maxima and counts are ``reduceat`` reductions over the
-    polynomials' term blocks.
+    All term weights are one integer matrix product of the system's stored
+    points and the rows; per-polynomial maxima and the counts of terms that
+    attain them are ``reduceat`` reductions over the polynomials' term blocks.
     """
+    if not isinstance(system, System):
+        raise TypeError("membership takes the System that build_system returns, "
+                        f"not a {type(system).__name__}")
+    a_exp = Fraction(a_exp)
+    if system.a_exp != a_exp:
+        raise ValueError(f"system was built for A={system.a_exp}, not for A={a_exp}")
     points = system.points
     wmax = max(map(abs, chain.from_iterable(rows)), default=0)
     if points.dtype == object or 6 * system.magnitude * wmax >= _INT64_BOUND:
@@ -382,22 +379,8 @@ def _top(system: System, rows: list) -> tuple:
     term_weights = points @ np.array(rows, dtype=dtype).reshape(len(rows), 6).T
     maxima = np.maximum.reduceat(term_weights, system.starts, axis=0)
     top = term_weights == np.repeat(maxima, system.sizes, axis=0)
-    ties = np.zeros((len(system), len(rows)), dtype=np.intp)
-    ties[system.filled] = np.add.reduceat(top, system.starts, axis=0, dtype=np.intp)
-    return top, ties
-
-
-def _memberships(system: System, a_exp: Fraction, rows: list) -> list:
-    """(ok, witness) of each integer weight row: the witness is the first
-    polynomial whose maximal weight is attained by fewer than two terms, or None."""
-    if not isinstance(system, System):
-        raise TypeError("membership takes the System that build_system returns, "
-                        f"not a {type(system).__name__}")
-    a_exp = Fraction(a_exp)
-    if system.a_exp != a_exp:
-        raise ValueError(f"system was built for A={system.a_exp}, not for A={a_exp}")
-    _, ties = _top(system, rows)
-    single = ties < 2
+    single = np.ones((len(system), len(rows)), dtype=bool)  # an empty polynomial keeps no term
+    single[system.filled] = np.add.reduceat(top, system.starts, axis=0, dtype=np.intp) < 2
     first = single.argmax(axis=0)
     return [(False, system[f][0]) if single[f, k] else (True, None)
             for k, f in enumerate(first.tolist())]
@@ -530,67 +513,63 @@ def verify_tables(a_exp) -> TableReport:
     Multiplicities are compared with dihedral orbit sizes, and the
     half-space restriction (nonnegative coordinate sum) must exclude exactly
     the all-negative ray.
+
+    All of these weights, every ray's orbit members and then the cones, are
+    one ``_memberships`` batch, and the report is read from its verdicts.
+    Its stats count the batch: ``weights_tested`` is its length,
+    ``polynomials_examined`` sums the initial forms each verdict computed,
+    and ``witnesses`` counts the rejected weights per witness, in the order
+    the batch first meets them.  Failures are listed per entry: each ray's
+    rejected orbit members and then its multiplicity check, the half-space
+    check, and then each rejected cone.
     """
     a_exp = Fraction(a_exp)
     p, q = a_exp.numerator, a_exp.denominator
     table = load_ray_table()
     system = build_system(a_exp)
-    stats = {"weights_tested": 0, "polynomials_examined": 0, "witnesses": {}}
     # integer rows, q times the rational weights, up to the failure entries
     rows = table._rows(p, q).tolist()
-    rays = [(label, mult, row) for (label, _, mult), row in zip(table.rays, rows)]
-    orbits = [_orbit(row) for _, _, row in rays]
-    cones = [(label, row) for (label, _), row in zip(table.cones, rows[len(rays):])]
-    # one batch for the whole table, consumed in report order
-    verdicts = iter(_memberships(
-        system, a_exp, [m for members in orbits for m in members] + [row for _, row in cones]))
-
-    def member_of() -> tuple:
-        ok, witness = next(verdicts)
-        stats["weights_tested"] += 1
-        stats["polynomials_examined"] += _polys_examined(system, witness)
-        if not ok:
-            stats["witnesses"][witness] = stats["witnesses"].get(witness, 0) + 1
-        return ok, witness
+    n = len(table.rays)
+    orbits = [_orbit(row) for row in rows[:n]]
+    labels = [label for label, _, _ in table.rays] + [label for label, _ in table.cones]
+    # the batch: each weight with the index of its entry, rays then cones
+    batch = [(i, m) for i, members in enumerate(orbits) for m in members] + [*enumerate(rows)][n:]
+    verdicts = _memberships(system, a_exp, [weight for _, weight in batch])
 
     def rational(row) -> list:
         return [str(Fraction(x, q)) for x in row]
 
+    rejected: list = [[] for _ in rows]
+    for (i, weight), (ok, witness) in zip(batch, verdicts):
+        if not ok:
+            rejected[i].append({"entry": labels[i], "weight": rational(weight),
+                                "witness": witness})
     failures = []
     ray_results: dict = {}
     mult_results: dict = {}
-    excluded = []
-    for (label, mult, row), members in zip(rays, orbits):
-        all_in = True
-        for member in members:
-            ok, witness = member_of()
-            all_in = all_in and ok
-            if not ok:
-                failures.append({"entry": label, "weight": rational(member),
-                                 "witness": witness})
-        ray_results[label] = {"orbit_size": len(members), "all_in": all_in}
+    for (label, _, mult), row, members, bad in zip(table.rays, rows, orbits, rejected):
+        failures += bad
+        ray_results[label] = {"orbit_size": len(members), "all_in": not bad}
         dihedral = len(_orbit(row, dihedral=True))
         mult_results[label] = {
             "expected": mult,
             "dihedral_orbit": dihedral,
             "matches": dihedral == mult,
         }
-        if not mult_results[label]["matches"]:
+        if dihedral != mult:
             failures.append({"entry": label, "witness": "multiplicity",
                              "weight": rational(row)})
-        if sum(row) < 0:
-            excluded.append(label)
+    excluded = [label for label, row in zip(labels, rows[:n]) if sum(row) < 0]
     # the all-negative class is the only one whose coordinate sum is negative
     # at some exponent >= 3, which the table decides once, on its symbolic entries
     if table._compiled[2] != ["h1"]:
         failures.append({"entry": "halfspace", "witness": str(table._compiled[2]),
                          "weight": []})
-    cone_results: dict = {}
-    for label, row in cones:
-        ok, witness = member_of()
-        cone_results[label] = ok
-        if not ok:
-            failures.append({"entry": label, "weight": rational(row), "witness": witness})
+    cone_results = {label: not bad for label, bad in zip(labels[n:], rejected[n:])}
+    failures += chain.from_iterable(rejected[n:])
+    stats = {"weights_tested": len(verdicts),
+             "polynomials_examined": sum(_polys_examined(system, w) for _, w in verdicts),
+             "witnesses": Counter(w for ok, w in verdicts if not ok)}
     return TableReport(a_exp=a_exp, ray_results=ray_results,
                        cone_results=cone_results,
                        multiplicity_results=mult_results,

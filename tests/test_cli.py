@@ -280,6 +280,19 @@ def test_tropical_verify_stats(tmp_path, capsys):
     assert json.loads(stats) == {"polynomials_examined": 31, "witness": None}
 
 
+# SHA-256 of the stdout of ``tropical-verify --A 3 --A 5/2``: both reports
+# with their stats, in the printed key order; CI's smoke step checks the same
+# digest through ``python -m pentacc``
+TROPICAL_STDOUT_SHA256 = "96fb11b3e3af7b1c99ef123b8c60ae0ff94f7ef15d4bc66dcfd736fc9687c2d1"
+
+
+def test_tropical_verify_stdout_pinned(capsys):
+    assert main(["tropical-verify", "--A", "3", "--A", "5/2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == TROPICAL_STDOUT_SHA256
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -601,6 +601,34 @@ def test_table_report_stats_count_rejected_weights(monkeypatch):
                             "witnesses": {witness: 1}}
 
 
+# SHA-256 of json.dumps(verify_tables(A).to_json()), stats and key order
+# included, on the shipped table with four entries added that fail in every
+# way a report records: a ray whose orbit members are rejected and whose
+# multiplicity is wrong, a second all-negative ray, and two rejected cones
+DOCTORED_REPORT_SHA256 = {
+    Fraction(3): "4041ea890dc91cc72bd8a2da464e57450efa84ad0f0e15db3cef7c364197f7de",
+    Fraction(7, 3): "14f25bf255a926b86546f2bba6916eb164ab0a8df24f7080cd32172204895e7d",
+}
+
+
+@pytest.mark.parametrize("a_exp", list(DOCTORED_REPORT_SHA256), ids=str)
+def test_doctored_table_report_pinned(a_exp, monkeypatch):
+    table = load_ray_table()
+    bad = ((0, 0), (1, 1), (-1, 0), (0, 0), (0, 0), (0, 0))
+    doctored = dataclasses.replace(
+        table, rays=table.rays + (("bad", bad, 5), ("neg2", ((-1, 0),) * 6, 1)),
+        cones=table.cones + (("badc", (((1, 0),) + ((0, 0),) * 5,)), ("badc2", (bad,))))
+    monkeypatch.setattr(tropical, "load_ray_table", lambda: doctored)
+    report = verify_tables(a_exp).to_json()
+    assert [f["entry"] for f in report["failures"]] == ["bad"] * 6 + ["halfspace", "badc",
+                                                                     "badc2"]
+    # witnesses in the order the report first meets them
+    assert list(report["stats"]["witnesses"].items()) == [("f12", 4), ("f21", 2),
+                                                          ("CM1234", 1)]
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == DOCTORED_REPORT_SHA256[a_exp]
+
+
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
