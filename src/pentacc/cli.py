@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 
@@ -65,14 +66,20 @@ EXIT_EMPTY = 3
 _FAMILY_SVG_SAMPLES = 400  # y4 samples per branch curve of --svg-out
 
 
-def _write(payload: str, out: str | None) -> None:
-    if out and out != "-":
-        with open(out, "w") as fh:
+def _write(payload, out: str | None) -> None:
+    """Write ``payload``, text or a JSON document, to the file ``out``, or to
+    stdout when ``out`` is None or "-", followed there by a newline unless
+    the text ends in one.  A document is streamed, with a one-space indent:
+    a capped certificate lists tens of thousands of boxes, and its whole
+    text would be the largest allocation of the run.  NaN or an infinity in
+    a document is no JSON, and raises ValueError."""
+    with open(out, "w") if out and out != "-" else nullcontext(sys.stdout) as fh:
+        if isinstance(payload, str):
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        else:
+            json.dump(payload, fh, indent=1, allow_nan=False)
+        if fh is sys.stdout and not (isinstance(payload, str) and payload.endswith("\n")):
+            fh.write("\n")
 
 
 def _parse_pair(text: str, what: str) -> tuple:
@@ -135,7 +142,7 @@ def cmd_symmetric_scan(args) -> int:
                         resid, r.simple, r.sign_change_certified, r.resolved])
         payload = buf.getvalue()
     else:
-        payload = json.dumps([r.to_json() for r in records], indent=1)
+        payload = [r.to_json() for r in records]
     _write(payload, args.out)
     if args.svg_out:
         _write(_family_svg(), args.svg_out)
@@ -165,14 +172,7 @@ def cmd_certify(args) -> int:
         region = Box(Interval(window[0], window[1]), Interval(a_lo, a_hi))
         cert = certify_no_common_zero(region, branch=args.branch,
                                       max_depth=args.max_depth)
-    # streamed: a capped run lists tens of thousands of boxes, and the whole
-    # text would be the largest allocation of the run
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(cert.to_json(), fh, indent=1)
-    else:
-        json.dump(cert.to_json(), sys.stdout, indent=1)
-        sys.stdout.write("\n")
+    _write(cert.to_json(), args.out)
     log.info("certificate stats: %s", json.dumps(cert.stats))
     return EXIT_OK if cert.certified else EXIT_UNDECIDED
 
@@ -195,7 +195,7 @@ def cmd_region_map(args) -> int:
             payload = {"region": "unrealizable", "detail": str(exc)}
         except CollisionError as exc:
             payload = {"region": "collision", "detail": str(exc)}
-        _write(json.dumps(payload, indent=1), None)
+        _write(payload, None)
         return EXIT_OK
     n = args.grid
     if n < 1:
@@ -294,8 +294,7 @@ def cmd_tropical_verify(args) -> int:
                      time.perf_counter() - start, json.dumps(rep.stats))
             if not rep.all_passed:
                 status = EXIT_EMPTY
-    _write(json.dumps(reports if len(reports) > 1 else reports[0], indent=1),
-           args.out)
+    _write(reports if len(reports) > 1 else reports[0], args.out)
     return status
 
 
@@ -356,14 +355,13 @@ def cmd_evaluate(args) -> int:
             print("configuration needs 'points' or 'distances'", file=sys.stderr)
             return EXIT_INPUT
     except (CollisionError, ValueError) as exc:
-        payload = json.dumps({"error": str(exc)}, indent=1)
-        _write(payload, args.out)
+        _write({"error": str(exc)}, args.out)
         return EXIT_INPUT
     # NaN and infinities are not JSON: an overflowing residual is an input error
     if not all(math.isfinite(v) for r in reports for v in r["residuals"].values()):
         raise ValueError(f"the residuals are not finite at A = {a_exp:g}: "
                          "a power of a distance overflows")
-    _write(json.dumps({"reports": reports}, indent=1, allow_nan=False), args.out)
+    _write({"reports": reports}, args.out)
     return EXIT_OK
 
 
@@ -372,10 +370,9 @@ def cmd_bifurcation(args) -> int:
     try:
         blo, bhi = bifurcation_scan((lo, hi), tol=args.tol)
     except NoBifurcationError as exc:
-        _write(json.dumps({"found": False, "detail": str(exc)}, indent=1), args.out)
+        _write({"found": False, "detail": str(exc)}, args.out)
         return EXIT_EMPTY
-    _write(json.dumps({"found": True, "A_c_enclosure": [blo, bhi]}, indent=1),
-           args.out)
+    _write({"found": True, "A_c_enclosure": [blo, bhi]}, args.out)
     return EXIT_OK
 
 

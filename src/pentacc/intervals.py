@@ -1420,15 +1420,14 @@ def _chains(parents: np.ndarray, end: np.ndarray, want: np.ndarray) -> tuple:
     ``want`` rows, at least one; a chain ends at a box that no split can
     shrink.  One ``split_bounds`` call makes a step of every chain.  Returns
     the (4, rows) bounds, chain after chain, and the rows of each chain."""
-    steps, taken, alive = [], [], True
-    for j in range(want.max()):
+    k, alive = int(want.max(initial=0)), True
+    steps, taken = np.empty((k, 4, want.size)), np.zeros((k, want.size), dtype=bool)
+    for j in range(k):
         halves = np.array(split_bounds(*parents, 0))
         alive = alive & (j < want) & ~(halves == parents).all(axis=1).any(axis=0)
-        parents = np.where(end == 1, halves[1], halves[0])
-        steps.append(parents)
-        taken.append(alive)
-    taken = np.array(taken).T
-    return np.array(steps).transpose(1, 2, 0)[:, taken], taken.sum(axis=1)
+        parents = steps[j] = np.where(end == 1, halves[1], halves[0])
+        taken[j] = alive
+    return steps.transpose(1, 2, 0)[:, taken.T], taken.sum(axis=0)
 
 
 def _pass_batch(bounds, depth, reach, max_depth: int) -> tuple:
@@ -1441,7 +1440,7 @@ def _pass_batch(bounds, depth, reach, max_depth: int) -> tuple:
     allow.  Returns the (4, rows) batch, its whole levels, the candidates
     per box, the frontier box of each row, and two (2, rows) arrays:
     ``succ[h, r]``, the chain row that holds row r's lower (h = 0) or upper
-    half if it is a chain row, else -1 (None without chains), and
+    half if it is a chain row, else -1 (all -1 in a pass without chains), and
     ``grow[e, r]``, the chain rows that the halves of row r at end e ask
     for: twice a chain's rows after its last row, one elsewhere."""
     n = bounds.shape[1]
@@ -1459,20 +1458,18 @@ def _pass_batch(bounds, depth, reach, max_depth: int) -> tuple:
                 row = n + ways * row + int(e)
             plan.append((row, int(e), want, int(p)))
             room -= want
-    if not plan:
-        return whole, levels, ways, root, None, np.ones((2, width), dtype=int)
-    chain, rows = _chains(whole[:, [c[0] for c in plan]], np.array([c[1] for c in plan]),
-                          np.array([c[2] for c in plan]))
+    plan = np.array(plan, dtype=int).reshape(-1, 4)
+    chain, rows = _chains(whole[:, plan[:, 0]], plan[:, 1], plan[:, 2])
     batch = np.concatenate([whole, chain], axis=1)
     succ = np.full((2, batch.shape[1]), -1)
     grow = np.ones((2, batch.shape[1]), dtype=int)
     top = width
-    for (row, e, _, _), k in zip(plan, rows.tolist()):
+    for (row, e, _, _), k in zip(plan.tolist(), rows.tolist()):
         if k:
             succ[e, [row, *range(top, top + k - 1)]] = np.arange(top, top + k)
             grow[e, top + k - 1] = 2 * k
             top += k
-    root = np.concatenate([root, np.repeat([c[3] for c in plan], rows)])
+    root = np.concatenate([root, np.repeat(plan[:, 3], rows)])
     return batch, levels, ways, root, succ, grow
 
 
@@ -1580,15 +1577,13 @@ def _bisect(zones, evaluate, max_depth: int) -> tuple:
                 continue
             # a half that is its chain row is resolved next in this pass, and
             # any other one joins the next frontier
-            nxt = [rows[:0]]
+            nxt = []
             for h, half in enumerate((lower, upper)):
-                miss = open_
-                if succ is not None:
-                    cand = succ[h, rows]
-                    hit = open_ & (cand >= 0)
-                    hit[hit] = (batch[:, cand[hit]] == half[:, hit]).all(axis=0)
-                    miss = open_ & ~hit
-                    nxt.append(cand[hit])
+                cand = succ[h, rows]
+                hit = open_ & (cand >= 0)
+                hit[hit] = (batch[:, cand[hit]] == half[:, hit]).all(axis=0)
+                miss = open_ & ~hit
+                nxt.append(cand[hit])
                 parts.append(half[:, miss])
                 came.append(rows[miss])
                 deep.append(d[miss])

@@ -308,11 +308,15 @@ def isolate_roots(branch: str, a_exp: float, window: tuple, tol: float = 1e-12) 
     how many of them are not simple, and the guard's wall time.
     Raises OutOfDomainError when the window is empty (lo == hi) or not
     inside [0, Y4_MAX], and ValueError when the exponent breaks the rule of
-    ``equations.Exponent`` (finite and at least 2), or when ``tol`` is not
-    finite or is below the float spacing at the window's upper end, where
-    the bisection could not advance.
+    ``equations.Exponent`` (finite and at least 2), when A + A is not
+    finite (the guard's boxes are point boxes in A, and a split takes their
+    A midpoint; ``certify`` refuses an exponent range whose lo + hi is not
+    finite), or when ``tol`` is not finite or is below the float spacing at
+    the window's upper end, where the bisection could not advance.
     """
     a_exp = Exponent(a_exp).value
+    if not math.isfinite(2.0 * float(a_exp)):
+        raise ValueError(f"exponent {a_exp!r} must satisfy A >= 2 with A + A finite")
     lo, hi = window
     if lo == hi:
         raise OutOfDomainError(f"window {window} is empty: lo == hi")
@@ -384,15 +388,19 @@ def _tangency_seeds(ys, vals, a_exp: float) -> list:
     of F, as (y4 lo, y4 hi, A, A) boxes.
 
     A cell is near when min(|F|) at its ends is below 8 (|dF| + 1e-300),
-    dF the step of F across it.  The rule runs on half of every value and
-    compares min(|F|)/16 with |dF|/2 + 1e-300/2: no intermediate overflows
-    at values up to the float maximum, and since scaling by a power of two
-    is exact, each verdict is that of the rule in full, read as true where
+    dF the largest step of F across the cell and its two neighbours.  The
+    cell's own step alone would miss a double zero near its midpoint,
+    where F has nearly the same value at both ends although it turns
+    there.  The rule runs on half of every value and compares min(|F|)/16
+    with |dF|/2 + 1e-300/2: no intermediate overflows at values up to the
+    float maximum, and since scaling by a power of two is exact, each
+    verdict is that of the rule in full, read as true where
     8 (|dF| + 1e-300) overflows.  Where halving a value rounds, that value
     is below 1e-307 and the cell is near either way."""
     signs = np.sign(vals)
     half = 0.5 * vals
-    steps = np.abs(np.diff(half))
+    steps = np.pad(np.abs(np.diff(half)), 1)
+    steps = np.maximum(np.maximum(steps[:-2], steps[1:-1]), steps[2:])
     near = np.minimum(np.abs(half[:-1]), np.abs(half[1:])) / 8.0 < steps + 0.5e-300
     return [(float(ys[i]), float(ys[i + 1]), a_exp, a_exp)
             for i in np.flatnonzero(near & (signs[:-1] * signs[1:] > 0)).tolist()]

@@ -106,7 +106,7 @@ def test_symmetric_scan_branch_b(tmp_path, capsys):
     assert with_stats.read_bytes() == out.read_bytes()
     head, tail = captured.err.split(" at A=3.0: ")
     assert head.startswith("pentacc.symmetric: tangency guard on y4 [0.13397")
-    assert tail.startswith("seeds 67, boxes per depth [67, 12, 12, ")
+    assert tail.startswith("seeds 73, boxes per depth [73, 12, 12, ")
     assert ", passes 6, unresolved cells 0, " in tail and tail.endswith(" s\n")
     # the window's one root enclosure was checked for simplicity, and passed
     assert ", roots 1, not simple 0, " in tail
@@ -318,6 +318,31 @@ def test_certify_refuses_a_range_whose_midpoint_overflows_without_a_warning(tmp_
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["symmetric-scan", "--A", "3", "--branch", "B"], id="symmetric-scan"),
+    pytest.param(["certify", "--window", "a2", "--A-range", "2,3"], id="certify"),
+    pytest.param(["tropical-verify", "--A", "7/3", "--ray", "1/3,-2,1/3,-2,1/3,1/3"],
+                 id="tropical-verify"),
+    pytest.param(["evaluate", "--config", "pentagon.json"], id="evaluate"),
+    pytest.param(["evaluate", "--config", "collision.json"], id="evaluate-error"),
+    pytest.param(["bifurcation", "--A-range", "2,2.5"], id="bifurcation"),
+])
+def test_json_document_on_stdout_is_the_out_file_and_a_newline(argv, capsys, monkeypatch,
+                                                                tmp_path):
+    # every JSON document goes out through one writer: to --out, or the same
+    # bytes to stdout with one final newline
+    monkeypatch.chdir(tmp_path)
+    points = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A")).points.tolist()
+    Path("pentagon.json").write_text(json.dumps({"points": points}))
+    Path("collision.json").write_text(json.dumps({"points": [points[0], *points[:4]]}))
+    code = main([*argv, "--out", "doc.json"])
+    assert capsys.readouterr().out == ""
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == Path("doc.json").read_bytes().decode() + "\n"
+    json.loads(out)
+
+
 def test_evaluate_pentagon(tmp_path):
     config = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A"))
     payload = {"points": config.points.tolist(), "masses": [1.0] * 5, "A": 3}
@@ -507,6 +532,11 @@ def test_bifurcation_empty_range(tmp_path):
     pytest.param(["symmetric-scan", "--A", "nan"], id="scan-nan"),
     pytest.param(["symmetric-scan", "--A", "inf"], id="scan-inf"),
     pytest.param(["symmetric-scan", "--A", "1e400"], id="scan-overflow"),
+    # A + A overflows, and the tangency guard's split takes the A midpoint
+    # of its point boxes
+    pytest.param(["symmetric-scan", "--A", "1e308"], id="scan-double-overflows"),
+    pytest.param(["symmetric-scan", "--A", "9e307", "--branch", "B"],
+                 id="scan-double-overflows-b"),
     pytest.param(["tropical-verify", "--A", "1/0"], id="tropical-zero-denominator"),
     pytest.param(["tropical-verify", "--A", "3", "--ray", "1/0,0,0,0,0,0"],
                  id="tropical-ray-zero-denominator"),

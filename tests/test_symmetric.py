@@ -343,7 +343,7 @@ def test_isolate_roots_window_validation():
 
 
 @pytest.mark.parametrize("branch, label, a_exp, top", [
-    ("A", "A2", 1100.0, 0.1585501), ("A", "A2", 2000.0, None), ("B", "B2", 1000.0, None)])
+    ("A", "A2", 1100.0, 0.1586061), ("A", "A2", 2000.0, None), ("B", "B2", 1000.0, None)])
 def test_grid_overflow_leaves_cells_unresolved(branch, label, a_exp, top):
     # above A of about 1000 a power of a distance overflows on the float
     # grid and F is NaN or infinite at some nodes (A2 at 1100: 439 of the
@@ -360,6 +360,37 @@ def test_grid_overflow_leaves_cells_unresolved(branch, label, a_exp, top):
         assert rec.enclosure[1] == hi
     else:
         assert rec.enclosure[1] == pytest.approx(top, abs=1e-7)
+
+
+def test_scan_refuses_an_exponent_whose_double_overflows():
+    # the guard's boxes are point boxes in A, and split_bounds takes their A
+    # midpoint 0.5 * (A + A): from A of about 8.99e307 on, A + A overflows
+    with pytest.raises(ValueError, match=r"with A \+ A finite"):
+        isolate_roots("A", 9e307, window_for("A", "A2", inset=1e-9))
+    with pytest.raises(ValueError, match=r"with A \+ A finite"):
+        scan_branch("A", 1e308)
+    # just below, F overflows on the whole grid and the window is one
+    # unresolved record, without a warning
+    [rec] = isolate_roots("A", 8.9e307, window_for("A", "A2", inset=1e-9))
+    assert not (rec.resolved or rec.simple or rec.sign_change_certified)
+
+
+@pytest.mark.parametrize("at", [0.5, 0.3])
+def test_tangency_guard_examines_a_double_zero_inside_a_grid_cell(monkeypatch, at):
+    # F = (y4 - c)**2 touches zero a fraction ``at`` into grid cell 1000.  At
+    # the cell's midpoint F has the same value at both its nodes, so the
+    # step across that cell alone is 0 and would not seed it: the seed rule
+    # takes the largest step of the cell and its two neighbours
+    ys = np.linspace(0.2, 0.3, symmetric._ROOT_GRID + 1)
+    c = ys[1000] + at * (ys[1001] - ys[1000])
+    monkeypatch.setattr(symmetric, "F", lambda y4, a_exp, branch="A": (y4 - c) * (y4 - c))
+    symmetric._natural_plan.cache_clear()
+    try:
+        records = isolate_roots("A", 3.0, (0.2, 0.3))
+    finally:
+        symmetric._natural_plan.cache_clear()
+    [rec] = records
+    assert not rec.resolved and rec.enclosure[0] <= c <= rec.enclosure[1]
 
 
 def test_grid_below_overflow_keeps_its_roots():
@@ -480,12 +511,14 @@ def test_tangency_guard_matches_recursive_oracle(branch, a_exp, label):
 
 
 def _seeds_in_full(ys, vals, a_exp: float) -> list:
-    """The tangency seeds' rule as first written, min(|F|) < 8 (|dF| + 1e-300)
-    on the values themselves.  Near the float maximum the step or the bound
-    overflows to inf, which the comparison reads as true."""
+    """The tangency seeds' rule on the values themselves, min(|F|) < 8 (|dF|
+    + 1e-300), dF the largest step of F across the cell and its two
+    neighbours.  Near the float maximum a step or the bound overflows to
+    inf, which the comparison reads as true."""
     signs = np.sign(vals)
     with np.errstate(over="ignore"):
-        steps = np.abs(np.diff(vals))
+        cell = np.abs(np.diff(vals))
+        steps = np.array([cell[max(i - 1, 0):i + 2].max() for i in range(cell.size)])
         near = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < 8.0 * (steps + 1e-300)
     return [(float(ys[i]), float(ys[i + 1]), a_exp, a_exp)
             for i in np.flatnonzero(near & (signs[:-1] * signs[1:] > 0)).tolist()]
