@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
 import sys
 import time
 from collections import Counter
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 
@@ -69,17 +69,19 @@ _FAMILY_SVG_SAMPLES = 400  # y4 samples per branch curve of --svg-out
 def _write(payload, out: str | None) -> None:
     """Write ``payload``, text or a JSON document, to the file ``out``, or to
     stdout when ``out`` is None or "-", followed there by a newline unless
-    the text ends in one.  A document is streamed, with a one-space indent:
-    a capped certificate lists tens of thousands of boxes, and its whole
-    text would be the largest allocation of the run.  NaN or an infinity in
-    a document is no JSON, and raises ValueError."""
-    with open(out, "w") if out and out != "-" else nullcontext(sys.stdout) as fh:
-        if isinstance(payload, str):
+    the text ends in one.  A document is encoded whole, with a one-space
+    indent, before the file is opened, so that NaN or an infinity, which is
+    no JSON and raises ValueError, leaves no file.  The whole text is small:
+    at ``_MAX_TREE_BOXES`` (65,536 tree boxes) a certificate's is at most
+    about 4 MB, and B2's certificate, 252 KB, takes about 20 ms to write
+    whole, as long as streamed."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=1, allow_nan=False)
+    if out and out != "-":
+        with open(out, "w") as fh:
             fh.write(payload)
-        else:
-            json.dump(payload, fh, indent=1, allow_nan=False)
-        if fh is sys.stdout and not (isinstance(payload, str) and payload.endswith("\n")):
-            fh.write("\n")
+    else:
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
 
 
 def _parse_pair(text: str, what: str) -> tuple:
@@ -129,17 +131,17 @@ def cmd_symmetric_scan(args) -> int:
     else:
         records = scan_branch(args.branch, a_exp, tol=args.tol)
     if args.format == "csv":
-        import io
+        # each row holds the record's JSON fields, its masses spread over
+        # m1..m5; csv.writer writes null (None) as an empty field
+        columns = ["y4", "branch", "sign_type", "A", "m1", "m2", "m3", "m4", "m5",
+                   "residual_max", "simple", "sign_change_certified", "resolved"]
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["y4", "branch", "sign_type", "A", "m1", "m2", "m3", "m4",
-                    "m5", "residual_max", "simple", "sign_change_certified", "resolved"])
+        w.writerow(columns)
         for r in records:
-            masses = list(r.masses.as_array()) if r.masses else [""] * 5
-            # an empty field where the JSON has null, as for absent masses
-            resid = r.residual_max if math.isfinite(r.residual_max) else ""
-            w.writerow([r.y4, r.branch, r.sign_type.label, r.a_exp, *masses,
-                        resid, r.simple, r.sign_change_certified, r.resolved])
+            fields = r.to_json()
+            fields.update(zip(columns[4:9], fields["masses"] or [None] * 5))
+            w.writerow([fields[c] for c in columns])
         payload = buf.getvalue()
     else:
         payload = [r.to_json() for r in records]
@@ -315,48 +317,37 @@ def cmd_evaluate(args) -> int:
     try:
         with open(args.config) as fh:
             spec = json.load(fh)
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:  # or nested too deep
-        print(f"cannot read configuration: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, RecursionError, ValueError) as exc:  # or nested too deep, or no JSON
+        raise ValueError(f"cannot read configuration: {exc}") from None
     if not isinstance(spec, dict):
-        print("configuration must be a JSON object", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("configuration must be a JSON object")
     a_exp = Exponent.parse(spec.get("A", args.A)).value
     masses = spec.get("masses", [1.0] * 5)
     if not isinstance(masses, list) or len(masses) != 5:
-        print("expected a list of five masses", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("expected a list of five masses")
     for key, depth in (("masses", 1), ("points", 2), ("distances", 1)):
         if not _finite_numbers(spec.get(key), depth):
-            print(f"every entry of {key} must be a finite number", file=sys.stderr)
-            return EXIT_INPUT
-    reports = []
-    try:
-        if "points" in spec:
-            config = PlanarConfiguration(np.asarray(spec["points"], dtype=float))
-            reports.append(laura_andoyer(config, masses, a_exp).to_json())
-            reports.append(albouy_chenciner_f(config, masses, a_exp).to_json())
-            reports.append(symmetric_g(config, masses, a_exp).to_json())
-            verdict = None
-            if mutual_distances(config).is_equilateral:
-                verdict = la2_feasible(config, a_exp).to_json()
-            reports.append({"system": "la2_feasibility",
-                            "residuals": {}, "max_abs": 0.0,
-                            "meta": {"verdict": verdict}})
-        elif "distances" in spec:
-            if not isinstance(spec["distances"], list) or len(spec["distances"]) != 6:
-                print("expected a list of six class distances", file=sys.stderr)
-                return EXIT_INPUT
-            classes = DistanceVector(*[float(d) for d in spec["distances"]])
-            table = classes.full_table()
-            reports.append(albouy_chenciner_f(table, masses, a_exp).to_json())
-            reports.append(symmetric_g(table, masses, a_exp).to_json())
-        else:
-            print("configuration needs 'points' or 'distances'", file=sys.stderr)
-            return EXIT_INPUT
-    except (CollisionError, ValueError) as exc:
-        _write({"error": str(exc)}, args.out)
-        return EXIT_INPUT
+            raise ValueError(f"every entry of {key} must be a finite number")
+    if "points" in spec:
+        points = spec["points"]
+        if not (isinstance(points, list) and len(points) == 5
+                and all(isinstance(p, list) and len(p) == 2 for p in points)):
+            raise ValueError("expected a list of five [x, y] points")
+        config = PlanarConfiguration(np.asarray(points, dtype=float))
+        reports = [system(config, masses, a_exp).to_json()
+                   for system in (laura_andoyer, albouy_chenciner_f, symmetric_g)]
+        verdict = (la2_feasible(config, a_exp).to_json()
+                   if mutual_distances(config).is_equilateral else None)
+        reports.append({"system": "la2_feasibility", "residuals": {}, "max_abs": 0.0,
+                        "meta": {"verdict": verdict}})
+    elif "distances" in spec:
+        if not isinstance(spec["distances"], list) or len(spec["distances"]) != 6:
+            raise ValueError("expected a list of six class distances")
+        table = DistanceVector(*[float(d) for d in spec["distances"]]).full_table()
+        reports = [system(table, masses, a_exp).to_json()
+                   for system in (albouy_chenciner_f, symmetric_g)]
+    else:
+        raise ValueError("configuration needs 'points' or 'distances'")
     # NaN and infinities are not JSON: an overflowing residual is an input error
     if not all(math.isfinite(v) for r in reports for v in r["residuals"].values()):
         raise ValueError(f"the residuals are not finite at A = {a_exp:g}: "
@@ -462,7 +453,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except (OutOfDomainError, CollisionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CollisionError, OutOfDomainError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -145,6 +145,14 @@ EXCLUDED_TYPES = {b: tuple(label for label, _, claim in types if claim is not No
                   for b, types in _SIGN_TYPES.items()}
 
 
+def _sign_types(branch: str) -> tuple:
+    """The sign types of ``branch``, in y4 order; ValueError for an unknown
+    branch, as ``geometry.branch_position`` raises."""
+    if branch not in _SIGN_TYPES:
+        raise ValueError(f"unknown branch {branch!r}")
+    return _SIGN_TYPES[branch]
+
+
 def sign_type_windows(branch: str) -> dict:
     """Open y4 windows of each sign type, keyed by label, in y4 order.
 
@@ -153,7 +161,7 @@ def sign_type_windows(branch: str) -> dict:
     sqrt(3)/2, ``regular_pentagon_y4`` or ``house_y4``.  The dict is new on
     each call: changing it moves no window.
     """
-    types = _SIGN_TYPES[branch]
+    types = _sign_types(branch)
     ends = [0.0] + [end for _, end, _ in types]
     return {label: (lo, hi) for (label, _, _), lo, hi in zip(types, ends, ends[1:])}
 
@@ -488,9 +496,10 @@ def scan_branch(branch: str, a_exp: float, tol: float = 1e-12) -> list:
     inset by ``_SCAN_INSET``; ``isolate_roots`` checks ``a_exp`` and
     ``tol``."""
     records = []
-    for label in ALLOWED_TYPES[branch]:
-        win = window_for(branch, label, inset=_SCAN_INSET)
-        records.extend(isolate_roots(branch, a_exp, win, tol=tol))
+    for label, _, claim in _sign_types(branch):
+        if claim is None:  # an allowed type
+            win = window_for(branch, label, inset=_SCAN_INSET)
+            records.extend(isolate_roots(branch, a_exp, win, tol=tol))
     records.sort(key=lambda r: r.enclosure[0])
     return records
 
@@ -692,7 +701,7 @@ def exclude_sign_types(branch: str, a_exp: float) -> list:
     """
     a_exp = Exponent(a_exp).value
     out = []
-    for label, _, claim in _SIGN_TYPES[branch]:
+    for label, _, claim in _sign_types(branch):
         if claim is None:
             continue
         equation, sign = claim

@@ -324,7 +324,6 @@ def test_certify_refuses_a_range_whose_midpoint_overflows_without_a_warning(tmp_
     pytest.param(["tropical-verify", "--A", "7/3", "--ray", "1/3,-2,1/3,-2,1/3,1/3"],
                  id="tropical-verify"),
     pytest.param(["evaluate", "--config", "pentagon.json"], id="evaluate"),
-    pytest.param(["evaluate", "--config", "collision.json"], id="evaluate-error"),
     pytest.param(["bifurcation", "--A-range", "2,2.5"], id="bifurcation"),
 ])
 def test_json_document_on_stdout_is_the_out_file_and_a_newline(argv, capsys, monkeypatch,
@@ -334,7 +333,6 @@ def test_json_document_on_stdout_is_the_out_file_and_a_newline(argv, capsys, mon
     monkeypatch.chdir(tmp_path)
     points = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A")).points.tolist()
     Path("pentagon.json").write_text(json.dumps({"points": points}))
-    Path("collision.json").write_text(json.dumps({"points": [points[0], *points[:4]]}))
     code = main([*argv, "--out", "doc.json"])
     assert capsys.readouterr().out == ""
     assert main(argv) == code
@@ -377,36 +375,59 @@ def test_evaluate_distances_input(tmp_path):
     out = tmp_path / "res.json"
     assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
     result = json.loads(out.read_text())
+    check_schema(result, load_schema("residual_report.schema.json"))
     systems = {r["system"] for r in result["reports"]}
     assert "albouy_chenciner" in systems
     assert all(r["max_abs"] < 1e-12 for r in result["reports"])
 
 
-def test_evaluate_collision_exits_1(tmp_path):
+_PENTAGON_POINTS = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A")).points.tolist()
+_GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def _evaluate_error(tmp_path, capsys, config) -> tuple:
+    """Exit code and (stdout, stderr) of ``evaluate --config config --out``,
+    with a check that the refused input left no --out file."""
+    out = tmp_path / "residuals.json"
+    code = main(["evaluate", "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr()
+
+
+def test_evaluate_collision_exits_1(tmp_path, capsys):
+    # an input error is one error line on stderr, as for every command, and
+    # no {"error": ...} document, which no schema describes: a unit square
+    # with a doubled corner, and the pentagon with its first body doubled
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"points": [[0, 0], [0, 0], [1, 0], [1, 1], [0, 1]]}))
-    out = tmp_path / "err.json"
-    assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 1
-    assert "error" in json.loads(out.read_text())
+    for points in ([[0, 0], [0, 0], [1, 0], [1, 1], [0, 1]],
+                   [_PENTAGON_POINTS[0], *_PENTAGON_POINTS[:4]]):
+        path.write_text(json.dumps({"points": points}))
+        assert _evaluate_error(tmp_path, capsys, path) == (
+            1, ("", "error: coincident bodies: [(1, 2)]\n"))
 
 
 def test_evaluate_without_points_or_distances_exits_1(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"masses": [1.0] * 5, "A": 3}))
-    assert main(["evaluate", "--config", str(path)]) == 1
-    assert "needs 'points' or 'distances'" in capsys.readouterr().err
+    assert _evaluate_error(tmp_path, capsys, path) == (
+        1, ("", "error: configuration needs 'points' or 'distances'\n"))
 
 
-def test_evaluate_missing_file_exits_1(tmp_path):
-    assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
+def test_evaluate_missing_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert _evaluate_error(tmp_path, capsys, path) == (
+        1, ("", f"error: cannot read configuration: [Errno 2] No such file or "
+                f"directory: {str(path)!r}\n"))
 
 
 def test_evaluate_too_deeply_nested_file_exits_1(tmp_path, capsys):
+    text = "[" * 100000 + "]" * 100000
     path = tmp_path / "deep.json"
-    path.write_text("[" * 100000 + "]" * 100000)
-    assert main(["evaluate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("cannot read configuration: ")
+    path.write_text(text)
+    with pytest.raises(RecursionError) as exc:
+        json.loads(text)
+    assert _evaluate_error(tmp_path, capsys, path) == (
+        1, ("", f"error: cannot read configuration: {exc.value}\n"))
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -423,12 +444,35 @@ def test_evaluate_too_deeply_nested_file_exits_1(tmp_path, capsys):
                  "every entry of distances must be a finite number", id="list-distance"),
     pytest.param({"points": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, None]]},
                  "every entry of points must be a finite number", id="null-point"),
+    pytest.param({"points": _PENTAGON_POINTS[:4]}, "expected a list of five [x, y] points",
+                 id="four-points"),
+    pytest.param({"points": {"q1": [0, 0]}}, "expected a list of five [x, y] points",
+                 id="points-object"),
+    pytest.param({"points": "abc"}, "expected a list of five [x, y] points", id="points-string"),
+    pytest.param({"points": 5}, "expected a list of five [x, y] points", id="points-number"),
+    pytest.param({"points": None}, "expected a list of five [x, y] points", id="points-null"),
+    pytest.param({"points": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5]]},
+                 "expected a list of five [x, y] points", id="points-ragged"),
+    pytest.param({"points": [[0, 0, 0]] * 5}, "expected a list of five [x, y] points",
+                 id="points-three-coordinates"),
+    pytest.param({"distances": [1.0, _GOLDEN, _GOLDEN, _GOLDEN, _GOLDEN, -1.0]},
+                 "distance class r35 must be positive", id="negative-distance"),
+    pytest.param({"distances": [1.0, _GOLDEN, _GOLDEN, _GOLDEN, _GOLDEN, _GOLDEN],
+                  "masses": [0, 0, 0, 0, 0]},
+                 "degenerate configuration: multiplier is unconstrained", id="zero-masses"),
 ])
 def test_evaluate_malformed_config_exits_1(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    assert main(["evaluate", "--config", str(path)]) == 1
-    assert capsys.readouterr() == ("", message + "\n")
+    assert _evaluate_error(tmp_path, capsys, path) == (1, ("", f"error: {message}\n"))
+
+
+def test_write_encodes_a_document_before_opening_its_file(tmp_path):
+    # NaN is no JSON: the document is refused whole, and no partial file stays
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write({"reports": [1.0, float("nan")]}, str(path))
+    assert not path.exists()
 
 
 def test_evaluate_overflow_exits_1_without_nan(tmp_path, capsys):

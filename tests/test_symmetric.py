@@ -206,6 +206,20 @@ def test_window_for_unknown_label():
         window_for("A", "B2")
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sign_type_windows("C"), id="sign_type_windows"),
+    pytest.param(lambda: window_for("C", "A2"), id="window_for"),
+    pytest.param(lambda: scan_branch("C", 3.0), id="scan_branch"),
+    pytest.param(lambda: exclude_sign_types("C", 3.0), id="exclude_sign_types"),
+    pytest.param(lambda: isolate_roots("C", 3.0, (0.2, 0.3)), id="isolate_roots"),
+])
+def test_unknown_branch_is_one_value_error(call):
+    # every entry point that takes a branch refuses an unknown one alike,
+    # as geometry.branch_position does, not with a KeyError of a table
+    with pytest.raises(ValueError, match=r"^unknown branch 'C'$"):
+        call()
+
+
 @pytest.mark.parametrize("inset", [math.nan, math.inf, -0.01, -1e-300])
 def test_window_for_rejects_bad_inset(inset):
     # a negative inset would widen the window past its boundaries
