@@ -318,25 +318,30 @@ def test_certify_refuses_a_range_whose_midpoint_overflows_without_a_warning(tmp_
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["symmetric-scan", "--A", "3", "--branch", "B"], id="symmetric-scan"),
-    pytest.param(["certify", "--window", "a2", "--A-range", "2,3"], id="certify"),
-    pytest.param(["tropical-verify", "--A", "7/3", "--ray", "1/3,-2,1/3,-2,1/3,1/3"],
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["symmetric-scan", "--A", "3", "--branch", "B"], 0, id="symmetric-scan"),
+    pytest.param(["certify", "--window", "a2", "--A-range", "2,3"], 0, id="certify"),
+    pytest.param(["tropical-verify", "--A", "7/3", "--ray", "1/3,-2,1/3,-2,1/3,1/3"], 0,
                  id="tropical-verify"),
-    pytest.param(["evaluate", "--config", "pentagon.json"], id="evaluate"),
-    pytest.param(["bifurcation", "--A-range", "2,2.5"], id="bifurcation"),
+    pytest.param(["evaluate", "--config", "pentagon.json"], 0, id="evaluate"),
+    pytest.param(["evaluate", "--config", "collision.json"], 1, id="evaluate-error"),
+    pytest.param(["bifurcation", "--A-range", "2,2.5"], 3, id="bifurcation"),
 ])
-def test_json_document_on_stdout_is_the_out_file_and_a_newline(argv, capsys, monkeypatch,
-                                                                tmp_path):
+def test_json_document_on_stdout_is_the_out_file_and_a_newline(argv, code, capsys,
+                                                                monkeypatch, tmp_path):
     # every JSON document goes out through one writer: to --out, or the same
-    # bytes to stdout with one final newline
+    # bytes to stdout with one final newline; a refused input writes neither
     monkeypatch.chdir(tmp_path)
     points = symmetric_coords(SymmetricShape(regular_pentagon_y4(), "A")).points.tolist()
     Path("pentagon.json").write_text(json.dumps({"points": points}))
-    code = main([*argv, "--out", "doc.json"])
+    Path("collision.json").write_text(json.dumps({"points": [points[0], *points[:4]]}))
+    assert main([*argv, "--out", "doc.json"]) == code
     assert capsys.readouterr().out == ""
     assert main(argv) == code
     out = capsys.readouterr().out
+    if code == 1:
+        assert out == "" and not Path("doc.json").exists()
+        return
     assert out == Path("doc.json").read_bytes().decode() + "\n"
     json.loads(out)
 
